@@ -6,7 +6,10 @@ package daemon
 // and heap intact, DELETE /session/{id} retires it. Idle sessions are
 // cheap — their 16 MB machine stack is parked into a shared pool and
 // the goroutine-free System is just its heap — which is what lets one
-// node hold thousands of them.
+// node hold thousands of them. Resuming is cheap too: a parked stack
+// carries its dirty mark (one past the highest word written, every
+// word above it zero), so reattaching clears only the words the
+// previous tenant wrote rather than the whole segment.
 //
 // Durability: the session *manifest* (ids + tenants) is rewritten on
 // every lifecycle change into <snapdir>/sessions/manifest.json, and a

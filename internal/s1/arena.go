@@ -1,13 +1,16 @@
 package s1
 
 // Machine-arena reuse (DESIGN.md §15). A request-per-machine server
-// allocates the same few large slices — heap, GC records, stack, card
-// table — for every request, runs a prelude image into them, and drops
-// the lot at request end; the Go allocator pays for that churn. An
-// Arena recycles the storage: when a request finishes, ReleaseArena
-// detaches the machine's slices into the arena, and NewFromArena hands
-// them to the next machine after clearing only the prefix the previous
-// tenant actually dirtied (the high-water mark), not the full capacity.
+// allocates the same few large slices — heap, GC records, card table —
+// for every request, runs a prelude image into them, and drops the lot
+// at request end; the Go allocator pays for that churn. An Arena
+// recycles the storage: when a request finishes, ReleaseArena detaches
+// the machine's slices into the arena, and NewFromArena hands them to
+// the next machine after clearing only the prefix the previous tenant
+// actually dirtied (the high-water mark), not the full capacity. The
+// 16 MB value stack is not the arena's: every machine draws it from
+// stackPool (machine.go), whose dirty mark bounds its reset the same
+// way, so ReleaseArena returns it there.
 //
 // Ownership is strictly alternating: while a machine holds the slices
 // the arena's fields are nil, so a machine that is dropped without
@@ -21,7 +24,6 @@ package s1
 type Arena struct {
 	heap   []Word
 	recs   []gcRec
-	stack  []Word
 	cards  []byte
 	blocks []uint64
 	young  []uint64
@@ -52,10 +54,7 @@ func NewFromArena(a *Arena) *Machine {
 }
 
 // adopt transfers the arena's storage into m, clearing the previous
-// tenant's dirty prefixes. The stack is cleared in full: lowered blocks
-// store through SP-relative addressing directly, so Stats.MaxStack
-// under-reports the touched extent and no cheaper high-water mark
-// exists for it.
+// tenant's dirty prefixes.
 func (a *Arena) adopt(m *Machine) {
 	// A machine built on recycled storage must never inherit a pending
 	// interrupt: a stale kill left over from a previous tenant's deadline
@@ -67,15 +66,9 @@ func (a *Arena) adopt(m *Machine) {
 		panic("s1: arena adoption with a pending interrupt")
 	}
 	a.uses++
-	if len(a.stack) != StackLimit-StackBase {
-		a.stack = make([]Word, StackLimit-StackBase)
-	} else {
-		clear(a.stack)
-	}
 	clear(a.heap[:a.heapUsed])
 	clear(a.recs[:a.recsUsed])
 	clear(a.cards)
-	m.stack = a.stack
 	m.heap = a.heap[:0]
 	m.gcRecs = a.recs[:0]
 	m.cards = a.cards[:0]
@@ -86,7 +79,7 @@ func (a *Arena) adopt(m *Machine) {
 	// The slices now belong to the machine until ReleaseArena harvests
 	// them back; nil the arena's references so a machine dropped without
 	// releasing can never alias a later tenant.
-	a.heap, a.recs, a.stack, a.cards = nil, nil, nil, nil
+	a.heap, a.recs, a.cards = nil, nil, nil
 	a.blocks, a.young, a.mark = nil, nil, nil
 	a.heapUsed, a.recsUsed = 0, 0
 }
@@ -94,25 +87,26 @@ func (a *Arena) adopt(m *Machine) {
 // ReleaseArena detaches the machine's recycled slices back into the
 // arena it was built from and returns true, or returns false when the
 // machine owns its memory (not arena-built) or its heap outgrew
-// arenaKeepWords (the storage is left to the Go collector). The machine
-// must not run again afterwards.
+// arenaKeepWords (the heap storage is left to the Go collector). An
+// arena-built machine's stack goes back to stackPool either way. The
+// machine must not run again afterwards.
 func (m *Machine) ReleaseArena() bool {
 	a := m.arena
 	if a == nil {
 		return false
 	}
 	m.arena = nil
+	m.releaseStack()
 	if cap(m.heap) > arenaKeepWords {
 		return false
 	}
 	a.heap, a.heapUsed = m.heap, len(m.heap)
 	a.recs, a.recsUsed = m.gcRecs, len(m.gcRecs)
-	a.stack = m.stack
 	a.cards = m.cards
 	a.blocks = m.gcBlocks
 	a.young = m.youngBlocks
 	a.mark = m.markStack
-	m.heap, m.gcRecs, m.stack, m.cards = nil, nil, nil, nil
+	m.heap, m.gcRecs, m.cards = nil, nil, nil
 	m.gcBlocks, m.youngBlocks, m.markStack = nil, nil, nil
 	return true
 }

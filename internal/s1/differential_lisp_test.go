@@ -47,6 +47,20 @@ func lispDiffSystem(t *testing.T, k runtimeKernel, nofuse, profile bool) *core.S
 	return sys
 }
 
+// checkStackMarks fails the test when any system's stack holds a nonzero
+// word at or above its dirty mark: a stack write site that forgot to
+// raise the mark, which would leak that word to the segment's next
+// tenant. Run after every differential run, so each engine mode
+// (tier, fusion, GC) exercises its own write paths against the mark.
+func checkStackMarks(t *testing.T, systems map[string]*core.System) {
+	t.Helper()
+	for name, sys := range systems {
+		if err := sys.Machine.CheckStackInvariant(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
 func TestLispDifferentialFusedVsUnfused(t *testing.T) {
 	for _, k := range runtimeKernels() {
 		k := k
@@ -73,6 +87,7 @@ func TestLispDifferentialFusedVsUnfused(t *testing.T) {
 			if fused.Machine.FusedGroupCount() == 0 {
 				t.Errorf("%s compiled to no superinstruction groups", k.name)
 			}
+			checkStackMarks(t, map[string]*core.System{"fused": fused, "unfused": unfused})
 		})
 	}
 }
@@ -117,6 +132,7 @@ func TestLispDifferentialTierModes(t *testing.T) {
 					t.Fatalf("%s: %v", mode.name, err)
 				}
 				runs[mode.name] = outcome{sys: sys, val: sexp.Print(v)}
+				checkStackMarks(t, map[string]*core.System{mode.name: sys})
 			}
 			ref := runs["notier"]
 			for _, name := range []string{"tiered", "forcehot"} {
@@ -164,6 +180,7 @@ func TestLispDifferentialGCStress(t *testing.T) {
 			if err := stressed.Machine.CheckHeapInvariants(); err != nil {
 				t.Errorf("heap invariants after stressed run: %v", err)
 			}
+			checkStackMarks(t, map[string]*core.System{"plain": plain, "stressed": stressed})
 		})
 	}
 }
@@ -192,6 +209,7 @@ func TestProfileStableAcrossFusion(t *testing.T) {
 				if _, err := sys.Call(k.fn, k.args...); err != nil {
 					t.Fatal(err)
 				}
+				checkStackMarks(t, map[string]*core.System{"profiled": sys})
 				sys.Machine.WriteProfile(&bufs[i])
 			}
 			fusedP, unfusedP := stripWallClock(bufs[0].String()), stripWallClock(bufs[1].String())

@@ -261,6 +261,9 @@ func diffRun(t *testing.T, p diffProg, nofuse bool) (*Machine, Word, error) {
 	}
 	p.build(t, m)
 	got, err := m.CallFunction(p.fn, p.args...)
+	if ierr := m.CheckStackInvariant(); ierr != nil {
+		t.Errorf("nofuse=%v: %v", nofuse, ierr)
+	}
 	return m, got, err
 }
 

@@ -288,7 +288,9 @@ func (m *Machine) LoadImage(img *Image) error {
 	m.gcThreshold = img.GCThreshold
 
 	copy(m.regs[:], img.Regs)
+	m.ensureStack()
 	copy(m.stack, img.Stack)
+	m.stackDirty = max(m.stackDirty, uint64(len(img.Stack)))
 	m.pc, m.halted = 0, false
 
 	// Derived execution state: decode (and fuse, unless noFuse) the whole

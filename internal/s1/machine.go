@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -116,7 +117,15 @@ type Machine struct {
 	primHook PrimHook
 
 	stack []Word
-	heap  []Word
+	// stackDirty is the stack's dirty mark: one past the highest stack
+	// index written since the storage was last cleared. Every word at or
+	// above it is zero (the tests check this with CheckStackInvariant),
+	// so recycling the segment clears only stack[:stackDirty] — the
+	// words this machine actually wrote — instead of all 16 MB. Every
+	// stack write site raises it: store, push, storeFast, enterFrameIC,
+	// tailCallIC, LoadImage.
+	stackDirty uint64
+	heap       []Word
 	// GC state (gc.go). gcRecs parallels heap: the entry at a block's
 	// start offset holds its record; interior entries stay zero. Offsets
 	// into heap are dense, so slices replace the address-keyed maps the
@@ -380,14 +389,13 @@ func newMachine(a *Arena) *Machine {
 		entrySet:  map[int]bool{},
 		tier:      &tierEngine{threshold: DefaultHotThreshold},
 	}
-	if a == nil {
-		// Draw from the shared stack pool (cleared on attach) rather than
-		// always allocating: a server creating thousands of short-lived or
-		// parked machines recycles the same few 16 MB slices.
-		m.ensureStack()
-		return m
+	// Draw from the shared stack pool rather than always allocating: a
+	// server creating thousands of short-lived or parked machines
+	// recycles the same few 16 MB slices.
+	m.ensureStack()
+	if a != nil {
+		a.adopt(m)
 	}
-	a.adopt(m)
 	return m
 }
 
@@ -514,7 +522,11 @@ func (m *Machine) load(addr uint64) (Word, error) {
 func (m *Machine) store(addr uint64, w Word) error {
 	switch {
 	case IsStackAddr(addr):
-		m.stack[addr-StackBase] = w
+		i := addr - StackBase
+		m.stack[i] = w
+		if i >= m.stackDirty {
+			m.stackDirty = i + 1
+		}
 		return nil
 	case addr >= HeapBase && addr < HeapBase+uint64(len(m.heap)):
 		// Write barrier: record the card so a minor collection treats this
@@ -583,14 +595,14 @@ func (m *Machine) setValue(o Operand, w Word) error {
 
 func (m *Machine) push(w Word) error {
 	sp := m.regs[RegSP].Bits
-	if !IsStackAddr(sp) {
+	i := sp - StackBase // wraps past the segment when sp < StackBase
+	if i >= StackLimit-StackBase {
 		return &RuntimeError{PC: m.pc, Msg: "stack overflow"}
 	}
-	m.stack[sp-StackBase] = w
+	m.stack[i] = w
+	m.stackDirty = max(m.stackDirty, i+1)
 	m.regs[RegSP] = RawInt(int64(sp + 1))
-	if d := int64(sp + 1 - StackBase); d > m.Stats.MaxStack {
-		m.Stats.MaxStack = d
-	}
+	m.Stats.MaxStack = max(m.Stats.MaxStack, int64(i+1))
 	return nil
 }
 
@@ -874,14 +886,28 @@ func (m *Machine) ResetStats() {
 	m.safeCharged = 0
 }
 
-// stackPool recycles full-size machine stacks across parked sessions:
-// a resident Machine that is idle between requests has an empty logical
-// stack, so ParkStack hands the 16 MB backing slice to the pool and
-// ensureStack reattaches (and clears) one on resume. Clearing on attach
-// rather than release keeps the park path O(1) and guarantees a program
-// that reads stack slots it never wrote cannot see another tenant's
-// words.
-var stackPool = sync.Pool{}
+// stackPool is the one recycler of full-size machine stacks. Parked
+// session machines (ParkStack) and released request machines
+// (ReleaseArena) hand their segment back as stack[:stackDirty] — the
+// slice length carries the dirty mark, the capacity is the full
+// segment — and ensureStack clears just that prefix when it reattaches
+// one. Reset therefore costs time proportional to the words the last
+// tenant wrote, not the 16 MB segment, and because every word past the
+// mark is already zero a program that reads stack slots it never wrote
+// still cannot see another tenant's words. Clearing on attach rather
+// than release keeps park and release O(1).
+//
+// It is a bounded LIFO rather than a sync.Pool: a sync.Pool empties
+// itself every other GC cycle, and under slcd's allocation rate that
+// sent a steady trickle of machines to a fresh 16 MB allocation, whose
+// zeroing costs what the dirty mark saves. It retains at most
+// GOMAXPROCS segments, the default number of machines slcd runs at once
+// (its Workers); a segment released into a full pool is left to the Go
+// collector.
+var stackPool struct {
+	mu   sync.Mutex
+	segs [][]Word
+}
 
 // ensureStack attaches stack storage to a machine whose stack was
 // parked (or never allocated). Idempotent and cheap when the stack is
@@ -890,30 +916,50 @@ func (m *Machine) ensureStack() {
 	if m.stack != nil {
 		return
 	}
-	if v, ok := stackPool.Get().([]Word); ok && len(v) == StackLimit-StackBase {
+	m.stackDirty = 0
+	stackPool.mu.Lock()
+	if n := len(stackPool.segs); n > 0 {
+		v := stackPool.segs[n-1]
+		stackPool.segs[n-1] = nil
+		stackPool.segs = stackPool.segs[:n-1]
+		stackPool.mu.Unlock()
 		clear(v)
-		m.stack = v
+		m.stack = v[:cap(v)]
 		return
 	}
+	stackPool.mu.Unlock()
 	m.stack = make([]Word, StackLimit-StackBase)
+}
+
+// releaseStack hands the machine's stack segment to stackPool, its
+// length trimmed to the dirty mark, and detaches it from the machine.
+func (m *Machine) releaseStack() {
+	if m.stack == nil {
+		return
+	}
+	retain := runtime.GOMAXPROCS(0)
+	stackPool.mu.Lock()
+	if len(stackPool.segs) < retain {
+		stackPool.segs = append(stackPool.segs, m.stack[:m.stackDirty])
+	}
+	stackPool.mu.Unlock()
+	m.stack, m.stackDirty = nil, 0
 }
 
 // ParkStack detaches the machine's stack into the shared pool and
 // returns true. Only legal between runs; the next Run/CallIndex
-// reattaches storage automatically. Arena-built machines decline —
-// their stack belongs to the arena and goes back through ReleaseArena —
-// and so does a machine with live frames (SP above the stack base,
-// e.g. after an interrupted run): parking would silently replace those
-// frames with zeros under a live SP, which the GC scans.
+// reattaches storage automatically. A machine with live frames (SP
+// above the stack base, e.g. after an interrupted run) declines:
+// parking would silently replace those frames with zeros under a live
+// SP, which the GC scans.
 func (m *Machine) ParkStack() bool {
-	if m.stack == nil || m.arena != nil {
+	if m.stack == nil {
 		return false
 	}
 	if sp := m.regs[RegSP].Bits; IsStackAddr(sp) && sp != StackBase {
 		return false
 	}
-	stackPool.Put(m.stack)
-	m.stack = nil
+	m.releaseStack()
 	return true
 }
 

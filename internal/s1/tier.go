@@ -593,7 +593,11 @@ func (m *Machine) loadFast(addr uint64) (Word, bool) {
 // differential suite diverges.
 func (m *Machine) storeFast(addr uint64, w Word) bool {
 	if IsStackAddr(addr) {
-		m.stack[addr-StackBase] = w
+		i := addr - StackBase
+		m.stack[i] = w
+		if i >= m.stackDirty {
+			m.stackDirty = i + 1
+		}
 		return true
 	}
 	if h := addr - HeapBase; h < uint64(len(m.heap)) {
@@ -927,6 +931,9 @@ func (m *Machine) enterFrameIC(nargs, retPC, fn, entry int) bool {
 	m.stack[b+1] = RawInt(int64(retPC))
 	m.stack[b+2] = m.regs[RegFP]
 	m.stack[b+3] = m.regs[RegEP]
+	if b+4 > m.stackDirty {
+		m.stackDirty = b + 4
+	}
 	nsp := RawInt(int64(sp + 4))
 	m.regs[RegSP] = nsp
 	if d := int64(sp + 4 - StackBase); d > m.Stats.MaxStack {
@@ -971,6 +978,9 @@ func (m *Machine) tailCallIC(k, fn, entry int) bool {
 	m.stack[dst+uint64(k)+1] = savedRet
 	m.stack[dst+uint64(k)+2] = savedFP
 	m.stack[dst+uint64(k)+3] = savedEP
+	if top := dst + uint64(k) + 4; top > m.stackDirty {
+		m.stackDirty = top
+	}
 	nsp := newBase + int64(k) + 4
 	m.regs[RegSP] = RawInt(nsp)
 	if d := nsp - StackBase; d > m.Stats.MaxStack {

@@ -38,7 +38,10 @@ func tierConfigs() []tierConfig {
 	}
 }
 
-// runTierConfig executes p on a fresh machine under cfg.
+// runTierConfig executes p on a fresh machine under cfg. Every run,
+// failed ones included, must leave the stack dirty-mark invariant
+// intact: the lowered blocks' inline stores and call caches are the
+// stack write paths the generic engine does not share.
 func runTierConfig(t *testing.T, p diffProg, cfg tierConfig) (*Machine, Word, error) {
 	t.Helper()
 	m := New()
@@ -51,6 +54,9 @@ func runTierConfig(t *testing.T, p diffProg, cfg tierConfig) (*Machine, Word, er
 	}
 	p.build(t, m)
 	got, err := m.CallFunction(p.fn, p.args...)
+	if ierr := m.CheckStackInvariant(); ierr != nil {
+		t.Errorf("%s: %v", cfg.name, ierr)
+	}
 	return m, got, err
 }
 

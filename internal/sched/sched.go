@@ -315,17 +315,24 @@ func (s *Sched) tenantLocked(name string) *tenant {
 
 // refillLocked tops the tenant's bucket up for elapsed time.
 func (s *Sched) refillLocked(tn *tenant) {
-	if s.cfg.GasRate <= 0 {
+	rate := s.cfg.GasRate
+	if rate <= 0 {
 		return
 	}
 	now := s.cfg.Clock()
-	if el := now.Sub(tn.lastRefill); el > 0 {
-		add := int64(float64(el) / float64(time.Second) * float64(s.cfg.GasRate))
-		if add > 0 {
-			tn.gas = min(s.cfg.GasBurst, tn.gas+add)
-			tn.lastRefill = now
-		}
+	add := int64(float64(now.Sub(tn.lastRefill)) * float64(rate) / float64(time.Second))
+	if add <= 0 {
+		return
 	}
+	if tn.gas+add >= s.cfg.GasBurst {
+		tn.gas, tn.lastRefill = s.cfg.GasBurst, now
+		return
+	}
+	// Advance by the time the credited cycles took to earn, not to now:
+	// the fraction of a cycle earned since carries into the next refill,
+	// so polling admission does not push a dry tenant past RetryAfter.
+	tn.gas += add
+	tn.lastRefill = tn.lastRefill.Add(time.Duration(float64(add) * float64(time.Second) / float64(rate)))
 }
 
 // gasErrLocked builds the typed failure for a bucket that is deficit
@@ -333,7 +340,7 @@ func (s *Sched) refillLocked(tn *tenant) {
 func (s *Sched) gasErrLocked(tn *tenant, deficit int64) *GasError {
 	retry := time.Duration(0)
 	if s.cfg.GasRate > 0 {
-		retry = time.Duration(float64(deficit) / float64(s.cfg.GasRate) * float64(time.Second))
+		retry = time.Duration(float64(deficit) * float64(time.Second) / float64(s.cfg.GasRate))
 	}
 	tn.gasExhausted++
 	s.stats.GasExhausted++
@@ -558,9 +565,10 @@ func (t *Task) flushGas() error {
 		s.mu.Unlock()
 		return nil
 	}
-	deficit := 1 - t.tn.gas
-	t.tn.gas = 0
-	ge := s.gasErrLocked(t.tn, deficit)
+	// The overdraft stays on the bucket as debt: admission refuses the
+	// tenant until the refill has paid it off, which is exactly the
+	// RetryAfter the error advertises.
+	ge := s.gasErrLocked(t.tn, 1-t.tn.gas)
 	s.mu.Unlock()
 	t.gasErr = ge
 	s.emit(EvGasExhausted, t.tn.name, 0)

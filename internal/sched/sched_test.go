@@ -317,6 +317,47 @@ func TestGasExhaustion(t *testing.T) {
 	}
 }
 
+// TestGasDebtHonorsRetryAfter: an overdraft is debt, not forgiven when
+// the flush drains the bucket. Admission must keep refusing until the
+// advertised RetryAfter has elapsed on the clock, then admit. The final
+// admission is checked at RetryAfter plus a nanosecond: RetryAfter is
+// truncated to whole nanoseconds, a difference clients never see (the
+// daemon's Retry-After header is whole seconds plus one).
+func TestGasDebtHonorsRetryAfter(t *testing.T) {
+	for _, deficit := range []int64{62_001, 1001} {
+		now := time.Unix(0, 0)
+		var clockMu sync.Mutex
+		clock := func() time.Time { clockMu.Lock(); defer clockMu.Unlock(); return now }
+		advance := func(d time.Duration) { clockMu.Lock(); now = now.Add(d); clockMu.Unlock() }
+
+		// A 70_000-cycle bucket overdrawn by one safepoint's charge
+		// (over gasChunk, so it is flushed at the safepoint).
+		s := New(Config{Workers: 1, GasRate: 1000, GasBurst: 70_000, Clock: clock})
+		err := s.Run(context.Background(), "t", func(tk *Task) error {
+			return tk.Safepoint(70_000+deficit-1, false)
+		})
+		var ge *GasError
+		if !errors.As(err, &ge) {
+			t.Fatalf("got %v, want *GasError", err)
+		}
+		if ge.Deficit != deficit || ge.RetryAfter != time.Duration(deficit)*time.Millisecond {
+			t.Fatalf("gas error = %+v, want deficit %d and RetryAfter %dms", ge, deficit, deficit)
+		}
+		retry, start := ge.RetryAfter, clock()
+		noop := func(tk *Task) error { return nil }
+		for _, elapsed := range []time.Duration{time.Millisecond, retry / 2, retry - time.Millisecond} {
+			advance(start.Add(elapsed).Sub(clock()))
+			if err := s.Run(context.Background(), "t", noop); !errors.As(err, &ge) {
+				t.Fatalf("admitted %v after the overdraft, before RetryAfter %v: %v", elapsed, retry, err)
+			}
+		}
+		advance(start.Add(retry + time.Nanosecond).Sub(clock()))
+		if err := s.Run(context.Background(), "t", noop); err != nil {
+			t.Errorf("deficit %d: refused once RetryAfter had elapsed: %v", deficit, err)
+		}
+	}
+}
+
 // TestStressYieldsEverySafepoint: stress mode parks at every safepoint
 // and still completes correctly.
 func TestStressYieldsEverySafepoint(t *testing.T) {
