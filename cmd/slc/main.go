@@ -13,7 +13,7 @@
 //	slc -listing -transcript examples/testfn.lisp
 //	slc -run main -stats prog.lisp 10 20
 //	slc -no-tnbind -no-rep -listing prog.lisp
-//	slc -run main -nofuse -notier prog.lisp      # plain decoded dispatch
+//	slc -run main -notier prog.lisp              # plain decoded dispatch
 //	slc -run main -hot-threshold 0 prog.lisp     # promote every function at load
 //
 // Observability flags (see DESIGN.md §8):
@@ -90,7 +90,6 @@ func run() error {
 		noRep      = flag.Bool("no-rep", false, "disable representation analysis")
 		noPdl      = flag.Bool("no-pdl", false, "disable pdl-number stack allocation")
 		noCache    = flag.Bool("no-spec-cache", false, "disable special-variable lookup caching")
-		noFuse     = flag.Bool("nofuse", false, "disable peephole superinstruction fusion in the simulator")
 		noTier     = flag.Bool("notier", false, "disable tiered execution (hot-function re-fusion and block lowering)")
 		hotThresh  = flag.Int64("hot-threshold", s1.DefaultHotThreshold, "invocations before a function is re-optimized (0 = promote everything at load)")
 		listing    = flag.Bool("listing", false, "print assembly listings for every function")
@@ -174,8 +173,7 @@ func run() error {
 	sysOpts := core.Options{Codegen: &opts, Out: os.Stdout,
 		Cache: *useCache, Jobs: *jobs,
 		MaxErrors: *maxErrors, Fault: faultPlan,
-		MaxSteps: *maxSteps, MaxHeapWords: *maxHeap,
-		OptWatchdog: *optWatch, NoFuse: *noFuse,
+		MaxSteps: *maxSteps, MaxHeapWords: *maxHeap, OptWatchdog: *optWatch,
 		NoTier: *noTier, HotThreshold: tierThreshold(*hotThresh),
 		GCStress: *gcStress, GCStressMinor: *gcStressM,
 		GCNoGen: *gcNoGen, GCMinorBudget: *gcMinorBud}

@@ -5,13 +5,12 @@
 // indexed operands, no MOV instructions in the statement body. The
 // program prints the inner-statement listing, runs the kernel on the
 // simulator, verifies one element against a host-side computation, and
-// reports the superinstruction groups the decoded engine formed.
+// reports what the tier engine promoted.
 package main
 
 import (
 	"fmt"
 	"log"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -108,25 +107,9 @@ func main() {
 		log.Fatal("simulator and host disagree")
 	}
 
-	// The decoded engine's superinstruction groups for this image.
-	groups := sys.Machine.FuseGroups()
-	sigs := make([]string, 0, len(groups))
-	for sig := range groups {
-		sigs = append(sigs, sig)
-	}
-	sort.Slice(sigs, func(x, y int) bool {
-		if groups[sigs[x]] != groups[sigs[y]] {
-			return groups[sigs[x]] > groups[sigs[y]]
-		}
-		return sigs[x] < sigs[y]
-	})
-	fmt.Println("\n=== superinstruction groups (top 10) ===")
-	for i, sig := range sigs {
-		if i == 10 {
-			break
-		}
-		fmt.Printf("%6d  %s\n", groups[sig], sig)
-	}
+	ts := sys.Machine.TierStats()
+	fmt.Printf("\n=== tier ===\n%d hot functions (threshold %d calls), %d lowered blocks over %d instructions\n",
+		ts.HotFunctions, ts.Threshold, ts.LoweredBlocks, ts.LoweredInstrs)
 
 	st := sys.Stats()
 	fmt.Printf("\n%d instructions, %d cycles, %d MOVs\n", st.Instrs, st.Cycles, st.Movs)

@@ -371,6 +371,11 @@ func (c *Compiler) compileLambda(name string, lam *tree.Lambda, parent *frameCtx
 		jumpBlocks: map[*tree.Lambda]*jumpBlock{},
 		specCache:  map[*sexp.Symbol]*tn.TN{},
 	}
+	// Heap literals emitted into the body are referenced only by the
+	// item list until AddFunction installs it; they stay pinned until
+	// then (nested lambdas unpin just their own).
+	defer c.M.Unpin(c.M.PinDepth())
+
 	// Frame env: every Closed variable whose home frame is this lambda.
 	f.frame = &frameCtx{parent: parent}
 	collectFrameEnvVars(lam, f.frame)

@@ -370,7 +370,7 @@ func (f *fc) literalOperand(lit *tree.Literal, r tree.Rep) (absOperand, error) {
 		}
 		return conc(s1.Imm(s1.RawInt(int64(fx)))), nil
 	default:
-		return conc(s1.Imm(f.c.M.FromValue(lit.Value))), nil
+		return conc(s1.Imm(f.c.M.Pin(f.c.M.FromValue(lit.Value)))), nil
 	}
 }
 

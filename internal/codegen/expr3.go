@@ -297,11 +297,11 @@ func (f *fc) emitCaseq(x *tree.Caseq) (absOperand, error) {
 		clauseLabels = append(clauseLabels, lbl)
 		for _, k := range cl.Keys {
 			if eqlImmediate(k) {
-				f.emit(s1.OpJEQW, tnOp(keyTN), conc(s1.Imm(f.c.M.FromValue(k))),
+				f.emit(s1.OpJEQW, tnOp(keyTN), conc(s1.Imm(f.c.M.Pin(f.c.M.FromValue(k)))),
 					conc(s1.Lbl(lbl)), 0, "caseq key "+sexp.Print(k))
 			} else {
 				f.emit(s1.OpMOV, conc(s1.R(s1.RegA)), tnOp(keyTN), noOperand, 0, "")
-				f.emit(s1.OpMOV, conc(s1.R(s1.RegB)), conc(s1.Imm(f.c.M.FromValue(k))),
+				f.emit(s1.OpMOV, conc(s1.R(s1.RegB)), conc(s1.Imm(f.c.M.Pin(f.c.M.FromValue(k)))),
 					noOperand, 0, "")
 				f.emit(s1.OpCALLSQ, noOperand, noOperand, noOperand, s1.SQEql, "")
 				f.emit(s1.OpJNNIL, conc(s1.R(s1.RegA)), conc(s1.Lbl(lbl)), noOperand, 0, "")

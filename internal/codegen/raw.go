@@ -148,7 +148,7 @@ func (f *fc) constArrayWord(fa *sexp.FloatArray) s1.Word {
 	if w, ok := f.c.constArrays[fa]; ok {
 		return w
 	}
-	w := f.c.M.FromValue(fa)
+	w := f.c.M.Pin(f.c.M.FromValue(fa))
 	f.c.constArrays[fa] = w
 	return w
 }

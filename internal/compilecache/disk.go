@@ -103,12 +103,15 @@ func (e *DiskEntry) Install(m *s1.Machine) (int, error) {
 	for _, name := range e.Capture.Syms {
 		m.InternSym(name)
 	}
+	// The replayed constants stay pinned, as they were while the capture
+	// compiled, until the bodies referencing them are installed.
+	defer m.Unpin(m.PinDepth())
 	for _, src := range e.Capture.Consts {
 		v, err := sexp.ReadOne(src)
 		if err != nil {
 			return 0, fmt.Errorf("compilecache: replaying constant %q: %w", src, err)
 		}
-		m.FromValue(v)
+		m.Pin(m.FromValue(v))
 	}
 	idx := -1
 	for _, f := range e.Capture.Funcs {

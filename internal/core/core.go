@@ -118,17 +118,12 @@ type Options struct {
 	// fixpoint (the -opt-watchdog flag); an expired unit fails with a
 	// diagnostic. 0 means no watchdog.
 	OptWatchdog time.Duration
-	// NoFuse disables the simulator's peephole superinstruction fuser
-	// (the -nofuse flag): execution still runs on the pre-decoded
-	// instruction stream, but every instruction dispatches individually.
-	// Observable behavior is identical either way (see DESIGN.md §10);
-	// the switch exists for differential testing and benchmarking.
-	NoFuse bool
 	// NoTier disables the simulator's tiered execution engine (the
 	// -notier flag): functions never promote to trace-refused,
-	// block-lowered code and only the static fuser applies. Observable
-	// behavior is identical either way (see DESIGN.md §12); the switch
-	// exists for differential testing and benchmarking.
+	// block-lowered code and every instruction dispatches individually
+	// from the pre-decoded stream. Observable behavior is identical
+	// either way (see DESIGN.md §12); the switch exists for differential
+	// testing and benchmarking.
 	NoTier bool
 	// HotThreshold overrides the tier promotion threshold (the
 	// -hot-threshold flag): a function is re-optimized once its
@@ -220,9 +215,6 @@ func NewSystem(opts Options) *System {
 	}
 	if opts.MaxHeapWords > 0 {
 		m.HeapLimit = opts.MaxHeapWords
-	}
-	if opts.NoFuse {
-		m.SetNoFuse(true)
 	}
 	if opts.NoTier {
 		m.SetNoTier()
@@ -794,9 +786,11 @@ func (s *System) compileDefs(defs []*convert.Def, lines, cols []int, list *diag.
 
 // Call invokes a compiled function on the simulator with host values.
 func (s *System) Call(name string, args ...sexp.Value) (sexp.Value, error) {
+	// Converted arguments stay pinned until CallFunction has pushed them.
+	defer s.Machine.Unpin(s.Machine.PinDepth())
 	words := make([]s1.Word, len(args))
 	for i, a := range args {
-		words[i] = s.Machine.FromValue(a)
+		words[i] = s.Machine.Pin(s.Machine.FromValue(a))
 	}
 	w, err := s.Machine.CallFunction(name, words...)
 	if err != nil {

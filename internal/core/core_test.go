@@ -696,3 +696,36 @@ func mustRead(src string) sexp.Value {
 	}
 	return v
 }
+
+// TestGCStressKeepsLiteralsAlive compiles and calls functions whose
+// boxed literals and arguments exist only on the host side for a while:
+// a literal is referenced by the item list until the body is installed,
+// and a call argument by a Go slice until it is pushed. A collection
+// before every allocation must not reclaim either, or the next literal
+// reuses the block and the program computes with the wrong number.
+func TestGCStressKeepsLiteralsAlive(t *testing.T) {
+	src := `
+(defun q1 (a b c) (- (* b b) (* 4.0 a c)))
+(defun q4 (a c) (* 4.0 a c))
+(defun qd () (list (q1 1.0 -3.0 2.0) (q4 1.0 2.0) (caseq 2.5 (1.5 'a) (2.5 'b) (t 'c))))`
+	for _, stress := range []string{"full", "minor"} {
+		sys := NewSystem(Options{GCStress: stress == "full", GCStressMinor: stress == "minor"})
+		if err := sys.LoadString(src); err != nil {
+			t.Fatalf("%s: load: %v", stress, err)
+		}
+		v, err := sys.Call("qd")
+		if err != nil {
+			t.Fatalf("%s: qd: %v", stress, err)
+		}
+		if got := sexp.Print(v); got != "(1.0 8.0 b)" {
+			t.Errorf("%s stress: (qd) = %s, want (1.0 8.0 b)", stress, got)
+		}
+		v, err = sys.Call("q1", sexp.Flonum(1.0), sexp.Flonum(-3.0), sexp.Flonum(2.0))
+		if err != nil {
+			t.Fatalf("%s: q1: %v", stress, err)
+		}
+		if got := sexp.Print(v); got != "1.0" {
+			t.Errorf("%s stress: (q1 1.0 -3.0 2.0) = %s, want 1.0", stress, got)
+		}
+	}
+}

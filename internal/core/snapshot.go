@@ -47,7 +47,7 @@ func (s *System) Snapshot() (*snapshot.Snapshot, error) {
 
 // RestoreSystem builds a System from a snapshot instead of compiling.
 // The options configure the new system exactly as NewSystem would (the
-// execution toggles — NoFuse, NoTier, HotThreshold, GCStress, limits —
+// execution toggles — NoTier, HotThreshold, GCStress, limits —
 // apply to the restored machine; Options.Constants is rejected); the
 // snapshot supplies the machine image and the compiler pinning.
 //

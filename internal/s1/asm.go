@@ -32,37 +32,6 @@ var jumpOps = map[Op]bool{
 	OpJTAG: true, OpJNTAG: true, OpJEQW: true, OpJNEW: true, OpCATCH: true,
 }
 
-// fusableInterior reports opcodes that always fall through to pc+1 on
-// success — legal anywhere in a superinstruction group (fuse.go). CATCH
-// falls through too but is excluded conservatively: it snapshots machine
-// state for non-local unwinding and is far too cold to matter.
-func fusableInterior(op Op) bool {
-	switch op {
-	case OpNOP, OpMOV, OpMOVP, OpTAG,
-		OpADD, OpSUB, OpMULT, OpDIV, OpASH,
-		OpFADD, OpFSUB, OpFMULT, OpFDIV, OpFMAX, OpFMIN,
-		OpFSIN, OpFCOS, OpFSQRT, OpFATAN, OpFEXP, OpFLOG, OpFABS, OpFNEG,
-		OpFLT, OpFIX,
-		OpPUSH, OpPOP, OpALLOC, OpCLOSE, OpENV,
-		OpSPECBIND, OpSPECUNBIND, OpENDCATCH:
-		return true
-	}
-	return false
-}
-
-// fusableLast reports opcodes that may transfer control and are therefore
-// legal only as the final member of a superinstruction group.
-func fusableLast(op Op) bool {
-	if jumpOps[op] && op != OpCATCH {
-		return true
-	}
-	switch op {
-	case OpCALL, OpCALLF, OpTCALL, OpTCALLF, OpCALLSQ, OpRET:
-		return true
-	}
-	return false
-}
-
 // assemble appends the function body to code, resolving local labels and
 // validating operand encodings. Returns the entry offset.
 func assemble(fnName string, items []Item, code []Instr) ([]Instr, int, error) {

@@ -3,10 +3,9 @@
 // kernels — tail-recursive exptl, quadratic, the §7 testfn, and the
 // Table-4 matrix-subscript kernel — plus a cons-heavy GC workload and a
 // polymorphic-call kernel. Each kernel runs compiled on the simulator in
-// three engine configurations — tiered (default: static fusion plus
-// hot-function block lowering), -notier (static fusion only), and
-// -nofuse -notier (plain pre-decoded dispatch) — reporting simulated
-// steps/sec (instructions retired per wall-clock second — the
+// two engine configurations — tiered (default: hot-function block
+// lowering) and -notier (plain pre-decoded dispatch) — reporting
+// simulated steps/sec (instructions retired per wall-clock second — the
 // interpreter-overhead metric BENCH_runtime.json tracks) and cycles/op.
 // Every configuration gets the same warm-up past the default promotion
 // threshold, so the timed region measures each engine's steady state.
@@ -258,8 +257,8 @@ func benchKernel(b *testing.B, k runtimeKernel, opts core.Options) {
 }
 
 // BenchmarkRuntime is the suite behind BENCH_runtime.json: the four paper
-// kernels plus the GC and polymorphic-call workloads, in the tiered,
-// -notier, and plain-dispatch configurations.
+// kernels plus the GC and polymorphic-call workloads, in the tiered and
+// -notier (plain-dispatch) configurations.
 func BenchmarkRuntime(b *testing.B) {
 	for _, k := range runtimeKernels() {
 		k := k
@@ -268,9 +267,6 @@ func BenchmarkRuntime(b *testing.B) {
 		})
 		b.Run(k.name+"/notier", func(b *testing.B) {
 			benchKernel(b, k, core.Options{NoTier: true})
-		})
-		b.Run(k.name+"/nofuse", func(b *testing.B) {
-			benchKernel(b, k, core.Options{NoFuse: true, NoTier: true})
 		})
 	}
 }

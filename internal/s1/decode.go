@@ -12,21 +12,23 @@ package s1
 //
 // The decoded stream decBase is parallel to Code, indexed by original PC:
 // back-mapping from a decoded entry to its architectural PC is the
-// identity. decFused overlays superinstruction groups on top (fuse.go).
+// identity. Run dispatches from dec, a copy of decBase whose block-head
+// entries the tier overwrites when it promotes a function (tier.go).
 //
 // Invariant: a decoded closure is entered with m.pc equal to its own
 // index, and on fall-through it leaves m.pc at index+1. Run maintains
-// this by dispatching on m.pc; fused groups maintain it because every
-// constituent but the last falls through. Errors, GC safepoints and
-// SQ routines therefore see exactly the m.pc the old interpreter showed
-// them.
+// this by dispatching on m.pc; lowered blocks maintain it by
+// materializing m.pc before anything that can observe it. Errors, GC
+// safepoints and SQ routines therefore see exactly the m.pc the old
+// interpreter showed them.
 
-// dexec executes one decoded instruction or superinstruction group.
+// dexec executes one decoded instruction or lowered block.
 type dexec func(m *Machine) error
 
-// dinstr is one decoded-stream entry: the executor plus the number of
-// original instructions it retires (1 for base entries, 2..maxFuse for
-// fused heads). Run uses n to keep -max-steps accounting exact.
+// dinstr is one decoded-stream entry: the executor plus an upper bound
+// on the original instructions one dispatch can retire (1 for base
+// entries, the function's length for lowered block heads). Run uses n
+// to keep -max-steps accounting exact.
 type dinstr struct {
 	run dexec
 	n   int32
@@ -34,7 +36,7 @@ type dinstr struct {
 
 // tick retires one architectural instruction on the meters; the decoded
 // closures call it exactly once per original instruction, which keeps
-// Stats and profiles identical between fused and unfused dispatch.
+// Stats and profiles identical between plain and tiered dispatch.
 func (m *Machine) tick(op Op, cost int64) {
 	m.Stats.Instrs++
 	m.Stats.Cycles += cost
@@ -51,18 +53,12 @@ func (m *Machine) ensureDecoded() {
 	}
 }
 
-// decodeRange decodes Code[lo:hi) and extends the fused overlay.
+// decodeRange decodes Code[lo:hi) and extends the dispatch stream.
 func (m *Machine) decodeRange(lo, hi int) {
 	for pc := lo; pc < hi; pc++ {
 		m.decBase = append(m.decBase, decodeOne(pc, &m.Code[pc]))
 	}
-	if m.noFuse {
-		// Unfused dispatch runs straight off the base stream.
-		m.decFused = m.decBase
-		return
-	}
-	m.decFused = append(m.decFused, m.decBase[lo:hi]...)
-	m.fuseRange(lo, hi)
+	m.dec = append(m.dec, m.decBase[lo:hi]...)
 }
 
 // decodeOne builds the executor for one instruction. The builders must

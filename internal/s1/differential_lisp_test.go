@@ -1,12 +1,12 @@
-// Lisp-level differential: the bench kernels compiled by the full
-// pipeline must behave identically under fused and -nofuse dispatch —
-// same printed results, same machine meters, same GC activity, and
-// (satellite of the decoded-engine work) byte-identical -profile output,
-// since fused superinstructions attribute cycles to their constituent
-// original opcodes.
+// Lisp-level differentials: the bench kernels compiled by the full
+// pipeline must behave identically under every tier mode — same printed
+// results, same machine meters, same GC activity, and byte-identical
+// -profile output, since lowered blocks attribute cycles to their
+// constituent original opcodes.
 package s1_test
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -15,22 +15,31 @@ import (
 	"repro/internal/sexp"
 )
 
-// lispDiffSystem compiles k's source into a fresh system. CI runs this
-// whole file in several tiered-execution configurations (DESIGN.md §12):
-// S1_TIER_MODE=notier disables the tier entirely, S1_TIER_MODE=forcehot
-// promotes every function to lowered blocks at load time. Either way all
-// the equalities below must keep holding.
-func lispDiffSystem(t *testing.T, k runtimeKernel, nofuse, profile bool) *core.System {
+// lispDiffSystem compiles k's source into a fresh system in the tier
+// mode S1_TIER_MODE selects. CI runs this whole file in several
+// tiered-execution configurations (DESIGN.md §12): S1_TIER_MODE=notier
+// disables the tier entirely, S1_TIER_MODE=forcehot promotes every
+// function to lowered blocks at load time. Either way all the
+// equalities below must keep holding.
+func lispDiffSystem(t *testing.T, k runtimeKernel, profile bool) *core.System {
 	t.Helper()
-	opts := core.Options{Constants: k.consts, NoFuse: nofuse}
-	switch mode := os.Getenv("S1_TIER_MODE"); mode {
-	case "":
+	return lispTierSystem(t, k, os.Getenv("S1_TIER_MODE"), profile)
+}
+
+// lispTierSystem compiles k's source into a fresh system in the given
+// tier mode: "" or "tiered" (the default engine), "notier" (plain
+// decoded dispatch), or "forcehot" (every function promoted at load).
+func lispTierSystem(t *testing.T, k runtimeKernel, mode string, profile bool) *core.System {
+	t.Helper()
+	opts := core.Options{Constants: k.consts}
+	switch mode {
+	case "", "tiered":
 	case "notier":
 		opts.NoTier = true
 	case "forcehot":
 		opts.HotThreshold = -1
 	default:
-		t.Fatalf("unknown S1_TIER_MODE %q", mode)
+		t.Fatalf("unknown tier mode %q", mode)
 	}
 	applyGCModeEnv(t, &opts)
 	sys := core.NewSystem(opts)
@@ -51,7 +60,7 @@ func lispDiffSystem(t *testing.T, k runtimeKernel, nofuse, profile bool) *core.S
 // word at or above its dirty mark: a stack write site that forgot to
 // raise the mark, which would leak that word to the segment's next
 // tenant. Run after every differential run, so each engine mode
-// (tier, fusion, GC) exercises its own write paths against the mark.
+// (tier, GC) exercises its own write paths against the mark.
 func checkStackMarks(t *testing.T, systems map[string]*core.System) {
 	t.Helper()
 	for name, sys := range systems {
@@ -61,12 +70,17 @@ func checkStackMarks(t *testing.T, systems map[string]*core.System) {
 	}
 }
 
+// TestLispDifferentialFusedVsUnfused runs each kernel fused — every
+// function lowered into block superinstructions at load — and unfused
+// (plain decoded dispatch), and requires the same printed result, machine
+// meters and GC activity. The fused leg must actually have lowered
+// blocks, or the comparison proves nothing.
 func TestLispDifferentialFusedVsUnfused(t *testing.T) {
 	for _, k := range runtimeKernels() {
 		k := k
 		t.Run(k.name, func(t *testing.T) {
-			fused := lispDiffSystem(t, k, false, false)
-			unfused := lispDiffSystem(t, k, true, false)
+			fused := lispTierSystem(t, k, "forcehot", false)
+			unfused := lispTierSystem(t, k, "notier", false)
 			fv, ferr := fused.Call(k.fn, k.args...)
 			uv, uerr := unfused.Call(k.fn, k.args...)
 			if ferr != nil || uerr != nil {
@@ -84,13 +98,17 @@ func TestLispDifferentialFusedVsUnfused(t *testing.T) {
 				t.Errorf("GC divergence:\n  fused:   %+v\n  unfused: %+v",
 					fused.Machine.GCMeters, unfused.Machine.GCMeters)
 			}
-			if fused.Machine.FusedGroupCount() == 0 {
-				t.Errorf("%s compiled to no superinstruction groups", k.name)
+			if fused.Machine.TierStats().LoweredBlocks == 0 {
+				t.Errorf("%s lowered no blocks", k.name)
 			}
 			checkStackMarks(t, map[string]*core.System{"fused": fused, "unfused": unfused})
 		})
 	}
 }
+
+// tierModes are the engine configurations the Lisp-level differentials
+// compare; notier (plain decoded dispatch) is the reference.
+var tierModes = []string{"tiered", "forcehot", "notier"}
 
 // TestLispDifferentialTierModes pins tiered execution at the Lisp level:
 // each compiled kernel runs under the default tier, with every function
@@ -99,14 +117,6 @@ func TestLispDifferentialFusedVsUnfused(t *testing.T) {
 // forced-hot leg must actually have promoted something, or the mode
 // proves nothing.
 func TestLispDifferentialTierModes(t *testing.T) {
-	modes := []struct {
-		name string
-		opts func(o *core.Options)
-	}{
-		{"tiered", func(o *core.Options) {}},
-		{"forcehot", func(o *core.Options) { o.HotThreshold = -1 }},
-		{"notier", func(o *core.Options) { o.NoTier = true }},
-	}
 	for _, k := range runtimeKernels() {
 		k := k
 		t.Run(k.name, func(t *testing.T) {
@@ -115,24 +125,14 @@ func TestLispDifferentialTierModes(t *testing.T) {
 				val string
 			}
 			runs := map[string]outcome{}
-			for _, mode := range modes {
-				opts := core.Options{Constants: k.consts}
-				mode.opts(&opts)
-				applyGCModeEnv(t, &opts)
-				sys := core.NewSystem(opts)
-				if k.gcAt > 0 {
-					sys.Machine.SetGCThreshold(k.gcAt)
-				}
-				if err := sys.LoadString(k.src); err != nil {
-					t.Fatal(err)
-				}
-				sys.ResetStats()
+			for _, mode := range tierModes {
+				sys := lispTierSystem(t, k, mode, false)
 				v, err := sys.Call(k.fn, k.args...)
 				if err != nil {
-					t.Fatalf("%s: %v", mode.name, err)
+					t.Fatalf("%s: %v", mode, err)
 				}
-				runs[mode.name] = outcome{sys: sys, val: sexp.Print(v)}
-				checkStackMarks(t, map[string]*core.System{mode.name: sys})
+				runs[mode] = outcome{sys: sys, val: sexp.Print(v)}
+				checkStackMarks(t, map[string]*core.System{mode: sys})
 			}
 			ref := runs["notier"]
 			for _, name := range []string{"tiered", "forcehot"} {
@@ -165,8 +165,8 @@ func TestLispDifferentialGCStress(t *testing.T) {
 	for _, k := range runtimeKernels() {
 		k := k
 		t.Run(k.name, func(t *testing.T) {
-			plain := lispDiffSystem(t, k, false, false)
-			stressed := lispDiffSystem(t, k, false, false)
+			plain := lispDiffSystem(t, k, false)
+			stressed := lispDiffSystem(t, k, false)
 			stressed.Machine.SetGCStress(true)
 			pv, perr := plain.Call(k.fn, k.args...)
 			sv, serr := stressed.Call(k.fn, k.args...)
@@ -185,8 +185,9 @@ func TestLispDifferentialGCStress(t *testing.T) {
 	}
 }
 
-// TestProfileStableAcrossFusion runs each kernel under -profile with and
-// without fusion and requires identical profile tables: opcode execs and
+// TestProfileStableAcrossFusion runs each kernel under -profile in every
+// tier mode — blocks fused at the default threshold, at load, or never —
+// and requires identical profile tables: opcode execs and
 // cycles, function attribution, and high-water marks. Only the GC-pause
 // line carries wall-clock durations, so it is excluded.
 func TestProfileStableAcrossFusion(t *testing.T) {
@@ -203,20 +204,61 @@ func TestProfileStableAcrossFusion(t *testing.T) {
 	for _, k := range runtimeKernels() {
 		k := k
 		t.Run(k.name, func(t *testing.T) {
-			var bufs [2]strings.Builder
-			for i, nofuse := range []bool{false, true} {
-				sys := lispDiffSystem(t, k, nofuse, true)
+			profiles := map[string]string{}
+			for _, mode := range tierModes {
+				sys := lispTierSystem(t, k, mode, true)
 				if _, err := sys.Call(k.fn, k.args...); err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s: %v", mode, err)
 				}
-				checkStackMarks(t, map[string]*core.System{"profiled": sys})
-				sys.Machine.WriteProfile(&bufs[i])
+				checkStackMarks(t, map[string]*core.System{mode: sys})
+				var buf strings.Builder
+				sys.Machine.WriteProfile(&buf)
+				profiles[mode] = stripWallClock(buf.String())
 			}
-			fusedP, unfusedP := stripWallClock(bufs[0].String()), stripWallClock(bufs[1].String())
-			if fusedP != unfusedP {
-				t.Errorf("profile diverges across -nofuse:\n--- fused ---\n%s\n--- unfused ---\n%s",
-					fusedP, unfusedP)
+			ref := profiles["notier"]
+			for _, mode := range []string{"tiered", "forcehot"} {
+				if profiles[mode] != ref {
+					t.Errorf("profile diverges under %s:\n--- %s ---\n%s\n--- notier ---\n%s",
+						mode, mode, profiles[mode], ref)
+				}
 			}
 		})
+	}
+}
+
+// kernelStatsGolden holds each runtime kernel's exact simulated counts
+// for one call of its entry function.
+const kernelStatsGolden = "testdata/kernel_stats.golden"
+
+// TestLispDifferentialGoldenStats pins the absolute simulated counts —
+// instructions retired, cycles, and dynamic MOVs — of every runtime
+// kernel against a checked-in golden file. The other differentials only
+// compare engine configurations with each other; this one catches a
+// change that moves every configuration the same way. The counts are
+// engine-independent, so the file holds in every S1_TIER_MODE and
+// S1_GC_MODE leg. After an intended codegen change, replace the file's
+// data lines with the "got" lines of the failure message.
+func TestLispDifferentialGoldenStats(t *testing.T) {
+	var got []string
+	for _, k := range runtimeKernels() {
+		sys := lispDiffSystem(t, k, false)
+		if _, err := sys.Call(k.fn, k.args...); err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		st := sys.Stats()
+		got = append(got, fmt.Sprintf("%s instrs=%d cycles=%d movs=%d", k.name, st.Instrs, st.Cycles, st.Movs))
+	}
+	raw, err := os.ReadFile(kernelStatsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") {
+			want = append(want, line)
+		}
+	}
+	if g, w := strings.Join(got, "\n"), strings.Join(want, "\n"); g != w {
+		t.Errorf("kernel counts differ from %s:\n--- got ---\n%s\n--- want ---\n%s", kernelStatsGolden, g, w)
 	}
 }

@@ -8,15 +8,17 @@ import (
 )
 
 // Differential suite for the decoded execution engine: every corpus
-// program runs on a fused machine and a -nofuse machine, and the two
-// executions must be indistinguishable — same return word, same error,
-// same Stats (instruction counts in original-PC units, cycle totals,
-// allocation meters, stack high water), same GC activity, and the same
-// heap image word for word. The corpus covers each opcode family the
-// fuser can tile: straight-line arithmetic, conditional and
-// unconditional jumps (including jumps landing mid-group), calls, tail
-// calls, SQ routines, closures, special binding, catch/throw unwinding,
-// step-limit trips, and error paths.
+// program runs fused — each function's basic blocks lowered into the
+// tier's block superinstructions at install (forced-hot tiering) — and
+// unfused (plain decoded dispatch, -notier), and the two executions must
+// be indistinguishable: same return word, same error, same Stats
+// (instruction counts in original-PC units, cycle totals, allocation
+// meters, stack high water), same GC activity, and the same heap image
+// word for word. The corpus covers each opcode family: straight-line
+// arithmetic, conditional and unconditional jumps, calls, tail calls, SQ
+// routines, closures, special binding, catch/throw unwinding, step-limit
+// trips, and error paths. tier_differential_test.go runs the same corpus
+// under every engine configuration.
 
 // diffProg is one corpus program.
 type diffProg struct {
@@ -219,7 +221,7 @@ func diffCorpus() []diffProg {
 			}},
 
 		// The step limit must trip at the same original-instruction count
-		// whether or not the spin loop's body was fused.
+		// whether or not the spin loop was lowered into a block.
 		{name: "step-limit", fn: "spin", stepLim: 1000, wantErr: "step limit",
 			build: func(t *testing.T, m *Machine) {
 				addFn(t, m, "spin", 0, 0, []Item{
@@ -248,88 +250,46 @@ func diffFloatArray() *sexp.FloatArray {
 	return &sexp.FloatArray{Dims: []int{3}, Data: []float64{1.5, 2.5, 3.5}}
 }
 
-// diffRun executes p on a fresh machine and returns it with the outcome.
-func diffRun(t *testing.T, p diffProg, nofuse bool) (*Machine, Word, error) {
-	t.Helper()
-	m := New()
-	m.SetNoFuse(nofuse)
-	if p.stepLim > 0 {
-		m.StepLimit = p.stepLim
-	}
-	if p.gcAt > 0 {
-		m.SetGCThreshold(p.gcAt)
-	}
-	p.build(t, m)
-	got, err := m.CallFunction(p.fn, p.args...)
-	if ierr := m.CheckStackInvariant(); ierr != nil {
-		t.Errorf("nofuse=%v: %v", nofuse, ierr)
-	}
-	return m, got, err
-}
+// fusedConfig lowers every function into block superinstructions at
+// install; unfusedConfig is plain decoded dispatch.
+var (
+	fusedConfig   = tierConfig{name: "fused", apply: func(m *Machine) { m.SetHotThreshold(0) }}
+	unfusedConfig = tierConfig{name: "unfused", apply: func(m *Machine) { m.SetNoTier() }}
+)
 
 func TestDifferentialFusedVsUnfused(t *testing.T) {
 	anyFused := false
 	for _, p := range diffCorpus() {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
-			fm, fw, ferr := diffRun(t, p, false)
-			um, uw, uerr := diffRun(t, p, true)
+			fm, fw, ferr := runTierConfig(t, p, fusedConfig)
+			um, uw, uerr := runTierConfig(t, p, unfusedConfig)
 
-			if fm.FusedGroupCount() > 0 {
+			if fm.TierStats().LoweredBlocks > 0 {
 				anyFused = true
 			}
-			if um.FusedGroupCount() != 0 {
-				t.Errorf("nofuse machine formed %d groups", um.FusedGroupCount())
+			if ts := um.TierStats(); ts.Promotions != 0 || ts.LoweredBlocks != 0 {
+				t.Errorf("unfused machine lowered %d blocks", ts.LoweredBlocks)
 			}
 
-			// Outcome.
-			if (ferr == nil) != (uerr == nil) {
-				t.Fatalf("error divergence: fused=%v unfused=%v", ferr, uerr)
-			}
+			// The unfused run must meet the program's expectation, so the
+			// differential cannot pass by both engines going wrong alike.
 			if p.wantErr == "" {
-				if ferr != nil {
-					t.Fatalf("run failed: %v", ferr)
+				if uerr != nil {
+					t.Fatalf("run failed: %v", uerr)
 				}
-				if fw != uw {
-					t.Errorf("return divergence: fused=%s unfused=%s", fw, uw)
-				}
-			} else {
-				if ferr == nil || !strings.Contains(ferr.Error(), p.wantErr) {
-					t.Fatalf("want error %q, got %v", p.wantErr, ferr)
-				}
-				if ferr.Error() != uerr.Error() {
-					t.Errorf("error text divergence:\n  fused:   %v\n  unfused: %v", ferr, uerr)
-				}
-			}
-
-			// Meters: instruction counts are in original-PC units, so
-			// every field must agree, including cycle totals and stack
-			// high water.
-			if fm.Stats != um.Stats {
-				t.Errorf("stats divergence:\n  fused:   %+v\n  unfused: %+v", fm.Stats, um.Stats)
-			}
-			if fm.GCMeters != um.GCMeters {
-				t.Errorf("GC divergence:\n  fused:   %+v\n  unfused: %+v", fm.GCMeters, um.GCMeters)
+			} else if uerr == nil || !strings.Contains(uerr.Error(), p.wantErr) {
+				t.Fatalf("want error %q, got %v", p.wantErr, uerr)
 			}
 			if p.name == "cons-gc-churn" &&
-				fm.GCMeters.Collections+fm.GCMeters.MinorCollections == 0 {
+				um.GCMeters.Collections+um.GCMeters.MinorCollections == 0 {
 				t.Error("churn program never collected; GC path untested")
 			}
-
-			// Heap images, word for word.
-			if len(fm.heap) != len(um.heap) {
-				t.Fatalf("heap extent divergence: fused=%d unfused=%d", len(fm.heap), len(um.heap))
-			}
-			for i := range fm.heap {
-				if fm.heap[i] != um.heap[i] {
-					t.Fatalf("heap divergence at +%d: fused=%s unfused=%s",
-						i, fm.heap[i], um.heap[i])
-				}
-			}
+			assertSameOutcome(t, "fused", p, um, uw, uerr, fm, fw, ferr)
 		})
 	}
 	if !anyFused {
-		t.Error("no corpus program formed a superinstruction group; the differential is vacuous")
+		t.Error("no corpus program lowered a block; the differential is vacuous")
 	}
 }
 
@@ -337,20 +297,20 @@ func TestDifferentialFusedVsUnfused(t *testing.T) {
 // fused spin loop must retire exactly StepLimit original instructions
 // before erroring, matching unfused dispatch instruction for instruction.
 func TestDifferentialStepLimitExact(t *testing.T) {
-	for _, nofuse := range []bool{false, true} {
-		var p diffProg
-		for _, c := range diffCorpus() {
-			if c.name == "step-limit" {
-				p = c
-			}
+	var p diffProg
+	for _, c := range diffCorpus() {
+		if c.name == "step-limit" {
+			p = c
 		}
-		m, _, err := diffRun(t, p, nofuse)
+	}
+	for _, cfg := range []tierConfig{fusedConfig, unfusedConfig} {
+		m, _, err := runTierConfig(t, p, cfg)
 		if err == nil || !strings.Contains(err.Error(), "step limit") {
-			t.Fatalf("nofuse=%v: want step-limit error, got %v", nofuse, err)
+			t.Fatalf("%s: want step-limit error, got %v", cfg.name, err)
 		}
 		if m.Stats.Instrs != p.stepLim {
-			t.Errorf("nofuse=%v: retired %d instructions at trip, want exactly %d",
-				nofuse, m.Stats.Instrs, p.stepLim)
+			t.Errorf("%s: retired %d instructions at trip, want exactly %d",
+				cfg.name, m.Stats.Instrs, p.stepLim)
 		}
 	}
 }

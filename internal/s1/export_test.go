@@ -38,3 +38,19 @@ func (m *Machine) CheckStackInvariant() error {
 	}
 	return nil
 }
+
+// CheckDispatchIsBase verifies that every dispatch entry is the base
+// decoded entry for its PC — the same closure, not an equivalent one —
+// so no lowered block is left installed.
+func (m *Machine) CheckDispatchIsBase() error {
+	if len(m.dec) != len(m.decBase) {
+		return fmt.Errorf("s1: dispatch stream has %d entries, base stream %d", len(m.dec), len(m.decBase))
+	}
+	closure := func(f dexec) unsafe.Pointer { return *(*unsafe.Pointer)(unsafe.Pointer(&f)) }
+	for pc := range m.dec {
+		if d, b := m.dec[pc], m.decBase[pc]; d.n != b.n || closure(d.run) != closure(b.run) {
+			return fmt.Errorf("s1: dispatch entry %d is not the base entry (n=%d, base n=%d)", pc, d.n, b.n)
+		}
+	}
+	return nil
+}

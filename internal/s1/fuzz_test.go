@@ -33,8 +33,8 @@ func fuzzInstr(b []byte) Instr {
 	}
 }
 
-// FuzzDecode feeds random instruction streams through pre-decoding,
-// superinstruction fusion, and bounded execution. The contract is the
+// FuzzDecode feeds random instruction streams through pre-decoding and
+// bounded execution. The contract is the
 // daemon's: decoding must never panic, and running an arbitrary decoded
 // stream must end in a clean halt or a RuntimeError — the run loop's
 // recover barrier converts internal faults, and nothing may escape it.
@@ -63,23 +63,20 @@ func FuzzDecode(f *testing.F) {
 		if n > 512 {
 			n = 512
 		}
-		for _, noFuse := range []bool{false, true} {
-			m := New()
-			m.SetNoFuse(noFuse)
-			// Budgets keep hostile streams cheap: a runaway loop trips the
-			// step limit, a giant ALLOC trips the heap guard.
-			m.StepLimit = 4096
-			m.HeapLimit = 1 << 16
-			for i := 0; i < n; i++ {
-				m.Code = append(m.Code, fuzzInstr(data[i*16:(i+1)*16]))
-			}
-			m.ensureDecoded() // must not panic, however malformed the stream
-
-			m.regs[RegSP] = RawInt(StackBase)
-			m.regs[RegFP] = RawInt(StackBase)
-			m.pc = 1 // skip the top-level HALT at index 0
-			// Any error is acceptable; a panic escaping Run is the bug.
-			_ = m.Run()
+		m := New()
+		// Budgets keep hostile streams cheap: a runaway loop trips the
+		// step limit, a giant ALLOC trips the heap guard.
+		m.StepLimit = 4096
+		m.HeapLimit = 1 << 16
+		for i := 0; i < n; i++ {
+			m.Code = append(m.Code, fuzzInstr(data[i*16:(i+1)*16]))
 		}
+		m.ensureDecoded() // must not panic, however malformed the stream
+
+		m.regs[RegSP] = RawInt(StackBase)
+		m.regs[RegFP] = RawInt(StackBase)
+		m.pc = 1 // skip the top-level HALT at index 0
+		// Any error is acceptable; a panic escaping Run is the bug.
+		_ = m.Run()
 	})
 }

@@ -436,6 +436,22 @@ func (m *Machine) release(depth int) {
 	m.tempRoots = m.tempRoots[:depth]
 }
 
+// Pin roots w on the temp-root stack for a holder outside the machine —
+// a literal in a function body not yet installed, a call argument not
+// yet pushed — and returns it. Any allocation can collect, so such a
+// word must stay pinned until the machine itself references it; the
+// caller unpins with Unpin(PinDepth()) taken beforehand.
+func (m *Machine) Pin(w Word) Word {
+	m.protect(w)
+	return w
+}
+
+// PinDepth is the current temp-root depth, for a later Unpin.
+func (m *Machine) PinDepth() int { return len(m.tempRoots) }
+
+// Unpin pops temp roots down to depth.
+func (m *Machine) Unpin(depth int) { m.release(depth) }
+
 // gcAlloc is Alloc with free-list reuse and the auto-collect trigger.
 // Every block it returns — reused or fresh — is young.
 func (m *Machine) gcAlloc(n int) uint64 {

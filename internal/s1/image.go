@@ -195,10 +195,10 @@ func (img *Image) validate() error {
 }
 
 // LoadImage restores an exported image into a freshly created machine
-// (New plus configuration: Out, limits, noFuse/tier/gc-stress toggles —
-// nothing that adds code, symbols or heap). The decoded stream, fused
-// overlay, entry set and tier tables are re-derived from the restored
-// Code, honoring whatever execution configuration the machine carries.
+// (New plus configuration: Out, limits, tier/gc-stress toggles —
+// nothing that adds code, symbols or heap). The decoded streams and tier
+// tables are re-derived from the restored Code, honoring whatever
+// execution configuration the machine carries.
 func (m *Machine) LoadImage(img *Image) error {
 	if len(m.Funcs) > 0 || len(m.Syms) > 0 || len(m.heap) > 0 || len(m.Code) > 1 || len(m.Boxes) > 0 {
 		return fmt.Errorf("s1: LoadImage target machine is not fresh")
@@ -221,12 +221,8 @@ func (m *Machine) LoadImage(img *Image) error {
 	}
 	m.Funcs = append([]FuncDesc(nil), img.Funcs...)
 	m.funcIdx = make(map[string]int, len(img.Bindings))
-	m.entrySet = make(map[int]bool, len(img.Funcs))
 	for _, b := range img.Bindings {
 		m.funcIdx[b.Name] = b.Idx
-	}
-	for _, f := range img.Funcs {
-		m.entrySet[f.Entry] = true
 	}
 	// Re-intern in order so symIdx and the incremental symHash (an
 	// AllocContext input) match the exporting machine exactly.
@@ -293,11 +289,11 @@ func (m *Machine) LoadImage(img *Image) error {
 	m.stackDirty = max(m.stackDirty, uint64(len(img.Stack)))
 	m.pc, m.halted = 0, false
 
-	// Derived execution state: decode (and fuse, unless noFuse) the whole
-	// restored code vector, then bring the tier engine's tables up to
-	// size — promoting everything when the machine is configured forced
-	// hot, exactly as AddFunction would have.
-	m.decBase, m.decFused, m.fuseGroups, m.tierHeads = nil, nil, nil, nil
+	// Derived execution state: decode the whole restored code vector,
+	// then bring the tier engine's tables up to size — promoting
+	// everything when the machine is configured forced hot, exactly as
+	// AddFunction would have.
+	m.decBase, m.dec, m.tierHeads = nil, nil, nil
 	m.ensureDecoded()
 	if t := m.tier; t != nil {
 		t.ensure(len(m.Funcs))

@@ -123,23 +123,23 @@ func TestImageRoundTripAllocParity(t *testing.T) {
 	}
 }
 
-func TestImageRoundTripNoFuse(t *testing.T) {
+func TestImageRoundTripNoTier(t *testing.T) {
 	m := buildImageTestMachine(t)
 	img, err := m.ExportImage()
 	if err != nil {
 		t.Fatalf("ExportImage: %v", err)
 	}
 	r := New()
-	r.SetNoFuse(true)
+	r.SetNoTier()
 	if err := r.LoadImage(img); err != nil {
 		t.Fatalf("LoadImage: %v", err)
 	}
 	w, err := r.CallFunction("double", FixnumWord(5))
 	if err != nil {
-		t.Fatalf("restored nofuse call: %v", err)
+		t.Fatalf("restored notier call: %v", err)
 	}
 	if w.Int() != 10 {
-		t.Errorf("restored nofuse (double 5) = %v, want 10", w)
+		t.Errorf("restored notier (double 5) = %v, want 10", w)
 	}
 }
 

@@ -165,20 +165,12 @@ type Machine struct {
 	// prof, when non-nil, collects the runtime profile (profile.go).
 	// The disabled fast path costs one nil check per instruction.
 	prof *Profile
-	// Decoded execution state (decode.go / fuse.go). decBase holds one
-	// pre-decoded closure per Code index; decFused is the dispatch stream
-	// — identical to decBase under -nofuse, otherwise with
-	// superinstruction closures installed at group-head indexes.
-	decBase  []dinstr
-	decFused []dinstr
-	noFuse   bool
-	// fuseGroups counts statically formed superinstruction groups by
-	// opcode signature.
-	fuseGroups map[string]int64
-	// entrySet holds every function entry PC; fuseRange consults it so
-	// groups never straddle a function boundary, and AddFunction extends
-	// it incrementally (rebuilding it per decode was quadratic).
-	entrySet map[int]bool
+	// Decoded execution state (decode.go). decBase holds one pre-decoded
+	// closure per Code index; dec is the dispatch stream — a copy of
+	// decBase with lowered-block closures installed at the block heads
+	// of tier-promoted functions.
+	decBase []dinstr
+	dec     []dinstr
 	// tier, when non-nil, is the tiered-execution engine (tier.go):
 	// per-function hot counters, trace re-fusion and block lowering.
 	// tierHeads marks PCs that are block leaders (or not covered by a
@@ -347,34 +339,6 @@ func (m *Machine) gcSafepoint() {
 // SetGCStress toggles forced collection before every allocation.
 func (m *Machine) SetGCStress(v bool) { m.gcStress = v }
 
-// SetNoFuse enables or disables the peephole superinstruction fuser.
-// Observable behavior (results, Stats, profiles, GC activity) is
-// identical either way; only dispatch granularity changes. Toggling
-// rebuilds the fused overlay for already-decoded code.
-func (m *Machine) SetNoFuse(v bool) {
-	if m.noFuse == v {
-		return
-	}
-	m.noFuse = v
-	if v {
-		// decFused aliases decBase: no overlay exists, so no lowered
-		// blocks either — clear the leader map so landing checks idle.
-		m.decFused = m.decBase
-		m.fuseGroups = nil
-		m.tierHeads = nil
-		return
-	}
-	m.decFused = append([]dinstr(nil), m.decBase...)
-	m.fuseRange(0, len(m.decBase))
-	if t := m.tier; t != nil {
-		for i := range t.fns {
-			if t.fns[i].hot {
-				t.install(m, i)
-			}
-		}
-	}
-}
-
 // New creates an empty machine. Code index 0 is a HALT used as the
 // top-level return address.
 func New() *Machine { return newMachine(nil) }
@@ -386,7 +350,6 @@ func newMachine(a *Arena) *Machine {
 		StepLimit: 2_000_000_000,
 		funcIdx:   map[string]int{},
 		symIdx:    map[string]int{},
-		entrySet:  map[int]bool{},
 		tier:      &tierEngine{threshold: DefaultHotThreshold},
 	}
 	// Draw from the shared stack pool rather than always allocating: a
@@ -414,7 +377,6 @@ func (m *Machine) AddFunction(name string, minArgs, maxArgs int, items []Item) (
 		MinArgs: minArgs, MaxArgs: maxArgs,
 	})
 	m.funcIdx[name] = idx
-	m.entrySet[entry] = true
 	m.ensureDecoded()
 	if t := m.tier; t != nil {
 		t.ensure(len(m.Funcs))
@@ -726,11 +688,11 @@ func (m *Machine) enterFrame(nargs, retPC int, fn Word, fast bool) error {
 
 // Run executes until HALT or error, dispatching the pre-decoded
 // instruction stream (decode.go): one closure call per instruction, or
-// per superinstruction group where the fuser collapsed a hot sequence
-// (fuse.go). Panics raised below the instruction loop — heap exhaustion
-// after a failed collection, or an internal simulator fault — are
-// converted into RuntimeErrors so a sick program degrades into an error
-// value the REPL and driver can report.
+// per lowered block in a tier-promoted function (tier.go). Panics raised
+// below the instruction loop — heap exhaustion after a failed
+// collection, or an internal simulator fault — are converted into
+// RuntimeErrors so a sick program degrades into an error value the REPL
+// and driver can report.
 func (m *Machine) Run() (err error) {
 	defer func() {
 		if r := recover(); r == nil {
@@ -745,7 +707,7 @@ func (m *Machine) Run() (err error) {
 	}()
 	m.ensureDecoded()
 	m.ensureStack()
-	dec, limit := m.decFused, m.StepLimit
+	dec, limit := m.dec, m.StepLimit
 	// Safepoints are spaced by retired instructions, not dispatches: a
 	// lowered-block dispatch can retire blockChunk instructions, so a
 	// dispatch counter would stretch the poll interval by that factor.
@@ -766,9 +728,9 @@ func (m *Machine) Run() (err error) {
 		}
 		d := dec[pc]
 		if d.n > 1 && m.Stats.Instrs+int64(d.n) > limit {
-			// The fused group would overshoot -max-steps; retire its
+			// The lowered block could overshoot -max-steps; retire its
 			// instructions one at a time so the limit trips at the exact
-			// original-instruction count, as unfused dispatch would.
+			// original-instruction count, as plain dispatch would.
 			d = m.decBase[pc]
 		}
 		if err := d.run(m); err != nil {

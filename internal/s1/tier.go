@@ -5,12 +5,11 @@ package s1
 // shadow-stack attribution idea, without the collapsed-stack machinery);
 // when a function crosses the hot threshold it is re-optimized in place:
 //
-//   - trace re-fusion: the function's region of the fused overlay is
+//   - trace re-fusion: the function's region of the dispatch stream is
 //     rebuilt with unbounded basic-block superinstructions. Block
 //     boundaries are the jump targets discovered from the actual code
 //     (branch/CATCH targets, the return points after CALL/CALLF and
-//     SQApplyList) plus any landing PCs observed at run time, instead of
-//     the static fuser's 4-instruction cap.
+//     SQApplyList) plus any landing PCs observed at run time.
 //   - block lowering: the whole function is lowered into one compact
 //     ops array run by a switch-loop trace executor (runBlock), with the
 //     step/cycle/MOV meters accumulated in Go locals and spilled to
@@ -30,19 +29,19 @@ package s1
 //     CALLSQ sites bind their routine's fastNum fast path directly into
 //     the lowered block.
 //
-// Correctness invariants (shared with fuse.go, extended):
+// Correctness invariants:
 //   - Each straight-line trace segment retires at most len(fn)
 //     architectural instructions before the next jump check. Run's d.n
 //     overshoot guard establishes Stats.Instrs+len(fn) <= StepLimit at
 //     entry, and every internal-jump continuation re-checks it, so
 //     -max-steps trips at the exact original-instruction count.
-//   - Only block-head decFused entries change, in place. Control
+//   - Only block-head dec entries change, in place. Control
 //     transfers landing mid-block dispatch that PC's base entry (identity
 //     back-mapping); ret/throw report such landings to noteLanding, which
 //     re-fuses the function with the landing as a boundary.
 //   - Re-optimizing a function that is live on the call stack (or
 //     currently executing) is safe: executing closures are value copies
-//     of decFused entries, and installs happen only at instruction
+//     of dec entries, and installs happen only at instruction
 //     boundaries (calls), so the running block finishes on the old code.
 //   - Promotion never touches Stats: tier counters live on the engine,
 //     so differential oracles comparing Stats across -notier hold.
@@ -155,18 +154,14 @@ func (m *Machine) TierFunctions() []TierFnStat {
 }
 
 // SetNoTier disables tiered execution and rolls every promoted function
-// back to the static fused overlay.
+// back to plain decoded dispatch.
 func (m *Machine) SetNoTier() {
 	if m.tier == nil {
 		return
 	}
 	m.tier = nil
 	m.tierHeads = nil
-	if !m.noFuse && len(m.decBase) > 0 {
-		m.decFused = append([]dinstr(nil), m.decBase...)
-		m.fuseGroups = nil
-		m.fuseRange(0, len(m.decBase))
-	}
+	copy(m.dec, m.decBase)
 }
 
 // SetHotThreshold sets the invocation count at which a function is
@@ -321,21 +316,15 @@ func tierTerminates(ins *Instr) bool {
 	return jumpOps[ins.Op] && ins.Op != OpCATCH
 }
 
-// install rebuilds the fused overlay for function idx with lowered
-// basic-block superinstructions. Safe to call while the function is
-// executing or live on the call stack: decFused entries are replaced in
+// install rebuilds function idx's region of the dispatch stream with
+// lowered basic-block superinstructions. Safe to call while the function
+// is executing or live on the call stack: dec entries are replaced in
 // place (Run's cached slice header stays valid) and in-flight closures
 // are value copies.
 func (t *tierEngine) install(m *Machine, idx int) {
-	if m.noFuse {
-		// Under -nofuse decFused aliases decBase; there is no overlay to
-		// rewrite. The function stays marked hot and installs if fusion
-		// is re-enabled.
-		return
-	}
 	fd := &m.Funcs[idx]
 	lo, hi := fd.Entry, fd.End
-	if lo >= hi || hi > len(m.decBase) || hi > len(m.decFused) {
+	if lo >= hi || hi > len(m.decBase) || hi > len(m.dec) {
 		return
 	}
 
@@ -364,13 +353,12 @@ func (t *tierEngine) install(m *Machine, idx int) {
 		}
 	}
 
-	// Reset the function's overlay (dropping any static fused groups and
-	// previously installed blocks), then lower the whole region into one
-	// ops array. Jumps whose target lies inside the region resolve to an
-	// executor index, so loops run inside runBlock without returning to
-	// the dispatch loop; every head gets an entry closure into the shared
-	// array.
-	copy(m.decFused[lo:hi], m.decBase[lo:hi])
+	// Reset the function's region (dropping any previously installed
+	// blocks), then lower the whole region into one ops array. Jumps
+	// whose target lies inside the region resolve to an executor index,
+	// so loops run inside runBlock without returning to the dispatch
+	// loop; every head gets an entry closure into the shared array.
+	copy(m.dec[lo:hi], m.decBase[lo:hi])
 	for len(m.tierHeads) < len(m.decBase) {
 		m.tierHeads = append(m.tierHeads, true)
 	}
@@ -401,7 +389,7 @@ func (t *tierEngine) install(m *Machine, idx int) {
 			// dispatches it with no executor overhead.
 			continue
 		}
-		m.decFused[pc] = dinstr{
+		m.dec[pc] = dinstr{
 			// n promises Run's overshoot guard an upper bound on the
 			// instructions one dispatch can retire between jump checks;
 			// runBlock's own guard keeps the promise across internal

@@ -1,16 +1,16 @@
 package s1
 
 // Differential suite for tiered execution and mid-group landings
-// (DESIGN.md §12). Every program runs under five engine configurations —
+// (DESIGN.md §12). Every program runs under three engine configurations —
 // default tiering, forced-hot tiering (every function lowered at
-// install), -notier (static fusion only), -nofuse (plain decoded
-// dispatch), and -nofuse -notier — and all five executions must be
-// indistinguishable: same return word or error text, same Stats, same GC
-// activity, the same heap image word for word, and the same -max-steps
-// trip points. The dedicated mid-group programs aim control transfers
-// (jump targets, catch handlers, call returns) into the interior of what
-// both the static fuser and the tier's basic-block lowering would
-// otherwise tile over, pinning the identity back-mapping invariant.
+// install), and -notier (plain decoded dispatch, the reference) — and
+// all three executions must be indistinguishable: same return word or
+// error text, same Stats, same GC activity, the same heap image word for
+// word, and the same -max-steps trip points. The dedicated mid-group
+// programs aim control transfers (jump targets, catch handlers, call
+// returns) into the interior of what the tier's basic-block lowering
+// would otherwise cover with one block, pinning the identity
+// back-mapping invariant.
 
 import (
 	"strings"
@@ -22,19 +22,15 @@ type tierConfig struct {
 	apply func(m *Machine)
 }
 
-// tierConfigs returns the engine configurations under test. apply runs
-// before the program is installed so forced-hot promotion happens at
-// AddFunction time, like core.NewSystem wiring would.
+// tierConfigs returns the engine configurations under test, the
+// plain-dispatch reference last. apply runs before the program is
+// installed so forced-hot promotion happens at AddFunction time, like
+// core.NewSystem wiring would.
 func tierConfigs() []tierConfig {
 	return []tierConfig{
 		{name: "tiered", apply: func(m *Machine) {}},
 		{name: "forcehot", apply: func(m *Machine) { m.SetHotThreshold(0) }},
 		{name: "notier", apply: func(m *Machine) { m.SetNoTier() }},
-		{name: "nofuse", apply: func(m *Machine) { m.SetNoFuse(true) }},
-		{name: "nofuse-notier", apply: func(m *Machine) {
-			m.SetNoFuse(true)
-			m.SetNoTier()
-		}},
 	}
 }
 
@@ -92,7 +88,7 @@ func assertSameOutcome(t *testing.T, cfg string, p diffProg,
 }
 
 // TestTierDifferentialCorpus runs the whole opcode-family corpus under
-// every engine configuration against the plainest one. deep-call (100
+// every engine configuration against plain dispatch. deep-call (100
 // recursive CALLs) and tail-loop (500 self-TCALLs) cross the default
 // threshold mid-run, so re-optimizing a function live on the call stack
 // is exercised here, not just forced promotion at install.
@@ -101,7 +97,7 @@ func TestTierDifferentialCorpus(t *testing.T) {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
 			cfgs := tierConfigs()
-			ref := cfgs[len(cfgs)-1] // nofuse-notier
+			ref := cfgs[len(cfgs)-1] // notier
 			rm, rw, rerr := runTierConfig(t, p, ref)
 			for _, cfg := range cfgs[:len(cfgs)-1] {
 				m, w, err := runTierConfig(t, p, cfg)
@@ -111,13 +107,12 @@ func TestTierDifferentialCorpus(t *testing.T) {
 	}
 }
 
-// midGroupCorpus holds programs whose control transfers land where the
-// tiling engines would otherwise fuse straight-line runs.
+// midGroupCorpus holds programs whose control transfers land inside
+// straight-line runs the tier would otherwise lower as one block.
 func midGroupCorpus() []diffProg {
 	return []diffProg{
 		// A back-edge targeting the middle of a straight-line run: the
-		// static fuser tiles the run from the top, so "mid" falls inside
-		// a group; the tier splits a block there.
+		// tier splits a block there.
 		{name: "jump-mid-run", fn: "jmr",
 			build: func(t *testing.T, m *Machine) {
 				addFn(t, m, "jmr", 0, 0, []Item{
@@ -146,7 +141,7 @@ func midGroupCorpus() []diffProg {
 					InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Imm(tagSym)}),
 					InstrItem(Instr{Op: OpMOV, A: R(RegB), B: Imm(FixnumWord(21))}),
 					InstrItem(Instr{Op: OpCALLSQ, TagArg: SQThrow}),
-					// Fusable run the handler label interrupts.
+					// Straight-line run the handler label interrupts.
 					InstrItem(Instr{Op: OpMOV, A: R(10), B: ImmInt(2)}),
 					InstrItem(Instr{Op: OpMOV, A: R(11), B: ImmInt(3)}),
 					LabelItem("handler"),

@@ -49,7 +49,7 @@ func TestTierForcedHot(t *testing.T) {
 }
 
 // TestTierSetNoTier checks that disabling the tier rolls the machine
-// back to plain static fusion.
+// back to plain decoded dispatch.
 func TestTierSetNoTier(t *testing.T) {
 	m := New()
 	m.SetHotThreshold(0)
@@ -57,12 +57,15 @@ func TestTierSetNoTier(t *testing.T) {
 	if m.TierStats().Promotions != 1 {
 		t.Fatal("precondition: promotion at install")
 	}
+	if m.CheckDispatchIsBase() == nil {
+		t.Fatal("precondition: promotion installed no lowered block")
+	}
 	m.SetNoTier()
 	if ts := m.TierStats(); ts.Enabled || ts.Promotions != 0 {
 		t.Errorf("tier stats after SetNoTier: %+v", ts)
 	}
-	if m.FusedGroupCount() == 0 {
-		t.Error("static fusion not restored after SetNoTier")
+	if err := m.CheckDispatchIsBase(); err != nil {
+		t.Error(err)
 	}
 	got, err := m.CallFunction("add2", FixnumWord(30), FixnumWord(12))
 	if err != nil || got.Int() != 42 {

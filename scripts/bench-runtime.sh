@@ -2,12 +2,12 @@
 # Regenerates BENCH_runtime.json from the BenchmarkRuntime suite so the
 # perf trajectory is reproducible instead of hand-edited.
 #
-# Every kernel runs in the three engine configurations the suite defines
-# (tiered / -notier / -nofuse -notier) with a FIXED iteration count per
-# run (-benchtime=Nx) and COUNT repetitions, all in one `go test`
-# invocation; the recorded number is the per-configuration median. The
-# headline ratio, tier_speedup, is tiered vs -notier from that same
-# invocation — shared-container wall-clock drifts far too much for
+# Every kernel runs in the two engine configurations the suite defines
+# (tiered / -notier) with a FIXED iteration count per run (-benchtime=Nx)
+# and COUNT repetitions, all in one `go test` invocation; the recorded
+# number is the per-configuration median. The headline ratio,
+# tier_speedup, is tiered vs -notier (plain decoded dispatch) from that
+# same invocation — shared-container wall-clock drifts far too much for
 # absolute steps/sec to be comparable across invocations, let alone
 # across BENCH_runtime.json entries.
 #
@@ -50,9 +50,8 @@ cat <<HEADER
     "note": "all configurations re-measured in this invocation; absolute steps/sec depend on shared-container load and are NOT comparable to earlier BENCH_runtime.json entries, only the within-invocation ratios are"
   },
   "configurations": {
-    "nofuse": "plain pre-decoded dispatch (-nofuse -notier)",
-    "notier": "static up-to-4 superinstruction fusion, tier disabled (-notier); the baseline tier_speedup divides by",
-    "tiered": "the default engine: static fusion plus hot-function promotion to trace re-fusion and lowered blocks"
+    "notier": "plain pre-decoded dispatch, tier disabled (-notier); the baseline tier_speedup divides by",
+    "tiered": "the default engine: plain dispatch plus hot-function promotion to trace re-fusion and lowered blocks"
   },
 HEADER
 
@@ -91,14 +90,12 @@ END {
   logsum = 0; n = 0
   for (k = 1; k <= nk; k++) {
     kernel = order[k]
-    nofuse = median(kernel, "nofuse")
     notier = median(kernel, "notier")
     tiered = median(kernel, "tiered")
     sp = notier > 0 ? tiered / notier : 0
     if (sp > 0) { logsum += log(sp); n++ }
     printf "    \"%s\": {\n", kernel
     printf "      \"description\": \"%s\",\n", (kernel in desc ? desc[kernel] : kernel)
-    printf "      \"nofuse_steps_per_sec\": %d,\n", nofuse
     printf "      \"notier_steps_per_sec\": %d,\n", notier
     printf "      \"tiered_steps_per_sec\": %d,\n", tiered
     printf "      \"tier_speedup\": %.2f\n", sp
@@ -112,7 +109,8 @@ cat <<'FOOTER'
   "acceptance_threshold": 1.5,
   "what_changed": [
     "tiered execution (DESIGN.md §12): always-on per-function invocation counters promote hot functions, re-fusing the whole function into one lowered-op trace (internal/s1/tier.go); -notier disables, -hot-threshold tunes",
-    "trace re-fusion lifts the static 4-instruction fusion cap: blocks split only at real jump targets plus profile-observed landing PCs, and jumps whose target lies inside the function continue in the executor without returning to the dispatch loop",
+    "trace re-fusion: blocks split only at real jump targets plus profile-observed landing PCs, and jumps whose target lies inside the function continue in the executor without returning to the dispatch loop",
+    "the static up-to-4 superinstruction fuser and -nofuse are deleted: the tier's install is the only writer of the dispatch stream, so tier_speedup is measured against plain decoded dispatch",
     "block lowering keeps step/cycle/MOV meters in Go locals, spilling to Machine state only at trace exits, calls, allocation sites and error paths, with exact -max-steps accounting and bounded interrupt latency (blockChunk)",
     "SQ inline lowering binds hot CALLSQ routines (arith fastNum, CONS, CAR/CDR, special read/write) directly into the trace; hot CALL/TCALL sites get invalidation-checked inline caches for their resolved entry PC"
   ]
