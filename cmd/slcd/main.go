@@ -5,18 +5,18 @@
 // Each request runs in a fresh per-request system under its own step
 // and heap budgets with a context deadline; compile errors, runtime
 // faults, panics and timeouts all degrade to structured JSON
-// diagnostics while the daemon keeps serving. Admission is bounded:
-// past -workers executing plus -queue-depth waiting requests, slcd
-// sheds with 429 + Retry-After. SIGINT/SIGTERM drain in-flight
-// requests (bounded by -drain-timeout) before exit.
+// diagnostics while the daemon keeps serving. SIGINT/SIGTERM drain
+// in-flight requests (bounded by -drain-timeout) before exit.
 //
-// Scheduling (DESIGN.md §16): by default requests multiplex over an
-// M:N machine scheduler (-sched-mode, $SLCD_SCHED_MODE) — at most
-// -sched-workers machines execute at once, everyone else parks at
-// simulator safepoints, and slots are granted by deficit round-robin
-// over tenants so a flooding tenant cannot starve a polite one. With
-// -gas-rate set, each tenant gets a gas budget in simulated S-1 cycles
-// (burst -gas-burst); exhausting it is a typed 429, not a timeout.
+// Scheduling (DESIGN.md §16): every request — /compile, /run and
+// /session alike — runs under an M:N machine scheduler. At most
+// -workers machines execute at once; everyone else parks at simulator
+// safepoints, and slots are granted by deficit round-robin over tenants
+// so a flooding tenant cannot starve a polite one. Admission is
+// bounded: past -workers running plus -queue-depth admitted behind
+// them, slcd sheds with 429 + Retry-After. With -gas-rate set, each
+// tenant gets a gas budget in simulated S-1 cycles (burst -gas-burst);
+// exhausting it is a typed 429, not a timeout.
 // POST /session creates a resident session — a machine that keeps its
 // definitions and heap between requests ({"session": id} on /run
 // resumes it) — bounded by -max-sessions and expired after
@@ -101,8 +101,8 @@ func tierThreshold(flagVal int64) int64 {
 func run() error {
 	var (
 		addr       = flag.String("addr", "localhost:7171", "API listen address")
-		workers    = flag.Int("workers", 0, "concurrently executing requests (0 = GOMAXPROCS)")
-		queueDepth = flag.Int("queue-depth", 16, "requests allowed to wait for a worker before shedding")
+		workers    = flag.Int("workers", 0, "concurrently executing machines; further admitted requests park in the scheduler (0 = GOMAXPROCS)")
+		queueDepth = flag.Int("queue-depth", 16, "requests admitted beyond -workers before shedding")
 		reqTimeout = flag.Duration("req-timeout", 10*time.Second, "per-request deadline")
 		drainTime  = flag.Duration("drain-timeout", 30*time.Second, "bound on draining in-flight requests at shutdown")
 		maxSteps   = flag.Int64("max-steps", 50_000_000, "per-request simulator instruction budget (0 = machine default)")
@@ -116,8 +116,6 @@ func run() error {
 		gcNoGen    = flag.Bool("gc-nogen", false, "disable generational GC in per-request machines (every collection full)")
 		gcMinorBud = flag.Duration("gc-minor-budget", 0, "escalate to a full collection after a minor GC pause exceeds this budget (0 = none)")
 		hotThresh  = flag.Int64("hot-threshold", s1.DefaultHotThreshold, "invocations before a function is re-optimized (0 = promote everything at load)")
-		schedMode  = flag.String("sched-mode", "", "machine scheduler mode: on, off, or stress (default $SLCD_SCHED_MODE, then on)")
-		schedWork  = flag.Int("sched-workers", 0, "concurrently executing machines under the scheduler (0 = -workers)")
 		gasRate    = flag.Int64("gas-rate", 0, "per-tenant gas refill in simulated S-1 cycles per second (0 = gas metering off)")
 		gasBurst   = flag.Int64("gas-burst", 0, "per-tenant gas bucket capacity in cycles (0 = 10x -gas-rate)")
 		maxSess    = flag.Int("max-sessions", 10000, "resident sessions held at once")
@@ -168,7 +166,7 @@ func run() error {
 	}
 
 	cfg := daemon.Config{
-		Workers:        *workers,
+		SchedWorkers:   *workers,
 		QueueDepth:     *queueDepth,
 		ReqTimeout:     *reqTimeout,
 		MaxSteps:       *maxSteps,
@@ -179,8 +177,6 @@ func run() error {
 		HotThreshold:   tierThreshold(*hotThresh),
 		GCNoGen:        *gcNoGen,
 		GCMinorBudget:  *gcMinorBud,
-		SchedMode:      *schedMode,
-		SchedWorkers:   *schedWork,
 		GasRate:        *gasRate,
 		GasBurst:       *gasBurst,
 		MaxSessions:    *maxSess,

@@ -7,10 +7,9 @@ package daemon
 //     reports the marginal heap bytes each parked session pins plus the
 //     creation rate — the "10,000 resident sessions on one node" figure
 //     is this benchmark at -benchtime=10000x.
-//   - requests/{off,on,stress}: end-to-end /run requests through each
-//     scheduler mode; on/off is the scheduler's admission overhead,
-//     stress/off bounds the worst-case park-resume cost (a yield at
-//     every safepoint).
+//   - requests/{on,stress}: end-to-end /run requests through the
+//     scheduler, normally and with a forced yield at every safepoint;
+//     stress/on bounds the worst-case park-resume cost.
 //
 // Like the runtime kernels, only within-invocation ratios are
 // meaningful on shared hardware.
@@ -60,8 +59,8 @@ func benchPost(b *testing.B, ts *httptest.Server, path string, req Request) Resp
 
 func BenchmarkScheduler(b *testing.B) {
 	b.Run("resident-sessions", func(b *testing.B) {
-		s, ts := benchServer(b, Config{Workers: 4, MaxSessions: 1 << 20,
-			ReqTimeout: 30 * time.Second, SchedMode: SchedOn})
+		s, ts := benchServer(b, Config{SchedWorkers: 4, MaxSessions: 1 << 20,
+			ReqTimeout: 30 * time.Second})
 		runtime.GC()
 		var before runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -90,10 +89,12 @@ func BenchmarkScheduler(b *testing.B) {
 		Source: `(defun count (n) (if (= n 0) 99 (count (- n 1))))`,
 		Fn:     "count", Args: []string{"20000"},
 	}
-	for _, mode := range []string{SchedOff, SchedOn, SchedStress} {
+	defer func(prev bool) { stressSched = prev }(stressSched)
+	for _, mode := range []string{"on", "stress"} {
 		b.Run("requests/"+mode, func(b *testing.B) {
-			_, ts := benchServer(b, Config{Workers: 4, QueueDepth: 1 << 16,
-				ReqTimeout: 30 * time.Second, SchedMode: mode})
+			stressSched = mode == "stress"
+			_, ts := benchServer(b, Config{SchedWorkers: 4, QueueDepth: 1 << 16,
+				ReqTimeout: 30 * time.Second})
 			start := time.Now()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {

@@ -14,12 +14,15 @@
 //
 // Robustness machinery (DESIGN.md §11):
 //
-//   - admission control: at most Workers requests execute concurrently
-//     and at most QueueDepth more wait; past that the daemon sheds with
-//     429 + Retry-After instead of queuing unboundedly
-//   - deadlines: each request gets a context deadline (ReqTimeout); when
-//     it fires, the request's machine is interrupted cooperatively and
-//     the response is a 504 with a structured diagnostic
+//   - admission control: every request — /compile, /run and /session
+//     alike — executes under the M:N machine scheduler (internal/sched,
+//     DESIGN.md §16). At most SchedWorkers machines run at once and at
+//     most QueueDepth more may be admitted behind them; past that the
+//     daemon sheds with 429 + Retry-After instead of queuing unboundedly
+//   - deadlines: each request gets a context deadline (ReqTimeout) that
+//     covers its queue wait too; when it fires, the request's machine is
+//     interrupted cooperatively and the response is a 504 with a
+//     structured diagnostic
 //   - graceful shutdown: Drain stops admission (503, readiness goes
 //     false) and waits for in-flight requests; cmd/slcd wires it to
 //     SIGTERM
@@ -38,7 +41,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -46,6 +48,7 @@ import (
 	"time"
 
 	"repro/internal/compilecache"
+	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/obs"
 	"repro/internal/s1"
@@ -54,29 +57,22 @@ import (
 	"repro/internal/snapshot"
 )
 
-// Scheduler modes (Config.SchedMode / SLCD_SCHED_MODE).
-const (
-	// SchedOff is the legacy direct path: a worker semaphore plus a
-	// bounded admission queue, no preemption, no gas. Responses are
-	// byte-identical to the pre-scheduler daemon.
-	SchedOff = "off"
-	// SchedOn multiplexes requests over the M:N scheduler: machines
-	// preempt at safepoints, tenants get DRR-fair slot shares and gas
-	// budgets, and thousands of requests can be resident at once.
-	SchedOn = "on"
-	// SchedStress is SchedOn with a forced yield at every safepoint —
-	// the differential torture mode for the park/resume path.
-	SchedStress = "stress"
-)
+// stressSched makes servers built afterwards force a scheduler yield at
+// every safepoint, so every program parks and resumes constantly — the
+// differential torture mode for the park/resume path. Only tests set
+// it (SLCD_SCHED_MODE=stress in TestMain).
+var stressSched bool
 
 // Config sizes and arms a Server. Zero values take the documented
 // defaults.
 type Config struct {
-	// Workers bounds concurrently executing requests (default
-	// GOMAXPROCS).
-	Workers int
-	// QueueDepth bounds requests waiting for a worker (default 16);
-	// admission past Workers+QueueDepth sheds with 429.
+	// SchedWorkers bounds concurrently executing machines (default
+	// GOMAXPROCS). Admitted requests beyond it wait in the scheduler's
+	// tenant queues, and running ones park at safepoints when their
+	// quantum expires with others waiting.
+	SchedWorkers int
+	// QueueDepth bounds requests admitted beyond SchedWorkers (default
+	// 16); admission past SchedWorkers+QueueDepth sheds with 429.
 	QueueDepth int
 	// ReqTimeout is the per-request deadline (default 10s).
 	ReqTimeout time.Duration
@@ -109,16 +105,6 @@ type Config struct {
 	// process restarts (nil = in-memory warm boot only). See Boot and
 	// Checkpoint.
 	Snapshots *snapshot.Store
-	// SchedMode selects the execution path: SchedOn (the default), the
-	// legacy SchedOff path, or SchedStress. Empty falls back to the
-	// SLCD_SCHED_MODE environment variable, then to SchedOn — the env
-	// spelling is what the CI differential legs use.
-	SchedMode string
-	// SchedWorkers bounds concurrently *executing* machines under the
-	// scheduler (default: Workers). Requests beyond it park at
-	// safepoints instead of queuing at admission, so many more than
-	// SchedWorkers requests can be resident.
-	SchedWorkers int
 	// GasRate is each tenant's gas refill in simulated S-1 cycles per
 	// second (0 = gas metering off); GasBurst is the bucket capacity
 	// (default 10×GasRate). An exhausted tenant gets a typed 429, not a
@@ -271,18 +257,8 @@ type Server struct {
 	cfg Config
 	mux *http.ServeMux
 
-	// admission counts executing + queued requests; workers is the
-	// execution semaphore. Both serve only the legacy SchedOff path.
-	admission chan struct{}
-	workers   chan struct{}
-	// queuedN is the decoded-but-not-yet-executing request count on the
-	// legacy path. One atomic counter, because the old
-	// len(admission)-len(workers) gauge read two channels at different
-	// instants and could go negative under load.
-	queuedN atomic.Int64
-
-	// sched is the M:N machine scheduler (nil in SchedOff mode);
-	// sessions is the resident-session store (always present).
+	// sched is the M:N machine scheduler every request executes under;
+	// sessions is the resident-session store.
 	sched    *sched.Sched
 	sessions *sessionStore
 
@@ -321,8 +297,8 @@ type Server struct {
 
 // New builds a Server from cfg, applying defaults.
 func New(cfg Config) *Server {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
+	if cfg.SchedWorkers <= 0 {
+		cfg.SchedWorkers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 16
@@ -336,27 +312,14 @@ func New(cfg Config) *Server {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewJSONHandler(io.Discard, nil))
 	}
-	if cfg.SchedMode == "" {
-		cfg.SchedMode = os.Getenv("SLCD_SCHED_MODE")
-	}
-	switch cfg.SchedMode {
-	case SchedOff, SchedStress:
-	default:
-		cfg.SchedMode = SchedOn
-	}
-	if cfg.SchedWorkers <= 0 {
-		cfg.SchedWorkers = cfg.Workers
-	}
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = 10000
 	}
 	s := &Server{
-		cfg:       cfg,
-		admission: make(chan struct{}, cfg.Workers+cfg.QueueDepth),
-		workers:   make(chan struct{}, cfg.Workers),
-		flight:    cfg.Flight,
-		log:       cfg.Logger,
-		epoch:     time.Now(),
+		cfg:    cfg,
+		flight: cfg.Flight,
+		log:    cfg.Logger,
+		epoch:  time.Now(),
 		reqHist: obs.NewHistogram("slcd_request_seconds",
 			"Request wall time in seconds.", obs.DurationBuckets()),
 		phaseHist: obs.NewHistogram("slcd_compile_phase_seconds",
@@ -371,28 +334,24 @@ func New(cfg Config) *Server {
 			"Scheduling latency: time parked tasks waited for a slot.", obs.DurationBuckets()),
 	}
 	s.sessions = newSessionStore(cfg.MaxSessions, cfg.SessionIdleTTL)
-	if cfg.SchedMode != SchedOff {
-		s.sched = sched.New(sched.Config{
-			Workers: cfg.SchedWorkers,
-			// Same backlog bound as the legacy admission queue, so the
-			// shed point is mode-independent.
-			MaxQueued: cfg.QueueDepth,
-			GasRate:   cfg.GasRate,
-			GasBurst:  cfg.GasBurst,
-			Stress:    cfg.SchedMode == SchedStress,
-			OnEvent: func(kind, tenant string, d time.Duration) {
-				if kind == sched.EvResume {
-					s.schedHist.ObserveDuration(d)
-				}
-				s.flight.Record(obs.Event{Kind: kind, Tenant: tenant, DurNs: d.Nanoseconds()})
-			},
-		})
-	}
+	s.sched = sched.New(sched.Config{
+		Workers:   cfg.SchedWorkers,
+		MaxQueued: cfg.QueueDepth,
+		GasRate:   cfg.GasRate,
+		GasBurst:  cfg.GasBurst,
+		Stress:    stressSched,
+		OnEvent: func(kind, tenant string, d time.Duration) {
+			if kind == sched.EvResume {
+				s.schedHist.ObserveDuration(d)
+			}
+			s.flight.Record(obs.Event{Kind: kind, Tenant: tenant, DurNs: d.Nanoseconds()})
+		},
+	})
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /compile", func(w http.ResponseWriter, r *http.Request) { s.handle(w, r, false) })
-	s.mux.HandleFunc("POST /run", func(w http.ResponseWriter, r *http.Request) { s.handle(w, r, true) })
+	s.mux.HandleFunc("POST /compile", func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, false, s.runRequest) })
+	s.mux.HandleFunc("POST /run", func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, true, s.runRequest) })
+	s.mux.HandleFunc("POST /session", func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, false, s.createSession) })
 	s.mux.HandleFunc("POST /admin/checkpoint", s.handleCheckpoint)
-	s.mux.HandleFunc("POST /session", s.handleSessionCreate)
 	s.mux.HandleFunc("GET /session", s.handleSessionList)
 	s.mux.HandleFunc("GET /session/{id}", s.handleSessionGet)
 	s.mux.HandleFunc("DELETE /session/{id}", s.handleSessionDelete)
@@ -442,8 +401,6 @@ func (s *Server) Metrics() map[string]float64 {
 		"slcd_requests_shed":               float64(st.Shed),
 		"slcd_requests_timeout":            float64(st.TimedOut),
 		"slcd_requests_panic":              float64(st.Panics),
-		"slcd_inflight":                    float64(len(s.workers)),
-		"slcd_queued":                      float64(s.queuedN.Load()),
 		"slcd_tier_promotions_total":       float64(st.TierPromotions),
 		"slcd_tier_refusions_total":        float64(st.TierRefusions),
 		"slcd_tier_call_cache_fills_total": float64(st.TierCacheFills),
@@ -467,14 +424,8 @@ func (s *Server) Metrics() map[string]float64 {
 	m["slcd_sessions_restored_total"] = float64(st.SessionsRestored)
 	m["slcd_sessions_lost_total"] = float64(st.SessionsLost)
 	m["slcd_gas_exhausted_total"] = float64(st.GasExhausted)
-	if s.sched != nil {
-		for k, v := range s.sched.Metrics() {
-			m[k] = v
-		}
-		// Under the scheduler the meaningful gauges are its own: running
-		// machines and the cross-tenant run queue.
-		m["slcd_inflight"] = m["slcd_sched_running"]
-		m["slcd_queued"] = m["slcd_sched_queued"]
+	for k, v := range s.sched.Metrics() {
+		m[k] = v
 	}
 	return m
 }
@@ -612,51 +563,57 @@ func randHex(n int) string {
 	return hex.EncodeToString(b)
 }
 
-// handle is the request lifecycle: admission, trace-context setup,
-// deadline, execution with the panic barrier, span recording, flight
-// events, structured log line.
-func (s *Server) handle(w http.ResponseWriter, r *http.Request, call bool) {
-	start := time.Now()
-	startMono := time.Since(s.epoch).Nanoseconds()
+// reqInfo identifies one request through its lifecycle: when it started
+// (wall clock and the server's monotonic clock), the trace it belongs
+// to, whether the caller asked for a per-request Chrome trace, and
+// whether it calls a function after loading (/run) or not.
+type reqInfo struct {
+	start     time.Time
+	startMono int64
+	traceID   string
+	wantTrace bool
+	call      bool
+}
+
+// runFunc executes one admitted request, filling resp in place. tk is
+// the request's scheduler task: its Safepoint method must be wired into
+// every machine the request drives (eval does this).
+type runFunc func(ctx context.Context, req *Request, rq *reqInfo, tk *sched.Task, resp *Response)
+
+// Load-shed reasons, carried by the load-shed flight event.
+const (
+	shedSaturated = "saturated"
+	shedDraining  = "draining"
+)
+
+// serve is the one request lifecycle behind POST /compile, /run and
+// /session: trace context, the drain check, body decode and deadline,
+// then admission, slot wait and execution inside sched.Run, and the
+// shared tail that turns the outcome into a status and records it. The
+// machine's safepoints (wired to the task inside eval) are where
+// preemption and gas metering happen. The deadline covers queue wait
+// too: a parked request whose context dies leaves the queue and is
+// answered 504 without ever running.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, call bool, run runFunc) {
+	rq := &reqInfo{
+		start:     time.Now(),
+		startMono: time.Since(s.epoch).Nanoseconds(),
+		wantTrace: r.URL.Query().Get("trace") == "1",
+		call:      call,
+	}
 	// Trace context: accept the caller's traceparent or start a new
 	// trace; either way the daemon is one new span within it, and the
 	// response header carries trace id + our span id back.
-	traceID := ParseTraceparent(r.Header.Get("traceparent"))
-	if traceID == "" {
-		traceID = randHex(16)
+	rq.traceID = ParseTraceparent(r.Header.Get("traceparent"))
+	if rq.traceID == "" {
+		rq.traceID = randHex(16)
 	}
-	spanID := randHex(8)
-	w.Header().Set("traceparent", "00-"+traceID+"-"+spanID+"-01")
+	w.Header().Set("traceparent", "00-"+rq.traceID+"-"+randHex(8)+"-01")
 
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, &Response{
-			Diagnostics: []DiagJSON{{Severity: "error", Phase: "admission",
-				Msg: "server is draining"}},
-			DurationMs: msSince(start), TraceID: traceID,
-		})
+		s.shed(w, r, rq, shedDraining)
 		return
 	}
-	if s.sched != nil {
-		s.handleSched(w, r, call, start, startMono, traceID)
-		return
-	}
-	// Admission: a slot in the bounded queue, or an immediate shed.
-	select {
-	case s.admission <- struct{}{}:
-	default:
-		s.shed(w, r, start, startMono, traceID)
-		return
-	}
-	defer func() { <-s.admission }()
-	s.queuedN.Add(1)
-	dequeued := false
-	dequeue := func() {
-		if !dequeued {
-			dequeued = true
-			s.queuedN.Add(-1)
-		}
-	}
-	defer dequeue()
 	s.inflight.Add(1)
 	defer s.inflight.Done()
 
@@ -665,50 +622,7 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, call bool) {
 		writeJSON(w, http.StatusBadRequest, &Response{
 			Diagnostics: []DiagJSON{{Severity: "error", Phase: "request",
 				Msg: "bad request body: " + err.Error()}},
-			DurationMs: msSince(start), TraceID: traceID,
-		})
-		return
-	}
-
-	// Wait (bounded, since admission is bounded) for a worker slot.
-	s.workers <- struct{}{}
-	dequeue()
-	defer func() { <-s.workers }()
-
-	s.mu.Lock()
-	s.stats.Accepted++
-	s.mu.Unlock()
-	s.flight.Record(obs.Event{Kind: obs.EvReqStart, Trace: traceID,
-		Unit: r.URL.Path, Tenant: req.Tenant, Session: req.Session})
-
-	timeout := s.cfg.ReqTimeout
-	if s.cfg.Fault.Should(diag.KindDeadline, "request", req.Fn) {
-		// Injected deadline: the request starts life already expired.
-		timeout = -time.Nanosecond
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	resp := s.execute(ctx, &req, call, traceID, r.URL.Query().Get("trace") == "1", nil)
-	s.finish(w, r, &req, resp, start, startMono, traceID)
-}
-
-// handleSched is the request lifecycle under the M:N scheduler:
-// admission, queuing and slot grants all live in sched.Run, and the
-// machine's safepoints (wired to Task.Safepoint inside execute) are
-// where preemption and gas metering happen. The deadline covers queue
-// wait too: a parked request whose context dies leaves the queue and is
-// answered 504 without ever running.
-func (s *Server) handleSched(w http.ResponseWriter, r *http.Request, call bool, start time.Time, startMono int64, traceID string) {
-	s.inflight.Add(1)
-	defer s.inflight.Done()
-
-	var req Request
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, &Response{
-			Diagnostics: []DiagJSON{{Severity: "error", Phase: "request",
-				Msg: "bad request body: " + err.Error()}},
-			DurationMs: msSince(start), TraceID: traceID,
+			DurationMs: msSince(rq.start), TraceID: rq.traceID,
 		})
 		return
 	}
@@ -726,16 +640,16 @@ func (s *Server) handleSched(w http.ResponseWriter, r *http.Request, call bool, 
 		s.mu.Lock()
 		s.stats.Accepted++
 		s.mu.Unlock()
-		s.flight.Record(obs.Event{Kind: obs.EvReqStart, Trace: traceID,
+		s.flight.Record(obs.Event{Kind: obs.EvReqStart, Trace: rq.traceID,
 			Unit: r.URL.Path, Tenant: req.Tenant, Session: req.Session})
-		resp = s.execute(ctx, &req, call, traceID, r.URL.Query().Get("trace") == "1", tk)
+		resp = s.execute(ctx, &req, rq, tk, run)
 		return nil
 	})
 
 	var ge *sched.GasError
 	switch {
 	case errors.Is(runErr, sched.ErrSaturated):
-		s.shed(w, r, start, startMono, traceID)
+		s.shed(w, r, rq, shedSaturated)
 		return
 	case errors.As(runErr, &ge):
 		// The tenant's gas bucket ran dry — at admission (fail-fast,
@@ -759,7 +673,7 @@ func (s *Server) handleSched(w http.ResponseWriter, r *http.Request, call bool, 
 			Diagnostics: []DiagJSON{{Severity: "error", Phase: "admission",
 				Msg: "request canceled while queued"}}}
 	}
-	s.finish(w, r, &req, resp, start, startMono, traceID)
+	s.finish(w, r, &req, resp, rq)
 }
 
 // retryAfterSecs renders a duration as a Retry-After header value,
@@ -769,32 +683,41 @@ func retryAfterSecs(d time.Duration) string {
 	return fmt.Sprintf("%d", secs)
 }
 
-// shed answers a saturated-admission rejection (429 + Retry-After).
-func (s *Server) shed(w http.ResponseWriter, r *http.Request, start time.Time, startMono int64, traceID string) {
-	s.mu.Lock()
-	s.stats.Shed++
-	s.mu.Unlock()
-	s.flight.Record(obs.Event{Kind: obs.EvLoadShed, Trace: traceID, Unit: r.URL.Path})
+// shed answers a request refused before it ran: 429 + Retry-After when
+// the scheduler's queue is full (reason "saturated"), 503 while the
+// server drains ("draining"). Both leave a load-shed flight event that
+// carries the reason and a span; only saturation counts in
+// slcd_requests_shed.
+func (s *Server) shed(w http.ResponseWriter, r *http.Request, rq *reqInfo, reason string) {
+	status, msg := http.StatusTooManyRequests, "server saturated, retry later"
+	if reason == shedDraining {
+		status, msg = http.StatusServiceUnavailable, "server is draining"
+	} else {
+		s.mu.Lock()
+		s.stats.Shed++
+		s.mu.Unlock()
+		w.Header().Set("Retry-After", "1")
+	}
+	s.flight.Record(obs.Event{Kind: obs.EvLoadShed, Trace: rq.traceID, Unit: r.URL.Path, Reason: reason})
 	s.log.LogAttrs(r.Context(), slog.LevelWarn, "request shed",
-		slog.String("trace_id", traceID), slog.String("path", r.URL.Path))
-	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusTooManyRequests, &Response{
-		Diagnostics: []DiagJSON{{Severity: "error", Phase: "admission",
-			Msg: "server saturated, retry later"}},
-		DurationMs: msSince(start), TraceID: traceID,
+		slog.String("trace_id", rq.traceID), slog.String("path", r.URL.Path),
+		slog.String("reason", reason))
+	writeJSON(w, status, &Response{
+		Diagnostics: []DiagJSON{{Severity: "error", Phase: "admission", Msg: msg}},
+		DurationMs:  msSince(rq.start), TraceID: rq.traceID,
 	})
-	s.record(span{Path: r.URL.Path, Status: http.StatusTooManyRequests,
-		Start: start.UTC().Format(time.RFC3339Nano), StartMonoNs: startMono,
-		DurationMs: msSince(start), Note: "shed", TraceID: traceID})
+	s.record(span{Path: r.URL.Path, Status: status,
+		Start: rq.start.UTC().Format(time.RFC3339Nano), StartMonoNs: rq.startMono,
+		DurationMs: msSince(rq.start), Note: "shed: " + reason, TraceID: rq.traceID})
 }
 
 // finish maps the response to an HTTP status, updates counters, and
-// emits the span, flight events and log line — the shared tail of both
-// execution paths.
-func (s *Server) finish(w http.ResponseWriter, r *http.Request, req *Request, resp *Response, start time.Time, startMono int64, traceID string) {
-	resp.DurationMs = msSince(start)
-	resp.TraceID = traceID
-	s.reqHist.ObserveDuration(time.Since(start))
+// emits the span, flight events and log line — the tail of every
+// request that was admitted.
+func (s *Server) finish(w http.ResponseWriter, r *http.Request, req *Request, resp *Response, rq *reqInfo) {
+	resp.DurationMs = msSince(rq.start)
+	resp.TraceID = rq.traceID
+	s.reqHist.ObserveDuration(time.Since(rq.start))
 	status := http.StatusOK
 	switch {
 	case resp.status != 0:
@@ -811,7 +734,7 @@ func (s *Server) finish(w http.ResponseWriter, r *http.Request, req *Request, re
 		s.mu.Lock()
 		s.stats.TimedOut++
 		s.mu.Unlock()
-		s.flight.Record(obs.Event{Kind: obs.EvDeadline, Trace: traceID,
+		s.flight.Record(obs.Event{Kind: obs.EvDeadline, Trace: rq.traceID,
 			Unit: req.Fn, Tenant: req.Tenant, Session: req.Session})
 	case !resp.OK:
 		status = http.StatusUnprocessableEntity
@@ -824,20 +747,20 @@ func (s *Server) finish(w http.ResponseWriter, r *http.Request, req *Request, re
 		s.mu.Unlock()
 	}
 	writeJSON(w, status, resp)
-	dur := time.Since(start)
-	s.flight.Record(obs.Event{Kind: obs.EvReqFinish, Trace: traceID,
+	dur := time.Since(rq.start)
+	s.flight.Record(obs.Event{Kind: obs.EvReqFinish, Trace: rq.traceID,
 		Unit: r.URL.Path, DurNs: dur.Nanoseconds(), Msg: fmt.Sprintf("status=%d", status),
 		Tenant: req.Tenant, Session: req.Session})
 	s.record(span{Path: r.URL.Path, Status: status, OK: resp.OK, TimedOut: resp.TimedOut,
-		Start: start.UTC().Format(time.RFC3339Nano), StartMonoNs: startMono,
-		DurationMs: msSince(start), Note: firstDiag(resp),
-		TraceID: traceID, Tenant: req.Tenant, Session: req.Session})
+		Start: rq.start.UTC().Format(time.RFC3339Nano), StartMonoNs: rq.startMono,
+		DurationMs: msSince(rq.start), Note: firstDiag(resp),
+		TraceID: rq.traceID, Tenant: req.Tenant, Session: req.Session})
 	level := slog.LevelInfo
 	if !resp.OK {
 		level = slog.LevelWarn
 	}
 	s.log.LogAttrs(r.Context(), level, "request served",
-		slog.String("trace_id", traceID),
+		slog.String("trace_id", rq.traceID),
 		slog.String("path", r.URL.Path),
 		slog.Int("status", status),
 		slog.Bool("ok", resp.OK),
@@ -862,22 +785,18 @@ func firstDiag(r *Response) string {
 // clear of the compile workers' small ids.
 const runtimeTid = 99
 
-// execute compiles (and optionally calls) in a fresh per-request system
-// under the last-resort panic barrier. The compile pipeline has its own
-// per-unit barriers; this one catches anything that escapes them, so a
-// wholly unexpected panic still degrades to a structured response.
-// Under the scheduler tk is the request's task handle and the machine's
-// safepoints are wired to it; on the legacy path tk is nil. A request
-// naming a resident session runs in that session's system instead of a
-// fresh one.
-func (s *Server) execute(ctx context.Context, req *Request, call bool, traceID string, wantTrace bool, tk *sched.Task) (resp *Response) {
+// execute runs one admitted request under the last-resort panic
+// barrier. The compile pipeline has its own per-unit barriers; this one
+// catches anything that escapes them, so a wholly unexpected panic
+// still degrades to a structured response.
+func (s *Server) execute(ctx context.Context, req *Request, rq *reqInfo, tk *sched.Task, run runFunc) (resp *Response) {
 	resp = &Response{}
 	defer func() {
 		if r := recover(); r != nil {
 			s.mu.Lock()
 			s.stats.Panics++
 			s.mu.Unlock()
-			s.flight.Record(obs.Event{Kind: obs.EvPanic, Trace: traceID,
+			s.flight.Record(obs.Event{Kind: obs.EvPanic, Trace: rq.traceID,
 				Unit: req.Fn, Msg: fmt.Sprintf("%v", r),
 				Tenant: req.Tenant, Session: req.Session})
 			resp.OK = false
@@ -887,9 +806,17 @@ func (s *Server) execute(ctx context.Context, req *Request, call bool, traceID s
 			})
 		}
 	}()
+	run(ctx, req, rq, tk, resp)
+	return resp
+}
+
+// runRequest is the runFunc of /compile and /run: a request naming a
+// resident session runs in that session's system (runSession), any
+// other in a fresh per-request system.
+func (s *Server) runRequest(ctx context.Context, req *Request, rq *reqInfo, tk *sched.Task, resp *Response) {
 	if req.Session != "" {
-		s.executeSession(ctx, req, call, traceID, tk, resp)
-		return resp
+		s.runSession(ctx, req, rq, tk, resp)
+		return
 	}
 
 	// Every request gets its own phase-span recorder: the spans feed the
@@ -898,7 +825,7 @@ func (s *Server) execute(ctx context.Context, req *Request, call bool, traceID s
 	rec := obs.NewRecorder()
 	opts := s.sysOptions()
 	opts.Obs = rec
-	opts.TraceID = traceID
+	opts.TraceID = rq.traceID
 	// Build the request machine on a recycled storage arena when the pool
 	// has one: the heap/stack/record slices reset to the previous
 	// request's high-water mark instead of reallocating.
@@ -908,7 +835,7 @@ func (s *Server) execute(ctx context.Context, req *Request, call bool, traceID s
 	}
 	recycled := ar.Uses() > 0
 	opts.Arena = ar
-	sys := s.bootSystem(opts, traceID)
+	sys := s.bootSystem(opts, rq.traceID)
 	// Fold the machine's collector activity into the lifetime counters
 	// and hand its storage back to the arena pool on every exit path.
 	// Registered first so it runs after the other defers are done
@@ -940,26 +867,14 @@ func (s *Server) execute(ctx context.Context, req *Request, call bool, traceID s
 			prev(kind, unit, d)
 		}
 	}
-	// Under the scheduler every machine safepoint becomes a scheduling
-	// and gas-metering point.
-	if tk != nil {
-		sys.Machine.OnSafepoint = tk.Safepoint
-	}
-	// The deadline interrupts the machine cooperatively: Run checks the
-	// flag every few hundred dispatches and unwinds with a RuntimeError.
-	stop := context.AfterFunc(ctx, func() { sys.Machine.Interrupt() })
-	defer stop()
-	// Feed the phase and cycle histograms (and the optional per-request
-	// trace) on every exit path, including the panic barrier.
+	// Feed the phase histogram (and the optional per-request trace) on
+	// every exit path, including the panic barrier.
 	defer func() {
 		for _, sp := range rec.Spans() {
 			s.phaseHist.ObserveDuration(sp.End - sp.Start)
 		}
-		if c := sys.Machine.Stats.Cycles; c > 0 {
-			s.cyclesHist.Observe(float64(c))
-		}
-		if wantTrace {
-			if tr := s.buildRequestTrace(rec, traceID); tr != nil {
+		if rq.wantTrace {
+			if tr := s.buildRequestTrace(rec, rq.traceID); tr != nil {
 				resp.Trace = tr
 			}
 		}
@@ -977,6 +892,30 @@ func (s *Server) execute(ctx context.Context, req *Request, call bool, traceID s
 		s.stats.TierCacheFills += ts.CacheFills
 		s.mu.Unlock()
 	}()
+	s.eval(ctx, tk, sys, req, rq.call, resp)
+}
+
+// eval is the one evaluation of a request's source and call, shared by
+// stateless, session and session-setup requests. It wires the task's
+// safepoints and the deadline into sys's machine, loads req.Source and,
+// when call is set and req.Fn is named, calls it. Diagnostics, defs,
+// the printed value and the mapping of a deadline or run error land in
+// resp; resp.OK is set only on success.
+func (s *Server) eval(ctx context.Context, tk *sched.Task, sys *core.System, req *Request, call bool, resp *Response) {
+	m := sys.Machine
+	// Every machine safepoint becomes a scheduling and gas-metering point,
+	// and the deadline interrupts the machine cooperatively: Run checks
+	// the flag every few hundred dispatches and unwinds with a
+	// RuntimeError.
+	m.OnSafepoint = tk.Safepoint
+	stop := context.AfterFunc(ctx, m.Interrupt)
+	defer func() {
+		stop()
+		m.OnSafepoint = nil
+		if c := m.Stats.Cycles; c > 0 {
+			s.cyclesHist.Observe(float64(c))
+		}
+	}()
 
 	v, list := sys.EvalStringDiag(req.Source)
 	for _, d := range list.All() {
@@ -991,10 +930,10 @@ func (s *Server) execute(ctx context.Context, req *Request, call bool, traceID s
 			Severity: "error", Phase: "deadline",
 			Msg: "request deadline exceeded",
 		})
-		return resp
+		return
 	}
 	if list.HasErrors() {
-		return resp
+		return
 	}
 	for name := range sys.Defs {
 		resp.Defs = append(resp.Defs, name)
@@ -1012,7 +951,7 @@ func (s *Server) execute(ctx context.Context, req *Request, call bool, traceID s
 					Severity: "error", Phase: "request",
 					Msg: fmt.Sprintf("argument %d: %v", i, err),
 				})
-				return resp
+				return
 			}
 			args[i] = av
 		}
@@ -1029,12 +968,11 @@ func (s *Server) execute(ctx context.Context, req *Request, call bool, traceID s
 					Severity: "error", Unit: req.Fn, Phase: "run", Msg: err.Error(),
 				})
 			}
-			return resp
+			return
 		}
 		resp.Value = sexp.Print(cv)
 	}
 	resp.OK = true
-	return resp
 }
 
 // buildRequestTrace renders one request's Chrome trace: the compile

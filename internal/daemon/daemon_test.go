@@ -44,7 +44,7 @@ func post(t *testing.T, ts *httptest.Server, path string, req Request) (int, Res
 // TestCompileAndRun is the happy path: compile a corpus, call into it,
 // get printed values and the list of compiled defs back.
 func TestCompileAndRun(t *testing.T) {
-	s := New(Config{Workers: 2, ReqTimeout: 10 * time.Second})
+	s := New(Config{SchedWorkers: 2, ReqTimeout: 10 * time.Second})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -74,7 +74,7 @@ func TestCompileAndRun(t *testing.T) {
 // TestCompileErrorIsStructured: a broken unit yields 422 with positioned
 // diagnostics, not a dead daemon.
 func TestCompileErrorIsStructured(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{SchedWorkers: 1})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -101,7 +101,7 @@ func TestCompileErrorIsStructured(t *testing.T) {
 // deadline and surfaces as a 504 with a deadline diagnostic; the worker
 // slot is reclaimed and the daemon keeps serving.
 func TestDeadlineReturns504(t *testing.T) {
-	s := New(Config{Workers: 1, ReqTimeout: 150 * time.Millisecond})
+	s := New(Config{SchedWorkers: 1, ReqTimeout: 150 * time.Millisecond})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -135,7 +135,7 @@ func TestInjectedDeadlineFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{Workers: 1, ReqTimeout: time.Hour, Fault: plan})
+	s := New(Config{SchedWorkers: 1, ReqTimeout: time.Hour, Fault: plan})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -159,7 +159,7 @@ func TestInjectedDeadlineFault(t *testing.T) {
 // a burst of slow requests sheds the overflow with 429 + Retry-After
 // while admitted requests still complete (here: by deadline).
 func TestLoadSheddingUnderSaturation(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 1, ReqTimeout: 400 * time.Millisecond})
+	s := New(Config{SchedWorkers: 1, QueueDepth: 1, ReqTimeout: 400 * time.Millisecond})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -210,7 +210,7 @@ func TestLoadSheddingUnderSaturation(t *testing.T) {
 // TestDrainRejectsAndCompletes: Drain flips readiness, rejects new work
 // with 503, and returns once in-flight requests are done.
 func TestDrainRejectsAndCompletes(t *testing.T) {
-	s := New(Config{Workers: 1, ReqTimeout: 300 * time.Millisecond})
+	s := New(Config{SchedWorkers: 1, ReqTimeout: 300 * time.Millisecond})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -227,7 +227,7 @@ func TestDrainRejectsAndCompletes(t *testing.T) {
 	}()
 	// Wait until it is actually executing.
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && len(s.workers) == 0 {
+	for time.Now().Before(deadline) && s.sched.Stats().Running == 0 {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -244,6 +244,9 @@ func TestDrainRejectsAndCompletes(t *testing.T) {
 
 	if code, _, _ := post(t, ts, "/compile", Request{Source: "(defun x (a) a)"}); code != http.StatusServiceUnavailable {
 		t.Errorf("request during drain got %d, want 503", code)
+	}
+	if code, _, _ := post(t, ts, "/session", Request{}); code != http.StatusServiceUnavailable {
+		t.Errorf("session create during drain got %d, want 503", code)
 	}
 	if r, err := http.Get(dbg.URL + "/readyz"); err != nil || r.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("readyz during drain: %v %v", r.StatusCode, err)
@@ -273,7 +276,7 @@ func TestDrainRejectsAndCompletes(t *testing.T) {
 // TestRequestSpansExported: finished requests appear in the /requests
 // ring with status and timing.
 func TestRequestSpansExported(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{SchedWorkers: 1})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -327,7 +330,7 @@ func TestSharedDiskCacheAcrossRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	s := New(Config{Workers: 1, Disk: d})
+	s := New(Config{SchedWorkers: 1, Disk: d})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -349,7 +352,7 @@ func TestSharedDiskCacheAcrossRequests(t *testing.T) {
 
 // TestBadBodyRejected: malformed JSON is a 400, not a panic or a hang.
 func TestBadBodyRejected(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{SchedWorkers: 1})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -368,7 +371,7 @@ func TestBadBodyRejected(t *testing.T) {
 // machine is built on the first one's released slices — and the per-run
 // results stay correct on recycled storage.
 func TestArenaReuseAcrossRequests(t *testing.T) {
-	s := New(Config{Workers: 1, ReqTimeout: 10 * time.Second})
+	s := New(Config{SchedWorkers: 1, ReqTimeout: 10 * time.Second})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 

@@ -1,68 +1,124 @@
 package daemon
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/diag"
 )
 
-// normalizeResp strips the per-request fields (timings, trace ids) so
-// responses from different scheduler modes can be compared for semantic
-// identity.
+// diffFault is the injection plan the differential sequence runs under:
+// only the request calling slow matches, and it starts already expired.
+const diffFault = "request:unit=slow:deadline"
+
+// diffSeq is the differential request sequence: every status class the
+// request path produces (200, 422 compile and runtime errors, 504) on
+// /compile, /run and /session. A Session of "$" stands for the id the
+// latest POST /session returned.
+var diffSeq = []struct {
+	path string
+	req  Request
+}{
+	{"/run", Request{
+		Source: `(defun exptl (b n a) (if (= n 0) a (exptl b (- n 1) (* a b))))`,
+		Fn:     "exptl", Args: []string{"2", "10", "1"}, Tenant: "acme"}},
+	{"/compile", Request{Source: "(defun sq (x) (* x x))\n(sq 7)"}},
+	{"/compile", Request{Source: `(defun bad (x) (car . x))`}}, // 422
+	{"/run", Request{
+		Source: `(defun fib (n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))`,
+		Fn:     "fib", Args: []string{"15"}}},
+	{"/run", Request{Source: "(defun id (x) x)", Fn: "id", Args: []string{"((a . b) 1 2)"}}},
+	{"/run", Request{Source: "(defun boom (x) (car x))", Fn: "boom", Args: []string{"5"}}}, // runtime 422
+	{"/run", Request{Source: "(defun slow (x) x)", Fn: "slow", Args: []string{"1"}}},       // injected 504
+	{"/run", Request{Source: "(defun half (x) (/ x 2.0))", Fn: "half", Args: []string{"3.0"}}},
+	{"/session", Request{Source: sessionSetupSrc, Tenant: "acme"}},
+	{"/run", Request{Session: "$", Source: "(bump)"}},
+	{"/run", Request{Session: "$", Source: "(defun twice (x) (* 2 x))", Fn: "twice", Args: []string{"21"}}},
+	{"/run", Request{Session: "$", Fn: "bump"}},
+}
+
+// goldenLine is one request's normalized outcome, one JSON line each in
+// testdata/sched_responses.golden.
+type goldenLine struct {
+	Path     string   `json:"path"`
+	Status   int      `json:"status"`
+	Response Response `json:"response"`
+}
+
+// normalizeResp strips what legitimately varies between runs — timings,
+// trace ids, session ids, the order of the defs list (a map walk) — so
+// responses can be compared for semantic identity.
 func normalizeResp(r Response) Response {
 	r.DurationMs = 0
 	r.TraceID = ""
 	r.Trace = nil
+	if r.Session != "" {
+		r.Session = "<session>"
+	}
+	sort.Strings(r.Defs)
 	return r
 }
 
-// TestSchedModeDifferential is the mode-identity guarantee: the same
-// request sequence produces semantically identical responses under the
-// legacy path (off), the scheduler (on), and forced-yield-at-every-
-// safepoint (stress). Only timings and trace ids may differ.
-func TestSchedModeDifferential(t *testing.T) {
-	reqs := []struct {
-		path string
-		req  Request
-	}{
-		{"/run", Request{
-			Source: `(defun exptl (b n a) (if (= n 0) a (exptl b (- n 1) (* a b))))`,
-			Fn:     "exptl", Args: []string{"2", "10", "1"}, Tenant: "acme"}},
-		{"/compile", Request{Source: "(defun sq (x) (* x x))\n(sq 7)"}},
-		{"/compile", Request{Source: `(defun bad (x) (car . x))`}}, // 422
-		{"/run", Request{
-			Source: `(defun fib (n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))`,
-			Fn:     "fib", Args: []string{"15"}}},
-		{"/run", Request{Source: "(defun id (x) x)", Fn: "id", Args: []string{"((a . b) 1 2)"}}},
-	}
-
-	type outcome struct {
-		code int
-		resp Response
-	}
-	results := map[string][]outcome{}
-	for _, mode := range []string{SchedOff, SchedOn, SchedStress} {
-		s := New(Config{Workers: 2, ReqTimeout: 30 * time.Second, SchedMode: mode})
-		ts := httptest.NewServer(s)
-		for _, r := range reqs {
-			code, resp, _ := post(t, ts, r.path, r.req)
-			results[mode] = append(results[mode], outcome{code, normalizeResp(resp)})
+// runDiffSeq posts diffSeq to s and returns one golden line per request.
+func runDiffSeq(t *testing.T, s *Server) []string {
+	t.Helper()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	var out []string
+	session := ""
+	for _, r := range diffSeq {
+		req := r.req
+		if req.Session == "$" {
+			req.Session = session
 		}
-		ts.Close()
+		code, resp, _ := post(t, ts, r.path, req)
+		if r.path == "/session" {
+			session = resp.Session
+		}
+		line, err := json.Marshal(goldenLine{r.path, code, normalizeResp(resp)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, string(line))
 	}
-	for _, mode := range []string{SchedOn, SchedStress} {
-		for i := range reqs {
-			if results[SchedOff][i].code != results[mode][i].code {
-				t.Errorf("request %d: status off=%d %s=%d", i,
-					results[SchedOff][i].code, mode, results[mode][i].code)
-			}
-			if !reflect.DeepEqual(results[SchedOff][i].resp, results[mode][i].resp) {
-				t.Errorf("request %d: response diverges under %s:\noff: %+v\n%s:  %+v",
-					i, mode, results[SchedOff][i].resp, mode, results[mode][i].resp)
+	return out
+}
+
+// TestSchedModeDifferential is the mode-identity guarantee: the request
+// sequence produces exactly the responses in
+// testdata/sched_responses.golden under the scheduler and under
+// forced-yield-at-every-safepoint stress. The golden was captured from
+// the direct semaphore path the scheduler replaced; only timings, trace
+// ids and session ids may differ (normalizeResp).
+func TestSchedModeDifferential(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "sched_responses.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(want) != len(diffSeq) {
+		t.Fatalf("golden has %d lines, sequence has %d requests", len(want), len(diffSeq))
+	}
+	plan, err := diag.ParsePlan(diffFault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(prev bool) { stressSched = prev }(stressSched)
+	for _, stress := range []bool{false, true} {
+		stressSched = stress
+		got := runDiffSeq(t, New(Config{SchedWorkers: 2, ReqTimeout: 30 * time.Second, Fault: plan}))
+		for i := range diffSeq {
+			if got[i] != want[i] {
+				t.Errorf("stress=%v request %d (%s) diverges from the golden:\nwant %s\ngot  %s",
+					stress, i, diffSeq[i].path, want[i], got[i])
 			}
 		}
 	}
@@ -75,8 +131,8 @@ func TestSchedModeDifferential(t *testing.T) {
 // latency must stay far below the hog's slot-holding time — the DRR
 // preemption guarantee.
 func TestStarvationFreedom(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 64,
-		ReqTimeout: 3 * time.Second, SchedMode: SchedOn})
+	s := New(Config{SchedWorkers: 1, QueueDepth: 64,
+		ReqTimeout: 3 * time.Second})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -160,7 +216,7 @@ func TestStarvationFreedom(t *testing.T) {
 // not a deadline 504; the dry tenant then fails fast at admission while
 // other tenants are untouched.
 func TestGasExhausted429(t *testing.T) {
-	s := New(Config{Workers: 1, ReqTimeout: 30 * time.Second, SchedMode: SchedOn,
+	s := New(Config{SchedWorkers: 1, ReqTimeout: 30 * time.Second,
 		GasRate: 1000, GasBurst: 200_000})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -215,42 +271,36 @@ func TestGasExhausted429(t *testing.T) {
 	}
 }
 
-// TestQueuedGaugeSettlesToZero is the slcd_queued regression: the gauge
-// is one atomic counter now, and after any burst — including sheds and
-// early returns — it must settle back to exactly zero in both modes.
+// TestQueuedGaugeSettlesToZero is the queued-gauge regression: after
+// any burst — including sheds and early returns — the scheduler's
+// queued and running gauges must settle back to exactly zero.
 func TestQueuedGaugeSettlesToZero(t *testing.T) {
-	for _, mode := range []string{SchedOff, SchedOn} {
-		s := New(Config{Workers: 2, QueueDepth: 2,
-			ReqTimeout: 5 * time.Second, SchedMode: mode})
-		ts := httptest.NewServer(s)
+	s := New(Config{SchedWorkers: 2, QueueDepth: 2, ReqTimeout: 5 * time.Second})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
 
-		var wg sync.WaitGroup
-		for i := 0; i < 12; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				post(t, ts, "/run", Request{
-					Source: "(defun sq (x) (* x x))", Fn: "sq", Args: []string{"4"}})
-			}()
-		}
-		wg.Wait()
-		if got := s.Metrics()["slcd_queued"]; got != 0 {
-			t.Errorf("mode %s: slcd_queued = %v after the burst drained, want 0", mode, got)
-		}
-		if mode == SchedOff {
-			if n := s.queuedN.Load(); n != 0 {
-				t.Errorf("mode off: queuedN = %d, want 0", n)
-			}
-		}
-		ts.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < 12; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			post(t, ts, "/run", Request{
+				Source: "(defun sq (x) (* x x))", Fn: "sq", Args: []string{"4"}})
+		}()
+	}
+	wg.Wait()
+	m := s.Metrics()
+	if m["slcd_sched_queued"] != 0 || m["slcd_sched_running"] != 0 {
+		t.Errorf("slcd_sched_queued = %v, slcd_sched_running = %v after the burst drained, want 0",
+			m["slcd_sched_queued"], m["slcd_sched_running"])
 	}
 }
 
 // TestSchedMetricsExposed: scheduler counters and per-tenant labeled
-// series surface through the daemon metrics snapshot, and the inflight/
-// queued gauges are aliased to the scheduler's view.
+// series surface through the daemon metrics snapshot, which carries the
+// scheduler's running/queued gauges under their own names only.
 func TestSchedMetricsExposed(t *testing.T) {
-	s := New(Config{Workers: 1, SchedMode: SchedOn})
+	s := New(Config{SchedWorkers: 1})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -267,7 +317,9 @@ func TestSchedMetricsExposed(t *testing.T) {
 	if _, ok := m[`slcd_sched_tenant_cycles_total{tenant="acme"}`]; !ok {
 		t.Errorf("per-tenant labeled series missing from metrics: %v", m)
 	}
-	if m["slcd_inflight"] != m["slcd_sched_running"] || m["slcd_queued"] != m["slcd_sched_queued"] {
-		t.Error("inflight/queued gauges not aliased to the scheduler's")
+	for _, alias := range []string{"slcd_inflight", "slcd_queued"} {
+		if _, ok := m[alias]; ok {
+			t.Errorf("%s still exported next to slcd_sched_running/slcd_sched_queued", alias)
+		}
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
@@ -35,7 +34,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sched"
-	"repro/internal/sexp"
 )
 
 var (
@@ -207,12 +205,11 @@ func sessionErrStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// executeSession runs one request inside a resident session's system:
-// claim, clear any stale interrupt from a previous request's deadline,
-// wire the scheduler safepoint hook, evaluate, and park the machine
-// stack on the way out. Mutates resp in place (the caller's panic
-// barrier stays armed around it).
-func (s *Server) executeSession(ctx context.Context, req *Request, call bool, traceID string, tk *sched.Task, resp *Response) {
+// runSession runs one /compile or /run request inside a resident
+// session's system: claim, clear any stale interrupt from a previous
+// request's deadline, evaluate, and park the machine stack on the way
+// out.
+func (s *Server) runSession(ctx context.Context, req *Request, rq *reqInfo, tk *sched.Task, resp *Response) {
 	s.expireSessions()
 	ses, err := s.sessions.claim(req.Session)
 	if err != nil {
@@ -222,192 +219,47 @@ func (s *Server) executeSession(ctx context.Context, req *Request, call bool, tr
 		return
 	}
 	resp.Session = ses.id
-	sys := ses.sys
+	m := ses.sys.Machine
 	// A session that hit its deadline last request parks with the kill
 	// signal still latched; running again without clearing it would 504
 	// at the first safepoint (the arena path asserts the same invariant
 	// at adoption).
-	sys.Machine.ClearInterrupt()
+	m.ClearInterrupt()
 	// Budgets (steps, safepoint cycle accounting) are per request, not
 	// per session lifetime.
-	sys.Machine.ResetStats()
-	gm0 := sys.Machine.GCMeters
-	if tk != nil {
-		sys.Machine.OnSafepoint = tk.Safepoint
-	}
+	m.ResetStats()
+	gm0 := m.GCMeters
 	defer func() {
-		sys.Machine.OnSafepoint = nil
-		gm := sys.Machine.GCMeters
+		gm := m.GCMeters
 		s.mu.Lock()
 		s.stats.GCFullCollections += gm.Collections - gm0.Collections
 		s.stats.GCMinorCollections += gm.MinorCollections - gm0.MinorCollections
 		s.stats.GCWordsPromoted += gm.WordsPromoted - gm0.WordsPromoted
 		s.mu.Unlock()
-		if c := sys.Machine.Stats.Cycles; c > 0 {
-			s.cyclesHist.Observe(float64(c))
-		}
-		sys.Machine.ParkStack()
+		m.ParkStack()
 		s.sessions.release(ses)
 	}()
-	stop := context.AfterFunc(ctx, func() { sys.Machine.Interrupt() })
-	defer stop()
-
-	v, list := sys.EvalStringDiag(req.Source)
-	for _, d := range list.All() {
-		resp.Diagnostics = append(resp.Diagnostics, DiagJSON{
-			Severity: d.Severity.String(), Unit: d.Unit, Phase: d.Phase,
-			Line: d.Line, Col: d.Col, Msg: d.Msg,
-		})
-	}
-	if ctx.Err() != nil {
-		resp.TimedOut = true
-		resp.Diagnostics = append(resp.Diagnostics, DiagJSON{
-			Severity: "error", Phase: "deadline",
-			Msg: "request deadline exceeded",
-		})
-		return
-	}
-	if list.HasErrors() {
-		return
-	}
-	for name := range sys.Defs {
-		resp.Defs = append(resp.Defs, name)
-	}
-	if v != nil {
-		resp.Value = sexp.Print(v)
-	}
-	if call && req.Fn != "" {
-		args := make([]sexp.Value, len(req.Args))
-		for i, a := range req.Args {
-			av, err := sexp.ReadOne(a)
-			if err != nil {
-				resp.Diagnostics = append(resp.Diagnostics, DiagJSON{
-					Severity: "error", Phase: "request",
-					Msg: fmt.Sprintf("argument %d: %v", i, err),
-				})
-				return
-			}
-			args[i] = av
-		}
-		cv, err := sys.Call(req.Fn, args...)
-		if err != nil {
-			if ctx.Err() != nil {
-				resp.TimedOut = true
-				resp.Diagnostics = append(resp.Diagnostics, DiagJSON{
-					Severity: "error", Unit: req.Fn, Phase: "deadline",
-					Msg: "request deadline exceeded: " + err.Error(),
-				})
-			} else {
-				resp.Diagnostics = append(resp.Diagnostics, DiagJSON{
-					Severity: "error", Unit: req.Fn, Phase: "run", Msg: err.Error(),
-				})
-			}
-			return
-		}
-		resp.Value = sexp.Print(cv)
-	}
-	resp.OK = true
+	s.eval(ctx, tk, ses.sys, req, rq.call, resp)
 }
 
-// handleSessionCreate is POST /session: build a warm-booted system,
-// evaluate the optional setup source (under the scheduler when it is
-// on, so creation is preempted and gas-metered like any run), park it,
-// and register it.
-func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	traceID := ParseTraceparent(r.Header.Get("traceparent"))
-	if traceID == "" {
-		traceID = randHex(16)
-	}
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, &Response{
-			Diagnostics: []DiagJSON{{Severity: "error", Phase: "admission",
-				Msg: "server is draining"}},
-			DurationMs: msSince(start), TraceID: traceID,
-		})
-		return
-	}
-	s.inflight.Add(1)
-	defer s.inflight.Done()
+// createSession is the runFunc of POST /session: build a warm-booted
+// system, evaluate the optional setup source in it like any request
+// (so setup is admitted, preempted, gas-metered and deadlined like a
+// /run), then park it and register it. A session exists only if its
+// setup succeeded.
+func (s *Server) createSession(ctx context.Context, req *Request, rq *reqInfo, tk *sched.Task, resp *Response) {
 	s.expireSessions()
-	var req Request
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, &Response{
-			Diagnostics: []DiagJSON{{Severity: "error", Phase: "request",
-				Msg: "bad request body: " + err.Error()}},
-			DurationMs: msSince(start), TraceID: traceID,
-		})
-		return
-	}
 	opts := s.sysOptions()
 	opts.Obs = obs.NewRecorder()
-	opts.TraceID = traceID
-	sys := s.bootSystem(opts, traceID)
-	resp := &Response{}
-	if req.Source != "" {
-		evalSetup := func(tk *sched.Task) error {
-			if tk != nil {
-				sys.Machine.OnSafepoint = tk.Safepoint
-				defer func() { sys.Machine.OnSafepoint = nil }()
-			}
-			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.ReqTimeout)
-			defer cancel()
-			stop := context.AfterFunc(ctx, func() { sys.Machine.Interrupt() })
-			defer stop()
-			_, list := sys.EvalStringDiag(req.Source)
-			for _, d := range list.All() {
-				resp.Diagnostics = append(resp.Diagnostics, DiagJSON{
-					Severity: d.Severity.String(), Unit: d.Unit, Phase: d.Phase,
-					Line: d.Line, Col: d.Col, Msg: d.Msg,
-				})
-			}
-			if ctx.Err() != nil {
-				resp.TimedOut = true
-			}
-			return nil
-		}
-		var runErr error
-		if s.sched != nil {
-			runErr = s.sched.Run(r.Context(), req.Tenant, evalSetup)
-		} else {
-			runErr = evalSetup(nil)
-		}
-		var ge *sched.GasError
-		switch {
-		case errors.As(runErr, &ge):
-			w.Header().Set("Retry-After", retryAfterSecs(ge.RetryAfter))
-			writeJSON(w, http.StatusTooManyRequests, &Response{
-				GasExhausted: true,
-				Diagnostics: []DiagJSON{{Severity: "error", Phase: "gas",
-					Msg: ge.Error()}},
-				DurationMs: msSince(start), TraceID: traceID,
-			})
-			return
-		case errors.Is(runErr, sched.ErrSaturated):
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, &Response{
-				Diagnostics: []DiagJSON{{Severity: "error", Phase: "admission",
-					Msg: "server saturated, retry later"}},
-				DurationMs: msSince(start), TraceID: traceID,
-			})
-			return
-		}
-		if resp.TimedOut {
-			resp.DurationMs = msSince(start)
-			resp.TraceID = traceID
-			resp.Diagnostics = append(resp.Diagnostics, DiagJSON{
-				Severity: "error", Phase: "deadline",
-				Msg: "session setup deadline exceeded"})
-			writeJSON(w, http.StatusGatewayTimeout, resp)
-			return
-		}
-		if hasErrors(resp.Diagnostics) {
-			resp.DurationMs = msSince(start)
-			resp.TraceID = traceID
-			writeJSON(w, http.StatusUnprocessableEntity, resp)
-			return
-		}
+	opts.TraceID = rq.traceID
+	sys := s.bootSystem(opts, rq.traceID)
+	s.eval(ctx, tk, sys, req, false, resp)
+	if !resp.OK {
+		return
 	}
+	// Creation answers with the session's id and defs, not the value of
+	// the setup's last form.
+	resp.Value = ""
 	ses := &session{
 		id: randHex(8), tenant: req.Tenant, sys: sys,
 		created: time.Now(), lastUsed: time.Now(),
@@ -415,38 +267,19 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	sys.Machine.ClearInterrupt()
 	sys.Machine.ParkStack()
 	if err := s.sessions.add(ses); err != nil {
-		writeJSON(w, sessionErrStatus(err), &Response{
-			Diagnostics: []DiagJSON{{Severity: "error", Phase: "session",
-				Msg: err.Error()}},
-			DurationMs: msSince(start), TraceID: traceID,
-		})
+		*resp = Response{status: sessionErrStatus(err),
+			Diagnostics: []DiagJSON{{Severity: "error", Phase: "session", Msg: err.Error()}}}
 		return
 	}
 	s.mu.Lock()
 	s.stats.SessionsCreated++
 	s.mu.Unlock()
-	s.flight.Record(obs.Event{Kind: obs.EvSessionCreate, Trace: traceID,
+	s.flight.Record(obs.Event{Kind: obs.EvSessionCreate, Trace: rq.traceID,
 		Tenant: req.Tenant, Session: ses.id})
 	s.writeSessionManifest()
-	for name := range sys.Defs {
-		resp.Defs = append(resp.Defs, name)
-	}
-	resp.OK = true
 	resp.Session = ses.id
-	resp.DurationMs = msSince(start)
-	resp.TraceID = traceID
-	writeJSON(w, http.StatusOK, resp)
-	s.log.LogAttrs(r.Context(), slog.LevelInfo, "session created",
+	s.log.LogAttrs(ctx, slog.LevelInfo, "session created",
 		slog.String("session", ses.id), slog.String("tenant", req.Tenant))
-}
-
-func hasErrors(ds []DiagJSON) bool {
-	for _, d := range ds {
-		if d.Severity == "error" {
-			return true
-		}
-	}
-	return false
 }
 
 // handleSessionList is GET /session.

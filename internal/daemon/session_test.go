@@ -42,7 +42,7 @@ func getJSON(t *testing.T, url string, out any) int {
 // TestSessionLifecycle: create with setup source, resume with state
 // intact across requests, list/get, delete, then 404.
 func TestSessionLifecycle(t *testing.T) {
-	s := New(Config{Workers: 2, ReqTimeout: 10 * time.Second})
+	s := New(Config{SchedWorkers: 2, ReqTimeout: 10 * time.Second})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -123,7 +123,7 @@ func TestSessionLifecycle(t *testing.T) {
 // kill signal latched, and the next request must clear it, not 504
 // instantly).
 func TestSessionBusyAndStaleInterrupt(t *testing.T) {
-	s := New(Config{Workers: 2, ReqTimeout: 500 * time.Millisecond, SchedMode: SchedOn})
+	s := New(Config{SchedWorkers: 2, ReqTimeout: 500 * time.Millisecond})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -182,7 +182,7 @@ func TestSessionBusyAndStaleInterrupt(t *testing.T) {
 // TestSessionLimitAndTTL: the residency bound returns 429; idle
 // sessions past the TTL are reaped and their ids 404.
 func TestSessionLimitAndTTL(t *testing.T) {
-	s := New(Config{Workers: 1, MaxSessions: 2})
+	s := New(Config{SchedWorkers: 1, MaxSessions: 2})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	for i := 0; i < 2; i++ {
@@ -194,7 +194,7 @@ func TestSessionLimitAndTTL(t *testing.T) {
 		t.Fatalf("over-limit create: %d %+v, want 429", code, r)
 	}
 
-	s2 := New(Config{Workers: 1, SessionIdleTTL: 50 * time.Millisecond})
+	s2 := New(Config{SchedWorkers: 1, SessionIdleTTL: 50 * time.Millisecond})
 	ts2 := httptest.NewServer(s2)
 	defer ts2.Close()
 	_, resp, _ := post(t, ts2, "/session", Request{Source: sessionSetupSrc})
@@ -218,7 +218,7 @@ func TestSessionDrainCheckpointRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sA := New(Config{Workers: 1, Snapshots: st1})
+	sA := New(Config{SchedWorkers: 1, Snapshots: st1})
 	if err := sA.Boot(); err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestSessionDrainCheckpointRestore(t *testing.T) {
 	tsA.Close()
 	st1.Close()
 
-	sB := New(Config{Workers: 1, Snapshots: openSnapStore(t, dir, nil)})
+	sB := New(Config{SchedWorkers: 1, Snapshots: openSnapStore(t, dir, nil)})
 	if err := sB.Boot(); err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestSessionHardKillLostDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sA := New(Config{Workers: 1, Snapshots: st1})
+	sA := New(Config{SchedWorkers: 1, Snapshots: st1})
 	if err := sA.Boot(); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestSessionHardKillLostDegraded(t *testing.T) {
 	st1.Close()
 
 	flight := obs.NewFlight(obs.DefaultFlightSize)
-	sB := New(Config{Workers: 1, Snapshots: openSnapStore(t, dir, nil), Flight: flight})
+	sB := New(Config{SchedWorkers: 1, Snapshots: openSnapStore(t, dir, nil), Flight: flight})
 	if err := sB.Boot(); err != nil {
 		t.Fatalf("boot after a hard kill must serve, not fail: %v", err)
 	}
@@ -353,7 +353,7 @@ func TestHelperDaemonSessionPark(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	s := New(Config{Workers: 2, Snapshots: st})
+	s := New(Config{SchedWorkers: 2, Snapshots: st})
 	if err := s.Boot(); err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestKill9SessionTorture(t *testing.T) {
 	cmd.Process.Kill()
 	cmd.Wait()
 
-	s := New(Config{Workers: 1, Snapshots: openSnapStore(t, dir, nil)})
+	s := New(Config{SchedWorkers: 1, Snapshots: openSnapStore(t, dir, nil)})
 	if err := s.Boot(); err != nil {
 		t.Fatalf("boot after kill -9 failed: %v\nchild: %s", err, out.String())
 	}
@@ -450,7 +450,7 @@ func TestManyResidentSessions(t *testing.T) {
 		t.Skip("creates a thousand sessions")
 	}
 	const n = 1000
-	s := New(Config{Workers: 4, MaxSessions: 10000, ReqTimeout: 30 * time.Second})
+	s := New(Config{SchedWorkers: 4, MaxSessions: 10000, ReqTimeout: 30 * time.Second})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -489,4 +489,100 @@ func TestManyResidentSessions(t *testing.T) {
 	if st := s.Stats(); st.SessionsCreated != n {
 		t.Errorf("SessionsCreated = %d", st.SessionsCreated)
 	}
+}
+
+// TestSessionCreateAccounting: POST /session runs its setup through the
+// same admission and finish tail as /run, so a gas 429, a saturated 429
+// and a setup-deadline 504 are each counted, flight-recorded and leave a
+// span in /requests — and create no session.
+func TestSessionCreateAccounting(t *testing.T) {
+	const setup = spinSrc + "\n(spin 1)"
+	lastSpan := func(s *Server) span {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if len(s.ring) == 0 {
+			return span{}
+		}
+		return s.ring[len(s.ring)-1]
+	}
+	checkSpan := func(t *testing.T, s *Server, status int, traceID string) {
+		t.Helper()
+		if sp := lastSpan(s); sp.Path != "/session" || sp.Status != status || sp.TraceID != traceID {
+			t.Errorf("last span = %+v, want /session %d trace %s", sp, status, traceID)
+		}
+		if n := s.sessions.count(); n != 0 {
+			t.Errorf("%d sessions resident after a failed create", n)
+		}
+	}
+
+	t.Run("gas", func(t *testing.T) {
+		s := New(Config{SchedWorkers: 1, ReqTimeout: 30 * time.Second,
+			GasRate: 1000, GasBurst: 200_000})
+		ts := httptest.NewServer(s)
+		defer ts.Close()
+		code, resp, hdr := post(t, ts, "/session", Request{Source: setup, Tenant: "dry"})
+		if code != http.StatusTooManyRequests || !resp.GasExhausted || hdr.Get("Retry-After") == "" {
+			t.Fatalf("gas-starved setup: status %d, resp %+v", code, resp)
+		}
+		if st := s.Stats(); st.GasExhausted != 1 {
+			t.Errorf("GasExhausted = %d, want 1", st.GasExhausted)
+		}
+		m := s.Metrics()
+		if m["slcd_gas_exhausted_total"] != 1 || m[`slcd_sched_tenant_gas_exhausted_total{tenant="dry"}`] != 1 {
+			t.Errorf("gas metrics disagree: daemon %v, tenant %v", m["slcd_gas_exhausted_total"],
+				m[`slcd_sched_tenant_gas_exhausted_total{tenant="dry"}`])
+		}
+		checkSpan(t, s, http.StatusTooManyRequests, resp.TraceID)
+	})
+
+	t.Run("saturated", func(t *testing.T) {
+		s := New(Config{SchedWorkers: 1, QueueDepth: 1, ReqTimeout: 3 * time.Second})
+		ts := httptest.NewServer(s)
+		defer ts.Close()
+		// Hold the one slot and the one queue place with spinners.
+		var wg sync.WaitGroup
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				post(t, ts, "/run", Request{Source: spinSrc, Fn: "spin", Args: []string{"1"}})
+			}()
+		}
+		defer wg.Wait()
+		deadline := time.Now().Add(2 * time.Second)
+		for st := s.sched.Stats(); st.Running+st.Queued < 2; st = s.sched.Stats() {
+			if time.Now().After(deadline) {
+				t.Fatal("spinners never filled the scheduler")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		code, resp, hdr := post(t, ts, "/session", Request{Source: sessionSetupSrc})
+		if code != http.StatusTooManyRequests || hdr.Get("Retry-After") == "" {
+			t.Fatalf("create on a saturated server: status %d, resp %+v", code, resp)
+		}
+		if st := s.Stats(); st.Shed != 1 {
+			t.Errorf("Shed = %d, want 1", st.Shed)
+		}
+		if evs := s.Flight().Snapshot(obs.Filter{Kind: obs.EvLoadShed, Trace: resp.TraceID}); len(evs) != 1 {
+			t.Errorf("load-shed events for the create = %+v", evs)
+		}
+		checkSpan(t, s, http.StatusTooManyRequests, resp.TraceID)
+	})
+
+	t.Run("deadline", func(t *testing.T) {
+		s := New(Config{SchedWorkers: 1, ReqTimeout: 200 * time.Millisecond})
+		ts := httptest.NewServer(s)
+		defer ts.Close()
+		code, resp, _ := post(t, ts, "/session", Request{Source: setup})
+		if code != http.StatusGatewayTimeout || !resp.TimedOut {
+			t.Fatalf("spinning setup: status %d, resp %+v", code, resp)
+		}
+		if st := s.Stats(); st.TimedOut != 1 {
+			t.Errorf("TimedOut = %d, want 1", st.TimedOut)
+		}
+		if evs := s.Flight().Snapshot(obs.Filter{Kind: obs.EvDeadline, Trace: resp.TraceID}); len(evs) != 1 {
+			t.Errorf("deadline events for the create = %+v", evs)
+		}
+		checkSpan(t, s, http.StatusGatewayTimeout, resp.TraceID)
+	})
 }

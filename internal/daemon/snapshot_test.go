@@ -54,7 +54,7 @@ func runPrelude(t *testing.T, ts *httptest.Server) {
 func TestWarmBootFromStore(t *testing.T) {
 	dir := t.TempDir()
 
-	s1 := New(Config{Workers: 1, Prelude: snapTestPrelude, Snapshots: openSnapStore(t, dir, nil)})
+	s1 := New(Config{SchedWorkers: 1, Prelude: snapTestPrelude, Snapshots: openSnapStore(t, dir, nil)})
 	if err := s1.Boot(); err != nil {
 		t.Fatalf("first boot: %v", err)
 	}
@@ -65,7 +65,7 @@ func TestWarmBootFromStore(t *testing.T) {
 		t.Fatalf("no boot snapshot on disk: %v", err)
 	}
 
-	s2 := New(Config{Workers: 1, Prelude: snapTestPrelude, Snapshots: openSnapStore(t, dir, nil)})
+	s2 := New(Config{SchedWorkers: 1, Prelude: snapTestPrelude, Snapshots: openSnapStore(t, dir, nil)})
 	if err := s2.Boot(); err != nil {
 		t.Fatalf("second boot: %v", err)
 	}
@@ -93,11 +93,11 @@ func TestWarmBootFromStore(t *testing.T) {
 // not serve the old library.
 func TestBootStalePrelude(t *testing.T) {
 	dir := t.TempDir()
-	s1 := New(Config{Workers: 1, Prelude: "(defun old-fn (x) x)", Snapshots: openSnapStore(t, dir, nil)})
+	s1 := New(Config{SchedWorkers: 1, Prelude: "(defun old-fn (x) x)", Snapshots: openSnapStore(t, dir, nil)})
 	if err := s1.Boot(); err != nil {
 		t.Fatal(err)
 	}
-	s2 := New(Config{Workers: 1, Prelude: snapTestPrelude, Snapshots: openSnapStore(t, dir, nil)})
+	s2 := New(Config{SchedWorkers: 1, Prelude: snapTestPrelude, Snapshots: openSnapStore(t, dir, nil)})
 	if err := s2.Boot(); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestBootStalePrelude(t *testing.T) {
 // compile, re-checkpoint, and serve — never crash.
 func TestBootReadFaultFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	s1 := New(Config{Workers: 1, Prelude: snapTestPrelude, Snapshots: openSnapStore(t, dir, nil)})
+	s1 := New(Config{SchedWorkers: 1, Prelude: snapTestPrelude, Snapshots: openSnapStore(t, dir, nil)})
 	if err := s1.Boot(); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestBootReadFaultFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	flight := obs.NewFlight(obs.DefaultFlightSize)
-	s2 := New(Config{Workers: 1, Prelude: snapTestPrelude,
+	s2 := New(Config{SchedWorkers: 1, Prelude: snapTestPrelude,
 		Snapshots: openSnapStore(t, dir, plan), Flight: flight})
 	if err := s2.Boot(); err != nil {
 		t.Fatalf("boot must degrade, not fail: %v", err)
@@ -156,7 +156,7 @@ func TestBootReadFaultFallsBack(t *testing.T) {
 // verifying (tampered in memory here), each request falls back to a
 // cold prelude compile and still succeeds.
 func TestPerRequestRestoreFailureFallsBack(t *testing.T) {
-	s := New(Config{Workers: 1, Prelude: snapTestPrelude})
+	s := New(Config{SchedWorkers: 1, Prelude: snapTestPrelude})
 	if err := s.Boot(); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestPerRequestRestoreFailureFallsBack(t *testing.T) {
 // demand (the HTTP spelling of SIGUSR1).
 func TestAdminCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	s := New(Config{Workers: 1, Prelude: snapTestPrelude, Snapshots: openSnapStore(t, dir, nil)})
+	s := New(Config{SchedWorkers: 1, Prelude: snapTestPrelude, Snapshots: openSnapStore(t, dir, nil)})
 	if err := s.Boot(); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestAdminCheckpoint(t *testing.T) {
 	}
 
 	// Without a prelude there is nothing to checkpoint: a clean 500.
-	bare := New(Config{Workers: 1})
+	bare := New(Config{SchedWorkers: 1})
 	tsb := httptest.NewServer(bare)
 	defer tsb.Close()
 	if hr, err := http.Post(tsb.URL+"/admin/checkpoint", "application/json", nil); err != nil {
@@ -238,7 +238,7 @@ func TestReadyzDegradedCacheBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disk.Close()
-	s := New(Config{Workers: 1, Disk: disk})
+	s := New(Config{SchedWorkers: 1, Disk: disk})
 	mux := http.NewServeMux()
 	s.RegisterDebug(mux)
 	dbg := httptest.NewServer(mux)
@@ -275,7 +275,7 @@ func TestReadyzDegradedCacheBreaker(t *testing.T) {
 // TestReadyzDegradedSnapshotCold: warm boot configured but no live
 // snapshot → degraded "snapshot-cold"; gone after Boot.
 func TestReadyzDegradedSnapshotCold(t *testing.T) {
-	s := New(Config{Workers: 1, Prelude: snapTestPrelude,
+	s := New(Config{SchedWorkers: 1, Prelude: snapTestPrelude,
 		Snapshots: openSnapStore(t, t.TempDir(), nil)})
 	mux := http.NewServeMux()
 	s.RegisterDebug(mux)
@@ -306,7 +306,7 @@ func TestHelperDaemonCheckpointLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	s := New(Config{Workers: 1, Prelude: snapTestPrelude, Snapshots: st})
+	s := New(Config{SchedWorkers: 1, Prelude: snapTestPrelude, Snapshots: st})
 	if err := s.Boot(); err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestKill9DaemonCheckpointTorture(t *testing.T) {
 		cmd.Wait()
 
 		st := openSnapStore(t, dir, nil)
-		s := New(Config{Workers: 1, Prelude: snapTestPrelude, Snapshots: st})
+		s := New(Config{SchedWorkers: 1, Prelude: snapTestPrelude, Snapshots: st})
 		if err := s.Boot(); err != nil {
 			t.Fatalf("round %d: boot after kill -9 failed: %v\nchild: %s", round, err, out.String())
 		}

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -29,7 +30,7 @@ const loopSrc = `
 // a fresh trace id, echoed in both the response body and the response
 // traceparent header.
 func TestTraceparentGenerated(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{SchedWorkers: 1})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -46,7 +47,7 @@ func TestTraceparentGenerated(t *testing.T) {
 // TestTraceparentAccepted: an incoming W3C traceparent is adopted, so
 // the caller's trace id links through the daemon.
 func TestTraceparentAccepted(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{SchedWorkers: 1})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -83,7 +84,7 @@ func TestTraceparentAccepted(t *testing.T) {
 func TestOneTraceLinksEverything(t *testing.T) {
 	// Forced-hot tiering makes promotions deterministic, and the small
 	// heap budget makes churn's discarded conses trigger collections.
-	s := New(Config{Workers: 1, HotThreshold: -1, MaxHeapWords: 4096})
+	s := New(Config{SchedWorkers: 1, HotThreshold: -1, MaxHeapWords: 4096})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -148,7 +149,7 @@ func TestOneTraceLinksEverything(t *testing.T) {
 // TestMetricsHistograms: /metrics (via the registry) exposes real
 // Prometheus histogram series for request latency and eval cycles.
 func TestMetricsHistograms(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{SchedWorkers: 1})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -187,7 +188,7 @@ func TestMetricsHistograms(t *testing.T) {
 // TestDebugEventsEndpoint: the daemon's flight recorder serves filtered
 // events over /debug/events.
 func TestDebugEventsEndpoint(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{SchedWorkers: 1})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -223,7 +224,7 @@ func TestShedRecordsFlightEvent(t *testing.T) {
 	// One worker, a queue of one: saturate with slow requests, then
 	// overflow. The spinners hold their slots until the 5s deadline, far
 	// longer than the shed probe needs.
-	s := New(Config{Workers: 1, QueueDepth: 1, ReqTimeout: 5 * time.Second})
+	s := New(Config{SchedWorkers: 1, QueueDepth: 1, ReqTimeout: 5 * time.Second})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -239,11 +240,8 @@ func TestShedRecordsFlightEvent(t *testing.T) {
 	}
 	defer wg.Wait()
 	resident := func() int {
-		if s.sched != nil {
-			st := s.sched.Stats()
-			return st.Running + st.Queued
-		}
-		return len(s.admission)
+		st := s.sched.Stats()
+		return st.Running + st.Queued
 	}
 	deadline := time.Now().Add(4 * time.Second)
 	for resident() < 2 {
@@ -258,7 +256,30 @@ func TestShedRecordsFlightEvent(t *testing.T) {
 		t.Fatalf("expected 429 with a full queue, got %d", code)
 	}
 	evs := s.flight.Snapshot(obs.Filter{Kind: obs.EvLoadShed, Trace: resp.TraceID})
-	if len(evs) != 1 || evs[0].Sev != obs.SevWarn {
+	if len(evs) != 1 || evs[0].Sev != obs.SevWarn || evs[0].Reason != shedSaturated {
 		t.Errorf("shed events = %+v", evs)
+	}
+}
+
+// TestDrainShedRecordsReason: a request refused because the server is
+// draining leaves a load-shed flight event whose reason says so, and
+// does not count as a saturation shed.
+func TestDrainShedRecordsReason(t *testing.T) {
+	s := New(Config{SchedWorkers: 1})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	code, resp, _ := post(t, ts, "/run", Request{Source: "(defun a (x) x)", Fn: "a", Args: []string{"1"}})
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("request to a drained server got %d, want 503", code)
+	}
+	evs := s.Flight().Snapshot(obs.Filter{Kind: obs.EvLoadShed, Trace: resp.TraceID})
+	if len(evs) != 1 || evs[0].Reason != shedDraining || evs[0].Sev != obs.SevWarn {
+		t.Errorf("draining shed events = %+v", evs)
+	}
+	if st := s.Stats(); st.Shed != 0 {
+		t.Errorf("draining 503 counted in slcd_requests_shed: Shed = %d", st.Shed)
 	}
 }

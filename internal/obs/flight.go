@@ -127,6 +127,9 @@ type Event struct {
 	Unit string `json:"unit,omitempty"`
 	// Msg is free-form detail.
 	Msg string `json:"msg,omitempty"`
+	// Reason says why a decision event went the way it did (a load shed
+	// is "saturated" or "draining").
+	Reason string `json:"reason,omitempty"`
 	// DurNs carries the event's duration when it has one (GC pause,
 	// request wall time).
 	DurNs int64 `json:"dur_ns,omitempty"`

@@ -241,12 +241,6 @@ func New(cfg Config) *Sched {
 	}
 }
 
-// Workers returns the configured slot count.
-func (s *Sched) Workers() int { return s.cfg.Workers }
-
-// Stress reports whether stress mode is on.
-func (s *Sched) Stress() bool { return s.cfg.Stress }
-
 // QueuedNow returns the current waiting-task count without locking.
 func (s *Sched) QueuedNow() int64 { return s.queued.Load() }
 
