@@ -29,6 +29,14 @@
 //     torn write that somehow survives recovery still cannot become a
 //     hit; repeated corrupt hits trip a circuit breaker (breaker.go)
 //     that stops consulting the disk for a cooldown period
+//   - an entry that a read fully verified is kept, decoded, in a
+//     process-wide layer on the handle and shared read-only by every
+//     system that replays it; later lookups of that name are served
+//     from memory without touching the file. Store never fills it, so
+//     only bytes that passed verification can be served from it.
+//   - a primary entry <key>.e is never overwritten because its capture
+//     does not replay in some other allocator context; that context's
+//     capture is stored beside it under VariantKey, so both replay
 package compilecache
 
 import (
@@ -54,6 +62,29 @@ const diskMagic = "slc-cache-entry-v1"
 
 // quarantineDir holds entries that failed verification.
 const quarantineDir = "quarantine"
+
+// layerEntries bounds the verified-once layer. A full layer forgets its
+// oldest entry, which the next lookup of that name reads and verifies
+// from the file again.
+const layerEntries = 1024
+
+// Where a lookup hit came from, as the flight recorder's cache-hit
+// events report it.
+const (
+	FromProcess = "process" // the verified-once layer: no file access
+	FromFile    = "disk"    // a verified read of the entry file
+)
+
+// VariantKey names the context-qualified sibling of the entry stored
+// under key: the capture of the same source made in allocator context
+// ctx with gensym counter gen. Two programs that share a defun behind
+// different prefixes share its content key but not its context; the
+// first capture keeps the key and each other context gets a variant,
+// so every context replays instead of recompiling and overwriting the
+// other's entry.
+func VariantKey(key, ctx string, gen int) string {
+	return fmt.Sprintf("%s-%s-%d", key, ctx, gen)
+}
 
 // DiskEntry is one durable compilation result: the capture of the
 // emission plus everything needed to decide whether it can be replayed.
@@ -131,6 +162,7 @@ type DiskStats struct {
 	Corrupt       int64 // entries quarantined at lookup time
 	Quarantined   int64 // entries/temps quarantined by Recover
 	BreakerShunts int64 // lookups skipped because the breaker was open
+	FileReads     int64 // verified entry-file reads that filled the layer
 }
 
 // Disk is the crash-safe persistent cache layer. All operations take the
@@ -142,6 +174,11 @@ type Disk struct {
 	fault   *diag.Plan
 	breaker *Breaker
 	stats   DiskStats
+	// layer holds the entries file reads verified, by file name; order
+	// is their fill order, for evicting the oldest. Entries are never
+	// mutated after verification, so callers share them read-only.
+	layer map[string]*DiskEntry
+	order []string
 	// onEvent, when non-nil, receives ("cache-quarantine", filename) each
 	// time an entry or temp file is moved to quarantine — the flight
 	// recorder's window into on-disk corruption handling.
@@ -166,7 +203,9 @@ func OpenDisk(dir string, fault *diag.Plan) (*Disk, error) {
 	if err != nil {
 		return nil, fmt.Errorf("compilecache: opening lock file: %w", err)
 	}
-	d := &Disk{dir: dir, lock: lock, fault: fault, breaker: NewBreaker(DefaultBreakerThreshold, DefaultBreakerCooldown)}
+	d := &Disk{dir: dir, lock: lock, fault: fault,
+		breaker: NewBreaker(DefaultBreakerThreshold, DefaultBreakerCooldown),
+		layer:   map[string]*DiskEntry{}}
 	if _, err := d.Recover(); err != nil {
 		lock.Close()
 		return nil, err
@@ -301,26 +340,42 @@ func (d *Disk) readVerifyLocked(name string) (*DiskEntry, error) {
 }
 
 // Lookup returns the durable entry for key, or (nil, false) on a miss.
-// A corrupt entry is quarantined, counted against the circuit breaker,
-// and reported as a miss; when the breaker is open the disk is not
-// consulted at all.
+// See Probe.
 func (d *Disk) Lookup(key string) (*DiskEntry, bool) {
+	e, _ := d.Probe(key)
+	return e, e != nil
+}
+
+// Probe returns the durable entry for key and where it came from
+// (FromProcess or FromFile), or (nil, "") on a miss. An entry verified
+// earlier through this handle is served from the layer, even while the
+// breaker is open: the breaker shields lookups from a failing disk, and
+// these entries no longer come from it. Otherwise the file is read and verified; a corrupt
+// entry is quarantined, counted against the circuit breaker, and
+// reported as a miss, and when the breaker is open the disk is not
+// consulted at all. The returned entry is shared and must not be
+// modified.
+func (d *Disk) Probe(key string) (*DiskEntry, string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	name := key + ".e"
+	if e := d.layer[name]; e != nil {
+		d.stats.Hits++
+		return e, FromProcess
+	}
 	if !d.breaker.Allow() {
 		d.stats.BreakerShunts++
 		d.stats.Misses++
-		return nil, false
+		return nil, ""
 	}
 	if err := d.flock(); err != nil {
 		d.stats.Misses++
-		return nil, false
+		return nil, ""
 	}
 	defer d.funlock()
-	name := key + ".e"
 	if _, err := os.Stat(d.entryPath(key)); err != nil {
 		d.stats.Misses++
-		return nil, false
+		return nil, ""
 	}
 	e, err := d.readVerifyLocked(name)
 	if err != nil {
@@ -328,11 +383,18 @@ func (d *Disk) Lookup(key string) (*DiskEntry, bool) {
 		d.stats.Corrupt++
 		d.stats.Misses++
 		d.breaker.RecordCorrupt()
-		return nil, false
+		return nil, ""
 	}
 	d.stats.Hits++
+	d.stats.FileReads++
 	d.breaker.RecordSuccess()
-	return e, true
+	if len(d.order) >= layerEntries {
+		delete(d.layer, d.order[0])
+		d.order = d.order[1:]
+	}
+	d.layer[name] = e
+	d.order = append(d.order, name)
+	return e, FromFile
 }
 
 // Store durably writes the entry for key using the temp-file +

@@ -530,6 +530,7 @@ type unit struct {
 	hitIdx   int
 	hit      bool
 	disk     *compilecache.DiskEntry
+	diskSrc  string // where disk came from (compilecache.FromProcess/FromFile)
 	prepared *codegen.Prepared
 	err      error
 }
@@ -583,9 +584,7 @@ func (s *System) compileDefs(defs []*convert.Def, lines, cols []int, list *diag.
 				// units' installs move the allocator context — so the probe
 				// only fetches and verifies the bytes.
 				dsp := t.Start("disk-probe")
-				if de, ok := s.disk.Lookup(u.key); ok {
-					u.disk = de
-				}
+				u.disk, u.diskSrc = s.disk.Probe(u.key)
 				dsp.End()
 			}
 			sp.End()
@@ -662,23 +661,29 @@ func (s *System) compileDefs(defs []*convert.Def, lines, cols []int, list *diag.
 			// A durable entry exists for this source. If its recorded
 			// allocator context and gensym counter match the machine right
 			// now, replaying it reproduces the emission word for word.
-			// Otherwise compile inline — a mismatch is normal (different
-			// corpus prefix), not an error.
+			// Otherwise an earlier load in this context may have stored
+			// its own capture as the context's variant; failing that,
+			// compile inline — a mismatch is normal (different corpus
+			// prefix), not an error.
 			t := s.Obs.Task(d.Name.Name, 0)
-			if rerr := u.disk.Replayable(s.Machine, s.Compiler.GenCount()); rerr == nil {
+			de, src := u.disk, u.diskSrc
+			if de.Replayable(s.Machine, s.Compiler.GenCount()) != nil {
+				de, src = s.disk.Probe(compilecache.VariantKey(u.key, s.Machine.AllocContext(), s.Compiler.GenCount()))
+			}
+			if de != nil && de.Replayable(s.Machine, s.Compiler.GenCount()) == nil {
 				sp := t.Start("disk-replay")
 				genBefore := s.Compiler.GenCount()
-				idx, ierr := u.disk.Install(s.Machine)
+				idx, ierr := de.Install(s.Machine)
 				sp.End()
 				if ierr == nil {
-					s.flight.Record(obs.Event{Kind: "cache-hit", Trace: s.traceID, Unit: d.Name.Name, Msg: "disk"})
-					s.Compiler.SetGenCount(genBefore + u.disk.GenDelta)
+					s.flight.Record(obs.Event{Kind: "cache-hit", Trace: s.traceID, Unit: d.Name.Name, Msg: src})
+					s.Compiler.SetGenCount(genBefore + de.GenDelta)
 					s.Machine.Stats.CompileCacheHits++
 					s.Machine.RebindFunction(d.Name.Name, idx)
 					s.Machine.SetSymbolFunction(d.Name.Name, s1.Ptr(s1.TagFunc, uint64(idx)))
 					s.Defs[d.Name.Name] = idx
 					f := s.Machine.Funcs[idx]
-					last := u.disk.Capture.Funcs[len(u.disk.Capture.Funcs)-1]
+					last := de.Capture.Funcs[len(de.Capture.Funcs)-1]
 					s.cache.Store(u.key, compilecache.Entry{
 						Index: idx, MinArgs: f.MinArgs, MaxArgs: f.MaxArgs,
 						Items: s1.ToItems(last.Items),
@@ -749,13 +754,21 @@ func (s *System) compileDefs(defs []*convert.Def, lines, cols []int, list *diag.
 				// a replay), so such captures are discarded rather than
 				// stored.
 				if capt != nil && s.Machine.GCMeters.Collections == gcBefore {
+					// A unit whose primary entry did not replay here stores
+					// its capture as this context's variant: overwriting
+					// the primary would only make the primary's own context
+					// recompile next time.
+					key := u.key
+					if u.disk != nil {
+						key = compilecache.VariantKey(u.key, ctxBefore, genBefore)
+					}
 					de := &compilecache.DiskEntry{
-						Key: u.key, Name: d.Name.Name,
+						Key: key, Name: d.Name.Name,
 						MinArgs: f.MinArgs, MaxArgs: f.MaxArgs,
 						GenBefore: genBefore, GenDelta: s.Compiler.GenCount() - genBefore,
 						Ctx: ctxBefore, Capture: *capt,
 					}
-					if serr := s.disk.Store(u.key, de); serr != nil {
+					if serr := s.disk.Store(key, de); serr != nil {
 						line, col := pos(i)
 						list.Add(&diag.Diagnostic{
 							Severity: diag.Warning, Unit: d.Name.Name,

@@ -132,3 +132,75 @@ func TestDiskCacheDisabledWithConstants(t *testing.T) {
 		t.Errorf("durable layer touched under Constants: %+v", st)
 	}
 }
+
+// TestDiskCacheVariantsStopRestoreThrash: two programs share a defun
+// behind different prefixes, so they share its content key but capture
+// it in different allocator contexts. Alternating them must settle: the
+// first load of each stores what it compiled, every later load replays
+// every defun and stores nothing, and a second handle on the directory
+// replays both contexts from the files. Before variants, each load
+// recompiled the shared defun and overwrote the other context's entry.
+func TestDiskCacheVariantsStopRestoreThrash(t *testing.T) {
+	const shared = "(defun shared (n) (list n (* n n)))"
+	srcs := []string{
+		"(defun pad-a (x) (list x x x))\n" + shared,
+		"(defun pad-b (x y) (cons x y))\n(defun pad-c (x) (car x))\n" + shared,
+	}
+	ndefs := []int64{2, 3}
+	want := make([]string, len(srcs))
+	for i, src := range srcs {
+		plain := NewSystem(Options{})
+		if err := plain.LoadString(src); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = plain.Machine.ImageFingerprint()
+	}
+	load := func(d *compilecache.Disk, i int) *System {
+		t.Helper()
+		sys := NewSystem(Options{DiskCache: d})
+		if err := sys.LoadString(srcs[i]); err != nil {
+			t.Fatal(err)
+		}
+		if got := sys.Machine.ImageFingerprint(); got != want[i] {
+			t.Fatalf("program %d: cached image %s differs from a plain compile's %s", i, got, want[i])
+		}
+		if v, err := sys.Call("shared", sexp.Fixnum(7)); err != nil || sexp.Print(v) != "(7 49)" {
+			t.Fatalf("program %d: shared = %v, %v", i, v, err)
+		}
+		return sys
+	}
+
+	dir := t.TempDir()
+	d, err := compilecache.OpenDisk(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for round, i := range []int{0, 1, 0, 1} {
+		stores := d.Stats().Stores
+		sys := load(d, i)
+		if round < 2 {
+			continue
+		}
+		if got := d.Stats().Stores - stores; got != 0 {
+			t.Errorf("load %d (program %d) stored %d entries, though every defun already had one", round, i, got)
+		}
+		if got := sys.Machine.Stats.CompileCacheHits; got != ndefs[i] {
+			t.Errorf("load %d (program %d) replayed %d of %d defuns", round, i, got, ndefs[i])
+		}
+	}
+
+	d2, err := compilecache.OpenDisk(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	for i := range srcs {
+		if got := load(d2, i).Machine.Stats.CompileCacheHits; got != ndefs[i] {
+			t.Errorf("second handle: program %d replayed %d of %d defuns", i, got, ndefs[i])
+		}
+	}
+	if st := d2.Stats(); st.Stores != 0 {
+		t.Errorf("second handle stored %d entries; both variants are on disk", st.Stores)
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/compilecache"
 	"repro/internal/sexp"
 	"repro/internal/snapshot"
 )
@@ -283,6 +284,49 @@ func BenchmarkSnapshotBoot(b *testing.B) {
 				b.Fatal(err)
 			}
 			check(b, sys)
+		}
+	})
+	// A stateless slcd request: restore the prelude, then load a small
+	// program whose defuns all replay from the durable cache's
+	// process-wide layer.
+	b.Run("warm-restore-replay", func(b *testing.B) {
+		d, err := compilecache.OpenDisk(b.TempDir(), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer d.Close()
+		ropts := opts
+		ropts.DiskCache = d
+		const program = `(defun sq (x) (* x x))
+(defun sum-sq (l) (if (null l) 0 (+ (sq (car l)) (sum-sq (cdr l)))))
+(defun probe () (sum-sq '(1 2 3)))`
+		boot := func() {
+			decoded, err := snapshot.DecodeBytes(data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sys, err := RestoreSystem(ropts, decoded)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := sys.LoadString(program); err != nil {
+				b.Fatal(err)
+			}
+			if v, err := sys.Call("probe"); err != nil || sexp.Print(v) != "14" {
+				b.Fatalf("eval after replay: %v %v", v, err)
+			}
+		}
+		boot() // compiles and stores the entries
+		boot() // reads them into the layer
+		hits := d.Stats().Hits
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			boot()
+		}
+		b.StopTimer()
+		if got := d.Stats().Hits - hits; got != 3*int64(b.N) {
+			b.Fatalf("%d disk hits for %d boots of 3 defuns", got, b.N)
 		}
 	})
 }

@@ -283,7 +283,7 @@ type Server struct {
 	// finished request releases its heap/stack/record storage here and
 	// the next request resets it to the high-water mark instead of
 	// reallocating.
-	arenas sync.Pool
+	arenas arenaPool
 
 	// bootSnap is the current verified prelude snapshot; per-request
 	// systems restore from it instead of recompiling the prelude.
@@ -320,6 +320,7 @@ func New(cfg Config) *Server {
 		flight: cfg.Flight,
 		log:    cfg.Logger,
 		epoch:  time.Now(),
+		arenas: arenaPool{max: cfg.SchedWorkers},
 		reqHist: obs.NewHistogram("slcd_request_seconds",
 			"Request wall time in seconds.", obs.DurationBuckets()),
 		phaseHist: obs.NewHistogram("slcd_compile_phase_seconds",
@@ -415,9 +416,19 @@ func (s *Server) Metrics() map[string]float64 {
 		"slcd_gc_promoted_words_total":         float64(st.GCWordsPromoted),
 		"slcd_arena_recycles_total":            float64(st.ArenaRecycles),
 	}
+	// The durable compile cache's meters; file reads count the verified
+	// reads that filled its process-wide layer, so hits minus file reads
+	// is the lookups served without touching the file system.
+	var ds compilecache.DiskStats
 	if s.cfg.Disk != nil {
 		m["slcd_cache_breaker_state"] = float64(s.cfg.Disk.Breaker().State())
+		ds = s.cfg.Disk.Stats()
 	}
+	m["slcd_cache_disk_hits_total"] = float64(ds.Hits)
+	m["slcd_cache_disk_misses_total"] = float64(ds.Misses)
+	m["slcd_cache_disk_stores_total"] = float64(ds.Stores)
+	m["slcd_cache_disk_corrupt_total"] = float64(ds.Corrupt)
+	m["slcd_cache_disk_file_reads_total"] = float64(ds.FileReads)
 	m["slcd_sessions_resident"] = float64(s.sessions.count())
 	m["slcd_sessions_created_total"] = float64(st.SessionsCreated)
 	m["slcd_sessions_expired_total"] = float64(st.SessionsExpired)
@@ -829,10 +840,7 @@ func (s *Server) runRequest(ctx context.Context, req *Request, rq *reqInfo, tk *
 	// Build the request machine on a recycled storage arena when the pool
 	// has one: the heap/stack/record slices reset to the previous
 	// request's high-water mark instead of reallocating.
-	ar, _ := s.arenas.Get().(*s1.Arena)
-	if ar == nil {
-		ar = &s1.Arena{}
-	}
+	ar := s.arenas.get()
 	recycled := ar.Uses() > 0
 	opts.Arena = ar
 	sys := s.bootSystem(opts, rq.traceID)
@@ -851,7 +859,7 @@ func (s *Server) runRequest(ctx context.Context, req *Request, rq *reqInfo, tk *
 		}
 		s.mu.Unlock()
 		if sys.Machine.ReleaseArena() {
-			s.arenas.Put(ar)
+			s.arenas.put(ar)
 		}
 	}()
 	// Tee the machine's runtime events into the GC-pause histograms on
@@ -1012,4 +1020,39 @@ func (s *Server) buildRequestTrace(rec *obs.Recorder, traceID string) json.RawMe
 		return nil
 	}
 	return json.RawMessage(buf.Bytes())
+}
+
+// arenaPool is a bounded LIFO of released request arenas. It keeps at
+// most one arena per scheduler worker, the number of request machines
+// that can run at once. Unlike a sync.Pool it never drops an arena it
+// has room for (a sync.Pool empties on GC, and under the race detector
+// drops Puts at random), and the most recently released arena, whose
+// storage is warmest, is reused first.
+type arenaPool struct {
+	mu   sync.Mutex
+	free []*s1.Arena
+	max  int
+}
+
+// get returns a released arena, or a fresh empty one.
+func (p *arenaPool) get() *s1.Arena {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return &s1.Arena{}
+	}
+	a := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return a
+}
+
+// put keeps a for reuse unless max arenas are already kept.
+func (p *arenaPool) put(a *s1.Arena) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.free) < p.max {
+		p.free = append(p.free, a)
+	}
 }

@@ -350,6 +350,47 @@ func TestSharedDiskCacheAcrossRequests(t *testing.T) {
 	}
 }
 
+// TestDiskCacheMetricsAndHitSource: the durable cache's meters are on
+// /metrics, and the flight recorder says whether a hit read the entry
+// file ("disk") or came from the process-wide layer ("process").
+func TestDiskCacheMetricsAndHitSource(t *testing.T) {
+	d, err := compilecache.OpenDisk(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	s := New(Config{SchedWorkers: 1, Disk: d})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	src := `(defun metered (n) (+ n 1))`
+	for i := 0; i < 3; i++ {
+		code, resp, _ := post(t, ts, "/run", Request{Source: src, Fn: "metered", Args: []string{"41"}})
+		if code != http.StatusOK || resp.Value != "42" {
+			t.Fatalf("request %d: %d %+v", i, code, resp)
+		}
+	}
+	m := s.Metrics()
+	for name, want := range map[string]float64{
+		"slcd_cache_disk_misses_total":     1,
+		"slcd_cache_disk_stores_total":     1,
+		"slcd_cache_disk_hits_total":       2,
+		"slcd_cache_disk_file_reads_total": 1,
+		"slcd_cache_disk_corrupt_total":    0,
+	} {
+		if got, ok := m[name]; !ok || got != want {
+			t.Errorf("%s = %v (present %t), want %v", name, got, ok, want)
+		}
+	}
+	var srcs []string
+	for _, ev := range s.flight.Snapshot(obs.Filter{Kind: obs.EvCacheHit, Unit: "metered"}) {
+		srcs = append(srcs, ev.Msg)
+	}
+	if strings.Join(srcs, ",") != "disk,process" {
+		t.Errorf("cache-hit sources = %v, want [disk process]", srcs)
+	}
+}
+
 // TestBadBodyRejected: malformed JSON is a 400, not a panic or a hang.
 func TestBadBodyRejected(t *testing.T) {
 	s := New(Config{SchedWorkers: 1})

@@ -3,16 +3,25 @@ package interp
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/sexp"
 )
 
-// installBuiltins registers the primitive function set. Pure builtins are
+// builtins is the primitive function set, built once per process; New
+// gives every interpreter its own copy of the table. Sharing the
+// *Builtin values is safe because none is mutated after construction
+// and every Fn reaches interpreter state only through its in argument:
+// buildBuiltins has no interpreter in scope to capture.
+var builtins = sync.OnceValue(buildBuiltins)
+
+// buildBuiltins makes the primitive function table. Pure builtins are
 // eligible for the optimizer's compile-time expression evaluation.
-func installBuiltins(in *Interp) {
+func buildBuiltins() map[*sexp.Symbol]sexp.Value {
+	funcs := map[*sexp.Symbol]sexp.Value{}
 	def := func(name string, min, max int, pure bool,
 		fn func(in *Interp, args []sexp.Value) (sexp.Value, error)) {
-		in.Funcs[sexp.Intern(name)] = &Builtin{
+		funcs[sexp.Intern(name)] = &Builtin{
 			Name: name, MinArgs: min, MaxArgs: max, Fn: fn, Pure: pure,
 		}
 	}
@@ -611,6 +620,7 @@ func installBuiltins(in *Interp) {
 		fmt.Fprintln(in.Out)
 		return sexp.Nil, nil
 	})
+	return funcs
 }
 
 // --- helpers ---

@@ -17,6 +17,7 @@ package interp
 import (
 	"fmt"
 	"io"
+	"maps"
 	"strings"
 
 	"repro/internal/convert"
@@ -108,13 +109,11 @@ type Interp struct {
 
 // New returns an interpreter with the standard primitives installed.
 func New() *Interp {
-	in := &Interp{
+	return &Interp{
 		Globals: map[*sexp.Symbol]sexp.Value{},
-		Funcs:   map[*sexp.Symbol]sexp.Value{},
+		Funcs:   maps.Clone(builtins()),
 		Out:     io.Discard,
 	}
-	installBuiltins(in)
-	return in
 }
 
 // control-flow signals, passed as errors.

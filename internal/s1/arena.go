@@ -16,7 +16,7 @@ package s1
 // the arena's fields are nil, so a machine that is dropped without
 // Release (a panic path, an oversized heap) can never alias storage the
 // arena later hands to someone else. The daemon keeps arenas in a
-// sync.Pool; everything here is single-goroutine.
+// bounded LIFO; everything here is single-goroutine.
 
 // Arena holds a previous machine's storage for reuse. The zero value is
 // an empty arena: NewFromArena on it behaves like New and the first

@@ -2,9 +2,12 @@ package s1
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"hash/fnv"
+	"io"
 	"sort"
 
 	"repro/internal/sexp"
@@ -153,30 +156,93 @@ func (m *Machine) foldSymHash(name string) {
 }
 
 // ImageFingerprint hashes the externally visible machine image — code
-// (as listed, including comments), function descriptors, the symbol
-// table with its value and function cells, the heap contents, and the
-// boxed objects. Two machines with equal fingerprints would produce
-// byte-identical listings and behave identically; the multi-process
-// cache tests compare it across independently built images.
+// (every instruction field, comments included), function descriptors,
+// the symbol table with its value and function cells, the heap contents,
+// and the boxed objects. Two machines with equal fingerprints would
+// produce byte-identical listings and behave identically; the
+// multi-process cache tests compare it across independently built
+// images, and every snapshot restore recomputes it. Fields are hashed as
+// fixed-width binary words (strings length-prefixed, each section
+// prefixed by its length), so the hash costs a pass over the image, not
+// a formatted listing of it.
 func (m *Machine) ImageFingerprint() string {
-	h := sha256.New()
+	w := imageHasher{h: sha256.New(), buf: make([]byte, 0, 8192)}
+	w.u64(uint64(len(m.Code)))
 	for i := range m.Code {
-		fmt.Fprintf(h, "%d %s\n", i, m.Code[i].String())
+		in := &m.Code[i]
+		w.u64(uint64(in.Op))
+		for _, op := range [...]*Operand{&in.A, &in.B, &in.C} {
+			w.u64(uint64(op.Mode) | uint64(op.Base)<<8 | uint64(op.Index)<<16 | uint64(op.Shift)<<24)
+			w.u64(uint64(op.Off))
+			w.word(op.Imm)
+			w.str(op.Label)
+		}
+		w.u64(uint64(in.TagArg))
+		w.str(in.Comment)
 	}
+	w.u64(uint64(len(m.Funcs)))
 	for _, f := range m.Funcs {
-		fmt.Fprintf(h, "fn %s %d %d %d %d\n", f.Name, f.Entry, f.End, f.MinArgs, f.MaxArgs)
+		w.str(f.Name)
+		w.u64(uint64(f.Entry))
+		w.u64(uint64(f.End))
+		w.u64(uint64(f.MinArgs))
+		w.u64(uint64(f.MaxArgs))
 	}
+	w.u64(uint64(len(m.Syms)))
 	for i := range m.Syms {
 		c := &m.Syms[i]
-		fmt.Fprintf(h, "sym %s %t %v %v\n", c.Name, c.HasValue, c.Value, c.Function)
+		w.str(c.Name)
+		if c.HasValue {
+			w.u64(1)
+		} else {
+			w.u64(0)
+		}
+		w.word(c.Value)
+		w.word(c.Function)
 	}
-	for i := range m.heap {
-		fmt.Fprintf(h, "h %v\n", m.heap[i])
+	w.u64(uint64(len(m.heap)))
+	for _, x := range m.heap {
+		w.word(x)
 	}
+	w.u64(uint64(len(m.Boxes)))
 	for _, b := range m.Boxes {
-		fmt.Fprintf(h, "box %s\n", sexp.Print(b))
+		w.str(sexp.Print(b))
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	w.h.Write(w.buf)
+	return hex.EncodeToString(w.h.Sum(nil))
+}
+
+// imageHasher batches ImageFingerprint's fixed-width fields into a
+// buffer and feeds the hash a block at a time.
+type imageHasher struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func (w *imageHasher) u64(v uint64) {
+	if len(w.buf) > cap(w.buf)-16 {
+		w.h.Write(w.buf)
+		w.buf = w.buf[:0]
+	}
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+}
+
+func (w *imageHasher) word(x Word) {
+	w.u64(uint64(x.Tag))
+	w.u64(x.Bits)
+}
+
+func (w *imageHasher) str(s string) {
+	w.u64(uint64(len(s)))
+	if len(w.buf)+len(s) > cap(w.buf) {
+		w.h.Write(w.buf)
+		w.buf = w.buf[:0]
+		if len(s) > cap(w.buf) {
+			io.WriteString(w.h, s)
+			return
+		}
+	}
+	w.buf = append(w.buf, s...)
 }
 
 // CheckHeapInvariants validates the allocator's block records against

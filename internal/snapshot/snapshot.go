@@ -13,7 +13,7 @@
 // Wire format (version bumps with any change, so old files quarantine
 // or fall back instead of misdecoding):
 //
-//	slc-snapshot-v1\n
+//	slc-snapshot-v2\n
 //	sec <name> <len> <sha256(payload)>\n
 //	<len payload bytes>\n          × one per section, fixed order
 //	end <count> <sha256(all section sums)>\n
@@ -40,10 +40,11 @@ import (
 )
 
 // Magic is the first line of every snapshot file. Any format change —
-// section list, section encoding, meta fields — bumps the trailing
-// version number; Decode reports older/newer versions as ErrVersion so
-// callers fall back to a cold compile instead of guessing.
-const Magic = "slc-snapshot-v1"
+// section list, section encoding, meta fields, or how a meta hash is
+// computed — bumps the trailing version number; Decode reports
+// older/newer versions as ErrVersion so callers fall back to a cold
+// compile instead of guessing. (v2: ImageHash hashes binary fields.)
+const Magic = "slc-snapshot-v2"
 
 // ErrVersion marks a structurally sound snapshot written by an
 // incompatible format version — unusable, but not evidence of
