@@ -73,6 +73,59 @@ type Compiler struct {
 	constArrays map[*sexp.FloatArray]s1.Word
 	// gen is a counter for internal function/label names.
 	gen int
+	// binds are the function-name lookups of the current Emit.
+	binds []FuncBind
+}
+
+// FuncBind is one function-name lookup an emission made and the index
+// it got (-1 for none). Emitted code embeds the index of a function
+// that is already compiled (#'foo), so a cached body may be reused — a
+// memory-cache hit, a durable replay — only while every name its
+// emission looked up still resolves the same way.
+type FuncBind struct {
+	Name  string
+	Index int
+}
+
+// BindsHold reports whether every lookup in binds gets the same answer
+// from m: the condition for replaying the emission into m.
+func BindsHold(m *s1.Machine, binds []FuncBind) bool {
+	for _, b := range binds {
+		if m.FuncNamed(b.Name) != b.Index {
+			return false
+		}
+	}
+	return true
+}
+
+// ResidentBindsHold reports whether every name in binds that resolved
+// to a function still resolves to it: the condition for reusing the
+// body the emission left in m. A name that resolved to nothing embedded
+// no index of its own — the code calls through the name's symbol, or
+// through a primitive stub the emission created, which stays resident.
+func ResidentBindsHold(m *s1.Machine, binds []FuncBind) bool {
+	for _, b := range binds {
+		if b.Index >= 0 && m.FuncNamed(b.Name) != b.Index {
+			return false
+		}
+	}
+	return true
+}
+
+// Binds returns the first answer to each function name the last Emit
+// looked up, in lookup order: the answers its starting machine gave.
+func (c *Compiler) Binds() []FuncBind { return c.binds }
+
+// funcNamed is M.FuncNamed, recording the first lookup of each name.
+func (c *Compiler) funcNamed(name string) int {
+	idx := c.M.FuncNamed(name)
+	for _, b := range c.binds {
+		if b.Name == name {
+			return idx
+		}
+	}
+	c.binds = append(c.binds, FuncBind{Name: name, Index: idx})
+	return idx
 }
 
 // New returns a compiler targeting m.
@@ -204,6 +257,7 @@ func (c *Compiler) flushTranscript(p *Prepared) {
 // concurrent callers must serialize Emit — in source order, if the
 // resulting image is to be independent of how Prepares were scheduled.
 func (c *Compiler) Emit(name string, p *Prepared) (int, error) {
+	c.binds = nil
 	c.flushTranscript(p)
 	idx, _, err := c.compileLambda(name, p.Lam, nil, p.vr)
 	if err != nil {
@@ -211,19 +265,6 @@ func (c *Compiler) Emit(name string, p *Prepared) (int, error) {
 	}
 	c.M.SetSymbolFunction(name, s1.Ptr(s1.TagFunc, uint64(idx)))
 	return idx, nil
-}
-
-// EmitRecorded is Emit, additionally returning the assembled item list of
-// the function's own body (not including any closure functions it
-// installed along the way) for content-addressed caching.
-func (c *Compiler) EmitRecorded(name string, p *Prepared) (idx int, items []s1.Item, err error) {
-	c.flushTranscript(p)
-	idx, items, err = c.compileLambda(name, p.Lam, nil, p.vr)
-	if err != nil {
-		return 0, nil, err
-	}
-	c.M.SetSymbolFunction(name, s1.Ptr(s1.TagFunc, uint64(idx)))
-	return idx, items, nil
 }
 
 // CompileFunction compiles a top-level named function. It returns the
@@ -347,7 +388,7 @@ func (c *Compiler) ConstArrayWord(fa *sexp.FloatArray) (s1.Word, bool) {
 // gateway. This is what #'car denotes as a value.
 func (c *Compiler) primStub(name string) (int, error) {
 	stub := "%prim-" + name
-	if idx := c.M.FuncNamed(stub); idx >= 0 {
+	if idx := c.funcNamed(stub); idx >= 0 {
 		return idx, nil
 	}
 	sym := c.M.InternSym(name)

@@ -107,7 +107,7 @@ func (f *fc) funRefOperand(x *tree.FunRef) (absOperand, error) {
 	// otherwise late-bind through the symbol's function cell. Primitives
 	// get callable stub functions that route through the primitive
 	// gateway.
-	if idx := f.c.M.FuncNamed(x.Name.Name); idx >= 0 {
+	if idx := f.c.funcNamed(x.Name.Name); idx >= 0 {
 		return conc(s1.Imm(s1.Ptr(s1.TagFunc, uint64(idx)))), nil
 	}
 	if prim.Lookup(x.Name) != nil {

@@ -3,17 +3,16 @@
 // native-code pipelines use to make repeated loads near-free: a function
 // is keyed by the printed text of its source defun together with
 // everything else that can influence the generated code — the codegen
-// option set, the compile-time constant bindings, and the macro
-// definition epoch. A re-load of an already-seen definition then skips
+// option set, the compile-time constant bindings, the macro definition
+// epoch, and the proclaimed specials its conversion consulted. A re-load of an already-seen definition then skips
 // the entire middle end (optimizer fixpoint, analyses, binding,
 // representation, pdl, TN packing, lowering).
 //
-// The cache stores the assembled s1.Item list of the function body plus
-// the function index it was installed at. Within one machine a hit simply
-// rebinds the name to the existing index — the code is already resident;
-// the item list makes the entry self-contained should a caller want to
-// re-add the body elsewhere (items carry symbolic labels, so they
-// assemble at any base address).
+// The cache stores the function index the body was installed at, with
+// its argument range and instruction count. Within one machine a hit
+// simply rebinds the name to the existing index — the code is already
+// resident; the range and count let Validate check that the index still
+// names that body.
 package compilecache
 
 import (
@@ -32,8 +31,11 @@ type Entry struct {
 	Index int
 	// MinArgs/MaxArgs are the argument-count range (MaxArgs -1 = &rest).
 	MinArgs, MaxArgs int
-	// Items is the assembled body, with symbolic labels.
-	Items []s1.Item
+	// Instrs is the body's instruction count.
+	Instrs int
+	// Binds are the function lookups the body's emission made; a hit
+	// needs codegen.ResidentBindsHold.
+	Binds []codegen.FuncBind
 }
 
 // Validate sanity-checks a looked-up entry against the machine it
@@ -54,18 +56,12 @@ func (e Entry) Validate(m *s1.Machine) error {
 		return fmt.Errorf("compilecache: entry arg range %d..%d does not match resident %s (%d..%d)",
 			e.MinArgs, e.MaxArgs, f.Name, f.MinArgs, f.MaxArgs)
 	}
-	instrs := 0
-	for _, it := range e.Items {
-		if it.Instr != nil {
-			instrs++
-		}
-	}
-	if instrs == 0 {
+	if e.Instrs <= 0 {
 		return fmt.Errorf("compilecache: entry for %s has an empty body", f.Name)
 	}
-	if got := f.End - f.Entry; got != instrs {
+	if got := f.End - f.Entry; got != e.Instrs {
 		return fmt.Errorf("compilecache: entry instruction count %d does not match resident %s extent %d",
-			instrs, f.Name, got)
+			e.Instrs, f.Name, got)
 	}
 	// A hit rebinds the name to resident code that Run dispatches through
 	// the pre-decoded stream (decode.go), so the resident extent must be
@@ -94,14 +90,18 @@ func New() *Cache { return &Cache{m: map[string]Entry{}} }
 // the form itself. constants is a canonical fingerprint of the
 // compile-time constant bindings; macroEpoch counts defmacro evaluations,
 // so any macro (re)definition invalidates all earlier keys — a printed
-// form does not reveal which macros its expansion consumed.
-func Key(source string, opts codegen.Options, constants string, macroEpoch int) string {
+// form does not reveal which macros its expansion consumed. specials
+// names the proclaimed specials the form's conversion consulted
+// (convert.Converter.SpecialsUsed): a let of a proclaimed special binds
+// dynamically, so the same text compiles differently once it is
+// proclaimed.
+func Key(source string, opts codegen.Options, constants string, macroEpoch int, specials string) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "src=%s\x00opts=%t,%t,%t,%t,%t,%t\x00consts=%s\x00macros=%d",
+	fmt.Fprintf(h, "src=%s\x00opts=%t,%t,%t,%t,%t,%t\x00consts=%s\x00macros=%d\x00specials=%s",
 		source,
 		opts.UseTN, opts.RepAnalysis, opts.PdlNumbers,
 		opts.SpecialCaching, opts.Optimize, opts.CSE,
-		constants, macroEpoch)
+		constants, macroEpoch, specials)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -18,11 +18,7 @@ func entryFor(t *testing.T, sys *core.System, name string) compilecache.Entry {
 		t.Fatalf("no compiled function %s", name)
 	}
 	f := sys.Machine.Funcs[idx]
-	items := make([]s1.Item, f.End-f.Entry)
-	for i := range items {
-		items[i] = s1.Item{Instr: &s1.Instr{}}
-	}
-	return compilecache.Entry{Index: idx, MinArgs: f.MinArgs, MaxArgs: f.MaxArgs, Items: items}
+	return compilecache.Entry{Index: idx, MinArgs: f.MinArgs, MaxArgs: f.MaxArgs, Instrs: f.End - f.Entry}
 }
 
 func TestValidateAcceptsResidentEntry(t *testing.T) {
@@ -50,8 +46,7 @@ func TestValidateRejectsUndecodedExtent(t *testing.T) {
 	m.Funcs = append(m.Funcs, s1.FuncDesc{
 		Name: "ghost", Entry: entry, End: entry + 2, MinArgs: 1, MaxArgs: 1})
 	e := compilecache.Entry{
-		Index: len(m.Funcs) - 1, MinArgs: 1, MaxArgs: 1,
-		Items: []s1.Item{{Instr: &s1.Instr{}}, {Instr: &s1.Instr{}}},
+		Index: len(m.Funcs) - 1, MinArgs: 1, MaxArgs: 1, Instrs: 2,
 	}
 	err := e.Validate(m)
 	if err == nil {
@@ -75,8 +70,8 @@ func TestValidateRejectsCorruptEntries(t *testing.T) {
 		{"index out of range", func(e *compilecache.Entry) { e.Index = len(sys.Machine.Funcs) + 3 }, "out of range"},
 		{"negative index", func(e *compilecache.Entry) { e.Index = -1 }, "out of range"},
 		{"arg-range mismatch", func(e *compilecache.Entry) { e.MinArgs += 1 }, "arg range"},
-		{"empty body", func(e *compilecache.Entry) { e.Items = nil }, "empty body"},
-		{"instruction count", func(e *compilecache.Entry) { e.Items = e.Items[:len(e.Items)-1] }, "instruction count"},
+		{"empty body", func(e *compilecache.Entry) { e.Instrs = 0 }, "empty body"},
+		{"instruction count", func(e *compilecache.Entry) { e.Instrs-- }, "instruction count"},
 		{"wrong function", func(e *compilecache.Entry) { e.Index = sys.Defs["g"] }, "arg range"},
 	}
 	for _, tc := range cases {

@@ -23,7 +23,8 @@
 //   - a flock(2) on <dir>/.lock serializes operations across processes;
 //     in-process callers are additionally serialized by a mutex
 //   - Recover (run at open) quarantines stray .tmp files and entries
-//     whose checksum or encoding does not verify, moving them into
+//     whose checksum or encoding does not verify or whose captured
+//     bodies do not assemble, moving them into
 //     <dir>/quarantine/ for post-mortem rather than deleting evidence
 //   - reads verify the checksum again and quarantine on mismatch, so a
 //     torn write that somehow survives recovery still cannot become a
@@ -33,7 +34,10 @@
 //     process-wide layer on the handle and shared read-only by every
 //     system that replays it; later lookups of that name are served
 //     from memory without touching the file. Store never fills it, so
-//     only bytes that passed verification can be served from it.
+//     only bytes that passed verification can be served from it. The
+//     read assembles each captured body once and the layer keeps the
+//     result, so a replay appends instructions instead of resolving
+//     labels again.
 //   - a primary entry <key>.e is never overwritten because its capture
 //     does not replay in some other allocator context; that context's
 //     capture is stored beside it under VariantKey, so both replay
@@ -51,6 +55,7 @@ import (
 	"sync"
 	"syscall"
 
+	"repro/internal/codegen"
 	"repro/internal/diag"
 	"repro/internal/s1"
 	"repro/internal/sexp"
@@ -104,8 +109,18 @@ type DiskEntry struct {
 	// Ctx is the allocator-context fingerprint the capture was made in;
 	// replay into any other context must fall back to recompilation.
 	Ctx string
+	// Binds are the function lookups the emission made, answered by the
+	// machine it started from; replay requires the same answers, since
+	// the captured code embeds them and the allocator context does not
+	// cover which index a name is bound to.
+	Binds []codegen.FuncBind
 	// Capture is the recorded emission.
 	Capture s1.Capture
+
+	// bodies are Capture.Funcs assembled, filled by the verified file
+	// read that admits the entry to the layer (before any system can see
+	// it) and never modified after; Install appends them.
+	bodies []s1.Body
 }
 
 // Replayable reports whether the entry can be replayed into machine m
@@ -119,6 +134,9 @@ func (e *DiskEntry) Replayable(m *s1.Machine, gen int) error {
 	}
 	if len(e.Capture.Funcs) == 0 {
 		return fmt.Errorf("compilecache: entry for %s installs no functions", e.Name)
+	}
+	if !codegen.BindsHold(m, e.Binds) {
+		return fmt.Errorf("compilecache: a function name the entry looked up is bound differently")
 	}
 	return nil
 }
@@ -144,13 +162,16 @@ func (e *DiskEntry) Install(m *s1.Machine) (int, error) {
 		}
 		m.Pin(m.FromValue(v))
 	}
+	if len(e.bodies) == 0 {
+		return 0, fmt.Errorf("compilecache: entry for %s was not read through Probe", e.Name)
+	}
 	idx := -1
-	for _, f := range e.Capture.Funcs {
-		i, err := m.AddFunction(f.Name, f.MinArgs, f.MaxArgs, s1.ToItems(f.Items))
+	for i := range e.bodies {
+		j, err := m.AddBody(&e.bodies[i])
 		if err != nil {
-			return 0, fmt.Errorf("compilecache: replaying body %s: %w", f.Name, err)
+			return 0, fmt.Errorf("compilecache: replaying body %s: %w", e.bodies[i].Name, err)
 		}
-		idx = i
+		idx = j
 	}
 	return idx, nil
 }
@@ -335,6 +356,15 @@ func (d *Disk) readVerifyLocked(name string) (*DiskEntry, error) {
 	}
 	if want := strings.TrimSuffix(name, ".e"); e.Key != want {
 		return nil, fmt.Errorf("compilecache: %s: entry key %s does not match file name", name, e.Key)
+	}
+	// A capture whose bodies do not assemble could never replay.
+	e.bodies = make([]s1.Body, len(e.Capture.Funcs))
+	for i := range e.Capture.Funcs {
+		b, err := s1.AssembleBody(&e.Capture.Funcs[i])
+		if err != nil {
+			return nil, fmt.Errorf("compilecache: %s: assembling %s: %w", name, e.Capture.Funcs[i].Name, err)
+		}
+		e.bodies[i] = b
 	}
 	return &e, nil
 }

@@ -209,6 +209,46 @@ func TestMismatchedKeyIsCorrupt(t *testing.T) {
 	}
 }
 
+// TestUnassemblableEntryIsCorrupt: an entry whose checksum verifies but
+// whose captured body cannot be assembled (a jump to a label it does
+// not define) could never replay, so a read quarantines it as corrupt
+// and reports a miss, and so does recovery at open.
+func TestUnassemblableEntryIsCorrupt(t *testing.T) {
+	bad := func(key string) *DiskEntry {
+		e := testEntry(key, "f")
+		e.Capture.Funcs[0].Items = []s1.CapturedItem{{IsInstr: true, Instr: s1.Instr{Op: s1.OpJMP, A: s1.Lbl("nowhere")}}}
+		return e
+	}
+	dir := t.TempDir()
+	d, err := OpenDisk(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"k1", "k2"} {
+		if err := d.Store(k, bad(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := d.Lookup("k1"); ok {
+		t.Fatal("unassemblable entry served as a hit")
+	}
+	if st := d.Stats(); st.Corrupt != 1 || st.Misses != 1 {
+		t.Errorf("corrupt, misses = %d, %d; want 1, 1", st.Corrupt, st.Misses)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "k1.e")); !os.IsNotExist(err) {
+		t.Error("unassemblable entry still in place after lookup")
+	}
+	d.Close()
+	d2, err := OpenDisk(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if _, err := os.Stat(filepath.Join(dir, "k2.e")); !os.IsNotExist(err) {
+		t.Error("recovery kept an unassemblable entry")
+	}
+}
+
 func TestBreakerTripAndRecover(t *testing.T) {
 	clock := time.Unix(0, 0)
 	b := NewBreaker(3, 2*time.Second)

@@ -7,8 +7,6 @@ package compilecache_test
 // under -race.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -125,8 +123,8 @@ const replaySrc = `
 
 // TestLayerConcurrentReplay: eight fresh machines replay the same shared
 // entries at once. Every image must equal a cold compile's, and the
-// shared entries must come out of the replays deep-equal to copies
-// taken before them.
+// shared entries — their assembled bodies included — must come out of
+// the replays deep-equal to copies taken before them.
 func TestLayerConcurrentReplay(t *testing.T) {
 	cold := core.NewSystem(core.Options{})
 	if err := cold.LoadString(replaySrc); err != nil {
@@ -162,6 +160,9 @@ func TestLayerConcurrentReplay(t *testing.T) {
 		e, src := d.Probe(key)
 		if src != compilecache.FromProcess {
 			t.Fatalf("entry %s not in the layer after a warm load (%q)", key, src)
+		}
+		if !e.Assembled() {
+			t.Fatalf("entry %s entered the layer without its assembled bodies", key)
 		}
 		shared[key], before[key] = e, deepCopy(t, e)
 	}
@@ -211,13 +212,9 @@ func TestLayerConcurrentReplay(t *testing.T) {
 
 func deepCopy(t *testing.T, e *compilecache.DiskEntry) *compilecache.DiskEntry {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
+	c, err := compilecache.CloneEntry(e)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var c compilecache.DiskEntry
-	if err := gob.NewDecoder(&buf).Decode(&c); err != nil {
-		t.Fatal(err)
-	}
-	return &c
+	return c
 }

@@ -13,6 +13,8 @@ package convert
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/sexp"
 	"repro/internal/tree"
@@ -87,6 +89,9 @@ type Converter struct {
 	OnDefmacro func(name *sexp.Symbol, lambdaList sexp.Value, body []sexp.Value) error
 	// gen numbers this converter's generated symbols (see gensym).
 	gen int
+	// used lists the proclaimed specials IsSpecial has answered for
+	// since the current TopForm began (see SpecialsUsed).
+	used []*sexp.Symbol
 }
 
 // New returns a fresh Converter.
@@ -144,11 +149,32 @@ func (e *env) innermostBody() *tree.ProgBody {
 
 // IsSpecial reports whether sym is dynamically scoped.
 func (c *Converter) IsSpecial(sym *sexp.Symbol) bool {
-	if c.Specials[sym] {
+	n := sym.Name
+	if len(n) >= 3 && n[0] == '*' && n[len(n)-1] == '*' {
 		return true
 	}
-	n := sym.Name
-	return len(n) >= 3 && n[0] == '*' && n[len(n)-1] == '*'
+	if !c.Specials[sym] {
+		return false
+	}
+	if !slices.Contains(c.used, sym) {
+		c.used = append(c.used, sym)
+	}
+	return true
+}
+
+// SpecialsUsed names, sorted and space-separated, the proclaimed
+// specials whose proclamation the last TopForm's conversion consulted.
+// The same printed form converts differently when a symbol it binds
+// is proclaimed special, so this is part of a compiled unit's content
+// address. Earmuffed names are special whatever is proclaimed and are
+// left out.
+func (c *Converter) SpecialsUsed() string {
+	names := make([]string, len(c.used))
+	for i, sym := range c.used {
+		names[i] = sym.Name
+	}
+	slices.Sort(names)
+	return strings.Join(names, " ")
 }
 
 // gensym returns a fresh uninterned symbol numbered by a per-converter
@@ -263,6 +289,7 @@ func (c *Converter) TopForm(p *Program, form sexp.Value) error {
 	// neighbours, or error recovery would change the image of the
 	// surviving units.
 	c.gen = 0
+	c.used = c.used[:0]
 	items, err := sexp.ListToSlice(form)
 	if err == nil && len(items) > 0 {
 		if head, ok := items[0].(*sexp.Symbol); ok {

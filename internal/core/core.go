@@ -60,7 +60,8 @@ type Options struct {
 	Obs *obs.Recorder
 	// Cache enables the content-addressed compile cache: re-loading an
 	// already-seen defun (same printed source, same options, same
-	// constants, no macro redefinition in between) skips the middle end
+	// constants, same proclamations of the specials it uses, no macro
+	// redefinition in between) skips the middle end
 	// and code generation entirely. Hit/miss counts appear in Stats().
 	Cache bool
 	// DiskCache, if non-nil, adds the durable on-disk layer under the
@@ -160,6 +161,9 @@ type System struct {
 	macros        map[*sexp.Symbol]*interp.Closure
 	toplevelCount int
 	batchCount    int
+	// loaded is set by the system's first load; a restored system starts
+	// without it (see EvalStringDiag on keying top-level forms).
+	loaded bool
 	// sources accumulates every loaded source text, in load order — the
 	// replay script a snapshot stores so a restore can rehydrate the
 	// interpreter and macro expanders without touching the machine
@@ -190,9 +194,11 @@ type System struct {
 func (s *System) TraceID() string { return s.traceID }
 
 // NewSystem builds a system.
-func NewSystem(opts Options) *System {
+func NewSystem(opts Options) *System { return newSystem(opts, interp.New()) }
+
+// newSystem builds a system around the interpreter in.
+func newSystem(opts Options, in *interp.Interp) *System {
 	m := s1.NewFromArena(opts.Arena)
-	in := interp.New()
 	if opts.Out != nil {
 		m.Out = opts.Out
 		in.Out = opts.Out
@@ -292,23 +298,29 @@ func NewSystem(opts Options) *System {
 	if opts.DiskCache != nil && len(opts.Constants) == 0 {
 		sys.disk = opts.DiskCache
 	}
-	// defmacro: expanders are interpreter closures applied to the
-	// unevaluated argument forms.
-	conv.OnDefmacro = func(name *sexp.Symbol, lambdaList sexp.Value, body []sexp.Value) error {
+	sys.wireMacros()
+	return sys
+}
+
+// wireMacros connects the converter's defmacro and macro-call hooks to
+// the system's expanders, which are interpreter closures applied to the
+// unevaluated argument forms.
+func (s *System) wireMacros() {
+	s.Conv.OnDefmacro = func(name *sexp.Symbol, lambdaList sexp.Value, body []sexp.Value) error {
 		items := append([]sexp.Value{sexp.SymLambda, lambdaList}, body...)
-		lam, err := conv.ConvertLambda(sexp.List(items...))
+		lam, err := s.Conv.ConvertLambda(sexp.List(items...))
 		if err != nil {
 			return err
 		}
-		sys.macros[name] = &interp.Closure{Lambda: lam}
+		s.macros[name] = &interp.Closure{Lambda: lam}
 		// A (re)defined macro can change any later expansion, and a
 		// printed form does not reveal which macros it consumed: epoch the
 		// cache keys so every earlier entry stops matching.
-		sys.macroEpoch++
+		s.macroEpoch++
 		return nil
 	}
-	conv.UserMacro = func(head *sexp.Symbol, form sexp.Value) (sexp.Value, bool, error) {
-		cl, ok := sys.macros[head]
+	s.Conv.UserMacro = func(head *sexp.Symbol, form sexp.Value) (sexp.Value, bool, error) {
+		cl, ok := s.macros[head]
 		if !ok {
 			return nil, false, nil
 		}
@@ -316,13 +328,12 @@ func NewSystem(opts Options) *System {
 		if err != nil {
 			return nil, false, err
 		}
-		exp, err := in.Apply(cl, args[1:])
+		exp, err := s.Interp.Apply(cl, args[1:])
 		if err != nil {
 			return nil, false, fmt.Errorf("core: expanding macro %s: %w", head.Name, err)
 		}
 		return exp, true, nil
 	}
-	return sys
 }
 
 // LoadString reads, converts, compiles and executes a program: defuns
@@ -434,9 +445,9 @@ func (s *System) EvalStringDiag(src string) (sexp.Value, *diag.List) {
 		s.Conv.ScanProclaim(f.Val)
 	}
 	// Second pass: convert per-form so one bad form costs one unit. The
-	// positions of whatever each form appended travel alongside Defs and
-	// TopForms for diagnostic labeling.
-	var defLines, defCols, topLines, topCols []int
+	// origin of whatever each form appended travels alongside Defs and
+	// TopForms, for diagnostic labeling and cache keys.
+	var defOrigins, topOrigins []origin
 	for _, f := range forms {
 		err := func() (err error) {
 			name := unitName(f.Val)
@@ -454,47 +465,59 @@ func (s *System) EvalStringDiag(src string) (sexp.Value, *diag.List) {
 			list.Add(asDiag(err, unitName(f.Val), f.Line, f.Col))
 			continue
 		}
-		for len(defLines) < len(prog.Defs) {
-			defLines, defCols = append(defLines, f.Line), append(defCols, f.Col)
+		o := origin{line: f.Line, col: f.Col, form: f.Val, specials: s.Conv.SpecialsUsed()}
+		for len(defOrigins) < len(prog.Defs) {
+			defOrigins = append(defOrigins, o)
 		}
-		for len(topLines) < len(prog.TopForms) {
-			topLines, topCols = append(topLines, f.Line), append(topCols, f.Col)
+		for ; len(topOrigins) < len(prog.TopForms); o.pos++ {
+			topOrigins = append(topOrigins, o)
 		}
 	}
 	s.Conv.FinishProgram(prog)
 	sp.End()
 
-	s.compileDefs(prog.Defs, defLines, defCols, list)
+	s.compileDefs(prog.Defs, defOrigins, list)
 
+	// Top-level forms are units too, named %toplevel-N. Only a system's
+	// first load after NewSystem or a restore keys them: that is the
+	// state stateless requests and cold loads of a file start from, so
+	// its forms recur under the same name in the same allocator context.
+	// A later load's forms are named and placed by this system's own
+	// history, and storing them would write an entry per load that
+	// nothing replays. A resumed session's first /run is such a first
+	// load too; it stores once per resume, and replays only if the same
+	// checkpoint is resumed again.
+	keyTop := s.disk != nil && !s.loaded
+	s.loaded = true
 	var last sexp.Value = sexp.Nil
 	for i, form := range prog.TopForms {
 		s.toplevelCount++
-		name := fmt.Sprintf("%%toplevel-%d", s.toplevelCount)
-		line, col := topLines[i], topCols[i]
-		lam := convert.WrapToplevel(form)
-		t := s.Obs.Task(name, 0)
-		p, err := s.safePrepare(name, lam, t, 0)
-		if err != nil {
-			list.Add(asDiag(err, name, line, col))
+		u := &unit{
+			name: fmt.Sprintf("%%toplevel-%d", s.toplevelCount),
+			lam:  convert.WrapToplevel(form),
+			o:    topOrigins[i],
+		}
+		if keyTop {
+			src := fmt.Sprintf("%s#%d\x00%s", u.name, u.o.pos, sexp.Print(u.o.form))
+			t := s.Obs.Task(u.name, 0)
+			sp := t.Start("cache-probe")
+			u.key = s.unitKey(src, u.o.specials)
+			s.probeDisk(u, t)
+			sp.End()
+		}
+		idx, ok := s.installUnit(u, list)
+		if !ok {
 			continue
 		}
-		sp := t.Start("emit")
-		idx, err := s.Compiler.Emit(name, p)
-		sp.End()
-		if err != nil {
-			list.Add(asDiag(err, name, line, col))
-			continue
-		}
-		s.Obs.AddRules(p.Rules())
 		w, err := s.Machine.CallIndex(idx)
 		if err != nil {
-			d := asDiag(err, name, line, col)
+			d := asDiag(err, u.name, u.o.line, u.o.col)
 			d.Phase = "run"
 			list.Add(d)
 			continue
 		}
 		if v, err := s.Machine.ToValue(w); err != nil {
-			d := asDiag(err, name, line, col)
+			d := asDiag(err, u.name, u.o.line, u.o.col)
 			d.Phase = "run"
 			list.Add(d)
 		} else {
@@ -522,17 +545,48 @@ func (s *System) safePrepare(name string, lam *tree.Lambda, t *obs.Task, worker 
 	return s.Compiler.PrepareTask(name, lam, t)
 }
 
-// unit is one defun flowing through the pipeline as an independent piece
-// of work: cache probe, concurrent middle end, serial install.
+// origin is where a unit came from: the source form that produced it
+// and that form's position, for diagnostics and cache keys.
+type origin struct {
+	line, col int
+	form      sexp.Value
+	// pos is the unit's index among the top-level forms its source form
+	// produced.
+	pos int
+	// specials is the converter's SpecialsUsed for the form.
+	specials string
+}
+
+// unit is one defun or top-level form flowing through the pipeline as an
+// independent piece of work: cache probe, middle end, serial install.
 type unit struct {
-	d        *convert.Def
-	key      string
+	name     string
+	lam      *tree.Lambda
+	o        origin
+	key      string // "" = not cached
 	hitIdx   int
-	hit      bool
+	hit      bool // memory-cache hit: the body is resident at hitIdx
 	disk     *compilecache.DiskEntry
 	diskSrc  string // where disk came from (compilecache.FromProcess/FromFile)
 	prepared *codegen.Prepared
-	err      error
+	// binds are the function lookups of the installed body's emission
+	// (codegen.Compiler.Binds).
+	binds []codegen.FuncBind
+	err   error
+}
+
+// unitKey is the content address of a unit whose printed source is src.
+func (s *System) unitKey(src, specials string) string {
+	return compilecache.Key(src, s.Compiler.Opts, s.constsFP, s.macroEpoch, specials)
+}
+
+// probeDisk fetches u's durable entry, if any. Whether it actually
+// replays is decided at install time — earlier units' installs move the
+// allocator context — so the probe only fetches and verifies the bytes.
+func (s *System) probeDisk(u *unit, t *obs.Task) {
+	sp := t.Start("disk-probe")
+	u.disk, u.diskSrc = s.disk.Probe(u.key)
+	sp.End()
 }
 
 // compileDefs compiles a batch of definitions. The machine-independent
@@ -543,49 +597,38 @@ type unit struct {
 // exactly as under a sequential compile, and listings are byte-identical
 // regardless of Jobs. A unit that fails (or panics) anywhere before its
 // emit step contributes a diagnostic to list and nothing to the machine;
-// lines/cols are the source positions of the defs, parallel to defs.
-func (s *System) compileDefs(defs []*convert.Def, lines, cols []int, list *diag.List) {
-	pos := func(i int) (int, int) {
-		if i < len(lines) {
-			return lines[i], cols[i]
-		}
-		return 0, 0
-	}
+// origins are the defs' origins, parallel to defs.
+func (s *System) compileDefs(defs []*convert.Def, origins []origin, list *diag.List) {
 	units := make([]*unit, len(defs))
 	for i, d := range defs {
-		u := &unit{d: d}
+		u := &unit{name: d.Name.Name, lam: d.Lambda}
+		if i < len(origins) {
+			u.o = origins[i]
+		}
 		units[i] = u
 		if s.cache != nil && d.Source != nil {
-			t := s.Obs.Task(d.Name.Name, 0)
+			t := s.Obs.Task(u.name, 0)
 			sp := t.Start("cache-probe")
-			u.key = compilecache.Key(sexp.Print(d.Source), s.Compiler.Opts,
-				s.constsFP, s.macroEpoch)
+			u.key = s.unitKey(sexp.Print(d.Source), u.o.specials)
 			if e, ok := s.cache.Lookup(u.key); ok {
-				if s.fault.ShouldCorrupt("cache", d.Name.Name) {
+				if s.fault.ShouldCorrupt("cache", u.name) {
 					// Simulated corruption: point the entry past the
 					// function table so validation must catch it.
 					e.Index = len(s.Machine.Funcs) + 1
 				}
 				if verr := e.Validate(s.Machine); verr != nil {
-					line, col := pos(i)
 					list.Add(&diag.Diagnostic{
-						Severity: diag.Warning, Unit: d.Name.Name,
-						Phase: "cache", Line: line, Col: col,
+						Severity: diag.Warning, Unit: u.name,
+						Phase: "cache", Line: u.o.line, Col: u.o.col,
 						Msg: "corrupt cache entry, recompiling: " + verr.Error(),
 						Err: verr,
 					})
 				} else {
-					u.hit, u.hitIdx = true, e.Index
+					u.hit, u.hitIdx, u.binds = true, e.Index, e.Binds
 				}
 			}
 			if !u.hit && s.disk != nil {
-				// Memory miss: probe the durable layer. Whether the entry
-				// actually replays is decided at install time — earlier
-				// units' installs move the allocator context — so the probe
-				// only fetches and verifies the bytes.
-				dsp := t.Start("disk-probe")
-				u.disk, u.diskSrc = s.disk.Probe(u.key)
-				dsp.End()
+				s.probeDisk(u, t)
 			}
 			sp.End()
 		}
@@ -598,8 +641,8 @@ func (s *System) compileDefs(defs []*convert.Def, lines, cols []int, list *diag.
 	pending := make([]*unit, 0, len(units))
 	for _, u := range units {
 		// Disk-hit candidates skip the concurrent middle end too: when the
-		// replay turns out not to apply, the install loop compiles them
-		// inline (the rare path — a corpus whose prefix diverged).
+		// replay turns out not to apply, installUnit compiles them inline
+		// (the rare path — a corpus whose prefix diverged).
 		if !u.hit && u.disk == nil {
 			pending = append(pending, u)
 		}
@@ -610,8 +653,8 @@ func (s *System) compileDefs(defs []*convert.Def, lines, cols []int, list *diag.
 	}
 	if workers <= 1 {
 		for _, u := range pending {
-			t := s.Obs.Task(u.d.Name.Name, 0)
-			u.prepared, u.err = s.safePrepare(u.d.Name.Name, u.d.Lambda, t, 0)
+			t := s.Obs.Task(u.name, 0)
+			u.prepared, u.err = s.safePrepare(u.name, u.lam, t, 0)
 		}
 	} else {
 		work := make(chan *unit)
@@ -621,8 +664,8 @@ func (s *System) compileDefs(defs []*convert.Def, lines, cols []int, list *diag.
 			go func(id int) {
 				defer wg.Done()
 				for u := range work {
-					t := s.Obs.Task(u.d.Name.Name, id)
-					u.prepared, u.err = s.safePrepare(u.d.Name.Name, u.d.Lambda, t, id)
+					t := s.Obs.Task(u.name, id)
+					u.prepared, u.err = s.safePrepare(u.name, u.lam, t, id)
 				}
 			}(w)
 		}
@@ -634,166 +677,190 @@ func (s *System) compileDefs(defs []*convert.Def, lines, cols []int, list *diag.
 	}
 
 	for i, u := range units {
-		d := u.d
+		d := defs[i]
 		if u.err != nil {
 			// The unit failed before touching the machine: report it and
 			// skip installation entirely (including the interpreter), as
 			// if the form had been deleted from the source.
-			line, col := pos(i)
-			list.Add(asDiag(u.err, d.Name.Name, line, col))
+			list.Add(asDiag(u.err, u.name, u.o.line, u.o.col))
 			continue
 		}
 		// The interpreter gets the converted tree (its role is the
 		// semantic baseline).
 		s.Interp.DefineFunction(d.Name, &interp.Closure{Lambda: d.Lambda})
+		if u.hit && !codegen.ResidentBindsHold(s.Machine, u.binds) {
+			// The resident body embeds a function index that a name it
+			// looked up no longer resolves to (an earlier definition,
+			// perhaps in this batch, rebound it): compile instead.
+			u.hit = false
+			if s.disk != nil {
+				s.probeDisk(u, s.Obs.Task(u.name, 0))
+			}
+		}
 		if u.hit {
 			// The body is already resident in this machine: rebind the
 			// name to the cached function index and skip the entire
 			// middle and back end.
-			s.flight.Record(obs.Event{Kind: "cache-hit", Trace: s.traceID, Unit: d.Name.Name, Msg: "memory"})
+			s.flight.Record(obs.Event{Kind: "cache-hit", Trace: s.traceID, Unit: u.name, Msg: "memory"})
 			s.Machine.Stats.CompileCacheHits++
-			s.Machine.RebindFunction(d.Name.Name, u.hitIdx)
-			s.Machine.SetSymbolFunction(d.Name.Name, s1.Ptr(s1.TagFunc, uint64(u.hitIdx)))
-			s.Defs[d.Name.Name] = u.hitIdx
+			s.Machine.RebindFunction(u.name, u.hitIdx)
+			s.Machine.SetSymbolFunction(u.name, s1.Ptr(s1.TagFunc, uint64(u.hitIdx)))
+			s.Defs[u.name] = u.hitIdx
 			continue
 		}
-		if u.disk != nil {
-			// A durable entry exists for this source. If its recorded
-			// allocator context and gensym counter match the machine right
-			// now, replaying it reproduces the emission word for word.
-			// Otherwise an earlier load in this context may have stored
-			// its own capture as the context's variant; failing that,
-			// compile inline — a mismatch is normal (different corpus
-			// prefix), not an error.
-			t := s.Obs.Task(d.Name.Name, 0)
-			de, src := u.disk, u.diskSrc
-			if de.Replayable(s.Machine, s.Compiler.GenCount()) != nil {
-				de, src = s.disk.Probe(compilecache.VariantKey(u.key, s.Machine.AllocContext(), s.Compiler.GenCount()))
-			}
-			if de != nil && de.Replayable(s.Machine, s.Compiler.GenCount()) == nil {
-				sp := t.Start("disk-replay")
-				genBefore := s.Compiler.GenCount()
-				idx, ierr := de.Install(s.Machine)
-				sp.End()
-				if ierr == nil {
-					s.flight.Record(obs.Event{Kind: "cache-hit", Trace: s.traceID, Unit: d.Name.Name, Msg: src})
-					s.Compiler.SetGenCount(genBefore + de.GenDelta)
-					s.Machine.Stats.CompileCacheHits++
-					s.Machine.RebindFunction(d.Name.Name, idx)
-					s.Machine.SetSymbolFunction(d.Name.Name, s1.Ptr(s1.TagFunc, uint64(idx)))
-					s.Defs[d.Name.Name] = idx
-					f := s.Machine.Funcs[idx]
-					last := de.Capture.Funcs[len(de.Capture.Funcs)-1]
-					s.cache.Store(u.key, compilecache.Entry{
-						Index: idx, MinArgs: f.MinArgs, MaxArgs: f.MaxArgs,
-						Items: s1.ToItems(last.Items),
-					})
-					continue
-				}
-				// A mid-replay failure may have left partial mutations;
-				// recompiling is still correct, but flag it loudly.
-				s.flight.Record(obs.Event{
-					Kind: "cache-miss", Sev: obs.SevWarn, Trace: s.traceID,
-					Unit: d.Name.Name, Msg: "replay failed: " + ierr.Error(),
-				})
-				line, col := pos(i)
-				list.Add(&diag.Diagnostic{
-					Severity: diag.Warning, Unit: d.Name.Name,
-					Phase: "disk-replay", Line: line, Col: col,
-					Msg: "durable cache replay failed, recompiling: " + ierr.Error(),
-					Err: ierr,
-				})
-			}
-			// Inline fallback: this unit skipped the worker-pool Prepare.
-			u.prepared, u.err = s.safePrepare(d.Name.Name, d.Lambda, t, 0)
-			if u.err != nil {
-				line, col := pos(i)
-				list.Add(asDiag(u.err, d.Name.Name, line, col))
-				continue
-			}
-		}
-		if err := func() (err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					err = diag.FromPanic(r, "emit", d.Name.Name, 0, "")
-				}
-			}()
-			return s.fault.Fire("emit", d.Name.Name)
-		}(); err != nil {
-			line, col := pos(i)
-			list.Add(asDiag(err, d.Name.Name, line, col))
-			continue
-		}
-		var idx int
-		var err error
-		t := s.Obs.Task(d.Name.Name, 0)
-		sp := t.Start("emit")
-		if s.cache != nil && u.key != "" {
-			s.flight.Record(obs.Event{Kind: "cache-miss", Trace: s.traceID, Unit: d.Name.Name})
-			s.Machine.Stats.CompileCacheMisses++
-			var items []s1.Item
-			var ctxBefore string
-			genBefore := s.Compiler.GenCount()
-			gcBefore := s.Machine.GCMeters.Collections
-			if s.disk != nil {
-				// Record the emission's machine mutations for the durable
-				// layer, against the context they started from.
-				ctxBefore = s.Machine.AllocContext()
-				s.Machine.BeginCapture()
-			}
-			idx, items, err = s.Compiler.EmitRecorded(d.Name.Name, u.prepared)
-			capt := s.Machine.EndCapture()
-			if err == nil {
+		if idx, ok := s.installUnit(u, list); ok {
+			s.Defs[u.name] = idx
+			if u.key != "" {
 				f := s.Machine.Funcs[idx]
 				s.cache.Store(u.key, compilecache.Entry{
-					Index: idx, MinArgs: f.MinArgs, MaxArgs: f.MaxArgs, Items: items,
+					Index: idx, MinArgs: f.MinArgs, MaxArgs: f.MaxArgs,
+					Instrs: f.End - f.Entry, Binds: u.binds,
 				})
-				// A collection mid-emission would make the recorded
-				// allocation sequence context-dependent (the mark set at
-				// the collection point includes code not yet present during
-				// a replay), so such captures are discarded rather than
-				// stored.
-				if capt != nil && s.Machine.GCMeters.Collections == gcBefore {
-					// A unit whose primary entry did not replay here stores
-					// its capture as this context's variant: overwriting
-					// the primary would only make the primary's own context
-					// recompile next time.
-					key := u.key
-					if u.disk != nil {
-						key = compilecache.VariantKey(u.key, ctxBefore, genBefore)
-					}
-					de := &compilecache.DiskEntry{
-						Key: key, Name: d.Name.Name,
-						MinArgs: f.MinArgs, MaxArgs: f.MaxArgs,
-						GenBefore: genBefore, GenDelta: s.Compiler.GenCount() - genBefore,
-						Ctx: ctxBefore, Capture: *capt,
-					}
-					if serr := s.disk.Store(key, de); serr != nil {
-						line, col := pos(i)
-						list.Add(&diag.Diagnostic{
-							Severity: diag.Warning, Unit: d.Name.Name,
-							Phase: "disk-store", Line: line, Col: col,
-							Msg: "durable cache store failed: " + serr.Error(),
-							Err: serr,
-						})
-					}
-				}
 			}
-		} else {
-			idx, err = s.Compiler.Emit(d.Name.Name, u.prepared)
 		}
-		sp.End()
-		if err != nil {
-			line, col := pos(i)
-			list.Add(asDiag(fmt.Errorf("compiling %s: %w", d.Name.Name, err), d.Name.Name, line, col))
-			continue
+	}
+}
+
+// installUnit puts one unit's body into the machine and binds its name
+// to it. A durable entry replays when it (or its variant for the
+// machine's current context) was captured in this allocator context;
+// otherwise the unit is emitted — prepared inline first if it skipped
+// the worker pool — and, when keyed, its emission is captured and
+// stored. On failure the unit's diagnostic goes to list and it reports
+// false.
+func (s *System) installUnit(u *unit, list *diag.List) (int, bool) {
+	fail := func(err error) (int, bool) {
+		list.Add(asDiag(err, u.name, u.o.line, u.o.col))
+		return 0, false
+	}
+	t := s.Obs.Task(u.name, 0)
+	if u.disk != nil {
+		if idx, ok := s.replayUnit(u, t, list); ok {
+			return idx, true
 		}
-		// Rule events were buffered per-unit during the (possibly
-		// concurrent) Prepare; appending them here, in the serialized
-		// source-order install loop, keeps the recorder's rule stream
-		// deterministic.
-		s.Obs.AddRules(u.prepared.Rules())
-		s.Defs[d.Name.Name] = idx
+	}
+	if u.prepared == nil {
+		// The unit skipped the worker pool: a durable candidate that did
+		// not replay, or a top-level form.
+		if u.prepared, u.err = s.safePrepare(u.name, u.lam, t, 0); u.err != nil {
+			return fail(u.err)
+		}
+	}
+	if err := func() (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = diag.FromPanic(r, "emit", u.name, 0, "")
+			}
+		}()
+		return s.fault.Fire("emit", u.name)
+	}(); err != nil {
+		return fail(err)
+	}
+	sp := t.Start("emit")
+	var ctxBefore string
+	genBefore := s.Compiler.GenCount()
+	gcBefore := s.Machine.GCMeters.Collections
+	if u.key != "" {
+		s.flight.Record(obs.Event{Kind: "cache-miss", Trace: s.traceID, Unit: u.name})
+		s.Machine.Stats.CompileCacheMisses++
+		if s.disk != nil {
+			// Record the emission's machine mutations for the durable
+			// layer, against the context they started from.
+			ctxBefore = s.Machine.AllocContext()
+			s.Machine.BeginCapture()
+		}
+	}
+	idx, err := s.Compiler.Emit(u.name, u.prepared)
+	capt := s.Machine.EndCapture()
+	sp.End()
+	if err != nil {
+		return fail(fmt.Errorf("compiling %s: %w", u.name, err))
+	}
+	u.binds = s.Compiler.Binds()
+	if u.key != "" {
+		// A collection mid-emission would make the recorded allocation
+		// sequence context-dependent (the mark set at the collection
+		// point includes code not yet present during a replay), so such
+		// captures are discarded rather than stored.
+		if capt != nil && s.Machine.GCMeters.Collections == gcBefore {
+			s.storeCapture(u, idx, capt, ctxBefore, genBefore, list)
+		}
+	}
+	// Rule events were buffered per-unit during the (possibly
+	// concurrent) Prepare; appending them here, in the serialized
+	// source-order install loop, keeps the recorder's rule stream
+	// deterministic.
+	s.Obs.AddRules(u.prepared.Rules())
+	return idx, true
+}
+
+// replayUnit installs u's durable entry if its recorded allocator
+// context and gensym counter match the machine right now, which
+// reproduces the emission word for word. Otherwise an earlier load in
+// this context may have stored its own capture as the context's
+// variant; failing both, it reports false and the caller compiles — a
+// mismatch is normal (a different corpus prefix), not an error.
+func (s *System) replayUnit(u *unit, t *obs.Task, list *diag.List) (int, bool) {
+	de, src := u.disk, u.diskSrc
+	if de.Replayable(s.Machine, s.Compiler.GenCount()) != nil {
+		de, src = s.disk.Probe(compilecache.VariantKey(u.key, s.Machine.AllocContext(), s.Compiler.GenCount()))
+	}
+	if de == nil || de.Replayable(s.Machine, s.Compiler.GenCount()) != nil {
+		return 0, false
+	}
+	sp := t.Start("disk-replay")
+	genBefore := s.Compiler.GenCount()
+	idx, err := de.Install(s.Machine)
+	sp.End()
+	if err != nil {
+		// A mid-replay failure may have left partial mutations;
+		// recompiling is still correct, but flag it loudly.
+		s.flight.Record(obs.Event{
+			Kind: "cache-miss", Sev: obs.SevWarn, Trace: s.traceID,
+			Unit: u.name, Msg: "replay failed: " + err.Error(),
+		})
+		list.Add(&diag.Diagnostic{
+			Severity: diag.Warning, Unit: u.name,
+			Phase: "disk-replay", Line: u.o.line, Col: u.o.col,
+			Msg: "durable cache replay failed, recompiling: " + err.Error(),
+			Err: err,
+		})
+		return 0, false
+	}
+	s.flight.Record(obs.Event{Kind: "cache-hit", Trace: s.traceID, Unit: u.name, Msg: src})
+	s.Compiler.SetGenCount(genBefore + de.GenDelta)
+	s.Machine.Stats.CompileCacheHits++
+	// The capture recorded the bodies, not the name's function cell,
+	// which Emit sets after installing them.
+	s.Machine.RebindFunction(u.name, idx)
+	s.Machine.SetSymbolFunction(u.name, s1.Ptr(s1.TagFunc, uint64(idx)))
+	u.binds = de.Binds
+	return idx, true
+}
+
+// storeCapture writes u's captured emission to the durable layer. A
+// unit whose primary entry did not replay here stores its capture as
+// this context's variant: overwriting the primary would only make the
+// primary's own context recompile next time.
+func (s *System) storeCapture(u *unit, idx int, capt *s1.Capture, ctxBefore string, genBefore int, list *diag.List) {
+	key := u.key
+	if u.disk != nil {
+		key = compilecache.VariantKey(u.key, ctxBefore, genBefore)
+	}
+	f := s.Machine.Funcs[idx]
+	de := &compilecache.DiskEntry{
+		Key: key, Name: u.name,
+		MinArgs: f.MinArgs, MaxArgs: f.MaxArgs,
+		GenBefore: genBefore, GenDelta: s.Compiler.GenCount() - genBefore,
+		Ctx: ctxBefore, Binds: u.binds, Capture: *capt,
+	}
+	if err := s.disk.Store(key, de); err != nil {
+		list.Add(&diag.Diagnostic{
+			Severity: diag.Warning, Unit: u.name,
+			Phase: "disk-store", Line: u.o.line, Col: u.o.col,
+			Msg: "durable cache store failed: " + err.Error(),
+			Err: err,
+		})
 	}
 }
 

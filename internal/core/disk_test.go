@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/compilecache"
@@ -203,4 +204,167 @@ func TestDiskCacheVariantsStopRestoreThrash(t *testing.T) {
 	if st := d2.Stats(); st.Stores != 0 {
 		t.Errorf("second handle stored %d entries; both variants are on disk", st.Stores)
 	}
+}
+
+// topLevelSrc mixes defuns with top-level forms that have side effects
+// on the machine (global cells, heap structure) and on the output.
+const topLevelSrc = `
+(defvar *count* 0)
+(defun bump (k) (setq *count* (+ *count* k)) *count*)
+(bump 5)
+(defvar *tbl* (list 1 2 (bump 10)))
+(print (car *tbl*))
+(bump 100)
+`
+
+// TestDiskCacheReplaysTopLevelForms: top-level forms are durable units
+// like defuns. A warm load replays every one of them — no misses, no
+// stores — into the cold image, and still runs them: the globals, the
+// heap and the output they produce are the cold load's.
+func TestDiskCacheReplaysTopLevelForms(t *testing.T) {
+	const units = 6 // one defun, five top-level forms
+	dir := t.TempDir()
+	d, err := compilecache.OpenDisk(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	load := func(d *compilecache.Disk) (*System, string, string) {
+		t.Helper()
+		var out strings.Builder
+		sys := NewSystem(Options{DiskCache: d, Out: &out})
+		v, err := sys.EvalString(topLevelSrc)
+		if err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		return sys, sexp.Print(v), out.String()
+	}
+	cold, coldV, coldOut := load(d)
+	if coldV != "115" || !strings.Contains(coldOut, "1") {
+		t.Fatalf("cold load = %s, output %q", coldV, coldOut)
+	}
+	if got := cold.Machine.Stats.CompileCacheMisses; got != units {
+		t.Errorf("cold load compiled %d units, want %d", got, units)
+	}
+	if got := d.Stats().Stores; got != units {
+		t.Errorf("cold load stored %d entries, want %d", got, units)
+	}
+	coldFP := cold.Machine.ImageFingerprint()
+
+	// The same handle (served from the layer) and a fresh one (served
+	// from the files) must both replay everything.
+	d2, err := compilecache.OpenDisk(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	for _, h := range []*compilecache.Disk{d, d2} {
+		stores := h.Stats().Stores
+		warm, v, out := load(h)
+		if st := warm.Machine.Stats; st.CompileCacheHits != units || st.CompileCacheMisses != 0 {
+			t.Errorf("warm load: %d hits, %d misses; want %d and 0", st.CompileCacheHits, st.CompileCacheMisses, units)
+		}
+		if got := h.Stats().Stores - stores; got != 0 {
+			t.Errorf("warm load stored %d entries", got)
+		}
+		if fp := warm.Machine.ImageFingerprint(); fp != coldFP {
+			t.Errorf("warm image %s differs from the cold image %s", fp, coldFP)
+		}
+		if v != coldV || out != coldOut {
+			t.Errorf("warm load = %s, output %q; cold load = %s, output %q", v, out, coldV, coldOut)
+		}
+		if v, err := warm.Call("bump", sexp.Fixnum(0)); err != nil || sexp.Print(v) != "115" {
+			t.Errorf("*count* after the warm load = %v, %v; want 115", v, err)
+		}
+	}
+}
+
+// TestCacheKeyTracksProclaimedSpecials: the same defun text binds y
+// lexically before (declaim (special y)) and dynamically after it, so
+// the two compilations must not share a cache entry — neither in one
+// system's memory cache nor across systems on one durable cache.
+func TestCacheKeyTracksProclaimedSpecials(t *testing.T) {
+	const defs = "(defun zf () (let ((y 5)) (zg)))\n(defun zg () y)\n"
+	check := func(t *testing.T, sys *System) {
+		t.Helper()
+		if err := sys.LoadString("(declaim (special y))\n" + defs); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := sys.Call("zf"); err != nil || sexp.Print(v) != "5" {
+			t.Errorf("compiled (zf) = %v, %v; want 5", v, err)
+		}
+		if v, err := sys.Interpret("zf"); err != nil || sexp.Print(v) != "5" {
+			t.Errorf("interpreted (zf) = %v, %v; want 5", v, err)
+		}
+	}
+	t.Run("memory", func(t *testing.T) {
+		sys := NewSystem(Options{Cache: true})
+		if err := sys.LoadString(defs); err != nil {
+			t.Fatal(err)
+		}
+		check(t, sys)
+	})
+	t.Run("disk", func(t *testing.T) {
+		d, err := compilecache.OpenDisk(t.TempDir(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		if err := NewSystem(Options{DiskCache: d}).LoadString(defs); err != nil {
+			t.Fatal(err)
+		}
+		check(t, NewSystem(Options{DiskCache: d}))
+	})
+}
+
+// TestCacheReuseTracksFunctionBindings: emitted code embeds the index
+// of a function that is already compiled (#'foo), so a cached body is
+// only reusable where every function name it looked up resolves to the
+// same index. Two systems restored from one boot image reach the same
+// allocator context with foo and bar defined in either order; the
+// second must not replay the first's (mapcar #'foo ...). In one
+// system, redefining foo and reloading the same text must call the
+// new foo.
+func TestCacheReuseTracksFunctionBindings(t *testing.T) {
+	t.Run("disk", func(t *testing.T) {
+		d, err := compilecache.OpenDisk(t.TempDir(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		opts := Options{DiskCache: d}
+		boot := NewSystem(opts)
+		if err := boot.LoadString("(defvar *names* '(foo bar))"); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := boot.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		const use = " (defun h () (funcall #'foo 0)) (list (h) (funcall #'foo 0))"
+		for _, src := range []string{
+			"(defun foo (x) 1) (defun bar (x) 2)" + use,
+			"(defun bar (x) 2) (defun foo (x) 1)" + use,
+		} {
+			sys, err := RestoreSystem(opts, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, err := sys.EvalString(src); err != nil || sexp.Print(v) != "(1 1)" {
+				t.Errorf("%s = %v, %v; want (1 1)", src, v, err)
+			}
+		}
+	})
+	t.Run("memory", func(t *testing.T) {
+		sys := NewSystem(Options{Cache: true})
+		const g = "(defun g () (funcall #'foo 0))"
+		for _, want := range []string{"1", "2"} {
+			if err := sys.LoadString("(defun foo (x) " + want + ") " + g); err != nil {
+				t.Fatal(err)
+			}
+			if v, err := sys.Call("g"); err != nil || sexp.Print(v) != want {
+				t.Errorf("(g) = %v, %v; want %s", v, err, want)
+			}
+		}
+	})
 }

@@ -10,6 +10,8 @@ package core
 
 import (
 	"os"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/compilecache"
@@ -241,6 +243,110 @@ func TestSnapshotConstantsExcluded(t *testing.T) {
 	}
 	if _, err := RestoreSystem(Options{Constants: map[string]sexp.Value{"k": sexp.Fixnum(1)}}, snap); err == nil {
 		t.Error("RestoreSystem accepted compile-time constants")
+	}
+}
+
+// rehydratePrelude adds a proclaimed special without earmuffs (so the
+// rehydrated special set decides how a later let binds) and a second
+// macro to snapPrelude.
+const rehydratePrelude = snapPrelude + `
+(declaim (special depth))
+(defvar depth 0)
+(defun at-depth () depth)
+(defmacro thrice (x) (list '+ x x x))
+`
+
+// rehydrateRequest uses everything the rehydrated state carries: a
+// let of the proclaimed special, both macros, prelude functions.
+const rehydrateRequest = `
+(defun deeper (n) (let ((depth n)) (at-depth)))
+(defun thriced (x) (thrice (twiced x)))
+(deeper 7)
+`
+
+// TestRehydratedConcurrentRestore: eight systems restore at once from
+// one shared rehydration and load the same request. Each must match the
+// cold system the snapshot was taken from after it loads the request —
+// image, allocator context, compiled and interpreted results — and the
+// shared record must come out unchanged.
+func TestRehydratedConcurrentRestore(t *testing.T) {
+	opts := snapOpts(t, false)
+	cold := NewSystem(opts)
+	if err := cold.LoadString(rehydratePrelude); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := cold.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rh, err := Rehydrate(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nDefs, nMacros, nSpecials, nFuncs := len(rh.defs), len(rh.macros), len(rh.specials), len(rh.interp.Funcs)
+
+	type result struct {
+		fp, ctx, value    string
+		compiled, interpd []string
+		err               error
+	}
+	probe := func(sys *System) (r result) {
+		v, err := sys.EvalString(rehydrateRequest)
+		if err != nil {
+			r.err = err
+			return r
+		}
+		r.value, r.fp, r.ctx = sexp.Print(v), sys.Machine.ImageFingerprint(), sys.Machine.AllocContext()
+		for _, c := range []struct {
+			fn  string
+			arg int64
+		}{{"deeper", 3}, {"thriced", 2}, {"twiced", 4}, {"fib", 9}} {
+			cv, err := sys.Call(c.fn, sexp.Fixnum(c.arg))
+			if err != nil {
+				r.err = err
+				return r
+			}
+			iv, err := sys.Interpret(c.fn, sexp.Fixnum(c.arg))
+			if err != nil {
+				r.err = err
+				return r
+			}
+			r.compiled = append(r.compiled, sexp.Print(cv))
+			r.interpd = append(r.interpd, sexp.Print(iv))
+		}
+		return r
+	}
+	want := probe(cold)
+	if want.err != nil {
+		t.Fatal(want.err)
+	}
+	if want.value != "7" || want.compiled[1] != "36" || !reflect.DeepEqual(want.compiled, want.interpd) {
+		t.Fatalf("cold system: value %s, compiled %v, interpreted %v", want.value, want.compiled, want.interpd)
+	}
+
+	const systems = 8
+	got := make([]result, systems)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			sys, err := rh.Restore(opts)
+			if err != nil {
+				got[g].err = err
+				return
+			}
+			got[g] = probe(sys)
+		}(g)
+	}
+	wg.Wait()
+	for g, r := range got {
+		if !reflect.DeepEqual(r, want) {
+			t.Errorf("system %d: %+v\nwant %+v", g, r, want)
+		}
+	}
+	if len(rh.defs) != nDefs || len(rh.macros) != nMacros || len(rh.specials) != nSpecials || len(rh.interp.Funcs) != nFuncs {
+		t.Error("restored systems wrote into the shared rehydrated state")
 	}
 }
 

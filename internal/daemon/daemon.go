@@ -285,9 +285,10 @@ type Server struct {
 	// reallocating.
 	arenas arenaPool
 
-	// bootSnap is the current verified prelude snapshot; per-request
-	// systems restore from it instead of recompiling the prelude.
-	bootSnap atomic.Pointer[snapshot.Snapshot]
+	// boot is the current verified prelude snapshot with its rehydrated
+	// state, swapped as one; per-request systems restore from it instead
+	// of recompiling the prelude.
+	boot atomic.Pointer[core.Rehydrated]
 
 	mu     sync.Mutex
 	stats  Stats
@@ -449,7 +450,7 @@ func (s *Server) Degraded() []string {
 	if d := s.cfg.Disk; d != nil && d.Breaker().State() != compilecache.BreakerClosed {
 		out = append(out, "cache-breaker-open")
 	}
-	if s.cfg.Prelude != "" && s.cfg.Snapshots != nil && s.bootSnap.Load() == nil {
+	if s.cfg.Prelude != "" && s.cfg.Snapshots != nil && s.boot.Load() == nil {
 		// Warm boot is configured but no verified snapshot is live:
 		// every request is paying a cold prelude compile.
 		out = append(out, "snapshot-cold")

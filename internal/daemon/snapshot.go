@@ -14,12 +14,13 @@ import (
 
 // Warm boot (DESIGN.md §14). The daemon's prelude — the Lisp standard
 // library every request sees — is compiled once into a verified
-// snapshot; each per-request system then restores that snapshot
-// (deserialize + verify) instead of recompiling the prelude. With a
-// snapshot store configured, the snapshot also persists across process
-// restarts: Boot tries the pinned "boot" snapshot before paying a cold
-// compile, and Checkpoint (SIGUSR1, POST /admin/checkpoint, and the
-// automatic one after Boot's cold compile) rewrites it crash-safely.
+// snapshot, rehydrated once (its sources read and converted); each
+// per-request system then restores that snapshot (deserialize + verify)
+// and copies the rehydrated state instead of recompiling the prelude.
+// With a snapshot store configured, the snapshot also persists across
+// process restarts: Boot tries the pinned "boot" snapshot before paying
+// a cold compile, and Checkpoint (SIGUSR1, POST /admin/checkpoint, and
+// the automatic one after Boot's cold compile) rewrites it crash-safely.
 //
 // Every degradation path is non-fatal: a missing, stale, corrupt or
 // unverifiable snapshot costs a cold compile (flight-recorded as
@@ -56,8 +57,8 @@ func (s *Server) sysOptions() core.Options {
 // snapshot when one is live, cold-compiled (prelude included) when not
 // or when the restore fails verification.
 func (s *Server) bootSystem(opts core.Options, traceID string) *core.System {
-	if snap := s.bootSnap.Load(); snap != nil {
-		sys, err := core.RestoreSystem(opts, snap)
+	if boot := s.boot.Load(); boot != nil {
+		sys, err := boot.Restore(opts)
 		if err == nil {
 			s.mu.Lock()
 			s.stats.SnapshotRestores++
@@ -103,8 +104,17 @@ func (s *Server) Boot() error {
 			// valid but stale. Fall through to recompile and re-checkpoint.
 			s.log.LogAttrs(nil, slog.LevelInfo, "boot snapshot stale, recompiling prelude")
 		case err == nil:
-			if _, rerr := core.RestoreSystem(s.sysOptions(), snap); rerr == nil {
-				s.bootSnap.Store(snap)
+			boot, rerr := core.Rehydrate(snap)
+			if rerr == nil {
+				// Verify the way every request will; the system is
+				// discarded, so its stack goes back to the pool.
+				var sys *core.System
+				if sys, rerr = boot.Restore(s.sysOptions()); rerr == nil {
+					sys.Machine.ParkStack()
+				}
+			}
+			if rerr == nil {
+				s.boot.Store(boot)
 				s.flight.Record(obs.Event{Kind: obs.EvSnapshotRestore, Unit: snapBootName})
 				s.log.LogAttrs(nil, slog.LevelInfo, "warm boot from snapshot",
 					slog.String("image", snap.Meta.ImageHash))
@@ -129,10 +139,10 @@ func (s *Server) Boot() error {
 	return s.Checkpoint()
 }
 
-// Checkpoint compiles the prelude from scratch, snapshots the result,
-// makes it the live boot snapshot, and (with a store configured)
-// persists it under the pinned name with the store's crash-safe write
-// protocol. cmd/slcd calls this on SIGUSR1; POST /admin/checkpoint is
+// Checkpoint compiles the prelude from scratch, snapshots and
+// rehydrates the result, makes it the live boot snapshot, and (with a
+// store configured) persists it under the pinned name with the store's
+// crash-safe write protocol. cmd/slcd calls this on SIGUSR1; POST /admin/checkpoint is
 // the HTTP spelling.
 func (s *Server) Checkpoint() error {
 	if s.cfg.Prelude == "" {
@@ -146,7 +156,14 @@ func (s *Server) Checkpoint() error {
 	if err != nil {
 		return fmt.Errorf("daemon: snapshot prelude: %w", err)
 	}
-	s.bootSnap.Store(snap)
+	// The compiling system is done: its 16 MB stack goes back to the
+	// pool for the first request instead of to the garbage collector.
+	sys.Machine.ParkStack()
+	boot, err := core.Rehydrate(snap)
+	if err != nil {
+		return fmt.Errorf("daemon: rehydrate prelude: %w", err)
+	}
+	s.boot.Store(boot)
 	if st := s.cfg.Snapshots; st != nil {
 		if err := st.Save(snapBootName, snap); err != nil {
 			return fmt.Errorf("daemon: checkpoint: %w", err)

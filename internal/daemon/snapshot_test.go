@@ -72,7 +72,7 @@ func TestWarmBootFromStore(t *testing.T) {
 	if st := s2.Stats(); st.SnapshotCheckpoints != 0 {
 		t.Errorf("second boot recompiled instead of restoring, stats %+v", st)
 	}
-	if s2.bootSnap.Load() == nil {
+	if s2.boot.Load() == nil {
 		t.Fatal("second boot has no live snapshot")
 	}
 
@@ -160,11 +160,11 @@ func TestPerRequestRestoreFailureFallsBack(t *testing.T) {
 	if err := s.Boot(); err != nil {
 		t.Fatal(err)
 	}
-	snap := s.bootSnap.Load()
-	if snap == nil {
+	boot := s.boot.Load()
+	if boot == nil {
 		t.Fatal("boot left no snapshot")
 	}
-	snap.Meta.ImageHash = "tampered"
+	boot.Snap.Meta.ImageHash = "tampered"
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	runPrelude(t, ts)

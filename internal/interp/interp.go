@@ -116,6 +116,17 @@ func New() *Interp {
 	}
 }
 
+// Fork returns a new interpreter whose global function and value cells
+// start as copies of in's; the closures they hold are shared, read-only.
+// Output goes nowhere until Out is set, and the counters start at zero.
+func (in *Interp) Fork() *Interp {
+	return &Interp{
+		Globals: maps.Clone(in.Globals),
+		Funcs:   maps.Clone(in.Funcs),
+		Out:     io.Discard,
+	}
+}
+
 // control-flow signals, passed as errors.
 
 type goSignal struct {

@@ -25,7 +25,7 @@ var twoAndHalfAddr = map[Op]bool{
 }
 
 // jumpOps lists opcodes whose last operand is a code label.
-var jumpOps = map[Op]bool{
+var jumpOps = [256]bool{
 	OpJMP: true, OpJEQ: true, OpJNE: true, OpJLT: true, OpJLE: true,
 	OpJGT: true, OpJGE: true, OpFJEQ: true, OpFJNE: true, OpFJLT: true,
 	OpFJLE: true, OpFJGT: true, OpFJGE: true, OpJNIL: true, OpJNNIL: true,

@@ -6,9 +6,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
-	"hash/fnv"
 	"io"
 	"sort"
+	"strconv"
 
 	"repro/internal/sexp"
 )
@@ -57,8 +57,8 @@ type Capture struct {
 	Funcs []CapturedFunc
 }
 
-// ToItems converts captured items back to assembler items.
-func ToItems(cs []CapturedItem) []Item {
+// toItems converts captured items back to assembler items.
+func toItems(cs []CapturedItem) []Item {
 	items := make([]Item, len(cs))
 	for i, c := range cs {
 		if c.IsInstr {
@@ -69,6 +69,25 @@ func ToItems(cs []CapturedItem) []Item {
 		}
 	}
 	return items
+}
+
+// Body is a captured function assembled at address 0: its jump targets
+// are relative to the body's entry until Machine.AddBody rebases them.
+type Body struct {
+	Name             string
+	MinArgs, MaxArgs int
+	Code             []Instr
+}
+
+// AssembleBody resolves a captured function's labels once, so that
+// replaying it into a machine is an append (Machine.AddBody) rather
+// than a fresh assembly.
+func AssembleBody(f *CapturedFunc) (Body, error) {
+	code, _, err := assemble(f.Name, toItems(f.Items), nil)
+	if err != nil {
+		return Body{}, err
+	}
+	return Body{Name: f.Name, MinArgs: f.MinArgs, MaxArgs: f.MaxArgs, Code: code}, nil
 }
 
 // FromItems converts assembler items to the captured value form.
@@ -116,16 +135,49 @@ func (m *Machine) EndCapture() *Capture {
 // break the snapshot layer, which restores every block as old and must
 // still produce the exporting machine's context.
 func (m *Machine) AllocContext() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "syms=%d:%x|funcs=%d|code=%d|boxes=%d|heap=%d|live=%d|since=%d|thr=%d|lim=%d|stress=%t|",
-		len(m.Syms), m.symHash, len(m.Funcs), len(m.Code), len(m.Boxes),
-		len(m.heap), m.liveWords, m.liveSinceGC, m.gcThreshold, m.HeapLimit,
-		m.gcStress)
+	// The fingerprint is FNV-1a over the text
+	//   syms=%d:%x|funcs=%d|code=%d|boxes=%d|heap=%d|live=%d|since=%d|thr=%d|lim=%d|stress=%t|
+	// followed by f<size>=[offsets]| per non-empty small free list and
+	// F<size>=[offsets]| per big one, sizes ascending — built with
+	// strconv rather than fmt because every replayed unit and every
+	// restore computes it.
+	var buf [256]byte
+	b := append(buf[:0], "syms="...)
+	b = strconv.AppendInt(b, int64(len(m.Syms)), 10)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, m.symHash, 16)
+	for _, f := range [...]struct {
+		name string
+		v    int64
+	}{
+		{"|funcs=", int64(len(m.Funcs))}, {"|code=", int64(len(m.Code))},
+		{"|boxes=", int64(len(m.Boxes))}, {"|heap=", int64(len(m.heap))},
+		{"|live=", m.liveWords}, {"|since=", m.liveSinceGC},
+		{"|thr=", m.gcThreshold}, {"|lim=", m.HeapLimit},
+	} {
+		b = append(b, f.name...)
+		b = strconv.AppendInt(b, f.v, 10)
+	}
+	b = append(b, "|stress="...)
+	b = strconv.AppendBool(b, m.gcStress)
+	b = append(b, '|')
 	// Free lists: a replayed allocation must pop the same block a fresh
-	// compile would. Sizes in sorted order for determinism.
+	// compile would.
+	freeList := func(b []byte, kind byte, size int, lst []uint64) []byte {
+		b = append(b, kind)
+		b = strconv.AppendInt(b, int64(size), 10)
+		b = append(b, "=["...)
+		for i, off := range lst {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendUint(b, off, 10)
+		}
+		return append(b, "]|"...)
+	}
 	for n := 0; n <= gcSmallMax; n++ {
 		if lst := m.freeSmall[n]; len(lst) > 0 {
-			fmt.Fprintf(h, "f%d=%v|", n, lst)
+			b = freeList(b, 'f', n, lst)
 		}
 	}
 	if len(m.freeBig) > 0 {
@@ -135,10 +187,14 @@ func (m *Machine) AllocContext() string {
 		}
 		sort.Ints(sizes)
 		for _, n := range sizes {
-			fmt.Fprintf(h, "F%d=%v|", n, m.freeBig[n])
+			b = freeList(b, 'F', n, m.freeBig[n])
 		}
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	h := uint64(0xcbf29ce484222325) // FNV-1a offset basis
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 0x100000001b3
+	}
+	return hex.EncodeToString(binary.BigEndian.AppendUint64(buf[:0], h))
 }
 
 // foldSymHash extends the incremental symbol-name hash with one newly

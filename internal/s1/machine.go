@@ -371,9 +371,39 @@ func (m *Machine) AddFunction(name string, minArgs, maxArgs int, items []Item) (
 		return 0, err
 	}
 	m.Code = code
+	if m.cap != nil {
+		m.cap.Funcs = append(m.cap.Funcs, CapturedFunc{
+			Name: name, MinArgs: minArgs, MaxArgs: maxArgs, Items: FromItems(items),
+		})
+	}
+	return m.registerFunc(name, minArgs, maxArgs, entry), nil
+}
+
+// AddBody installs a body assembled by AssembleBody: its code is appended
+// with the jump targets rebased to where it lands, so a replay skips
+// label resolution. b is only read, so one Body can be installed into
+// any number of machines concurrently. A body carries no items to
+// record, so it cannot be installed while a capture is in progress.
+func (m *Machine) AddBody(b *Body) (int, error) {
+	if m.cap != nil {
+		return 0, fmt.Errorf("s1: cannot install assembled body %s during a capture", b.Name)
+	}
+	entry := len(m.Code)
+	m.Code = append(m.Code, b.Code...)
+	for i := entry; i < len(m.Code); i++ {
+		if jumpOps[m.Code[i].Op] {
+			m.Code[i].target += entry
+		}
+	}
+	return m.registerFunc(b.Name, b.MinArgs, b.MaxArgs, entry), nil
+}
+
+// registerFunc adds the descriptor of the body just appended at entry,
+// decodes it and hands it to the tier; returns the function index.
+func (m *Machine) registerFunc(name string, minArgs, maxArgs, entry int) int {
 	idx := len(m.Funcs)
 	m.Funcs = append(m.Funcs, FuncDesc{
-		Name: name, Entry: entry, End: len(code),
+		Name: name, Entry: entry, End: len(m.Code),
 		MinArgs: minArgs, MaxArgs: maxArgs,
 	})
 	m.funcIdx[name] = idx
@@ -384,12 +414,7 @@ func (m *Machine) AddFunction(name string, minArgs, maxArgs int, items []Item) (
 			t.promote(m, idx)
 		}
 	}
-	if m.cap != nil {
-		m.cap.Funcs = append(m.cap.Funcs, CapturedFunc{
-			Name: name, MinArgs: minArgs, MaxArgs: maxArgs, Items: FromItems(items),
-		})
-	}
-	return idx, nil
+	return idx
 }
 
 // DecodedCovers reports whether the decoded stream covers [entry, end) —

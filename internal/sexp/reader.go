@@ -1,8 +1,10 @@
 package sexp
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -420,16 +422,25 @@ func parseNumber(tok string) (Value, bool) {
 		}
 		return normRat(new(big.Rat).SetFrac(num, den)), true
 	}
-	if x, ok := new(big.Int).SetString(tok, 10); ok {
-		return normBig(x), true
+	// Integers that fit a fixnum parse without a bignum; only overflow
+	// goes through math/big.
+	n, err := strconv.ParseInt(tok, 10, 64)
+	if err == nil {
+		return Fixnum(n), true
 	}
-	if strings.ContainsAny(tok, ".eE") {
-		var f float64
-		if _, err := fmt.Sscanf(tok, "%g", &f); err == nil {
-			// Reject things like "1.2.3" that Sscanf partially accepts.
-			if isFloatToken(tok) {
-				return Flonum(f), true
-			}
+	if errors.Is(err, strconv.ErrRange) {
+		if x, ok := new(big.Int).SetString(tok, 10); ok {
+			return normBig(x), true
+		}
+	}
+	// isFloatToken admits only digits, signs, one dot and one exponent
+	// marker, so ParseFloat never sees the hex, inf/nan or underscore
+	// spellings it would otherwise accept. An exponent too large for a
+	// float64 (ErrRange) leaves the token a symbol; one too small reads
+	// as zero.
+	if strings.ContainsAny(tok, ".eE") && isFloatToken(tok) {
+		if f, err := strconv.ParseFloat(tok, 64); err == nil {
+			return Flonum(f), true
 		}
 	}
 	return nil, false
