@@ -10,6 +10,7 @@ package codegen
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/analysis"
@@ -76,6 +77,12 @@ type Compiler struct {
 	// binds are the function-name lookups of the current Emit.
 	binds []FuncBind
 }
+
+// codeBufs holds emptied abstract-code buffers, handed from one
+// compiled lambda to the next so emission does not regrow a slice from
+// nil for every function. It is a pool rather than a Compiler field so
+// an idle session's compiler keeps no buffer.
+var codeBufs = sync.Pool{New: func() any { return new([]absItem) }}
 
 // FuncBind is one function-name lookup an emission made and the index
 // it got (-1 for none). Emitted code embeds the index of a function
@@ -412,6 +419,13 @@ func (c *Compiler) compileLambda(name string, lam *tree.Lambda, parent *frameCtx
 		jumpBlocks: map[*tree.Lambda]*jumpBlock{},
 		specCache:  map[*sexp.Symbol]*tn.TN{},
 	}
+	buf := codeBufs.Get().(*[]absItem)
+	f.code = (*buf)[:0]
+	defer func() {
+		clear(f.code) // drop the TN and string references
+		*buf = f.code[:0]
+		codeBufs.Put(buf)
+	}()
 	// Heap literals emitted into the body are referenced only by the
 	// item list until AddFunction installs it; they stay pinned until
 	// then (nested lambdas unpin just their own).

@@ -41,7 +41,23 @@ func (f *fc) lower() ([]s1.Item, error) {
 		return s1.Operand{}, cgerrf("TN %s has no location", o.tn.Name)
 	}
 
-	var items []s1.Item
+	// Instructions are carved from one slab instead of allocated one by
+	// one; a repair's extra MOVs that overflow it start another.
+	n := 0
+	for _, it := range f.code {
+		if it.present {
+			n++
+		}
+	}
+	slab := make([]s1.Instr, 0, n)
+	items := make([]s1.Item, 0, len(f.code))
+	put := func(ins s1.Instr) {
+		if len(slab) == cap(slab) {
+			slab = make([]s1.Instr, 0, 8)
+		}
+		slab = append(slab, ins)
+		items = append(items, s1.Item{Instr: &slab[len(slab)-1]})
+	}
 	for _, it := range f.code {
 		if !it.present {
 			items = append(items, s1.LabelItem(it.label))
@@ -67,7 +83,7 @@ func (f *fc) lower() ([]s1.Item, error) {
 			// RT register in the legal first-source position for free.
 			if c.IsRT() && commutative[it.op] {
 				ins.B, ins.C = c, b
-				items = append(items, s1.InstrItem(ins))
+				put(ins)
 				continue
 			}
 			// Repair: route the first source through a free RT register
@@ -85,24 +101,22 @@ func (f *fc) lower() ([]s1.Item, error) {
 				if usesReg(c, s1.RegRTA) {
 					save = s1.RegRTB
 				}
-				items = append(items,
-					s1.InstrItem(s1.Instr{Op: s1.OpMOV, A: s1.R(s1.RegR2), B: s1.R(save),
-						Comment: "save " + s1.RegName(save)}),
-					s1.InstrItem(s1.Instr{Op: s1.OpMOV, A: s1.R(save), B: b}),
-					s1.InstrItem(s1.Instr{Op: ins.Op, A: a, B: s1.R(save), C: c,
-						Comment: ins.Comment}),
-					s1.InstrItem(s1.Instr{Op: s1.OpMOV, A: s1.R(save), B: s1.R(s1.RegR2),
-						Comment: "restore " + s1.RegName(save)}))
+				put(s1.Instr{Op: s1.OpMOV, A: s1.R(s1.RegR2), B: s1.R(save),
+					Comment: "save " + s1.RegName(save)})
+				put(s1.Instr{Op: s1.OpMOV, A: s1.R(save), B: b})
+				put(s1.Instr{Op: ins.Op, A: a, B: s1.R(save), C: c,
+					Comment: ins.Comment})
+				put(s1.Instr{Op: s1.OpMOV, A: s1.R(save), B: s1.R(s1.RegR2),
+					Comment: "restore " + s1.RegName(save)})
 				continue
 			}
-			items = append(items,
-				s1.InstrItem(s1.Instr{Op: s1.OpMOV, A: s1.R(rt), B: b,
-					Comment: "route through RT (packing loss)"}),
-				s1.InstrItem(s1.Instr{Op: ins.Op, A: a, B: s1.R(rt), C: c,
-					Comment: ins.Comment}))
+			put(s1.Instr{Op: s1.OpMOV, A: s1.R(rt), B: b,
+				Comment: "route through RT (packing loss)"})
+			put(s1.Instr{Op: ins.Op, A: a, B: s1.R(rt), C: c,
+				Comment: ins.Comment})
 			continue
 		}
-		items = append(items, s1.InstrItem(ins))
+		put(ins)
 	}
 	return dropSelfMoves(items), nil
 }

@@ -46,6 +46,18 @@ func TestHelperStoreLoop(t *testing.T) {
 	}
 }
 
+// hasPublishedEntry reports whether dir holds a renamed-into-place
+// *.e entry (a temp file's name carries ".e.tmp", not the suffix).
+func hasPublishedEntry(dir string) bool {
+	ents, _ := os.ReadDir(dir)
+	for _, de := range ents {
+		if strings.HasSuffix(de.Name(), ".e") {
+			return true
+		}
+	}
+	return false
+}
+
 // TestKill9StoreTorture hammers the store protocol directly: SIGKILL a
 // tight writer loop repeatedly, then require that recovery leaves only
 // verifiable entries — every lookup either misses or returns an entry
@@ -61,13 +73,11 @@ func TestKill9StoreTorture(t *testing.T) {
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
 		}
-		// Let the child get into the store loop (process startup varies
-		// wildly, e.g. under -race) before aiming the kill at it.
+		// Let the child publish at least one entry (process startup
+		// varies wildly, e.g. under -race, and a temp file can appear
+		// long before its rename) before aiming the kill at it.
 		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			if ents, _ := os.ReadDir(dir); len(ents) > 2 { // .lock + quarantine + entries
-				break
-			}
+		for time.Now().Before(deadline) && !hasPublishedEntry(dir) {
 			time.Sleep(time.Millisecond)
 		}
 		time.Sleep(time.Duration(2+round*3) * time.Millisecond)

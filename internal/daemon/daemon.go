@@ -280,8 +280,8 @@ type Server struct {
 	schedHist   *obs.Histogram
 
 	// arenas recycles request machines' large slices (s1.Arena): a
-	// finished request releases its heap/stack/record storage here and
-	// the next request resets it to the high-water mark instead of
+	// finished request releases its heap, record and code storage here
+	// and the next request resets it to the high-water mark instead of
 	// reallocating.
 	arenas arenaPool
 
@@ -839,7 +839,7 @@ func (s *Server) runRequest(ctx context.Context, req *Request, rq *reqInfo, tk *
 	opts.Obs = rec
 	opts.TraceID = rq.traceID
 	// Build the request machine on a recycled storage arena when the pool
-	// has one: the heap/stack/record slices reset to the previous
+	// has one: the heap, record and code slices reset to the previous
 	// request's high-water mark instead of reallocating.
 	ar := s.arenas.get()
 	recycled := ar.Uses() > 0

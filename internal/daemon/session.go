@@ -4,12 +4,12 @@ package daemon
 // outlives requests: POST /session creates it (optionally evaluating
 // setup source), /run with {"session": id} resumes it with definitions
 // and heap intact, DELETE /session/{id} retires it. Idle sessions are
-// cheap — their 16 MB machine stack is parked into a shared pool and
-// the goroutine-free System is just its heap — which is what lets one
-// node hold thousands of them. Resuming is cheap too: a parked stack
-// carries its dirty mark (one past the highest word written, every
-// word above it zero), so reattaching clears only the words the
-// previous tenant wrote rather than the whole segment.
+// cheap — the goroutine-free System is just its heap plus a small
+// machine stack, owned by its machine, that doubles toward StackLimit
+// only while a program runs deep and is back to its initial 4 KB when
+// the call ends — which is what lets one node hold thousands of them.
+// Resuming costs nothing extra: the machine keeps its stack between
+// requests.
 //
 // Durability: the session *manifest* (ids + tenants) is rewritten on
 // every lifecycle change into <snapdir>/sessions/manifest.json, and a
@@ -207,8 +207,7 @@ func sessionErrStatus(err error) int {
 
 // runSession runs one /compile or /run request inside a resident
 // session's system: claim, clear any stale interrupt from a previous
-// request's deadline, evaluate, and park the machine stack on the way
-// out.
+// request's deadline, evaluate, and release the claim.
 func (s *Server) runSession(ctx context.Context, req *Request, rq *reqInfo, tk *sched.Task, resp *Response) {
 	s.expireSessions()
 	ses, err := s.sessions.claim(req.Session)
@@ -220,7 +219,7 @@ func (s *Server) runSession(ctx context.Context, req *Request, rq *reqInfo, tk *
 	}
 	resp.Session = ses.id
 	m := ses.sys.Machine
-	// A session that hit its deadline last request parks with the kill
+	// A session that hit its deadline last request idles with the kill
 	// signal still latched; running again without clearing it would 504
 	// at the first safepoint (the arena path asserts the same invariant
 	// at adoption).
@@ -236,7 +235,6 @@ func (s *Server) runSession(ctx context.Context, req *Request, rq *reqInfo, tk *
 		s.stats.GCMinorCollections += gm.MinorCollections - gm0.MinorCollections
 		s.stats.GCWordsPromoted += gm.WordsPromoted - gm0.WordsPromoted
 		s.mu.Unlock()
-		m.ParkStack()
 		s.sessions.release(ses)
 	}()
 	s.eval(ctx, tk, ses.sys, req, rq.call, resp)
@@ -245,8 +243,8 @@ func (s *Server) runSession(ctx context.Context, req *Request, rq *reqInfo, tk *
 // createSession is the runFunc of POST /session: build a warm-booted
 // system, evaluate the optional setup source in it like any request
 // (so setup is admitted, preempted, gas-metered and deadlined like a
-// /run), then park it and register it. A session exists only if its
-// setup succeeded.
+// /run), then register it. A session exists only if its setup
+// succeeded.
 func (s *Server) createSession(ctx context.Context, req *Request, rq *reqInfo, tk *sched.Task, resp *Response) {
 	s.expireSessions()
 	opts := s.sysOptions()
@@ -265,7 +263,6 @@ func (s *Server) createSession(ctx context.Context, req *Request, rq *reqInfo, t
 		created: time.Now(), lastUsed: time.Now(),
 	}
 	sys.Machine.ClearInterrupt()
-	sys.Machine.ParkStack()
 	if err := s.sessions.add(ses); err != nil {
 		*resp = Response{status: sessionErrStatus(err),
 			Diagnostics: []DiagJSON{{Severity: "error", Phase: "session", Msg: err.Error()}}}
@@ -466,7 +463,6 @@ func (s *Server) restoreSessions() {
 				slog.String("session", ent.ID), slog.String("err", err.Error()))
 			continue
 		}
-		sys.Machine.ParkStack()
 		ses := &session{
 			id: ent.ID, tenant: ent.Tenant, sys: sys,
 			created: ent.Created, lastUsed: time.Now(), restored: true,

@@ -441,10 +441,10 @@ func TestKill9SessionTorture(t *testing.T) {
 }
 
 // TestManyResidentSessions: a node holds a large resident-session
-// population cheaply (parked machine stacks, no arenas) and any of them
-// resumes correctly. The full 10k-sessions-per-node figure is the
-// BenchmarkScheduler/resident-sessions measurement; this asserts the
-// mechanism at a scale CI can afford.
+// population cheaply (each parked machine keeps only its small initial
+// stack, no arenas) and any of them resumes correctly. The full
+// 10k-sessions-per-node figure is the BenchmarkScheduler/resident-sessions
+// measurement; this asserts the mechanism at a scale CI can afford.
 func TestManyResidentSessions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("creates a thousand sessions")

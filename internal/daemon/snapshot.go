@@ -106,12 +106,9 @@ func (s *Server) Boot() error {
 		case err == nil:
 			boot, rerr := core.Rehydrate(snap)
 			if rerr == nil {
-				// Verify the way every request will; the system is
-				// discarded, so its stack goes back to the pool.
-				var sys *core.System
-				if sys, rerr = boot.Restore(s.sysOptions()); rerr == nil {
-					sys.Machine.ParkStack()
-				}
+				// Verify the way every request will, then discard the
+				// system.
+				_, rerr = boot.Restore(s.sysOptions())
 			}
 			if rerr == nil {
 				s.boot.Store(boot)
@@ -156,9 +153,6 @@ func (s *Server) Checkpoint() error {
 	if err != nil {
 		return fmt.Errorf("daemon: snapshot prelude: %w", err)
 	}
-	// The compiling system is done: its 16 MB stack goes back to the
-	// pool for the first request instead of to the garbage collector.
-	sys.Machine.ParkStack()
 	boot, err := core.Rehydrate(snap)
 	if err != nil {
 		return fmt.Errorf("daemon: rehydrate prelude: %w", err)

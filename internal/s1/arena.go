@@ -1,16 +1,17 @@
 package s1
 
 // Machine-arena reuse (DESIGN.md §15). A request-per-machine server
-// allocates the same few large slices — heap, GC records, card table —
-// for every request, runs a prelude image into them, and drops the lot
-// at request end; the Go allocator pays for that churn. An Arena
-// recycles the storage: when a request finishes, ReleaseArena detaches
-// the machine's slices into the arena, and NewFromArena hands them to
-// the next machine after clearing only the prefix the previous tenant
-// actually dirtied (the high-water mark), not the full capacity. The
-// 16 MB value stack is not the arena's: every machine draws it from
-// stackPool (machine.go), whose dirty mark bounds its reset the same
-// way, so ReleaseArena returns it there.
+// allocates the same few large slices — heap, GC records, card table,
+// code vector and its decoded streams — for every request, runs a
+// prelude image into them, and drops the lot at request end; the Go
+// allocator pays for that churn. An Arena recycles the storage: when a
+// request finishes, ReleaseArena detaches the machine's slices into the
+// arena, and NewFromArena hands them to the next machine after clearing
+// only the prefix the previous tenant actually dirtied (the high-water
+// mark), not the full capacity. The value stack is not the arena's:
+// every machine owns a small stack that doubles toward StackLimit as it
+// deepens (growStack, machine.go), so there is nothing worth recycling
+// there.
 //
 // Ownership is strictly alternating: while a machine holds the slices
 // the arena's fields are nil, so a machine that is dropped without
@@ -28,6 +29,11 @@ type Arena struct {
 	blocks []uint64
 	young  []uint64
 	mark   []uint64
+	// code, decBase and dec are the code vector and decoded streams, for
+	// LoadImage and AddBody to append into instead of regrowing them.
+	code    []Instr
+	decBase []dinstr
+	dec     []dinstr
 	// heapUsed/recsUsed are the dirty prefixes: the slice lengths at
 	// release time. Capacity beyond them has never been written (heap
 	// growth copies into fresh zeroed storage), which is exactly the
@@ -40,6 +46,10 @@ type Arena struct {
 // whose heap outgrew it (a request that ran up against -max-heap) is
 // dropped on Release rather than pinning tens of megabytes in the pool.
 const arenaKeepWords = 1 << 21
+
+// arenaKeepInstrs bounds the code capacity an arena retains the same
+// way (about 3 MB of instructions).
+const arenaKeepInstrs = 1 << 14
 
 // Uses reports how many machines this arena's storage has served.
 func (a *Arena) Uses() int64 { return a.uses }
@@ -75,20 +85,26 @@ func (a *Arena) adopt(m *Machine) {
 	m.gcBlocks = a.blocks[:0]
 	m.youngBlocks = a.young[:0]
 	m.markStack = a.mark[:0]
+	clear(a.code) // drop the previous tenant's strings and closures
+	clear(a.decBase)
+	clear(a.dec)
+	m.Code = append(a.code[:0], m.Code...)
+	m.decBase, m.dec = a.decBase[:0], a.dec[:0]
 	m.arena = a
 	// The slices now belong to the machine until ReleaseArena harvests
 	// them back; nil the arena's references so a machine dropped without
 	// releasing can never alias a later tenant.
 	a.heap, a.recs, a.cards = nil, nil, nil
 	a.blocks, a.young, a.mark = nil, nil, nil
+	a.code, a.decBase, a.dec = nil, nil, nil
 	a.heapUsed, a.recsUsed = 0, 0
 }
 
-// ReleaseArena detaches the machine's recycled slices back into the
-// arena it was built from and returns true, or returns false when the
-// machine owns its memory (not arena-built) or its heap outgrew
-// arenaKeepWords (the heap storage is left to the Go collector). An
-// arena-built machine's stack goes back to stackPool either way. The
+// ReleaseArena detaches the machine's heap and code slices back into
+// the arena it was built from and returns true, or returns false when
+// the machine owns its memory (not arena-built) or its heap outgrew
+// arenaKeepWords (the heap storage is left to the Go collector). The
+// machine's own small stack goes to the Go collector with it. The
 // machine must not run again afterwards.
 func (m *Machine) ReleaseArena() bool {
 	a := m.arena
@@ -96,9 +112,12 @@ func (m *Machine) ReleaseArena() bool {
 		return false
 	}
 	m.arena = nil
-	m.releaseStack()
 	if cap(m.heap) > arenaKeepWords {
 		return false
+	}
+	if cap(m.Code) <= arenaKeepInstrs {
+		a.code, a.decBase, a.dec = m.Code, m.decBase, m.dec
+		m.Code, m.decBase, m.dec = nil, nil, nil
 	}
 	a.heap, a.heapUsed = m.heap, len(m.heap)
 	a.recs, a.recsUsed = m.gcRecs, len(m.gcRecs)

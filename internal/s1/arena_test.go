@@ -1,7 +1,7 @@
 package s1
 
 import (
-	"sync"
+	"errors"
 	"testing"
 
 	"repro/internal/sexp"
@@ -49,13 +49,12 @@ func TestArenaRecyclesStorage(t *testing.T) {
 		t.Error(err)
 	}
 
-	// The stack segment recycles through stackPool with a cleared dirty
-	// prefix: whatever the previous tenant wrote, through any write path,
-	// the next machine reads zeros.
+	// The stack is not the arena's: whatever the previous tenant grew,
+	// through any write path, the next arena machine starts on its own
+	// small stack and reads zero there.
 	for _, w := range stackWritePaths() {
-		w := w
 		t.Run("stack/"+w.name, func(t *testing.T) {
-			checkStackIsolation(t, w, func() *Machine { return NewFromArena(ar) },
+			checkStackGrowth(t, w, func() *Machine { return NewFromArena(ar) },
 				func(t *testing.T, m *Machine) {
 					if !m.ReleaseArena() {
 						t.Fatal("ReleaseArena refused an arena-built machine")
@@ -65,66 +64,28 @@ func TestArenaRecyclesStorage(t *testing.T) {
 	}
 }
 
-// TestParkStackIsolation is the resident-session counterpart of the
-// arena stack case: a session machine that parks its stack hands the
-// segment to whichever machine attaches next, and that machine must not
-// see one word of what the parked tenant wrote.
-func TestParkStackIsolation(t *testing.T) {
+// TestStackGrowth: every stack write path lands a word deep in a fresh
+// machine's small stack by doubling it, and a machine built afterwards
+// starts small again.
+func TestStackGrowth(t *testing.T) {
 	for _, w := range stackWritePaths() {
-		w := w
-		t.Run(w.name, func(t *testing.T) {
-			checkStackIsolation(t, w, New, func(t *testing.T, m *Machine) {
-				if !m.ParkStack() {
-					t.Fatal("ParkStack declined an idle machine")
-				}
-			})
-		})
+		t.Run(w.name, func(t *testing.T) { checkStackGrowth(t, w, New, nil) })
 	}
 }
 
-// TestParkStackConcurrent: machines on several goroutines attach,
-// dirty, and park stacks through the shared pool at once. Every
-// attached segment must read zero past its (fresh) dirty mark, whoever
-// parked it last.
-func TestParkStackConcurrent(t *testing.T) {
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				m := New()
-				if err := m.CheckStackInvariant(); err != nil {
-					t.Error(err)
-					return
-				}
-				deep := uint64(1000 * (g*50 + i + 1))
-				if err := m.store(StackBase+deep, FixnumWord(int64(i+1))); err != nil {
-					t.Error(err)
-					return
-				}
-				if !m.ParkStack() {
-					t.Error("ParkStack declined an idle machine")
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
+// deep is the stack index the write paths aim at: each write reaches it
+// by doubling the stack from initialStackWords to the whole segment.
+const deep = 900_000
 
 // stackWriter writes one nonzero word deep in a fresh machine's stack
-// through a single write path and returns the stack index it wrote. Each
-// path runs in its own tenant, so a path that fails to raise the dirty
-// mark cannot hide under a deeper write from another path.
+// through a single write path and returns the stack index it wrote and
+// the word it must read back there.
 type stackWriter struct {
 	name  string
-	write func(t *testing.T, m *Machine) uint64
+	write func(t *testing.T, m *Machine) (uint64, Word)
 }
 
 func stackWritePaths() []stackWriter {
-	const deep = 900_000
 	// leaf is a callee for the inline-cache paths.
 	leaf := func(t *testing.T, m *Machine, nargs int) (int, int) {
 		idx := addFn(t, m, "leaf", nargs, nargs, []Item{
@@ -134,45 +95,52 @@ func stackWritePaths() []stackWriter {
 		return idx, m.Funcs[idx].Entry
 	}
 	return []stackWriter{
-		{"store", func(t *testing.T, m *Machine) uint64 {
+		{"store", func(t *testing.T, m *Machine) (uint64, Word) {
 			if err := m.store(StackBase+deep, FixnumWord(11)); err != nil {
 				t.Fatal(err)
 			}
-			return deep
+			return deep, FixnumWord(11)
 		}},
-		{"push", func(t *testing.T, m *Machine) uint64 {
+		{"push", func(t *testing.T, m *Machine) (uint64, Word) {
 			m.regs[RegSP] = RawInt(StackBase + deep)
 			if err := m.push(FixnumWord(12)); err != nil {
 				t.Fatal(err)
 			}
-			return deep
+			return deep, FixnumWord(12)
 		}},
-		{"storeFast", func(t *testing.T, m *Machine) uint64 {
+		{"storeFast", func(t *testing.T, m *Machine) (uint64, Word) {
 			// Forced hot at AddFunction, so the store runs as an lMovXI
-			// in the lowered block, SP-relative past the frame.
+			// in the lowered block, SP-relative past the frame. The call
+			// then spins until a preemption stops it, because a finished
+			// call resets the stack.
 			m.SetHotThreshold(0)
 			addFn(t, m, "poke", 0, 0, []Item{
 				InstrItem(Instr{Op: OpMOV, A: Mem(RegSP, deep), B: Imm(FixnumWord(13))}),
+				InstrItem(Instr{Op: OpMOV, A: R(RegRTA), B: ImmInt(100_000)}),
+				LabelItem("spin"),
+				InstrItem(Instr{Op: OpSUB, A: R(RegRTA), B: ImmInt(1)}),
+				InstrItem(Instr{Op: OpJNE, A: R(RegRTA), B: ImmInt(0), C: Lbl("spin")}),
 				InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Imm(NilWord)}),
 				InstrItem(Instr{Op: OpRET}),
 			})
 			if m.TierStats().Promotions == 0 {
 				t.Fatal("poke was not promoted")
 			}
-			if _, err := m.CallFunction("poke"); err != nil {
-				t.Fatal(err)
+			m.Preempt()
+			if _, err := m.CallFunction("poke"); !errors.Is(err, ErrPreempted) {
+				t.Fatalf("poke returned %v, want ErrPreempted", err)
 			}
-			return deep + 4 // the frame's four words sit below SP
+			return deep + 4, FixnumWord(13) // the frame's four words sit below SP
 		}},
-		{"enterFrameIC", func(t *testing.T, m *Machine) uint64 {
+		{"enterFrameIC", func(t *testing.T, m *Machine) (uint64, Word) {
 			idx, entry := leaf(t, m, 0)
 			m.regs[RegSP] = RawInt(StackBase + deep)
 			if !m.enterFrameIC(0, 7, idx, entry) {
 				t.Fatal("enterFrameIC declined")
 			}
-			return deep + 1 // the saved return PC
+			return deep + 1, RawInt(7) // the saved return PC
 		}},
-		{"tailCallIC", func(t *testing.T, m *Machine) uint64 {
+		{"tailCallIC", func(t *testing.T, m *Machine) (uint64, Word) {
 			// A zero-argument frame whose callee reserved three outgoing
 			// argument slots without writing them: the tail call's new
 			// frame words land above everything written so far.
@@ -188,9 +156,9 @@ func stackWritePaths() []stackWriter {
 			if !m.tailCallIC(3, idx, entry) {
 				t.Fatal("tailCallIC declined")
 			}
-			return deep + 2 // the moved saved EP, past the old frame
+			return deep + 2, RawInt(9) // the moved saved EP, past the old frame
 		}},
-		{"LoadImage", func(t *testing.T, m *Machine) uint64 {
+		{"LoadImage", func(t *testing.T, m *Machine) (uint64, Word) {
 			src := New()
 			if err := src.store(StackBase+deep, FixnumWord(14)); err != nil {
 				t.Fatal(err)
@@ -203,44 +171,107 @@ func stackWritePaths() []stackWriter {
 			if err := m.LoadImage(img); err != nil {
 				t.Fatal(err)
 			}
-			return deep
+			return deep, FixnumWord(14)
 		}},
 	}
 }
 
-// checkStackIsolation runs one stack write path in a tenant, retires
-// the tenant by release (ReleaseArena or ParkStack), and requires the
-// next machine — built by fresh from the emptied pool, so it must get
-// the very segment just released — to read zero across the whole
-// segment.
-func checkStackIsolation(t *testing.T, w stackWriter, fresh func() *Machine,
-	release func(*testing.T, *Machine)) {
+// checkStackGrowth runs one stack write path on a machine from fresh,
+// which must start on the initial small stack, and requires the write
+// to land by doubling the stack just far enough, to read back, and to
+// leave every word between the initial top and the write zero. Then it
+// retires the machine (when retire is non-nil) and requires the next
+// machine from fresh to start small again and read zero at the index.
+func checkStackGrowth(t *testing.T, w stackWriter, fresh func() *Machine,
+	retire func(*testing.T, *Machine)) {
 	t.Helper()
-	stackPool.mu.Lock()
-	stackPool.segs = nil
-	stackPool.mu.Unlock()
 	m := fresh()
-	i := w.write(t, m)
-	if m.stack[i] == (Word{}) {
-		t.Fatalf("%s wrote nothing at stack index %d", w.name, i)
+	if len(m.stack) != initialStackWords {
+		t.Fatalf("fresh machine has a %d-word stack, want %d", len(m.stack), initialStackWords)
 	}
-	if err := m.CheckStackInvariant(); err != nil {
-		t.Fatalf("%s: %v", w.name, err)
+	i, want := w.write(t, m)
+	n := initialStackWords
+	for uint64(n) <= i {
+		n *= 2
 	}
-	seg := &m.stack[0]
-	m.regs[RegSP], m.regs[RegFP] = RawInt(StackBase), RawInt(StackBase)
-	release(t, m)
-	next := fresh()
-	if &next.stack[0] != seg {
-		t.Fatal("the released stack segment was not handed to the next machine")
+	if len(m.stack) != n {
+		t.Fatalf("%s: stack has %d words after writing index %d, want %d", w.name, len(m.stack), i, n)
 	}
-	if next.stackDirty != 0 {
-		t.Fatalf("reattached stack has dirty mark %d", next.stackDirty)
+	if got, err := m.load(StackBase + i); err != nil || got != want {
+		t.Fatalf("%s: stack index %d reads %s (%v), want %s", w.name, i, got, err, want)
 	}
-	for j, v := range next.stack {
-		if v != (Word{}) {
-			t.Fatalf("%s: next tenant reads %s at stack index %d", w.name, v, j)
+	for j := initialStackWords; j < deep-4; j++ {
+		if v := m.stack[j]; v != (Word{}) {
+			t.Fatalf("%s: grown stack reads %s at index %d", w.name, v, j)
 		}
+	}
+	if retire != nil {
+		retire(t, m)
+	}
+	next := fresh()
+	if len(next.stack) != initialStackWords {
+		t.Fatalf("%s: next machine has a %d-word stack, want %d", w.name, len(next.stack), initialStackWords)
+	}
+	if v, err := next.load(StackBase + i); err != nil || v != (Word{}) {
+		t.Fatalf("%s: next machine reads %s (%v) at stack index %d", w.name, v, err, i)
+	}
+}
+
+// TestArenaRecyclesCode: the code vector and its decoded streams come
+// back through the arena emptied but with their capacity, and a machine
+// built on them assembles and runs exactly as a fresh one does; a
+// machine whose code outgrew arenaKeepInstrs leaves its code behind.
+func TestArenaRecyclesCode(t *testing.T) {
+	ar := &Arena{}
+	m1 := NewFromArena(ar)
+	for i := 0; i < 50; i++ {
+		buildAdd2(t, m1)
+	}
+	if _, err := m1.CallFunction("add2", FixnumWord(1), FixnumWord(2)); err != nil {
+		t.Fatal(err)
+	}
+	codeCap, decCap := cap(m1.Code), cap(m1.dec)
+	if !m1.ReleaseArena() {
+		t.Fatal("ReleaseArena refused an arena-built machine")
+	}
+
+	m2 := NewFromArena(ar)
+	if cap(m2.Code) != codeCap || cap(m2.dec) != decCap || cap(m2.decBase) < decCap {
+		t.Errorf("second tenant code/dec cap = %d/%d, want recycled %d/%d",
+			cap(m2.Code), cap(m2.dec), codeCap, decCap)
+	}
+	if len(m2.Code) != 1 || m2.Code[0].Op != OpHALT || len(m2.dec) != 0 || len(m2.decBase) != 0 {
+		t.Fatalf("recycled machine code not reset: %d instrs, %d/%d decoded", len(m2.Code), len(m2.dec), len(m2.decBase))
+	}
+	for i, ins := range m2.Code[1:cap(m2.Code)] {
+		if ins.Op != 0 || ins.Comment != "" {
+			t.Fatalf("recycled code keeps the previous tenant's instruction %d: %s", i+1, ins.String())
+		}
+	}
+	for i, d := range m2.dec[:cap(m2.dec)] {
+		if d.run != nil {
+			t.Fatalf("recycled decoded stream keeps the previous tenant's entry %d", i)
+		}
+	}
+	buildAdd2(t, m2)
+	w, err := m2.CallFunction("add2", FixnumWord(30), FixnumWord(12))
+	if err != nil || w != FixnumWord(42) {
+		t.Errorf("(add2 30 12) on recycled code = %s, %v", w, err)
+	}
+	fresh := New()
+	buildAdd2(t, fresh)
+	if got, want := m2.ImageFingerprint(), fresh.ImageFingerprint(); got != want {
+		t.Errorf("recycled-code fingerprint %s, want %s", got, want)
+	}
+
+	for len(m2.Code) <= arenaKeepInstrs {
+		buildAdd2(t, m2)
+	}
+	if !m2.ReleaseArena() {
+		t.Fatal("ReleaseArena refused an arena-built machine")
+	}
+	if m3 := NewFromArena(ar); cap(m3.Code) > arenaKeepInstrs {
+		t.Errorf("arena kept %d instructions of code capacity, bound %d", cap(m3.Code), arenaKeepInstrs)
 	}
 }
 

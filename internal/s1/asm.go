@@ -48,6 +48,7 @@ func assemble(fnName string, items []Item, code []Instr) ([]Instr, int, error) {
 		}
 		pc++
 	}
+	code = reserve(code, pc-entry)
 	idx := 0
 	for _, it := range items {
 		if it.Instr == nil {
@@ -77,6 +78,18 @@ func assemble(fnName string, items []Item, code []Instr) ([]Instr, int, error) {
 		idx++
 	}
 	return code, entry, nil
+}
+
+// reserve returns s with room for n more elements, doubling its
+// capacity when it must grow: append grows a large slice by a quarter,
+// which would copy a load's code vector several times over.
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	t := make([]T, len(s), max(2*cap(s), len(s)+n))
+	copy(t, s)
+	return t
 }
 
 // lastOperand returns the label-carrying operand of a jump.

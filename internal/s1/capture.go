@@ -222,7 +222,7 @@ func (m *Machine) foldSymHash(name string) {
 // prefixed by its length), so the hash costs a pass over the image, not
 // a formatted listing of it.
 func (m *Machine) ImageFingerprint() string {
-	w := imageHasher{h: sha256.New(), buf: make([]byte, 0, 8192)}
+	w := imageHasher{h: sha256.New(), buf: make([]byte, 0, 1024)}
 	w.u64(uint64(len(m.Code)))
 	for i := range m.Code {
 		in := &m.Code[i]

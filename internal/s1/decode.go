@@ -55,6 +55,9 @@ func (m *Machine) ensureDecoded() {
 
 // decodeRange decodes Code[lo:hi) and extends the dispatch stream.
 func (m *Machine) decodeRange(lo, hi int) {
+	// Both streams mirror Code, so they take its capacity.
+	m.decBase = reserve(m.decBase, cap(m.Code)-len(m.decBase))
+	m.dec = reserve(m.dec, cap(m.Code)-len(m.dec))
 	for pc := lo; pc < hi; pc++ {
 		m.decBase = append(m.decBase, decodeOne(pc, &m.Code[pc]))
 	}
@@ -952,13 +955,13 @@ func decENDCATCH(pc int, ins *Instr) dexec {
 func decCALLSQ(pc int, ins *Instr) dexec {
 	cost, next := cycleCost[OpCALLSQ], pc+1
 	idx := int(ins.TagArg)
-	// callSQ reads operands off the instruction; capture a copy, not the
-	// *Instr — Code's backing array is reallocated by later appends.
-	insCopy := *ins
+	// callSQ reads the B and C operands; capture copies, not the *Instr
+	// — Code's backing array is reallocated by later appends.
+	b, c := ins.B, ins.C
 	return func(m *Machine) error {
 		m.tick(OpCALLSQ, cost)
 		m.Stats.SQCalls++
-		jumped, err := m.callSQ(idx, &insCopy)
+		jumped, err := m.callSQ(idx, &b, &c)
 		if err != nil {
 			return err
 		}

@@ -56,15 +56,14 @@ func lispTierSystem(t *testing.T, k runtimeKernel, mode string, profile bool) *c
 	return sys
 }
 
-// checkStackMarks fails the test when any system's stack holds a nonzero
-// word at or above its dirty mark: a stack write site that forgot to
-// raise the mark, which would leak that word to the segment's next
-// tenant. Run after every differential run, so each engine mode
-// (tier, GC) exercises its own write paths against the mark.
-func checkStackMarks(t *testing.T, systems map[string]*core.System) {
+// checkStackRegs fails the test when any system's SP or FP has left the
+// stack segment or its stack is not a doubling of the initial size. Run
+// after every differential run, so each engine mode (tier, GC) checks
+// its own frame paths.
+func checkStackRegs(t *testing.T, systems map[string]*core.System) {
 	t.Helper()
 	for name, sys := range systems {
-		if err := sys.Machine.CheckStackInvariant(); err != nil {
+		if err := sys.Machine.CheckStackRegs(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
@@ -101,7 +100,7 @@ func TestLispDifferentialFusedVsUnfused(t *testing.T) {
 			if fused.Machine.TierStats().LoweredBlocks == 0 {
 				t.Errorf("%s lowered no blocks", k.name)
 			}
-			checkStackMarks(t, map[string]*core.System{"fused": fused, "unfused": unfused})
+			checkStackRegs(t, map[string]*core.System{"fused": fused, "unfused": unfused})
 		})
 	}
 }
@@ -132,7 +131,7 @@ func TestLispDifferentialTierModes(t *testing.T) {
 					t.Fatalf("%s: %v", mode, err)
 				}
 				runs[mode] = outcome{sys: sys, val: sexp.Print(v)}
-				checkStackMarks(t, map[string]*core.System{mode: sys})
+				checkStackRegs(t, map[string]*core.System{mode: sys})
 			}
 			ref := runs["notier"]
 			for _, name := range []string{"tiered", "forcehot"} {
@@ -180,7 +179,7 @@ func TestLispDifferentialGCStress(t *testing.T) {
 			if err := stressed.Machine.CheckHeapInvariants(); err != nil {
 				t.Errorf("heap invariants after stressed run: %v", err)
 			}
-			checkStackMarks(t, map[string]*core.System{"plain": plain, "stressed": stressed})
+			checkStackRegs(t, map[string]*core.System{"plain": plain, "stressed": stressed})
 		})
 	}
 }
@@ -210,7 +209,7 @@ func TestProfileStableAcrossFusion(t *testing.T) {
 				if _, err := sys.Call(k.fn, k.args...); err != nil {
 					t.Fatalf("%s: %v", mode, err)
 				}
-				checkStackMarks(t, map[string]*core.System{mode: sys})
+				checkStackRegs(t, map[string]*core.System{mode: sys})
 				var buf strings.Builder
 				sys.Machine.WriteProfile(&buf)
 				profiles[mode] = stripWallClock(buf.String())

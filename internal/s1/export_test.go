@@ -1,40 +1,23 @@
 package s1
 
 import (
-	"bytes"
 	"fmt"
 	"unsafe"
 )
 
-// CheckStackInvariant verifies the dirty-mark invariant: every stack
-// word at or above stackDirty is zero. A stack write that bypasses the
-// mark fails it, and would otherwise leak that word to the segment's
-// next tenant. The scan covers the whole 16 MB segment, so it is a test
-// oracle for the differential suites only, deliberately kept out of
-// CheckHeapInvariants (which runs on every LoadImage). It lives in a
-// test file so package s1_test tests in this directory can call it
-// while the program never carries it.
-func (m *Machine) CheckStackInvariant() error {
-	if m.stack == nil {
-		return nil
-	}
-	if len(m.stack) != StackLimit-StackBase {
-		return fmt.Errorf("s1: stack segment has %d words, want %d", len(m.stack), StackLimit-StackBase)
-	}
-	// Fast path: one vectorized byte count over the region, which also
-	// keeps the -race legs from instrumenting a million word reads per
-	// check. Only a nonzero byte (possibly struct padding) falls through
-	// to the exact word comparison.
-	rest := m.stack[m.stackDirty:]
-	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(rest))), len(rest)*int(unsafe.Sizeof(Word{})))
-	if bytes.Count(raw, []byte{0}) == len(raw) {
-		return nil
-	}
-	for i := m.stackDirty; i < uint64(len(m.stack)); i++ {
-		if m.stack[i] != (Word{}) {
-			return fmt.Errorf("s1: stack word %#x = %s at or above the dirty mark %#x",
-				StackBase+i, m.stack[i], StackBase+m.stackDirty)
+// CheckStackRegs verifies that SP and FP lie within [StackBase,
+// StackLimit] and that the stack is a doubling of its initial size no
+// larger than the segment. It lives in a test file so package s1_test
+// tests in this directory can call it while the program never carries
+// it.
+func (m *Machine) CheckStackRegs() error {
+	for _, r := range []uint8{RegSP, RegFP} {
+		if a := m.regs[r].Bits; a < StackBase || a > StackLimit {
+			return fmt.Errorf("s1: register %d = %#x outside the stack segment [%#x, %#x]", r, a, StackBase, StackLimit)
 		}
+	}
+	if n := len(m.stack); n < initialStackWords || n > StackLimit-StackBase || n&(n-1) != 0 {
+		return fmt.Errorf("s1: stack has %d words, want a power of two in [%d, %d]", n, initialStackWords, StackLimit-StackBase)
 	}
 	return nil
 }
@@ -50,6 +33,33 @@ func (m *Machine) CheckDispatchIsBase() error {
 	for pc := range m.dec {
 		if d, b := m.dec[pc], m.decBase[pc]; d.n != b.n || closure(d.run) != closure(b.run) {
 			return fmt.Errorf("s1: dispatch entry %d is not the base entry (n=%d, base n=%d)", pc, d.n, b.n)
+		}
+	}
+	return nil
+}
+
+// InitialStackWords is a new or idle machine's stack size in words.
+const InitialStackWords = initialStackWords
+
+// StackLen reports how many words the machine's stack has grown to.
+func (m *Machine) StackLen() int { return len(m.stack) }
+
+// CheckZeroAboveSP verifies that every stack word from SP up to the
+// stack's end reads zero, and that addresses past the end up to
+// StackLimit read zero through load.
+func (m *Machine) CheckZeroAboveSP() error {
+	sp := m.regs[RegSP].Bits
+	for i := sp - StackBase; i < uint64(len(m.stack)); i++ {
+		if m.stack[i] != (Word{}) {
+			return fmt.Errorf("s1: stack word %#x = %s above SP %#x", StackBase+i, m.stack[i], sp)
+		}
+	}
+	for _, a := range []uint64{StackBase + uint64(len(m.stack)), StackLimit - 1} {
+		if a < max(sp, StackBase+uint64(len(m.stack))) {
+			continue
+		}
+		if w, err := m.load(a); err != nil || w != (Word{}) {
+			return fmt.Errorf("s1: stack address %#x past the stack's end reads %s (%v)", a, w, err)
 		}
 	}
 	return nil

@@ -283,10 +283,11 @@ func (m *Machine) markRoots(minor bool) {
 	for _, r := range m.regs {
 		m.markPush(r, minor)
 	}
-	sp := m.regs[RegSP].Bits
-	if IsStackAddr(sp) {
-		for a := uint64(StackBase); a < sp; a++ {
-			m.markPush(m.stack[a-StackBase], minor)
+	// Words between the stack's end and SP (slots ADD SP reserved and
+	// nothing wrote) are zero, so the scan stops at whichever comes first.
+	if sp := m.regs[RegSP].Bits; IsStackAddr(sp) {
+		for _, w := range m.stack[:min(sp-StackBase, uint64(len(m.stack)))] {
+			m.markPush(w, minor)
 		}
 	}
 	for _, b := range m.bindStack {

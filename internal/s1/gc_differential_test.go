@@ -108,7 +108,7 @@ func TestLispDifferentialGenVsNoGen(t *testing.T) {
 					t.Errorf("%s heap invariants: %v", name, err)
 				}
 			}
-			checkStackMarks(t, map[string]*core.System{"gen": gen, "nogen": nogen})
+			checkStackRegs(t, map[string]*core.System{"gen": gen, "nogen": nogen})
 			// Only gc-cons allocates enough in a single call to cross its
 			// threshold (the other kernels collect only across the bench
 			// loop's many iterations), so it alone anchors the requirement
@@ -154,7 +154,7 @@ func TestLispDifferentialMinorStress(t *testing.T) {
 			if err := stressed.Machine.CheckHeapInvariants(); err != nil {
 				t.Errorf("heap invariants after minor-stressed run: %v", err)
 			}
-			checkStackMarks(t, map[string]*core.System{"plain": plain, "stressed": stressed})
+			checkStackRegs(t, map[string]*core.System{"plain": plain, "stressed": stressed})
 		})
 	}
 }

@@ -113,7 +113,10 @@ func (m *Machine) ExportImage() (*Image, error) {
 		img.Boxes[i] = sexp.Print(b)
 	}
 	if sp := m.regs[RegSP].Bits; IsStackAddr(sp) {
-		img.Stack = append([]Word(nil), m.stack[:sp-StackBase]...)
+		// Zero-padded up to SP when SP sits past the stack's end, so the
+		// image is the same however far the stack has grown.
+		img.Stack = make([]Word, sp-StackBase)
+		copy(img.Stack, m.stack)
 	}
 	for _, off := range m.gcBlocks {
 		rec := m.gcRecs[off]
@@ -215,7 +218,7 @@ func (m *Machine) LoadImage(img *Image) error {
 		boxes[i] = v
 	}
 
-	m.Code = append([]Instr(nil), img.Code...)
+	m.Code = append(m.Code[:0], img.Code...)
 	for i := range m.Code {
 		m.Code[i].target = int(img.Targets[i])
 	}
@@ -284,16 +287,17 @@ func (m *Machine) LoadImage(img *Image) error {
 	m.gcThreshold = img.GCThreshold
 
 	copy(m.regs[:], img.Regs)
-	m.ensureStack()
+	for len(img.Stack) > len(m.stack) {
+		m.growStack()
+	}
 	copy(m.stack, img.Stack)
-	m.stackDirty = max(m.stackDirty, uint64(len(img.Stack)))
 	m.pc, m.halted = 0, false
 
 	// Derived execution state: decode the whole restored code vector,
 	// then bring the tier engine's tables up to size — promoting
 	// everything when the machine is configured forced hot, exactly as
 	// AddFunction would have.
-	m.decBase, m.dec, m.tierHeads = nil, nil, nil
+	m.decBase, m.dec, m.tierHeads = m.decBase[:0], m.dec[:0], nil
 	m.ensureDecoded()
 	if t := m.tier; t != nil {
 		t.ensure(len(m.Funcs))

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -116,16 +114,12 @@ type Machine struct {
 	symIdx   map[string]int
 	primHook PrimHook
 
+	// stack holds the words from StackBase up, initialStackWords at
+	// first; growStack doubles it toward StackLimit. ADD SP reserves
+	// frame slots without writing, so SP may sit above len(stack); a
+	// stack address past the end reads as the zero word.
 	stack []Word
-	// stackDirty is the stack's dirty mark: one past the highest stack
-	// index written since the storage was last cleared. Every word at or
-	// above it is zero (the tests check this with CheckStackInvariant),
-	// so recycling the segment clears only stack[:stackDirty] — the
-	// words this machine actually wrote — instead of all 16 MB. Every
-	// stack write site raises it: store, push, storeFast, enterFrameIC,
-	// tailCallIC, LoadImage.
-	stackDirty uint64
-	heap       []Word
+	heap  []Word
 	// GC state (gc.go). gcRecs parallels heap: the entry at a block's
 	// start offset holds its record; interior entries stay zero. Offsets
 	// into heap are dense, so slices replace the address-keyed maps the
@@ -351,11 +345,8 @@ func newMachine(a *Arena) *Machine {
 		funcIdx:   map[string]int{},
 		symIdx:    map[string]int{},
 		tier:      &tierEngine{threshold: DefaultHotThreshold},
+		stack:     make([]Word, initialStackWords),
 	}
-	// Draw from the shared stack pool rather than always allocating: a
-	// server creating thousands of short-lived or parked machines
-	// recycles the same few 16 MB slices.
-	m.ensureStack()
 	if a != nil {
 		a.adopt(m)
 	}
@@ -389,7 +380,7 @@ func (m *Machine) AddBody(b *Body) (int, error) {
 		return 0, fmt.Errorf("s1: cannot install assembled body %s during a capture", b.Name)
 	}
 	entry := len(m.Code)
-	m.Code = append(m.Code, b.Code...)
+	m.Code = append(reserve(m.Code, len(b.Code)), b.Code...)
 	for i := entry; i < len(m.Code); i++ {
 		if jumpOps[m.Code[i].Op] {
 			m.Code[i].target += entry
@@ -499,7 +490,10 @@ func (m *Machine) ConsFlonum(f float64) Word {
 func (m *Machine) load(addr uint64) (Word, error) {
 	switch {
 	case IsStackAddr(addr):
-		return m.stack[addr-StackBase], nil
+		if i := addr - StackBase; i < uint64(len(m.stack)) {
+			return m.stack[i], nil
+		}
+		return Word{}, nil
 	case addr >= HeapBase && addr < HeapBase+uint64(len(m.heap)):
 		return m.heap[addr-HeapBase], nil
 	}
@@ -510,10 +504,10 @@ func (m *Machine) store(addr uint64, w Word) error {
 	switch {
 	case IsStackAddr(addr):
 		i := addr - StackBase
-		m.stack[i] = w
-		if i >= m.stackDirty {
-			m.stackDirty = i + 1
+		for i >= uint64(len(m.stack)) {
+			m.growStack()
 		}
+		m.stack[i] = w
 		return nil
 	case addr >= HeapBase && addr < HeapBase+uint64(len(m.heap)):
 		// Write barrier: record the card so a minor collection treats this
@@ -581,14 +575,16 @@ func (m *Machine) setValue(o Operand, w Word) error {
 }
 
 func (m *Machine) push(w Word) error {
-	sp := m.regs[RegSP].Bits
-	i := sp - StackBase // wraps past the segment when sp < StackBase
-	if i >= StackLimit-StackBase {
-		return &RuntimeError{PC: m.pc, Msg: "stack overflow"}
+	sp := &m.regs[RegSP]
+	i := sp.Bits - StackBase // wraps past the segment when SP < StackBase
+	for i >= uint64(len(m.stack)) {
+		if i >= StackLimit-StackBase {
+			return &RuntimeError{PC: m.pc, Msg: "stack overflow"}
+		}
+		m.growStack()
 	}
 	m.stack[i] = w
-	m.stackDirty = max(m.stackDirty, i+1)
-	m.regs[RegSP] = RawInt(int64(sp + 1))
+	sp.Bits++
 	m.Stats.MaxStack = max(m.Stats.MaxStack, int64(i+1))
 	return nil
 }
@@ -599,7 +595,10 @@ func (m *Machine) pop() (Word, error) {
 		return Word{}, &RuntimeError{PC: m.pc, Msg: "stack underflow"}
 	}
 	m.regs[RegSP] = RawInt(int64(sp))
-	return m.stack[sp-StackBase], nil
+	if i := sp - StackBase; i < uint64(len(m.stack)) {
+		return m.stack[i], nil
+	}
+	return Word{}, nil
 }
 
 // resolveFn resolves a callable word to a descriptor index and
@@ -641,7 +640,8 @@ func (m *Machine) CallFunction(name string, args ...Word) (Word, error) {
 
 // CallIndex invokes function index idx with args. The same panic
 // barrier as Run guards the frame setup (argument pushes may allocate
-// under a heap limit).
+// under a heap limit). Unless the call was preempted, it returns with
+// the stack reset to a zeroed initial-size one (resetStack).
 func (m *Machine) CallIndex(idx int, args ...Word) (w Word, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -652,6 +652,9 @@ func (m *Machine) CallIndex(idx int, args ...Word) (w Word, err error) {
 				err = &RuntimeError{PC: m.pc, Msg: fmt.Sprintf("machine fault: %v", r)}
 			}
 		}
+		if !errors.Is(err, ErrPreempted) { // a preempted call resumes on it
+			m.resetStack()
+		}
 	}()
 	if p := m.prof; p != nil {
 		p.restart(m)
@@ -659,7 +662,6 @@ func (m *Machine) CallIndex(idx int, args ...Word) (w Word, err error) {
 	if t := m.tier; t != nil {
 		t.restart()
 	}
-	m.ensureStack()
 	m.regs[RegSP] = RawInt(StackBase)
 	m.regs[RegFP] = RawInt(StackBase)
 	m.regs[RegEP] = NilWord
@@ -731,7 +733,6 @@ func (m *Machine) Run() (err error) {
 		}
 	}()
 	m.ensureDecoded()
-	m.ensureStack()
 	dec, limit := m.dec, m.StepLimit
 	// Safepoints are spaced by retired instructions, not dispatches: a
 	// lowered-block dispatch can retire blockChunk instructions, so a
@@ -873,81 +874,28 @@ func (m *Machine) ResetStats() {
 	m.safeCharged = 0
 }
 
-// stackPool is the one recycler of full-size machine stacks. Parked
-// session machines (ParkStack) and released request machines
-// (ReleaseArena) hand their segment back as stack[:stackDirty] — the
-// slice length carries the dirty mark, the capacity is the full
-// segment — and ensureStack clears just that prefix when it reattaches
-// one. Reset therefore costs time proportional to the words the last
-// tenant wrote, not the 16 MB segment, and because every word past the
-// mark is already zero a program that reads stack slots it never wrote
-// still cannot see another tenant's words. Clearing on attach rather
-// than release keeps park and release O(1).
-//
-// It is a bounded LIFO rather than a sync.Pool: a sync.Pool empties
-// itself every other GC cycle, and under slcd's allocation rate that
-// sent a steady trickle of machines to a fresh 16 MB allocation, whose
-// zeroing costs what the dirty mark saves. It retains at most
-// GOMAXPROCS segments, the default number of machines slcd runs at once
-// (its Workers); a segment released into a full pool is left to the Go
-// collector.
-var stackPool struct {
-	mu   sync.Mutex
-	segs [][]Word
+// initialStackWords is a new machine's stack size in words (4 KB). A
+// short request rarely outgrows it, and an idle session machine keeps
+// only this much; a deep program pays one copy per doubling instead.
+const initialStackWords = 256
+
+// resetStack leaves a zeroed initial-size stack once a call is over: an
+// idle machine (a parked session) then holds initialStackWords however
+// deep its last call ran, and the next call starts on zeros.
+func (m *Machine) resetStack() {
+	if len(m.stack) > initialStackWords {
+		m.stack = make([]Word, initialStackWords)
+	} else {
+		clear(m.stack)
+	}
 }
 
-// ensureStack attaches stack storage to a machine whose stack was
-// parked (or never allocated). Idempotent and cheap when the stack is
-// already present.
-func (m *Machine) ensureStack() {
-	if m.stack != nil {
-		return
-	}
-	m.stackDirty = 0
-	stackPool.mu.Lock()
-	if n := len(stackPool.segs); n > 0 {
-		v := stackPool.segs[n-1]
-		stackPool.segs[n-1] = nil
-		stackPool.segs = stackPool.segs[:n-1]
-		stackPool.mu.Unlock()
-		clear(v)
-		m.stack = v[:cap(v)]
-		return
-	}
-	stackPool.mu.Unlock()
-	m.stack = make([]Word, StackLimit-StackBase)
-}
-
-// releaseStack hands the machine's stack segment to stackPool, its
-// length trimmed to the dirty mark, and detaches it from the machine.
-func (m *Machine) releaseStack() {
-	if m.stack == nil {
-		return
-	}
-	retain := runtime.GOMAXPROCS(0)
-	stackPool.mu.Lock()
-	if len(stackPool.segs) < retain {
-		stackPool.segs = append(stackPool.segs, m.stack[:m.stackDirty])
-	}
-	stackPool.mu.Unlock()
-	m.stack, m.stackDirty = nil, 0
-}
-
-// ParkStack detaches the machine's stack into the shared pool and
-// returns true. Only legal between runs; the next Run/CallIndex
-// reattaches storage automatically. A machine with live frames (SP
-// above the stack base, e.g. after an interrupted run) declines:
-// parking would silently replace those frames with zeros under a live
-// SP, which the GC scans.
-func (m *Machine) ParkStack() bool {
-	if m.stack == nil {
-		return false
-	}
-	if sp := m.regs[RegSP].Bits; IsStackAddr(sp) && sp != StackBase {
-		return false
-	}
-	m.releaseStack()
-	return true
+// growStack doubles the stack, the one way it grows: callers repeat it
+// until the index they write fits, having checked that the index lies in
+// the segment. The added half reads zero, and stack addresses, being
+// offsets from StackBase, stay valid across the move.
+func (m *Machine) growStack() {
+	m.stack = append(m.stack, make([]Word, len(m.stack))...)
 }
 
 // HeapLoad reads a heap word (for tests and the disassembler).

@@ -99,9 +99,9 @@ type PrimHook func(name string, args []sexp.Value) (sexp.Value, error)
 // SetPrimHook installs the fallback primitive implementation.
 func (m *Machine) SetPrimHook(h PrimHook) { m.primHook = h }
 
-// callSQ executes a system routine; jumped reports that control
-// transferred (pc already set).
-func (m *Machine) callSQ(idx int, ins *Instr) (bool, error) {
+// callSQ executes a system routine with its CALLSQ operands b and c;
+// jumped reports that control transferred (pc already set).
+func (m *Machine) callSQ(idx int, b, c *Operand) (bool, error) {
 	m.Stats.Cycles += sqCost[idx]
 	if p := m.prof; p != nil {
 		// The CALLSQ dispatch was already counted in step; the routine's
@@ -197,7 +197,7 @@ func (m *Machine) callSQ(idx int, ins *Instr) (bool, error) {
 		}
 
 	case SQList:
-		n, err := m.value(ins.B)
+		n, err := m.value(*b)
 		if err != nil {
 			return false, err
 		}
@@ -240,7 +240,7 @@ func (m *Machine) callSQ(idx int, ins *Instr) (bool, error) {
 		}
 
 	case SQSpecFind:
-		symOp, err := m.value(ins.B)
+		symOp, err := m.value(*b)
 		if err != nil {
 			return false, err
 		}
@@ -260,7 +260,7 @@ func (m *Machine) callSQ(idx int, ins *Instr) (bool, error) {
 		setA(B)
 
 	case SQSpecReadSym:
-		symOp, err := m.value(ins.B)
+		symOp, err := m.value(*b)
 		if err != nil {
 			return false, err
 		}
@@ -271,7 +271,7 @@ func (m *Machine) callSQ(idx int, ins *Instr) (bool, error) {
 		setA(w)
 
 	case SQSpecWriteSym:
-		symOp, err := m.value(ins.B)
+		symOp, err := m.value(*b)
 		if err != nil {
 			return false, err
 		}
@@ -283,7 +283,7 @@ func (m *Machine) callSQ(idx int, ins *Instr) (bool, error) {
 		return m.throw(A, B)
 
 	case SQRestify:
-		k, err := m.value(ins.B)
+		k, err := m.value(*b)
 		if err != nil {
 			return false, err
 		}
@@ -317,11 +317,11 @@ func (m *Machine) callSQ(idx int, ins *Instr) (bool, error) {
 		return true, nil
 
 	case SQPrim:
-		nameOp, err := m.value(ins.B)
+		nameOp, err := m.value(*b)
 		if err != nil {
 			return false, err
 		}
-		argcOp, err := m.value(ins.C)
+		argcOp, err := m.value(*c)
 		if err != nil {
 			return false, err
 		}
@@ -349,7 +349,7 @@ func (m *Machine) callSQ(idx int, ins *Instr) (bool, error) {
 	case SQPrimFrame:
 		// The body of a primitive stub function: gather this frame's
 		// arguments and invoke the fallback primitive.
-		nameOp, err := m.value(ins.B)
+		nameOp, err := m.value(*b)
 		if err != nil {
 			return false, err
 		}

@@ -566,26 +566,25 @@ func (m *Machine) lAddr(op *lop) uint64 {
 // Lowered blocks use it so the common stack/heap access stays inline;
 // the generic engine keeps the single portable path.
 func (m *Machine) loadFast(addr uint64) (Word, bool) {
-	if IsStackAddr(addr) {
-		return m.stack[addr-StackBase], true
+	if i := addr - StackBase; i < uint64(len(m.stack)) {
+		return m.stack[i], true
 	}
 	if h := addr - HeapBase; h < uint64(len(m.heap)) {
 		return m.heap[h], true
 	}
-	return Word{}, false
+	// A stack word the stack has not grown to yet reads zero.
+	return Word{}, IsStackAddr(addr)
 }
 
 // storeFast is the inlinable no-error slice of Machine.store, write
 // barrier included: lowered blocks mutate heap blocks through here, so
 // the card dirty must match Machine.store exactly or the generational
-// differential suite diverges.
+// differential suite diverges. ok=false (a bad address, or a stack
+// address past the stack's end) sends the caller to the full store,
+// which grows the stack or reports the address.
 func (m *Machine) storeFast(addr uint64, w Word) bool {
-	if IsStackAddr(addr) {
-		i := addr - StackBase
+	if i := addr - StackBase; i < uint64(len(m.stack)) {
 		m.stack[i] = w
-		if i >= m.stackDirty {
-			m.stackDirty = i + 1
-		}
 		return true
 	}
 	if h := addr - HeapBase; h < uint64(len(m.heap)) {
@@ -906,22 +905,22 @@ func (m *Machine) icTarget(op *lop) (fnw Word, fn, entry int, ok bool) {
 
 // enterFrameIC is the CALL microcode for a cache-verified direct
 // function (nil environment), with the four frame pushes bounds-checked
-// once. ok=false declines near the stack limit without mutating
-// anything; the caller takes the generic path for exact overflow
-// semantics.
+// once (growing the stack if they run past its end). ok=false declines
+// near the stack limit without mutating anything; the caller takes the
+// generic path for exact overflow semantics.
 func (m *Machine) enterFrameIC(nargs, retPC, fn, entry int) bool {
 	sp := m.regs[RegSP].Bits
 	if !IsStackAddr(sp) || sp+4 > StackLimit {
 		return false
 	}
 	b := sp - StackBase
+	for b+4 > uint64(len(m.stack)) {
+		m.growStack()
+	}
 	m.stack[b] = RawInt(int64(nargs))
 	m.stack[b+1] = RawInt(int64(retPC))
 	m.stack[b+2] = m.regs[RegFP]
 	m.stack[b+3] = m.regs[RegEP]
-	if b+4 > m.stackDirty {
-		m.stackDirty = b + 4
-	}
 	nsp := RawInt(int64(sp + 4))
 	m.regs[RegSP] = nsp
 	if d := int64(sp + 4 - StackBase); d > m.Stats.MaxStack {
@@ -944,17 +943,20 @@ func (m *Machine) enterFrameIC(nargs, retPC, fn, entry int) bool {
 // tailCallIC is the TCALL microcode for a cache-verified direct
 // function: the k outgoing arguments move down over the old frame with
 // one copy (no intermediate slice). ok=false declines on any bound
-// irregularity without mutating anything.
+// irregularity without mutating anything, and whenever the frame or the
+// arguments reach past the stack's end (slots ADD SP reserved and
+// nothing wrote): the generic path reads those as zero and grows.
 func (m *Machine) tailCallIC(k, fn, entry int) bool {
 	fp := int64(m.regs[RegFP].Bits)
 	sp := int64(m.regs[RegSP].Bits)
-	if fp-4 < StackBase || fp > StackLimit || sp-int64(k) < StackBase || sp > StackLimit {
+	top := StackBase + int64(len(m.stack))
+	if fp-4 < StackBase || fp > top || sp-int64(k) < StackBase || sp > top {
 		return false
 	}
 	fb := uint64(fp) - StackBase
 	nw := m.stack[fb-4].Int()
 	newBase := fp - 4 - nw
-	if newBase < StackBase || newBase+int64(k)+4 > StackLimit {
+	if newBase < StackBase || newBase+int64(k)+4 > top {
 		return false
 	}
 	savedRet := m.stack[fb-3]
@@ -966,9 +968,6 @@ func (m *Machine) tailCallIC(k, fn, entry int) bool {
 	m.stack[dst+uint64(k)+1] = savedRet
 	m.stack[dst+uint64(k)+2] = savedFP
 	m.stack[dst+uint64(k)+3] = savedEP
-	if top := dst + uint64(k) + 4; top > m.stackDirty {
-		m.stackDirty = top
-	}
 	nsp := newBase + int64(k) + 4
 	m.regs[RegSP] = RawInt(nsp)
 	if d := nsp - StackBase; d > m.Stats.MaxStack {
@@ -1065,19 +1064,23 @@ func (m *Machine) runBlock(ops []lop, i int) error {
 		case lMovXR:
 			if !m.storeFast(m.lAddr(op), m.regs[op.d]) {
 				m.pc = int(op.pc)
-				m.Stats.Instrs += instrs
-				m.Stats.Cycles += cycles
-				m.Stats.Movs += movs
-				return m.store(m.lAddr(op), m.regs[op.d])
+				if err := m.store(m.lAddr(op), m.regs[op.d]); err != nil {
+					m.Stats.Instrs += instrs
+					m.Stats.Cycles += cycles
+					m.Stats.Movs += movs
+					return err
+				}
 			}
 			movs++
 		case lMovXI:
 			if !m.storeFast(m.lAddr(op), op.imm) {
 				m.pc = int(op.pc)
-				m.Stats.Instrs += instrs
-				m.Stats.Cycles += cycles
-				m.Stats.Movs += movs
-				return m.store(m.lAddr(op), op.imm)
+				if err := m.store(m.lAddr(op), op.imm); err != nil {
+					m.Stats.Instrs += instrs
+					m.Stats.Cycles += cycles
+					m.Stats.Movs += movs
+					return err
+				}
 			}
 			movs++
 		case lMovXX:
