@@ -97,12 +97,17 @@ func New() *Cache { return &Cache{m: map[string]Entry{}} }
 // proclaimed.
 func Key(source string, opts codegen.Options, constants string, macroEpoch int, specials string) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "src=%s\x00opts=%t,%t,%t,%t,%t,%t\x00consts=%s\x00macros=%d\x00specials=%s",
-		source,
-		opts.UseTN, opts.RepAnalysis, opts.PdlNumbers,
-		opts.SpecialCaching, opts.Optimize, opts.CSE,
-		constants, macroEpoch, specials)
+	fmt.Fprintf(h, "src=%s\x00opts=%s\x00consts=%s\x00macros=%d\x00specials=%s",
+		source, OptsFingerprint(opts), constants, macroEpoch, specials)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// OptsFingerprint names the compiler options that are part of a Key:
+// the phase toggles that change what a unit compiles to.
+func OptsFingerprint(opts codegen.Options) string {
+	return fmt.Sprintf("%t,%t,%t,%t,%t,%t",
+		opts.UseTN, opts.RepAnalysis, opts.PdlNumbers,
+		opts.SpecialCaching, opts.Optimize, opts.CSE)
 }
 
 // Lookup returns the entry for key, counting a hit or a miss.

@@ -161,6 +161,9 @@ type System struct {
 	macros        map[*sexp.Symbol]*interp.Closure
 	toplevelCount int
 	batchCount    int
+	// expansions counts user-macro expansions (an expander runs
+	// interpreter code, which a request plan cannot replay).
+	expansions int
 	// loaded is set by the system's first load; a restored system starts
 	// without it (see EvalStringDiag on keying top-level forms).
 	loaded bool
@@ -188,6 +191,12 @@ type System struct {
 	// events with the owning request's trace.
 	flight  *obs.Flight
 	traceID string
+
+	// boot is the rehydrated snapshot this system was restored from (nil
+	// for NewSystem), whose request plans its first load may use or
+	// record; plans counts that (plan.go).
+	boot  *Rehydrated
+	plans PlanStats
 }
 
 // TraceID returns the trace id this system stamps on flight events.
@@ -328,6 +337,7 @@ func (s *System) wireMacros() {
 		if err != nil {
 			return nil, false, err
 		}
+		s.expansions++
 		exp, err := s.Interp.Apply(cl, args[1:])
 		if err != nil {
 			return nil, false, fmt.Errorf("core: expanding macro %s: %w", head.Name, err)
@@ -419,7 +429,9 @@ func asDiag(err error, unit string, line, col int) *diag.Diagnostic {
 // before anything of it reaches the machine, so the resulting image is
 // byte-identical to compiling the source with the failed forms deleted.
 // The value of the last successful top-level form is returned alongside
-// the (never nil) diagnostic list.
+// the (never nil) diagnostic list. A restored system's first load of a
+// source its boot snapshot holds a request plan for skips the reader
+// and the converter (plan.go).
 func (s *System) EvalStringDiag(src string) (sexp.Value, *diag.List) {
 	list := diag.NewList(s.maxErrors)
 	s.sources = append(s.sources, src)
@@ -428,55 +440,22 @@ func (s *System) EvalStringDiag(src string) (sexp.Value, *diag.List) {
 	// unit named for the batch.
 	s.batchCount++
 	batch := s.Obs.Task(fmt.Sprintf("%%batch-%d", s.batchCount), 0)
-	sp := batch.Start("read")
-	forms, rerrs := sexp.ReadAllRecover(src)
-	sp.End()
-	for _, re := range rerrs {
-		list.Add(&diag.Diagnostic{
-			Severity: diag.Error, Phase: "read",
-			Line: re.Line, Col: re.Col, Msg: re.Msg, Err: re,
-		})
+	first := !s.loaded
+	s.loaded = true
+	// A restored system's first load may start from a request plan, or
+	// record one (plan.go).
+	planning := first && s.boot != nil && s.disk != nil && s.fault == nil
+	epoch, expansions := s.macroEpoch, s.expansions
+	var ld *load
+	if planning {
+		ld = s.planned(src, batch)
+	}
+	recording := planning && ld == nil
+	if ld == nil {
+		ld = s.frontEnd(src, batch, list)
 	}
 
-	sp = batch.Start("convert")
-	prog := convert.NewProgram()
-	// First pass: gather proclamations so that later defuns see them.
-	for _, f := range forms {
-		s.Conv.ScanProclaim(f.Val)
-	}
-	// Second pass: convert per-form so one bad form costs one unit. The
-	// origin of whatever each form appended travels alongside Defs and
-	// TopForms, for diagnostic labeling and cache keys.
-	var defOrigins, topOrigins []origin
-	for _, f := range forms {
-		err := func() (err error) {
-			name := unitName(f.Val)
-			defer func() {
-				if r := recover(); r != nil {
-					err = diag.FromPanic(r, "convert", name, 0, "")
-				}
-			}()
-			if err := s.fault.Fire("convert", name); err != nil {
-				return err
-			}
-			return s.Conv.TopForm(prog, f.Val)
-		}()
-		if err != nil {
-			list.Add(asDiag(err, unitName(f.Val), f.Line, f.Col))
-			continue
-		}
-		o := origin{line: f.Line, col: f.Col, form: f.Val, specials: s.Conv.SpecialsUsed()}
-		for len(defOrigins) < len(prog.Defs) {
-			defOrigins = append(defOrigins, o)
-		}
-		for ; len(topOrigins) < len(prog.TopForms); o.pos++ {
-			topOrigins = append(topOrigins, o)
-		}
-	}
-	s.Conv.FinishProgram(prog)
-	sp.End()
-
-	s.compileDefs(prog.Defs, defOrigins, list)
+	s.compileDefs(ld.defs, list)
 
 	// Top-level forms are units too, named %toplevel-N. Only a system's
 	// first load after NewSystem or a restore keys them: that is the
@@ -487,17 +466,12 @@ func (s *System) EvalStringDiag(src string) (sexp.Value, *diag.List) {
 	// nothing replays. A resumed session's first /run is such a first
 	// load too; it stores once per resume, and replays only if the same
 	// checkpoint is resumed again.
-	keyTop := s.disk != nil && !s.loaded
-	s.loaded = true
+	keyTop := s.disk != nil && first
 	var last sexp.Value = sexp.Nil
-	for i, form := range prog.TopForms {
+	for _, u := range ld.tops {
 		s.toplevelCount++
-		u := &unit{
-			name: fmt.Sprintf("%%toplevel-%d", s.toplevelCount),
-			lam:  convert.WrapToplevel(form),
-			o:    topOrigins[i],
-		}
-		if keyTop {
+		u.name = fmt.Sprintf("%%toplevel-%d", s.toplevelCount)
+		if keyTop && u.key == "" {
 			src := fmt.Sprintf("%s#%d\x00%s", u.name, u.o.pos, sexp.Print(u.o.form))
 			t := s.Obs.Task(u.name, 0)
 			sp := t.Start("cache-probe")
@@ -524,7 +498,64 @@ func (s *System) EvalStringDiag(src string) (sexp.Value, *diag.List) {
 			last = v
 		}
 	}
+	if recording && s.macroEpoch == epoch && s.expansions == expansions && list.Len() == 0 && !list.HasErrors() {
+		s.recordPlan(src, ld)
+	}
 	return last, list
+}
+
+// frontEnd reads and converts src into its units. Definitions are keyed
+// for the compile cache by compileDefs, top-level forms as they install.
+func (s *System) frontEnd(src string, batch *obs.Task, list *diag.List) *load {
+	sp := batch.Start("read")
+	forms, rerrs := sexp.ReadAllRecover(src)
+	sp.End()
+	for _, re := range rerrs {
+		list.Add(&diag.Diagnostic{
+			Severity: diag.Error, Phase: "read",
+			Line: re.Line, Col: re.Col, Msg: re.Msg, Err: re,
+		})
+	}
+
+	sp = batch.Start("convert")
+	defer sp.End()
+	prog := convert.NewProgram()
+	// First pass: gather proclamations so that later defuns see them.
+	for _, f := range forms {
+		s.Conv.ScanProclaim(f.Val)
+	}
+	// Second pass: convert per-form so one bad form costs one unit. The
+	// origin of whatever each form appended travels with its units, for
+	// diagnostic labeling and cache keys.
+	ld := &load{}
+	for _, f := range forms {
+		err := func() (err error) {
+			name := unitName(f.Val)
+			defer func() {
+				if r := recover(); r != nil {
+					err = diag.FromPanic(r, "convert", name, 0, "")
+				}
+			}()
+			if err := s.fault.Fire("convert", name); err != nil {
+				return err
+			}
+			return s.Conv.TopForm(prog, f.Val)
+		}()
+		if err != nil {
+			list.Add(asDiag(err, unitName(f.Val), f.Line, f.Col))
+			continue
+		}
+		o := origin{line: f.Line, col: f.Col, form: f.Val, specials: s.Conv.SpecialsUsed()}
+		for _, d := range prog.Defs[len(ld.defs):] {
+			ld.defs = append(ld.defs, &unit{name: d.Name.Name, sym: d.Name, lam: d.Lambda, o: o})
+		}
+		for _, n := range prog.TopForms[len(ld.tops):] {
+			ld.tops = append(ld.tops, &unit{lam: convert.WrapToplevel(n), o: o})
+			o.pos++
+		}
+	}
+	s.Conv.FinishProgram(prog)
+	return ld
 }
 
 // safePrepare runs the concurrent-safe middle end of one unit under a
@@ -557,11 +588,25 @@ type origin struct {
 	specials string
 }
 
+// load is one source text's units in source order, as the front end or
+// a request plan produced them.
+type load struct {
+	defs, tops []*unit
+}
+
 // unit is one defun or top-level form flowing through the pipeline as an
 // independent piece of work: cache probe, middle end, serial install.
 type unit struct {
-	name     string
-	lam      *tree.Lambda
+	name string
+	// sym is a definition's name, nil for a top-level form.
+	sym *sexp.Symbol
+	lam *tree.Lambda
+	// shared marks lam as a request plan's tree, which the middle end
+	// must never see (it rewrites trees in place): a shared unit that
+	// compiles converts its source form again first (privateTree).
+	shared bool
+	// replayed is set when the unit installed from the durable cache.
+	replayed bool
 	o        origin
 	key      string // "" = not cached
 	hitIdx   int
@@ -596,20 +641,14 @@ func (s *System) probeDisk(u *unit, t *obs.Task) {
 // code layout, symbol and function indices, heap contents — evolves
 // exactly as under a sequential compile, and listings are byte-identical
 // regardless of Jobs. A unit that fails (or panics) anywhere before its
-// emit step contributes a diagnostic to list and nothing to the machine;
-// origins are the defs' origins, parallel to defs.
-func (s *System) compileDefs(defs []*convert.Def, origins []origin, list *diag.List) {
-	units := make([]*unit, len(defs))
-	for i, d := range defs {
-		u := &unit{name: d.Name.Name, lam: d.Lambda}
-		if i < len(origins) {
-			u.o = origins[i]
-		}
-		units[i] = u
-		if s.cache != nil && d.Source != nil {
+// emit step contributes a diagnostic to list and nothing to the machine.
+func (s *System) compileDefs(units []*unit, list *diag.List) {
+	for _, u := range units {
+		// A request plan's units arrive keyed and probed.
+		if s.cache != nil && u.disk == nil {
 			t := s.Obs.Task(u.name, 0)
 			sp := t.Start("cache-probe")
-			u.key = s.unitKey(sexp.Print(d.Source), u.o.specials)
+			u.key = s.unitKey(sexp.Print(u.o.form), u.o.specials)
 			if e, ok := s.cache.Lookup(u.key); ok {
 				if s.fault.ShouldCorrupt("cache", u.name) {
 					// Simulated corruption: point the entry past the
@@ -676,8 +715,7 @@ func (s *System) compileDefs(defs []*convert.Def, origins []origin, list *diag.L
 		wg.Wait()
 	}
 
-	for i, u := range units {
-		d := defs[i]
+	for _, u := range units {
 		if u.err != nil {
 			// The unit failed before touching the machine: report it and
 			// skip installation entirely (including the interpreter), as
@@ -687,7 +725,7 @@ func (s *System) compileDefs(defs []*convert.Def, origins []origin, list *diag.L
 		}
 		// The interpreter gets the converted tree (its role is the
 		// semantic baseline).
-		s.Interp.DefineFunction(d.Name, &interp.Closure{Lambda: d.Lambda})
+		s.Interp.DefineFunction(u.sym, &interp.Closure{Lambda: u.lam})
 		if u.hit && !codegen.ResidentBindsHold(s.Machine, u.binds) {
 			// The resident body embeds a function index that a name it
 			// looked up no longer resolves to (an earlier definition,
@@ -736,12 +774,18 @@ func (s *System) installUnit(u *unit, list *diag.List) (int, bool) {
 	t := s.Obs.Task(u.name, 0)
 	if u.disk != nil {
 		if idx, ok := s.replayUnit(u, t, list); ok {
+			u.replayed = true
 			return idx, true
 		}
 	}
 	if u.prepared == nil {
 		// The unit skipped the worker pool: a durable candidate that did
 		// not replay, or a top-level form.
+		if u.shared {
+			if err := s.privateTree(u); err != nil {
+				return fail(err)
+			}
+		}
 		if u.prepared, u.err = s.safePrepare(u.name, u.lam, t, 0); u.err != nil {
 			return fail(u.err)
 		}

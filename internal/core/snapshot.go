@@ -64,7 +64,9 @@ func RestoreSystem(opts Options, snap *snapshot.Snapshot) (*System, error) {
 // copies those maps into each new system; the converted trees they
 // point to are shared read-only (TopForm gives every form its own
 // special-variable records, so no later conversion adds references to
-// a shared tree).
+// a shared tree). It also keeps the request plans its restored systems
+// record (plan.go), which a new snapshot, being a new Rehydrated, starts
+// without.
 type Rehydrated struct {
 	// Snap is the snapshot every Restore loads and verifies.
 	Snap *snapshot.Snapshot
@@ -73,6 +75,7 @@ type Rehydrated struct {
 	macros   map[*sexp.Symbol]*interp.Closure
 	interp   *interp.Interp
 	defs     map[string]int
+	plans    planMemo
 }
 
 // Rehydrate reads and converts snap's sources once, without a machine:
@@ -142,6 +145,7 @@ func (r *Rehydrated) Restore(opts Options) (*System, error) {
 	sys.Conv.Specials = maps.Clone(r.specials)
 	sys.macros = maps.Clone(r.macros)
 	sys.Defs = maps.Clone(r.defs)
+	sys.boot = r
 	return sys, nil
 }
 

@@ -395,6 +395,9 @@ func BenchmarkSnapshotBoot(b *testing.B) {
 	// A stateless slcd request: restore the prelude, then load a small
 	// program whose defuns all replay from the durable cache's
 	// process-wide layer.
+	const program = `(defun sq (x) (* x x))
+(defun sum-sq (l) (if (null l) 0 (+ (sq (car l)) (sum-sq (cdr l)))))
+(defun probe () (sum-sq '(1 2 3)))`
 	b.Run("warm-restore-replay", func(b *testing.B) {
 		d, err := compilecache.OpenDisk(b.TempDir(), nil)
 		if err != nil {
@@ -403,9 +406,6 @@ func BenchmarkSnapshotBoot(b *testing.B) {
 		defer d.Close()
 		ropts := opts
 		ropts.DiskCache = d
-		const program = `(defun sq (x) (* x x))
-(defun sum-sq (l) (if (null l) 0 (+ (sq (car l)) (sum-sq (cdr l)))))
-(defun probe () (sum-sq '(1 2 3)))`
 		boot := func() {
 			decoded, err := snapshot.DecodeBytes(data)
 			if err != nil {
@@ -433,6 +433,50 @@ func BenchmarkSnapshotBoot(b *testing.B) {
 		b.StopTimer()
 		if got := d.Stats().Hits - hits; got != 3*int64(b.N) {
 			b.Fatalf("%d disk hits for %d boots of 3 defuns", got, b.N)
+		}
+	})
+	// The same request as slcd serves it: every system is restored from
+	// one rehydration, whose request plan for the program lets each load
+	// skip reading, converting and keying it.
+	b.Run("warm-plan", func(b *testing.B) {
+		d, err := compilecache.OpenDisk(b.TempDir(), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer d.Close()
+		ropts := opts
+		ropts.DiskCache = d
+		decoded, err := snapshot.DecodeBytes(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rh, err := Rehydrate(decoded)
+		if err != nil {
+			b.Fatal(err)
+		}
+		boot := func() PlanStats {
+			sys, err := rh.Restore(ropts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := sys.LoadString(program); err != nil {
+				b.Fatal(err)
+			}
+			if v, err := sys.Call("probe"); err != nil || sexp.Print(v) != "14" {
+				b.Fatalf("eval after replay: %v %v", v, err)
+			}
+			return sys.PlanStats()
+		}
+		boot() // compiles and stores the entries
+		if st := boot(); st.Records != 1 {
+			b.Fatalf("the replayed load recorded no plan: %+v", st)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if st := boot(); st.Hits != 1 {
+				b.Fatalf("load without a plan hit: %+v", st)
+			}
 		}
 	})
 }

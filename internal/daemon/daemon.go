@@ -215,6 +215,12 @@ type Stats struct {
 	// GasExhausted counts requests rejected or halted by a dry tenant
 	// gas bucket (typed 429s, distinct from Shed).
 	GasExhausted int64 `json:"gas_exhausted"`
+	// Request-plan counters (core.PlanStats): loads that skipped the
+	// reader and converter by a boot-snapshot plan, plans recorded, and
+	// loads whose plan named an entry the durable cache had lost.
+	PlanHits      int64 `json:"plan_hits"`
+	PlanRecords   int64 `json:"plan_records"`
+	PlanFallbacks int64 `json:"plan_fallbacks"`
 	// Session lifecycle counters. Restored counts sessions revived from
 	// drain-time checkpoints at boot; Lost counts sessions the manifest
 	// promised but no restorable checkpoint backed (a hard kill).
@@ -416,6 +422,9 @@ func (s *Server) Metrics() map[string]float64 {
 		"slcd_gc_minor_total":                  float64(st.GCMinorCollections),
 		"slcd_gc_promoted_words_total":         float64(st.GCWordsPromoted),
 		"slcd_arena_recycles_total":            float64(st.ArenaRecycles),
+		"slcd_plan_hits_total":                 float64(st.PlanHits),
+		"slcd_plan_records_total":              float64(st.PlanRecords),
+		"slcd_plan_fallbacks_total":            float64(st.PlanFallbacks),
 	}
 	// The durable compile cache's meters; file reads count the verified
 	// reads that filled its process-wide layer, so hits minus file reads
@@ -926,7 +935,15 @@ func (s *Server) eval(ctx context.Context, tk *sched.Task, sys *core.System, req
 		}
 	}()
 
+	before := sys.PlanStats()
 	v, list := sys.EvalStringDiag(req.Source)
+	if ps := sys.PlanStats(); ps != before {
+		s.mu.Lock()
+		s.stats.PlanHits += ps.Hits - before.Hits
+		s.stats.PlanRecords += ps.Records - before.Records
+		s.stats.PlanFallbacks += ps.Fallbacks - before.Fallbacks
+		s.mu.Unlock()
+	}
 	for _, d := range list.All() {
 		resp.Diagnostics = append(resp.Diagnostics, DiagJSON{
 			Severity: d.Severity.String(), Unit: d.Unit, Phase: d.Phase,

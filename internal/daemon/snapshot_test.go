@@ -363,3 +363,60 @@ func TestKill9DaemonCheckpointTorture(t *testing.T) {
 		st.Close()
 	}
 }
+
+// TestRequestPlanMetricsAndTrace: a stateless request whose units all
+// replay records a plan in the boot snapshot, and the next request of
+// the same source uses it — counted on /metrics, and traced as a "plan"
+// span where the "read" and "convert" spans were.
+func TestRequestPlanMetricsAndTrace(t *testing.T) {
+	d, err := compilecache.OpenDisk(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	s := New(Config{SchedWorkers: 1, Prelude: snapTestPrelude, Disk: d,
+		Snapshots: openSnapStore(t, t.TempDir(), nil)})
+	if err := s.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	req := Request{Source: "(defvar *k* 3)\n(defun sq-k (x) (* x x *k*))\n(sq-k 2)\n", Fn: "sq-k", Args: []string{"5"}}
+	phases := func(trace json.RawMessage) map[string]int {
+		var doc struct {
+			TraceEvents []struct{ Name, Ph string } `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(trace, &doc); err != nil {
+			t.Fatal(err)
+		}
+		n := map[string]int{}
+		for _, ev := range doc.TraceEvents {
+			if ev.Ph == "B" {
+				n[ev.Name]++
+			}
+		}
+		return n
+	}
+	var traces []map[string]int
+	for i := 0; i < 3; i++ {
+		code, resp, _ := post(t, ts, "/run?trace=1", req)
+		if code != http.StatusOK || !resp.OK || resp.Value != "75" {
+			t.Fatalf("request %d: status %d, resp %+v", i, code, resp)
+		}
+		traces = append(traces, phases(resp.Trace))
+	}
+	st := s.Stats()
+	if st.PlanHits != 1 || st.PlanRecords != 1 || st.PlanFallbacks != 0 {
+		t.Errorf("plan counters %d hits, %d records, %d fallbacks; want 1, 1, 0", st.PlanHits, st.PlanRecords, st.PlanFallbacks)
+	}
+	m := s.Metrics()
+	if m["slcd_plan_hits_total"] != 1 || m["slcd_plan_records_total"] != 1 || m["slcd_plan_fallbacks_total"] != 0 {
+		t.Errorf("plan metrics: %v %v %v", m["slcd_plan_hits_total"], m["slcd_plan_records_total"], m["slcd_plan_fallbacks_total"])
+	}
+	if tr := traces[1]; tr["read"] != 1 || tr["convert"] != 1 || tr["plan"] != 0 {
+		t.Errorf("recording request's phases: %v", tr)
+	}
+	if tr := traces[2]; tr["plan"] != 1 || tr["read"] != 0 || tr["convert"] != 0 || tr["disk-replay"] != 3 {
+		t.Errorf("planned request's phases: %v", tr)
+	}
+}

@@ -66,7 +66,9 @@ func (m *Machine) decodeRange(lo, hi int) {
 
 // decodeOne builds the executor for one instruction. The builders must
 // capture operand fields by value, never the *Instr itself: Code's
-// backing array moves when later functions are appended.
+// backing array moves when later functions are appended. The executors
+// must also never write what they capture: a replayed body's stream is
+// shared by every machine that installs it (Machine.AddBody).
 func decodeOne(pc int, ins *Instr) dinstr {
 	if int(ins.Op) < NumOps {
 		if b := decodeTab[ins.Op]; b != nil {
@@ -955,8 +957,8 @@ func decENDCATCH(pc int, ins *Instr) dexec {
 func decCALLSQ(pc int, ins *Instr) dexec {
 	cost, next := cycleCost[OpCALLSQ], pc+1
 	idx := int(ins.TagArg)
-	// callSQ reads the B and C operands; capture copies, not the *Instr
-	// — Code's backing array is reallocated by later appends.
+	// callSQ only reads the B and C operands; capture copies, not the
+	// *Instr — Code's backing array is reallocated by later appends.
 	b, c := ins.B, ins.C
 	return func(m *Machine) error {
 		m.tick(OpCALLSQ, cost)

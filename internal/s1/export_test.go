@@ -64,3 +64,23 @@ func (m *Machine) CheckZeroAboveSP() error {
 	}
 	return nil
 }
+
+// DecodedSharedWith reports whether m and o dispatch PCs [lo, hi) of
+// their base streams through the very same closures — as two machines do
+// after installing one replayed body's kept stream.
+func (m *Machine) DecodedSharedWith(o *Machine, lo, hi int) bool {
+	if hi > len(m.decBase) || hi > len(o.decBase) || lo >= hi {
+		return false
+	}
+	closure := func(f dexec) unsafe.Pointer { return *(*unsafe.Pointer)(unsafe.Pointer(&f)) }
+	for pc := lo; pc < hi; pc++ {
+		if closure(m.decBase[pc].run) != closure(o.decBase[pc].run) {
+			return false
+		}
+	}
+	return true
+}
+
+// PrimArgsDepth reports how many fallback-primitive argument slots are
+// in use.
+func (m *Machine) PrimArgsDepth() int { return len(m.primArgs) }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -113,6 +114,9 @@ type Machine struct {
 	funcIdx  map[string]int
 	symIdx   map[string]int
 	primHook PrimHook
+	// primArgs is the argument scratch of fallback-primitive calls, used
+	// as a stack (pushPrimArgs).
+	primArgs []sexp.Value
 
 	// stack holds the words from StackBase up, initialStackWords at
 	// first; growStack doubles it toward StackLimit. ADD SP reserves
@@ -372,13 +376,17 @@ func (m *Machine) AddFunction(name string, minArgs, maxArgs int, items []Item) (
 
 // AddBody installs a body assembled by AssembleBody: its code is appended
 // with the jump targets rebased to where it lands, so a replay skips
-// label resolution. b is only read, so one Body can be installed into
-// any number of machines concurrently. A body carries no items to
-// record, so it cannot be installed while a capture is in progress.
+// label resolution, and its decoded stream is appended from the body's
+// kept copy when it lands where that copy was decoded, so a replay skips
+// decoding too. Apart from publishing that copy once, b is only read, so
+// one Body can be installed into any number of machines concurrently. A
+// body carries no items to record, so it cannot be installed while a
+// capture is in progress.
 func (m *Machine) AddBody(b *Body) (int, error) {
 	if m.cap != nil {
 		return 0, fmt.Errorf("s1: cannot install assembled body %s during a capture", b.Name)
 	}
+	m.ensureDecoded()
 	entry := len(m.Code)
 	m.Code = append(reserve(m.Code, len(b.Code)), b.Code...)
 	for i := entry; i < len(m.Code); i++ {
@@ -386,7 +394,21 @@ func (m *Machine) AddBody(b *Body) (int, error) {
 			m.Code[i].target += entry
 		}
 	}
-	return m.registerFunc(b.Name, b.MinArgs, b.MaxArgs, entry), nil
+	var kept *bodyStream
+	if b.decoded != nil {
+		kept = b.decoded.Load()
+	}
+	if kept != nil && kept.entry == entry {
+		// Both streams take copies of the entries: the machine's streams
+		// are arena-recycled storage and the tier rewrites dec.
+		m.decBase = append(reserve(m.decBase, cap(m.Code)-len(m.decBase)), kept.dec...)
+		m.dec = append(reserve(m.dec, cap(m.Code)-len(m.dec)), kept.dec...)
+	}
+	idx := m.registerFunc(b.Name, b.MinArgs, b.MaxArgs, entry)
+	if b.decoded != nil && kept == nil {
+		b.decoded.CompareAndSwap(nil, &bodyStream{entry: entry, dec: slices.Clone(m.decBase[entry:len(m.Code)])})
+	}
+	return idx, nil
 }
 
 // registerFunc adds the descriptor of the body just appended at entry,

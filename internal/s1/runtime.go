@@ -3,6 +3,7 @@ package s1
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/sexp"
 )
@@ -93,13 +94,33 @@ var sqCost = [SQCount]int64{
 // PrimHook lets the host supply implementations for primitives without a
 // native SQ routine (the non-mutating library tail: append, member,
 // print formatting, ...). Wired to the interpreter's builtins by the
-// core package.
+// core package. args is the machine's scratch (primArgs): the hook may
+// read it while it runs but must not keep it after returning.
 type PrimHook func(name string, args []sexp.Value) (sexp.Value, error)
+
+// pushPrimArgs reserves n zeroed argument slots on the machine's
+// primitive-argument stack and returns them with the stack's previous
+// depth, which popPrimArgs restores. A stack, not one buffer, so that a
+// hook re-entering the machine gets its own region; the slots are capped
+// so nothing appends over a neighbour.
+func (m *Machine) pushPrimArgs(n int) ([]sexp.Value, int) {
+	base := len(m.primArgs)
+	m.primArgs = slices.Grow(m.primArgs, n)[:base+n]
+	return m.primArgs[base : base+n : base+n], base
+}
+
+// popPrimArgs releases the slots above base, dropping their values so
+// the scratch keeps no host object alive.
+func (m *Machine) popPrimArgs(base int) {
+	clear(m.primArgs[base:])
+	m.primArgs = m.primArgs[:base]
+}
 
 // SetPrimHook installs the fallback primitive implementation.
 func (m *Machine) SetPrimHook(h PrimHook) { m.primHook = h }
 
-// callSQ executes a system routine with its CALLSQ operands b and c;
+// callSQ executes a system routine with its CALLSQ operands b and c,
+// which it only reads (they are captured by a shared decoded stream);
 // jumped reports that control transferred (pc already set).
 func (m *Machine) callSQ(idx int, b, c *Operand) (bool, error) {
 	m.Stats.Cycles += sqCost[idx]
@@ -330,17 +351,19 @@ func (m *Machine) callSQ(idx int, b, c *Operand) (bool, error) {
 		}
 		name := m.Syms[nameOp.Int()].Name
 		argc := int(argcOp.Int())
-		args := make([]sexp.Value, argc)
+		args, base := m.pushPrimArgs(argc)
 		for i := argc - 1; i >= 0; i-- {
 			w, err := m.pop()
-			if err != nil {
-				return false, err
+			if err == nil {
+				args[i], err = m.ToValue(w)
 			}
-			if args[i], err = m.ToValue(w); err != nil {
+			if err != nil {
+				m.popPrimArgs(base)
 				return false, err
 			}
 		}
 		out, err := m.primHook(name, args)
+		m.popPrimArgs(base)
 		if err != nil {
 			return false, &RuntimeError{PC: m.pc, Msg: err.Error()}
 		}
@@ -362,18 +385,20 @@ func (m *Machine) callSQ(idx int, b, c *Operand) (bool, error) {
 			return false, err
 		}
 		n := int(nw.Int())
-		args := make([]sexp.Value, n)
+		args, base := m.pushPrimArgs(n)
 		for i := 0; i < n; i++ {
 			w, err := m.load(fp - 4 - uint64(n) + uint64(i))
-			if err != nil {
-				return false, err
+			if err == nil {
+				args[i], err = m.ToValue(w)
 			}
-			if args[i], err = m.ToValue(w); err != nil {
+			if err != nil {
+				m.popPrimArgs(base)
 				return false, err
 			}
 		}
 		name := m.Syms[nameOp.Int()].Name
 		out, err := m.primHook(name, args)
+		m.popPrimArgs(base)
 		if err != nil {
 			return false, &RuntimeError{PC: m.pc, Msg: err.Error()}
 		}

@@ -843,3 +843,30 @@ func mustRead(src string) sexp.Value {
 	}
 	return v
 }
+
+// TestPrimArgsStack: a primitive call made while another's arguments are
+// live gets its own region of the scratch stack, capped so an append
+// cannot spill into a neighbour, and popping clears what it releases.
+func TestPrimArgsStack(t *testing.T) {
+	m := New()
+	outer, base := m.pushPrimArgs(2)
+	outer[0], outer[1] = sexp.Fixnum(1), sexp.Fixnum(2)
+	inner, innerBase := m.pushPrimArgs(3)
+	for i := range inner {
+		inner[i] = sexp.Fixnum(9)
+	}
+	_ = append(outer, sexp.Fixnum(7))
+	if outer[0] != sexp.Fixnum(1) || outer[1] != sexp.Fixnum(2) || inner[0] != sexp.Fixnum(9) {
+		t.Fatalf("regions overlap: outer %v inner %v", outer, inner)
+	}
+	m.popPrimArgs(innerBase)
+	if len(m.primArgs) != 2 || outer[1] != sexp.Fixnum(2) {
+		t.Fatalf("popping the inner region disturbed the outer one: %v", m.primArgs)
+	}
+	m.popPrimArgs(base)
+	for i, v := range m.primArgs[:cap(m.primArgs)] {
+		if v != nil {
+			t.Errorf("released slot %d still holds %v", i, v)
+		}
+	}
+}
