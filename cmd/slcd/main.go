@@ -190,9 +190,6 @@ func run() error {
 			return err
 		}
 		defer d.Close()
-		d.SetEventHook(func(kind, name string) {
-			flight.Record(obs.Event{Kind: kind, Unit: name})
-		})
 		cfg.Disk = d
 		log.Info("durable cache open", "dir", *cacheDir)
 	}

@@ -13,23 +13,15 @@
 // byte-identical to a recompile. A context mismatch is not an error —
 // the caller just compiles the unit normally.
 //
-// Durability protocol (DESIGN.md §11):
+// Each entry is one file <key>.e of a durable.Dir (DESIGN.md §11),
+// which owns the crash-safe protocol: framing and checksum, atomic
+// writes, the cross-process flock, recovery at open and quarantine of
+// anything that does not verify. What this layer adds:
 //
-//   - every entry lives in its own file <key>.e: a magic line, a hex
-//     sha256 of the payload, then the gob-encoded DiskEntry
-//   - writes go to a unique .tmp file, fsynced, then atomically renamed
-//     into place, then the directory is fsynced — a crash at any point
-//     leaves either no entry or a complete one, never a half-visible one
-//   - a flock(2) on <dir>/.lock serializes operations across processes;
-//     in-process callers are additionally serialized by a mutex
-//   - Recover (run at open) quarantines stray .tmp files and entries
-//     whose checksum or encoding does not verify or whose captured
-//     bodies do not assemble, moving them into
-//     <dir>/quarantine/ for post-mortem rather than deleting evidence
-//   - reads verify the checksum again and quarantine on mismatch, so a
-//     torn write that somehow survives recovery still cannot become a
-//     hit; repeated corrupt hits trip a circuit breaker (breaker.go)
-//     that stops consulting the disk for a cooldown period
+//   - an entry verifies only if it decodes, names its own key, and every
+//     captured body assembles; anything else is quarantined as corrupt
+//   - repeated corrupt reads trip a circuit breaker (breaker.go) that
+//     stops consulting the disk for a cooldown period
 //   - an entry that a read fully verified is kept, decoded, in a
 //     process-wide layer on the handle and shared read-only by every
 //     system that replays it; later lookups of that name are served
@@ -45,28 +37,29 @@ package compilecache
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/gob"
-	"encoding/hex"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
-	"syscall"
 
 	"repro/internal/codegen"
 	"repro/internal/diag"
+	"repro/internal/durable"
 	"repro/internal/s1"
 	"repro/internal/sexp"
 )
 
-// diskMagic is the first line of every entry file; bump the version on
-// any format change so old entries quarantine instead of misdecoding.
-const diskMagic = "slc-cache-entry-v1"
-
-// quarantineDir holds entries that failed verification.
-const quarantineDir = "quarantine"
+// entryFormat is the entry file format; bump the magic's version on any
+// change to DiskEntry's encoding so old entries quarantine instead of
+// misdecoding.
+var entryFormat = &durable.Format[*DiskEntry]{
+	Magic:     "slc-cache-entry-v1",
+	Suffix:    ".e",
+	Event:     "cache-quarantine",
+	Phase:     "disk",
+	TornWrite: diag.KindCacheWrite,
+	Decode:    decodeEntry,
+}
 
 // layerEntries bounds the verified-once layer. A full layer forgets its
 // oldest entry, which the next lookup of that name reads and verifies
@@ -181,188 +174,80 @@ type DiskStats struct {
 	Hits, Misses  int64
 	Stores        int64
 	Corrupt       int64 // entries quarantined at lookup time
-	Quarantined   int64 // entries/temps quarantined by Recover
+	Quarantined   int64 // entries/temps quarantined by recovery at open
 	BreakerShunts int64 // lookups skipped because the breaker was open
 	FileReads     int64 // verified entry-file reads that filled the layer
 }
 
-// Disk is the crash-safe persistent cache layer. All operations take the
-// directory flock, so any number of processes can share one directory.
+// Disk is the persistent cache layer. Any number of processes can share
+// one directory.
 type Disk struct {
-	mu      sync.Mutex
-	dir     string
-	lock    *os.File
-	fault   *diag.Plan
+	files   *durable.Dir[*DiskEntry]
 	breaker *Breaker
-	stats   DiskStats
-	// layer holds the entries file reads verified, by file name; order
-	// is their fill order, for evicting the oldest. Entries are never
-	// mutated after verification, so callers share them read-only.
+	mu      sync.Mutex
+	stats   DiskStats // Hits, Misses and BreakerShunts; files meters the rest
+	// layer holds the entries file reads verified, by key; order is their
+	// fill order, for evicting the oldest. Entries are never mutated
+	// after verification, so callers share them read-only.
 	layer map[string]*DiskEntry
 	order []string
-	// onEvent, when non-nil, receives ("cache-quarantine", filename) each
-	// time an entry or temp file is moved to quarantine — the flight
-	// recorder's window into on-disk corruption handling.
-	onEvent func(kind, name string)
 }
 
-// SetEventHook installs the event callback (see onEvent). Safe to call
-// on a live handle; the hook must itself be safe for concurrent use.
-func (d *Disk) SetEventHook(fn func(kind, name string)) {
-	d.mu.Lock()
-	d.onEvent = fn
-	d.mu.Unlock()
-}
+// SetEventHook installs the event callback: it receives
+// ("cache-quarantine", filename) each time an entry or temp file is
+// moved to quarantine. Safe to call on a live handle; the hook must
+// itself be safe for concurrent use.
+func (d *Disk) SetEventHook(fn func(kind, name string)) { d.files.SetEventHook(fn) }
 
 // OpenDisk opens (creating if needed) a durable cache directory, runs
 // crash recovery, and returns the handle. The fault plan may be nil.
 func OpenDisk(dir string, fault *diag.Plan) (*Disk, error) {
-	if err := os.MkdirAll(filepath.Join(dir, quarantineDir), 0o777); err != nil {
-		return nil, fmt.Errorf("compilecache: creating cache dir: %w", err)
-	}
-	lock, err := os.OpenFile(filepath.Join(dir, ".lock"), os.O_CREATE|os.O_RDWR, 0o666)
+	files, err := durable.Open(dir, entryFormat, fault)
 	if err != nil {
-		return nil, fmt.Errorf("compilecache: opening lock file: %w", err)
+		return nil, fmt.Errorf("compilecache: %w", err)
 	}
-	d := &Disk{dir: dir, lock: lock, fault: fault,
+	return &Disk{files: files,
 		breaker: NewBreaker(DefaultBreakerThreshold, DefaultBreakerCooldown),
-		layer:   map[string]*DiskEntry{}}
-	if _, err := d.Recover(); err != nil {
-		lock.Close()
-		return nil, err
-	}
-	return d, nil
+		layer:   map[string]*DiskEntry{}}, nil
 }
 
 // Close releases the lock file. The directory stays valid for reopening.
-func (d *Disk) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.lock == nil {
-		return nil
-	}
-	err := d.lock.Close()
-	d.lock = nil
-	return err
-}
+func (d *Disk) Close() error { return d.files.Close() }
 
 // Dir returns the cache directory path.
-func (d *Disk) Dir() string { return d.dir }
+func (d *Disk) Dir() string { return d.files.Path() }
 
 // Stats returns a copy of the layer's meters.
 func (d *Disk) Stats() DiskStats {
+	fs := d.files.Stats()
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
+	st := d.stats
+	d.mu.Unlock()
+	st.Stores, st.Corrupt, st.Quarantined, st.FileReads = fs.Writes, fs.Corrupt, fs.Quarantined, fs.Reads
+	return st
 }
 
 // Breaker exposes the corrupt-entry circuit breaker (for meters and
 // tests).
 func (d *Disk) Breaker() *Breaker { return d.breaker }
 
-// flock takes the cross-process lock; callers hold d.mu.
-func (d *Disk) flock() error {
-	if d.lock == nil {
-		return fmt.Errorf("compilecache: disk layer is closed")
-	}
-	return syscall.Flock(int(d.lock.Fd()), syscall.LOCK_EX)
-}
-
-func (d *Disk) funlock() {
-	if d.lock != nil {
-		syscall.Flock(int(d.lock.Fd()), syscall.LOCK_UN)
-	}
-}
-
-// Recover scans the directory for debris from crashed writers: stray
-// temp files and entries that fail verification are moved into the
-// quarantine subdirectory. It returns the number of files quarantined.
-func (d *Disk) Recover() (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.flock(); err != nil {
-		return 0, err
-	}
-	defer d.funlock()
-	names, err := os.ReadDir(d.dir)
-	if err != nil {
-		return 0, fmt.Errorf("compilecache: scanning cache dir: %w", err)
-	}
-	moved := 0
-	for _, de := range names {
-		name := de.Name()
-		switch {
-		case de.IsDir() || name == ".lock":
-			continue
-		case strings.Contains(name, ".tmp"):
-			// A temp file can only exist if its writer died mid-write.
-			d.quarantineLocked(name)
-			moved++
-		case strings.HasSuffix(name, ".e"):
-			if _, err := d.readVerifyLocked(name); err != nil {
-				d.quarantineLocked(name)
-				moved++
-			}
-		default:
-			// Unknown debris: quarantine rather than guess.
-			d.quarantineLocked(name)
-			moved++
-		}
-	}
-	d.stats.Quarantined += int64(moved)
-	return moved, nil
-}
-
-// quarantineLocked moves one file into the quarantine directory; callers
-// hold the locks. Move failures fall back to removal — a bad entry must
-// never stay where Lookup can find it.
-func (d *Disk) quarantineLocked(name string) {
-	src := filepath.Join(d.dir, name)
-	dst := filepath.Join(d.dir, quarantineDir, name)
-	if err := os.Rename(src, dst); err != nil {
-		os.Remove(src)
-	}
-	if d.onEvent != nil {
-		d.onEvent("cache-quarantine", name)
-	}
-}
-
-// entryPath returns the final path for a key's entry file.
-func (d *Disk) entryPath(key string) string {
-	return filepath.Join(d.dir, key+".e")
-}
-
-// readVerifyLocked reads and fully verifies one entry file, returning
-// the decoded entry.
-func (d *Disk) readVerifyLocked(name string) (*DiskEntry, error) {
-	data, err := os.ReadFile(filepath.Join(d.dir, name))
-	if err != nil {
-		return nil, err
-	}
-	rest, ok := strings.CutPrefix(string(data), diskMagic+"\n")
-	if !ok {
-		return nil, fmt.Errorf("compilecache: %s: bad magic", name)
-	}
-	sum, payload, ok := strings.Cut(rest, "\n")
-	if !ok {
-		return nil, fmt.Errorf("compilecache: %s: truncated header", name)
-	}
-	if got := sha256.Sum256([]byte(payload)); hex.EncodeToString(got[:]) != sum {
-		return nil, fmt.Errorf("compilecache: %s: checksum mismatch", name)
-	}
+// decodeEntry is the entry's verification past the frame: it decodes,
+// names the key it is filed under (a renamed or cross-linked file is
+// corrupt), and its bodies assemble (a capture that does not could
+// never replay). The read keeps the assembled bodies.
+func decodeEntry(key string, payload []byte) (*DiskEntry, error) {
 	var e DiskEntry
-	if err := gob.NewDecoder(strings.NewReader(payload)).Decode(&e); err != nil {
-		return nil, fmt.Errorf("compilecache: %s: decoding: %w", name, err)
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&e); err != nil {
+		return nil, fmt.Errorf("decoding: %w", err)
 	}
-	if want := strings.TrimSuffix(name, ".e"); e.Key != want {
-		return nil, fmt.Errorf("compilecache: %s: entry key %s does not match file name", name, e.Key)
+	if e.Key != key {
+		return nil, fmt.Errorf("entry key %s does not match file name", e.Key)
 	}
-	// A capture whose bodies do not assemble could never replay.
 	e.bodies = make([]s1.Body, len(e.Capture.Funcs))
 	for i := range e.Capture.Funcs {
 		b, err := s1.AssembleBody(&e.Capture.Funcs[i])
 		if err != nil {
-			return nil, fmt.Errorf("compilecache: %s: assembling %s: %w", name, e.Capture.Funcs[i].Name, err)
+			return nil, fmt.Errorf("assembling %s: %w", e.Capture.Funcs[i].Name, err)
 		}
 		e.bodies[i] = b
 	}
@@ -380,16 +265,15 @@ func (d *Disk) Lookup(key string) (*DiskEntry, bool) {
 // (FromProcess or FromFile), or (nil, "") on a miss. An entry verified
 // earlier through this handle is served from the layer, even while the
 // breaker is open: the breaker shields lookups from a failing disk, and
-// these entries no longer come from it. Otherwise the file is read and verified; a corrupt
-// entry is quarantined, counted against the circuit breaker, and
-// reported as a miss, and when the breaker is open the disk is not
-// consulted at all. The returned entry is shared and must not be
-// modified.
+// these entries no longer come from it. Otherwise the file is read and
+// verified; a corrupt entry is quarantined, counted against the circuit
+// breaker, and reported as a miss, and when the breaker is open the
+// disk is not consulted at all. The returned entry is shared and must
+// not be modified.
 func (d *Disk) Probe(key string) (*DiskEntry, string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	name := key + ".e"
-	if e := d.layer[name]; e != nil {
+	if e := d.layer[key]; e != nil {
 		d.stats.Hits++
 		return e, FromProcess
 	}
@@ -398,63 +282,36 @@ func (d *Disk) Probe(key string) (*DiskEntry, string) {
 		d.stats.Misses++
 		return nil, ""
 	}
-	if err := d.flock(); err != nil {
-		d.stats.Misses++
-		return nil, ""
-	}
-	defer d.funlock()
-	if _, err := os.Stat(d.entryPath(key)); err != nil {
-		d.stats.Misses++
-		return nil, ""
-	}
-	e, err := d.readVerifyLocked(name)
+	e, err := d.files.Read(key)
 	if err != nil {
-		d.quarantineLocked(name)
-		d.stats.Corrupt++
+		if errors.Is(err, durable.ErrCorrupt) {
+			d.breaker.RecordCorrupt()
+		}
 		d.stats.Misses++
-		d.breaker.RecordCorrupt()
 		return nil, ""
 	}
 	d.stats.Hits++
-	d.stats.FileReads++
 	d.breaker.RecordSuccess()
 	if len(d.order) >= layerEntries {
 		delete(d.layer, d.order[0])
 		d.order = d.order[1:]
 	}
-	d.layer[name] = e
-	d.order = append(d.order, name)
+	d.layer[key] = e
+	d.order = append(d.order, key)
 	return e, FromFile
 }
 
-// Store durably writes the entry for key using the temp-file +
-// atomic-rename protocol. A cache-write fault (diag.KindCacheWrite)
-// instead writes a deliberately torn entry straight to the final path,
-// simulating a crash mid-write with the atomicity protocol bypassed —
-// recovery and lookup verification must both catch it.
+// Store durably writes the entry for key. A cache-write fault
+// (diag.KindCacheWrite) matching the unit's name instead writes a torn
+// entry straight to the final path, which recovery and lookup
+// verification must both catch.
 func (d *Disk) Store(key string, e *DiskEntry) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(e); err != nil {
 		return fmt.Errorf("compilecache: encoding entry for %s: %w", e.Name, err)
 	}
-	sum := sha256.Sum256(payload.Bytes())
-	var full bytes.Buffer
-	fmt.Fprintf(&full, "%s\n%s\n", diskMagic, hex.EncodeToString(sum[:]))
-	full.Write(payload.Bytes())
-
-	if err := d.flock(); err != nil {
-		return err
-	}
-	defer d.funlock()
-	if d.fault.Should(diag.KindCacheWrite, "disk", e.Name) {
-		torn := full.Bytes()[:full.Len()/2]
-		return os.WriteFile(d.entryPath(key), torn, 0o666)
-	}
-	if err := AtomicWriteFile(d.dir, key+".e", full.Bytes()); err != nil {
+	if err := d.files.Write(key, e.Name, payload.Bytes()); err != nil {
 		return fmt.Errorf("compilecache: %w", err)
 	}
-	d.stats.Stores++
 	return nil
 }

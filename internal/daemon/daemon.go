@@ -363,11 +363,13 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /session", s.handleSessionList)
 	s.mux.HandleFunc("GET /session/{id}", s.handleSessionGet)
 	s.mux.HandleFunc("DELETE /session/{id}", s.handleSessionDelete)
+	// Quarantines in either durable store land in the flight recorder.
+	record := func(kind, name string) { s.flight.Record(obs.Event{Kind: kind, Unit: name}) }
+	if cfg.Disk != nil {
+		cfg.Disk.SetEventHook(record)
+	}
 	if cfg.Snapshots != nil {
-		// Quarantines and other store events land in the flight recorder.
-		cfg.Snapshots.SetEventHook(func(kind, name string) {
-			s.flight.Record(obs.Event{Kind: kind, Unit: name})
-		})
+		cfg.Snapshots.SetEventHook(record)
 	}
 	return s
 }

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -388,6 +390,45 @@ func TestDiskCacheMetricsAndHitSource(t *testing.T) {
 	}
 	if strings.Join(srcs, ",") != "disk,process" {
 		t.Errorf("cache-hit sources = %v, want [disk process]", srcs)
+	}
+}
+
+// TestDiskCacheQuarantineEvent: the server wires the durable cache's
+// event hook itself, so a corrupt entry met by a request lands in the
+// flight recorder as one cache-quarantine event, with no slcd around.
+func TestDiskCacheQuarantineEvent(t *testing.T) {
+	dir := t.TempDir()
+	d, err := compilecache.OpenDisk(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	s := New(Config{SchedWorkers: 1, Disk: d})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	req := Request{Source: `(defun quarantined (n) (+ n 1))`, Fn: "quarantined", Args: []string{"41"}}
+	if code, resp, _ := post(t, ts, "/run", req); code != http.StatusOK || resp.Value != "42" {
+		t.Fatalf("storing request: %d %+v", code, resp)
+	}
+	entries, _ := filepath.Glob(filepath.Join(dir, "*.e"))
+	if len(entries) == 0 {
+		t.Fatal("the request stored no entry")
+	}
+	data, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(entries[0], data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if code, resp, _ := post(t, ts, "/run", req); code != http.StatusOK || resp.Value != "42" {
+		t.Fatalf("request over the corrupt entry: %d %+v", code, resp)
+	}
+	evs := s.Flight().Snapshot(obs.Filter{Kind: obs.EvCacheQuarantine})
+	if len(evs) != 1 || evs[0].Unit != filepath.Base(entries[0]) {
+		t.Errorf("cache-quarantine events = %+v, want one for %s", evs, filepath.Base(entries[0]))
 	}
 }
 

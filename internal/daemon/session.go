@@ -30,8 +30,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/compilecache"
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/sched"
 )
@@ -389,7 +389,7 @@ func (s *Server) writeSessionManifest() {
 			slog.String("err", err.Error()))
 		return
 	}
-	if err := compilecache.AtomicWriteFile(dir, "manifest.json", data); err != nil {
+	if err := durable.WriteAtomic(dir, "manifest.json", data); err != nil {
 		s.log.LogAttrs(nil, slog.LevelWarn, "session manifest write failed",
 			slog.String("err", err.Error()))
 	}

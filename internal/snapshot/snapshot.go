@@ -10,19 +10,14 @@
 // texts the image was built from, so the interpreter side and the macro
 // expanders can be rehydrated without touching the machine.
 //
-// Wire format (version bumps with any change, so old files quarantine
-// or fall back instead of misdecoding):
-//
-//	slc-snapshot-v2\n
-//	sec <name> <len> <sha256(payload)>\n
-//	<len payload bytes>\n          × one per section, fixed order
-//	end <count> <sha256(all section sums)>\n
-//
-// Every section is length-prefixed and individually SHA-256 summed; the
-// trailer binds the section list, so truncation anywhere — mid-header,
-// mid-payload, missing trailer — is detected before a single byte
-// reaches a machine. Decoded closures are never serialized: restore
-// re-derives them from the code vector (s1.LoadImage).
+// Wire format v3 is a durable frame (internal/durable): the magic line
+// slc-snapshot-v3, a hex sha256 of the payload, then the payload, one
+// gob stream of the Snapshot. The checksum covers every byte after the
+// header, so a flip or truncation anywhere is detected before a single
+// byte reaches a machine, and a file of any other version is quarantined
+// as durable.ErrVersion instead of misdecoded. Decoded closures are never
+// serialized: restore re-derives them from the code vector
+// (s1.LoadImage).
 package snapshot
 
 import (
@@ -32,24 +27,32 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
-	"strconv"
-	"strings"
 
+	"repro/internal/diag"
+	"repro/internal/durable"
 	"repro/internal/s1"
 )
 
 // Magic is the first line of every snapshot file. Any format change —
-// section list, section encoding, meta fields, or how a meta hash is
-// computed — bumps the trailing version number; Decode reports
-// older/newer versions as ErrVersion so callers fall back to a cold
-// compile instead of guessing. (v2: ImageHash hashes binary fields.)
-const Magic = "slc-snapshot-v2"
+// the Snapshot or Image shape, meta fields, or how a meta hash is
+// computed — bumps the trailing version number; a file of another
+// version is reported as durable.ErrVersion so callers fall back to a
+// cold compile instead of guessing. (v2: ImageHash hashes binary
+// fields; v3: one gob stream inside a durable frame.)
+const Magic = "slc-snapshot-v3"
 
-// ErrVersion marks a structurally sound snapshot written by an
-// incompatible format version — unusable, but not evidence of
-// corruption.
-var ErrVersion = errors.New("snapshot: incompatible format version")
+// format frames snapshot files, in a Store or standalone. The fault
+// selectors match the snapshot name ("boot" for the daemon's pinned
+// boot snapshot).
+var format = &durable.Format[*Snapshot]{
+	Magic:     Magic,
+	Suffix:    FileSuffix,
+	Event:     "snapshot-quarantine",
+	Phase:     "snapshot",
+	TornWrite: diag.KindSnapshotWrite,
+	FailRead:  diag.KindSnapshotRead,
+	Decode:    decode,
+}
 
 // Meta is the snapshot's self-description: the verification hashes and
 // the compiler pinning.
@@ -96,177 +99,44 @@ func HashSources(srcs []string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Section payload carriers. These exist so each wire section is one gob
-// stream with a stable shape; reordering or renaming fields is a format
-// change (bump Magic).
-type secFuncs struct {
-	Funcs    []s1.FuncDesc
-	Bindings []s1.ImageBinding
-}
-
-type secCode struct {
-	Code    []s1.Instr
-	Targets []int64
-}
-
-type secHeap struct {
-	Heap, Regs, Stack []s1.Word
-	Blocks            []s1.ImageBlock
-	FreeSmall         [][]uint64
-	FreeBig           []s1.ImageFreeList
-	LiveWords         int64
-	LiveSinceGC       int64
-	GCThreshold       int64
-}
-
-// sectionNames is the fixed section order; Decode requires exactly this
-// sequence.
-var sectionNames = []string{"meta", "src", "syms", "funcs", "code", "boxes", "heap"}
-
-// sections maps the snapshot onto its wire sections, in order.
-func (s *Snapshot) sections() []any {
-	img := s.Image
-	return []any{
-		&s.Meta,
-		&s.Sources,
-		&img.Syms,
-		&secFuncs{Funcs: img.Funcs, Bindings: img.Bindings},
-		&secCode{Code: img.Code, Targets: img.Targets},
-		&img.Boxes,
-		&secHeap{
-			Heap: img.Heap, Regs: img.Regs, Stack: img.Stack,
-			Blocks: img.Blocks, FreeSmall: img.FreeSmall, FreeBig: img.FreeBig,
-			LiveWords: img.LiveWords, LiveSinceGC: img.LiveSinceGC,
-			GCThreshold: img.GCThreshold,
-		},
-	}
-}
-
-// Encode writes the snapshot in wire format.
-func Encode(w io.Writer, s *Snapshot) error {
+// payload encodes the snapshot as one gob stream.
+func (s *Snapshot) payload() ([]byte, error) {
 	if s.Image == nil {
-		return fmt.Errorf("snapshot: encoding a snapshot without an image")
+		return nil, fmt.Errorf("snapshot: encoding a snapshot without an image")
 	}
-	if _, err := fmt.Fprintf(w, "%s\n", Magic); err != nil {
-		return err
-	}
-	all := sha256.New()
-	parts := s.sections()
-	for i, name := range sectionNames {
-		var payload bytes.Buffer
-		if err := gob.NewEncoder(&payload).Encode(parts[i]); err != nil {
-			return fmt.Errorf("snapshot: encoding section %s: %w", name, err)
-		}
-		sum := sha256.Sum256(payload.Bytes())
-		hexSum := hex.EncodeToString(sum[:])
-		io.WriteString(all, hexSum)
-		if _, err := fmt.Fprintf(w, "sec %s %d %s\n", name, payload.Len(), hexSum); err != nil {
-			return err
-		}
-		if _, err := w.Write(payload.Bytes()); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "end %d %s\n", len(sectionNames), hex.EncodeToString(all.Sum(nil)))
-	return err
-}
-
-// Bytes encodes the snapshot into memory.
-func (s *Snapshot) Bytes() ([]byte, error) {
 	var buf bytes.Buffer
-	if err := Encode(&buf, s); err != nil {
-		return nil, err
+	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
+		return nil, fmt.Errorf("snapshot: encoding: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
-// cutLine splits one \n-terminated line off data; a missing terminator
-// is truncation.
-func cutLine(data []byte) (line string, rest []byte, err error) {
-	i := bytes.IndexByte(data, '\n')
-	if i < 0 {
-		return "", nil, fmt.Errorf("snapshot: truncated at line boundary")
-	}
-	return string(data[:i]), data[i+1:], nil
-}
-
-// DecodeBytes parses and fully verifies a wire-format snapshot: magic,
-// every section header, every section checksum, and the trailer. Any
-// violation is an error; nothing partially decoded is ever returned.
-func DecodeBytes(data []byte) (*Snapshot, error) {
-	line, rest, err := cutLine(data)
+// Bytes encodes the snapshot in wire format.
+func (s *Snapshot) Bytes() ([]byte, error) {
+	p, err := s.payload()
 	if err != nil {
 		return nil, err
 	}
-	if line != Magic {
-		if strings.HasPrefix(line, "slc-snapshot-v") {
-			return nil, fmt.Errorf("%w: file is %q, this build reads %q", ErrVersion, line, Magic)
-		}
-		return nil, fmt.Errorf("snapshot: bad magic %q", line)
+	return format.Frame(p), nil
+}
+
+func decode(_ string, payload []byte) (*Snapshot, error) {
+	var s Snapshot
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&s); err != nil {
+		return nil, fmt.Errorf("decoding: %w", err)
 	}
-	snap := &Snapshot{Image: &s1.Image{}}
-	parts := snap.sections()
-	all := sha256.New()
-	for i, name := range sectionNames {
-		line, rest, err = cutLine(rest)
-		if err != nil {
-			return nil, err
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 4 || fields[0] != "sec" {
-			return nil, fmt.Errorf("snapshot: malformed section header %q", line)
-		}
-		if fields[1] != name {
-			return nil, fmt.Errorf("snapshot: section %d is %q, want %q", i, fields[1], name)
-		}
-		n, err := strconv.Atoi(fields[2])
-		if err != nil || n < 0 || n > len(rest) {
-			return nil, fmt.Errorf("snapshot: section %s length %q out of range", name, fields[2])
-		}
-		payload := rest[:n]
-		sum := sha256.Sum256(payload)
-		if hex.EncodeToString(sum[:]) != fields[3] {
-			return nil, fmt.Errorf("snapshot: section %s checksum mismatch", name)
-		}
-		io.WriteString(all, fields[3])
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(parts[i]); err != nil {
-			return nil, fmt.Errorf("snapshot: decoding section %s: %w", name, err)
-		}
-		rest = rest[n:]
-		if len(rest) == 0 || rest[0] != '\n' {
-			return nil, fmt.Errorf("snapshot: section %s missing terminator", name)
-		}
-		rest = rest[1:]
+	if s.Image == nil {
+		return nil, errors.New("snapshot carries no image")
 	}
-	line, rest, err = cutLine(rest)
+	return &s, nil
+}
+
+// DecodeBytes parses and fully verifies a wire-format snapshot. Any
+// violation is an error; nothing partially decoded is ever returned.
+func DecodeBytes(data []byte) (*Snapshot, error) {
+	s, err := format.Parse("", data)
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: missing trailer (truncated file)")
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	fields := strings.Fields(line)
-	if len(fields) != 3 || fields[0] != "end" {
-		return nil, fmt.Errorf("snapshot: malformed trailer %q", line)
-	}
-	if fields[1] != strconv.Itoa(len(sectionNames)) {
-		return nil, fmt.Errorf("snapshot: trailer counts %s sections, want %d", fields[1], len(sectionNames))
-	}
-	if fields[2] != hex.EncodeToString(all.Sum(nil)) {
-		return nil, fmt.Errorf("snapshot: trailer checksum mismatch")
-	}
-	if len(bytes.TrimSpace(rest)) != 0 {
-		return nil, fmt.Errorf("snapshot: %d trailing bytes after trailer", len(rest))
-	}
-	// Reassemble the image from the section carriers.
-	fu := parts[3].(*secFuncs)
-	co := parts[4].(*secCode)
-	he := parts[6].(*secHeap)
-	img := snap.Image
-	img.Funcs, img.Bindings = fu.Funcs, fu.Bindings
-	img.Code, img.Targets = co.Code, co.Targets
-	img.Heap, img.Regs, img.Stack = he.Heap, he.Regs, he.Stack
-	img.Blocks, img.FreeSmall, img.FreeBig = he.Blocks, he.FreeSmall, he.FreeBig
-	img.LiveWords, img.LiveSinceGC, img.GCThreshold = he.LiveWords, he.LiveSinceGC, he.GCThreshold
-	return snap, nil
+	return s, nil
 }

@@ -1,276 +1,98 @@
 package snapshot
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
-	"os"
-	"path/filepath"
-	"strings"
-	"sync"
-	"syscall"
 
-	"repro/internal/compilecache"
 	"repro/internal/diag"
+	"repro/internal/durable"
 )
 
-// Store is a crash-safe snapshot directory shared between processes,
-// with the same durability discipline as the compile cache (DESIGN.md
-// §11): atomic temp-file + fsync + rename writes, an flock serializing
-// cross-process operations, open-time recovery that quarantines torn
-// files, and read-time verification that quarantines anything the
-// checksums reject — a corrupt snapshot is never restored, it is moved
-// aside and the caller cold-compiles.
+// Store is a crash-safe snapshot directory shared between processes: a
+// durable.Dir of snapshot files (DESIGN.md §11). A corrupt or
+// version-skewed snapshot is never restored; it is moved aside into
+// quarantine/ and the caller cold-compiles.
 type Store struct {
-	mu      sync.Mutex
-	dir     string
-	lock    *os.File
-	fault   *diag.Plan
-	onEvent func(kind, name string)
-	stats   StoreStats
-}
-
-// StoreStats meters the snapshot store.
-type StoreStats struct {
-	Saves       int64
-	Loads       int64
-	Misses      int64
-	Corrupt     int64 // files quarantined at load time
-	Quarantined int64 // files quarantined by Recover
+	files *durable.Dir[*Snapshot]
 }
 
 // FileSuffix is the extension of snapshot files in a store directory.
 const FileSuffix = ".snap"
 
-// quarantineDir holds files that failed verification.
-const quarantineDir = "quarantine"
-
-// faultPhase is the diag.Plan phase the snapshot store consults; the
-// selector matches the snapshot name ("boot" for the daemon's pinned
-// boot snapshot).
-const faultPhase = "snapshot"
+// ErrNotFound reports a Load of a name with no snapshot on disk — the
+// normal first-boot case, distinct from corruption.
+var ErrNotFound = durable.ErrNotFound
 
 // OpenStore opens (creating if needed) a snapshot directory, runs crash
 // recovery, and returns the handle. The fault plan may be nil.
 func OpenStore(dir string, fault *diag.Plan) (*Store, error) {
-	if err := os.MkdirAll(filepath.Join(dir, quarantineDir), 0o777); err != nil {
-		return nil, fmt.Errorf("snapshot: creating store dir: %w", err)
-	}
-	lock, err := os.OpenFile(filepath.Join(dir, ".lock"), os.O_CREATE|os.O_RDWR, 0o666)
+	files, err := durable.Open(dir, format, fault)
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: opening lock file: %w", err)
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	s := &Store{dir: dir, lock: lock, fault: fault}
-	if _, err := s.Recover(); err != nil {
-		lock.Close()
-		return nil, err
-	}
-	return s, nil
+	return &Store{files: files}, nil
 }
 
-// SetEventHook installs the quarantine/restore event callback (kinds
-// match the obs flight-recorder constants by convention:
-// "snapshot-quarantine"). Safe to set on a live handle; the hook must be
-// safe for concurrent use.
-func (s *Store) SetEventHook(fn func(kind, name string)) {
-	s.mu.Lock()
-	s.onEvent = fn
-	s.mu.Unlock()
-}
+// SetEventHook installs the quarantine event callback: it receives
+// ("snapshot-quarantine", filename). Safe to set on a live handle; the
+// hook must be safe for concurrent use.
+func (s *Store) SetEventHook(fn func(kind, name string)) { s.files.SetEventHook(fn) }
 
 // Dir returns the store directory path.
-func (s *Store) Dir() string { return s.dir }
+func (s *Store) Dir() string { return s.files.Path() }
 
 // Stats returns a copy of the store's meters.
-func (s *Store) Stats() StoreStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
+func (s *Store) Stats() durable.Stats { return s.files.Stats() }
 
 // Close releases the lock file. The directory stays valid for reopening.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lock == nil {
-		return nil
-	}
-	err := s.lock.Close()
-	s.lock = nil
-	return err
-}
-
-func (s *Store) flock() error {
-	if s.lock == nil {
-		return fmt.Errorf("snapshot: store is closed")
-	}
-	return syscall.Flock(int(s.lock.Fd()), syscall.LOCK_EX)
-}
-
-func (s *Store) funlock() {
-	if s.lock != nil {
-		syscall.Flock(int(s.lock.Fd()), syscall.LOCK_UN)
-	}
-}
-
-// quarantineLocked moves one file into the quarantine directory; callers
-// hold the locks. Move failures fall back to removal — a bad snapshot
-// must never stay where Load can find it.
-func (s *Store) quarantineLocked(name string) {
-	src := filepath.Join(s.dir, name)
-	dst := filepath.Join(s.dir, quarantineDir, name)
-	if err := os.Rename(src, dst); err != nil {
-		os.Remove(src)
-	}
-	if s.onEvent != nil {
-		s.onEvent("snapshot-quarantine", name)
-	}
-}
-
-// Recover scans the directory for debris from crashed writers: stray
-// temp files, unknown files, and snapshots that fail verification are
-// moved into quarantine. Version-incompatible snapshots are quarantined
-// too — they can never load, and leaving them would shadow the name
-// forever. Returns the number of files quarantined.
-func (s *Store) Recover() (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.flock(); err != nil {
-		return 0, err
-	}
-	defer s.funlock()
-	names, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0, fmt.Errorf("snapshot: scanning store dir: %w", err)
-	}
-	moved := 0
-	for _, de := range names {
-		name := de.Name()
-		switch {
-		case de.IsDir() || name == ".lock":
-			continue
-		case strings.Contains(name, ".tmp"):
-			// A temp file can only exist if its writer died mid-write.
-			s.quarantineLocked(name)
-			moved++
-		case strings.HasSuffix(name, FileSuffix):
-			if _, err := s.readVerifyLocked(name); err != nil {
-				s.quarantineLocked(name)
-				moved++
-			}
-		default:
-			// Unknown debris: quarantine rather than guess.
-			s.quarantineLocked(name)
-			moved++
-		}
-	}
-	s.stats.Quarantined += int64(moved)
-	return moved, nil
-}
-
-func (s *Store) readVerifyLocked(name string) (*Snapshot, error) {
-	data, err := os.ReadFile(filepath.Join(s.dir, name))
-	if err != nil {
-		return nil, err
-	}
-	return DecodeBytes(data)
-}
+func (s *Store) Close() error { return s.files.Close() }
 
 // Save durably writes the snapshot under name (the file becomes
-// <name>.snap). A snapshot-write fault instead writes a deliberately
-// torn file straight to the final path — simulating a crash mid-write
-// with the atomicity protocol bypassed — which Recover and Load must
-// both catch.
+// <name>.snap). A snapshot-write fault instead writes a torn file
+// straight to the final path, which recovery and Load must both catch.
 func (s *Store) Save(name string, snap *Snapshot) error {
-	data, err := snap.Bytes()
+	p, err := snap.payload()
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.flock(); err != nil {
-		return err
-	}
-	defer s.funlock()
-	if s.fault.Should(diag.KindSnapshotWrite, faultPhase, name) {
-		torn := data[:len(data)/2]
-		return os.WriteFile(filepath.Join(s.dir, name+FileSuffix), torn, 0o666)
-	}
-	if err := compilecache.AtomicWriteFile(s.dir, name+FileSuffix, data); err != nil {
+	if err := s.files.Write(name, name, p); err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
-	s.stats.Saves++
 	return nil
 }
 
-// ErrNotFound reports a Load of a name with no snapshot on disk — the
-// normal first-boot case, distinct from corruption.
-var ErrNotFound = errors.New("snapshot: not found")
-
-// Load reads, verifies and decodes the snapshot under name. A corrupt
-// or version-incompatible file is quarantined and reported as an error;
-// a snapshot-read fault makes the matching load behave as if the file
-// were corrupt (quarantining it), driving the cold-compile fallback
-// path without needing real on-disk damage.
+// Load reads, verifies and decodes the snapshot under name. A missing
+// file is ErrNotFound. A corrupt or version-incompatible file is
+// quarantined and reported as an error, and so is one a snapshot-read
+// fault matches, which drives the cold-compile fallback without real
+// on-disk damage.
 func (s *Store) Load(name string) (*Snapshot, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.flock(); err != nil {
-		return nil, err
-	}
-	defer s.funlock()
-	fname := name + FileSuffix
-	if _, err := os.Stat(filepath.Join(s.dir, fname)); errors.Is(err, fs.ErrNotExist) {
-		s.stats.Misses++
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	if s.fault.Should(diag.KindSnapshotRead, faultPhase, name) {
-		s.quarantineLocked(fname)
-		s.stats.Corrupt++
-		return nil, fmt.Errorf("snapshot: %s: injected snapshot-read fault", fname)
-	}
-	snap, err := s.readVerifyLocked(fname)
+	snap, err := s.files.Read(name)
 	if err != nil {
-		s.quarantineLocked(fname)
-		s.stats.Corrupt++
-		return nil, fmt.Errorf("snapshot: %s quarantined: %w", fname, err)
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	s.stats.Loads++
 	return snap, nil
 }
 
 // WriteFile durably writes a snapshot to a standalone path (the slc
-// -snapshot-out flag), using the same atomic protocol as the store.
+// -snapshot-out flag).
 func WriteFile(path string, snap *Snapshot) error {
-	data, err := snap.Bytes()
+	p, err := snap.payload()
 	if err != nil {
 		return err
 	}
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	if err := compilecache.AtomicWriteFile(dir, base, data); err != nil {
+	if err := format.WriteFile(path, p); err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	return nil
 }
 
 // ReadFile reads and verifies a standalone snapshot file (the slc
-// -snapshot-in flag). A corrupt file is quarantined in place — renamed
-// to <path>.quarantined — so the next run cold-compiles instead of
-// retrying the same bad bytes.
+// -snapshot-in flag). A corrupt file is renamed to <path>.quarantined,
+// so the next run cold-compiles instead of retrying the same bad bytes.
 func ReadFile(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
+	snap, err := format.ReadFile(path)
 	if err != nil {
-		return nil, err
-	}
-	snap, err := DecodeBytes(data)
-	if err != nil {
-		if qerr := os.Rename(path, path+".quarantined"); qerr != nil {
-			os.Remove(path)
-		}
-		return nil, fmt.Errorf("snapshot: %s quarantined: %w", path, err)
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	return snap, nil
 }
