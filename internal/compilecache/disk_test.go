@@ -3,6 +3,7 @@ package compilecache
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -70,6 +71,88 @@ func TestDiskSurvivesReopen(t *testing.T) {
 	defer d2.Close()
 	if _, ok := d2.Lookup("k1"); !ok {
 		t.Error("entry lost across reopen")
+	}
+}
+
+func TestRecoverQuarantinesDebris(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDisk(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Store("good", testEntry("good", "f")); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+
+	// Simulate a crashed writer: a stray temp file and a torn entry.
+	if err := os.WriteFile(filepath.Join(dir, "dead.tmp123"), []byte("partial"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "torn.e"), []byte(entryFormat.Magic+"\nabcd\ngarbage"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := OpenDisk(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if _, ok := d2.Lookup("good"); !ok {
+		t.Error("recovery lost the good entry")
+	}
+	if _, ok := d2.Lookup("torn"); ok {
+		t.Error("torn entry served as a hit")
+	}
+	q, err := os.ReadDir(filepath.Join(dir, "quarantine"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, 0, len(q))
+	for _, f := range q {
+		names = append(names, f.Name())
+	}
+	joined := strings.Join(names, ",")
+	if !strings.Contains(joined, "dead.tmp123") || !strings.Contains(joined, "torn.e") {
+		t.Errorf("quarantine holds %q, want the temp and the torn entry", joined)
+	}
+}
+
+func TestLookupQuarantinesCorruptEntry(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDisk(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.Store("k1", testEntry("k1", "f")); err != nil {
+		t.Fatal(err)
+	}
+	// Corrupt in place after the verified store.
+	path := filepath.Join(dir, "k1.e")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(path, data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := d.Lookup("k1"); ok {
+		t.Fatal("corrupt entry served as a hit")
+	}
+	if d.Stats().Corrupt != 1 {
+		t.Errorf("corrupt meter = %d, want 1", d.Stats().Corrupt)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Error("corrupt entry still in place after lookup")
+	}
+	// The key now misses cleanly (no file), so a writer can repopulate.
+	if err := d.Store("k1", testEntry("k1", "f")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := d.Lookup("k1"); !ok {
+		t.Error("repopulated entry missed")
 	}
 }
 

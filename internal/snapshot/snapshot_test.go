@@ -1,7 +1,7 @@
-// Wire-format and store-level tests: deterministic encoding, version
-// skew, the store's quarantine events and recovery, and the
-// snapshot-read/snapshot-write fault-injection paths. The frame itself
-// (every bit flip and truncation) is checked in internal/durable.
+// Wire-format and store-level tests: deterministic encoding, detection
+// of every corruption class (bit flips, truncation at arbitrary byte
+// boundaries, version skew), the store's quarantine events and recovery,
+// and the snapshot-read/snapshot-write fault-injection paths.
 package snapshot_test
 
 import (
@@ -93,6 +93,43 @@ func TestWireRoundTripDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a, c) {
 		t.Error("decode→encode did not reproduce the original bytes")
+	}
+}
+
+func TestWireDetectsBitFlips(t *testing.T) {
+	data, err := testSnapshot(t, 0).Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flip one bit at a spread of offsets across the whole file (headers,
+	// payloads, trailer). Every flip must be rejected.
+	for off := 0; off < len(data); off += 31 {
+		mut := append([]byte(nil), data...)
+		mut[off] ^= 0x20
+		if bytes.Equal(mut, data) {
+			continue
+		}
+		if _, err := snapshot.DecodeBytes(mut); err == nil {
+			t.Errorf("bit flip at offset %d went undetected", off)
+		}
+	}
+}
+
+func TestWireDetectsTruncation(t *testing.T) {
+	data, err := testSnapshot(t, 0).Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < len(data); n += 13 {
+		if _, err := snapshot.DecodeBytes(data[:n]); err == nil {
+			t.Errorf("truncation to %d of %d bytes went undetected", n, len(data))
+		}
+	}
+	if _, err := snapshot.DecodeBytes(data[:len(data)-1]); err == nil {
+		t.Error("missing final newline went undetected")
+	}
+	if _, err := snapshot.DecodeBytes(append(append([]byte(nil), data...), "junk"...)); err == nil {
+		t.Error("trailing junk went undetected")
 	}
 }
 
