@@ -438,7 +438,7 @@ func BenchmarkE11_BetaConversion(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		o := opt.New(opt.DefaultOptions(), nil)
+		o := opt.New(opt.DefaultOptions())
 		o.Optimize(n)
 		applied = 0
 		for _, v := range o.Applied {

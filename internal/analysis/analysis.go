@@ -35,26 +35,33 @@ func RecomputeShallow(n tree.Node) { computeOne(n) }
 
 // analyzeNode computes Reads/Writes/Effects/Complexity bottom-up.
 func analyzeNode(n tree.Node) {
-	for _, c := range tree.Children(n) {
+	var buf [tree.ChildBuf]tree.Node
+	for _, c := range tree.AppendChildren(buf[:0], n) {
 		analyzeNode(c)
 	}
 	computeOne(n)
 }
 
 // computeOne fills n's Info from its children's already-computed Info.
+// Its Reads and Writes share a child's set unless n adds a variable to
+// it (tree.SetUnion), so a node costs a set allocation only where its
+// variables differ from its children's.
 func computeOne(n tree.Node) {
 	in := n.Info()
-	in.Reads, in.Writes = nil, nil
+	var reads, writes tree.SetUnion
 	in.Effects = tree.EffNone
 	in.Complexity = 0
 	in.Dirty = false
 
-	merge := func(c tree.Node) {
+	sets := func(c tree.Node) {
 		ci := c.Info()
-		in.Reads = in.Reads.Union(ci.Reads)
-		in.Writes = in.Writes.Union(ci.Writes)
-		in.Effects |= ci.Effects
-		in.Complexity += ci.Complexity
+		reads.Add(ci.Reads)
+		writes.Add(ci.Writes)
+	}
+	merge := func(c tree.Node) {
+		sets(c)
+		in.Effects |= c.Info().Effects
+		in.Complexity += c.Info().Complexity
 	}
 
 	switch x := n.(type) {
@@ -62,7 +69,7 @@ func computeOne(n tree.Node) {
 		in.Complexity = 1
 
 	case *tree.VarRef:
-		in.Reads = in.Reads.Add(x.Var)
+		reads.AddVar(x.Var)
 		in.Complexity = 1
 		if x.Var.Special {
 			// Reading a dynamic binding is a read of mutable state.
@@ -72,7 +79,7 @@ func computeOne(n tree.Node) {
 
 	case *tree.Setq:
 		merge(x.Value)
-		in.Writes = in.Writes.Add(x.Var)
+		writes.AddVar(x.Var)
 		in.Effects |= tree.EffWrite
 		in.Complexity++
 
@@ -94,11 +101,9 @@ func computeOne(n tree.Node) {
 		// body's free activity so that binding annotation can see
 		// closed-over variables.
 		for _, o := range x.Optional {
-			in.Reads = in.Reads.Union(o.Default.Info().Reads)
-			in.Writes = in.Writes.Union(o.Default.Info().Writes)
+			sets(o.Default)
 		}
-		in.Reads = in.Reads.Union(x.Body.Info().Reads)
-		in.Writes = in.Writes.Union(x.Body.Info().Writes)
+		sets(x.Body)
 		in.Effects = tree.EffAlloc
 		in.Complexity = 2 + x.Body.Info().Complexity
 
@@ -162,6 +167,7 @@ func computeOne(n tree.Node) {
 		}
 		in.Complexity += 2
 	}
+	in.Reads, in.Writes = reads.Set(), writes.Set()
 }
 
 // markTail sets the Tail flags: a node is in tail position when its value

@@ -46,7 +46,8 @@ func Annotate(root tree.Node) {
 }
 
 func annotate(n tree.Node) {
-	for _, c := range tree.Children(n) {
+	var buf [tree.ChildBuf]tree.Node
+	for _, c := range tree.AppendChildren(buf[:0], n) {
 		annotate(c)
 	}
 	call, ok := n.(*tree.Call)

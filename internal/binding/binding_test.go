@@ -17,7 +17,7 @@ func prep(t *testing.T, src string, optimize bool) *tree.Lambda {
 		t.Fatal(err)
 	}
 	if optimize {
-		o := opt.New(opt.DefaultOptions(), nil)
+		o := opt.New(opt.DefaultOptions())
 		n = o.Optimize(n)
 	}
 	lam, ok := n.(*tree.Lambda)

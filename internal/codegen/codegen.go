@@ -84,6 +84,26 @@ type Compiler struct {
 // an idle session's compiler keeps no buffer.
 var codeBufs = sync.Pool{New: func() any { return new([]absItem) }}
 
+// lowerBufs holds the instruction slab and item list a function is
+// lowered into (lower.go). AddFunction is their only reader and copies
+// what it keeps (assemble into the code vector, FromItems into a
+// capture), so they are free for the next function once it returns.
+var lowerBufs = sync.Pool{New: func() any { return new(lowerBuf) }}
+
+type lowerBuf struct {
+	slab  []s1.Instr // primary slab; its first n entries are in use
+	n     int
+	items []s1.Item
+}
+
+// release clears the buffer's references and returns it to the pool.
+func (b *lowerBuf) release() {
+	clear(b.slab[:b.n])
+	clear(b.items)
+	b.n, b.items = 0, b.items[:0]
+	lowerBufs.Put(b)
+}
+
 // FuncBind is one function-name lookup an emission made and the index
 // it got (-1 for none). Emitted code embeds the index of a function
 // that is already compiled (#'foo), so a cached body may be reused — a
@@ -159,11 +179,33 @@ type Prepared struct {
 // function (empty unless an obs task was supplied).
 func (p *Prepared) Rules() []obs.RuleEvent { return p.rules }
 
+// CodeEstimate is how many instructions Emit is expected to install for
+// p, for sizing the code vector before a batch. Emission installs about
+// one instruction per unit of the tree's complexity (analysis's
+// object-code size estimate) plus about eight per separately compiled
+// function, for its entry and exit sequences; that holds within a few
+// percent over generated corpora and over feature-rich code alike. The
+// estimate adds a quarter to the first term, so a batch's total covers
+// it with room for the top-level forms installed after it. A batch that
+// outgrows it falls back to doubling.
+func (p *Prepared) CodeEstimate() int {
+	fns := 0
+	tree.Walk(p.Lam, func(n tree.Node) bool {
+		if l, ok := n.(*tree.Lambda); ok && (l == p.Lam ||
+			l.Strategy == tree.StrategyFastCall || l.Strategy == tree.StrategyFullClosure) {
+			fns++
+		}
+		return true
+	})
+	return p.Lam.Info().Complexity*5/4 + 8*fns
+}
+
 // Prepare runs the middle end — source-level optimizer, optional CSE,
 // analysis, binding, representation and pdl annotation — for one
 // function. It reads no mutable compiler or machine state (each call owns
-// a fresh optimizer and compile-time interpreter), so distinct functions
-// may be Prepared concurrently; only Emit must be serialized.
+// a fresh optimizer; constant folding only reads the process-wide
+// builtin table), so distinct functions may be Prepared concurrently;
+// only Emit must be serialized.
 func (c *Compiler) Prepare(name string, lam *tree.Lambda) (*Prepared, error) {
 	return c.PrepareTask(name, lam, nil)
 }
@@ -192,7 +234,7 @@ func (c *Compiler) PrepareTask(name string, lam *tree.Lambda, task *obs.Task) (*
 			}
 		}
 		sp := task.Start("optimize")
-		o := opt.New(oo, nil)
+		o := opt.New(oo)
 		n := o.Optimize(lam)
 		if o.TimedOut() {
 			return nil, fmt.Errorf("codegen: optimizer watchdog (%v) expired on %s before fixpoint",
@@ -266,7 +308,7 @@ func (c *Compiler) flushTranscript(p *Prepared) {
 func (c *Compiler) Emit(name string, p *Prepared) (int, error) {
 	c.binds = nil
 	c.flushTranscript(p)
-	idx, _, err := c.compileLambda(name, p.Lam, nil, p.vr)
+	idx, err := c.compileLambda(name, p.Lam, nil, p.vr)
 	if err != nil {
 		return 0, err
 	}
@@ -345,6 +387,8 @@ type fc struct {
 	// number" — we conservatively extend them to the end of the function.
 	pdlSlots []*tn.TN
 
+	lowered *lowerBuf // storage of the lowered items, released after install
+
 	frameSizePatch int // index of the prologue ADD SP instruction
 	labelCounter   int
 	retLabel       string
@@ -408,9 +452,8 @@ func (c *Compiler) primStub(name string) (int, error) {
 }
 
 // compileLambda compiles one activation-bearing lambda (FastCall or
-// FullClosure, or a top-level function) and returns its function index
-// along with the assembled item list it installed.
-func (c *Compiler) compileLambda(name string, lam *tree.Lambda, parent *frameCtx, vr rep.VarReps) (int, []s1.Item, error) {
+// FullClosure, or a top-level function) and returns its function index.
+func (c *Compiler) compileLambda(name string, lam *tree.Lambda, parent *frameCtx, vr rep.VarReps) (int, error) {
 	f := &fc{
 		c: c, name: name, lam: lam, vr: vr,
 		alloc:      tn.New(!c.Opts.UseTN),
@@ -425,6 +468,9 @@ func (c *Compiler) compileLambda(name string, lam *tree.Lambda, parent *frameCtx
 		clear(f.code) // drop the TN and string references
 		*buf = f.code[:0]
 		codeBufs.Put(buf)
+		if f.lowered != nil {
+			f.lowered.release()
+		}
 	}()
 	// Heap literals emitted into the body are referenced only by the
 	// item list until AddFunction installs it; they stay pinned until
@@ -442,17 +488,13 @@ func (c *Compiler) compileLambda(name string, lam *tree.Lambda, parent *frameCtx
 	}
 
 	if err := f.emitFunction(); err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	items, minA, maxA, err := f.finish()
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	idx, err := c.M.AddFunction(name, minA, maxA, items)
-	if err != nil {
-		return 0, nil, err
-	}
-	return idx, items, nil
+	return c.M.AddFunction(name, minA, maxA, items)
 }
 
 // collectFrameEnvVars gathers heap variables belonging to lam's frame:
@@ -481,7 +523,8 @@ func collectFrameEnvVars(lam *tree.Lambda, f *frameCtx) {
 				return
 			}
 		}
-		for _, ch := range tree.Children(n) {
+		var buf [tree.ChildBuf]tree.Node
+		for _, ch := range tree.AppendChildren(buf[:0], n) {
 			walk(ch)
 		}
 	}

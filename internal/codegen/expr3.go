@@ -117,7 +117,7 @@ func (f *fc) emitJumpCall(call *tree.Call, v *tree.Var, jb *jumpBlock) error {
 // emits the closure construction.
 func (f *fc) emitClosure(lam *tree.Lambda) (absOperand, error) {
 	name := f.c.gensym(f.name + "$closure")
-	idx, _, err := f.c.compileLambda(name, lam, f.closureParentCtx(), f.vr)
+	idx, err := f.c.compileLambda(name, lam, f.closureParentCtx(), f.vr)
 	if err != nil {
 		return noOperand, err
 	}

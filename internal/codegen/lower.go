@@ -42,15 +42,27 @@ func (f *fc) lower() ([]s1.Item, error) {
 	}
 
 	// Instructions are carved from one slab instead of allocated one by
-	// one; a repair's extra MOVs that overflow it start another.
+	// one; a repair's extra MOVs that overflow it start another. The slab
+	// and the item list are recycled storage (lowerBufs), released when
+	// compileLambda has installed the function.
 	n := 0
 	for _, it := range f.code {
 		if it.present {
 			n++
 		}
 	}
-	slab := make([]s1.Instr, 0, n)
-	items := make([]s1.Item, 0, len(f.code))
+	lb := lowerBufs.Get().(*lowerBuf)
+	f.lowered = lb
+	if cap(lb.slab) < n {
+		lb.slab = make([]s1.Instr, n)
+	}
+	lb.n = n
+	slab := lb.slab[:0:n]
+	items := lb.items[:0]
+	if cap(items) < len(f.code) {
+		items = make([]s1.Item, 0, len(f.code))
+	}
+	defer func() { lb.items = items }()
 	put := func(ins s1.Instr) {
 		if len(slab) == cap(slab) {
 			slab = make([]s1.Instr, 0, 8)

@@ -116,6 +116,15 @@ type DiskEntry struct {
 	bodies []s1.Body
 }
 
+// Instrs is the number of instructions Install appends.
+func (e *DiskEntry) Instrs() int {
+	n := 0
+	for i := range e.bodies {
+		n += len(e.bodies[i].Code)
+	}
+	return n
+}
+
 // Replayable reports whether the entry can be replayed into machine m
 // with compiler gensym counter gen, and why not if it cannot.
 func (e *DiskEntry) Replayable(m *s1.Machine, gen int) error {

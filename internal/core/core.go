@@ -715,6 +715,21 @@ func (s *System) compileDefs(units []*unit, list *diag.List) {
 		wg.Wait()
 	}
 
+	// Size the code vector for the whole batch before installing it:
+	// growing it install by install copies it, and both decoded streams,
+	// once per doubling.
+	need := 0
+	for _, u := range units {
+		switch {
+		case u.err != nil || u.hit:
+		case u.prepared != nil:
+			need += u.prepared.CodeEstimate()
+		case u.disk != nil:
+			need += u.disk.Instrs()
+		}
+	}
+	s.Machine.ReserveCode(need)
+
 	for _, u := range units {
 		if u.err != nil {
 			// The unit failed before touching the machine: report it and

@@ -62,7 +62,7 @@ func FuzzCompilePipeline(f *testing.F) {
 			lams = append(lams, convert.WrapToplevel(tf))
 		}
 		for _, lam := range lams {
-			n := opt.New(oo, nil).Optimize(lam)
+			n := opt.New(oo).Optimize(lam)
 			// Back-translate and re-read: the printed tree must never
 			// crash the reader.
 			back := tree.Show(n)

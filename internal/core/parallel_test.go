@@ -1,11 +1,17 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/diag"
+	"repro/internal/interp"
 	"repro/internal/sexp"
 )
 
@@ -420,5 +426,96 @@ func TestParallelListingsMatchExamples(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestParallelFoldingLeavesBuiltinsUnchanged loads a constant-folding
+// heavy corpus on the worker pool. Every worker's optimizer folds by
+// applying the one process-wide builtin table, so under -race this shows
+// the folding only reads it; afterwards every entry must be the same
+// builtin with the same fields.
+func TestParallelFoldingLeavesBuiltinsUnchanged(t *testing.T) {
+	type entry struct {
+		b    *interp.Builtin
+		val  interp.Builtin
+		code uintptr
+	}
+	snapshot := func() map[*sexp.Symbol]entry {
+		out := map[*sexp.Symbol]entry{}
+		for name, fn := range interp.New().Funcs {
+			if b, ok := fn.(*interp.Builtin); ok {
+				out[name] = entry{b, *b, reflect.ValueOf(b.Fn).Pointer()}
+			}
+		}
+		return out
+	}
+	before := snapshot()
+
+	var src strings.Builder
+	const n = 48
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&src, `(defun fold-%d (x)
+  (list (+ x (* %d 3) (- 100 %d) (max 1 %d 7) (1+ (abs -%d)))
+        (car '(%d 2)) (length '(1 2 3 4)) (sqrt 16.0) (expt 2 %d)
+        (if (< %d 20) (gcd 12 %d) (mod %d 7)) (equal '(a b) '(a b))))
+`, i, i, i, i, i, i, i%20, i, i+1, i)
+	}
+	sys := NewSystem(Options{Jobs: 4})
+	if err := sys.LoadString(src.String()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i += 7 {
+		name := fmt.Sprintf("fold-%d", i)
+		cv, cerr := sys.Call(name, sexp.Fixnum(5))
+		iv, ierr := sys.Interpret(name, sexp.Fixnum(5))
+		if cerr != nil || ierr != nil || !sexp.Equal(cv, iv) {
+			t.Fatalf("%s: compiled %v (%v), interpreted %v (%v)", name, cv, cerr, iv, ierr)
+		}
+	}
+
+	after := snapshot()
+	if len(after) != len(before) {
+		t.Fatalf("builtin table has %d entries, had %d", len(after), len(before))
+	}
+	for name, was := range before {
+		now, ok := after[name]
+		if !ok || now.b != was.b || now.code != was.code ||
+			now.val.Name != was.val.Name || now.val.MinArgs != was.val.MinArgs ||
+			now.val.MaxArgs != was.val.MaxArgs || now.val.Pure != was.val.Pure {
+			t.Errorf("builtin %s changed: %+v -> %+v", name.Name, was, now)
+		}
+	}
+}
+
+// TestBatchGrowsCodeVectorOnce: a load's definitions reserve the code
+// vector from their prepared trees before any installs, so a cold load
+// grows it exactly once, to that reservation, with room left for the
+// top-level forms that follow.
+func TestBatchGrowsCodeVectorOnce(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	var gen strings.Builder
+	for i := 0; i < 64; i++ {
+		fmt.Fprintf(&gen, "(defun g%d (a b) %s)\n", i, genExpr(r, []string{"a", "b"}, 5))
+	}
+	for name, src := range map[string]string{"corpus": corpusSrc, "generated": gen.String()} {
+		est := NewSystem(Options{})
+		ld := est.frontEnd(src, est.Obs.Task("batch", 0), diag.NewList(0))
+		need := 0
+		for _, u := range ld.defs {
+			p, err := est.safePrepare(u.name, u.lam, est.Obs.Task(u.name, 0), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			need += p.CodeEstimate()
+		}
+		sys := NewSystem(Options{})
+		c0, l0 := cap(sys.Machine.Code), len(sys.Machine.Code)
+		if err := sys.LoadString(src); err != nil {
+			t.Fatal(err)
+		}
+		if want, got := max(2*c0, l0+need), cap(sys.Machine.Code); got != want {
+			t.Errorf("%s: code vector capacity %d after the load, want the reservation %d (%d instructions installed)",
+				name, got, want, len(sys.Machine.Code))
+		}
 	}
 }

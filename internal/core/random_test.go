@@ -6,8 +6,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/codegen"
+	"repro/internal/convert"
+	"repro/internal/opt"
 	"repro/internal/sexp"
+	"repro/internal/tree"
 )
 
 // genExpr builds a random expression over integer variables, exercising
@@ -110,6 +114,88 @@ func TestRandomizedDifferential(t *testing.T) {
 			} else if got := sexp.Print(cv); got != wantStr {
 				t.Fatalf("configs disagree on %s: %s vs %s", src, got, wantStr)
 			}
+		}
+	}
+}
+
+// freshSets is the reference environment analysis: every node's
+// Reads/Writes in newly allocated sets, each the union of its children's
+// plus the node's own variable, sharing nothing.
+func freshSets(n tree.Node, reads, writes map[tree.Node]tree.VarSet) {
+	r, w := tree.VarSet{}, tree.VarSet{}
+	for _, c := range tree.AppendChildren(nil, n) {
+		freshSets(c, reads, writes)
+		for v := range reads[c] {
+			r[v] = struct{}{}
+		}
+		for v := range writes[c] {
+			w[v] = struct{}{}
+		}
+	}
+	switch x := n.(type) {
+	case *tree.VarRef:
+		r[x.Var] = struct{}{}
+	case *tree.Setq:
+		w[x.Var] = struct{}{}
+	}
+	reads[n], writes[n] = r, w
+}
+
+func sameSet(a, b tree.VarSet) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for v := range a {
+		if !b.Has(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSharedVarSetsMatchFreshAnalysis runs the optimizer (whose
+// incremental passes re-analyze through Recompute and RecomputeShallow)
+// over randomized programs, then checks that every node's shared
+// Reads/Writes equal a fresh-copy reference. It then recomputes each
+// node in turn, as the optimizer's dirty path does: no other node's set
+// may change when a child is recomputed, and refreshing the ancestors
+// afterwards must leave the reference sets.
+func TestSharedVarSetsMatchFreshAnalysis(t *testing.T) {
+	r := rand.New(rand.NewSource(20261019))
+	for i := 0; i < 150; i++ {
+		src := fmt.Sprintf("(defun f (a b) %s)", genExpr(r, []string{"a", "b"}, 5))
+		form, err := sexp.ReadOne(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := convert.NewProgram()
+		if err := convert.New().TopForm(prog, form); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		root := opt.New(opt.DefaultOptions()).Optimize(prog.Defs[0].Lambda)
+
+		var nodes []tree.Node
+		tree.Walk(root, func(n tree.Node) bool { nodes = append(nodes, n); return true })
+		reads, writes := map[tree.Node]tree.VarSet{}, map[tree.Node]tree.VarSet{}
+		freshSets(root, reads, writes)
+		check := func(when string) {
+			t.Helper()
+			for _, n := range nodes {
+				in := n.Info()
+				if !sameSet(in.Reads, reads[n]) || !sameSet(in.Writes, writes[n]) {
+					t.Fatalf("%s: %s: %s has reads %v writes %v, want %v %v", src, when,
+						tree.Show(n), in.Reads.Sorted(), in.Writes.Sorted(), reads[n].Sorted(), writes[n].Sorted())
+				}
+			}
+		}
+		check("after optimizing")
+		for _, n := range nodes {
+			analysis.Recompute(n)
+			check("after recomputing " + tree.Show(n))
+			for p := n.Info().Parent; p != nil; p = p.Info().Parent {
+				analysis.RecomputeShallow(p)
+			}
+			check("after refreshing the ancestors of " + tree.Show(n))
 		}
 	}
 }

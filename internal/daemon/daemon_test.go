@@ -432,6 +432,45 @@ func TestDiskCacheQuarantineEvent(t *testing.T) {
 	}
 }
 
+// TestRecoveryQuarantineEvents: files quarantined while a store is
+// opened, before the server exists to hook it, still reach the flight
+// recorder once the server installs its hook: a torn cache entry as
+// cache-quarantine, a previous-version boot snapshot as
+// snapshot-quarantine, each exactly once.
+func TestRecoveryQuarantineEvents(t *testing.T) {
+	cacheDir, snapDir := t.TempDir(), t.TempDir()
+	if err := os.WriteFile(filepath.Join(cacheDir, "torn.e"), []byte("slc-cache-entry-v1\ntorn"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(snapDir, "boot.snap"), []byte("slc-snapshot-v2\nold payload"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	d, err := compilecache.OpenDisk(cacheDir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	s := New(Config{SchedWorkers: 1, Disk: d, Snapshots: openSnapStore(t, snapDir, nil)})
+	for kind, file := range map[string]string{
+		obs.EvCacheQuarantine:    "torn.e",
+		obs.EvSnapshotQuarantine: "boot.snap",
+	} {
+		evs := s.Flight().Snapshot(obs.Filter{Kind: kind})
+		if len(evs) != 1 || evs[0].Unit != file {
+			t.Errorf("%s events = %+v, want one for %s", kind, evs, file)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(cacheDir, "quarantine", "torn.e")); err != nil {
+		t.Errorf("torn entry not in quarantine: %v", err)
+	}
+	// A later hook does not see the recovery events again.
+	var again int
+	d.SetEventHook(func(kind, name string) { again++ })
+	if again != 0 {
+		t.Errorf("second hook received %d recovery events", again)
+	}
+}
+
 // TestBadBodyRejected: malformed JSON is a 400, not a panic or a hang.
 func TestBadBodyRejected(t *testing.T) {
 	s := New(Config{SchedWorkers: 1})

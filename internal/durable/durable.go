@@ -186,6 +186,9 @@ type Dir[T any] struct {
 	// a file is moved to quarantine: the flight recorder's window into
 	// on-disk corruption handling.
 	onEvent func(kind, name string)
+	// recovered are the files Open's recovery quarantined before any hook
+	// could be set; the first hook installed receives them once.
+	recovered []string
 }
 
 // Open opens (creating if needed) a directory of f's files, recovers it
@@ -208,11 +211,20 @@ func Open[T any](path string, f *Format[T], fault *diag.Plan) (*Dir[T], error) {
 }
 
 // SetEventHook installs the quarantine event callback. Safe to call on
-// a live handle; the hook must itself be safe for concurrent use.
+// a live handle; the hook must itself be safe for concurrent use. The
+// first hook installed also receives, once, an event for each file
+// Open's recovery quarantined.
 func (d *Dir[T]) SetEventHook(fn func(kind, name string)) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.onEvent = fn
-	d.mu.Unlock()
+	if fn == nil {
+		return
+	}
+	for _, file := range d.recovered {
+		fn(d.format.Event, file)
+	}
+	d.recovered = nil
 }
 
 // Path returns the directory path.
@@ -283,6 +295,7 @@ func (d *Dir[T]) recover() error {
 		}
 		d.quarantineLocked(file)
 		d.stats.Quarantined++
+		d.recovered = append(d.recovered, file)
 	}
 	return nil
 }

@@ -15,6 +15,21 @@ import (
 // buildBuiltins has no interpreter in scope to capture.
 var builtins = sync.OnceValue(buildBuiltins)
 
+// ApplyPure applies the builtin named name to args when it is Pure,
+// straight from the process-wide table: the optimizer's compile-time
+// expression evaluation needs no interpreter of its own. Pure builtins
+// never touch their interpreter argument, so they are called with nil.
+// It reports false when name is no pure builtin, the arity is wrong, or
+// the call fails; nothing is written either way.
+func ApplyPure(name *sexp.Symbol, args []sexp.Value) (sexp.Value, bool) {
+	b, _ := builtins()[name].(*Builtin)
+	if b == nil || !b.Pure || len(args) < b.MinArgs || (b.MaxArgs >= 0 && len(args) > b.MaxArgs) {
+		return nil, false
+	}
+	v, err := b.Fn(nil, args)
+	return v, err == nil
+}
+
 // buildBuiltins makes the primitive function table. Pure builtins are
 // eligible for the optimizer's compile-time expression evaluation.
 func buildBuiltins() map[*sexp.Symbol]sexp.Value {

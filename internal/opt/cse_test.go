@@ -15,7 +15,7 @@ func cseRun(t *testing.T, src string) (tree.Node, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := New(DefaultOptions(), nil)
+	o := New(DefaultOptions())
 	n = o.Optimize(n)
 	// EliminateCommonSubexpressions mutates below the root; roots that
 	// are lambdas are never replaced.

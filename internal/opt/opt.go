@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/interp"
 	"repro/internal/tree"
 )
 
@@ -60,7 +59,6 @@ func DefaultOptions() Options {
 // Optimizer rewrites trees to a fixpoint.
 type Optimizer struct {
 	opts Options
-	in   *interp.Interp
 	// Applied counts transformations by rule name.
 	Applied map[string]int
 	changed bool
@@ -89,19 +87,16 @@ type Optimizer struct {
 	wdCtr    int
 }
 
-// New returns an optimizer; in supplies the apply engine for compile-time
-// expression evaluation (nil for a fresh interpreter).
-func New(opts Options, in *interp.Interp) *Optimizer {
-	if in == nil {
-		in = interp.New()
-	}
+// New returns an optimizer. Compile-time expression evaluation applies
+// the process-wide pure builtins (interp.ApplyPure).
+func New(opts Options) *Optimizer {
 	if opts.MaxPasses <= 0 {
 		opts.MaxPasses = 60
 	}
 	if opts.SubstituteComplexity <= 0 {
 		opts.SubstituteComplexity = 6
 	}
-	return &Optimizer{opts: opts, in: in, Applied: map[string]int{}}
+	return &Optimizer{opts: opts, Applied: map[string]int{}}
 }
 
 // Optimize rewrites root until no transformation applies (or MaxPasses).
@@ -232,7 +227,8 @@ func (o *Optimizer) analyzeDirty(n tree.Node) {
 	if !o.visit[n] {
 		return
 	}
-	for _, c := range tree.Children(n) {
+	var buf [tree.ChildBuf]tree.Node
+	for _, c := range tree.AppendChildren(buf[:0], n) {
 		o.analyzeDirty(c)
 	}
 	analysis.RecomputeShallow(n)
@@ -329,43 +325,49 @@ func (o *Optimizer) rewrite(n tree.Node, force bool) tree.Node {
 	return n
 }
 
+// rule is one node-local transformation.
+type rule struct {
+	name string
+	fn   func(*Optimizer, tree.Node) (tree.Node, bool)
+}
+
+// rulesByKind lists the node-local rules per node kind (its index), in the order
+// they are tried. Method expressions in a static table cost nothing per
+// visit, where a table of bound methods would allocate one closure per
+// rule each time.
+var rulesByKind = [tree.KindFunRef + 1][]rule{
+	tree.KindCall: {
+		{"META-CALL-LAMBDA", (*Optimizer).ruleCallLambda},
+		{"META-SUBSTITUTE", (*Optimizer).ruleSubstitute},
+		{"META-DROP-UNUSED-ARGUMENT", (*Optimizer).ruleDropUnused},
+		{"META-EVALUATE-ASSOC-COMMUT-CALL", (*Optimizer).ruleAssocCommut},
+		{"CONSIDER-REVERSING-ARGUMENTS", (*Optimizer).ruleReverseArgs},
+		{"META-IDENTITY-OPERAND", (*Optimizer).ruleIdentity},
+		{"META-EVALUATE-CONSTANT-CALL", (*Optimizer).ruleConstantFold},
+		{"META-SIN-TO-SINC", (*Optimizer).ruleSinToSinc},
+		{"META-HOIST-PROGN-ARGUMENT", (*Optimizer).ruleHoistProgn},
+	},
+	tree.KindIf: {
+		{"META-IF-PROGN", (*Optimizer).ruleIfProgn},
+		{"META-IF-CONSTANT-PREDICATE", (*Optimizer).ruleIfConstant},
+		{"META-IF-KNOWN-TEST", (*Optimizer).ruleIfKnownTest},
+		{"META-IF-NOT", (*Optimizer).ruleIfNot},
+		{"META-IF-IF", (*Optimizer).ruleIfIf},
+	},
+	tree.KindProgn: {
+		{"META-PROGN-FLATTEN", (*Optimizer).rulePrognFlatten},
+	},
+	tree.KindCaseq: {
+		{"META-CASEQ-CONSTANT-KEY", (*Optimizer).ruleCaseqConstant},
+	},
+}
+
 // applyRules tries each rule once; returns the (possibly new) node and
 // whether any rule fired.
 func (o *Optimizer) applyRules(n tree.Node) (tree.Node, bool) {
-	type rule struct {
-		name string
-		fn   func(tree.Node) (tree.Node, bool)
-	}
-	var rules []rule
-	switch n.Kind() {
-	case tree.KindCall:
-		rules = []rule{
-			{"META-CALL-LAMBDA", o.ruleCallLambda},
-			{"META-SUBSTITUTE", o.ruleSubstitute},
-			{"META-DROP-UNUSED-ARGUMENT", o.ruleDropUnused},
-			{"META-EVALUATE-ASSOC-COMMUT-CALL", o.ruleAssocCommut},
-			{"CONSIDER-REVERSING-ARGUMENTS", o.ruleReverseArgs},
-			{"META-IDENTITY-OPERAND", o.ruleIdentity},
-			{"META-EVALUATE-CONSTANT-CALL", o.ruleConstantFold},
-			{"META-SIN-TO-SINC", o.ruleSinToSinc},
-			{"META-HOIST-PROGN-ARGUMENT", o.ruleHoistProgn},
-		}
-	case tree.KindIf:
-		rules = []rule{
-			{"META-IF-PROGN", o.ruleIfProgn},
-			{"META-IF-CONSTANT-PREDICATE", o.ruleIfConstant},
-			{"META-IF-KNOWN-TEST", o.ruleIfKnownTest},
-			{"META-IF-NOT", o.ruleIfNot},
-			{"META-IF-IF", o.ruleIfIf},
-		}
-	case tree.KindProgn:
-		rules = []rule{
-			{"META-PROGN-FLATTEN", o.rulePrognFlatten},
-		}
-	case tree.KindCaseq:
-		rules = []rule{
-			{"META-CASEQ-CONSTANT-KEY", o.ruleCaseqConstant},
-		}
+	rules := rulesByKind[n.Kind()]
+	if len(rules) == 0 {
+		return n, false
 	}
 	before := ""
 	if o.opts.Log != nil || o.opts.OnRule != nil {
@@ -375,7 +377,7 @@ func (o *Optimizer) applyRules(n tree.Node) (tree.Node, bool) {
 		if !o.enabled(r.name) {
 			continue
 		}
-		if nn, fired := r.fn(n); fired {
+		if nn, fired := r.fn(o, n); fired {
 			o.logRule(r.name, before, nn)
 			return nn, true
 		}

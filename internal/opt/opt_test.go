@@ -17,7 +17,7 @@ func optimizeSrc(t *testing.T, src string) (tree.Node, *Optimizer) {
 	if err != nil {
 		t.Fatalf("convert: %v", err)
 	}
-	o := New(DefaultOptions(), nil)
+	o := New(DefaultOptions())
 	out := o.Optimize(n)
 	if err := tree.Validate(out); err != nil {
 		t.Fatalf("optimized tree invalid: %v\n%s", err, tree.Show(out))
@@ -301,7 +301,7 @@ func TestTestfnTranscript(t *testing.T) {
 	var log strings.Builder
 	opts := DefaultOptions()
 	opts.Log = &log
-	o := New(opts, nil)
+	o := New(opts)
 	out := o.Optimize(n)
 	if err := tree.Validate(out); err != nil {
 		t.Fatalf("invalid: %v", err)
@@ -386,7 +386,7 @@ func TestOptimizerPreservesSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := New(DefaultOptions(), nil)
+		o := New(DefaultOptions())
 		for _, d := range p2.Defs {
 			nd := o.Optimize(d.Lambda)
 			lam, ok := nd.(*tree.Lambda)
@@ -415,7 +415,7 @@ func TestOptimizerPreservesSemantics(t *testing.T) {
 func TestDisabledRules(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Disabled = map[string]bool{"META-EVALUATE-CONSTANT-CALL": true}
-	o := New(opts, nil)
+	o := New(opts)
 	c := convert.New()
 	n, _ := c.ConvertForm(mustRead("(+ 1 2)"))
 	out := o.Optimize(n)

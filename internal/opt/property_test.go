@@ -37,10 +37,10 @@ func TestOptimizeIdempotent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
-		o1 := New(DefaultOptions(), nil)
+		o1 := New(DefaultOptions())
 		out := o1.Optimize(n)
 		first := tree.Show(out)
-		o2 := New(DefaultOptions(), nil)
+		o2 := New(DefaultOptions())
 		out2 := o2.Optimize(out)
 		if len(o2.Applied) != 0 {
 			t.Errorf("%s: second pass applied %v", src, o2.Applied)
@@ -60,7 +60,7 @@ func TestOptimizedTreesValidate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := New(DefaultOptions(), nil)
+		o := New(DefaultOptions())
 		out := o.Optimize(n)
 		if err := tree.Validate(out); err != nil {
 			t.Errorf("%s: %v\n%s", src, err, tree.Show(out))
@@ -78,7 +78,7 @@ func TestBackTranslationReconverts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := New(DefaultOptions(), nil)
+		o := New(DefaultOptions())
 		out := o.Optimize(n)
 		printed := tree.Show(out)
 		c2 := convert.New()

@@ -284,7 +284,8 @@ func (o *Optimizer) ruleIdentity(n tree.Node) (tree.Node, bool) {
 // --- compile-time expression evaluation ---
 
 // ruleConstantFold invokes primitive functions known to be free of side
-// effects on constant operands using the interpreter's apply engine.
+// effects on constant operands, by compile-time apply of the
+// interpreter's pure builtins.
 func (o *Optimizer) ruleConstantFold(n tree.Node) (tree.Node, bool) {
 	call := n.(*tree.Call)
 	fr, ok := call.Fn.(*tree.FunRef)
@@ -306,15 +307,8 @@ func (o *Optimizer) ruleConstantFold(n tree.Node) (tree.Node, bool) {
 		}
 		args[i] = lit.Value
 	}
-	fn, ok := o.in.Funcs[fr.Name]
+	v, ok := interp.ApplyPure(fr.Name, args)
 	if !ok {
-		return n, false
-	}
-	if b, ok := fn.(*interp.Builtin); !ok || !b.Pure {
-		return n, false
-	}
-	v, err := o.in.Apply(fn, args)
-	if err != nil {
 		// Leave ill-typed or erroneous constant calls for run time.
 		return n, false
 	}

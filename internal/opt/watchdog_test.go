@@ -21,7 +21,7 @@ func TestWatchdogTripsAndLatches(t *testing.T) {
 	}
 	oo := DefaultOptions()
 	oo.Watchdog = time.Nanosecond
-	o := New(oo, nil)
+	o := New(oo)
 	out := o.Optimize(n)
 	if !o.TimedOut() {
 		t.Fatal("1ns watchdog did not trip")
@@ -50,7 +50,7 @@ func TestWatchdogGenerousBudgetCompletes(t *testing.T) {
 	}
 	oo := DefaultOptions()
 	oo.Watchdog = time.Minute
-	o := New(oo, nil)
+	o := New(oo)
 	o.Optimize(n)
 	if o.TimedOut() {
 		t.Error("generous watchdog tripped")

@@ -153,7 +153,8 @@ func down(n tree.Node, auth tree.Node) {
 // up computes PDLNUMP: nodes that might produce a pdl number — raw
 // numeric results needing pointer form.
 func up(n tree.Node) {
-	for _, c := range tree.Children(n) {
+	var buf [tree.ChildBuf]tree.Node
+	for _, c := range tree.AppendChildren(buf[:0], n) {
 		up(c)
 	}
 	in := n.Info()

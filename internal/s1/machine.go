@@ -359,7 +359,8 @@ func newMachine(a *Arena) *Machine {
 
 // AddFunction assembles a function body into the machine, pre-decodes it
 // for execution (decode.go), and registers its descriptor; returns the
-// function index.
+// function index. It keeps no reference to items or their instructions,
+// so the caller may reuse that storage once it returns.
 func (m *Machine) AddFunction(name string, minArgs, maxArgs int, items []Item) (int, error) {
 	code, entry, err := assemble(name, items, m.Code)
 	if err != nil {
@@ -373,6 +374,13 @@ func (m *Machine) AddFunction(name string, minArgs, maxArgs int, items []Item) (
 	}
 	return m.registerFunc(name, minArgs, maxArgs, entry), nil
 }
+
+// ReserveCode makes room for n more instructions in the code vector, so
+// a batch of installs sized in advance grows it at most once. The
+// decoded streams follow the vector's capacity when they next extend.
+// Growth doubles at least, as it does per install, so repeated small
+// batches into one machine stay amortized.
+func (m *Machine) ReserveCode(n int) { m.Code = reserve(m.Code, n) }
 
 // AddBody installs a body assembled by AssembleBody: its code is appended
 // with the jump targets rebased to where it lands, so a replay skips

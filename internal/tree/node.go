@@ -64,7 +64,11 @@ type Info struct {
 	Parent Node
 
 	// Environment analysis (§4.2): variables read and written within the
-	// subtree.
+	// subtree. These sets are read-only once analysis stores them: a
+	// node shares a child's set when it adds no variable to it, so one
+	// map may sit in many Info blocks. Re-analysis replaces a node's sets
+	// and never writes the old ones; only the analysis package assigns
+	// these fields (Copy clears them).
 	Reads, Writes VarSet
 
 	// Side-effects analysis: effects the subtree may produce, and effects

@@ -138,9 +138,19 @@ func TestVarSetOps(t *testing.T) {
 	if !s.Has(a) || s.Has(c) {
 		t.Error("membership")
 	}
-	u := s.Union(NewVarSet(c))
-	if !u.Has(c) {
+	var acc SetUnion
+	acc.Add(s)
+	acc.Add(NewVarSet(a))
+	if acc.Set() == nil || len(acc.Set()) != 2 {
+		t.Error("union of a subset should keep the shared set")
+	}
+	acc.Add(NewVarSet(c))
+	u := acc.Set()
+	if !u.Has(c) || len(u) != 3 {
 		t.Error("union")
+	}
+	if s.Has(c) || len(s) != 2 {
+		t.Error("union wrote its input")
 	}
 	w := u.Without(a)
 	if w.Has(a) || !w.Has(b) {
@@ -153,8 +163,14 @@ func TestVarSetOps(t *testing.T) {
 	if nilSet.Has(a) {
 		t.Error("nil set has nothing")
 	}
-	if got := nilSet.Add(a); !got.Has(a) {
-		t.Error("Add on nil set")
+	var one SetUnion
+	one.AddVar(a)
+	if got := one.Set(); !got.Has(a) || len(got) != 1 {
+		t.Error("AddVar on an empty union")
+	}
+	var none SetUnion
+	if none.Set() != nil {
+		t.Error("empty union is not nil")
 	}
 	sorted := u.Sorted()
 	for i := 1; i < len(sorted); i++ {
@@ -168,7 +184,7 @@ func TestChildrenAndReplace(t *testing.T) {
 	n := buildLet("x", NewLiteral(sexp.Fixnum(1)), func(v *Var) Node {
 		return &Progn{Forms: []Node{NewRef(v), NewLiteral(sexp.Fixnum(2))}}
 	})
-	kids := Children(n)
+	kids := AppendChildren(nil, n)
 	if len(kids) != 2 {
 		t.Fatalf("call children = %d", len(kids))
 	}
@@ -419,4 +435,75 @@ func mustRead(src string) sexp.Value {
 		panic(err)
 	}
 	return v
+}
+
+// TestAppendChildrenOrder pins the evaluation order AppendChildren yields
+// for every node type: the twelve Table 2 constructs plus FunRef, a
+// lambda with optional defaults, a caseq with and without a default, and
+// a call with more arguments than a walk's stack buffer holds.
+func TestAppendChildrenOrder(t *testing.T) {
+	lit := func(i int) *Literal { return NewLiteral(sexp.Fixnum(int64(i))) }
+	v := NewVar(sexp.Intern("x"))
+	k := make([]*Literal, 12)
+	for i := range k {
+		k[i] = lit(i)
+	}
+	pb := &ProgBody{Forms: []Node{k[0], k[1], k[2]}, Tags: []ProgTag{{Name: sexp.Intern("top"), Index: 0}}}
+	wide := &Call{Fn: &FunRef{Name: sexp.Intern("+")}}
+	for i := 1; i < len(k); i++ {
+		wide.Args = append(wide.Args, k[i])
+	}
+	cases := []struct {
+		name string
+		n    Node
+		want []Node
+	}{
+		{"literal", k[0], nil},
+		{"variable", NewRef(v), nil},
+		{"funref", &FunRef{Name: sexp.Intern("car")}, nil},
+		{"go", &Go{Tag: sexp.Intern("top"), Target: pb}, nil},
+		{"setq", NewSetq(v, k[1]), []Node{k[1]}},
+		{"if", &If{Test: k[1], Then: k[2], Else: k[3]}, []Node{k[1], k[2], k[3]}},
+		{"progn", &Progn{Forms: []Node{k[3], k[2], k[1]}}, []Node{k[3], k[2], k[1]}},
+		{"call", &Call{Fn: k[0], Args: []Node{k[1], k[2]}}, []Node{k[0], k[1], k[2]}},
+		{"wide call", wide, append([]Node{wide.Fn}, wide.Args...)},
+		{"lambda", &Lambda{Required: []*Var{v}, Body: k[4]}, []Node{k[4]}},
+		{"lambda with optionals", &Lambda{
+			Optional: []OptParam{{Var: NewVar(sexp.Intern("o1")), Default: k[5]}, {Var: NewVar(sexp.Intern("o2")), Default: k[6]}},
+			Body:     k[7],
+		}, []Node{k[5], k[6], k[7]}},
+		{"progbody", pb, []Node{k[0], k[1], k[2]}},
+		{"return", &Return{Value: k[8], Target: pb}, []Node{k[8]}},
+		{"catcher", &Catcher{Tag: k[9], Body: k[10]}, []Node{k[9], k[10]}},
+		{"caseq", &Caseq{Key: k[1], Clauses: []CaseClause{
+			{Keys: []sexp.Value{sexp.Fixnum(1)}, Body: k[2]},
+			{Keys: []sexp.Value{sexp.Fixnum(2)}, Body: k[3]},
+		}}, []Node{k[1], k[2], k[3]}},
+		{"caseq with default", &Caseq{Key: k[1], Clauses: []CaseClause{
+			{Keys: []sexp.Value{sexp.Fixnum(1)}, Body: k[2]},
+		}, Default: k[4]}, []Node{k[1], k[2], k[4]}},
+	}
+	kinds := map[Kind]bool{}
+	for _, c := range cases {
+		kinds[c.n.Kind()] = true
+		var buf [ChildBuf]Node
+		got := AppendChildren(buf[:0], c.n)
+		if len(got) != len(c.want) {
+			t.Errorf("%s: %d children, want %d", c.name, len(got), len(c.want))
+			continue
+		}
+		for i := range got {
+			if got[i] != c.want[i] {
+				t.Errorf("%s: child %d is %s, want %s", c.name, i, Show(got[i]), Show(c.want[i]))
+			}
+		}
+		// Appending keeps what dst already holds.
+		pre := AppendChildren([]Node{k[11]}, c.n)
+		if len(pre) != len(c.want)+1 || pre[0] != Node(k[11]) {
+			t.Errorf("%s: AppendChildren dropped the destination's contents", c.name)
+		}
+	}
+	if len(kinds) != 13 {
+		t.Errorf("table covers %d node kinds, want all 13", len(kinds))
+	}
 }

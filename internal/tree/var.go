@@ -28,13 +28,20 @@ type Var struct {
 	// Binding annotation (§4.4): Closed marks variables referred to by
 	// inner closures, which therefore require heap allocation.
 	Closed bool
+
+	// only is the read-only set {v}, made with the record: every
+	// reference's Reads and every assignment whose value writes nothing
+	// else share it instead of allocating their own.
+	only VarSet
 }
 
 var varCounter int64
 
 // NewVar creates a fresh variable record.
 func NewVar(name *sexp.Symbol) *Var {
-	return &Var{Name: name, ID: atomic.AddInt64(&varCounter, 1)}
+	v := &Var{Name: name, ID: atomic.AddInt64(&varCounter, 1)}
+	v.only = VarSet{v: {}}
+	return v
 }
 
 // String renders the variable for diagnostics as name#id.
@@ -69,7 +76,8 @@ func (v *Var) DropSet(s *Setq) {
 // Assigned reports whether the variable is ever setq'd.
 func (v *Var) Assigned() bool { return len(v.Sets) > 0 }
 
-// VarSet is a set of variables.
+// VarSet is a set of variables. The sets analysis stores in Info slots
+// are shared between nodes (SetUnion) and so are read-only; see Info.
 type VarSet map[*Var]struct{}
 
 // NewVarSet builds a set from vars.
@@ -81,34 +89,77 @@ func NewVarSet(vars ...*Var) VarSet {
 	return s
 }
 
-// Add inserts v, allocating the set if needed, and returns it.
-func (s VarSet) Add(v *Var) VarSet {
-	if s == nil {
-		s = VarSet{}
-	}
-	s[v] = struct{}{}
-	return s
-}
-
 // Has reports membership.
 func (s VarSet) Has(v *Var) bool {
 	_, ok := s[v]
 	return ok
 }
 
-// Union merges o into s (allocating if needed) and returns the result.
-func (s VarSet) Union(o VarSet) VarSet {
-	if len(o) == 0 {
-		return s
-	}
-	if s == nil {
-		s = make(VarSet, len(o))
+// covers reports whether every element of o is in s.
+func (s VarSet) covers(o VarSet) bool {
+	if len(o) > len(s) {
+		return false
 	}
 	for v := range o {
+		if !s.Has(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// SetUnion accumulates the union of read-only sets without copying them
+// where it can: it shares an input that already holds everything added
+// so far, and makes a set of its own only when an input brings a
+// variable the shared one lacks. Its inputs are never written. The zero
+// value is the empty union.
+type SetUnion struct {
+	set   VarSet
+	owned bool
+}
+
+// Add merges o into the union.
+func (u *SetUnion) Add(o VarSet) {
+	switch {
+	case len(o) == 0 || u.set.covers(o):
+	case !u.owned && o.covers(u.set):
+		u.set = o
+	default:
+		u.own(len(o))
+		for v := range o {
+			u.set[v] = struct{}{}
+		}
+	}
+}
+
+// AddVar adds one variable to the union.
+func (u *SetUnion) AddVar(v *Var) {
+	switch {
+	case u.set.Has(v):
+	case len(u.set) == 0 && v.only != nil:
+		u.set = v.only
+	default:
+		u.own(1)
+		u.set[v] = struct{}{}
+	}
+}
+
+// own gives the union a private copy of its set with room for extra more
+// variables, unless it has one already.
+func (u *SetUnion) own(extra int) {
+	if u.owned {
+		return
+	}
+	s := make(VarSet, len(u.set)+extra)
+	for v := range u.set {
 		s[v] = struct{}{}
 	}
-	return s
+	u.set, u.owned = s, true
 }
+
+// Set returns the union; nil when it is empty. The result may be one of
+// the inputs, so it is read-only too.
+func (u *SetUnion) Set() VarSet { return u.set }
 
 // Without returns a copy of s with the given vars removed.
 func (s VarSet) Without(vars ...*Var) VarSet {

@@ -2,49 +2,53 @@ package tree
 
 import "fmt"
 
-// Children returns the direct child nodes of n in evaluation order.
-// Lambda's children include the optional-parameter default expressions
-// followed by the body.
-func Children(n Node) []Node {
+// AppendChildren appends the direct child nodes of n to dst in
+// evaluation order and returns the extended slice. Lambda's children are
+// the optional-parameter default expressions followed by the body.
+// Recursive walks pass a small stack array (var buf [ChildBuf]Node;
+// AppendChildren(buf[:0], n)), so visiting a node allocates nothing
+// unless it has more children than the array holds.
+func AppendChildren(dst []Node, n Node) []Node {
 	switch x := n.(type) {
 	case *Literal, *VarRef, *FunRef, *Go:
-		return nil
+		return dst
 	case *Setq:
-		return []Node{x.Value}
+		return append(dst, x.Value)
 	case *If:
-		return []Node{x.Test, x.Then, x.Else}
+		return append(dst, x.Test, x.Then, x.Else)
 	case *Progn:
-		return append([]Node(nil), x.Forms...)
+		return append(dst, x.Forms...)
 	case *Call:
-		out := make([]Node, 0, len(x.Args)+1)
-		out = append(out, x.Fn)
-		out = append(out, x.Args...)
-		return out
+		dst = append(dst, x.Fn)
+		return append(dst, x.Args...)
 	case *Lambda:
-		out := make([]Node, 0, len(x.Optional)+1)
 		for _, o := range x.Optional {
-			out = append(out, o.Default)
+			dst = append(dst, o.Default)
 		}
-		out = append(out, x.Body)
-		return out
+		return append(dst, x.Body)
 	case *ProgBody:
-		return append([]Node(nil), x.Forms...)
+		return append(dst, x.Forms...)
 	case *Return:
-		return []Node{x.Value}
+		return append(dst, x.Value)
 	case *Catcher:
-		return []Node{x.Tag, x.Body}
+		return append(dst, x.Tag, x.Body)
 	case *Caseq:
-		out := []Node{x.Key}
+		dst = append(dst, x.Key)
 		for _, c := range x.Clauses {
-			out = append(out, c.Body)
+			dst = append(dst, c.Body)
 		}
 		if x.Default != nil {
-			out = append(out, x.Default)
+			dst = append(dst, x.Default)
 		}
-		return out
+		return dst
 	}
-	panic(fmt.Sprintf("tree: Children: unknown node %T", n))
+	panic(fmt.Sprintf("tree: AppendChildren: unknown node %T", n))
 }
+
+// ChildBuf is the size of the stack array a recursive walk hands to
+// AppendChildren: large enough for every fixed-arity node and for most
+// calls and progns.
+const ChildBuf = 8
 
 // ReplaceChild substitutes newc for oldc among parent's direct children.
 // It panics if oldc is not a child of parent; VarRef back-pointers are the
@@ -143,7 +147,8 @@ func Walk(n Node, f func(Node) bool) {
 	if n == nil || !f(n) {
 		return
 	}
-	for _, c := range Children(n) {
+	var buf [ChildBuf]Node
+	for _, c := range AppendChildren(buf[:0], n) {
 		Walk(c, f)
 	}
 }
@@ -153,7 +158,8 @@ func PostWalk(n Node, f func(Node)) {
 	if n == nil {
 		return
 	}
-	for _, c := range Children(n) {
+	var buf [ChildBuf]Node
+	for _, c := range AppendChildren(buf[:0], n) {
 		PostWalk(c, f)
 	}
 	f(n)
@@ -167,7 +173,8 @@ func ComputeParents(root Node) {
 	root.Info().Parent = nil
 	var rec func(n Node)
 	rec = func(n Node) {
-		for _, c := range Children(n) {
+		var buf [ChildBuf]Node
+		for _, c := range AppendChildren(buf[:0], n) {
 			c.Info().Parent = n
 			rec(c)
 		}
@@ -266,7 +273,8 @@ func Validate(root Node) error {
 				fail("return targets a progbody not in scope")
 			}
 		}
-		for _, c := range Children(n) {
+		var buf [ChildBuf]Node
+		for _, c := range AppendChildren(buf[:0], n) {
 			walk(c, bodies)
 		}
 	}
