@@ -213,8 +213,8 @@ func newSystem(opts Options, in *interp.Interp) *System {
 		in.Out = opts.Out
 	}
 	// The machine's fallback primitives are the interpreter's builtins.
-	m.SetPrimHook(func(name string, args []sexp.Value) (sexp.Value, error) {
-		return in.CallNamed(sexp.Intern(name), args...)
+	m.SetPrimHook(func(name *sexp.Symbol, args []sexp.Value) (sexp.Value, error) {
+		return in.CallNamed(name, args...)
 	})
 	co := codegen.DefaultOptions()
 	if opts.Codegen != nil {

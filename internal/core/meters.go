@@ -18,6 +18,7 @@ func (s *System) WriteMeters(w io.Writer, interpreted bool) {
 	fmt.Fprintf(w, ";; cycles:            %d\n", st.Cycles)
 	fmt.Fprintf(w, ";; instructions:      %d\n", st.Instrs)
 	fmt.Fprintf(w, ";; calls / tail:      %d / %d\n", st.Calls, st.TailCalls)
+	fmt.Fprintf(w, ";; marshaled prims:   %d\n", st.MarshaledPrims)
 	fmt.Fprintf(w, ";; heap words:        %d (%d conses, %d flonums, %d envs)\n",
 		st.HeapWords, st.ConsAllocs, st.FlonumAllocs, st.EnvAllocs)
 	fmt.Fprintf(w, ";; max stack depth:   %d\n", st.MaxStack)
@@ -80,6 +81,7 @@ func (s *System) MetricsSnapshot() map[string]float64 {
 		"slc_machine_heap_words_total":      float64(st.HeapWords),
 		"slc_machine_max_stack_depth":       float64(st.MaxStack),
 		"slc_machine_special_lookups_total": float64(st.SpecialLookups),
+		"slc_machine_marshaled_prims_total": float64(st.MarshaledPrims),
 		"slc_gc_collections_total":          float64(s.Machine.GCMeters.Collections),
 		"slc_gc_words_reclaimed_total":      float64(s.Machine.GCMeters.WordsReclaimed),
 		"slc_compile_cache_hits_total":      float64(st.CompileCacheHits),

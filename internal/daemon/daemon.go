@@ -215,6 +215,9 @@ type Stats struct {
 	// GasExhausted counts requests rejected or halted by a dry tenant
 	// gas bucket (typed 429s, distinct from Shed).
 	GasExhausted int64 `json:"gas_exhausted"`
+	// MarshaledPrims sums the request machines' fallback-primitive
+	// calls that took the marshaled host hook (s1.Stats.MarshaledPrims).
+	MarshaledPrims int64 `json:"marshaled_prims"`
 	// Request-plan counters (core.PlanStats): loads that skipped the
 	// reader and converter by a boot-snapshot plan, plans recorded, and
 	// loads whose plan named an entry the durable cache had lost.
@@ -423,6 +426,7 @@ func (s *Server) Metrics() map[string]float64 {
 		"slcd_gc_full_total":                   float64(st.GCFullCollections),
 		"slcd_gc_minor_total":                  float64(st.GCMinorCollections),
 		"slcd_gc_promoted_words_total":         float64(st.GCWordsPromoted),
+		"slcd_marshaled_prims_total":           float64(st.MarshaledPrims),
 		"slcd_arena_recycles_total":            float64(st.ArenaRecycles),
 		"slcd_plan_hits_total":                 float64(st.PlanHits),
 		"slcd_plan_records_total":              float64(st.PlanRecords),
@@ -866,6 +870,7 @@ func (s *Server) runRequest(ctx context.Context, req *Request, rq *reqInfo, tk *
 		s.stats.GCFullCollections += gm.Collections
 		s.stats.GCMinorCollections += gm.MinorCollections
 		s.stats.GCWordsPromoted += gm.WordsPromoted
+		s.stats.MarshaledPrims += sys.Machine.Stats.MarshaledPrims
 		if recycled {
 			s.stats.ArenaRecycles++
 		}

@@ -323,6 +323,39 @@ func TestRequestSpansExported(t *testing.T) {
 	}
 }
 
+// TestMarshaledPrimsMetric: slcd_marshaled_prims_total counts the
+// fallback-primitive calls of stateless and session requests that went
+// through the marshaled host hook (append has no native entry), and
+// none of those that ran natively (rem, cadr).
+func TestMarshaledPrimsMetric(t *testing.T) {
+	s := New(Config{SchedWorkers: 1})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	src := `(defun native-only (x) (rem (cadr x) 7)) (defun copies (x) (length (append x x)))`
+	for _, c := range []struct {
+		fn, want  string
+		marshaled float64
+	}{{"native-only", "2", 0}, {"copies", "6", 1}} {
+		code, resp, _ := post(t, ts, "/run", Request{Source: src, Fn: c.fn, Args: []string{"(1 9 3)"}})
+		if code != http.StatusOK || resp.Value != c.want {
+			t.Fatalf("%s: %d %+v", c.fn, code, resp)
+		}
+		if got := s.Metrics()["slcd_marshaled_prims_total"]; got != c.marshaled {
+			t.Errorf("after %s: slcd_marshaled_prims_total = %v, want %v", c.fn, got, c.marshaled)
+		}
+	}
+	code, resp, _ := post(t, ts, "/session", Request{Source: src})
+	if code != http.StatusOK {
+		t.Fatalf("session: %d %+v", code, resp)
+	}
+	if code, r, _ := post(t, ts, "/run", Request{Session: resp.Session, Source: "(list (copies '(1)) (native-only '(1 8)))"}); code != http.StatusOK || r.Value != "(2 1)" {
+		t.Fatalf("session run: %d %+v", code, r)
+	}
+	if got := s.Metrics()["slcd_marshaled_prims_total"]; got != 2 {
+		t.Errorf("after the session run: slcd_marshaled_prims_total = %v, want 2", got)
+	}
+}
+
 // TestSharedDiskCacheAcrossRequests: two requests compiling the same
 // unit share the durable cache — the second replays instead of
 // recompiling, and both produce working code.

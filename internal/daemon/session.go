@@ -234,6 +234,7 @@ func (s *Server) runSession(ctx context.Context, req *Request, rq *reqInfo, tk *
 		s.stats.GCFullCollections += gm.Collections - gm0.Collections
 		s.stats.GCMinorCollections += gm.MinorCollections - gm0.MinorCollections
 		s.stats.GCWordsPromoted += gm.WordsPromoted - gm0.WordsPromoted
+		s.stats.MarshaledPrims += m.Stats.MarshaledPrims
 		s.mu.Unlock()
 		s.sessions.release(ses)
 	}()

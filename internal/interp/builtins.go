@@ -153,7 +153,7 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 			return nil, err
 		}
 		v := a[1]
-		for ; n > 0; n-- {
+		for ; n > 0 && !sexp.IsNil(v); n-- { // the cdr of nil is nil
 			if v, err = cdrOf(v); err != nil {
 				return nil, err
 			}
@@ -166,7 +166,7 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 			return nil, err
 		}
 		v := a[1]
-		for ; n > 0; n-- {
+		for ; n > 0 && !sexp.IsNil(v); n-- { // the cdr of nil is nil
 			if v, err = cdrOf(v); err != nil {
 				return nil, err
 			}

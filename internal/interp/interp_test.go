@@ -126,6 +126,8 @@ func TestListOps(t *testing.T) {
 		{"(length '(a b c))", "3"},
 		{"(nth 1 '(a b c))", "b"},
 		{"(nthcdr 2 '(a b c))", "(c)"},
+		{"(nthcdr 9223372036854775807 '(a b c))", "nil"}, // stops at nil
+		{"(nth 9223372036854775807 '(a b c))", "nil"},
 		{"(last '(a b c))", "(c)"},
 		{"(assq 'b '((a 1) (b 2)))", "(b 2)"},
 		{"(memq 'b '(a b c))", "(b c)"},

@@ -112,7 +112,7 @@ func (m *Machine) ToValue(w Word) (sexp.Value, error) {
 		}
 		return sexp.Flonum(v.Float()), nil
 	case TagSymbol:
-		return sexp.Intern(m.Syms[w.Bits].Name), nil
+		return m.Syms[w.Bits].host, nil
 	case TagBoxed:
 		return m.Boxes[w.Bits], nil
 	case TagCons:

@@ -2,6 +2,7 @@ package s1
 
 import (
 	"fmt"
+	"slices"
 	"unsafe"
 )
 
@@ -84,3 +85,44 @@ func (m *Machine) DecodedSharedWith(o *Machine, lo, hi int) bool {
 // PrimArgsDepth reports how many fallback-primitive argument slots are
 // in use.
 func (m *Machine) PrimArgsDepth() int { return len(m.primArgs) }
+
+// NativePrim runs name's word-level entry on args exactly as the
+// primitive gateway tries it; ok=false means there is none or it
+// declined.
+func (m *Machine) NativePrim(name string, args []Word) (Word, bool) {
+	return nativePrims[name].apply(m, args)
+}
+
+// CallPrim applies the fallback primitive name to args through the
+// whole gateway: the native entry, else the marshaled hook.
+func (m *Machine) CallPrim(name string, args []Word) (Word, error) {
+	return m.callPrim(m.InternSym(name), args)
+}
+
+// NativePrimArity lists the primitives with a native entry, sorted, with
+// each one's arity (max -1 for any count).
+func NativePrimArity() (names []string, min, max map[string]int) {
+	min, max = map[string]int{}, map[string]int{}
+	for name, np := range nativePrims {
+		names = append(names, name)
+		min[name], max[name] = np.min, np.max
+	}
+	slices.Sort(names)
+	return names, min, max
+}
+
+// PdlFlonum pushes a raw float and returns a flonum word pointing at
+// that stack slot: a pdl number (§6.3).
+func (m *Machine) PdlFlonum(f float64) Word {
+	if !IsStackAddr(m.regs[RegSP].Bits) {
+		m.regs[RegSP] = RawInt(StackBase)
+	}
+	addr := m.regs[RegSP].Bits
+	if err := m.push(RawFloat(f)); err != nil {
+		panic(err)
+	}
+	return Ptr(TagFlonum, addr)
+}
+
+// Rplacd stores w into cell's cdr.
+func (m *Machine) Rplacd(cell, w Word) error { return m.store(cell.Bits+1, w) }

@@ -233,6 +233,7 @@ func (m *Machine) LoadImage(img *Image) error {
 	m.symIdx = make(map[string]int, len(img.Syms))
 	m.symHash = 0
 	for i := range m.Syms {
+		m.Syms[i].resolve()
 		m.symIdx[m.Syms[i].Name] = i
 		m.foldSymHash(m.Syms[i].Name)
 	}

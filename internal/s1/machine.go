@@ -25,6 +25,19 @@ type SymCell struct {
 	Value    Word
 	HasValue bool
 	Function Word
+
+	// host is the interned host symbol and native the symbol's
+	// word-level fallback primitive (nil if none), both resolved once
+	// when the cell is made (InternSym, LoadImage). Derived from Name,
+	// they are neither serialized nor fingerprinted.
+	host   *sexp.Symbol
+	native *nativePrim
+}
+
+// resolve fills the cell's derived fields from its name.
+func (c *SymCell) resolve() {
+	c.host = sexp.Intern(c.Name)
+	c.native = nativePrims[c.Name]
 }
 
 type bindEntry struct {
@@ -72,6 +85,9 @@ type Stats struct {
 	Calls     int64
 	TailCalls int64
 	SQCalls   int64
+	// MarshaledPrims counts fallback-primitive calls that took the
+	// marshaled host hook instead of a native word-level entry.
+	MarshaledPrims int64
 	// Compile cache (core's content-addressed memo of compiled bodies).
 	CompileCacheHits   int64
 	CompileCacheMisses int64
@@ -461,6 +477,7 @@ func (m *Machine) InternSym(name string) int {
 	}
 	i := len(m.Syms)
 	m.Syms = append(m.Syms, SymCell{Name: name, Function: NilWord})
+	m.Syms[i].resolve()
 	m.symIdx[name] = i
 	m.foldSymHash(name)
 	if m.cap != nil {

@@ -92,11 +92,13 @@ var sqCost = [SQCount]int64{
 }
 
 // PrimHook lets the host supply implementations for primitives without a
-// native SQ routine (the non-mutating library tail: append, member,
-// print formatting, ...). Wired to the interpreter's builtins by the
-// core package. args is the machine's scratch (primArgs): the hook may
-// read it while it runs but must not keep it after returning.
-type PrimHook func(name string, args []sexp.Value) (sexp.Value, error)
+// native SQ routine or word-level entry (native.go), and for the cases a
+// native entry declines: append, reverse, bignum arithmetic, every error
+// text. Wired to the interpreter's builtins by the core package. name is
+// the symbol's interned host symbol. args is the machine's scratch
+// (primArgs): the hook may read it while it runs but must not keep it
+// after returning.
+type PrimHook func(name *sexp.Symbol, args []sexp.Value) (sexp.Value, error)
 
 // pushPrimArgs reserves n zeroed argument slots on the machine's
 // primitive-argument stack and returns them with the stack's previous
@@ -118,6 +120,51 @@ func (m *Machine) popPrimArgs(base int) {
 
 // SetPrimHook installs the fallback primitive implementation.
 func (m *Machine) SetPrimHook(h PrimHook) { m.primHook = h }
+
+// stackWords returns the n pushed stack words from address lo in place.
+func (m *Machine) stackWords(lo uint64, n int64) ([]Word, error) {
+	if n == 0 {
+		return nil, nil // SP may sit past the stack's end after ADD SP
+	}
+	i, end := lo-StackBase, lo-StackBase+uint64(n)
+	if n < 0 || i > end || end > uint64(len(m.stack)) {
+		return nil, &RuntimeError{PC: m.pc, Msg: "primitive arguments outside the stack"}
+	}
+	return m.stack[i:end:end], nil
+}
+
+// callPrim applies the fallback primitive named by symbol sym to args,
+// stack words that stay there (GC roots) until the caller pops them. A
+// native entry runs on them in place unless a compiled definition
+// shadows the name or the entry declines; otherwise the arguments are
+// marshaled to host values for the hook and its result copied back.
+func (m *Machine) callPrim(sym int, args []Word) (Word, error) {
+	c := &m.Syms[sym]
+	if c.Function.Tag == TagNil {
+		if out, ok := c.native.apply(m, args); ok {
+			return out, nil
+		}
+	}
+	m.Stats.MarshaledPrims++
+	if m.primHook == nil {
+		return Word{}, &RuntimeError{PC: m.pc, Msg: "no primitive hook installed"}
+	}
+	vals, base := m.pushPrimArgs(len(args))
+	for i, w := range args {
+		v, err := m.ToValue(w)
+		if err != nil {
+			m.popPrimArgs(base)
+			return Word{}, err
+		}
+		vals[i] = v
+	}
+	out, err := m.primHook(c.host, vals)
+	m.popPrimArgs(base)
+	if err != nil {
+		return Word{}, &RuntimeError{PC: m.pc, Msg: err.Error()}
+	}
+	return m.FromValue(out), nil
+}
 
 // callSQ executes a system routine with its CALLSQ operands b and c,
 // which it only reads (they are captured by a shared decoded stream);
@@ -162,27 +209,33 @@ func (m *Machine) callSQ(idx int, b, c *Operand) (bool, error) {
 		}
 		setA(out)
 
-	case SQEql:
-		x, err := m.ToValue(A)
-		if err != nil {
-			return false, err
+	case SQEql, SQEqual:
+		// On the words themselves, so conses keep their identity; only
+		// a comparison that cannot decide in place (a circular
+		// structure, a word that does not convert) compares host copies.
+		eq, ok := false, convertible(A) && convertible(B)
+		if ok && idx == SQEql {
+			eq = m.eqlWords(A, B)
+		} else if ok {
+			steps := m.listLimit()
+			eq, ok = m.equalWords(A, B, 0, &steps)
 		}
-		y, err := m.ToValue(B)
-		if err != nil {
-			return false, err
+		if !ok {
+			x, err := m.ToValue(A)
+			if err != nil {
+				return false, err
+			}
+			y, err := m.ToValue(B)
+			if err != nil {
+				return false, err
+			}
+			if idx == SQEql {
+				eq = sexp.Eql(x, y)
+			} else {
+				eq = sexp.Equal(x, y)
+			}
 		}
-		setA(boolWord(sexp.Eql(x, y)))
-
-	case SQEqual:
-		x, err := m.ToValue(A)
-		if err != nil {
-			return false, err
-		}
-		y, err := m.ToValue(B)
-		if err != nil {
-			return false, err
-		}
-		setA(boolWord(sexp.Equal(x, y)))
+		setA(boolWord(eq))
 
 	case SQCons:
 		setA(m.Cons(A, B))
@@ -346,63 +399,40 @@ func (m *Machine) callSQ(idx int, b, c *Operand) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		if m.primHook == nil {
-			return false, lispErr("no primitive hook installed")
-		}
-		name := m.Syms[nameOp.Int()].Name
-		argc := int(argcOp.Int())
-		args, base := m.pushPrimArgs(argc)
-		for i := argc - 1; i >= 0; i-- {
-			w, err := m.pop()
-			if err == nil {
-				args[i], err = m.ToValue(w)
-			}
-			if err != nil {
-				m.popPrimArgs(base)
-				return false, err
-			}
-		}
-		out, err := m.primHook(name, args)
-		m.popPrimArgs(base)
-		if err != nil {
-			return false, &RuntimeError{PC: m.pc, Msg: err.Error()}
-		}
-		setA(m.FromValue(out))
-
-	case SQPrimFrame:
-		// The body of a primitive stub function: gather this frame's
-		// arguments and invoke the fallback primitive.
-		nameOp, err := m.value(*b)
+		argc := argcOp.Int()
+		sp := m.regs[RegSP].Bits
+		args, err := m.stackWords(sp-uint64(argc), argc)
 		if err != nil {
 			return false, err
 		}
-		if m.primHook == nil {
-			return false, lispErr("no primitive hook installed")
+		out, err := m.callPrim(int(nameOp.Int()), args)
+		m.regs[RegSP] = RawInt(int64(sp) - argc)
+		if err != nil {
+			return false, err
+		}
+		setA(out)
+
+	case SQPrimFrame:
+		// The body of a primitive stub function: apply the fallback
+		// primitive to this frame's arguments.
+		nameOp, err := m.value(*b)
+		if err != nil {
+			return false, err
 		}
 		fp := m.regs[RegFP].Bits
 		nw, err := m.load(fp - 4)
 		if err != nil {
 			return false, err
 		}
-		n := int(nw.Int())
-		args, base := m.pushPrimArgs(n)
-		for i := 0; i < n; i++ {
-			w, err := m.load(fp - 4 - uint64(n) + uint64(i))
-			if err == nil {
-				args[i], err = m.ToValue(w)
-			}
-			if err != nil {
-				m.popPrimArgs(base)
-				return false, err
-			}
-		}
-		name := m.Syms[nameOp.Int()].Name
-		out, err := m.primHook(name, args)
-		m.popPrimArgs(base)
+		args, err := m.stackWords(fp-4-uint64(nw.Int()), nw.Int())
 		if err != nil {
-			return false, &RuntimeError{PC: m.pc, Msg: err.Error()}
+			return false, err
 		}
-		m.regs[RegA] = m.FromValue(out)
+		out, err := m.callPrim(int(nameOp.Int()), args)
+		if err != nil {
+			return false, err
+		}
+		setA(out)
 
 	case SQPrint:
 		v, err := m.ToValue(A)
@@ -671,21 +701,6 @@ func (m *Machine) throw(tag, val Word) (bool, error) {
 	}
 	tv, _ := m.ToValue(tag)
 	return false, &RuntimeError{PC: m.pc, Msg: "uncaught throw to " + sexp.Print(tv)}
-}
-
-func (m *Machine) eqlWords(a, b Word) bool {
-	if a == b {
-		return true
-	}
-	if a.Tag == TagFlonum && b.Tag == TagFlonum {
-		x, err1 := m.load(a.Bits)
-		y, err2 := m.load(b.Bits)
-		return err1 == nil && err2 == nil && x.Float() == y.Float()
-	}
-	if a.Tag == TagBoxed && b.Tag == TagBoxed {
-		return sexp.Eql(m.Boxes[a.Bits], m.Boxes[b.Bits])
-	}
-	return false
 }
 
 // restify rebuilds the just-entered frame of a &rest function: arguments

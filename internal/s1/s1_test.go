@@ -532,9 +532,9 @@ func TestValueConversionRoundTrip(t *testing.T) {
 
 func TestPrimHook(t *testing.T) {
 	m := New()
-	m.SetPrimHook(func(name string, args []sexp.Value) (sexp.Value, error) {
-		if name != "reverse" {
-			t.Errorf("hook name = %s", name)
+	m.SetPrimHook(func(name *sexp.Symbol, args []sexp.Value) (sexp.Value, error) {
+		if name != sexp.Intern("reverse") {
+			t.Errorf("hook name = %s", name.Name)
 		}
 		return mustRead("(3 2 1)"), nil
 	})

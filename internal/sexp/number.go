@@ -305,6 +305,9 @@ func predInt(v Value, f func(int) bool) (bool, error) {
 
 // Oddp and Evenp test integer parity.
 func Oddp(v Value) (bool, error) {
+	if f, ok := v.(Fixnum); ok {
+		return f&1 == 1, nil
+	}
 	x, ok := toBig(v)
 	if !ok {
 		return false, fmt.Errorf("sexp: oddp: %s is not an integer", Print(v))

@@ -316,6 +316,24 @@ func TestPredicates(t *testing.T) {
 	check("minusp -3", m, err, true)
 }
 
+// Oddp and Evenp answer fixnums without building a big.Int, and agree
+// with the big.Int parity they fall back to for bignums.
+func TestParityFixnumFastPath(t *testing.T) {
+	for _, n := range []int64{0, 1, -1, 2, -3, math.MaxInt64, math.MinInt64} {
+		odd, err := Oddp(Fixnum(n))
+		even, err2 := Evenp(Fixnum(n))
+		if err != nil || err2 != nil {
+			t.Fatalf("%d: %v %v", n, err, err2)
+		}
+		if want := big.NewInt(n).Bit(0) == 1; odd != want || even == want {
+			t.Errorf("%d: oddp=%v evenp=%v, want oddp=%v", n, odd, even, want)
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { Oddp(Fixnum(-7)); Evenp(Fixnum(8)) }); a != 0 {
+		t.Errorf("fixnum parity allocates %v times per call pair", a)
+	}
+}
+
 // Property: integer addition over fixnums agrees with big.Int arithmetic
 // regardless of overflow.
 func TestAddMatchesBigInt(t *testing.T) {
