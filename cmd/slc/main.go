@@ -98,7 +98,6 @@ func run() error {
 		runFn      = flag.String("run", "", "after loading, call this function with the remaining arguments")
 		interpret  = flag.Bool("interp", false, "run -run through the interpreter instead of compiled code")
 		replMode   = flag.Bool("repl", false, "start an interactive compiled REPL (after loading files, if any)")
-		useCache   = flag.Bool("cache", false, "memoize compiled functions by source content (re-loads of a seen defun skip the middle end)")
 		cacheDir   = flag.String("cache-dir", "", "durable on-disk compile cache directory (crash-safe; shareable between processes)")
 		gcStress   = flag.Bool("gc-stress", false, "force a garbage collection before every runtime allocation (invariant shakeout)")
 		gcStressM  = flag.Bool("gc-stress-minor", false, "force a minor collection before every runtime allocation (write-barrier shakeout)")
@@ -117,7 +116,7 @@ func run() error {
 		maxErrors  = flag.Int("max-errors", 20, "store at most this many error diagnostics per load (-1 = unlimited; failures past the cap are still counted)")
 		maxSteps   = flag.Int64("max-steps", 0, "bound total simulator instructions (0 = machine default)")
 		maxHeap    = flag.Int64("max-heap", 0, "bound live simulator heap words; exhaustion after GC is a runtime error (0 = unlimited)")
-		faultSpec  = flag.String("fault", "", "fault-injection plan, e.g. 'optimize:defun=exptl:panic;cache:*:corrupt' (default $SLC_FAULT)")
+		faultSpec  = flag.String("fault", "", "fault-injection plan, e.g. 'optimize:defun=exptl:panic;rep:defun=f:error' (default $SLC_FAULT)")
 		optWatch   = flag.Duration("opt-watchdog", 0, "wall-clock budget for each unit's optimizer fixpoint (0 = none)")
 		logJSON    = flag.Bool("log-json", false, "emit informational stderr messages as structured JSON (slog)")
 	)
@@ -170,8 +169,7 @@ func run() error {
 	opts.PdlNumbers = !*noPdl
 	opts.SpecialCaching = !*noCache
 
-	sysOpts := core.Options{Codegen: &opts, Out: os.Stdout,
-		Cache: *useCache, Jobs: *jobs,
+	sysOpts := core.Options{Codegen: &opts, Out: os.Stdout, Jobs: *jobs,
 		MaxErrors: *maxErrors, Fault: faultPlan,
 		MaxSteps: *maxSteps, MaxHeapWords: *maxHeap, OptWatchdog: *optWatch,
 		NoTier: *noTier, HotThreshold: tierThreshold(*hotThresh),

@@ -107,7 +107,7 @@ func (b *lowerBuf) release() {
 // FuncBind is one function-name lookup an emission made and the index
 // it got (-1 for none). Emitted code embeds the index of a function
 // that is already compiled (#'foo), so a cached body may be reused — a
-// memory-cache hit, a durable replay — only while every name its
+// resident hit, a durable replay — only while every name its
 // emission looked up still resolves the same way.
 type FuncBind struct {
 	Name  string

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -58,21 +57,19 @@ type Options struct {
 	// rule-provenance events for the whole load (see internal/obs). Nil
 	// costs one pointer check per phase.
 	Obs *obs.Recorder
-	// Cache enables the content-addressed compile cache: re-loading an
-	// already-seen defun (same printed source, same options, same
-	// constants, same proclamations of the specials it uses, no macro
-	// redefinition in between) skips the middle end
-	// and code generation entirely. Hit/miss counts appear in Stats().
-	Cache bool
-	// DiskCache, if non-nil, adds the durable on-disk layer under the
-	// in-memory cache (implies Cache): misses probe the crash-safe store
-	// and, when the entry's recorded allocator context matches this
-	// machine, replay its captured emission instead of compiling —
-	// producing the byte-identical image a recompile would have. The
-	// handle is shared: many Systems (and many processes) may use one.
-	// Ignored when Constants is non-empty, because compile-time constant
-	// arrays are interned per-process and would break cross-process
-	// replay.
+	// DiskCache, if non-nil, turns on the content-addressed compile
+	// cache, backed by this durable store. Each keyed unit (same printed
+	// source, same options, same proclamations of the specials it uses,
+	// no macro redefinition in between) is first looked up among the
+	// bodies this system already installed, which it rebinds without
+	// compiling; a miss there probes the crash-safe store and, when the
+	// entry's recorded allocator context matches this machine, replays
+	// its captured emission instead of compiling — producing the
+	// byte-identical image a recompile would have. The handle is shared:
+	// many Systems (and many processes) may use one. Hit/miss counts
+	// appear in Stats(). Ignored when Constants is non-empty, because
+	// compile-time constant arrays are interned per-process and would
+	// break cross-process replay.
 	DiskCache *compilecache.Disk
 	// GCStress forces a simulator collection before every heap
 	// allocation (the -gc-stress flag), surfacing construction-order GC
@@ -174,12 +171,14 @@ type System struct {
 	sources []string
 
 	jobs int
-	// cache memoizes compiled bodies; constsFP and macroEpoch are the
-	// non-source cache-key inputs (see compilecache.Key). disk is the
-	// durable layer consulted on memory misses (nil = none).
-	cache      *compilecache.Cache
+	// disk is the compile cache (nil = none: no unit is keyed) and
+	// resident the keyed defun bodies this system installed, by unit
+	// key; macroEpoch is a non-source cache-key input (see
+	// compilecache.Key). The function table only grows (LoadImage
+	// replaces it only at restore, before any load), so a resident index
+	// stays valid for the system's life.
 	disk       *compilecache.Disk
-	constsFP   string
+	resident   map[string]residentBody
 	macroEpoch int
 
 	// fault is the injection plan (nil = none); maxErrors is the
@@ -256,25 +255,12 @@ func newSystem(opts Options, in *interp.Interp) *System {
 		maxErrors = 0 // unlimited
 	}
 	conv := convert.New()
-	var constsFP string
 	if len(opts.Constants) > 0 {
 		consts := map[*sexp.Symbol]sexp.Value{}
 		for k, v := range opts.Constants {
 			consts[sexp.Intern(k)] = v
 		}
 		conv.Constants = consts
-		// Canonical fingerprint for the cache key: constants are fixed at
-		// system construction, so this is computed once.
-		names := make([]string, 0, len(opts.Constants))
-		for k := range opts.Constants {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		var b strings.Builder
-		for _, k := range names {
-			fmt.Fprintf(&b, "%s=%s\n", k, sexp.Print(opts.Constants[k]))
-		}
-		constsFP = b.String()
 	}
 	jobs := opts.Jobs
 	if jobs <= 0 {
@@ -289,7 +275,6 @@ func newSystem(opts Options, in *interp.Interp) *System {
 		Obs:       opts.Obs,
 		macros:    map[*sexp.Symbol]*interp.Closure{},
 		jobs:      jobs,
-		constsFP:  constsFP,
 		fault:     opts.Fault,
 		maxErrors: maxErrors,
 		flight:    opts.Flight,
@@ -301,11 +286,9 @@ func newSystem(opts Options, in *interp.Interp) *System {
 			fl.Record(obs.Event{Kind: kind, Trace: tid, Unit: unit, DurNs: int64(d)})
 		}
 	}
-	if opts.Cache || opts.DiskCache != nil {
-		sys.cache = compilecache.New()
-	}
 	if opts.DiskCache != nil && len(opts.Constants) == 0 {
 		sys.disk = opts.DiskCache
+		sys.resident = map[string]residentBody{}
 	}
 	sys.wireMacros()
 	return sys
@@ -610,7 +593,7 @@ type unit struct {
 	o        origin
 	key      string // "" = not cached
 	hitIdx   int
-	hit      bool // memory-cache hit: the body is resident at hitIdx
+	hit      bool // resident hit: the body is installed at hitIdx
 	disk     *compilecache.DiskEntry
 	diskSrc  string // where disk came from (compilecache.FromProcess/FromFile)
 	prepared *codegen.Prepared
@@ -620,9 +603,17 @@ type unit struct {
 	err   error
 }
 
+// residentBody is a keyed defun body installed in this system's
+// machine: its function index and the function lookups its emission
+// made (codegen.Compiler.Binds).
+type residentBody struct {
+	idx   int
+	binds []codegen.FuncBind
+}
+
 // unitKey is the content address of a unit whose printed source is src.
 func (s *System) unitKey(src, specials string) string {
-	return compilecache.Key(src, s.Compiler.Opts, s.constsFP, s.macroEpoch, specials)
+	return compilecache.Key(src, s.Compiler.Opts, s.macroEpoch, specials)
 }
 
 // probeDisk fetches u's durable entry, if any. Whether it actually
@@ -645,28 +636,13 @@ func (s *System) probeDisk(u *unit, t *obs.Task) {
 func (s *System) compileDefs(units []*unit, list *diag.List) {
 	for _, u := range units {
 		// A request plan's units arrive keyed and probed.
-		if s.cache != nil && u.disk == nil {
+		if s.disk != nil && u.disk == nil {
 			t := s.Obs.Task(u.name, 0)
 			sp := t.Start("cache-probe")
 			u.key = s.unitKey(sexp.Print(u.o.form), u.o.specials)
-			if e, ok := s.cache.Lookup(u.key); ok {
-				if s.fault.ShouldCorrupt("cache", u.name) {
-					// Simulated corruption: point the entry past the
-					// function table so validation must catch it.
-					e.Index = len(s.Machine.Funcs) + 1
-				}
-				if verr := e.Validate(s.Machine); verr != nil {
-					list.Add(&diag.Diagnostic{
-						Severity: diag.Warning, Unit: u.name,
-						Phase: "cache", Line: u.o.line, Col: u.o.col,
-						Msg: "corrupt cache entry, recompiling: " + verr.Error(),
-						Err: verr,
-					})
-				} else {
-					u.hit, u.hitIdx, u.binds = true, e.Index, e.Binds
-				}
-			}
-			if !u.hit && s.disk != nil {
+			if r, ok := s.resident[u.key]; ok {
+				u.hit, u.hitIdx, u.binds = true, r.idx, r.binds
+			} else {
 				s.probeDisk(u, t)
 			}
 			sp.End()
@@ -746,9 +722,7 @@ func (s *System) compileDefs(units []*unit, list *diag.List) {
 			// looked up no longer resolves to (an earlier definition,
 			// perhaps in this batch, rebound it): compile instead.
 			u.hit = false
-			if s.disk != nil {
-				s.probeDisk(u, s.Obs.Task(u.name, 0))
-			}
+			s.probeDisk(u, s.Obs.Task(u.name, 0))
 		}
 		if u.hit {
 			// The body is already resident in this machine: rebind the
@@ -764,11 +738,7 @@ func (s *System) compileDefs(units []*unit, list *diag.List) {
 		if idx, ok := s.installUnit(u, list); ok {
 			s.Defs[u.name] = idx
 			if u.key != "" {
-				f := s.Machine.Funcs[idx]
-				s.cache.Store(u.key, compilecache.Entry{
-					Index: idx, MinArgs: f.MinArgs, MaxArgs: f.MaxArgs,
-					Instrs: f.End - f.Entry, Binds: u.binds,
-				})
+				s.resident[u.key] = residentBody{idx, u.binds}
 			}
 		}
 	}

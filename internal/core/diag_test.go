@@ -176,56 +176,6 @@ func TestInjectedErrorFault(t *testing.T) {
 	checkCall(t, sys, "g", "49", sexp.Fixnum(7))
 }
 
-// TestCacheCorruptionRecompiles: a corrupt cache entry (injected) is
-// detected by validation, reported as a warning, and the unit is
-// recompiled — the load still succeeds.
-func TestCacheCorruptionRecompiles(t *testing.T) {
-	plan, err := diag.ParsePlan("cache:defun=f:corrupt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := NewSystem(Options{Cache: true, Fault: plan})
-	const src = "(defun f (x) (+ x 10))"
-	if err := sys.LoadString(src); err != nil {
-		t.Fatalf("cold load: %v", err)
-	}
-	list := sys.LoadStringDiag(src)
-	if list.HasErrors() {
-		t.Fatalf("reload failed: %v", list)
-	}
-	warns := list.All()
-	if len(warns) != 1 || warns[0].Severity != diag.Warning || warns[0].Phase != "cache" {
-		t.Fatalf("diagnostics = %v, want one cache warning", warns)
-	}
-	if !strings.Contains(warns[0].Msg, "corrupt cache entry") {
-		t.Errorf("warning message: %q", warns[0].Msg)
-	}
-	if sys.Stats().CompileCacheHits != 0 {
-		t.Errorf("corrupt entry must not count as a hit: %d", sys.Stats().CompileCacheHits)
-	}
-	checkCall(t, sys, "f", "17", sexp.Fixnum(7))
-	// Corruption fallback degrades to exactly a cache-off recompile: the
-	// reloaded image matches a system that never had the cache.
-	ref := NewSystem(Options{})
-	if err := ref.LoadString(src); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.LoadString(src); err != nil {
-		t.Fatal(err)
-	}
-	rl, err := ref.Listing("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gl, err := sys.Listing("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rl != gl {
-		t.Errorf("recompiled listing differs from cache-off reload\n--- cache-off ---\n%s\n--- recompiled ---\n%s", rl, gl)
-	}
-}
-
 // TestMaxErrorsCapCountsButStopsStoring: failures past the cap are
 // counted (and fail the load) without being stored.
 func TestMaxErrorsCapCountsButStopsStoring(t *testing.T) {

@@ -25,6 +25,19 @@ func loadWithDisk(t *testing.T, dir, src string) (*System, *compilecache.Disk) {
 	return sys, d
 }
 
+// withDisk returns opts with a DiskCache on a fresh temporary
+// directory, closed when the test ends.
+func withDisk(t *testing.T, opts Options) Options {
+	t.Helper()
+	d, err := compilecache.OpenDisk(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	opts.DiskCache = d
+	return opts
+}
+
 // TestDiskCacheByteIdenticalWarmLoad is the durable layer's core
 // property: a process that loads a corpus entirely from disk-cache
 // replays builds the exact machine image a cold compile builds — code,
@@ -279,10 +292,45 @@ func TestDiskCacheReplaysTopLevelForms(t *testing.T) {
 	}
 }
 
+// TestDiskCacheReloadStoresNothing: reloading an unchanged corpus into
+// one disk-backed system rebinds every defun to the body it already
+// installed. After the first load the durable store takes no new entry,
+// the function table grows only by each reload's top-level wrappers,
+// and every defun counts one hit per reload. Without the resident table
+// each reload would recompile and store another variant.
+func TestDiskCacheReloadStoresNothing(t *testing.T) {
+	opts := withDisk(t, Options{Jobs: 1})
+	sys := NewSystem(opts)
+	if err := sys.LoadString(corpusSrc); err != nil {
+		t.Fatal(err)
+	}
+	st := sys.Stats()
+	// The first load keys its top-level forms as well as its defuns.
+	nDefs := int64(len(sys.Defs))
+	tops := int(st.CompileCacheMisses - nDefs)
+	stores := opts.DiskCache.Stats().Stores
+	for reload := 1; reload <= 2; reload++ {
+		funcs, hits := len(sys.Machine.Funcs), st.CompileCacheHits
+		if err := sys.LoadString(corpusSrc); err != nil {
+			t.Fatalf("reload %d: %v", reload, err)
+		}
+		if got := opts.DiskCache.Stats().Stores; got != stores {
+			t.Errorf("reload %d: %d disk stores, want %d", reload, got, stores)
+		}
+		if got := len(sys.Machine.Funcs) - funcs; got != tops {
+			t.Errorf("reload %d: function table grew by %d, want %d top-level wrappers", reload, got, tops)
+		}
+		if got := st.CompileCacheHits - hits; got != nDefs {
+			t.Errorf("reload %d: %d hits, want %d (one per defun)", reload, got, nDefs)
+		}
+	}
+	checkCall(t, sys, "sumto", "5050", sexp.Fixnum(100))
+}
+
 // TestCacheKeyTracksProclaimedSpecials: the same defun text binds y
 // lexically before (declaim (special y)) and dynamically after it, so
 // the two compilations must not share a cache entry — neither in one
-// system's memory cache nor across systems on one durable cache.
+// system's resident table nor across systems on one durable cache.
 func TestCacheKeyTracksProclaimedSpecials(t *testing.T) {
 	const defs = "(defun zf () (let ((y 5)) (zg)))\n(defun zg () y)\n"
 	check := func(t *testing.T, sys *System) {
@@ -298,7 +346,7 @@ func TestCacheKeyTracksProclaimedSpecials(t *testing.T) {
 		}
 	}
 	t.Run("memory", func(t *testing.T) {
-		sys := NewSystem(Options{Cache: true})
+		sys := NewSystem(withDisk(t, Options{}))
 		if err := sys.LoadString(defs); err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +404,7 @@ func TestCacheReuseTracksFunctionBindings(t *testing.T) {
 		}
 	})
 	t.Run("memory", func(t *testing.T) {
-		sys := NewSystem(Options{Cache: true})
+		sys := NewSystem(withDisk(t, Options{}))
 		const g = "(defun g () (funcall #'foo 0))"
 		for _, want := range []string{"1", "2"} {
 			if err := sys.LoadString("(defun foo (x) " + want + ") " + g); err != nil {

@@ -97,7 +97,7 @@ func TestParallelTraceWellFormed(t *testing.T) {
 // no optimize/analysis/emit spans for the hit.
 func TestCacheHitSkipsMiddleEndSpans(t *testing.T) {
 	r := obs.NewRecorder()
-	sys := NewSystem(Options{Cache: true, Obs: r})
+	sys := NewSystem(withDisk(t, Options{Obs: r}))
 	src := "(defun obs-hit (x) (+ x 1))\n"
 	if err := sys.LoadString(src); err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ import (
 // are interned per-process host objects, the same reason they are
 // excluded from the durable compile cache.
 func (s *System) Snapshot() (*snapshot.Snapshot, error) {
-	if s.constsFP != "" {
+	if len(s.Conv.Constants) > 0 {
 		return nil, fmt.Errorf("core: systems with compile-time constants cannot snapshot")
 	}
 	img, err := s.Machine.ExportImage()

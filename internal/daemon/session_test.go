@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/compilecache"
 	"repro/internal/obs"
 	"repro/internal/snapshot"
 )
@@ -114,6 +115,67 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 	if st := s.Stats(); st.SessionsCreated != 1 {
 		t.Errorf("SessionsCreated = %d", st.SessionsCreated)
+	}
+}
+
+// TestSessionReloadHitsResidentBodies: a session /run that sends its
+// setup source again rebinds every defun to the body the session
+// already installed. The durable cache takes no entry after the
+// session's creation, the function table grows only by the request's
+// top-level wrappers, and each defun counts one hit.
+func TestSessionReloadHitsResidentBodies(t *testing.T) {
+	d, err := compilecache.OpenDisk(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	s := New(Config{SchedWorkers: 1, Disk: d, ReqTimeout: 10 * time.Second})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	const src = sessionSetupSrc + `
+(defun twice (x) (* 2 x))
+(defun quad (x) (twice (twice x)))`
+	const nDefs = 3
+	code, resp, _ := post(t, ts, "/session", Request{Source: src})
+	if code != http.StatusOK || !resp.OK {
+		t.Fatalf("create: status %d, resp %+v", code, resp)
+	}
+	id := resp.Session
+	// inspect reads the idle session's system under a claim. Each
+	// request resets the machine's meters, so they count that request.
+	inspect := func() (funcs int, hits, misses int64) {
+		t.Helper()
+		ses, err := s.sessions.claim(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.sessions.release(ses)
+		st := ses.sys.Stats()
+		return len(ses.sys.Machine.Funcs), st.CompileCacheHits, st.CompileCacheMisses
+	}
+	funcs, _, misses := inspect()
+	// The creating load keys its top-level forms as well as its defuns.
+	tops := int(misses - nDefs)
+	stores := d.Stats().Stores
+	for i := 1; i <= 2; i++ {
+		if code, r, _ := post(t, ts, "/run", Request{Session: id, Source: src}); code != http.StatusOK || !r.OK {
+			t.Fatalf("reload %d: status %d, resp %+v", i, code, r)
+		}
+		grown, hits, misses := inspect()
+		if got := d.Stats().Stores; got != stores {
+			t.Errorf("reload %d: %d disk stores, want %d", i, got, stores)
+		}
+		if grown-funcs != tops {
+			t.Errorf("reload %d: function table grew by %d, want %d top-level wrappers", i, grown-funcs, tops)
+		}
+		if hits != nDefs || misses != 0 {
+			t.Errorf("reload %d: %d hits / %d misses, want %d / 0", i, hits, misses, nDefs)
+		}
+		funcs = grown
+	}
+	if code, r, _ := post(t, ts, "/run", Request{Session: id, Fn: "quad", Args: []string{"5"}}); code != http.StatusOK || r.Value != "20" {
+		t.Errorf("(quad 5) after the reloads: %d %+v", code, r)
 	}
 }
 

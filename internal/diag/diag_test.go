@@ -69,7 +69,7 @@ func TestFromPanic(t *testing.T) {
 }
 
 func TestParsePlan(t *testing.T) {
-	p, err := ParsePlan("optimize:defun=exptl:panic;cache:*:corrupt;rep:unit=g:error")
+	p, err := ParsePlan("optimize:defun=exptl:panic;rep:unit=g:error")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +78,6 @@ func TestParsePlan(t *testing.T) {
 	}
 	if err := p.Fire("rep", "g"); err == nil {
 		t.Error("error fault should fire")
-	}
-	if !p.ShouldCorrupt("cache", "anything") {
-		t.Error("wildcard corrupt fault should match")
-	}
-	if p.ShouldCorrupt("emit", "anything") {
-		t.Error("corrupt fault is cache-phase only in this plan")
 	}
 	func() {
 		defer func() {
@@ -97,7 +91,7 @@ func TestParsePlan(t *testing.T) {
 		t.Error("panic fault did not panic")
 	}()
 
-	for _, bad := range []string{"optimize", "a:b", "x:defun=f:explode", "x:who=f:panic", ":*:panic"} {
+	for _, bad := range []string{"optimize", "a:b", "x:defun=f:explode", "cache:*:corrupt", "x:who=f:panic", ":*:panic"} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q) should fail", bad)
 		}
@@ -106,7 +100,7 @@ func TestParsePlan(t *testing.T) {
 		t.Error("blank plan should be nil, nil")
 	}
 	var nilPlan *Plan
-	if nilPlan.Fire("x", "y") != nil || nilPlan.ShouldCorrupt("x", "y") {
+	if nilPlan.Fire("x", "y") != nil {
 		t.Error("nil plan must be inert")
 	}
 }
@@ -142,13 +136,13 @@ func TestPlanDecisionKinds(t *testing.T) {
 }
 
 func TestPlanFromEnv(t *testing.T) {
-	t.Setenv("SLC_FAULT", "optimize:defun=exptl:panic;cache:*:corrupt")
+	t.Setenv("SLC_FAULT", "optimize:defun=exptl:panic;disk:*:cache-write")
 	p, err := PlanFromEnv()
 	if err != nil || p == nil {
 		t.Fatalf("PlanFromEnv: %v %v", p, err)
 	}
-	if !p.ShouldCorrupt("cache", "anything") {
-		t.Error("env plan lost the corrupt entry")
+	if !p.Should(KindCacheWrite, "disk", "anything") {
+		t.Error("env plan lost the cache-write entry")
 	}
 	t.Setenv("SLC_FAULT", "")
 	if p, err := PlanFromEnv(); p != nil || err != nil {

@@ -16,14 +16,14 @@ import (
 //
 //	plan     := entry (';' entry)*
 //	entry    := phase ':' selector ':' kind
-//	phase    := pipeline stage name ("optimize", "emit", "cache", ...) | '*'
+//	phase    := pipeline stage name ("optimize", "emit", "disk", ...) | '*'
 //	selector := "defun=" name | "unit=" name | '*'
-//	kind     := "panic" | "error" | "corrupt" | "cache-write" | "deadline"
+//	kind     := "panic" | "error" | "cache-write" | "deadline"
+//	          | "snapshot-write" | "snapshot-read"
 //
 // Examples:
 //
 //	SLC_FAULT=optimize:defun=exptl:panic      # panic while optimizing exptl
-//	SLC_FAULT=cache:*:corrupt                 # corrupt every cache hit
 //	SLC_FAULT=rep:defun=f:error;emit:defun=g:panic
 //	SLC_FAULT=disk:*:cache-write              # tear every durable cache write
 //	SLC_FAULT=request:*:deadline              # expire every slcd request deadline
@@ -32,9 +32,8 @@ import (
 
 // Fault kinds.
 const (
-	KindPanic   = "panic"
-	KindError   = "error"
-	KindCorrupt = "corrupt"
+	KindPanic = "panic"
+	KindError = "error"
 	// KindCacheWrite makes the durable cache write a torn entry file —
 	// checksum-valid header, truncated payload — exercising the startup
 	// recovery and quarantine path without a real crash.
@@ -58,7 +57,7 @@ type Fault struct {
 	Phase string
 	// Unit matches the compilation unit name; "*" matches any unit.
 	Unit string
-	// Kind is KindPanic, KindError or KindCorrupt.
+	// Kind is one of the Kind* constants.
 	Kind string
 }
 
@@ -123,10 +122,10 @@ func ParsePlan(s string) (*Plan, error) {
 			return nil, fmt.Errorf("diag: fault selector %q: want defun=NAME, unit=NAME or *", sel)
 		}
 		switch f.Kind {
-		case KindPanic, KindError, KindCorrupt, KindCacheWrite, KindDeadline,
+		case KindPanic, KindError, KindCacheWrite, KindDeadline,
 			KindSnapshotWrite, KindSnapshotRead:
 		default:
-			return nil, fmt.Errorf("diag: fault kind %q: want panic, error, corrupt, cache-write, deadline, snapshot-write or snapshot-read", f.Kind)
+			return nil, fmt.Errorf("diag: fault kind %q: want panic, error, cache-write, deadline, snapshot-write or snapshot-read", f.Kind)
 		}
 		if f.Phase == "" || f.Unit == "" {
 			return nil, fmt.Errorf("diag: fault entry %q: empty phase or unit", ent)
@@ -146,9 +145,8 @@ func PlanFromEnv() (*Plan, error) {
 
 // Fire checks the plan at a phase boundary for one unit: a matching
 // panic fault panics with an *InjectedFault, a matching error fault
-// returns one, and no match (or a nil plan) returns nil. Corrupt faults
-// never fire here — they are consulted via ShouldCorrupt at the cache
-// layer.
+// returns one, and no match (or a nil plan) returns nil. The other
+// kinds never fire here — they are consulted via Should.
 func (p *Plan) Fire(phase, unit string) error {
 	if p == nil {
 		return nil
@@ -169,16 +167,10 @@ func (p *Plan) Fire(phase, unit string) error {
 	return nil
 }
 
-// ShouldCorrupt reports whether a corrupt fault matches (the cache
-// layer then mangles the looked-up entry so validation must catch it).
-func (p *Plan) ShouldCorrupt(phase, unit string) bool {
-	return p.Should(KindCorrupt, phase, unit)
-}
-
-// Should reports whether a fault of the given kind matches. It is the
-// generic form behind ShouldCorrupt, used for the kinds that are
-// consulted at a decision point rather than fired as a panic/error:
-// cache-write (durable cache layer) and deadline (daemon request entry).
+// Should reports whether a fault of the given kind matches. It serves
+// the kinds that are consulted at a decision point rather than fired as
+// a panic/error: cache-write and snapshot-write/-read (the durable
+// layer) and deadline (daemon request entry).
 func (p *Plan) Should(kind, phase, unit string) bool {
 	if p == nil {
 		return false

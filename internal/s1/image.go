@@ -31,8 +31,8 @@ type ImageBlock struct {
 
 // ImageBinding is one name→function-descriptor binding. Bindings are
 // serialized explicitly rather than rebuilt from Funcs because
-// RebindFunction (cache hits) can point a name at an index other than
-// its latest descriptor.
+// RebindFunction (a resident compile-cache hit) can point a name at an
+// index other than its latest descriptor.
 type ImageBinding struct {
 	Name string
 	Idx  int

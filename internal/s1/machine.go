@@ -454,14 +454,6 @@ func (m *Machine) registerFunc(name string, minArgs, maxArgs, entry int) int {
 	return idx
 }
 
-// DecodedCovers reports whether the decoded stream covers [entry, end) —
-// the compile cache validates it before rebinding a name to a resident
-// body, since a cache-hit rebind reuses the decoded form without
-// re-assembling anything.
-func (m *Machine) DecodedCovers(entry, end int) bool {
-	return entry >= 0 && entry <= end && end <= len(m.decBase)
-}
-
 // FuncNamed returns the descriptor index for name, or -1.
 func (m *Machine) FuncNamed(name string) int {
 	if i, ok := m.funcIdx[name]; ok {
@@ -492,8 +484,9 @@ func (m *Machine) SetSymbolFunction(name string, fn Word) {
 }
 
 // RebindFunction points name at an already-installed function index
-// without assembling anything: the compile cache uses it when a re-loaded
-// definition's body is already resident in this machine.
+// without assembling anything: a loading system uses it when a re-loaded
+// definition's body is already resident in this machine, and after a
+// durable-cache replay.
 func (m *Machine) RebindFunction(name string, idx int) {
 	m.funcIdx[name] = idx
 }

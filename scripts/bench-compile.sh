@@ -2,7 +2,10 @@
 # Regenerates BENCH_compile.json from the compile-pipeline benchmarks
 # (BenchmarkCompileThroughput, BenchmarkCompileCached in bench_test.go)
 # so the compile path's perf ledger is reproducible instead of
-# hand-edited.
+# hand-edited. BenchmarkCompileCached/cached reloads into one system
+# whose compile cache is a DiskCache on a temporary directory: the
+# warm-up load stores every defun, the timed reloads rebind them to the
+# bodies the system already installed.
 #
 # Every sub-benchmark runs with -benchmem, a FIXED iteration count per
 # run (-benchtime=Nx) and COUNT repetitions, all in one `go test`
@@ -98,11 +101,9 @@ END {
 
 cat <<'FOOTER'
   "what_changed": [
-    "child iteration appends into a caller's stack array (tree.AppendChildren) instead of allocating a slice per visit",
-    "analysis shares a child's Reads/Writes set, or a variable's own {v} set, and copies only when a node adds a variable (tree.SetUnion); the sets are read-only",
-    "the optimizer's node-local rules come from a static table of method expressions instead of a per-visit table of bound-method closures",
-    "constant folding applies pure builtins from the process-wide table (interp.ApplyPure) instead of building an interpreter per defun",
-    "a load reserves its code vector once from the prepared trees (Prepared.CodeEstimate) instead of doubling it install by install, and lowering recycles its instruction slab"
+    "the per-system in-memory compile cache (compilecache.Cache) is gone: a system caches compiled units only when it has a durable cache, and reuses its own installed bodies through a plain key-to-index table",
+    "CompileCached/cached therefore runs a system with a DiskCache on a temporary directory; its warm-up load compiles and stores every defun, and the timed reloads hit the resident table without reading or writing an entry",
+    "at the parent commit the same sub-benchmark used the in-memory cache and cached_speedup_vs_cold was 3.72; B/op and allocs/op of both CompileCached sub-benchmarks are the figures to compare"
   ]
 }
 FOOTER
