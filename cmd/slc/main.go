@@ -299,7 +299,7 @@ func run() error {
 	}
 
 	if *stats {
-		sys.WriteMeters(os.Stdout, *interpret)
+		sys.WriteMeters(os.Stdout)
 	}
 	if *phaseStats {
 		sys.Obs.WritePhaseStats(os.Stdout)

@@ -116,3 +116,34 @@ func TestMultiProcessCacheConsistency(t *testing.T) {
 		t.Errorf("warm run output = %q (want fingerprint %s then 1024)", out, want)
 	}
 }
+
+// TestMacroExpanderBudgets runs macro expanders that never finish: one
+// that loops ends at -max-steps with the step-limit error, and a REPL
+// whose expander recurses without bound reports the machine's stack
+// overflow and goes on to evaluate the next form.
+func TestMacroExpanderBudgets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs child processes")
+	}
+	bin := buildSLC(t)
+	dir := t.TempDir()
+	loop := filepath.Join(dir, "loop.lisp")
+	if err := os.WriteFile(loop, []byte("(defmacro m () (prog () l (go l))) (defun g () (m))\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, "-max-steps", "100000", loop).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "step limit exceeded") || !strings.Contains(string(out), "[expand]") {
+		t.Errorf("looping expander: err %v, output:\n%s", err, out)
+	}
+
+	rec := filepath.Join(dir, "rec.lisp")
+	if err := os.WriteFile(rec, []byte("(defun f (x) (+ 1 (f x)))\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(bin, "-repl", rec)
+	cmd.Stdin = strings.NewReader("(defmacro m () (f 1)) (defun g () (m))\n(+ 40 2)\n:quit\n")
+	out, err = cmd.CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "stack overflow") || !strings.Contains(string(out), "slc> 42") {
+		t.Errorf("recursing expander in the REPL: err %v, output:\n%s", err, out)
+	}
+}

@@ -306,14 +306,21 @@ func (c *Compiler) flushTranscript(p *Prepared) {
 // concurrent callers must serialize Emit — in source order, if the
 // resulting image is to be independent of how Prepares were scheduled.
 func (c *Compiler) Emit(name string, p *Prepared) (int, error) {
-	c.binds = nil
-	c.flushTranscript(p)
-	idx, err := c.compileLambda(name, p.Lam, nil, p.vr)
+	idx, err := c.EmitBody(name, p)
 	if err != nil {
 		return 0, err
 	}
 	c.M.SetSymbolFunction(name, s1.Ptr(s1.TagFunc, uint64(idx)))
 	return idx, nil
+}
+
+// EmitBody is Emit without the function cell: the body is reachable
+// only through its index and the machine's name table (a macro
+// expander, say, which no call in user code may reach).
+func (c *Compiler) EmitBody(name string, p *Prepared) (int, error) {
+	c.binds = nil
+	c.flushTranscript(p)
+	return c.compileLambda(name, p.Lam, nil, p.vr)
 }
 
 // CompileFunction compiles a top-level named function. It returns the

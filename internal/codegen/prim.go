@@ -168,7 +168,7 @@ func (f *fc) primCallInner(name string, x *tree.Call) (absOperand, tree.Rep, err
 		return v, tree.RepPOINTER, err
 
 	case "apply":
-		if len(x.Args) == 2 {
+		if len(x.Args) >= 2 {
 			fn, err := f.emitCoercedTo(x.Args[0], tree.RepPOINTER)
 			if err != nil {
 				return noOperand, 0, err
@@ -176,7 +176,8 @@ func (f *fc) primCallInner(name string, x *tree.Call) (absOperand, tree.Rep, err
 			if fn, err = f.stabilize(fn); err != nil {
 				return noOperand, 0, err
 			}
-			lst, err := f.emitCoercedTo(x.Args[1], tree.RepPOINTER)
+			// (apply f a … lst) spreads (list* a … lst).
+			lst, err := f.emitListStar(x.Args[1:])
 			if err != nil {
 				return noOperand, 0, err
 			}
@@ -232,6 +233,44 @@ func (f *fc) primCallInner(name string, x *tree.Call) (absOperand, tree.Rep, err
 	// Everything else goes through the fallback primitive gateway.
 	v, err := f.emitSQPrim(name, x.Args)
 	return v, tree.RepPOINTER, err
+}
+
+// emitListStar conses args but the last onto the last, right to left:
+// (list* a … lst). A lone argument is the list itself. An element that
+// may be a pdl number is certified before a cons holds it (§6.3).
+func (f *fc) emitListStar(args []tree.Node) (absOperand, error) {
+	elems := make([]absOperand, len(args)-1)
+	for i, a := range args[:len(args)-1] {
+		v, err := f.emitCoercedTo(a, tree.RepPOINTER)
+		if err != nil {
+			return noOperand, err
+		}
+		if f.c.Opts.PdlNumbers && maybeUnsafe(a) {
+			f.emit(s1.OpMOV, conc(s1.R(s1.RegA)), v, noOperand, 0, "")
+			f.emit(s1.OpCALLSQ, noOperand, noOperand, noOperand, s1.SQCertify,
+				"certify pointer before consing it")
+			v, err = f.fromA("certified")
+		} else {
+			v, err = f.stabilize(v)
+		}
+		if err != nil {
+			return noOperand, err
+		}
+		elems[i] = v
+	}
+	acc, err := f.emitCoercedTo(args[len(args)-1], tree.RepPOINTER)
+	if err != nil {
+		return noOperand, err
+	}
+	for i := len(elems) - 1; i >= 0; i-- {
+		f.emit(s1.OpMOV, conc(s1.R(s1.RegB)), acc, noOperand, 0, "")
+		f.emit(s1.OpMOV, conc(s1.R(s1.RegA)), elems[i], noOperand, 0, "")
+		f.emit(s1.OpCALLSQ, noOperand, noOperand, noOperand, s1.SQCons, "list*")
+		if acc, err = f.fromA("list*"); err != nil {
+			return noOperand, err
+		}
+	}
+	return acc, nil
 }
 
 // fromA copies the SQ result register into a fresh TN.

@@ -12,6 +12,7 @@
 package convert
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -24,11 +25,27 @@ import (
 type ConvertError struct {
 	Form sexp.Value
 	Msg  string
+	// Err is the classifying error, when there is one (ErrTooDeep).
+	Err error
 }
 
 func (e *ConvertError) Error() string {
 	return fmt.Sprintf("convert: %s in %s", e.Msg, sexp.Print(e.Form))
 }
+
+func (e *ConvertError) Unwrap() error { return e.Err }
+
+// maxConvertDepth bounds the converter's recursion: form nesting plus
+// the chain of macro expansions it passes through, since each expansion
+// converts its result one level deeper. Real programs sit far below it;
+// a macro that expands to a call of itself reaches it quickly. It is
+// below the reader's own nesting bound because an expansion chain can
+// cost time and heap quadratic in its length (a form that grows by one
+// level per expansion is copied in and out of the expander each time).
+const maxConvertDepth = 1_000
+
+// ErrTooDeep classifies a form past maxConvertDepth.
+var ErrTooDeep = errors.New("form nested too deeply")
 
 func errf(form sexp.Value, format string, args ...any) error {
 	return &ConvertError{Form: form, Msg: fmt.Sprintf(format, args...)}
@@ -81,17 +98,20 @@ type Converter struct {
 	Constants map[*sexp.Symbol]sexp.Value
 	// UserMacro, if non-nil, is consulted for unknown head symbols; it
 	// returns the expansion and true if the form was a user macro call.
-	// The core package wires this to defmacro via the interpreter.
+	// The core package runs an expander compiled on the system's
+	// machine (for its Interpret oracle, an interpreter closure).
 	UserMacro func(head *sexp.Symbol, form sexp.Value) (sexp.Value, bool, error)
 	// OnDefmacro, if non-nil, receives top-level (defmacro name args
-	// body...) definitions; the host registers the expander (typically an
-	// interpreter closure) behind UserMacro.
+	// body...) definitions; the host registers the expander behind
+	// UserMacro.
 	OnDefmacro func(name *sexp.Symbol, lambdaList sexp.Value, body []sexp.Value) error
 	// gen numbers this converter's generated symbols (see gensym).
 	gen int
 	// used lists the proclaimed specials IsSpecial has answered for
 	// since the current TopForm began (see SpecialsUsed).
 	used []*sexp.Symbol
+	// depth is Convert's current recursion depth (maxConvertDepth).
+	depth int
 }
 
 // New returns a fresh Converter.
@@ -290,6 +310,7 @@ func (c *Converter) TopForm(p *Program, form sexp.Value) error {
 	// surviving units.
 	c.gen = 0
 	c.used = c.used[:0]
+	c.depth = 0
 	items, err := sexp.ListToSlice(form)
 	if err == nil && len(items) > 0 {
 		if head, ok := items[0].(*sexp.Symbol); ok {
@@ -377,6 +398,20 @@ func (c *Converter) ConvertLambda(form sexp.Value) (*tree.Lambda, error) {
 
 // Convert converts form in lexical environment e.
 func (c *Converter) Convert(form sexp.Value, e *env) (tree.Node, error) {
+	if c.depth >= maxConvertDepth {
+		if cons, ok := form.(*sexp.Cons); ok {
+			form = cons.Car // the whole form can be as deep as the bound
+		}
+		return nil, &ConvertError{Form: form, Err: ErrTooDeep,
+			Msg: fmt.Sprintf("%v (over %d levels, macro expansions included)", ErrTooDeep, maxConvertDepth)}
+	}
+	c.depth++
+	n, err := c.convert(form, e)
+	c.depth--
+	return n, err
+}
+
+func (c *Converter) convert(form sexp.Value, e *env) (tree.Node, error) {
 	switch v := form.(type) {
 	case sexp.Fixnum, *sexp.Bignum, *sexp.Ratio, sexp.Flonum, sexp.String,
 		sexp.Character, *sexp.Vector:

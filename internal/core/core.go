@@ -1,9 +1,9 @@
 // Package core is the public face of the S-1 Lisp reproduction: a System
 // bundles the reader, the preliminary converter, the source-level
-// optimizer, the machine-dependent annotation phases, the code generator,
-// the S-1 simulator, and the reference interpreter. Load Lisp source,
-// call compiled functions, inspect listings and transcripts, and meter
-// everything.
+// optimizer, the machine-dependent annotation phases, the code generator
+// and the S-1 simulator, with the reference interpreter on demand as a
+// test oracle. Load Lisp source, call compiled functions, inspect
+// listings and transcripts, and meter everything.
 //
 //	sys := core.NewSystem(core.Options{})
 //	sys.LoadString(`(defun f (x) (* x x))`)
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -38,8 +37,7 @@ type Options struct {
 	Codegen *codegen.Options
 	// OptimizerLog receives the §5-style transformation transcript.
 	OptimizerLog io.Writer
-	// Out receives print output from both the machine and the
-	// interpreter.
+	// Out receives print output from the machine and from Interpret.
 	Out io.Writer
 	// Constants are symbols resolved at compile time to literal values
 	// (the static arrays of the §6.1 experiments).
@@ -145,7 +143,6 @@ const DefaultMaxErrors = 20
 // System is a complete Lisp implementation instance.
 type System struct {
 	Machine  *s1.Machine
-	Interp   *interp.Interp
 	Conv     *convert.Converter
 	Compiler *codegen.Compiler
 	// Defs holds the converted program definitions for inspection.
@@ -155,20 +152,22 @@ type System struct {
 	// tracing is off).
 	Obs *obs.Recorder
 
-	macros        map[*sexp.Symbol]*interp.Closure
+	// macros maps each macro to its expander's function index.
+	macros        map[*sexp.Symbol]int
 	toplevelCount int
 	batchCount    int
-	// expansions counts user-macro expansions (an expander runs
-	// interpreter code, which a request plan cannot replay).
+	// expansions counts user-macro expansions (an expander runs machine
+	// code, whose result a request plan cannot replay).
 	expansions int
 	// loaded is set by the system's first load; a restored system starts
 	// without it (see EvalStringDiag on keying top-level forms).
 	loaded bool
 	// sources accumulates every loaded source text, in load order — the
 	// replay script a snapshot stores so a restore can rehydrate the
-	// interpreter and macro expanders without touching the machine
-	// (snapshot.go).
+	// converter state without compiling (snapshot.go), and from which
+	// Interpret builds its reference interpreter (nil until first used).
 	sources []string
+	oracle  *oracle
 
 	jobs int
 	// disk is the compile cache (nil = none: no unit is keyed) and
@@ -202,19 +201,12 @@ type System struct {
 func (s *System) TraceID() string { return s.traceID }
 
 // NewSystem builds a system.
-func NewSystem(opts Options) *System { return newSystem(opts, interp.New()) }
-
-// newSystem builds a system around the interpreter in.
-func newSystem(opts Options, in *interp.Interp) *System {
+func NewSystem(opts Options) *System {
 	m := s1.NewFromArena(opts.Arena)
 	if opts.Out != nil {
 		m.Out = opts.Out
-		in.Out = opts.Out
 	}
-	// The machine's fallback primitives are the interpreter's builtins.
-	m.SetPrimHook(func(name *sexp.Symbol, args []sexp.Value) (sexp.Value, error) {
-		return in.CallNamed(name, args...)
-	})
+	setPrimHook(m)
 	co := codegen.DefaultOptions()
 	if opts.Codegen != nil {
 		co = *opts.Codegen
@@ -268,12 +260,11 @@ func newSystem(opts Options, in *interp.Interp) *System {
 	}
 	sys := &System{
 		Machine:   m,
-		Interp:    in,
 		Conv:      conv,
 		Compiler:  codegen.New(m, co),
 		Defs:      map[string]int{},
 		Obs:       opts.Obs,
-		macros:    map[*sexp.Symbol]*interp.Closure{},
+		macros:    map[*sexp.Symbol]int{},
 		jobs:      jobs,
 		fault:     opts.Fault,
 		maxErrors: maxErrors,
@@ -290,47 +281,81 @@ func newSystem(opts Options, in *interp.Interp) *System {
 		sys.disk = opts.DiskCache
 		sys.resident = map[string]residentBody{}
 	}
-	sys.wireMacros()
+	// Macro expanders are functions on the machine, bound in its name
+	// table only, never in a function cell; an expansion calls one as
+	// Call would, under the machine's budgets.
+	wireMacros(sys.Conv, sys.macros, func(name *sexp.Symbol, lam *tree.Lambda) (int, error) {
+		fn := expanderName(name, sys.macroEpoch)
+		p, err := sys.safePrepare(fn, lam, sys.Obs.Task(fn, 0), 0)
+		if err != nil {
+			return 0, err
+		}
+		idx, err := sys.Compiler.EmitBody(fn, p)
+		if err == nil {
+			// A (re)defined macro can change any later expansion, and a
+			// printed form does not reveal which macros it consumed: epoch
+			// the cache keys so every earlier entry stops matching.
+			sys.macroEpoch++
+		}
+		return idx, err
+	}, func(head *sexp.Symbol, idx int, args []sexp.Value) (sexp.Value, error) {
+		sys.expansions++
+		exp, err := sys.callIndex(idx, args)
+		if err != nil {
+			err = &diag.Diagnostic{Severity: diag.Error, Phase: "expand",
+				Msg: fmt.Sprintf("expanding macro %s: %v", head.Name, err), Err: err}
+		}
+		return exp, err
+	})
 	return sys
 }
 
-// wireMacros connects the converter's defmacro and macro-call hooks to
-// the system's expanders, which are interpreter closures applied to the
-// unevaluated argument forms.
-func (s *System) wireMacros() {
-	s.Conv.OnDefmacro = func(name *sexp.Symbol, lambdaList sexp.Value, body []sexp.Value) error {
-		items := append([]sexp.Value{sexp.SymLambda, lambdaList}, body...)
-		lam, err := s.Conv.ConvertLambda(sexp.List(items...))
+// setPrimHook makes m's fallback primitives the process-wide builtins.
+func setPrimHook(m *s1.Machine) {
+	m.SetPrimHook(func(name *sexp.Symbol, args []sexp.Value) (sexp.Value, error) {
+		return interp.CallBuiltin(m.Out, name, args)
+	})
+}
+
+// expanderName names the expander of a system's epoch'th macro
+// definition. No source can spell it: a plain token ends at a space and
+// a |quoted| one at a bar, and the name holds both.
+func expanderName(name *sexp.Symbol, epoch int) string {
+	return fmt.Sprintf("|macro %s %d|", name.Name, epoch)
+}
+
+// wireMacros connects conv's defmacro and macro-call hooks to a macro
+// table: define makes a defmacro's expander from its converted lambda,
+// and expand runs one on a call's unevaluated argument forms.
+func wireMacros[E any](conv *convert.Converter, macros map[*sexp.Symbol]E,
+	define func(*sexp.Symbol, *tree.Lambda) (E, error),
+	expand func(*sexp.Symbol, E, []sexp.Value) (sexp.Value, error)) {
+	conv.OnDefmacro = func(name *sexp.Symbol, lambdaList sexp.Value, body []sexp.Value) error {
+		lam, err := conv.ConvertLambda(sexp.List(append([]sexp.Value{sexp.SymLambda, lambdaList}, body...)...))
 		if err != nil {
 			return err
 		}
-		s.macros[name] = &interp.Closure{Lambda: lam}
-		// A (re)defined macro can change any later expansion, and a
-		// printed form does not reveal which macros it consumed: epoch the
-		// cache keys so every earlier entry stops matching.
-		s.macroEpoch++
-		return nil
+		e, err := define(name, lam)
+		if err == nil {
+			macros[name] = e
+		}
+		return err
 	}
-	s.Conv.UserMacro = func(head *sexp.Symbol, form sexp.Value) (sexp.Value, bool, error) {
-		cl, ok := s.macros[head]
+	conv.UserMacro = func(head *sexp.Symbol, form sexp.Value) (sexp.Value, bool, error) {
+		e, ok := macros[head]
 		if !ok {
 			return nil, false, nil
 		}
 		args, err := sexp.ListToSlice(form)
-		if err != nil {
-			return nil, false, err
+		if err == nil {
+			form, err = expand(head, e, args[1:])
 		}
-		s.expansions++
-		exp, err := s.Interp.Apply(cl, args[1:])
-		if err != nil {
-			return nil, false, fmt.Errorf("core: expanding macro %s: %w", head.Name, err)
-		}
-		return exp, true, nil
+		return form, err == nil, err
 	}
 }
 
 // LoadString reads, converts, compiles and executes a program: defuns
-// are compiled to machine code (and also installed in the interpreter),
+// are compiled to machine code, defmacros to expanders on the machine,
 // other top-level forms run on the simulator. When any unit fails, the
 // returned error is the *diag.List of everything that went wrong — the
 // surviving units are still compiled and installed.
@@ -401,6 +426,8 @@ func asDiag(err error, unit string, line, col int) *diag.Diagnostic {
 	var inj *diag.InjectedFault
 	if errors.As(err, &inj) {
 		d.Phase = inj.Phase
+	} else if errors.Is(err, convert.ErrTooDeep) {
+		d.Phase = "convert"
 	}
 	return d
 }
@@ -709,14 +736,11 @@ func (s *System) compileDefs(units []*unit, list *diag.List) {
 	for _, u := range units {
 		if u.err != nil {
 			// The unit failed before touching the machine: report it and
-			// skip installation entirely (including the interpreter), as
-			// if the form had been deleted from the source.
+			// skip installation entirely, as if the form had been deleted
+			// from the source.
 			list.Add(asDiag(u.err, u.name, u.o.line, u.o.col))
 			continue
 		}
-		// The interpreter gets the converted tree (its role is the
-		// semantic baseline).
-		s.Interp.DefineFunction(u.sym, &interp.Closure{Lambda: u.lam})
 		if u.hit && !codegen.ResidentBindsHold(s.Machine, u.binds) {
 			// The resident body embeds a function index that a name it
 			// looked up no longer resolves to (an earlier definition,
@@ -895,75 +919,132 @@ func (s *System) storeCapture(u *unit, idx int, capt *s1.Capture, ctxBefore stri
 
 // Call invokes a compiled function on the simulator with host values.
 func (s *System) Call(name string, args ...sexp.Value) (sexp.Value, error) {
-	// Converted arguments stay pinned until CallFunction has pushed them.
+	if idx := s.Machine.FuncNamed(name); idx >= 0 {
+		return s.callIndex(idx, args)
+	}
+	return nil, fmt.Errorf("s1: no function %q", name)
+}
+
+// callIndex invokes function index idx on the simulator with host
+// values: the arguments go in through FromValue, the result comes out
+// through ToValue.
+func (s *System) callIndex(idx int, args []sexp.Value) (sexp.Value, error) {
+	// Converted arguments stay pinned until CallIndex has pushed them.
 	defer s.Machine.Unpin(s.Machine.PinDepth())
 	words := make([]s1.Word, len(args))
 	for i, a := range args {
 		words[i] = s.Machine.Pin(s.Machine.FromValue(a))
 	}
-	w, err := s.Machine.CallFunction(name, words...)
+	w, err := s.Machine.CallIndex(idx, words...)
 	if err != nil {
 		return nil, err
 	}
 	return s.Machine.ToValue(w)
 }
 
-// Interpret invokes the same function in the reference interpreter.
-// Global value cells established by top-level forms (which execute on the
-// simulator) are mirrored into the interpreter first, so defvar'd
-// specials are visible; thereafter the two engines' dynamic states evolve
-// independently.
+// Interpret invokes the same function in the reference interpreter, the
+// test oracle, built on first use and caught up on each call by
+// replaying the system's sources with interpreter-side macros; it
+// defines only the functions the machine did (Defs). Global value cells
+// set by top-level forms (which execute on the simulator) are mirrored
+// into it first, so defvar'd specials are visible; thereafter the two
+// engines' dynamic states evolve independently.
 func (s *System) Interpret(name string, args ...sexp.Value) (sexp.Value, error) {
-	for i := range s.Machine.Syms {
-		cell := &s.Machine.Syms[i]
-		if !cell.HasValue {
-			continue
-		}
-		sym := sexp.Intern(cell.Name)
-		if _, ok := s.Interp.Globals[sym]; ok {
-			continue
-		}
-		v, err := s.Machine.ToValue(cell.Value)
-		if err != nil {
-			continue // machine-only values stay machine-only
-		}
-		s.Interp.Globals[sym] = v
+	o := s.oracle
+	if o == nil {
+		o = &oracle{in: interp.New(), conv: convert.New()}
+		o.in.Out, o.conv.Constants = s.Machine.Out, s.Conv.Constants
+		wireMacros(o.conv, map[*sexp.Symbol]*interp.Closure{},
+			func(_ *sexp.Symbol, lam *tree.Lambda) (*interp.Closure, error) {
+				return &interp.Closure{Lambda: lam}, nil
+			},
+			func(_ *sexp.Symbol, cl *interp.Closure, args []sexp.Value) (sexp.Value, error) {
+				return o.in.Apply(cl, args)
+			})
+		s.oracle = o
 	}
-	return s.Interp.CallNamed(sexp.Intern(name), args...)
+	replay(o.conv, s.sources[o.loaded:], func(d *convert.Def) {
+		if _, ok := s.Defs[d.Name.Name]; ok {
+			o.in.Funcs[d.Name] = &interp.Closure{Lambda: d.Lambda}
+		}
+	})
+	o.loaded = len(s.sources)
+	for i := range s.Machine.Syms {
+		if cell := &s.Machine.Syms[i]; cell.HasValue && o.in.Globals[sexp.Intern(cell.Name)] == nil {
+			if v, err := s.Machine.ToValue(cell.Value); err == nil { // machine-only values stay machine-only
+				o.in.Globals[sexp.Intern(cell.Name)] = v
+			}
+		}
+	}
+	return o.in.CallNamed(sexp.Intern(name), args...)
+}
+
+// oracle is Interpret's interpreter and converter, and how many sources
+// they have replayed.
+type oracle struct {
+	in     *interp.Interp
+	conv   *convert.Converter
+	loaded int
+}
+
+// replay reads and converts sources again with conv, compiling and
+// running nothing, and hands def each definition; conv's macro hooks
+// decide what an expansion runs on. A form that fails to read or
+// convert is skipped, as the original load skipped it.
+func replay(conv *convert.Converter, sources []string, def func(*convert.Def)) {
+	for _, src := range sources {
+		forms, _ := sexp.ReadAllRecover(src)
+		for _, f := range forms {
+			conv.ScanProclaim(f.Val)
+		}
+		prog := convert.NewProgram()
+		for _, f := range forms {
+			func() {
+				defer func() { recover() }() // a bad form costs itself, as in EvalStringDiag
+				conv.TopForm(prog, f.Val)
+			}()
+		}
+		for _, d := range prog.Defs {
+			def(d)
+		}
+	}
+}
+
+// compiled returns the descriptor of a compiled function.
+func (s *System) compiled(name string) (*s1.FuncDesc, error) {
+	idx, ok := s.Defs[name]
+	if !ok {
+		return nil, fmt.Errorf("core: no compiled function %q", name)
+	}
+	return &s.Machine.Funcs[idx], nil
 }
 
 // Listing returns the assembly listing of a compiled function.
 func (s *System) Listing(name string) (string, error) {
-	idx, ok := s.Defs[name]
-	if !ok {
-		return "", fmt.Errorf("core: no compiled function %q", name)
+	f, err := s.compiled(name)
+	if err != nil {
+		return "", err
 	}
-	f := s.Machine.Funcs[idx]
-	var b strings.Builder
-	fmt.Fprintf(&b, ";;; %s (entry %d)\n", f.Name, f.Entry)
-	b.WriteString(s1.Listing(s.Machine.Code, f.Entry, f.End))
-	return b.String(), nil
+	return fmt.Sprintf(";;; %s (entry %d)\n%s", f.Name, f.Entry, s1.Listing(s.Machine.Code, f.Entry, f.End)), nil
 }
 
 // StaticMOVs counts MOV instructions in a compiled function (the §6.1
 // code-quality metric).
 func (s *System) StaticMOVs(name string) (int, error) {
-	idx, ok := s.Defs[name]
-	if !ok {
-		return 0, fmt.Errorf("core: no compiled function %q", name)
+	f, err := s.compiled(name)
+	if err != nil {
+		return 0, err
 	}
-	f := s.Machine.Funcs[idx]
 	return s1.CountMOVs(s.Machine.Code, f.Entry, f.End), nil
 }
 
 // InstructionCount returns the number of instructions in a compiled
 // function.
 func (s *System) InstructionCount(name string) (int, error) {
-	idx, ok := s.Defs[name]
-	if !ok {
-		return 0, fmt.Errorf("core: no compiled function %q", name)
+	f, err := s.compiled(name)
+	if err != nil {
+		return 0, err
 	}
-	f := s.Machine.Funcs[idx]
 	return f.End - f.Entry, nil
 }
 

@@ -277,3 +277,64 @@ func TestOptimizerWatchdog(t *testing.T) {
 		t.Errorf("message = %q, want watchdog", list.All()[0].Msg)
 	}
 }
+
+// TestMacroExpansionFailuresAreDiagnostics: every way an expansion can
+// go wrong costs its unit one diagnostic and leaves the rest of the load
+// compiled — an expander error, a result that contains itself through
+// its car (which converting back to a host value must refuse, not
+// recurse on), and a macro that expands to a call of itself.
+func TestMacroExpansionFailuresAreDiagnostics(t *testing.T) {
+	sys := NewSystem(Options{})
+	list := sys.LoadStringDiag(`
+(defmacro bad () (car 5))
+(defmacro loopy () (let ((x (list 1))) (rplaca x x) x))
+(defmacro again () '(again))
+(defun a () (bad))
+(defun b () (loopy))
+(defun c () (again))
+(defun ok () 7)`)
+	want := map[string]string{"a": "expand", "b": "expand", "c": "convert"}
+	for _, d := range list.All() {
+		if phase, ok := want[d.Unit]; ok && d.Phase == phase {
+			delete(want, d.Unit)
+		} else {
+			t.Errorf("unexpected diagnostic %v", d)
+		}
+	}
+	if len(want) != 0 {
+		t.Errorf("no diagnostic for %v in %v", want, list)
+	}
+	if v, err := sys.Call("ok"); err != nil || sexp.Print(v) != "7" {
+		t.Errorf("(ok) = %v, %v", v, err)
+	}
+}
+
+// TestMacroExpanderUnreachable: an expander lives in the machine's name
+// table under a name the reader cannot produce, with no symbol cell, so
+// a defun spelled like it is a different function and the macro still
+// expands.
+func TestMacroExpanderUnreachable(t *testing.T) {
+	sys := NewSystem(Options{})
+	if err := sys.LoadString(`(defmacro m () 1) (defun |macro m 0| () 2) (defun g () (m))`); err != nil {
+		t.Fatal(err)
+	}
+	name := expanderName(sexp.Intern("m"), 0)
+	if idx := sys.Machine.FuncNamed(name); idx < 0 || idx == sys.Defs["macro m 0"] {
+		t.Fatalf("expander %q at %d, defun at %d", name, idx, sys.Defs["macro m 0"])
+	}
+	for _, c := range sys.Machine.Syms {
+		if c.Name == name {
+			t.Errorf("expander %q has a symbol cell", name)
+		}
+	}
+	for _, src := range []string{name, "|" + name + "|", strings.Trim(name, "|")} {
+		if v, err := sexp.ReadOne(src); err == nil {
+			if sym, ok := v.(*sexp.Symbol); ok && sym.Name == name {
+				t.Errorf("%q reads as the expander's name", src)
+			}
+		}
+	}
+	if v, err := sys.Call("g"); err != nil || sexp.Print(v) != "1" {
+		t.Errorf("(g) = %v, %v", v, err)
+	}
+}

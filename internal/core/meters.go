@@ -10,9 +10,7 @@ import (
 // can never drift apart and the output order is fixed here once.
 
 // WriteMeters prints the machine meters in a fixed, deterministic order.
-// When interpreted is true the reference interpreter's counters are
-// appended.
-func (s *System) WriteMeters(w io.Writer, interpreted bool) {
+func (s *System) WriteMeters(w io.Writer) {
 	st := s.Stats()
 	fmt.Fprintln(w, ";; --- machine meters ---")
 	fmt.Fprintf(w, ";; cycles:            %d\n", st.Cycles)
@@ -36,11 +34,6 @@ func (s *System) WriteMeters(w io.Writer, interpreted bool) {
 	if ts := s.Machine.TierStats(); ts.Promotions > 0 {
 		fmt.Fprintf(w, ";; tier:              %d hot functions (%d re-fusions, %d blocks / %d instrs lowered, %d cache fills)\n",
 			ts.HotFunctions, ts.Refusions, ts.LoweredBlocks, ts.LoweredInstrs, ts.CacheFills)
-	}
-	if interpreted {
-		is := s.Interp.Stats
-		fmt.Fprintf(w, ";; interpreter:       %d calls, %d builtins, %d conses\n",
-			is.Calls, is.BuiltinCalls, is.Conses)
 	}
 }
 

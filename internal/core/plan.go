@@ -26,11 +26,10 @@ import (
 // whose checks (allocator context, gensym counter, function bindings)
 // still decide, and the top-level forms still run.
 //
-// Plan trees are shared by every system that uses the plan. The
-// interpreter reads them (as it reads Rehydrate's trees); the middle end
-// never does, since it rewrites a tree in place and tree.Copy appends to
-// shared Var back-pointer lists: a plan unit that must compile converts
-// its own source form again (privateTree).
+// Plan trees are shared by every system that uses the plan, so the
+// middle end never sees them: it rewrites a tree in place and tree.Copy
+// appends to shared Var back-pointer lists. A plan unit that must
+// compile converts its own source form again (privateTree).
 
 // planEntries bounds one Rehydrated's plans; a full memo forgets its
 // oldest plan. A plan holds its source text and converted trees, so

@@ -5,18 +5,19 @@ import (
 	"maps"
 
 	"repro/internal/convert"
-	"repro/internal/interp"
+	"repro/internal/s1"
 	"repro/internal/sexp"
 	"repro/internal/snapshot"
+	"repro/internal/tree"
 )
 
 // System snapshot and verified restore (DESIGN.md §14). A snapshot
 // captures the machine image plus the compiler pinning (gensym counter,
 // macro epoch, allocator context) and the loaded source texts; a restore
 // rebuilds a System whose observable state — image fingerprint,
-// allocator context, compile-cache keys, interpreter definitions, macro
-// expanders — is indistinguishable from one that cold-compiled the same
-// sources, at the cost of a deserialize instead of a compile.
+// allocator context, compile-cache keys, macro expanders — is
+// indistinguishable from one that cold-compiled the same sources, at the
+// cost of a deserialize instead of a compile.
 
 // Snapshot captures the system's current state. The system must be at a
 // quiescent point: no load in progress, machine not mid-execution.
@@ -58,29 +59,41 @@ func RestoreSystem(opts Options, snap *snapshot.Snapshot) (*System, error) {
 }
 
 // Rehydrated is a snapshot whose sources have been read and converted
-// once, kept as the machine-free state every system restored from it
-// starts with: the proclaimed specials, the macro expanders, the
-// interpreter's function and global cells, and the Defs table. Restore
-// copies those maps into each new system; the converted trees they
-// point to are shared read-only (TopForm gives every form its own
-// special-variable records, so no later conversion adds references to
-// a shared tree). It also keeps the request plans its restored systems
-// record (plan.go), which a new snapshot, being a new Rehydrated, starts
-// without.
+// once, kept as the state every system restored from it starts with:
+// the proclaimed specials, each macro's expander index, and the Defs
+// table, which Restore copies into each new system. It also keeps the
+// request plans its restored systems record (plan.go), which a new
+// snapshot, being a new Rehydrated, starts without.
 type Rehydrated struct {
 	// Snap is the snapshot every Restore loads and verifies.
 	Snap *snapshot.Snapshot
 
 	specials map[*sexp.Symbol]bool
-	macros   map[*sexp.Symbol]*interp.Closure
-	interp   *interp.Interp
+	macros   map[*sexp.Symbol]int
 	defs     map[string]int
 	plans    planMemo
 }
 
-// Rehydrate reads and converts snap's sources once, without a machine:
-// defuns bind to the function indices the snapshot's image records. It
-// does not verify the image; every Restore does.
+// MissingExpanderError reports a snapshot whose sources define a macro
+// its image holds no expander for: the two do not belong together.
+type MissingExpanderError struct {
+	Macro string
+}
+
+func (e *MissingExpanderError) Error() string {
+	return fmt.Sprintf("core: snapshot image has no expander for macro %s", e.Macro)
+}
+
+// rehydrateSteps bounds each expansion Rehydrate runs, as slcd's default
+// -max-steps bounds a request.
+const rehydrateSteps = 50_000_000
+
+// Rehydrate reads and converts snap's sources once, compiling nothing:
+// defuns and defmacros bind to the function indices the snapshot's
+// image records (a defmacro to its expander's, by expanderName). Macro
+// calls expand on one scratch machine, which loads the image and checks
+// its fingerprint the first time a defmacro needs it; a source without
+// macros never loads it, and every Restore verifies its own load.
 func Rehydrate(snap *snapshot.Snapshot) (*Rehydrated, error) {
 	if snap == nil || snap.Image == nil {
 		return nil, fmt.Errorf("core: restore requires a snapshot with an image")
@@ -89,29 +102,63 @@ func Rehydrate(snap *snapshot.Snapshot) (*Rehydrated, error) {
 	for _, b := range snap.Image.Bindings {
 		bound[b.Name] = b.Idx
 	}
-	sys := &System{
-		Interp: interp.New(),
-		Conv:   convert.New(),
-		Defs:   map[string]int{},
-		macros: map[*sexp.Symbol]*interp.Closure{},
+	sys := &System{Conv: convert.New(), Defs: map[string]int{}, macros: map[*sexp.Symbol]int{}}
+	var failed error // the first, which every later defmacro repeats
+	wireMacros(sys.Conv, sys.macros, func(name *sexp.Symbol, _ *tree.Lambda) (int, error) {
+		idx, ok := bound[expanderName(name, sys.macroEpoch)]
+		switch {
+		case failed != nil:
+		case !ok:
+			failed = &MissingExpanderError{Macro: name.Name}
+		case sys.Machine == nil:
+			sys.Machine = s1.New()
+			setPrimHook(sys.Machine)
+			failed = loadImage(sys.Machine, snap)
+		}
+		sys.macroEpoch++
+		return idx, failed
+	}, func(_ *sexp.Symbol, idx int, args []sexp.Value) (sexp.Value, error) {
+		// The sources keep every form, the ones whose expansion failed
+		// too: a looping expander must not stall the rehydration.
+		sys.Machine.StepLimit = sys.Machine.Stats.Instrs + rehydrateSteps
+		return sys.callIndex(idx, args)
+	})
+	replay(sys.Conv, snap.Sources, func(d *convert.Def) {
+		// A definition the original load failed never reached the
+		// machine; leave it undefined here too.
+		if idx, ok := bound[d.Name.Name]; ok {
+			sys.Defs[d.Name.Name] = idx
+		}
+	})
+	if failed != nil {
+		return nil, failed
 	}
-	sys.wireMacros()
-	sys.rehydrate(snap.Sources, bound)
 	return &Rehydrated{
 		Snap:     snap,
 		specials: sys.Conv.Specials,
 		macros:   sys.macros,
-		interp:   sys.Interp,
 		defs:     sys.Defs,
 	}, nil
+}
+
+// loadImage loads snap's image into m and checks its recomputed
+// fingerprint against the one recorded at snapshot time.
+func loadImage(m *s1.Machine, snap *snapshot.Snapshot) error {
+	if err := m.LoadImage(snap.Image); err != nil {
+		return err
+	}
+	if got := m.ImageFingerprint(); got != snap.Meta.ImageHash {
+		return fmt.Errorf("core: restored image hash %s does not match snapshot's %s", got, snap.Meta.ImageHash)
+	}
+	return nil
 }
 
 // Restore builds a System from r's snapshot. The options configure the
 // new system exactly as NewSystem would (the execution toggles —
 // NoTier, HotThreshold, GCStress, limits — apply to the restored
 // machine; Options.Constants is rejected); the snapshot supplies the
-// machine image and the compiler pinning, and r the machine-free state,
-// copied. Safe for concurrent use.
+// machine image and the compiler pinning, and r the converter state and
+// name tables, copied. Safe for concurrent use.
 //
 // The restore is *verified*: after the image loads, the machine's
 // recomputed ImageFingerprint and AllocContext must equal the ones
@@ -124,13 +171,12 @@ func (r *Rehydrated) Restore(opts Options) (*System, error) {
 	if len(opts.Constants) > 0 {
 		return nil, fmt.Errorf("core: systems with compile-time constants cannot restore from snapshots")
 	}
-	sys := newSystem(opts, r.interp.Fork())
-	if err := sys.Machine.LoadImage(snap.Image); err != nil {
+	sys := NewSystem(opts)
+	if err := loadImage(sys.Machine, snap); err != nil {
 		return nil, err
 	}
-	if got := sys.Machine.ImageFingerprint(); got != snap.Meta.ImageHash {
-		return nil, fmt.Errorf("core: restored image hash %s does not match snapshot's %s", got, snap.Meta.ImageHash)
-	}
+	// The allocator context also covers the collector settings, which
+	// opts configures.
 	if got := sys.Machine.AllocContext(); got != snap.Meta.AllocCtx {
 		return nil, fmt.Errorf("core: restored allocator context %s does not match snapshot's %s", got, snap.Meta.AllocCtx)
 	}
@@ -143,44 +189,8 @@ func (r *Rehydrated) Restore(opts Options) (*System, error) {
 	sys.macroEpoch = snap.Meta.MacroEpoch
 	sys.sources = append([]string(nil), snap.Sources...)
 	sys.Conv.Specials = maps.Clone(r.specials)
-	sys.macros = maps.Clone(r.macros)
+	maps.Copy(sys.macros, r.macros) // the table the converter's hooks read
 	sys.Defs = maps.Clone(r.defs)
 	sys.boot = r
 	return sys, nil
-}
-
-// rehydrate rebuilds the machine-free side of the system — interpreter
-// function definitions, macro expanders, proclamations, and the Defs
-// name table — by re-running the reader and converter over the stored
-// sources. Nothing here touches the machine: top-level forms are
-// converted (so defmacro and proclaim take effect) but never compiled
-// or executed, and function bodies bind by name to the image's code,
-// whose index bound records. Forms that fail to read or convert are
-// skipped, exactly as the original diagnostic-accumulating load
-// skipped them.
-func (s *System) rehydrate(sources []string, bound map[string]int) {
-	for _, src := range sources {
-		forms, _ := sexp.ReadAllRecover(src)
-		for _, f := range forms {
-			s.Conv.ScanProclaim(f.Val)
-		}
-		prog := convert.NewProgram()
-		for _, f := range forms {
-			func() {
-				defer func() { recover() }() // a bad form costs itself, as in EvalStringDiag
-				s.Conv.TopForm(prog, f.Val)
-			}()
-		}
-		s.Conv.FinishProgram(prog)
-		for _, d := range prog.Defs {
-			idx, ok := bound[d.Name.Name]
-			if !ok {
-				// The original load failed this unit (it never reached the
-				// machine); leave it undefined here too.
-				continue
-			}
-			s.Interp.DefineFunction(d.Name, &interp.Closure{Lambda: d.Lambda})
-			s.Defs[d.Name.Name] = idx
-		}
-	}
 }

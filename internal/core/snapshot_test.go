@@ -9,8 +9,10 @@
 package core
 
 import (
+	"errors"
 	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -283,7 +285,7 @@ func TestRehydratedConcurrentRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nDefs, nMacros, nSpecials, nFuncs := len(rh.defs), len(rh.macros), len(rh.specials), len(rh.interp.Funcs)
+	nDefs, nMacros, nSpecials := len(rh.defs), len(rh.macros), len(rh.specials)
 
 	type result struct {
 		fp, ctx, value    string
@@ -345,7 +347,7 @@ func TestRehydratedConcurrentRestore(t *testing.T) {
 			t.Errorf("system %d: %+v\nwant %+v", g, r, want)
 		}
 	}
-	if len(rh.defs) != nDefs || len(rh.macros) != nMacros || len(rh.specials) != nSpecials || len(rh.interp.Funcs) != nFuncs {
+	if len(rh.defs) != nDefs || len(rh.macros) != nMacros || len(rh.specials) != nSpecials {
 		t.Error("restored systems wrote into the shared rehydrated state")
 	}
 }
@@ -479,4 +481,84 @@ func BenchmarkSnapshotBoot(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestMacroRehydrateMissingExpander: a snapshot whose sources define a
+// macro its image holds no expander for does not belong together with
+// that image, so Rehydrate fails with a MissingExpanderError (and a
+// daemon booting from it compiles cold instead).
+func TestMacroRehydrateMissingExpander(t *testing.T) {
+	cold := NewSystem(Options{})
+	if err := cold.LoadString(`(defun f (x) (+ x 1))`); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := cold.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Rehydrate(snap); err != nil {
+		t.Fatalf("consistent snapshot: %v", err)
+	}
+	snap.Sources = append(snap.Sources, `(defmacro m (x) (list 'f x)) (defun g (y) (m y))`)
+	_, err = Rehydrate(snap)
+	var missing *MissingExpanderError
+	if !errors.As(err, &missing) || missing.Macro != "m" {
+		t.Fatalf("Rehydrate = %v, want a MissingExpanderError for m", err)
+	}
+	if _, err := RestoreSystem(Options{}, snap); !errors.As(err, &missing) {
+		t.Errorf("RestoreSystem = %v, want a MissingExpanderError", err)
+	}
+}
+
+// TestMacroRestoredExpanders: macros defined before a snapshot expand
+// on the restored system's own machine — including a redefinition,
+// whose earlier expander stays in the image under its own name — and
+// under that system's budgets: a looping expander restored from the
+// snapshot ends at the restored system's step limit.
+func TestMacroRestoredExpanders(t *testing.T) {
+	const prelude = `
+(defmacro twice (x) (list '+ x x))
+(defun tw1 (x) (twice x))
+(defmacro twice (x) (list '* x 2 10))
+(defun tw2 (x) (twice x))
+(defmacro spin () (prog () l (go l)))`
+	cold := NewSystem(Options{})
+	if err := cold.LoadString(prelude); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := cold.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rh, err := Rehydrate(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rh.defs) != 2 || len(rh.macros) != 2 {
+		t.Fatalf("rehydrated %d defs and %d macros, want 2 and 2", len(rh.defs), len(rh.macros))
+	}
+	sys, err := rh.Restore(Options{MaxSteps: 200_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := sys.EvalString(`(defun tw3 (x) (twice x)) (list (tw1 3) (tw2 3) (tw3 3))`)
+	if err != nil || sexp.Print(v) != "(6 60 60)" {
+		t.Fatalf("restored expansion = %v, %v; want (6 60 60)", v, err)
+	}
+	if iv, err := sys.Interpret("tw3", sexp.Fixnum(3)); err != nil || sexp.Print(iv) != "60" {
+		t.Errorf("interpreted (tw3 3) = %v, %v", iv, err)
+	}
+	list := sys.LoadStringDiag(`(defun stuck () (spin))`)
+	if !list.HasErrors() || !strings.Contains(list.Error(), "step limit exceeded") {
+		t.Errorf("looping restored expander: %v", list)
+	}
+	// The failed form stays in the sources; rehydrating them again ends
+	// its expansion at rehydrateSteps instead of running on.
+	snap, err = sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rh, err = Rehydrate(snap); err != nil || len(rh.defs) != 3 {
+		t.Fatalf("rehydrating the looping expansion: %v, %d defs, want 3", err, len(rh.defs))
+	}
 }

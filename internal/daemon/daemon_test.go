@@ -544,3 +544,61 @@ func TestArenaReuseAcrossRequests(t *testing.T) {
 		t.Errorf("arena recycles = %d after 3 sequential requests, want >= 1", got)
 	}
 }
+
+// TestMacroExpandersUnderBudgets drives one daemon through macro
+// expanders that never finish on their own. Each runs on the request's
+// machine, so each ends in a diagnostic — the machine's stack overflow,
+// the request deadline, the converter's nesting bound — and the daemon
+// answers the next request normally.
+func TestMacroExpandersUnderBudgets(t *testing.T) {
+	const timeout = time.Second
+	const slack = 2 * time.Second
+	s := New(Config{SchedWorkers: 1, ReqTimeout: timeout})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	healthy := func(after string) {
+		t.Helper()
+		code, resp, _ := post(t, ts, "/run", Request{Source: "(defun ok (x) x)", Fn: "ok", Args: []string{"3"}})
+		if code != http.StatusOK || resp.Value != "3" {
+			t.Errorf("daemon unhealthy after %s: %d %+v", after, code, resp)
+		}
+	}
+	hasDiag := func(resp Response, phase, msg string) bool {
+		for _, d := range resp.Diagnostics {
+			if d.Phase == phase && strings.Contains(d.Msg, msg) {
+				return true
+			}
+		}
+		return false
+	}
+
+	// An expander that calls an unboundedly recursive session function.
+	code, resp, _ := post(t, ts, "/session", Request{Source: "(defun f (x) (+ 1 (f x)))"})
+	if code != http.StatusOK || resp.Session == "" {
+		t.Fatalf("session: %d %+v", code, resp)
+	}
+	code, resp, _ = post(t, ts, "/run", Request{Session: resp.Session, Source: "(defmacro m () (f 1)) (defun g () (m))"})
+	if code == http.StatusOK || !hasDiag(resp, "expand", "stack overflow") {
+		t.Errorf("recursing expander: %d %+v", code, resp)
+	}
+	healthy("a recursing expander")
+
+	// An expander that loops, cut by the request deadline.
+	start := time.Now()
+	code, resp, _ = post(t, ts, "/compile", Request{Source: "(defmacro m () (prog () l (go l))) (defun g () (m))"})
+	if took := time.Since(start); took > timeout+slack {
+		t.Errorf("looping expander answered after %v, want within %v", took, timeout+slack)
+	}
+	if code != http.StatusGatewayTimeout || !hasDiag(resp, "deadline", "") {
+		t.Errorf("looping expander: %d %+v", code, resp)
+	}
+	healthy("a looping expander")
+
+	// A macro that expands to a call of itself.
+	code, resp, _ = post(t, ts, "/compile", Request{Source: "(defmacro m () '(m)) (defun g () (m))"})
+	if code == http.StatusOK || !hasDiag(resp, "convert", "nested too deeply") {
+		t.Errorf("self-expanding macro: %d %+v", code, resp)
+	}
+	healthy("a self-expanding macro")
+}

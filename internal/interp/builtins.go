@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sync"
 
@@ -30,6 +31,19 @@ func ApplyPure(name *sexp.Symbol, args []sexp.Value) (sexp.Value, bool) {
 	return v, err == nil
 }
 
+// CallBuiltin applies the builtin named name to args straight from the
+// process-wide table, printing to out: compiled code's fallback
+// primitives need no interpreter of their own. Its global value cells
+// start empty, so the machine answers symbol-value, set and boundp
+// itself.
+func CallBuiltin(out io.Writer, name *sexp.Symbol, args []sexp.Value) (sexp.Value, error) {
+	b, _ := builtins()[name].(*Builtin)
+	if b == nil {
+		return nil, lerrf("undefined function %s", name.Name)
+	}
+	return (&Interp{Out: out}).callBuiltin(b, args)
+}
+
 // buildBuiltins makes the primitive function table. Pure builtins are
 // eligible for the optimizer's compile-time expression evaluation.
 func buildBuiltins() map[*sexp.Symbol]sexp.Value {
@@ -42,13 +56,11 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 	}
 
 	// --- conses and lists ---
-	def("cons", 2, 2, false, func(in *Interp, a []sexp.Value) (sexp.Value, error) {
-		in.Stats.Conses++
+	def("cons", 2, 2, false, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
 		return sexp.NewCons(a[0], a[1]), nil
 	})
-	def("car", 1, 1, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) { return carOf(a[0]) })
-	def("cdr", 1, 1, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) { return cdrOf(a[0]) })
 	for _, spec := range []struct{ name, ops string }{
+		{"car", "a"}, {"cdr", "d"}, {"first", "a"}, {"rest", "d"}, {"second", "ad"},
 		{"caar", "aa"}, {"cadr", "ad"}, {"cdar", "da"}, {"cddr", "dd"},
 		{"caddr", "add"}, {"cdddr", "ddd"},
 	} {
@@ -69,15 +81,6 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 			return v, nil
 		})
 	}
-	def("first", 1, 1, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) { return carOf(a[0]) })
-	def("rest", 1, 1, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) { return cdrOf(a[0]) })
-	def("second", 1, 1, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
-		d, err := cdrOf(a[0])
-		if err != nil {
-			return nil, err
-		}
-		return carOf(d)
-	})
 	def("rplaca", 2, 2, false, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
 		c, ok := a[0].(*sexp.Cons)
 		if !ok {
@@ -94,19 +97,17 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 		c.Cdr = a[1]
 		return c, nil
 	})
-	def("list", 0, -1, false, func(in *Interp, a []sexp.Value) (sexp.Value, error) {
-		in.Stats.Conses += int64(len(a))
+	def("list", 0, -1, false, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
 		return sexp.List(a...), nil
 	})
-	def("list*", 1, -1, false, func(in *Interp, a []sexp.Value) (sexp.Value, error) {
+	def("list*", 1, -1, false, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
 		out := a[len(a)-1]
 		for i := len(a) - 2; i >= 0; i-- {
-			in.Stats.Conses++
 			out = sexp.NewCons(a[i], out)
 		}
 		return out, nil
 	})
-	def("append", 0, -1, false, func(in *Interp, a []sexp.Value) (sexp.Value, error) {
+	def("append", 0, -1, false, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
 		if len(a) == 0 {
 			return sexp.Nil, nil
 		}
@@ -117,20 +118,18 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 				return nil, err
 			}
 			for j := len(items) - 1; j >= 0; j-- {
-				in.Stats.Conses++
 				out = sexp.NewCons(items[j], out)
 			}
 		}
 		return out, nil
 	})
-	def("reverse", 1, 1, false, func(in *Interp, a []sexp.Value) (sexp.Value, error) {
+	def("reverse", 1, 1, false, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
 		items, err := sexp.ListToSlice(a[0])
 		if err != nil {
 			return nil, err
 		}
 		var out sexp.Value = sexp.Nil
 		for _, it := range items {
-			in.Stats.Conses++
 			out = sexp.NewCons(it, out)
 		}
 		return out, nil
@@ -147,31 +146,21 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 		}
 		return nil, lerrf("length: improper list")
 	})
-	def("nth", 2, 2, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
+	nthcdr := func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
 		n, err := sexp.ToInt64(a[0])
+		v := a[1]
+		for ; err == nil && n > 0 && !sexp.IsNil(v); n-- { // the cdr of nil is nil
+			v, err = cdrOf(v)
+		}
+		return v, err
+	}
+	def("nthcdr", 2, 2, true, nthcdr)
+	def("nth", 2, 2, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
+		v, err := nthcdr(nil, a)
 		if err != nil {
 			return nil, err
-		}
-		v := a[1]
-		for ; n > 0 && !sexp.IsNil(v); n-- { // the cdr of nil is nil
-			if v, err = cdrOf(v); err != nil {
-				return nil, err
-			}
 		}
 		return carOf(v)
-	})
-	def("nthcdr", 2, 2, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
-		n, err := sexp.ToInt64(a[0])
-		if err != nil {
-			return nil, err
-		}
-		v := a[1]
-		for ; n > 0 && !sexp.IsNil(v); n-- { // the cdr of nil is nil
-			if v, err = cdrOf(v); err != nil {
-				return nil, err
-			}
-		}
-		return v, nil
 	})
 	def("last", 1, 1, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
 		v := a[0]
@@ -375,7 +364,7 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 	// single-precision floating-point addition) ---
 	flo2 := func(name string, f func(x, y float64) float64) {
 		def(name, 2, 2, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
-			x, y, err := twoFloats(name, a)
+			x, y, err := two(name, a, oneFloat)
 			if err != nil {
 				return nil, err
 			}
@@ -390,7 +379,7 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 	flo2("min$f", math.Min)
 	floCmp := func(name string, ok func(x, y float64) bool) {
 		def(name, 2, 2, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
-			x, y, err := twoFloats(name, a)
+			x, y, err := two(name, a, oneFloat)
 			if err != nil {
 				return nil, err
 			}
@@ -441,7 +430,7 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 	// machine integers) ---
 	fix2 := func(name string, f func(x, y int64) int64) {
 		def(name, 2, 2, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
-			x, y, err := twoFixnums(name, a)
+			x, y, err := two(name, a, oneFixnum)
 			if err != nil {
 				return nil, err
 			}
@@ -452,7 +441,7 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 	fix2("-&", func(x, y int64) int64 { return x - y })
 	fix2("*&", func(x, y int64) int64 { return x * y })
 	def("/&", 2, 2, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
-		x, y, err := twoFixnums("/&", a)
+		x, y, err := two("/&", a, oneFixnum)
 		if err != nil {
 			return nil, err
 		}
@@ -463,7 +452,7 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 	})
 	fixCmp := func(name string, ok func(x, y int64) bool) {
 		def(name, 2, 2, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
-			x, y, err := twoFixnums(name, a)
+			x, y, err := two(name, a, oneFixnum)
 			if err != nil {
 				return nil, err
 			}
@@ -475,14 +464,12 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 	fixCmp(">&", func(x, y int64) bool { return x > y })
 	fixCmp("<=&", func(x, y int64) bool { return x <= y })
 	fixCmp(">=&", func(x, y int64) bool { return x >= y })
-	def("1+&", 1, 1, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
-		x, err := oneFixnum("1+&", a[0])
-		return sexp.Fixnum(x + 1), err
-	})
-	def("1-&", 1, 1, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
-		x, err := oneFixnum("1-&", a[0])
-		return sexp.Fixnum(x - 1), err
-	})
+	for name, d := range map[string]int64{"1+&": 1, "1-&": -1} {
+		def(name, 1, 1, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
+			x, err := oneFixnum(name, a[0])
+			return sexp.Fixnum(x + d), err
+		})
+	}
 
 	// --- arrays ---
 	def("make-array", 1, 2, false, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
@@ -510,15 +497,10 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 		return asetGeneric(a[0], a[1], a[2:])
 	})
 	def("aref$f", 1, -1, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
-		fa, ok := a[0].(*sexp.FloatArray)
-		if !ok {
+		if _, ok := a[0].(*sexp.FloatArray); !ok {
 			return nil, lerrf("aref$f: not a float array")
 		}
-		idx, err := subsIndex(fa.Dims, a[1:])
-		if err != nil {
-			return nil, err
-		}
-		return sexp.Flonum(fa.Data[idx]), nil
+		return arefGeneric(a[0], a[1:])
 	})
 	def("aset$f", 2, -1, false, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
 		fa, ok := a[0].(*sexp.FloatArray)
@@ -714,16 +696,12 @@ func fold1(f func(a, b sexp.Value) (sexp.Value, error)) func(*Interp, []sexp.Val
 	}
 }
 
-func twoFloats(name string, a []sexp.Value) (float64, float64, error) {
-	x, err := oneFloat(name, a[0])
-	if err != nil {
-		return 0, 0, err
+// two unwraps builtin name's two arguments with one.
+func two[T any](name string, a []sexp.Value, one func(string, sexp.Value) (T, error)) (x, y T, err error) {
+	if x, err = one(name, a[0]); err == nil {
+		y, err = one(name, a[1])
 	}
-	y, err := oneFloat(name, a[1])
-	if err != nil {
-		return 0, 0, err
-	}
-	return x, y, nil
+	return x, y, err
 }
 
 func oneFloat(name string, v sexp.Value) (float64, error) {
@@ -732,18 +710,6 @@ func oneFloat(name string, v sexp.Value) (float64, error) {
 		return 0, lerrf("%s: not a flonum: %s", name, sexp.Print(v))
 	}
 	return float64(f), nil
-}
-
-func twoFixnums(name string, a []sexp.Value) (int64, int64, error) {
-	x, err := oneFixnum(name, a[0])
-	if err != nil {
-		return 0, 0, err
-	}
-	y, err := oneFixnum(name, a[1])
-	if err != nil {
-		return 0, 0, err
-	}
-	return x, y, nil
 }
 
 func oneFixnum(name string, v sexp.Value) (int64, error) {

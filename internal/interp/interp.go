@@ -4,10 +4,10 @@
 //
 //   - the semantic oracle for differential testing of compiled code,
 //   - the interpreted baseline of the benchmarks, and
-//   - the apply engine behind the optimizer's compile-time expression
-//     evaluation ("invoking primitive functions known to be free of side
-//     effects on constant operands, a very convenient thing to do in LISP
-//     with the apply operator!").
+//   - its builtin table, the library behind compiled code's fallback
+//     primitives (CallBuiltin) and the optimizer's compile-time
+//     expression evaluation (ApplyPure: "invoking primitive functions
+//     known to be free of side effects on constant operands").
 //
 // The evaluator loops on tail positions, so tail-recursive Lisp runs in
 // constant Go stack — the interpreter honors the dialect's tail-recursive
@@ -62,14 +62,6 @@ type Env struct {
 	vars   map[*tree.Var]*sexp.Value
 }
 
-// NewEnv returns a child of parent.
-func NewEnv(parent *Env) *Env {
-	return &Env{parent: parent, vars: map[*tree.Var]*sexp.Value{}}
-}
-
-// Bind creates a fresh cell for v.
-func (e *Env) Bind(v *tree.Var, val sexp.Value) { e.vars[v] = &val }
-
 func (e *Env) cell(v *tree.Var) *sexp.Value {
 	for c := e; c != nil; c = c.parent {
 		if cell, ok := c.vars[v]; ok {
@@ -85,14 +77,6 @@ type specBind struct {
 	val sexp.Value
 }
 
-// Stats counts interpreter activity for the benchmarks.
-type Stats struct {
-	Calls          int64 // closure applications
-	BuiltinCalls   int64
-	SpecialLookups int64 // deep-binding searches
-	Conses         int64
-}
-
 // Interp is an interpreter instance.
 type Interp struct {
 	// Globals holds top-level dynamic value cells.
@@ -101,8 +85,6 @@ type Interp struct {
 	Funcs map[*sexp.Symbol]sexp.Value
 	// Out receives print output.
 	Out io.Writer
-	// Stats accumulates counters.
-	Stats Stats
 
 	specials []specBind
 }
@@ -112,17 +94,6 @@ func New() *Interp {
 	return &Interp{
 		Globals: map[*sexp.Symbol]sexp.Value{},
 		Funcs:   maps.Clone(builtins()),
-		Out:     io.Discard,
-	}
-}
-
-// Fork returns a new interpreter whose global function and value cells
-// start as copies of in's; the closures they hold are shared, read-only.
-// Output goes nowhere until Out is set, and the counters start at zero.
-func (in *Interp) Fork() *Interp {
-	return &Interp{
-		Globals: maps.Clone(in.Globals),
-		Funcs:   maps.Clone(in.Funcs),
 		Out:     io.Discard,
 	}
 }
@@ -169,18 +140,13 @@ func (in *Interp) LoadProgram(p *convert.Program) (sexp.Value, error) {
 	}
 	var out sexp.Value = sexp.Nil
 	for _, f := range p.TopForms {
-		v, err := in.Eval(f, nil)
+		v, err := in.evalSub(f, nil)
 		if err != nil {
 			return nil, err
 		}
 		out = v
 	}
 	return out, nil
-}
-
-// DefineFunction installs fn (a *Closure or *Builtin) under name.
-func (in *Interp) DefineFunction(name *sexp.Symbol, fn sexp.Value) {
-	in.Funcs[name] = fn
 }
 
 // CallNamed applies the named global function to args.
@@ -195,7 +161,6 @@ func (in *Interp) CallNamed(name *sexp.Symbol, args ...sexp.Value) (sexp.Value, 
 // specialLookup finds the current dynamic binding cell index for sym, or
 // -1 to use the global cell.
 func (in *Interp) specialLookup(sym *sexp.Symbol) int {
-	in.Stats.SpecialLookups++
 	for i := len(in.specials) - 1; i >= 0; i-- {
 		if in.specials[i].sym == sym {
 			return i
@@ -219,12 +184,10 @@ func (in *Interp) setSpecial(sym *sexp.Symbol, val sexp.Value) {
 		in.specials[i].val = val
 		return
 	}
+	if in.Globals == nil {
+		in.Globals = map[*sexp.Symbol]sexp.Value{}
+	}
 	in.Globals[sym] = val
-}
-
-// Eval evaluates node n in lexical environment env (nil for top level).
-func (in *Interp) Eval(n tree.Node, env *Env) (sexp.Value, error) {
-	return in.evalSub(n, env)
 }
 
 // evalSub evaluates a non-tail subexpression: any dynamic bindings pushed
@@ -320,7 +283,6 @@ func (in *Interp) eval(n tree.Node, env *Env) (sexp.Value, error) {
 			switch f := fn.(type) {
 			case *Closure:
 				// Tail-loop into the closure body rather than recursing.
-				in.Stats.Calls++
 				newEnv, err := in.bindParams(f, args)
 				if err != nil {
 					return nil, err
@@ -434,7 +396,6 @@ func (in *Interp) evalProgBody(pb *tree.ProgBody, env *Env) (sexp.Value, bool, e
 func (in *Interp) Apply(fn sexp.Value, args []sexp.Value) (sexp.Value, error) {
 	switch f := fn.(type) {
 	case *Closure:
-		in.Stats.Calls++
 		specBase := len(in.specials)
 		env, err := in.bindParams(f, args)
 		if err != nil {
@@ -451,7 +412,6 @@ func (in *Interp) Apply(fn sexp.Value, args []sexp.Value) (sexp.Value, error) {
 }
 
 func (in *Interp) callBuiltin(f *Builtin, args []sexp.Value) (sexp.Value, error) {
-	in.Stats.BuiltinCalls++
 	if len(args) < f.MinArgs || (f.MaxArgs >= 0 && len(args) > f.MaxArgs) {
 		return nil, lerrf("%s: wrong number of arguments (%d)", f.Name, len(args))
 	}
@@ -471,12 +431,12 @@ func (in *Interp) bindParams(f *Closure, args []sexp.Value) (*Env, error) {
 		return nil, lerrf("%s: too many arguments (%d for %d)",
 			lambdaName(l), len(args), l.MaxArgs())
 	}
-	env := NewEnv(f.Env)
+	env := &Env{parent: f.Env, vars: map[*tree.Var]*sexp.Value{}}
 	bind := func(v *tree.Var, val sexp.Value) {
 		if v.Special {
 			in.specials = append(in.specials, specBind{sym: v.Name, val: val})
 		} else {
-			env.Bind(v, val)
+			env.vars[v] = &val // a fresh cell
 		}
 	}
 	i := 0
@@ -500,7 +460,6 @@ func (in *Interp) bindParams(f *Closure, args []sexp.Value) (*Env, error) {
 		var rest sexp.Value = sexp.Nil
 		for j := len(args) - 1; j >= i; j-- {
 			rest = sexp.NewCons(args[j], rest)
-			in.Stats.Conses++
 		}
 		bind(l.Rest, rest)
 	}
@@ -512,19 +471,4 @@ func lambdaName(l *tree.Lambda) string {
 		return l.Name
 	}
 	return "lambda"
-}
-
-// EvalSource converts and evaluates a whole source text, returning the
-// last top-level value. It is a convenience for tests and examples.
-func EvalSource(src string) (sexp.Value, error) {
-	forms, err := sexp.ReadAll(src)
-	if err != nil {
-		return nil, err
-	}
-	c := convert.New()
-	p, err := c.ConvertTopLevel(forms)
-	if err != nil {
-		return nil, err
-	}
-	return New().LoadProgram(p)
 }

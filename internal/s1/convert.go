@@ -97,7 +97,20 @@ func (m *Machine) FromValue(v sexp.Value) Word {
 // Functions and closures convert to unreadable boxed placeholders.
 // Arrays convert to fresh host arrays (the fallback primitives that use
 // this conversion never mutate their arguments).
-func (m *Machine) ToValue(w Word) (sexp.Value, error) {
+func (m *Machine) ToValue(w Word) (sexp.Value, error) { return m.toValue(w, 0) }
+
+// maxValueNesting bounds how deeply ToValue descends through cars and
+// elements (a list's length is bounded separately), so a structure that
+// contains itself there is an error, not an unbounded recursion. The
+// reader nests host values at most 10,000 deep; compiled code can build
+// deeper ones.
+const maxValueNesting = 100_000
+
+// toValue is ToValue at nesting depth nest.
+func (m *Machine) toValue(w Word, nest int) (sexp.Value, error) {
+	if nest > maxValueNesting {
+		return nil, &RuntimeError{PC: m.pc, Msg: "structure nested too deeply (circular?)"}
+	}
 	switch w.Tag {
 	case TagNil:
 		return sexp.Nil, nil
@@ -116,7 +129,7 @@ func (m *Machine) ToValue(w Word) (sexp.Value, error) {
 	case TagBoxed:
 		return m.Boxes[w.Bits], nil
 	case TagCons:
-		return m.consToValue(w, 0)
+		return m.consToValue(w, 0, nest)
 	case TagVector:
 		n, err := m.load(w.Bits)
 		if err != nil {
@@ -128,7 +141,7 @@ func (m *Machine) ToValue(w Word) (sexp.Value, error) {
 			if err != nil {
 				return nil, err
 			}
-			if out.Items[i], err = m.ToValue(it); err != nil {
+			if out.Items[i], err = m.toValue(it, nest+1); err != nil {
 				return nil, err
 			}
 		}
@@ -148,7 +161,7 @@ func (m *Machine) ToValue(w Word) (sexp.Value, error) {
 			if err != nil {
 				return nil, err
 			}
-			if out.Items[i], err = m.ToValue(it); err != nil {
+			if out.Items[i], err = m.toValue(it, nest+1); err != nil {
 				return nil, err
 			}
 		}
@@ -175,7 +188,9 @@ func (m *Machine) ToValue(w Word) (sexp.Value, error) {
 	return nil, &RuntimeError{PC: m.pc, Msg: "cannot convert word " + w.String()}
 }
 
-func (m *Machine) consToValue(w Word, depth int) (sexp.Value, error) {
+// consToValue converts the list at w, depth cdrs into one at nesting
+// depth nest.
+func (m *Machine) consToValue(w Word, depth, nest int) (sexp.Value, error) {
 	if depth > 1_000_000 {
 		return nil, &RuntimeError{PC: m.pc, Msg: "list too deep (circular?)"}
 	}
@@ -183,7 +198,7 @@ func (m *Machine) consToValue(w Word, depth int) (sexp.Value, error) {
 		return sexp.Nil, nil
 	}
 	if w.Tag != TagCons {
-		return m.ToValue(w)
+		return m.toValue(w, nest)
 	}
 	car, err := m.load(w.Bits)
 	if err != nil {
@@ -193,11 +208,11 @@ func (m *Machine) consToValue(w Word, depth int) (sexp.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	cv, err := m.ToValue(car)
+	cv, err := m.toValue(car, nest+1)
 	if err != nil {
 		return nil, err
 	}
-	dv, err := m.consToValue(cdr, depth+1)
+	dv, err := m.consToValue(cdr, depth+1, nest)
 	if err != nil {
 		return nil, err
 	}

@@ -288,6 +288,65 @@ func TestLispDifferentialListIdentity(t *testing.T) {
 	}
 }
 
+// symbolCellSrc reads and writes special variables through the
+// symbol-value, set and boundp primitives, and spreads arguments with
+// apply: compiled code must answer from the machine's own value cells
+// and dynamic bindings, and spread (apply f a … lst) on the machine.
+const symbolCellSrc = `
+(defvar *x* 5)
+(defun add3 (a b c) (+ a b c))
+(defun sv () (symbol-value '*x*))
+(defun bp () (list (boundp '*x*) (boundp '*nope*)))
+(defun st () (progn (set '*x* 7) *x*))
+(defun dyn () (let ((*x* 9)) (list (symbol-value '*x*) (progn (set '*x* 10) *x*) (boundp '*x*))))
+(defun after-dyn () (list (dyn) *x* (symbol-value '*x*)))
+(defun sv-unbound () (symbol-value '*nope*))
+(defun ap-fn (x) (apply #'add3 1 x '(3)))
+(defun ap-prim (x) (apply #'+ 1 2 x))
+(defun ap-list (x) (apply #'list 'a 'b x))
+(defun ap-lambda () (apply (lambda (a b c) (list c b a)) 1 2 '(3)))
+(defun ap-flo (x) (apply #'list (*$f x 2.0) (+$f x 1.0) nil))
+`
+
+// TestLispDifferentialSymbolCells runs symbolCellSrc's functions
+// compiled and interpreted in every tier mode (and the GC mode
+// S1_GC_MODE selects), in one order per system, and requires the same
+// printed answer or an error from both.
+func TestLispDifferentialSymbolCells(t *testing.T) {
+	cases := []struct{ fn, arg string }{
+		{"sv", ""}, {"bp", ""}, {"st", ""}, {"sv", ""},
+		{"after-dyn", ""}, {"sv-unbound", ""},
+		{"ap-fn", "2"}, {"ap-prim", "(3 4)"}, {"ap-list", "(c)"},
+		{"ap-lambda", ""}, {"ap-flo", "1.5"},
+	}
+	for _, mode := range tierModes {
+		sys := lispTierSystem(t, runtimeKernel{src: symbolCellSrc}, mode, false)
+		for i, c := range cases {
+			if c.fn == "sv-unbound" {
+				// Everything before reads and writes cells natively;
+				// from here on errors and #' stubs marshal.
+				if n := sys.Stats().MarshaledPrims; n != 0 {
+					t.Errorf("%s: %d marshaled prims in the first %d cases, want 0", mode, n, i)
+				}
+			}
+			var args []sexp.Value
+			if c.arg != "" {
+				args = append(args, mustReadValue(c.arg))
+			}
+			want, werr := sys.Interpret(c.fn, args...)
+			got, err := sys.Call(c.fn, args...)
+			switch {
+			case (err == nil) != (werr == nil):
+				t.Errorf("%s: (%s %s): compiled err %v, interpreted err %v", mode, c.fn, c.arg, err, werr)
+			case err == nil && sexp.Print(got) != sexp.Print(want):
+				t.Errorf("%s: (%s %s) = %s compiled, %s interpreted",
+					mode, c.fn, c.arg, sexp.Print(got), sexp.Print(want))
+			}
+		}
+		checkStackRegs(t, map[string]*core.System{mode: sys})
+	}
+}
+
 // kernelStatsGolden holds each runtime kernel's exact simulated counts
 // for one call of its entry function.
 const kernelStatsGolden = "testdata/kernel_stats.golden"

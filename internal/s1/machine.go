@@ -37,7 +37,9 @@ type SymCell struct {
 // resolve fills the cell's derived fields from its name.
 func (c *SymCell) resolve() {
 	c.host = sexp.Intern(c.Name)
-	c.native = nativePrims[c.Name]
+	if c.native = nativePrims[c.Name]; c.native == nil {
+		c.native = cellPrims[c.Name]
+	}
 }
 
 type bindEntry struct {
@@ -827,13 +829,17 @@ func (m *Machine) ret() error {
 	m.regs[RegSP] = RawInt(int64(fp) - 4 - nw.Int())
 	m.regs[RegFP] = oldFP
 	m.regs[RegEP] = oldEP
-	if err := m.push(m.regs[RegA]); err != nil {
+	retPC := retw.Int()
+	if retPC < 0 {
+		// A gateway call (gatewayReturn): the value stays in A.
+		retPC = -retPC
+	} else if err := m.push(m.regs[RegA]); err != nil {
 		return err
 	}
 	if p := m.prof; p != nil {
 		p.ret(m)
 	}
-	m.pc = int(retw.Int())
+	m.pc = int(retPC)
 	if th := m.tierHeads; th != nil && m.pc >= 0 && m.pc < len(th) && !th[m.pc] {
 		m.tier.noteLanding(m, m.pc)
 	}

@@ -22,9 +22,9 @@ import (
 // error text and exotic result exactly as the interpreter would.
 //
 // The pdl invariant (§6.3): an entry returns nil, t, a fixnum, a word
-// read out of a heap cons or vector, or a flonum it allocated itself —
-// never an argument word as such — so no stack-allocated flonum escapes
-// through it.
+// read out of a heap cons, vector or value cell, or a flonum it
+// allocated itself — never a pdl argument as such — so no
+// stack-allocated flonum escapes through it.
 //
 // Cycle accounting does not depend on the path taken: callSQ charges
 // the gateway's sqCost before choosing.
@@ -52,8 +52,70 @@ func (np *nativePrim) apply(m *Machine, args []Word) (Word, bool) {
 }
 
 // nativePrims maps a primitive's name to its word-level implementation.
-// InternSym and LoadImage resolve each symbol against it once.
+// InternSym and LoadImage resolve each symbol against it, and then
+// against cellPrims, once.
 var nativePrims = buildNativePrims()
+
+// cellPrims are the entries that read or write the machine's symbol
+// cells — the current dynamic binding, else the global value — the
+// cells compiled special-variable references use. They keep out of
+// nativePrims because their answers depend on machine state, so they
+// cannot be checked against a stateless builtin; the Lisp-level
+// differentials check them. Their searches charge no special-lookup
+// meters, so cycles stay independent of the path a call takes. Each
+// declines a non-symbol, and symbol-value an unbound symbol, leaving
+// those error texts to the hook.
+var cellPrims = map[string]*nativePrim{
+	"symbol-value": {min: 1, max: 1, run: func(m *Machine, a []Word) (Word, bool) {
+		if a[0].Tag != TagSymbol {
+			return Word{}, false
+		}
+		return m.symbolValue(int(a[0].Bits))
+	}},
+	"boundp": {min: 1, max: 1, run: func(m *Machine, a []Word) (Word, bool) {
+		if a[0].Tag != TagSymbol {
+			return Word{}, false
+		}
+		_, bound := m.symbolValue(int(a[0].Bits))
+		return boolWord(bound), true
+	}},
+	"set": {min: 2, max: 2, run: func(m *Machine, a []Word) (Word, bool) {
+		if a[0].Tag != TagSymbol {
+			return Word{}, false
+		}
+		v := a[1]
+		if v.Tag == TagFlonum && IsStackAddr(v.Bits) {
+			// A pdl number must not outlive its frame in a value cell
+			// (§6.3): store, and return, a heap copy.
+			f, ok := m.loadFast(v.Bits)
+			if !ok {
+				return Word{}, false
+			}
+			v = m.ConsFlonum(f.Float())
+		}
+		sym := int(a[0].Bits)
+		for i := len(m.bindStack) - 1; i >= 0; i-- {
+			if m.bindStack[i].sym == sym {
+				m.bindStack[i].val = v
+				return v, true
+			}
+		}
+		m.Syms[sym].Value, m.Syms[sym].HasValue = v, true
+		return v, true
+	}},
+}
+
+// symbolValue returns symbol sym's current dynamic binding, else its
+// global value; bound is false when it has neither.
+func (m *Machine) symbolValue(sym int) (w Word, bound bool) {
+	for i := len(m.bindStack) - 1; i >= 0; i-- {
+		if m.bindStack[i].sym == sym {
+			return m.bindStack[i].val, true
+		}
+	}
+	c := &m.Syms[sym]
+	return c.Value, c.HasValue
+}
 
 func buildNativePrims() map[string]*nativePrim {
 	t := map[string]*nativePrim{}

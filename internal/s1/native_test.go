@@ -281,20 +281,54 @@ func fuzzArg(k, shape uint8, x, y int64, fbits uint64) primArg {
 
 // TestNativePrimShadowedByDefun: once a compiled defun binds a
 // primitive's name, calls the code generator still routes through the
-// gateway take the marshaled path, whose hook runs that definition, as
-// the interpreter does.
+// gateway run that definition on the machine, as the interpreter runs
+// it — both the inline gateway and the #'rem stub made before the
+// defun, and neither marshals.
 func TestNativePrimShadowedByDefun(t *testing.T) {
 	sys := core.NewSystem(core.Options{})
-	if err := sys.LoadString(`(defun rem (a b) 42) (defun f (x) (rem x 5))`); err != nil {
+	if err := sys.LoadString(`(defun g (x) (funcall #'rem x 5))`); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.LoadString(`(defun rem (a b) (+ a b 30)) (defun f (x) (list (rem x 5) (g x)))`); err != nil {
 		t.Fatal(err)
 	}
 	sys.ResetStats()
 	v, err := sys.Call("f", sexp.Fixnum(7))
-	if err != nil || sexp.Print(v) != "42" {
-		t.Fatalf("(f 7) = %v, %v; want the defun's 42", v, err)
+	if err != nil || sexp.Print(v) != "(42 42)" {
+		t.Fatalf("(f 7) = %v, %v; want the defun's (42 42)", v, err)
 	}
-	if n := sys.Stats().MarshaledPrims; n != 1 {
-		t.Errorf("marshaled prims = %d, want 1", n)
+	if n := sys.Stats().MarshaledPrims; n != 0 {
+		t.Errorf("marshaled prims = %d, want 0", n)
+	}
+	if sys.Stats().Calls < 3 {
+		t.Errorf("%d calls: the definition did not run on the machine", sys.Stats().Calls)
+	}
+}
+
+// TestShadowedPrimUnderStepLimit: a compiled defun named like a
+// fallback primitive runs under the machine's step limit when called
+// through the primitive's gateway, exactly as when called directly.
+func TestShadowedPrimUnderStepLimit(t *testing.T) {
+	const src = `
+(defun spin (n acc) (if (= n 0) acc (spin (- n 1) (+ acc 1))))
+(defun reverse (x) (spin 100 3))
+(defun via-prim (x) (reverse x))
+(defun direct (x) (spin 100 3))`
+	for _, fn := range []string{"via-prim", "direct"} {
+		sys := core.NewSystem(core.Options{MaxSteps: 1000})
+		if err := sys.LoadString(src); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := sys.Call(fn, sexp.Nil); err == nil || !strings.Contains(err.Error(), "step limit exceeded") {
+			t.Errorf("(%s nil) = %v, %v; want the step limit", fn, v, err)
+		}
+	}
+	sys := core.NewSystem(core.Options{})
+	if err := sys.LoadString(src); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := sys.Call("via-prim", sexp.Nil); err != nil || sexp.Print(v) != "103" {
+		t.Errorf("unlimited (via-prim nil) = %v, %v; want 103", v, err)
 	}
 }
 

@@ -94,7 +94,8 @@ var sqCost = [SQCount]int64{
 // PrimHook lets the host supply implementations for primitives without a
 // native SQ routine or word-level entry (native.go), and for the cases a
 // native entry declines: append, reverse, bignum arithmetic, every error
-// text. Wired to the interpreter's builtins by the core package. name is
+// text. Wired to the process-wide builtin table by the core package
+// (interp.CallBuiltin). name is
 // the symbol's interned host symbol. args is the machine's scratch
 // (primArgs): the hook may read it while it runs but must not keep it
 // after returning.
@@ -135,15 +136,14 @@ func (m *Machine) stackWords(lo uint64, n int64) ([]Word, error) {
 
 // callPrim applies the fallback primitive named by symbol sym to args,
 // stack words that stay there (GC roots) until the caller pops them. A
-// native entry runs on them in place unless a compiled definition
-// shadows the name or the entry declines; otherwise the arguments are
-// marshaled to host values for the hook and its result copied back.
+// native entry runs on them in place unless it declines; otherwise the
+// arguments are marshaled to host values for the hook and its result
+// copied back. A compiled definition of the name never gets here: the
+// gateways call it instead (shadowingFn).
 func (m *Machine) callPrim(sym int, args []Word) (Word, error) {
 	c := &m.Syms[sym]
-	if c.Function.Tag == TagNil {
-		if out, ok := c.native.apply(m, args); ok {
-			return out, nil
-		}
+	if out, ok := c.native.apply(m, args); ok {
+		return out, nil
 	}
 	m.Stats.MarshaledPrims++
 	if m.primHook == nil {
@@ -165,6 +165,21 @@ func (m *Machine) callPrim(sym int, args []Word) (Word, error) {
 	}
 	return m.FromValue(out), nil
 }
+
+// shadowingFn returns the function cell of primitive symbol sym when a
+// compiled definition has bound it: the gateways then call that
+// definition on the machine, under the same budgets as any other call.
+func (m *Machine) shadowingFn(sym int) (Word, bool) {
+	fn := m.Syms[sym].Function
+	return fn, fn.Tag != TagNil
+}
+
+// gatewayReturn encodes a frame's return address for a call the
+// *:SQ-PRIMITIVE gateway made to a compiled definition of the
+// primitive's name: negative, so ret knows to leave the value in A and
+// the arguments popped, the gateway's own convention, instead of
+// pushing it. Real return addresses are never negative.
+func gatewayReturn(pc int) int { return -pc }
 
 // callSQ executes a system routine with its CALLSQ operands b and c,
 // which it only reads (they are captured by a shared decoded stream);
@@ -405,6 +420,12 @@ func (m *Machine) callSQ(idx int, b, c *Operand) (bool, error) {
 		if err != nil {
 			return false, err
 		}
+		if fn, ok := m.shadowingFn(int(nameOp.Int())); ok {
+			// The pushed arguments become the callee's; its return pops
+			// them and leaves the value in A, as the gateway would
+			// (gatewayReturn).
+			return true, m.enterFrame(int(argc), gatewayReturn(m.pc+1), fn, false)
+		}
 		out, err := m.callPrim(int(nameOp.Int()), args)
 		m.regs[RegSP] = RawInt(int64(sp) - argc)
 		if err != nil {
@@ -427,6 +448,15 @@ func (m *Machine) callSQ(idx int, b, c *Operand) (bool, error) {
 		args, err := m.stackWords(fp-4-uint64(nw.Int()), nw.Int())
 		if err != nil {
 			return false, err
+		}
+		if fn, ok := m.shadowingFn(int(nameOp.Int())); ok {
+			// Replace the stub's frame with the definition's.
+			for _, a := range args {
+				if err := m.push(a); err != nil {
+					return false, err
+				}
+			}
+			return true, m.tailCall(len(args), fn)
 		}
 		out, err := m.callPrim(int(nameOp.Int()), args)
 		if err != nil {
