@@ -299,7 +299,7 @@ func run() error {
 	}
 
 	if *stats {
-		sys.WriteMeters(os.Stdout)
+		sys.WriteMeters(os.Stdout, *interpret)
 	}
 	if *phaseStats {
 		sys.Obs.WritePhaseStats(os.Stdout)

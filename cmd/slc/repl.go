@@ -76,7 +76,7 @@ func replCommand(sys *core.System, out io.Writer, cmd string) (quit bool) {
 	case ":quit", ":q":
 		return true
 	case ":stats":
-		sys.WriteMeters(out)
+		sys.WriteMeters(out, false)
 	case ":reset-stats":
 		sys.ResetMeters()
 		fmt.Fprintln(out, ";; meters reset")

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -163,9 +164,10 @@ type System struct {
 	// without it (see EvalStringDiag on keying top-level forms).
 	loaded bool
 	// sources accumulates every loaded source text, in load order — the
-	// replay script a snapshot stores so a restore can rehydrate the
-	// converter state without compiling (snapshot.go), and from which
-	// Interpret builds its reference interpreter (nil until first used).
+	// script a snapshot stores so a restore can rebind definitions,
+	// expanders and proclamations without compiling (snapshot.go), and
+	// from which Interpret builds its reference interpreter, the oracle
+	// (nil until first used).
 	sources []string
 	oracle  *oracle
 
@@ -963,18 +965,41 @@ func (s *System) Interpret(name string, args ...sexp.Value) (sexp.Value, error) 
 			})
 		s.oracle = o
 	}
-	replay(o.conv, s.sources[o.loaded:], func(d *convert.Def) {
-		if _, ok := s.Defs[d.Name.Name]; ok {
-			o.in.Funcs[d.Name] = &interp.Closure{Lambda: d.Lambda}
+	// Read and convert the sources loaded since, running nothing; a form
+	// that fails is skipped, as the original load skipped it.
+	for _, src := range s.sources[o.loaded:] {
+		forms, _ := sexp.ReadAllRecover(src)
+		for _, f := range forms {
+			o.conv.ScanProclaim(f.Val)
 		}
-	})
-	o.loaded = len(s.sources)
-	for i := range s.Machine.Syms {
-		if cell := &s.Machine.Syms[i]; cell.HasValue && o.in.Globals[sexp.Intern(cell.Name)] == nil {
-			if v, err := s.Machine.ToValue(cell.Value); err == nil { // machine-only values stay machine-only
-				o.in.Globals[sexp.Intern(cell.Name)] = v
+		prog := convert.NewProgram()
+		for _, f := range forms {
+			func() {
+				defer func() { recover() }() // a bad form costs itself, as in EvalStringDiag
+				o.conv.TopForm(prog, f.Val)
+			}()
+		}
+		for _, d := range prog.Defs {
+			if _, ok := s.Defs[d.Name.Name]; ok {
+				o.in.Funcs[d.Name] = &interp.Closure{Lambda: d.Lambda}
 			}
 		}
+	}
+	o.loaded = len(s.sources)
+	for i := range s.Machine.Syms {
+		cell := &s.Machine.Syms[i]
+		if !cell.HasValue || cell.Uninterned {
+			continue
+		}
+		sym := sexp.Intern(cell.Name)
+		if _, ok := o.in.Globals[sym]; ok {
+			continue
+		}
+		v, err := s.Machine.ToValue(cell.Value)
+		if err != nil {
+			continue // machine-only values stay machine-only
+		}
+		o.in.Globals[sym] = v
 	}
 	return o.in.CallNamed(sexp.Intern(name), args...)
 }
@@ -987,64 +1012,38 @@ type oracle struct {
 	loaded int
 }
 
-// replay reads and converts sources again with conv, compiling and
-// running nothing, and hands def each definition; conv's macro hooks
-// decide what an expansion runs on. A form that fails to read or
-// convert is skipped, as the original load skipped it.
-func replay(conv *convert.Converter, sources []string, def func(*convert.Def)) {
-	for _, src := range sources {
-		forms, _ := sexp.ReadAllRecover(src)
-		for _, f := range forms {
-			conv.ScanProclaim(f.Val)
-		}
-		prog := convert.NewProgram()
-		for _, f := range forms {
-			func() {
-				defer func() { recover() }() // a bad form costs itself, as in EvalStringDiag
-				conv.TopForm(prog, f.Val)
-			}()
-		}
-		for _, d := range prog.Defs {
-			def(d)
-		}
-	}
-}
-
-// compiled returns the descriptor of a compiled function.
-func (s *System) compiled(name string) (*s1.FuncDesc, error) {
-	idx, ok := s.Defs[name]
-	if !ok {
-		return nil, fmt.Errorf("core: no compiled function %q", name)
-	}
-	return &s.Machine.Funcs[idx], nil
-}
-
 // Listing returns the assembly listing of a compiled function.
 func (s *System) Listing(name string) (string, error) {
-	f, err := s.compiled(name)
-	if err != nil {
-		return "", err
+	idx, ok := s.Defs[name]
+	if !ok {
+		return "", fmt.Errorf("core: no compiled function %q", name)
 	}
-	return fmt.Sprintf(";;; %s (entry %d)\n%s", f.Name, f.Entry, s1.Listing(s.Machine.Code, f.Entry, f.End)), nil
+	f := s.Machine.Funcs[idx]
+	var b strings.Builder
+	fmt.Fprintf(&b, ";;; %s (entry %d)\n", f.Name, f.Entry)
+	b.WriteString(s1.Listing(s.Machine.Code, f.Entry, f.End))
+	return b.String(), nil
 }
 
 // StaticMOVs counts MOV instructions in a compiled function (the §6.1
 // code-quality metric).
 func (s *System) StaticMOVs(name string) (int, error) {
-	f, err := s.compiled(name)
-	if err != nil {
-		return 0, err
+	idx, ok := s.Defs[name]
+	if !ok {
+		return 0, fmt.Errorf("core: no compiled function %q", name)
 	}
+	f := s.Machine.Funcs[idx]
 	return s1.CountMOVs(s.Machine.Code, f.Entry, f.End), nil
 }
 
 // InstructionCount returns the number of instructions in a compiled
 // function.
 func (s *System) InstructionCount(name string) (int, error) {
-	f, err := s.compiled(name)
-	if err != nil {
-		return 0, err
+	idx, ok := s.Defs[name]
+	if !ok {
+		return 0, fmt.Errorf("core: no compiled function %q", name)
 	}
+	f := s.Machine.Funcs[idx]
 	return f.End - f.Entry, nil
 }
 

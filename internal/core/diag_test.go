@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -337,4 +339,62 @@ func TestMacroExpanderUnreachable(t *testing.T) {
 	if v, err := sys.Call("g"); err != nil || sexp.Print(v) != "1" {
 		t.Errorf("(g) = %v, %v", v, err)
 	}
+}
+
+// TestMacroGensymHygiene: a symbol an expander makes with gensym goes
+// through the machine and comes back as that same uninterned symbol, so
+// the swap idiom cannot capture a user variable spelled like its
+// temporary, and two expansions' gensyms stay distinct, also on a
+// system restored from a snapshot.
+func TestMacroGensymHygiene(t *testing.T) {
+	sys := NewSystem(Options{})
+	if err := sys.LoadString(`
+(defmacro swap (a b)
+  (let ((tmp (gensym)))
+    (list 'let (list (list tmp a)) (list 'setq a b) (list 'setq b tmp))))
+(defmacro fresh () (let ((g (gensym))) (list 'list (list 'quote g) (list 'quote g))))
+(defun twice () (list (fresh) (fresh)))`); err != nil {
+		t.Fatal(err)
+	}
+	// The next gensym is swap's temporary: give the user's variable its
+	// name.
+	n, err := strconv.Atoi(strings.TrimPrefix(sexp.Gensym("g").Name, "g"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.LoadString(fmt.Sprintf(`(defun sw (g%[1]d y) (swap g%[1]d y) (list g%[1]d y))`, n+1)); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := sys.Call("sw", sexp.Fixnum(1), sexp.Fixnum(2)); err != nil || sexp.Print(v) != "(2 1)" {
+		t.Errorf("(sw 1 2) = %s, %v; want (2 1)", sexp.Print(v), err)
+	}
+	check := func(what string, sys *System) {
+		t.Helper()
+		v, err := sys.Call("twice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		syms, _ := sexp.ListToSlice(v)
+		var got [4]*sexp.Symbol
+		for i, s := range syms {
+			pair, _ := sexp.ListToSlice(s)
+			for j, g := range pair {
+				got[2*i+j], _ = g.(*sexp.Symbol)
+			}
+		}
+		if got[0] == nil || got[2] == nil || got[0] != got[1] || got[2] != got[3] || got[0] == got[2] ||
+			got[0].Interned() || got[2].Interned() {
+			t.Errorf("%s: (twice) = %s: want two distinct uninterned symbols, each twice", what, sexp.Print(v))
+		}
+	}
+	check("cold", sys)
+	snap, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreSystem(Options{}, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("restored", restored)
 }

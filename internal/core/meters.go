@@ -10,7 +10,9 @@ import (
 // can never drift apart and the output order is fixed here once.
 
 // WriteMeters prints the machine meters in a fixed, deterministic order.
-func (s *System) WriteMeters(w io.Writer) {
+// When interpreted is true the counters of the reference interpreter
+// Interpret built, if any, are appended.
+func (s *System) WriteMeters(w io.Writer, interpreted bool) {
 	st := s.Stats()
 	fmt.Fprintln(w, ";; --- machine meters ---")
 	fmt.Fprintf(w, ";; cycles:            %d\n", st.Cycles)
@@ -34,6 +36,11 @@ func (s *System) WriteMeters(w io.Writer) {
 	if ts := s.Machine.TierStats(); ts.Promotions > 0 {
 		fmt.Fprintf(w, ";; tier:              %d hot functions (%d re-fusions, %d blocks / %d instrs lowered, %d cache fills)\n",
 			ts.HotFunctions, ts.Refusions, ts.LoweredBlocks, ts.LoweredInstrs, ts.CacheFills)
+	}
+	if interpreted && s.oracle != nil {
+		is := s.oracle.in.Stats
+		fmt.Fprintf(w, ";; interpreter:       %d calls, %d builtins, %d conses\n",
+			is.Calls, is.BuiltinCalls, is.Conses)
 	}
 }
 

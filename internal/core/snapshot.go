@@ -5,10 +5,8 @@ import (
 	"maps"
 
 	"repro/internal/convert"
-	"repro/internal/s1"
 	"repro/internal/sexp"
 	"repro/internal/snapshot"
-	"repro/internal/tree"
 )
 
 // System snapshot and verified restore (DESIGN.md §14). A snapshot
@@ -58,12 +56,12 @@ func RestoreSystem(opts Options, snap *snapshot.Snapshot) (*System, error) {
 	return r.Restore(opts)
 }
 
-// Rehydrated is a snapshot whose sources have been read and converted
-// once, kept as the state every system restored from it starts with:
-// the proclaimed specials, each macro's expander index, and the Defs
-// table, which Restore copies into each new system. It also keeps the
-// request plans its restored systems record (plan.go), which a new
-// snapshot, being a new Rehydrated, starts without.
+// Rehydrated is a snapshot whose sources have been read once, kept as
+// the state every system restored from it starts with: the proclaimed
+// specials, each macro's expander index, and the Defs table, which
+// Restore copies into each new system. It also keeps the request plans
+// its restored systems record (plan.go), which a new snapshot, being a
+// new Rehydrated, starts without.
 type Rehydrated struct {
 	// Snap is the snapshot every Restore loads and verifies.
 	Snap *snapshot.Snapshot
@@ -74,26 +72,27 @@ type Rehydrated struct {
 	plans    planMemo
 }
 
-// MissingExpanderError reports a snapshot whose sources define a macro
-// its image holds no expander for: the two do not belong together.
+// MissingExpanderError reports a snapshot whose sources define macros
+// its image holds no expanders for (an image written before expanders
+// were compiled, say): the two do not belong together.
 type MissingExpanderError struct {
-	Macro string
+	Macro string // the first defmacro without an expander, if any
 }
 
 func (e *MissingExpanderError) Error() string {
-	return fmt.Sprintf("core: snapshot image has no expander for macro %s", e.Macro)
+	return fmt.Sprintf("core: snapshot image has no expander for macro %q", e.Macro)
 }
 
-// rehydrateSteps bounds each expansion Rehydrate runs, as slcd's default
-// -max-steps bounds a request.
-const rehydrateSteps = 50_000_000
-
-// Rehydrate reads and converts snap's sources once, compiling nothing:
-// defuns and defmacros bind to the function indices the snapshot's
-// image records (a defmacro to its expander's, by expanderName). Macro
-// calls expand on one scratch machine, which loads the image and checks
-// its fingerprint the first time a defmacro needs it; a source without
-// macros never loads it, and every Restore verifies its own load.
+// Rehydrate reads snap's sources once, converting, compiling and
+// running nothing: it scans the top-level forms for proclamations, and
+// binds each defun to the function index the snapshot's image records
+// for its name and each defmacro to its expander's (expanderName at
+// the macro epoch so far). A definition the original load failed has
+// no binding, and a failed defmacro took no epoch, so both are left
+// out, as the load left them. The expanders found must number the
+// snapshot's macro epoch, or Rehydrate fails with a
+// MissingExpanderError and the caller compiles cold. It does not verify
+// the image; every Restore does.
 func Rehydrate(snap *snapshot.Snapshot) (*Rehydrated, error) {
 	if snap == nil || snap.Image == nil {
 		return nil, fmt.Errorf("core: restore requires a snapshot with an image")
@@ -102,55 +101,40 @@ func Rehydrate(snap *snapshot.Snapshot) (*Rehydrated, error) {
 	for _, b := range snap.Image.Bindings {
 		bound[b.Name] = b.Idx
 	}
-	sys := &System{Conv: convert.New(), Defs: map[string]int{}, macros: map[*sexp.Symbol]int{}}
-	var failed error // the first, which every later defmacro repeats
-	wireMacros(sys.Conv, sys.macros, func(name *sexp.Symbol, _ *tree.Lambda) (int, error) {
-		idx, ok := bound[expanderName(name, sys.macroEpoch)]
-		switch {
-		case failed != nil:
-		case !ok:
-			failed = &MissingExpanderError{Macro: name.Name}
-		case sys.Machine == nil:
-			sys.Machine = s1.New()
-			setPrimHook(sys.Machine)
-			failed = loadImage(sys.Machine, snap)
+	conv := convert.New()
+	r := &Rehydrated{Snap: snap, macros: map[*sexp.Symbol]int{}, defs: map[string]int{}}
+	epoch, missing := 0, ""
+	for _, src := range snap.Sources {
+		forms, _ := sexp.ReadAllRecover(src)
+		for _, f := range forms {
+			conv.ScanProclaim(f.Val)
+			items, err := sexp.ListToSlice(f.Val)
+			if err != nil || len(items) < 3 {
+				continue
+			}
+			head, _ := items[0].(*sexp.Symbol)
+			name, _ := items[1].(*sexp.Symbol)
+			switch {
+			case head == nil || name == nil:
+			case head.Name == "defun":
+				if idx, ok := bound[name.Name]; ok {
+					r.defs[name.Name] = idx
+				}
+			case head.Name == "defmacro":
+				if idx, ok := bound[expanderName(name, epoch)]; ok {
+					r.macros[name] = idx
+					epoch++
+				} else if missing == "" {
+					missing = name.Name
+				}
+			}
 		}
-		sys.macroEpoch++
-		return idx, failed
-	}, func(_ *sexp.Symbol, idx int, args []sexp.Value) (sexp.Value, error) {
-		// The sources keep every form, the ones whose expansion failed
-		// too: a looping expander must not stall the rehydration.
-		sys.Machine.StepLimit = sys.Machine.Stats.Instrs + rehydrateSteps
-		return sys.callIndex(idx, args)
-	})
-	replay(sys.Conv, snap.Sources, func(d *convert.Def) {
-		// A definition the original load failed never reached the
-		// machine; leave it undefined here too.
-		if idx, ok := bound[d.Name.Name]; ok {
-			sys.Defs[d.Name.Name] = idx
-		}
-	})
-	if failed != nil {
-		return nil, failed
 	}
-	return &Rehydrated{
-		Snap:     snap,
-		specials: sys.Conv.Specials,
-		macros:   sys.macros,
-		defs:     sys.Defs,
-	}, nil
-}
-
-// loadImage loads snap's image into m and checks its recomputed
-// fingerprint against the one recorded at snapshot time.
-func loadImage(m *s1.Machine, snap *snapshot.Snapshot) error {
-	if err := m.LoadImage(snap.Image); err != nil {
-		return err
+	if epoch != snap.Meta.MacroEpoch {
+		return nil, &MissingExpanderError{Macro: missing}
 	}
-	if got := m.ImageFingerprint(); got != snap.Meta.ImageHash {
-		return fmt.Errorf("core: restored image hash %s does not match snapshot's %s", got, snap.Meta.ImageHash)
-	}
-	return nil
+	r.specials = conv.Specials
+	return r, nil
 }
 
 // Restore builds a System from r's snapshot. The options configure the
@@ -172,20 +156,21 @@ func (r *Rehydrated) Restore(opts Options) (*System, error) {
 		return nil, fmt.Errorf("core: systems with compile-time constants cannot restore from snapshots")
 	}
 	sys := NewSystem(opts)
-	if err := loadImage(sys.Machine, snap); err != nil {
+	if err := sys.Machine.LoadImage(snap.Image); err != nil {
 		return nil, err
 	}
-	// The allocator context also covers the collector settings, which
-	// opts configures.
+	if got := sys.Machine.ImageFingerprint(); got != snap.Meta.ImageHash {
+		return nil, fmt.Errorf("core: restored image hash %s does not match snapshot's %s", got, snap.Meta.ImageHash)
+	}
 	if got := sys.Machine.AllocContext(); got != snap.Meta.AllocCtx {
 		return nil, fmt.Errorf("core: restored allocator context %s does not match snapshot's %s", got, snap.Meta.AllocCtx)
 	}
 	sys.Compiler.SetGenCount(snap.Meta.GenCount)
 	sys.toplevelCount = snap.Meta.ToplevelCount
 	sys.batchCount = snap.Meta.BatchCount
-	// Rehydration replayed every defmacro, bumping its scratch system's
-	// epoch; the recorded value is what makes compile-cache keys computed
-	// here match ones computed by the exporting system.
+	// Rehydrate counted one expander per epoch; the recorded value is
+	// what makes compile-cache keys computed here match ones computed by
+	// the exporting system.
 	sys.macroEpoch = snap.Meta.MacroEpoch
 	sys.sources = append([]string(nil), snap.Sources...)
 	sys.Conv.Specials = maps.Clone(r.specials)

@@ -483,29 +483,46 @@ func BenchmarkSnapshotBoot(b *testing.B) {
 	})
 }
 
-// TestMacroRehydrateMissingExpander: a snapshot whose sources define a
-// macro its image holds no expander for does not belong together with
-// that image, so Rehydrate fails with a MissingExpanderError (and a
-// daemon booting from it compiles cold instead).
+// TestMacroRehydrateMissingExpander: a snapshot whose image holds no
+// expanders for the macros its sources define (as one written before
+// expanders were compiled would) does not belong together, so Rehydrate
+// fails with a MissingExpanderError and a daemon booting from it
+// compiles cold. A defmacro the original load failed has no expander
+// either, but took no macro epoch, so its snapshot still restores.
 func TestMacroRehydrateMissingExpander(t *testing.T) {
 	cold := NewSystem(Options{})
-	if err := cold.LoadString(`(defun f (x) (+ x 1))`); err != nil {
+	if err := cold.LoadString(`(defmacro m (x) (list 'f x)) (defun f (x) (+ x 1)) (defun g (y) (m y))`); err != nil {
 		t.Fatal(err)
+	}
+	if list := cold.LoadStringDiag(`(defmacro broken (1) 2)`); !list.HasErrors() {
+		t.Fatal("(defmacro broken (1) 2) loaded")
 	}
 	snap, err := cold.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Rehydrate(snap); err != nil {
+	sys, err := RestoreSystem(Options{}, snap)
+	if err != nil {
 		t.Fatalf("consistent snapshot: %v", err)
 	}
-	snap.Sources = append(snap.Sources, `(defmacro m (x) (list 'f x)) (defun g (y) (m y))`)
-	_, err = Rehydrate(snap)
+	if v, err := sys.EvalString(`(defun h (y) (m (g y))) (h 1)`); err != nil || sexp.Print(v) != "3" {
+		t.Errorf("restored (h 1) = %v, %v; want 3", v, err)
+	}
+	img := *snap.Image
+	img.Bindings = nil
+	for _, b := range snap.Image.Bindings {
+		if !strings.HasPrefix(b.Name, "|macro ") {
+			img.Bindings = append(img.Bindings, b)
+		}
+	}
+	stale := *snap
+	stale.Image = &img
+	_, err = Rehydrate(&stale)
 	var missing *MissingExpanderError
 	if !errors.As(err, &missing) || missing.Macro != "m" {
 		t.Fatalf("Rehydrate = %v, want a MissingExpanderError for m", err)
 	}
-	if _, err := RestoreSystem(Options{}, snap); !errors.As(err, &missing) {
+	if _, err := RestoreSystem(Options{}, &stale); !errors.As(err, &missing) {
 		t.Errorf("RestoreSystem = %v, want a MissingExpanderError", err)
 	}
 }
@@ -552,13 +569,13 @@ func TestMacroRestoredExpanders(t *testing.T) {
 	if !list.HasErrors() || !strings.Contains(list.Error(), "step limit exceeded") {
 		t.Errorf("looping restored expander: %v", list)
 	}
-	// The failed form stays in the sources; rehydrating them again ends
-	// its expansion at rehydrateSteps instead of running on.
+	// The failed form stays in the sources; rehydrating them again runs
+	// no expander and leaves its defun out.
 	snap, err = sys.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rh, err = Rehydrate(snap); err != nil || len(rh.defs) != 3 {
-		t.Fatalf("rehydrating the looping expansion: %v, %d defs, want 3", err, len(rh.defs))
+		t.Fatalf("rehydrating the looping expansion: %v, want 3 defs", err)
 	}
 }

@@ -56,11 +56,13 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 	}
 
 	// --- conses and lists ---
-	def("cons", 2, 2, false, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
+	def("cons", 2, 2, false, func(in *Interp, a []sexp.Value) (sexp.Value, error) {
+		in.Stats.Conses++
 		return sexp.NewCons(a[0], a[1]), nil
 	})
+	def("car", 1, 1, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) { return carOf(a[0]) })
+	def("cdr", 1, 1, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) { return cdrOf(a[0]) })
 	for _, spec := range []struct{ name, ops string }{
-		{"car", "a"}, {"cdr", "d"}, {"first", "a"}, {"rest", "d"}, {"second", "ad"},
 		{"caar", "aa"}, {"cadr", "ad"}, {"cdar", "da"}, {"cddr", "dd"},
 		{"caddr", "add"}, {"cdddr", "ddd"},
 	} {
@@ -81,6 +83,15 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 			return v, nil
 		})
 	}
+	def("first", 1, 1, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) { return carOf(a[0]) })
+	def("rest", 1, 1, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) { return cdrOf(a[0]) })
+	def("second", 1, 1, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
+		d, err := cdrOf(a[0])
+		if err != nil {
+			return nil, err
+		}
+		return carOf(d)
+	})
 	def("rplaca", 2, 2, false, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
 		c, ok := a[0].(*sexp.Cons)
 		if !ok {
@@ -97,17 +108,19 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 		c.Cdr = a[1]
 		return c, nil
 	})
-	def("list", 0, -1, false, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
+	def("list", 0, -1, false, func(in *Interp, a []sexp.Value) (sexp.Value, error) {
+		in.Stats.Conses += int64(len(a))
 		return sexp.List(a...), nil
 	})
-	def("list*", 1, -1, false, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
+	def("list*", 1, -1, false, func(in *Interp, a []sexp.Value) (sexp.Value, error) {
 		out := a[len(a)-1]
 		for i := len(a) - 2; i >= 0; i-- {
+			in.Stats.Conses++
 			out = sexp.NewCons(a[i], out)
 		}
 		return out, nil
 	})
-	def("append", 0, -1, false, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
+	def("append", 0, -1, false, func(in *Interp, a []sexp.Value) (sexp.Value, error) {
 		if len(a) == 0 {
 			return sexp.Nil, nil
 		}
@@ -118,18 +131,20 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 				return nil, err
 			}
 			for j := len(items) - 1; j >= 0; j-- {
+				in.Stats.Conses++
 				out = sexp.NewCons(items[j], out)
 			}
 		}
 		return out, nil
 	})
-	def("reverse", 1, 1, false, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
+	def("reverse", 1, 1, false, func(in *Interp, a []sexp.Value) (sexp.Value, error) {
 		items, err := sexp.ListToSlice(a[0])
 		if err != nil {
 			return nil, err
 		}
 		var out sexp.Value = sexp.Nil
 		for _, it := range items {
+			in.Stats.Conses++
 			out = sexp.NewCons(it, out)
 		}
 		return out, nil
@@ -146,21 +161,31 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 		}
 		return nil, lerrf("length: improper list")
 	})
-	nthcdr := func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
-		n, err := sexp.ToInt64(a[0])
-		v := a[1]
-		for ; err == nil && n > 0 && !sexp.IsNil(v); n-- { // the cdr of nil is nil
-			v, err = cdrOf(v)
-		}
-		return v, err
-	}
-	def("nthcdr", 2, 2, true, nthcdr)
 	def("nth", 2, 2, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
-		v, err := nthcdr(nil, a)
+		n, err := sexp.ToInt64(a[0])
 		if err != nil {
 			return nil, err
 		}
+		v := a[1]
+		for ; n > 0 && !sexp.IsNil(v); n-- { // the cdr of nil is nil
+			if v, err = cdrOf(v); err != nil {
+				return nil, err
+			}
+		}
 		return carOf(v)
+	})
+	def("nthcdr", 2, 2, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
+		n, err := sexp.ToInt64(a[0])
+		if err != nil {
+			return nil, err
+		}
+		v := a[1]
+		for ; n > 0 && !sexp.IsNil(v); n-- { // the cdr of nil is nil
+			if v, err = cdrOf(v); err != nil {
+				return nil, err
+			}
+		}
+		return v, nil
 	})
 	def("last", 1, 1, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
 		v := a[0]
@@ -364,7 +389,7 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 	// single-precision floating-point addition) ---
 	flo2 := func(name string, f func(x, y float64) float64) {
 		def(name, 2, 2, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
-			x, y, err := two(name, a, oneFloat)
+			x, y, err := twoFloats(name, a)
 			if err != nil {
 				return nil, err
 			}
@@ -379,7 +404,7 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 	flo2("min$f", math.Min)
 	floCmp := func(name string, ok func(x, y float64) bool) {
 		def(name, 2, 2, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
-			x, y, err := two(name, a, oneFloat)
+			x, y, err := twoFloats(name, a)
 			if err != nil {
 				return nil, err
 			}
@@ -430,7 +455,7 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 	// machine integers) ---
 	fix2 := func(name string, f func(x, y int64) int64) {
 		def(name, 2, 2, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
-			x, y, err := two(name, a, oneFixnum)
+			x, y, err := twoFixnums(name, a)
 			if err != nil {
 				return nil, err
 			}
@@ -441,7 +466,7 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 	fix2("-&", func(x, y int64) int64 { return x - y })
 	fix2("*&", func(x, y int64) int64 { return x * y })
 	def("/&", 2, 2, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
-		x, y, err := two("/&", a, oneFixnum)
+		x, y, err := twoFixnums("/&", a)
 		if err != nil {
 			return nil, err
 		}
@@ -452,7 +477,7 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 	})
 	fixCmp := func(name string, ok func(x, y int64) bool) {
 		def(name, 2, 2, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
-			x, y, err := two(name, a, oneFixnum)
+			x, y, err := twoFixnums(name, a)
 			if err != nil {
 				return nil, err
 			}
@@ -464,12 +489,14 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 	fixCmp(">&", func(x, y int64) bool { return x > y })
 	fixCmp("<=&", func(x, y int64) bool { return x <= y })
 	fixCmp(">=&", func(x, y int64) bool { return x >= y })
-	for name, d := range map[string]int64{"1+&": 1, "1-&": -1} {
-		def(name, 1, 1, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
-			x, err := oneFixnum(name, a[0])
-			return sexp.Fixnum(x + d), err
-		})
-	}
+	def("1+&", 1, 1, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
+		x, err := oneFixnum("1+&", a[0])
+		return sexp.Fixnum(x + 1), err
+	})
+	def("1-&", 1, 1, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
+		x, err := oneFixnum("1-&", a[0])
+		return sexp.Fixnum(x - 1), err
+	})
 
 	// --- arrays ---
 	def("make-array", 1, 2, false, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
@@ -497,10 +524,15 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 		return asetGeneric(a[0], a[1], a[2:])
 	})
 	def("aref$f", 1, -1, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
-		if _, ok := a[0].(*sexp.FloatArray); !ok {
+		fa, ok := a[0].(*sexp.FloatArray)
+		if !ok {
 			return nil, lerrf("aref$f: not a float array")
 		}
-		return arefGeneric(a[0], a[1:])
+		idx, err := subsIndex(fa.Dims, a[1:])
+		if err != nil {
+			return nil, err
+		}
+		return sexp.Flonum(fa.Data[idx]), nil
 	})
 	def("aset$f", 2, -1, false, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
 		fa, ok := a[0].(*sexp.FloatArray)
@@ -696,12 +728,16 @@ func fold1(f func(a, b sexp.Value) (sexp.Value, error)) func(*Interp, []sexp.Val
 	}
 }
 
-// two unwraps builtin name's two arguments with one.
-func two[T any](name string, a []sexp.Value, one func(string, sexp.Value) (T, error)) (x, y T, err error) {
-	if x, err = one(name, a[0]); err == nil {
-		y, err = one(name, a[1])
+func twoFloats(name string, a []sexp.Value) (float64, float64, error) {
+	x, err := oneFloat(name, a[0])
+	if err != nil {
+		return 0, 0, err
 	}
-	return x, y, err
+	y, err := oneFloat(name, a[1])
+	if err != nil {
+		return 0, 0, err
+	}
+	return x, y, nil
 }
 
 func oneFloat(name string, v sexp.Value) (float64, error) {
@@ -710,6 +746,18 @@ func oneFloat(name string, v sexp.Value) (float64, error) {
 		return 0, lerrf("%s: not a flonum: %s", name, sexp.Print(v))
 	}
 	return float64(f), nil
+}
+
+func twoFixnums(name string, a []sexp.Value) (int64, int64, error) {
+	x, err := oneFixnum(name, a[0])
+	if err != nil {
+		return 0, 0, err
+	}
+	y, err := oneFixnum(name, a[1])
+	if err != nil {
+		return 0, 0, err
+	}
+	return x, y, nil
 }
 
 func oneFixnum(name string, v sexp.Value) (int64, error) {

@@ -62,6 +62,14 @@ type Env struct {
 	vars   map[*tree.Var]*sexp.Value
 }
 
+// NewEnv returns a child of parent.
+func NewEnv(parent *Env) *Env {
+	return &Env{parent: parent, vars: map[*tree.Var]*sexp.Value{}}
+}
+
+// Bind creates a fresh cell for v.
+func (e *Env) Bind(v *tree.Var, val sexp.Value) { e.vars[v] = &val }
+
 func (e *Env) cell(v *tree.Var) *sexp.Value {
 	for c := e; c != nil; c = c.parent {
 		if cell, ok := c.vars[v]; ok {
@@ -77,6 +85,14 @@ type specBind struct {
 	val sexp.Value
 }
 
+// Stats counts interpreter activity for the benchmarks.
+type Stats struct {
+	Calls          int64 // closure applications
+	BuiltinCalls   int64
+	SpecialLookups int64 // deep-binding searches
+	Conses         int64
+}
+
 // Interp is an interpreter instance.
 type Interp struct {
 	// Globals holds top-level dynamic value cells.
@@ -85,6 +101,8 @@ type Interp struct {
 	Funcs map[*sexp.Symbol]sexp.Value
 	// Out receives print output.
 	Out io.Writer
+	// Stats accumulates counters.
+	Stats Stats
 
 	specials []specBind
 }
@@ -140,7 +158,7 @@ func (in *Interp) LoadProgram(p *convert.Program) (sexp.Value, error) {
 	}
 	var out sexp.Value = sexp.Nil
 	for _, f := range p.TopForms {
-		v, err := in.evalSub(f, nil)
+		v, err := in.Eval(f, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -161,6 +179,7 @@ func (in *Interp) CallNamed(name *sexp.Symbol, args ...sexp.Value) (sexp.Value, 
 // specialLookup finds the current dynamic binding cell index for sym, or
 // -1 to use the global cell.
 func (in *Interp) specialLookup(sym *sexp.Symbol) int {
+	in.Stats.SpecialLookups++
 	for i := len(in.specials) - 1; i >= 0; i-- {
 		if in.specials[i].sym == sym {
 			return i
@@ -188,6 +207,11 @@ func (in *Interp) setSpecial(sym *sexp.Symbol, val sexp.Value) {
 		in.Globals = map[*sexp.Symbol]sexp.Value{}
 	}
 	in.Globals[sym] = val
+}
+
+// Eval evaluates node n in lexical environment env (nil for top level).
+func (in *Interp) Eval(n tree.Node, env *Env) (sexp.Value, error) {
+	return in.evalSub(n, env)
 }
 
 // evalSub evaluates a non-tail subexpression: any dynamic bindings pushed
@@ -283,6 +307,7 @@ func (in *Interp) eval(n tree.Node, env *Env) (sexp.Value, error) {
 			switch f := fn.(type) {
 			case *Closure:
 				// Tail-loop into the closure body rather than recursing.
+				in.Stats.Calls++
 				newEnv, err := in.bindParams(f, args)
 				if err != nil {
 					return nil, err
@@ -396,6 +421,7 @@ func (in *Interp) evalProgBody(pb *tree.ProgBody, env *Env) (sexp.Value, bool, e
 func (in *Interp) Apply(fn sexp.Value, args []sexp.Value) (sexp.Value, error) {
 	switch f := fn.(type) {
 	case *Closure:
+		in.Stats.Calls++
 		specBase := len(in.specials)
 		env, err := in.bindParams(f, args)
 		if err != nil {
@@ -412,6 +438,7 @@ func (in *Interp) Apply(fn sexp.Value, args []sexp.Value) (sexp.Value, error) {
 }
 
 func (in *Interp) callBuiltin(f *Builtin, args []sexp.Value) (sexp.Value, error) {
+	in.Stats.BuiltinCalls++
 	if len(args) < f.MinArgs || (f.MaxArgs >= 0 && len(args) > f.MaxArgs) {
 		return nil, lerrf("%s: wrong number of arguments (%d)", f.Name, len(args))
 	}
@@ -431,12 +458,12 @@ func (in *Interp) bindParams(f *Closure, args []sexp.Value) (*Env, error) {
 		return nil, lerrf("%s: too many arguments (%d for %d)",
 			lambdaName(l), len(args), l.MaxArgs())
 	}
-	env := &Env{parent: f.Env, vars: map[*tree.Var]*sexp.Value{}}
+	env := NewEnv(f.Env)
 	bind := func(v *tree.Var, val sexp.Value) {
 		if v.Special {
 			in.specials = append(in.specials, specBind{sym: v.Name, val: val})
 		} else {
-			env.vars[v] = &val // a fresh cell
+			env.Bind(v, val)
 		}
 	}
 	i := 0
@@ -460,6 +487,7 @@ func (in *Interp) bindParams(f *Closure, args []sexp.Value) (*Env, error) {
 		var rest sexp.Value = sexp.Nil
 		for j := len(args) - 1; j >= i; j-- {
 			rest = sexp.NewCons(args[j], rest)
+			in.Stats.Conses++
 		}
 		bind(l.Rest, rest)
 	}
@@ -471,4 +499,19 @@ func lambdaName(l *tree.Lambda) string {
 		return l.Name
 	}
 	return "lambda"
+}
+
+// EvalSource converts and evaluates a whole source text, returning the
+// last top-level value. It is a convenience for tests and examples.
+func EvalSource(src string) (sexp.Value, error) {
+	forms, err := sexp.ReadAll(src)
+	if err != nil {
+		return nil, err
+	}
+	c := convert.New()
+	p, err := c.ConvertTopLevel(forms)
+	if err != nil {
+		return nil, err
+	}
+	return New().LoadProgram(p)
 }

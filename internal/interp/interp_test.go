@@ -8,20 +8,6 @@ import (
 	"repro/internal/sexp"
 )
 
-// EvalSource converts and evaluates a whole source text, returning the
-// last top-level value.
-func EvalSource(src string) (sexp.Value, error) {
-	forms, err := sexp.ReadAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p, err := convert.New().ConvertTopLevel(forms)
-	if err != nil {
-		return nil, err
-	}
-	return New().LoadProgram(p)
-}
-
 // ev evaluates a whole source and returns the printed last value.
 func ev(t *testing.T, src string) string {
 	t.Helper()
@@ -464,6 +450,22 @@ func TestFib(t *testing.T) {
 (fib 15)`
 	if got := ev(t, src); got != "610" {
 		t.Errorf("fib = %s", got)
+	}
+}
+
+func TestStatsCounters(t *testing.T) {
+	forms, _ := sexp.ReadAll("(defun f (x) (cons x nil)) (f 1) (f 2)")
+	c := convert.New()
+	p, _ := c.ConvertTopLevel(forms)
+	in := New()
+	if _, err := in.LoadProgram(p); err != nil {
+		t.Fatal(err)
+	}
+	if in.Stats.Calls < 2 {
+		t.Errorf("calls = %d", in.Stats.Calls)
+	}
+	if in.Stats.Conses < 2 {
+		t.Errorf("conses = %d", in.Stats.Conses)
 	}
 }
 

@@ -263,11 +263,14 @@ func (m *Machine) ImageFingerprint() string {
 	for i := range m.Syms {
 		c := &m.Syms[i]
 		w.str(c.Name)
+		flags := uint64(0)
 		if c.HasValue {
-			w.u64(1)
-		} else {
-			w.u64(0)
+			flags = 1
 		}
+		if c.Uninterned {
+			flags |= 2
+		}
+		w.u64(flags)
 		w.word(c.Value)
 		w.word(c.Function)
 	}

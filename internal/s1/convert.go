@@ -31,6 +31,12 @@ func (m *Machine) FromValue(v sexp.Value) Word {
 		if x == sexp.T {
 			return TWord
 		}
+		if i, ok := m.symIdx[x.Name]; ok && m.Syms[i].host == x {
+			return Ptr(TagSymbol, uint64(i))
+		}
+		if !x.Interned() {
+			return Ptr(TagSymbol, uint64(m.uninternedSym(x)))
+		}
 		return Ptr(TagSymbol, uint64(m.InternSym(x.Name)))
 	case sexp.Fixnum:
 		return FixnumWord(int64(x))

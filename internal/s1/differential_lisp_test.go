@@ -313,34 +313,80 @@ const symbolCellSrc = `
 // S1_GC_MODE selects), in one order per system, and requires the same
 // printed answer or an error from both.
 func TestLispDifferentialSymbolCells(t *testing.T) {
-	cases := []struct{ fn, arg string }{
+	diffCalls(t, symbolCellSrc, []diffCall{
 		{"sv", ""}, {"bp", ""}, {"st", ""}, {"sv", ""},
 		{"after-dyn", ""}, {"sv-unbound", ""},
 		{"ap-fn", "2"}, {"ap-prim", "(3 4)"}, {"ap-list", "(c)"},
 		{"ap-lambda", ""}, {"ap-flo", "1.5"},
-	}
-	for _, mode := range tierModes {
-		sys := lispTierSystem(t, runtimeKernel{src: symbolCellSrc}, mode, false)
-		for i, c := range cases {
-			if c.fn == "sv-unbound" {
-				// Everything before reads and writes cells natively;
-				// from here on errors and #' stubs marshal.
-				if n := sys.Stats().MarshaledPrims; n != 0 {
-					t.Errorf("%s: %d marshaled prims in the first %d cases, want 0", mode, n, i)
-				}
+	}, func(t *testing.T, mode string, sys *core.System, i int, c diffCall) {
+		if c.fn == "sv-unbound" {
+			// Everything before reads and writes cells natively; from
+			// here on errors and #' stubs marshal.
+			if n := sys.Stats().MarshaledPrims; n != 0 {
+				t.Errorf("%s: %d marshaled prims in the first %d cases, want 0", mode, n, i)
 			}
-			var args []sexp.Value
-			if c.arg != "" {
-				args = append(args, mustReadValue(c.arg))
+		}
+	})
+}
+
+// shadowedPrimSrc redefines the fallback primitive reverse and calls it
+// through the primitive's inline gateway while values sit in registers:
+// the code generator treats the gateway as a system routine, which
+// preserves the general registers, and the definition's own code
+// allocates from the same ones.
+const shadowedPrimSrc = `
+(defun reverse (x)
+  (let ((a (car x)) (b (cadr x)))
+    (list (+ a b) (* a b) (- a b) (+ a 1) (+ b 1))))
+(defun keep (x)
+  (let ((y (* (car x) 3)) (z (+ (cadr x) 7)))
+    (list y z (reverse x) y z)))
+(defun keep-loop (x n acc)
+  (if (= n 0) acc (keep-loop x (- n 1) (+ acc n (car (reverse x))))))
+(defun keep-flo (x f)
+  (let ((g (*$f f 2.0)))
+    (reverse x)
+    (+$f g 1.0)))
+`
+
+// TestLispDifferentialShadowedPrim runs shadowedPrimSrc compiled and
+// interpreted in every tier mode: a value live across the gateway's
+// call to the definition keeps its register.
+func TestLispDifferentialShadowedPrim(t *testing.T) {
+	diffCalls(t, shadowedPrimSrc, []diffCall{
+		{"keep", "(2 5)"}, {"keep-loop", "(2 5) 50 0"}, {"keep-flo", "(2 5) 1.5"}, {"keep", "(4 6)"},
+	}, nil)
+}
+
+// diffCall is one call of a differential: a function and its argument
+// forms, read as one list.
+type diffCall struct{ fn, args string }
+
+// diffCalls loads src into one system per tier mode (and the GC mode
+// S1_GC_MODE selects) and makes calls there in order, each compiled and
+// interpreted, requiring the same printed answer or an error from both;
+// check, when non-nil, runs before each call.
+func diffCalls(t *testing.T, src string, calls []diffCall,
+	check func(t *testing.T, mode string, sys *core.System, i int, c diffCall)) {
+	t.Helper()
+	for _, mode := range tierModes {
+		sys := lispTierSystem(t, runtimeKernel{src: src}, mode, false)
+		for i, c := range calls {
+			if check != nil {
+				check(t, mode, sys, i, c)
+			}
+			args, err := sexp.ListToSlice(mustReadValue("(" + c.args + ")"))
+			if err != nil {
+				t.Fatal(err)
 			}
 			want, werr := sys.Interpret(c.fn, args...)
 			got, err := sys.Call(c.fn, args...)
 			switch {
 			case (err == nil) != (werr == nil):
-				t.Errorf("%s: (%s %s): compiled err %v, interpreted err %v", mode, c.fn, c.arg, err, werr)
+				t.Errorf("%s: (%s %s): compiled err %v, interpreted err %v", mode, c.fn, c.args, err, werr)
 			case err == nil && sexp.Print(got) != sexp.Print(want):
 				t.Errorf("%s: (%s %s) = %s compiled, %s interpreted",
-					mode, c.fn, c.arg, sexp.Print(got), sexp.Print(want))
+					mode, c.fn, c.args, sexp.Print(got), sexp.Print(want))
 			}
 		}
 		checkStackRegs(t, map[string]*core.System{mode: sys})

@@ -231,11 +231,20 @@ func (m *Machine) LoadImage(img *Image) error {
 	// AllocContext input) match the exporting machine exactly.
 	m.Syms = append([]SymCell(nil), img.Syms...)
 	m.symIdx = make(map[string]int, len(img.Syms))
+	m.uninterned = nil
 	m.symHash = 0
 	for i := range m.Syms {
-		m.Syms[i].resolve()
-		m.symIdx[m.Syms[i].Name] = i
-		m.foldSymHash(m.Syms[i].Name)
+		c := &m.Syms[i]
+		c.resolve()
+		if c.Uninterned {
+			if m.uninterned == nil {
+				m.uninterned = map[*sexp.Symbol]int{}
+			}
+			m.uninterned[c.host] = i
+		} else {
+			m.symIdx[c.Name] = i
+		}
+		m.foldSymHash(c.Name)
 	}
 	m.Boxes = boxes
 

@@ -25,17 +25,27 @@ type SymCell struct {
 	Value    Word
 	HasValue bool
 	Function Word
+	// Uninterned marks the cell of an uninterned host symbol (a gensym),
+	// made by FromValue: no name finds it, and it converts back to its
+	// own host symbol, so a macro's gensym stays distinct from every
+	// symbol a source can spell.
+	Uninterned bool
 
-	// host is the interned host symbol and native the symbol's
-	// word-level fallback primitive (nil if none), both resolved once
-	// when the cell is made (InternSym, LoadImage). Derived from Name,
+	// host is the host symbol and native the symbol's word-level
+	// fallback primitive (nil if none), both resolved once when the cell
+	// is made (InternSym, uninternedSym, LoadImage). Derived from Name,
 	// they are neither serialized nor fingerprinted.
 	host   *sexp.Symbol
 	native *nativePrim
 }
 
-// resolve fills the cell's derived fields from its name.
+// resolve fills the cell's derived fields from its name. An uninterned
+// cell loaded from an image gets a fresh uninterned host symbol.
 func (c *SymCell) resolve() {
+	if c.Uninterned {
+		c.host = &sexp.Symbol{Name: c.Name}
+		return
+	}
 	c.host = sexp.Intern(c.Name)
 	if c.native = nativePrims[c.Name]; c.native == nil {
 		c.native = cellPrims[c.Name]
@@ -132,6 +142,9 @@ type Machine struct {
 	funcIdx  map[string]int
 	symIdx   map[string]int
 	primHook PrimHook
+
+	// uninterned indexes the uninterned symbols' cells by host symbol.
+	uninterned map[*sexp.Symbol]int
 	// primArgs is the argument scratch of fallback-primitive calls, used
 	// as a stack (pushPrimArgs).
 	primArgs []sexp.Value
@@ -477,6 +490,26 @@ func (m *Machine) InternSym(name string) int {
 	if m.cap != nil {
 		m.cap.Syms = append(m.cap.Syms, name)
 	}
+	return i
+}
+
+// uninternedSym returns the index of uninterned host symbol x's cell,
+// making it on first use; the cell takes a place in the symbol table and
+// the symbol hash as InternSym's would. A capture in progress is
+// abandoned: its printed constants would read x back interned, so the
+// emission cannot be replayed.
+func (m *Machine) uninternedSym(x *sexp.Symbol) int {
+	m.cap = nil
+	if i, ok := m.uninterned[x]; ok {
+		return i
+	}
+	i := len(m.Syms)
+	m.Syms = append(m.Syms, SymCell{Name: x.Name, Function: NilWord, Uninterned: true, host: x})
+	if m.uninterned == nil {
+		m.uninterned = map[*sexp.Symbol]int{}
+	}
+	m.uninterned[x] = i
+	m.foldSymHash(x.Name)
 	return i
 }
 
@@ -831,8 +864,16 @@ func (m *Machine) ret() error {
 	m.regs[RegEP] = oldEP
 	retPC := retw.Int()
 	if retPC < 0 {
-		// A gateway call (gatewayReturn): the value stays in A.
+		// A gateway call (gatewayReturn): the value stays in A and the
+		// caller's registers come back.
 		retPC = -retPC
+		for r := NumRegs - 1; r >= 0; r-- {
+			if gatewaySaves(r) {
+				if m.regs[r], err = m.pop(); err != nil {
+					return err
+				}
+			}
+		}
 	} else if err := m.push(m.regs[RegA]); err != nil {
 		return err
 	}

@@ -178,8 +178,41 @@ func (m *Machine) shadowingFn(sym int) (Word, bool) {
 // *:SQ-PRIMITIVE gateway made to a compiled definition of the
 // primitive's name: negative, so ret knows to leave the value in A and
 // the arguments popped, the gateway's own convention, instead of
-// pushing it. Real return addresses are never negative.
+// pushing it, and to restore the registers gatewayCall saved. Real
+// return addresses are never negative.
 func gatewayReturn(pc int) int { return -pc }
+
+// gatewaySaves reports whether the *:SQ-PRIMITIVE gateway keeps
+// register r for its caller across a call to a compiled definition.
+// The code generator treats the gateway as a system routine, which
+// preserves the general registers, while the definition's code
+// allocates from the same registers; SP, FP and EP come back through
+// the frame and A carries the value.
+func gatewaySaves(r int) bool { return r != RegA && r != RegSP && r != RegFP && r != RegEP }
+
+// gatewayCall calls fn, a compiled definition of the primitive whose
+// *:SQ-PRIMITIVE gateway is at pc, on args, the words on top of the
+// stack. The saved registers go on the stack under the arguments (GC
+// roots there, and discarded with the stack by a throw past the call);
+// the callee's return pops the arguments, restores the registers and
+// leaves the value in A, as the gateway would (gatewayReturn).
+func (m *Machine) gatewayCall(args []Word, fn Word) error {
+	args = slices.Clone(args) // the saved registers overwrite these stack words
+	m.regs[RegSP] = RawInt(int64(m.regs[RegSP].Bits) - int64(len(args)))
+	for r := range m.regs {
+		if gatewaySaves(r) {
+			if err := m.push(m.regs[r]); err != nil {
+				return err
+			}
+		}
+	}
+	for _, a := range args {
+		if err := m.push(a); err != nil {
+			return err
+		}
+	}
+	return m.enterFrame(len(args), gatewayReturn(m.pc+1), fn, false)
+}
 
 // callSQ executes a system routine with its CALLSQ operands b and c,
 // which it only reads (they are captured by a shared decoded stream);
@@ -421,10 +454,7 @@ func (m *Machine) callSQ(idx int, b, c *Operand) (bool, error) {
 			return false, err
 		}
 		if fn, ok := m.shadowingFn(int(nameOp.Int())); ok {
-			// The pushed arguments become the callee's; its return pops
-			// them and leaves the value in A, as the gateway would
-			// (gatewayReturn).
-			return true, m.enterFrame(int(argc), gatewayReturn(m.pc+1), fn, false)
+			return true, m.gatewayCall(args, fn)
 		}
 		out, err := m.callPrim(int(nameOp.Int()), args)
 		m.regs[RegSP] = RawInt(int64(sp) - argc)

@@ -83,6 +83,15 @@ func Intern(name string) *Symbol {
 	return s
 }
 
+// Interned reports whether s is the interned symbol of its name, not
+// one Gensym made.
+func (s *Symbol) Interned() bool {
+	sh := internShardFor(s.Name)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.m[s.Name] == s
+}
+
 // Gensym returns a fresh uninterned symbol whose name begins with prefix.
 // It is used by the optimizer when it introduces functions (the f and g of
 // the paper's nested-if transformation).

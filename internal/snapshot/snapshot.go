@@ -7,11 +7,11 @@
 // constants, registers and live stack — see s1.Image), the compiler
 // pinning that makes post-restore compiles byte-identical (gensym
 // counter, macro epoch, allocator-context fingerprint), and the source
-// texts the image was built from, so the interpreter side and the macro
-// expanders can be rehydrated without touching the machine.
+// texts the image was built from, from which the definitions, macro
+// expanders and proclamations are rebound without compiling.
 //
-// Wire format v3 is a durable frame (internal/durable): the magic line
-// slc-snapshot-v3, a hex sha256 of the payload, then the payload, one
+// Wire format v4 is a durable frame (internal/durable): the magic line
+// slc-snapshot-v4, a hex sha256 of the payload, then the payload, one
 // gob stream of the Snapshot. The checksum covers every byte after the
 // header, so a flip or truncation anywhere is detected before a single
 // byte reaches a machine, and a file of any other version is quarantined
@@ -38,8 +38,9 @@ import (
 // computed — bumps the trailing version number; a file of another
 // version is reported as durable.ErrVersion so callers fall back to a
 // cold compile instead of guessing. (v2: ImageHash hashes binary
-// fields; v3: one gob stream inside a durable frame.)
-const Magic = "slc-snapshot-v3"
+// fields; v3: one gob stream inside a durable frame; v4: the image
+// holds the macro expanders and marks uninterned symbols' cells.)
+const Magic = "slc-snapshot-v4"
 
 // format frames snapshot files, in a Store or standalone. The fault
 // selectors match the snapshot name ("boot" for the daemon's pinned
