@@ -110,10 +110,12 @@ type DiskEntry struct {
 	// Capture is the recorded emission.
 	Capture s1.Capture
 
-	// bodies are Capture.Funcs assembled, filled by the verified file
-	// read that admits the entry to the layer (before any system can see
-	// it) and never modified after; Install appends them.
+	// bodies are Capture.Funcs assembled and consts Capture.Consts read,
+	// both filled by the verified file read that admits the entry to the
+	// layer (before any system can see it) and never modified after;
+	// Install builds the constants and appends the bodies.
 	bodies []s1.Body
+	consts []sexp.Value
 }
 
 // Instrs is the number of instructions Install appends.
@@ -157,15 +159,11 @@ func (e *DiskEntry) Install(m *s1.Machine) (int, error) {
 	// The replayed constants stay pinned, as they were while the capture
 	// compiled, until the bodies referencing them are installed.
 	defer m.Unpin(m.PinDepth())
-	for _, src := range e.Capture.Consts {
-		v, err := sexp.ReadOne(src)
-		if err != nil {
-			return 0, fmt.Errorf("compilecache: replaying constant %q: %w", src, err)
-		}
-		m.Pin(m.FromValue(v))
-	}
 	if len(e.bodies) == 0 {
 		return 0, fmt.Errorf("compilecache: entry for %s was not read through Probe", e.Name)
+	}
+	for _, v := range e.consts {
+		m.Pin(m.FromValue(v))
 	}
 	idx := -1
 	for i := range e.bodies {
@@ -243,7 +241,8 @@ func (d *Disk) Breaker() *Breaker { return d.breaker }
 // decodeEntry is the entry's verification past the frame: it decodes,
 // names the key it is filed under (a renamed or cross-linked file is
 // corrupt), and its bodies assemble (a capture that does not could
-// never replay). The read keeps the assembled bodies.
+// never replay), and its constants read back (one that does not could
+// not either). The read keeps the assembled bodies and the constants.
 func decodeEntry(key string, payload []byte) (*DiskEntry, error) {
 	var e DiskEntry
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&e); err != nil {
@@ -259,6 +258,14 @@ func decodeEntry(key string, payload []byte) (*DiskEntry, error) {
 			return nil, fmt.Errorf("assembling %s: %w", e.Capture.Funcs[i].Name, err)
 		}
 		e.bodies[i] = b
+	}
+	e.consts = make([]sexp.Value, len(e.Capture.Consts))
+	for i, src := range e.Capture.Consts {
+		v, err := sexp.ReadOne(src)
+		if err != nil {
+			return nil, fmt.Errorf("reading constant %q: %w", src, err)
+		}
+		e.consts[i] = v
 	}
 	return &e, nil
 }

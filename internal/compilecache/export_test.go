@@ -6,10 +6,12 @@ import (
 	"slices"
 
 	"repro/internal/s1"
+	"repro/internal/sexp"
 )
 
-// CloneEntry deep-copies e, its assembled bodies included, so a test can
-// check that replays leave a shared entry exactly as they found it.
+// CloneEntry deep-copies e, its assembled bodies and read constants
+// included, so a test can check that replays leave a shared entry
+// exactly as they found it.
 func CloneEntry(e *DiskEntry) (*DiskEntry, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
@@ -24,6 +26,16 @@ func CloneEntry(e *DiskEntry) (*DiskEntry, error) {
 		for i, b := range e.bodies {
 			b.Code = slices.Clone(b.Code)
 			c.bodies[i] = b
+		}
+	}
+	if e.consts != nil {
+		c.consts = make([]sexp.Value, len(e.consts))
+		for i, v := range e.consts {
+			cv, err := sexp.ReadOne(sexp.Print(v))
+			if err != nil {
+				return nil, err
+			}
+			c.consts[i] = cv
 		}
 	}
 	return &c, nil

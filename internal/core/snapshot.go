@@ -5,6 +5,7 @@ import (
 	"maps"
 
 	"repro/internal/convert"
+	"repro/internal/s1"
 	"repro/internal/sexp"
 	"repro/internal/snapshot"
 )
@@ -15,7 +16,7 @@ import (
 // rebuilds a System whose observable state — image fingerprint,
 // allocator context, compile-cache keys, macro expanders — is
 // indistinguishable from one that cold-compiled the same sources, at the
-// cost of a deserialize instead of a compile.
+// cost of a copy instead of a compile.
 
 // Snapshot captures the system's current state. The system must be at a
 // quiescent point: no load in progress, machine not mid-execution.
@@ -46,25 +47,46 @@ func (s *System) Snapshot() (*snapshot.Snapshot, error) {
 }
 
 // RestoreSystem builds a System from a snapshot instead of compiling:
-// Rehydrate followed by Restore. A caller restoring one snapshot many
-// times rehydrates it once and calls Restore for each system.
+// Rehydrate followed by Restore, except that the new system's machine
+// is the template, so nothing is copied. A caller restoring one
+// snapshot many times rehydrates it once and calls Restore for each
+// system.
 func RestoreSystem(opts Options, snap *snapshot.Snapshot) (*System, error) {
-	r, err := Rehydrate(snap)
+	if err := restorable(opts); err != nil {
+		return nil, err
+	}
+	sys := NewSystem(opts)
+	r, err := rehydrate(snap, sys.Machine)
 	if err != nil {
 		return nil, err
 	}
-	return r.Restore(opts)
+	return r.finish(sys)
 }
 
-// Rehydrated is a snapshot whose sources have been read once, kept as
-// the state every system restored from it starts with: the proclaimed
-// specials, each macro's expander index, and the Defs table, which
-// Restore copies into each new system. It also keeps the request plans
-// its restored systems record (plan.go), which a new snapshot, being a
-// new Rehydrated, starts without.
+// restorable rejects the options no restored system can have.
+func restorable(opts Options) error {
+	if len(opts.Constants) > 0 {
+		return fmt.Errorf("core: systems with compile-time constants cannot restore from snapshots")
+	}
+	return nil
+}
+
+// Rehydrated is a snapshot whose image has been loaded and verified
+// once and whose sources have been read once, kept as the state every
+// system restored from it starts with: the template machine, the
+// proclaimed specials, each macro's expander index, and the Defs table,
+// which Restore copies into each new system. It also keeps the request
+// plans its restored systems record (plan.go), which a new snapshot,
+// being a new Rehydrated, starts without.
 type Rehydrated struct {
-	// Snap is the snapshot every Restore loads and verifies.
+	// Snap is the snapshot every Restore copies.
 	Snap *snapshot.Snapshot
+
+	// template is Snap's image loaded into a machine that never runs,
+	// and imageHash its fingerprint, verified equal to Snap's recorded
+	// one when Rehydrate loaded it.
+	template  *s1.Machine
+	imageHash string
 
 	specials map[*sexp.Symbol]bool
 	macros   map[*sexp.Symbol]int
@@ -91,9 +113,22 @@ func (e *MissingExpanderError) Error() string {
 // no binding, and a failed defmacro took no epoch, so both are left
 // out, as the load left them. The expanders found must number the
 // snapshot's macro epoch, or Rehydrate fails with a
-// MissingExpanderError and the caller compiles cold. It does not verify
-// the image; every Restore does.
+// MissingExpanderError and the caller compiles cold.
+//
+// The image is verified here, once: it loads into the template machine,
+// whose recomputed ImageFingerprint must equal the one recorded at
+// snapshot time (and whose heap must pass its invariants), or Rehydrate
+// fails, so a damaged snapshot never becomes one that systems restore
+// from.
 func Rehydrate(snap *snapshot.Snapshot) (*Rehydrated, error) {
+	tmpl := s1.New()
+	tmpl.SetNoTier() // it never runs, so it needs no tier tables
+	return rehydrate(snap, tmpl)
+}
+
+// rehydrate is Rehydrate with the template machine to load, which must
+// be fresh.
+func rehydrate(snap *snapshot.Snapshot, tmpl *s1.Machine) (*Rehydrated, error) {
 	if snap == nil || snap.Image == nil {
 		return nil, fmt.Errorf("core: restore requires a snapshot with an image")
 	}
@@ -134,6 +169,14 @@ func Rehydrate(snap *snapshot.Snapshot) (*Rehydrated, error) {
 		return nil, &MissingExpanderError{Macro: missing}
 	}
 	r.specials = conv.Specials
+	r.template = tmpl
+	if err := r.template.LoadImage(snap.Image); err != nil {
+		return nil, err
+	}
+	r.imageHash = r.template.ImageFingerprint()
+	if r.imageHash != snap.Meta.ImageHash {
+		return nil, fmt.Errorf("core: restored image hash %s does not match snapshot's %s", r.imageHash, snap.Meta.ImageHash)
+	}
 	return r, nil
 }
 
@@ -144,24 +187,34 @@ func Rehydrate(snap *snapshot.Snapshot) (*Rehydrated, error) {
 // machine image and the compiler pinning, and r the converter state and
 // name tables, copied. Safe for concurrent use.
 //
-// The restore is *verified*: after the image loads, the machine's
-// recomputed ImageFingerprint and AllocContext must equal the ones
-// recorded at snapshot time, or the restore fails — the caller's
-// contract is to fall back to a cold compile on any error, so a
-// mismatched or damaged snapshot degrades to a slow boot, never to a
-// wrong image being served.
+// The machine is a copy of r's template (s1.Machine.LoadFrom), whose
+// image Rehydrate verified. The restore is still checked: the
+// snapshot's recorded image hash must still be the one verified, and
+// the new machine's AllocContext, which depends on its configuration
+// (the heap limit, forced collection), must equal the one recorded at
+// snapshot time, or the restore fails — the caller's contract is to
+// fall back to a cold compile on any error, so a mismatched or damaged
+// snapshot degrades to a slow boot, never to a wrong image being
+// served.
 func (r *Rehydrated) Restore(opts Options) (*System, error) {
-	snap := r.Snap
-	if len(opts.Constants) > 0 {
-		return nil, fmt.Errorf("core: systems with compile-time constants cannot restore from snapshots")
-	}
-	sys := NewSystem(opts)
-	if err := sys.Machine.LoadImage(snap.Image); err != nil {
+	if err := restorable(opts); err != nil {
 		return nil, err
 	}
-	if got := sys.Machine.ImageFingerprint(); got != snap.Meta.ImageHash {
-		return nil, fmt.Errorf("core: restored image hash %s does not match snapshot's %s", got, snap.Meta.ImageHash)
+	if r.Snap.Meta.ImageHash != r.imageHash {
+		return nil, fmt.Errorf("core: snapshot's image hash %s is not the %s verified at rehydration", r.Snap.Meta.ImageHash, r.imageHash)
 	}
+	sys := NewSystem(opts)
+	if err := sys.Machine.LoadFrom(r.template); err != nil {
+		return nil, err
+	}
+	return r.finish(sys)
+}
+
+// finish checks sys's machine, which holds r's image, against the
+// snapshot's allocator context and gives sys the snapshot's compiler
+// pinning and copies of r's tables.
+func (r *Rehydrated) finish(sys *System) (*System, error) {
+	snap := r.Snap
 	if got := sys.Machine.AllocContext(); got != snap.Meta.AllocCtx {
 		return nil, fmt.Errorf("core: restored allocator context %s does not match snapshot's %s", got, snap.Meta.AllocCtx)
 	}

@@ -10,6 +10,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
@@ -350,6 +351,122 @@ func TestRehydratedConcurrentRestore(t *testing.T) {
 	if len(rh.defs) != nDefs || len(rh.macros) != nMacros || len(rh.specials) != nSpecials {
 		t.Error("restored systems wrote into the shared rehydrated state")
 	}
+}
+
+// isolationRequest writes through every path by which a request
+// machine changes the state it copied from the template: a heap store
+// (rplaca into a prelude list), a setq of a prelude special, a defun
+// rebinding a prelude name, a new symbol and a new box, and allocation
+// enough to collect and reuse the template's free lists.
+const isolationRequest = `
+(rplaca *tbl* 99)
+(setq *scale* 7)
+(defun fib (n) (- 0 n))
+(defun fresh-box () "a string no prelude holds")
+(defvar *fresh* 'a-symbol-no-prelude-has)
+(churn 40)
+(list (car *tbl*) (scaled 2) (fib 5) (fresh-box) *fresh*)
+`
+
+// TestRestoreTemplateIsolation: request machines copied from one
+// rehydrated template, concurrently, write through every write path —
+// the request above, a full and a minor collection, and tier promotion
+// of a prelude function — and the template must come out unchanged: its
+// ImageFingerprint still the snapshot's recorded hash, its allocator
+// context as before, and the next restore the same machine as a
+// LoadImage of the snapshot. It runs in each tier mode and under forced
+// collection.
+func TestRestoreTemplateIsolation(t *testing.T) {
+	modes := map[string]Options{
+		"default":  {},
+		"notier":   {NoTier: true},
+		"forcehot": {HotThreshold: -1},
+		"gcstress": {GCStress: true},
+	}
+	for name, opts := range modes {
+		t.Run(name, func(t *testing.T) {
+			cold := coldBoot(t, opts)
+			// Collect the prelude's garbage, so the template's free lists
+			// hold blocks the requests reuse before they collect.
+			cold.Machine.GC()
+			snap, err := cold.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rh, err := Rehydrate(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tmplCtx := rh.template.AllocContext()
+
+			const systems = 4
+			errs := make([]error, systems)
+			var wg sync.WaitGroup
+			for g := range errs {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					errs[g] = isolationWrites(rh, opts)
+				}(g)
+			}
+			wg.Wait()
+			for g, err := range errs {
+				if err != nil {
+					t.Errorf("system %d: %v", g, err)
+				}
+			}
+
+			if got := rh.template.ImageFingerprint(); got != snap.Meta.ImageHash {
+				t.Errorf("template image %s after requests, snapshot recorded %s", got, snap.Meta.ImageHash)
+			}
+			if got := rh.template.AllocContext(); got != tmplCtx {
+				t.Errorf("template allocator context changed:\n%s\n%s", got, tmplCtx)
+			}
+			next, err := rh.Restore(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded := NewSystem(opts)
+			if err := loaded.Machine.LoadImage(snap.Image); err != nil {
+				t.Fatal(err)
+			}
+			for _, sys := range []*System{next, loaded} {
+				if got, want := sys.Machine.ImageFingerprint(), snap.Meta.ImageHash; got != want {
+					t.Errorf("restored image %s, snapshot recorded %s", got, want)
+				}
+				if got, want := sys.Machine.AllocContext(), snap.Meta.AllocCtx; got != want {
+					t.Errorf("restored allocator context %s, snapshot recorded %s", got, want)
+				}
+			}
+		})
+	}
+}
+
+// isolationWrites restores a system from rh and writes through it (see
+// TestRestoreTemplateIsolation).
+func isolationWrites(rh *Rehydrated, opts Options) error {
+	sys, err := rh.Restore(opts)
+	if err != nil {
+		return err
+	}
+	v, err := sys.EvalString(isolationRequest)
+	if err != nil {
+		return err
+	}
+	if got, want := sexp.Print(v), `(99 14 -5 "a string no prelude holds" a-symbol-no-prelude-has)`; got != want {
+		return fmt.Errorf("request returned %s, want %s", got, want)
+	}
+	m := sys.Machine
+	m.GC()
+	m.MinorGC()
+	m.SetHotThreshold(1) // the next call of a prelude function promotes it
+	if v, err := sys.Call("exptl", sexp.Fixnum(3), sexp.Fixnum(4), sexp.Fixnum(1)); err != nil || sexp.Print(v) != "81" {
+		return fmt.Errorf("exptl after promotion: %v %v", v, err)
+	}
+	if m.TierStats().Promotions == 0 {
+		return fmt.Errorf("no prelude function was promoted")
+	}
+	return m.CheckHeapInvariants()
 }
 
 // BenchmarkSnapshotBoot measures the tentpole claim: warm-start eval is

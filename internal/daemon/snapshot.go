@@ -13,10 +13,10 @@ import (
 )
 
 // Warm boot (DESIGN.md §14). The daemon's prelude — the Lisp standard
-// library every request sees — is compiled once into a verified
-// snapshot, rehydrated once (its sources read and converted); each
-// per-request system then restores that snapshot (deserialize + verify)
-// and copies the rehydrated state instead of recompiling the prelude.
+// library every request sees — is compiled once into a snapshot,
+// rehydrated once (its image loaded and verified into a template
+// machine, its sources read); each per-request system then copies the
+// template and the rehydrated state instead of recompiling the prelude.
 // With a snapshot store configured, the snapshot also persists across
 // process restarts: Boot tries the pinned "boot" snapshot before paying
 // a cold compile, and Checkpoint (SIGUSR1, POST /admin/checkpoint, and
@@ -106,8 +106,9 @@ func (s *Server) Boot() error {
 		case err == nil:
 			boot, rerr := core.Rehydrate(snap)
 			if rerr == nil {
-				// Verify the way every request will, then discard the
-				// system.
+				// Rehydrate verified the image; restore once the way every
+				// request will, checking the allocator context under the
+				// request configuration, then discard the system.
 				_, rerr = boot.Restore(s.sysOptions())
 			}
 			if rerr == nil {

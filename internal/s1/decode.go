@@ -960,16 +960,41 @@ func decCALLSQ(pc int, ins *Instr) dexec {
 	// callSQ only reads the B and C operands; capture copies, not the
 	// *Instr — Code's backing array is reallocated by later appends.
 	b, c := ins.B, ins.C
+	// The primitive gateways' symbol and argument count are immediates
+	// as emitted: resolve them here, not on every call.
+	switch {
+	case idx == SQPrim && b.Mode == MImm && c.Mode == MImm:
+		sym, argc := int(b.Imm.Int()), c.Imm.Int()
+		return func(m *Machine) error {
+			m.tick(OpCALLSQ, cost)
+			m.Stats.SQCalls++
+			m.chargeSQ(SQPrim)
+			jumped, err := m.sqPrim(sym, argc)
+			return m.sqNext(next, jumped, err)
+		}
+	case idx == SQPrimFrame && b.Mode == MImm:
+		sym := int(b.Imm.Int())
+		return func(m *Machine) error {
+			m.tick(OpCALLSQ, cost)
+			m.Stats.SQCalls++
+			m.chargeSQ(SQPrimFrame)
+			jumped, err := m.sqPrimFrame(sym)
+			return m.sqNext(next, jumped, err)
+		}
+	}
 	return func(m *Machine) error {
 		m.tick(OpCALLSQ, cost)
 		m.Stats.SQCalls++
 		jumped, err := m.callSQ(idx, &b, &c)
-		if err != nil {
-			return err
-		}
-		if !jumped {
-			m.pc = next
-		}
-		return nil
+		return m.sqNext(next, jumped, err)
 	}
+}
+
+// sqNext finishes a CALLSQ: unless the routine failed or transferred
+// control, execution continues at next.
+func (m *Machine) sqNext(next int, jumped bool, err error) error {
+	if err == nil && !jumped {
+		m.pc = next
+	}
+	return err
 }

@@ -358,6 +358,30 @@ func TestLispDifferentialShadowedPrim(t *testing.T) {
 	}, nil)
 }
 
+// pdlEscapeSrc stores pdl numbers (§6.3: flonums stack-allocated in the
+// caller's frame) into new heap objects — a cons, a list, an &rest list —
+// that outlive the frame, so each number must be copied into the heap
+// first. q and tl pass theirs by tail calls, which rebuild the frame
+// over the caller's pdl slots.
+const pdlEscapeSrc = `
+(defun c (f) (let ((g (*$f f 2.0))) (cons g (+$f g 1.0))))
+(defun a (f) (let ((g (*$f f 2.0))) (list g (+$f g 1.0))))
+(defun r (&rest xs) xs)
+(defun q (f) (let ((g (*$f f 2.0))) (r g (+$f g 1.0))))
+(defun qq (f) (let ((g (*$f f 2.0))) (car (r g (+$f g 1.0)))))
+(defun opt (a &optional (b 0.0)) (list a b))
+(defun tl (f) (let ((g (*$f f 2.0))) (opt g)))
+`
+
+// TestLispDifferentialPdlEscape runs pdlEscapeSrc compiled and
+// interpreted in every tier mode: the stored numbers keep their values
+// after their frames are gone.
+func TestLispDifferentialPdlEscape(t *testing.T) {
+	diffCalls(t, pdlEscapeSrc, []diffCall{
+		{"c", "1.5"}, {"a", "1.5"}, {"q", "1.5"}, {"qq", "1.5"}, {"tl", "1.5"}, {"c", "-0.25"},
+	}, nil)
+}
+
 // diffCall is one call of a differential: a function and its argument
 // forms, read as one list.
 type diffCall struct{ fn, args string }

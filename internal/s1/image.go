@@ -2,6 +2,8 @@ package s1
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/sexp"
 )
@@ -203,8 +205,8 @@ func (img *Image) validate() error {
 // tables are re-derived from the restored Code, honoring whatever
 // execution configuration the machine carries.
 func (m *Machine) LoadImage(img *Image) error {
-	if len(m.Funcs) > 0 || len(m.Syms) > 0 || len(m.heap) > 0 || len(m.Code) > 1 || len(m.Boxes) > 0 {
-		return fmt.Errorf("s1: LoadImage target machine is not fresh")
+	if err := m.checkFresh("LoadImage"); err != nil {
+		return err
 	}
 	if err := img.validate(); err != nil {
 		return err
@@ -309,6 +311,26 @@ func (m *Machine) LoadImage(img *Image) error {
 	// AddFunction would have.
 	m.decBase, m.dec, m.tierHeads = m.decBase[:0], m.dec[:0], nil
 	m.ensureDecoded()
+	m.tierLoaded()
+	if err := m.CheckHeapInvariants(); err != nil {
+		return fmt.Errorf("s1: restored image fails heap invariants: %w", err)
+	}
+	return nil
+}
+
+// checkFresh refuses a load into a machine that already holds code,
+// symbols or heap.
+func (m *Machine) checkFresh(op string) error {
+	if len(m.Funcs) > 0 || len(m.Syms) > 0 || len(m.heap) > 0 || len(m.Code) > 1 || len(m.Boxes) > 0 {
+		return fmt.Errorf("s1: %s target machine is not fresh", op)
+	}
+	return nil
+}
+
+// tierLoaded brings the tier engine's tables up to the loaded function
+// table, promoting everything when the machine is configured forced
+// hot, exactly as AddFunction would have.
+func (m *Machine) tierLoaded() {
 	if t := m.tier; t != nil {
 		t.ensure(len(m.Funcs))
 		if t.threshold <= 0 {
@@ -317,8 +339,68 @@ func (m *Machine) LoadImage(img *Image) error {
 			}
 		}
 	}
-	if err := m.CheckHeapInvariants(); err != nil {
-		return fmt.Errorf("s1: restored image fails heap invariants: %w", err)
+}
+
+// LoadFrom fills a fresh machine (as for LoadImage) with a copy of
+// template t's state, so that it is the machine a LoadImage of t's
+// image would have made: same ImageFingerprint, same AllocContext under
+// the same configuration. t must be a LoadImage'd machine that never
+// runs; LoadFrom only reads it, so any number of machines can load from
+// one template concurrently. Nothing is re-derived and nothing is
+// checked: the image was validated, decoded and checked once, when t
+// loaded it.
+//
+// What a machine writes is copied — code, function and symbol tables,
+// heap and allocator state, registers and stack — and what it never
+// writes is shared: the boxed objects (immutable; the slice's capacity
+// is clipped so a new box reallocates it) and the decoded closures
+// (machine-independent, and they never write what they capture, the
+// invariant AddBody's shared streams rely on too). The tier engine
+// starts from the copied stream as it does after LoadImage.
+func (m *Machine) LoadFrom(t *Machine) error {
+	if err := m.checkFresh("LoadFrom"); err != nil {
+		return err
 	}
+	m.Code = append(m.Code[:0], t.Code...)
+	m.Funcs = slices.Clone(t.Funcs)
+	m.funcIdx = maps.Clone(t.funcIdx)
+	m.Syms = slices.Clone(t.Syms)
+	m.symIdx = maps.Clone(t.symIdx)
+	m.uninterned = maps.Clone(t.uninterned)
+	m.symHash = t.symHash
+	m.Boxes = slices.Clip(t.Boxes)
+
+	// Appending reuses an adopted arena's storage, as in LoadImage; the
+	// template's card table is clear and its nursery empty.
+	m.heap = append(m.heap[:0], t.heap...)
+	m.gcRecs = append(m.gcRecs[:0], t.gcRecs...)
+	m.cards = append(m.cards[:0], t.cards...)
+	m.youngBlocks = m.youngBlocks[:0]
+	m.gcBlocks = append(m.gcBlocks[:0], t.gcBlocks...)
+	for n := range m.freeSmall {
+		m.freeSmall[n] = slices.Clone(t.freeSmall[n])
+	}
+	m.freeBig = nil
+	for n, lst := range t.freeBig {
+		if m.freeBig == nil {
+			m.freeBig = make(map[int][]uint64, len(t.freeBig))
+		}
+		m.freeBig[n] = slices.Clone(lst)
+	}
+	m.liveWords = t.liveWords
+	m.liveSinceGC = t.liveSinceGC
+	m.gcThreshold = t.gcThreshold
+
+	m.regs = t.regs
+	for len(t.stack) > len(m.stack) {
+		m.growStack()
+	}
+	copy(m.stack, t.stack)
+	m.pc, m.halted = 0, false
+
+	m.decBase = append(m.decBase[:0], t.decBase...)
+	m.dec = append(m.dec[:0], t.decBase...)
+	m.tierHeads = nil
+	m.tierLoaded()
 	return nil
 }

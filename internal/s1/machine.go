@@ -900,17 +900,18 @@ func (m *Machine) tailCall(k int, fn Word) error {
 	if err != nil {
 		return err
 	}
+	fp := m.regs[RegFP].Bits
+	nw, err := m.load(fp - 4)
+	if err != nil {
+		return err
+	}
+	m.certifyOutgoing(k, fp-4-uint64(nw.Int()))
 	// Pop the k outgoing arguments.
 	args := make([]Word, k)
 	for i := k - 1; i >= 0; i-- {
 		if args[i], err = m.pop(); err != nil {
 			return err
 		}
-	}
-	fp := m.regs[RegFP].Bits
-	nw, err := m.load(fp - 4)
-	if err != nil {
-		return err
 	}
 	savedRet, err := m.load(fp - 3)
 	if err != nil {
@@ -953,6 +954,22 @@ func (m *Machine) tailCall(k int, fn Word) error {
 		t.onTail(m, idx)
 	}
 	return nil
+}
+
+// certifyOutgoing passes through heapWord each of the k outgoing
+// arguments on top of the stack that is a pdl number at or above lo: a
+// tail call rebuilds its frame from lo up, over the slot such a number
+// points to. The arguments stay on the stack, rooted, while they are
+// copied.
+func (m *Machine) certifyOutgoing(k int, lo uint64) {
+	sp := m.regs[RegSP].Bits
+	for a := sp - uint64(k); a < sp; a++ {
+		if i := a - StackBase; IsStackAddr(a) && i < uint64(len(m.stack)) {
+			if w := m.stack[i]; pdlNumber(w) && w.Bits >= lo {
+				m.stack[i] = m.heapWord(w)
+			}
+		}
+	}
 }
 
 // ResetStats clears the meters (not the machine state).

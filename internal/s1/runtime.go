@@ -218,12 +218,7 @@ func (m *Machine) gatewayCall(args []Word, fn Word) error {
 // which it only reads (they are captured by a shared decoded stream);
 // jumped reports that control transferred (pc already set).
 func (m *Machine) callSQ(idx int, b, c *Operand) (bool, error) {
-	m.Stats.Cycles += sqCost[idx]
-	if p := m.prof; p != nil {
-		// The CALLSQ dispatch was already counted in step; the routine's
-		// own cost lands on the same opcode bucket and function.
-		p.noteExtra(OpCALLSQ, sqCost[idx])
-	}
+	m.chargeSQ(idx)
 	A := m.regs[RegA]
 	B := m.regs[RegB]
 	setA := func(w Word) { m.regs[RegA] = w }
@@ -286,7 +281,7 @@ func (m *Machine) callSQ(idx int, b, c *Operand) (bool, error) {
 		setA(boolWord(eq))
 
 	case SQCons:
-		setA(m.Cons(A, B))
+		setA(m.consHeap(A, B))
 
 	case SQCar, SQCdr:
 		if A.Tag == TagNil {
@@ -336,6 +331,7 @@ func (m *Machine) callSQ(idx int, b, c *Operand) (bool, error) {
 				return false, err
 			}
 			m.tempRoots[depth] = out
+			w = m.heapWord(w)
 			m.tempRoots[wSlot] = w
 			out = m.Cons(w, out)
 		}
@@ -352,14 +348,7 @@ func (m *Machine) callSQ(idx int, b, c *Operand) (bool, error) {
 		// §6.3: before an unsafe operation, a potentially unsafe pointer
 		// must be certified — shown safe, or copied into the heap.
 		m.Stats.Certifies++
-		if A.Tag == TagFlonum && IsStackAddr(A.Bits) {
-			v, err := m.load(A.Bits)
-			if err != nil {
-				return false, err
-			}
-			m.Stats.CertifyCopies++
-			setA(m.ConsFlonum(v.Float()))
-		}
+		setA(m.heapWord(A))
 
 	case SQSpecFind:
 		symOp, err := m.value(*b)
@@ -447,52 +436,14 @@ func (m *Machine) callSQ(idx int, b, c *Operand) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		argc := argcOp.Int()
-		sp := m.regs[RegSP].Bits
-		args, err := m.stackWords(sp-uint64(argc), argc)
-		if err != nil {
-			return false, err
-		}
-		if fn, ok := m.shadowingFn(int(nameOp.Int())); ok {
-			return true, m.gatewayCall(args, fn)
-		}
-		out, err := m.callPrim(int(nameOp.Int()), args)
-		m.regs[RegSP] = RawInt(int64(sp) - argc)
-		if err != nil {
-			return false, err
-		}
-		setA(out)
+		return m.sqPrim(int(nameOp.Int()), argcOp.Int())
 
 	case SQPrimFrame:
-		// The body of a primitive stub function: apply the fallback
-		// primitive to this frame's arguments.
 		nameOp, err := m.value(*b)
 		if err != nil {
 			return false, err
 		}
-		fp := m.regs[RegFP].Bits
-		nw, err := m.load(fp - 4)
-		if err != nil {
-			return false, err
-		}
-		args, err := m.stackWords(fp-4-uint64(nw.Int()), nw.Int())
-		if err != nil {
-			return false, err
-		}
-		if fn, ok := m.shadowingFn(int(nameOp.Int())); ok {
-			// Replace the stub's frame with the definition's.
-			for _, a := range args {
-				if err := m.push(a); err != nil {
-					return false, err
-				}
-			}
-			return true, m.tailCall(len(args), fn)
-		}
-		out, err := m.callPrim(int(nameOp.Int()), args)
-		if err != nil {
-			return false, err
-		}
-		setA(out)
+		return m.sqPrimFrame(int(nameOp.Int()))
 
 	case SQPrint:
 		v, err := m.ToValue(A)
@@ -508,6 +459,99 @@ func (m *Machine) callSQ(idx int, b, c *Operand) (bool, error) {
 	default:
 		return false, lispErr("bad SQ routine %d", idx)
 	}
+	return false, nil
+}
+
+// pdlNumber reports whether w is a pdl number (§6.3): a flonum pointer
+// into the stack, valid only while its frame lives.
+func pdlNumber(w Word) bool { return w.Tag == TagFlonum && IsStackAddr(w.Bits) }
+
+// heapWord returns w, with a pdl number first copied into the heap —
+// the copy SQCertify makes, counted in CertifyCopies. The routines that
+// store their operands into new heap objects (cons, list, &rest) pass
+// each operand through it, since the object can outlive the frame; any
+// other word is returned as it is, at no cost.
+func (m *Machine) heapWord(w Word) Word {
+	if !pdlNumber(w) {
+		return w
+	}
+	v, _ := m.load(w.Bits) // a stack address always loads
+	m.Stats.CertifyCopies++
+	return m.ConsFlonum(v.Float())
+}
+
+// consHeap is SQCons: a cons of a and b, each passed through heapWord.
+func (m *Machine) consHeap(a, b Word) Word {
+	if !pdlNumber(a) && !pdlNumber(b) {
+		return m.Cons(a, b)
+	}
+	a = m.heapWord(a)
+	depth := m.protect(a) // across the allocations that follow
+	b = m.heapWord(b)
+	m.protect(b)
+	w := m.Cons(a, b)
+	m.release(depth)
+	return w
+}
+
+// chargeSQ adds system routine idx's own cost to the meters; the
+// CALLSQ dispatch was already counted, and the routine's cost lands on
+// the same opcode bucket and function in the profile.
+func (m *Machine) chargeSQ(idx int) {
+	m.Stats.Cycles += sqCost[idx]
+	if p := m.prof; p != nil {
+		p.noteExtra(OpCALLSQ, sqCost[idx])
+	}
+}
+
+// sqPrim is SQPrim, the *:SQ-PRIMITIVE gateway: apply the fallback
+// primitive of symbol sym to the argc words on top of the stack, or
+// enter the compiled definition that shadows it. jumped is as for
+// callSQ.
+func (m *Machine) sqPrim(sym int, argc int64) (jumped bool, err error) {
+	sp := m.regs[RegSP].Bits
+	args, err := m.stackWords(sp-uint64(argc), argc)
+	if err != nil {
+		return false, err
+	}
+	if fn, ok := m.shadowingFn(sym); ok {
+		return true, m.gatewayCall(args, fn)
+	}
+	out, err := m.callPrim(sym, args)
+	m.regs[RegSP] = RawInt(int64(sp) - argc)
+	if err != nil {
+		return false, err
+	}
+	m.regs[RegA] = out
+	return false, nil
+}
+
+// sqPrimFrame is SQPrimFrame, the body of a primitive stub function:
+// apply the fallback primitive of symbol sym to this frame's arguments.
+func (m *Machine) sqPrimFrame(sym int) (jumped bool, err error) {
+	fp := m.regs[RegFP].Bits
+	nw, err := m.load(fp - 4)
+	if err != nil {
+		return false, err
+	}
+	args, err := m.stackWords(fp-4-uint64(nw.Int()), nw.Int())
+	if err != nil {
+		return false, err
+	}
+	if fn, ok := m.shadowingFn(sym); ok {
+		// Replace the stub's frame with the definition's.
+		for _, a := range args {
+			if err := m.push(a); err != nil {
+				return false, err
+			}
+		}
+		return true, m.tailCall(len(args), fn)
+	}
+	out, err := m.callPrim(sym, args)
+	if err != nil {
+		return false, err
+	}
+	m.regs[RegA] = out
 	return false, nil
 }
 
@@ -784,6 +828,7 @@ func (m *Machine) restify(k int) error {
 	// allocations.
 	rest := NilWord
 	depth := m.protect(NilWord)
+	wSlot := m.protect(NilWord)
 	for i := n - 1; i >= k; i-- {
 		w, err := m.load(base + uint64(i))
 		if err != nil {
@@ -791,6 +836,8 @@ func (m *Machine) restify(k int) error {
 			return err
 		}
 		m.tempRoots[depth] = rest
+		w = m.heapWord(w)
+		m.tempRoots[wSlot] = w
 		rest = m.Cons(w, rest)
 	}
 	m.release(depth)

@@ -943,9 +943,10 @@ func (m *Machine) enterFrameIC(nargs, retPC, fn, entry int) bool {
 // tailCallIC is the TCALL microcode for a cache-verified direct
 // function: the k outgoing arguments move down over the old frame with
 // one copy (no intermediate slice). ok=false declines on any bound
-// irregularity without mutating anything, and whenever the frame or the
+// irregularity without mutating anything, whenever the frame or the
 // arguments reach past the stack's end (slots ADD SP reserved and
-// nothing wrote): the generic path reads those as zero and grows.
+// nothing wrote): the generic path reads those as zero and grows, and
+// whenever an argument is a pdl number the move would overwrite.
 func (m *Machine) tailCallIC(k, fn, entry int) bool {
 	fp := int64(m.regs[RegFP].Bits)
 	sp := int64(m.regs[RegSP].Bits)
@@ -959,11 +960,17 @@ func (m *Machine) tailCallIC(k, fn, entry int) bool {
 	if newBase < StackBase || newBase+int64(k)+4 > top {
 		return false
 	}
+	src := m.stack[uint64(sp)-StackBase-uint64(k) : uint64(sp)-StackBase]
+	for _, w := range src {
+		if pdlNumber(w) && w.Bits >= uint64(newBase) {
+			return false // tailCall copies it out of the frame first
+		}
+	}
 	savedRet := m.stack[fb-3]
 	savedFP := m.stack[fb-2]
 	savedEP := m.stack[fb-1]
 	dst := uint64(newBase) - StackBase
-	copy(m.stack[dst:dst+uint64(k)], m.stack[uint64(sp)-StackBase-uint64(k):uint64(sp)-StackBase])
+	copy(m.stack[dst:dst+uint64(k)], src)
 	m.stack[dst+uint64(k)] = RawInt(int64(k))
 	m.stack[dst+uint64(k)+1] = savedRet
 	m.stack[dst+uint64(k)+2] = savedFP
@@ -1382,7 +1389,7 @@ func (m *Machine) runBlock(ops []lop, i int) error {
 			if p != nil {
 				p.noteExtra(OpCALLSQ, sqCost[op.aux])
 			}
-			m.regs[RegA] = m.Cons(m.regs[RegA], m.regs[RegB])
+			m.regs[RegA] = m.consHeap(m.regs[RegA], m.regs[RegB])
 		case lSqCarCdr:
 			cycles += sqCost[op.aux]
 			m.Stats.SQCalls++
@@ -1424,19 +1431,14 @@ func (m *Machine) runBlock(ops []lop, i int) error {
 				p.noteExtra(OpCALLSQ, sqCost[op.aux])
 			}
 			m.Stats.Certifies++
-			if a := m.regs[RegA]; a.Tag == TagFlonum && IsStackAddr(a.Bits) {
+			if a := m.regs[RegA]; pdlNumber(a) {
 				// The copy path allocates: spill first.
 				m.pc = int(op.pc)
 				m.Stats.Instrs += instrs
 				m.Stats.Cycles += cycles
 				m.Stats.Movs += movs
 				instrs, cycles, movs = 0, 0, 0
-				v, err := m.load(a.Bits)
-				if err != nil {
-					return err
-				}
-				m.Stats.CertifyCopies++
-				m.regs[RegA] = m.ConsFlonum(v.Float())
+				m.regs[RegA] = m.heapWord(a)
 			}
 		case lSqSpecRead:
 			cycles += sqCost[op.aux]
