@@ -47,28 +47,14 @@ func (s *System) Snapshot() (*snapshot.Snapshot, error) {
 }
 
 // RestoreSystem builds a System from a snapshot instead of compiling:
-// Rehydrate followed by Restore, except that the new system's machine
-// is the template, so nothing is copied. A caller restoring one
-// snapshot many times rehydrates it once and calls Restore for each
-// system.
+// Rehydrate followed by Restore. A caller restoring one snapshot many
+// times rehydrates it once and calls Restore for each system.
 func RestoreSystem(opts Options, snap *snapshot.Snapshot) (*System, error) {
-	if err := restorable(opts); err != nil {
-		return nil, err
-	}
-	sys := NewSystem(opts)
-	r, err := rehydrate(snap, sys.Machine)
+	r, err := Rehydrate(snap)
 	if err != nil {
 		return nil, err
 	}
-	return r.finish(sys)
-}
-
-// restorable rejects the options no restored system can have.
-func restorable(opts Options) error {
-	if len(opts.Constants) > 0 {
-		return fmt.Errorf("core: systems with compile-time constants cannot restore from snapshots")
-	}
-	return nil
+	return r.Restore(opts)
 }
 
 // Rehydrated is a snapshot whose image has been loaded and verified
@@ -121,14 +107,6 @@ func (e *MissingExpanderError) Error() string {
 // fails, so a damaged snapshot never becomes one that systems restore
 // from.
 func Rehydrate(snap *snapshot.Snapshot) (*Rehydrated, error) {
-	tmpl := s1.New()
-	tmpl.SetNoTier() // it never runs, so it needs no tier tables
-	return rehydrate(snap, tmpl)
-}
-
-// rehydrate is Rehydrate with the template machine to load, which must
-// be fresh.
-func rehydrate(snap *snapshot.Snapshot, tmpl *s1.Machine) (*Rehydrated, error) {
 	if snap == nil || snap.Image == nil {
 		return nil, fmt.Errorf("core: restore requires a snapshot with an image")
 	}
@@ -169,7 +147,8 @@ func rehydrate(snap *snapshot.Snapshot, tmpl *s1.Machine) (*Rehydrated, error) {
 		return nil, &MissingExpanderError{Macro: missing}
 	}
 	r.specials = conv.Specials
-	r.template = tmpl
+	r.template = s1.New()
+	r.template.SetNoTier() // it never runs, so it needs no tier tables
 	if err := r.template.LoadImage(snap.Image); err != nil {
 		return nil, err
 	}
@@ -197,24 +176,17 @@ func rehydrate(snap *snapshot.Snapshot, tmpl *s1.Machine) (*Rehydrated, error) {
 // snapshot degrades to a slow boot, never to a wrong image being
 // served.
 func (r *Rehydrated) Restore(opts Options) (*System, error) {
-	if err := restorable(opts); err != nil {
-		return nil, err
+	snap := r.Snap
+	if len(opts.Constants) > 0 {
+		return nil, fmt.Errorf("core: systems with compile-time constants cannot restore from snapshots")
 	}
-	if r.Snap.Meta.ImageHash != r.imageHash {
-		return nil, fmt.Errorf("core: snapshot's image hash %s is not the %s verified at rehydration", r.Snap.Meta.ImageHash, r.imageHash)
+	if snap.Meta.ImageHash != r.imageHash {
+		return nil, fmt.Errorf("core: snapshot's image hash %s is not the %s verified at rehydration", snap.Meta.ImageHash, r.imageHash)
 	}
 	sys := NewSystem(opts)
 	if err := sys.Machine.LoadFrom(r.template); err != nil {
 		return nil, err
 	}
-	return r.finish(sys)
-}
-
-// finish checks sys's machine, which holds r's image, against the
-// snapshot's allocator context and gives sys the snapshot's compiler
-// pinning and copies of r's tables.
-func (r *Rehydrated) finish(sys *System) (*System, error) {
-	snap := r.Snap
 	if got := sys.Machine.AllocContext(); got != snap.Meta.AllocCtx {
 		return nil, fmt.Errorf("core: restored allocator context %s does not match snapshot's %s", got, snap.Meta.AllocCtx)
 	}

@@ -961,33 +961,43 @@ func decCALLSQ(pc int, ins *Instr) dexec {
 	// *Instr — Code's backing array is reallocated by later appends.
 	b, c := ins.B, ins.C
 	// The primitive gateways' symbol and argument count are immediates
-	// as emitted: resolve them here, not on every call.
-	switch {
-	case idx == SQPrim && b.Mode == MImm && c.Mode == MImm:
+	// (every emitter writes them so): resolve them here, not on every
+	// call. Only a malformed image has another operand there.
+	switch idx {
+	case SQPrim:
+		if b.Mode != MImm || c.Mode != MImm {
+			return badSQOperand(idx)
+		}
 		sym, argc := int(b.Imm.Int()), c.Imm.Int()
 		return func(m *Machine) error {
-			m.tick(OpCALLSQ, cost)
-			m.Stats.SQCalls++
-			m.chargeSQ(SQPrim)
+			m.enterSQ(idx, cost)
 			jumped, err := m.sqPrim(sym, argc)
 			return m.sqNext(next, jumped, err)
 		}
-	case idx == SQPrimFrame && b.Mode == MImm:
+	case SQPrimFrame:
+		if b.Mode != MImm {
+			return badSQOperand(idx)
+		}
 		sym := int(b.Imm.Int())
 		return func(m *Machine) error {
-			m.tick(OpCALLSQ, cost)
-			m.Stats.SQCalls++
-			m.chargeSQ(SQPrimFrame)
+			m.enterSQ(idx, cost)
 			jumped, err := m.sqPrimFrame(sym)
 			return m.sqNext(next, jumped, err)
 		}
 	}
 	return func(m *Machine) error {
-		m.tick(OpCALLSQ, cost)
-		m.Stats.SQCalls++
+		m.enterSQ(idx, cost)
 		jumped, err := m.callSQ(idx, &b, &c)
 		return m.sqNext(next, jumped, err)
 	}
+}
+
+// enterSQ meters one CALLSQ of system routine idx: the instruction's
+// cost, the call, and the routine's own cost.
+func (m *Machine) enterSQ(idx int, cost int64) {
+	m.tick(OpCALLSQ, cost)
+	m.Stats.SQCalls++
+	m.chargeSQ(idx)
 }
 
 // sqNext finishes a CALLSQ: unless the routine failed or transferred

@@ -26,7 +26,7 @@ import (
 // allocated itself — never a pdl argument as such — so no
 // stack-allocated flonum escapes through it.
 //
-// Cycle accounting does not depend on the path taken: callSQ charges
+// Cycle accounting does not depend on the path taken: enterSQ charges
 // the gateway's sqCost before choosing.
 
 // nativePrim is one word-level primitive: its arity (max -1 for any

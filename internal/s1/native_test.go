@@ -1,6 +1,7 @@
 package s1_test
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -357,6 +358,31 @@ func TestPrimGatewayAfterReservedFrame(t *testing.T) {
 		w, err := m.CallFunction("f")
 		if err != nil || m.PrintWord(w) != c.want {
 			t.Errorf("%s after ADD SP 3000 = %s, %v; want %s", c.name, m.PrintWord(w), err, c.want)
+		}
+	}
+}
+
+// TestPrimGatewayNonImmediateOperand runs the gateways with a register
+// where the symbol or argument count immediate belongs, as only a
+// malformed image would have: the call fails with a RuntimeError and
+// applies nothing.
+func TestPrimGatewayNonImmediateOperand(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		ins  s1.Instr
+	}{
+		{"prim symbol", s1.Instr{Op: s1.OpCALLSQ, TagArg: s1.SQPrim, B: s1.R(s1.RegA), C: s1.ImmInt(0)}},
+		{"prim argc", s1.Instr{Op: s1.OpCALLSQ, TagArg: s1.SQPrim, B: s1.ImmInt(0), C: s1.R(s1.RegA)}},
+		{"prim frame symbol", s1.Instr{Op: s1.OpCALLSQ, TagArg: s1.SQPrimFrame, B: s1.R(s1.RegA)}},
+	} {
+		m := newPrimMachine(interp.New())
+		if _, err := m.AddFunction("f", 0, 0, []s1.Item{s1.InstrItem(c.ins), s1.InstrItem(s1.Instr{Op: s1.OpRET})}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := m.CallFunction("f")
+		var rerr *s1.RuntimeError
+		if !errors.As(err, &rerr) || !strings.Contains(err.Error(), "bad operand") {
+			t.Errorf("%s: err = %v; want a bad-operand RuntimeError", c.name, err)
 		}
 	}
 }

@@ -214,11 +214,18 @@ func (m *Machine) gatewayCall(args []Word, fn Word) error {
 	return m.enterFrame(len(args), gatewayReturn(m.pc+1), fn, false)
 }
 
+// badSQOperand executes a CALLSQ of routine idx whose operands are not
+// the immediates the routine takes.
+func badSQOperand(idx int) dexec {
+	return func(m *Machine) error {
+		return &RuntimeError{PC: m.pc, Msg: fmt.Sprintf("bad operand for SQ routine %d", idx)}
+	}
+}
+
 // callSQ executes a system routine with its CALLSQ operands b and c,
 // which it only reads (they are captured by a shared decoded stream);
 // jumped reports that control transferred (pc already set).
 func (m *Machine) callSQ(idx int, b, c *Operand) (bool, error) {
-	m.chargeSQ(idx)
 	A := m.regs[RegA]
 	B := m.regs[RegB]
 	setA := func(w Word) { m.regs[RegA] = w }
@@ -426,24 +433,6 @@ func (m *Machine) callSQ(idx int, b, c *Operand) (bool, error) {
 			return false, err
 		}
 		return true, nil
-
-	case SQPrim:
-		nameOp, err := m.value(*b)
-		if err != nil {
-			return false, err
-		}
-		argcOp, err := m.value(*c)
-		if err != nil {
-			return false, err
-		}
-		return m.sqPrim(int(nameOp.Int()), argcOp.Int())
-
-	case SQPrimFrame:
-		nameOp, err := m.value(*b)
-		if err != nil {
-			return false, err
-		}
-		return m.sqPrimFrame(int(nameOp.Int()))
 
 	case SQPrint:
 		v, err := m.ToValue(A)

@@ -1351,7 +1351,7 @@ func (m *Machine) runBlock(ops []lop, i int) error {
 			// The fastNum flonum path and genericNum both allocate, so
 			// spill before running (a heap-exhaustion panic skips the
 			// error returns). The routine's own cost lands directly on
-			// Stats like callSQ's preamble would.
+			// Stats like enterSQ would.
 			m.pc = int(op.pc)
 			m.Stats.Instrs += instrs
 			m.Stats.Cycles += cycles + sqCost[op.aux]
