@@ -1,10 +1,11 @@
-// Package repro's benchmark harness regenerates every experiment in
-// EXPERIMENTS.md (the per-experiment index is in DESIGN.md §4). Each
-// benchmark reports the simulator meters the corresponding paper claim is
-// about: cycles, static MOV counts, heap (flonum) allocations, stack
-// depth, deep-binding search steps. Run with:
+// Package repro's host-time benchmarks: the experiments' wall-clock
+// figures (E1 conversion, E8's interpreter and native Go baselines, E10
+// phase costs), the Gabriel kernels, the compile pipeline and the flight
+// recorder. The experiments' exact simulated counts are not benchmarks:
+// TestExperiments (experiments_test.go) checks them in plain go test.
+// Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run xxx -bench . -benchmem
 package repro
 
 import (
@@ -19,9 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/obs"
-	"repro/internal/opt"
 	"repro/internal/sexp"
-	"repro/internal/tree"
 )
 
 func mustSys(b *testing.B, src string, opts *codegen.Options, consts map[string]sexp.Value) *core.System {
@@ -42,280 +41,70 @@ func mustCall(b *testing.B, sys *core.System, fn string, args ...sexp.Value) sex
 	return v
 }
 
-// --- E1: preliminary conversion of quadratic (§4.1, Table 2) ---
-
-const quadraticSrc = `
-(defun quadratic (a b c)
-  (let ((d (- (* b b) (* 4.0 a c))))
-    (cond ((< d 0) '())
-          ((= d 0) (list (/ (- b) (* 2.0 a))))
-          (t (let ((2a (* 2.0 a)) (sd (sqrt d)))
-               (list (/ (+ (- b) sd) 2a)
-                     (/ (- (- b) sd) 2a)))))))`
-
-func BenchmarkE1_Conversion(b *testing.B) {
-	forms, err := sexp.ReadAll(quadraticSrc)
+// mustInterp loads src, with consts, into a fresh reference interpreter.
+func mustInterp(b *testing.B, src string, consts map[string]sexp.Value) *interp.Interp {
+	b.Helper()
+	forms, err := sexp.ReadAll(src)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var nodes int
+	cv := convert.New()
+	if consts != nil {
+		cv.Constants = map[*sexp.Symbol]sexp.Value{}
+		for name, v := range consts {
+			cv.Constants[sexp.Intern(name)] = v
+		}
+	}
+	p, err := cv.ConvertTopLevel(forms)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := interp.New()
+	if _, err := in.LoadProgram(p); err != nil {
+		b.Fatal(err)
+	}
+	return in
+}
+
+// --- Host-time figures of the experiments; their exact counts are rows
+// of experiments_test.go, checked by TestExperiments ---
+
+// BenchmarkE1_Conversion times converting quadratic (§4.1, Table 2).
+func BenchmarkE1_Conversion(b *testing.B) {
+	forms, err := sexp.ReadAll(experimentRow("E1/quadratic").src)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
-		c := convert.New()
-		p, err := c.ConvertTopLevel(forms)
-		if err != nil {
+		if _, err := convert.New().ConvertTopLevel(forms); err != nil {
 			b.Fatal(err)
 		}
-		nodes = tree.CountNodes(p.Defs[0].Lambda)
-	}
-	b.ReportMetric(float64(nodes), "tree-nodes")
-}
-
-// --- E2: boolean short-circuiting (§5) ---
-
-func BenchmarkE2_ShortCircuit(b *testing.B) {
-	src := `(defun choose (a b c) (if (and a (or b c)) 'one 'two))`
-	sys := mustSys(b, src, nil, nil)
-	sys.ResetStats()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mustCall(b, sys, "choose", sexp.T, sexp.Nil, sexp.T)
-	}
-	b.ReportMetric(float64(sys.Stats().Cycles)/float64(b.N), "cycles/op")
-	b.ReportMetric(float64(sys.Stats().EnvAllocs), "closures-built")
-}
-
-// --- E3: tail recursion runs in constant stack (§2) ---
-
-func BenchmarkE3_TailRecursion(b *testing.B) {
-	src := `
-(defun exptl (x n a)
-  (cond ((zerop n) a)
-        ((oddp n) (exptl (* x x) (floor n 2) (* a x)))
-        (t (exptl (* x x) (floor n 2) a))))
-(defun expt-rec (x n)
-  (if (zerop n) 1 (* x (expt-rec x (- n 1)))))`
-	sys := mustSys(b, src, nil, nil)
-	b.Run("tail-exptl", func(b *testing.B) {
-		sys.ResetStats()
-		for i := 0; i < b.N; i++ {
-			mustCall(b, sys, "exptl", sexp.Fixnum(2), sexp.Fixnum(1000), sexp.Fixnum(1))
-		}
-		b.ReportMetric(float64(sys.Stats().MaxStack), "max-stack-words")
-		b.ReportMetric(float64(sys.Stats().Cycles)/float64(b.N), "cycles/op")
-	})
-	b.Run("nontail-baseline", func(b *testing.B) {
-		sys.ResetStats()
-		for i := 0; i < b.N; i++ {
-			mustCall(b, sys, "expt-rec", sexp.Fixnum(2), sexp.Fixnum(1000))
-		}
-		b.ReportMetric(float64(sys.Stats().MaxStack), "max-stack-words")
-		b.ReportMetric(float64(sys.Stats().Cycles)/float64(b.N), "cycles/op")
-	})
-}
-
-// --- E4: the RT-register dance (§6.1) ---
-
-const kernelSrc = `
-(defun kernel ()
-  (let ((n 16))
-    (let ((i 0))
-      (prog ()
-       iloop
-        (if (>=& i n) (return nil) nil)
-        (let ((j 0))
-          (prog ()
-           jloop
-            (if (>=& j n) (return nil) nil)
-            (let ((k 0))
-              (prog ()
-               kloop
-                (if (>=& k n) (return nil) nil)
-                (aset$f zarr
-                        (+$f (+$f (*$f (aref$f aarr i j) (aref$f barr j k))
-                                  (aref$f carr i k))
-                             econst)
-                        i k)
-                (setq k (+& k 1))
-                (go kloop)))
-            (setq j (+& j 1))
-            (go jloop)))
-        (setq i (+& i 1))
-        (go iloop)))))`
-
-func matrixConsts(n int) map[string]sexp.Value {
-	mk := func() *sexp.FloatArray {
-		fa := sexp.NewFloatArray([]int{n, n})
-		for i := range fa.Data {
-			fa.Data[i] = float64(i%7) * 0.25
-		}
-		return fa
-	}
-	return map[string]sexp.Value{
-		"aarr": mk(), "barr": mk(), "carr": mk(),
-		"zarr":   sexp.NewFloatArray([]int{n, n}),
-		"econst": sexp.Flonum(1.5),
 	}
 }
 
-func BenchmarkE4_RTRegisters(b *testing.B) {
-	run := func(b *testing.B, opts *codegen.Options) {
-		sys := mustSys(b, kernelSrc, opts, matrixConsts(16))
-		movs, err := sys.StaticMOVs("kernel")
-		if err != nil {
-			b.Fatal(err)
-		}
-		sys.ResetStats()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			mustCall(b, sys, "kernel")
-		}
-		b.ReportMetric(float64(movs), "static-MOVs")
-		b.ReportMetric(float64(sys.Stats().Cycles)/float64(b.N), "cycles/op")
-	}
-	b.Run("tnbind", func(b *testing.B) { run(b, nil) })
-	b.Run("naive-alloc", func(b *testing.B) {
-		o := codegen.DefaultOptions()
-		o.UseTN = false
-		run(b, &o)
-	})
-}
-
-// --- E5: representation analysis (§6.2) ---
-
-func BenchmarkE5_Representation(b *testing.B) {
-	src := `
-(defun dot (n)
-  (let ((acc 0.0) (i 0))
-    (prog ()
-     loop
-      (if (>=& i n) (return nil) nil)
-      (setq acc (+$f acc (*$f (aref$f aarr 0 i) (aref$f barr 0 i))))
-      (setq i (+& i 1))
-      (go loop))
-    acc))`
-	run := func(b *testing.B, opts *codegen.Options) {
-		sys := mustSys(b, src, opts, matrixConsts(16))
-		sys.ResetStats()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			mustCall(b, sys, "dot", sexp.Fixnum(16))
-		}
-		n := float64(b.N)
-		b.ReportMetric(float64(sys.Stats().Cycles)/n, "cycles/op")
-		b.ReportMetric(float64(sys.Stats().FlonumAllocs)/n, "flonum-allocs/op")
-	}
-	b.Run("rep-analysis", func(b *testing.B) { run(b, nil) })
-	b.Run("pointers-only", func(b *testing.B) {
-		o := codegen.DefaultOptions()
-		o.RepAnalysis = false
-		o.PdlNumbers = false
-		run(b, &o)
-	})
-}
-
-// --- E6: pdl numbers (§6.3) ---
-
-func BenchmarkE6_PdlNumbers(b *testing.B) {
-	src := `
-(defun observe (a b) nil)
-(defun poly (x)
-  (let ((d (+$f x 1.0)) (e (*$f x x)))
-    (observe d e)
-    (max$f d e)))`
-	run := func(b *testing.B, opts *codegen.Options) {
-		sys := mustSys(b, src, opts, nil)
-		arg := sexp.Flonum(2.5)
-		sys.ResetStats()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			mustCall(b, sys, "poly", arg)
-		}
-		n := float64(b.N)
-		b.ReportMetric(float64(sys.Stats().FlonumAllocs)/n, "flonum-allocs/op")
-		b.ReportMetric(float64(sys.Stats().Cycles)/n, "cycles/op")
-		b.ReportMetric(float64(sys.Stats().Certifies)/n, "certifies/op")
-	}
-	b.Run("pdl-numbers", func(b *testing.B) { run(b, nil) })
-	b.Run("heap-only", func(b *testing.B) {
-		o := codegen.DefaultOptions()
-		o.PdlNumbers = false
-		run(b, &o)
-	})
-}
-
-// --- E7: the whole §7 example ---
-
-func BenchmarkE7_Testfn(b *testing.B) {
-	src := `
-(defun frotz (a b c) nil)
-(defun testfn (a &optional (b 3.0) (c a))
-  (let ((d (+$f a b c)) (e (*$f a b c)))
-    (let ((q (sin$f e)))
-      (frotz d e (max$f d e))
-      q)))`
-	sys := mustSys(b, src, nil, nil)
-	arg := sexp.Flonum(0.5)
-	sys.ResetStats()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mustCall(b, sys, "testfn", arg)
-	}
-	n := float64(b.N)
-	b.ReportMetric(float64(sys.Stats().Cycles)/n, "cycles/op")
-	b.ReportMetric(float64(sys.Stats().FlonumAllocs)/n, "flonum-allocs/op")
-}
-
-// --- E8: numeric code quality — compiled vs interpreted vs native ---
-
+// BenchmarkE8_NumericQuality times the E8 dot product on the simulator
+// against its baselines: the reference interpreter over the same source
+// and constants, and a native Go loop (the Algol-family stand-in). Its
+// simulated cycles are the E8/compiled row of TestExperiments.
 func BenchmarkE8_NumericQuality(b *testing.B) {
-	const n = 64
-	src := `
-(defun dot (n)
-  (let ((acc 0.0) (i 0))
-    (prog ()
-     loop
-      (if (>=& i n) (return nil) nil)
-      (setq acc (+$f acc (*$f (aref$f aarr 0 i) (aref$f barr 0 i))))
-      (setq i (+& i 1))
-      (go loop))
-    acc))`
-	consts := matrixConsts(n)
+	row := experimentRow("E8/compiled")
+	consts := matrixConsts(row.consts)
+	args, err := sexp.ReadAll(row.args)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("compiled", func(b *testing.B) {
-		sys := mustSys(b, src, nil, consts)
-		sys.ResetStats()
+		sys := mustSys(b, row.src, nil, consts)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			mustCall(b, sys, "dot", sexp.Fixnum(n))
+			mustCall(b, sys, row.fn, args...)
 		}
-		b.ReportMetric(float64(sys.Stats().Cycles)/float64(b.N)/n, "cycles/element")
 	})
 	b.Run("interpreted", func(b *testing.B) {
-		// The interpreter works on host arrays via generic aref$f.
-		isrc := `
-(defun idot (a c n)
-  (let ((acc 0.0) (i 0))
-    (prog ()
-     loop
-      (if (>=& i n) (return nil) nil)
-      (setq acc (+$f acc (*$f (aref$f a 0 i) (aref$f c 0 i))))
-      (setq i (+& i 1))
-      (go loop))
-    acc))`
-		forms, _ := sexp.ReadAll(isrc)
-		cv := convert.New()
-		p, err := cv.ConvertTopLevel(forms)
-		if err != nil {
-			b.Fatal(err)
-		}
-		in := interp.New()
-		if _, err := in.LoadProgram(p); err != nil {
-			b.Fatal(err)
-		}
-		a := consts["aarr"]
-		c := consts["barr"]
+		in := mustInterp(b, row.src, consts)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := in.CallNamed(sexp.Intern("idot"), a, c, sexp.Fixnum(n)); err != nil {
+			if _, err := in.CallNamed(sexp.Intern(row.fn), args...); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -327,7 +116,7 @@ func BenchmarkE8_NumericQuality(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			acc = 0
-			for k := 0; k < n; k++ {
+			for k := 0; k < row.consts; k++ {
 				acc += a[k] * c[k]
 			}
 		}
@@ -335,85 +124,25 @@ func BenchmarkE8_NumericQuality(b *testing.B) {
 	})
 }
 
-// --- E9: deep-binding lookup caching (§4.4) ---
-
-func BenchmarkE9_DeepBinding(b *testing.B) {
-	// Read a special repeatedly under k live unrelated bindings.
-	mkSrc := func(k int) string {
-		src := "(defvar *target* 7)\n"
-		// Build k nested binders.
-		open, close := "", ""
-		for i := 0; i < k; i++ {
-			open += fmt.Sprintf("(let ((*pad%d* %d)) ", i, i)
-			close += ")"
-		}
-		src += `
-(defun reader (n)
-  (let ((acc 0) (i 0))
-    (prog ()
-     loop
-      (if (>= i n) (return acc) nil)
-      (setq acc (+ acc *target*))
-      (setq i (+ i 1))
-      (go loop))))
-(defun run (n) ` + open + `(reader n)` + close + ")"
-		return src
-	}
-	for _, k := range []int{4, 64, 512} {
-		src := mkSrc(k)
-		b.Run(fmt.Sprintf("cached/depth-%d", k), func(b *testing.B) {
-			sys := mustSys(b, src, nil, nil)
-			sys.ResetStats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mustCall(b, sys, "run", sexp.Fixnum(100))
-			}
-			b.ReportMetric(float64(sys.Stats().SpecialSearchSteps)/float64(b.N), "probe-steps/op")
-			b.ReportMetric(float64(sys.Stats().Cycles)/float64(b.N), "cycles/op")
-		})
-		b.Run(fmt.Sprintf("uncached/depth-%d", k), func(b *testing.B) {
-			o := codegen.DefaultOptions()
-			o.SpecialCaching = false
-			sys := mustSys(b, src, &o, nil)
-			sys.ResetStats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mustCall(b, sys, "run", sexp.Fixnum(100))
-			}
-			b.ReportMetric(float64(sys.Stats().SpecialSearchSteps)/float64(b.N), "probe-steps/op")
-			b.ReportMetric(float64(sys.Stats().Cycles)/float64(b.N), "cycles/op")
-		})
-	}
-}
-
-// --- E10: phase structure / compile-time costs (Table 1) ---
-
+// BenchmarkE10_PhaseCosts times compiling the quadratic and testfn rows
+// with all phases, without the optimizer, and without the machine
+// phases (Table 1).
 func BenchmarkE10_PhaseCosts(b *testing.B) {
-	src := quadraticSrc + `
-(defun frotz (a b c) nil)
-(defun testfn (a &optional (b 3.0) (c a))
-  (let ((d (+$f a b c)) (e (*$f a b c)))
-    (let ((q (sin$f e)))
-      (frotz d e (max$f d e))
-      q)))`
+	src := experimentRow("E1/quadratic").src + experimentRow("E7/testfn").src
+	noOpt := codegen.DefaultOptions()
+	noOpt.Optimize = false
 	configs := []struct {
 		name string
-		mk   func() codegen.Options
+		opts codegen.Options
 	}{
-		{"all", codegen.DefaultOptions},
-		{"no-optimize", func() codegen.Options {
-			o := codegen.DefaultOptions()
-			o.Optimize = false
-			return o
-		}},
-		{"no-machine-phases", func() codegen.Options {
-			return codegen.Options{Optimize: true}
-		}},
+		{"all", codegen.DefaultOptions()},
+		{"no-optimize", noOpt},
+		{"no-machine-phases", codegen.Options{Optimize: true}},
 	}
 	for _, cfg := range configs {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				o := cfg.mk()
+				o := cfg.opts
 				sys := core.NewSystem(core.Options{Codegen: &o})
 				if err := sys.LoadString(src); err != nil {
 					b.Fatal(err)
@@ -421,32 +150,6 @@ func BenchmarkE10_PhaseCosts(b *testing.B) {
 			}
 		})
 	}
-}
-
-// --- E11: beta-conversion engine throughput (§5) ---
-
-func BenchmarkE11_BetaConversion(b *testing.B) {
-	src := `(lambda (a b c d)
-	  (let ((x (+ a 1)))
-	    (let ((y x))
-	      (let ((f (lambda (q) (+ q y))))
-	        (if (and a (or b (and c d))) (f x) (f y))))))`
-	form := mustRead(src)
-	applied := 0
-	for i := 0; i < b.N; i++ {
-		c := convert.New()
-		n, err := c.ConvertForm(form)
-		if err != nil {
-			b.Fatal(err)
-		}
-		o := opt.New(opt.DefaultOptions())
-		o.Optimize(n)
-		applied = 0
-		for _, v := range o.Applied {
-			applied += v
-		}
-	}
-	b.ReportMetric(float64(applied), "transformations")
 }
 
 // --- Gabriel-style benchmarks: TAK and FIB, compiled vs interpreted ---
@@ -461,54 +164,28 @@ const takSrc = `
 (defun fib (n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))`
 
 func BenchmarkGabrielTak(b *testing.B) {
-	b.Run("compiled", func(b *testing.B) {
-		sys := mustSys(b, takSrc, nil, nil)
-		sys.ResetStats()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			mustCall(b, sys, "tak", sexp.Fixnum(12), sexp.Fixnum(8), sexp.Fixnum(4))
-		}
-		b.ReportMetric(float64(sys.Stats().Cycles)/float64(b.N), "cycles/op")
-	})
-	b.Run("interpreted", func(b *testing.B) {
-		forms, _ := sexp.ReadAll(takSrc)
-		c := convert.New()
-		p, _ := c.ConvertTopLevel(forms)
-		in := interp.New()
-		if _, err := in.LoadProgram(p); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := in.CallNamed(sexp.Intern("tak"),
-				sexp.Fixnum(12), sexp.Fixnum(8), sexp.Fixnum(4)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	benchGabriel(b, "tak", sexp.Fixnum(12), sexp.Fixnum(8), sexp.Fixnum(4))
 }
 
-func BenchmarkGabrielFib(b *testing.B) {
+func BenchmarkGabrielFib(b *testing.B) { benchGabriel(b, "fib", sexp.Fixnum(15)) }
+
+// benchGabriel times one takSrc call compiled, reporting its simulated
+// cycles, and interpreted.
+func benchGabriel(b *testing.B, fn string, args ...sexp.Value) {
 	b.Run("compiled", func(b *testing.B) {
 		sys := mustSys(b, takSrc, nil, nil)
 		sys.ResetStats()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			mustCall(b, sys, "fib", sexp.Fixnum(15))
+			mustCall(b, sys, fn, args...)
 		}
 		b.ReportMetric(float64(sys.Stats().Cycles)/float64(b.N), "cycles/op")
 	})
 	b.Run("interpreted", func(b *testing.B) {
-		forms, _ := sexp.ReadAll(takSrc)
-		c := convert.New()
-		p, _ := c.ConvertTopLevel(forms)
-		in := interp.New()
-		if _, err := in.LoadProgram(p); err != nil {
-			b.Fatal(err)
-		}
+		in := mustInterp(b, takSrc, nil)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := in.CallNamed(sexp.Intern("fib"), sexp.Fixnum(15)); err != nil {
+			if _, err := in.CallNamed(sexp.Intern(fn), args...); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -679,14 +356,4 @@ func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("recorder-on", func(b *testing.B) {
 		run(b, obs.NewFlight(obs.DefaultFlightSize))
 	})
-}
-
-// mustRead parses one form, panicking on error — a test-table
-// convenience; the production reader paths all return errors.
-func mustRead(src string) sexp.Value {
-	v, err := sexp.ReadOne(src)
-	if err != nil {
-		panic(err)
-	}
-	return v
 }

@@ -102,7 +102,6 @@ func run() error {
 		gcStress   = flag.Bool("gc-stress", false, "force a garbage collection before every runtime allocation (invariant shakeout)")
 		gcStressM  = flag.Bool("gc-stress-minor", false, "force a minor collection before every runtime allocation (write-barrier shakeout)")
 		gcNoGen    = flag.Bool("gc-nogen", false, "disable generational GC: every automatic collection is a full mark-sweep")
-		gcMinorBud = flag.Duration("gc-minor-budget", 0, "escalate to a full collection after a minor GC pause exceeds this budget (0 = none)")
 		imageHash  = flag.Bool("image-hash", false, "print the machine-image fingerprint after loading")
 		snapOut    = flag.String("snapshot-out", "", "after a clean load, write a versioned machine snapshot to this file")
 		snapIn     = flag.String("snapshot-in", "", "boot from this machine snapshot instead of cold compiling (verified; falls back to cold compile on damage or mismatch)")
@@ -174,7 +173,7 @@ func run() error {
 		MaxSteps: *maxSteps, MaxHeapWords: *maxHeap, OptWatchdog: *optWatch,
 		NoTier: *noTier, HotThreshold: tierThreshold(*hotThresh),
 		GCStress: *gcStress, GCStressMinor: *gcStressM,
-		GCNoGen: *gcNoGen, GCMinorBudget: *gcMinorBud}
+		GCNoGen: *gcNoGen}
 	if *cacheDir != "" {
 		d, err := compilecache.OpenDisk(*cacheDir, faultPlan)
 		if err != nil {

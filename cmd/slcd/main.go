@@ -114,7 +114,6 @@ func run() error {
 		optWatch   = flag.Duration("opt-watchdog", 5*time.Second, "wall-clock budget for each unit's optimizer fixpoint (0 = none)")
 		noTier     = flag.Bool("notier", false, "disable tiered execution in per-request machines")
 		gcNoGen    = flag.Bool("gc-nogen", false, "disable generational GC in per-request machines (every collection full)")
-		gcMinorBud = flag.Duration("gc-minor-budget", 0, "escalate to a full collection after a minor GC pause exceeds this budget (0 = none)")
 		hotThresh  = flag.Int64("hot-threshold", s1.DefaultHotThreshold, "invocations before a function is re-optimized (0 = promote everything at load)")
 		gasRate    = flag.Int64("gas-rate", 0, "per-tenant gas refill in simulated S-1 cycles per second (0 = gas metering off)")
 		gasBurst   = flag.Int64("gas-burst", 0, "per-tenant gas bucket capacity in cycles (0 = 10x -gas-rate)")
@@ -176,7 +175,6 @@ func run() error {
 		NoTier:         *noTier,
 		HotThreshold:   tierThreshold(*hotThresh),
 		GCNoGen:        *gcNoGen,
-		GCMinorBudget:  *gcMinorBud,
 		GasRate:        *gasRate,
 		GasBurst:       *gasBurst,
 		MaxSessions:    *maxSess,

@@ -200,19 +200,14 @@ func (p *Prepared) CodeEstimate() int {
 	return p.Lam.Info().Complexity*5/4 + 8*fns
 }
 
-// Prepare runs the middle end — source-level optimizer, optional CSE,
-// analysis, binding, representation and pdl annotation — for one
+// PrepareTask runs the middle end — source-level optimizer, optional
+// CSE, analysis, binding, representation and pdl annotation — for one
 // function. It reads no mutable compiler or machine state (each call owns
 // a fresh optimizer; constant folding only reads the process-wide
-// builtin table), so distinct functions may be Prepared concurrently;
-// only Emit must be serialized.
-func (c *Compiler) Prepare(name string, lam *tree.Lambda) (*Prepared, error) {
-	return c.PrepareTask(name, lam, nil)
-}
-
-// PrepareTask is Prepare with observability: each middle-end phase
-// records a span on the task (nil task = no tracing), and optimizer
-// rule fires are collected as structured events on the Prepared.
+// builtin table), so distinct functions may be prepared concurrently;
+// only Emit must be serialized. Each middle-end phase records a span on
+// the task (nil task = no tracing), and optimizer rule fires are
+// collected as structured events on the Prepared.
 func (c *Compiler) PrepareTask(name string, lam *tree.Lambda, task *obs.Task) (*Prepared, error) {
 	p := &Prepared{}
 	if c.Opts.Optimize {
@@ -321,16 +316,6 @@ func (c *Compiler) EmitBody(name string, p *Prepared) (int, error) {
 	c.binds = nil
 	c.flushTranscript(p)
 	return c.compileLambda(name, p.Lam, nil, p.vr)
-}
-
-// CompileFunction compiles a top-level named function. It returns the
-// function index in the machine and installs the symbol's function cell.
-func (c *Compiler) CompileFunction(name string, lam *tree.Lambda) (int, error) {
-	p, err := c.Prepare(name, lam)
-	if err != nil {
-		return 0, err
-	}
-	return c.Emit(name, p)
 }
 
 // frameCtx describes one lexical frame for closure compilation: the heap

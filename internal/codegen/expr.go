@@ -396,15 +396,6 @@ func effectiveRep(r tree.Rep) tree.Rep {
 	return r
 }
 
-// emitCoerced delivers n in its annotated WANTREP.
-func (f *fc) emitCoerced(n tree.Node) (absOperand, error) {
-	w := n.Info().WantRep
-	if w == tree.RepNONE || w == tree.RepUnknown || w == tree.RepJUMP {
-		w = tree.RepPOINTER
-	}
-	return f.emitCoercedTo(n, w)
-}
-
 // coerce converts a value between representations, emitting the
 // conversion code. This is where pdl numbers happen: a raw numeric value
 // that must become a pointer is MOVP'd into a stack scratch slot when the

@@ -416,8 +416,8 @@ func maybeUnsafe(n tree.Node) bool {
 				// A primitive producing a fresh number boxed at the
 				// conversion point: unsafe exactly when pdl-allocated,
 				// which WantsPdlSlot decides; conservatively report the
-				// numeric producers.
-				return p.ResRep.Numeric() || fr.Name.Name == "identity"
+				// numeric producers and those returning their argument.
+				return p.ResRep.Numeric() || prim.ReturnsArg(fr.Name.Name, len(x.Args))
 			}
 			return false // user-call results are certified by the callee
 		}

@@ -167,6 +167,12 @@ func (f *fc) primCallInner(name string, x *tree.Call) (absOperand, tree.Rep, err
 		v, err := f.fromA("list")
 		return v, tree.RepPOINTER, err
 
+	case "list*":
+		if len(x.Args) >= 1 {
+			v, err := f.emitListStar(x.Args)
+			return v, tree.RepPOINTER, err
+		}
+
 	case "apply":
 		if len(x.Args) >= 2 {
 			fn, err := f.emitCoercedTo(x.Args[0], tree.RepPOINTER)

@@ -84,11 +84,6 @@ type Options struct {
 	// suites compare this mode against the generational default;
 	// observable behavior (results, stats, profiles) is identical.
 	GCNoGen bool
-	// GCMinorBudget bounds minor-collection pauses (the -gc-minor-budget
-	// flag): a minor that overruns it escalates the next automatic
-	// collection to a full one. 0 disables. Wall-clock dependent, so it
-	// trades the collector's cross-run determinism for bounded pauses.
-	GCMinorBudget time.Duration
 	// Arena, if non-nil, recycles a previous machine's heap, GC-record,
 	// stack and card storage into this system's machine (the slcd
 	// per-request pool; see s1.NewFromArena). The machine takes ownership
@@ -199,9 +194,6 @@ type System struct {
 	plans PlanStats
 }
 
-// TraceID returns the trace id this system stamps on flight events.
-func (s *System) TraceID() string { return s.traceID }
-
 // NewSystem builds a system.
 func NewSystem(opts Options) *System {
 	m := s1.NewFromArena(opts.Arena)
@@ -237,9 +229,6 @@ func NewSystem(opts Options) *System {
 	}
 	if opts.GCNoGen {
 		m.SetGCNoGen(true)
-	}
-	if opts.GCMinorBudget > 0 {
-		m.SetGCMinorBudget(opts.GCMinorBudget)
 	}
 	maxErrors := opts.MaxErrors
 	switch {

@@ -398,3 +398,46 @@ func TestMacroGensymHygiene(t *testing.T) {
 	}
 	check("restored", restored)
 }
+
+// TestImageHashIgnoresGensymHistory: a load whose expansions quote
+// gensyms gets the same image fingerprint and allocator context however
+// many symbols the process gensym'd before, and so does its restore.
+func TestImageHashIgnoresGensymHistory(t *testing.T) {
+	const src = `(defmacro fresh () (list 'quote (gensym))) (defun f () (list (fresh) (fresh)))`
+	load := func() (*System, string) {
+		sys := NewSystem(Options{})
+		if err := sys.LoadString(src); err != nil {
+			t.Fatal(err)
+		}
+		v, err := sys.Call("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys, sexp.Print(v)
+	}
+	a, aNames := load()
+	b, bNames := load()
+	if aNames == bNames {
+		t.Fatalf("both loads quote %s: the gensym counter did not advance", aNames)
+	}
+	if fa, fb := a.Machine.ImageFingerprint(), b.Machine.ImageFingerprint(); fa != fb {
+		t.Errorf("image fingerprint depends on gensym history: %s (%s) vs %s (%s)", fa, aNames, fb, bNames)
+	}
+	if ca, cb := a.Machine.AllocContext(), b.Machine.AllocContext(); ca != cb {
+		t.Errorf("allocator context depends on gensym history: %s vs %s", ca, cb)
+	}
+	snap, err := b.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreSystem(Options{}, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fa, fr := a.Machine.ImageFingerprint(), restored.Machine.ImageFingerprint(); fa != fr {
+		t.Errorf("restored fingerprint %s, cold %s", fr, fa)
+	}
+	if ca, cr := a.Machine.AllocContext(), restored.Machine.AllocContext(); ca != cr {
+		t.Errorf("restored allocator context %s, cold %s", cr, ca)
+	}
+}

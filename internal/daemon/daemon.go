@@ -89,10 +89,8 @@ type Config struct {
 	NoTier       bool
 	HotThreshold int64
 	// GCNoGen disables generational collection in the per-request
-	// machines (-gc-nogen); GCMinorBudget bounds minor-GC pauses
-	// (-gc-minor-budget, 0 = no budget). See core.Options.
-	GCNoGen       bool
-	GCMinorBudget time.Duration
+	// machines (-gc-nogen). See core.Options.
+	GCNoGen bool
 	// Disk is the shared durable compile cache (nil = none).
 	Disk *compilecache.Disk
 	// Prelude is Lisp source loaded into every request's system before
@@ -860,21 +858,15 @@ func (s *Server) runRequest(ctx context.Context, req *Request, rq *reqInfo, tk *
 	recycled := ar.Uses() > 0
 	opts.Arena = ar
 	sys := s.bootSystem(opts, rq.traceID)
-	// Fold the machine's collector activity into the lifetime counters
-	// and hand its storage back to the arena pool on every exit path.
-	// Registered first so it runs after the other defers are done
+	// Hand the machine's storage back to the arena pool on every exit
+	// path. Registered first so it runs after the other defers are done
 	// reading the machine.
 	defer func() {
-		gm := sys.Machine.GCMeters
-		s.mu.Lock()
-		s.stats.GCFullCollections += gm.Collections
-		s.stats.GCMinorCollections += gm.MinorCollections
-		s.stats.GCWordsPromoted += gm.WordsPromoted
-		s.stats.MarshaledPrims += sys.Machine.Stats.MarshaledPrims
 		if recycled {
+			s.mu.Lock()
 			s.stats.ArenaRecycles++
+			s.mu.Unlock()
 		}
-		s.mu.Unlock()
 		if sys.Machine.ReleaseArena() {
 			s.arenas.put(ar)
 		}
@@ -904,20 +896,20 @@ func (s *Server) runRequest(ctx context.Context, req *Request, rq *reqInfo, tk *
 			}
 		}
 	}()
-	// Fold this request machine's tier activity into the lifetime
-	// counters on every exit path, including the panic barrier.
-	defer func() {
-		ts := sys.Machine.TierStats()
-		if ts.Promotions == 0 && ts.CacheFills == 0 {
-			return
-		}
-		s.mu.Lock()
-		s.stats.TierPromotions += ts.Promotions
-		s.stats.TierRefusions += ts.Refusions
-		s.stats.TierCacheFills += ts.CacheFills
-		s.mu.Unlock()
-	}()
-	s.eval(ctx, tk, sys, req, rq.call, resp)
+	s.eval(ctx, tk, sys, req, rq.call, machineMeters{}, resp)
+}
+
+// machineMeters are the machine counters slcd folds into its lifetime
+// totals: the collector's, the marshaled fallback-primitive calls and
+// the tier's.
+type machineMeters struct {
+	gc        s1.GCStats
+	marshaled int64
+	tier      s1.TierStats
+}
+
+func metersOf(m *s1.Machine) machineMeters {
+	return machineMeters{gc: m.GCMeters, marshaled: m.Stats.MarshaledPrims, tier: m.TierStats()}
 }
 
 // eval is the one evaluation of a request's source and call, shared by
@@ -925,8 +917,11 @@ func (s *Server) runRequest(ctx context.Context, req *Request, rq *reqInfo, tk *
 // safepoints and the deadline into sys's machine, loads req.Source and,
 // when call is set and req.Fn is named, calls it. Diagnostics, defs,
 // the printed value and the mapping of a deadline or run error land in
-// resp; resp.OK is set only on success.
-func (s *Server) eval(ctx context.Context, tk *sched.Task, sys *core.System, req *Request, call bool, resp *Response) {
+// resp; resp.OK is set only on success. On every exit path, including
+// the panic barrier, it folds the machine's meters minus base into the
+// lifetime counters: a fresh machine passes the zero base, so its boot
+// counts too.
+func (s *Server) eval(ctx context.Context, tk *sched.Task, sys *core.System, req *Request, call bool, base machineMeters, resp *Response) {
 	m := sys.Machine
 	// Every machine safepoint becomes a scheduling and gas-metering point,
 	// and the deadline interrupts the machine cooperatively: Run checks
@@ -940,6 +935,16 @@ func (s *Server) eval(ctx context.Context, tk *sched.Task, sys *core.System, req
 		if c := m.Stats.Cycles; c > 0 {
 			s.cyclesHist.Observe(float64(c))
 		}
+		now := metersOf(m)
+		s.mu.Lock()
+		s.stats.GCFullCollections += now.gc.Collections - base.gc.Collections
+		s.stats.GCMinorCollections += now.gc.MinorCollections - base.gc.MinorCollections
+		s.stats.GCWordsPromoted += now.gc.WordsPromoted - base.gc.WordsPromoted
+		s.stats.MarshaledPrims += now.marshaled - base.marshaled
+		s.stats.TierPromotions += now.tier.Promotions - base.tier.Promotions
+		s.stats.TierRefusions += now.tier.Refusions - base.tier.Refusions
+		s.stats.TierCacheFills += now.tier.CacheFills - base.tier.CacheFills
+		s.mu.Unlock()
 	}()
 
 	before := sys.PlanStats()

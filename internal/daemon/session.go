@@ -227,18 +227,8 @@ func (s *Server) runSession(ctx context.Context, req *Request, rq *reqInfo, tk *
 	// Budgets (steps, safepoint cycle accounting) are per request, not
 	// per session lifetime.
 	m.ResetStats()
-	gm0 := m.GCMeters
-	defer func() {
-		gm := m.GCMeters
-		s.mu.Lock()
-		s.stats.GCFullCollections += gm.Collections - gm0.Collections
-		s.stats.GCMinorCollections += gm.MinorCollections - gm0.MinorCollections
-		s.stats.GCWordsPromoted += gm.WordsPromoted - gm0.WordsPromoted
-		s.stats.MarshaledPrims += m.Stats.MarshaledPrims
-		s.mu.Unlock()
-		s.sessions.release(ses)
-	}()
-	s.eval(ctx, tk, ses.sys, req, rq.call, resp)
+	defer s.sessions.release(ses)
+	s.eval(ctx, tk, ses.sys, req, rq.call, metersOf(m), resp)
 }
 
 // createSession is the runFunc of POST /session: build a warm-booted
@@ -252,7 +242,7 @@ func (s *Server) createSession(ctx context.Context, req *Request, rq *reqInfo, t
 	opts.Obs = obs.NewRecorder()
 	opts.TraceID = rq.traceID
 	sys := s.bootSystem(opts, rq.traceID)
-	s.eval(ctx, tk, sys, req, false, resp)
+	s.eval(ctx, tk, sys, req, false, machineMeters{}, resp)
 	if !resp.OK {
 		return
 	}

@@ -648,3 +648,25 @@ func TestSessionCreateAccounting(t *testing.T) {
 		checkSpan(t, s, http.StatusGatewayTimeout, resp.TraceID)
 	})
 }
+
+// TestSessionRunFoldsTierPromotions: a session /run whose calls cross
+// the hot threshold raises slcd_tier_promotions_total, as a stateless
+// /run does.
+func TestSessionRunFoldsTierPromotions(t *testing.T) {
+	s := New(Config{SchedWorkers: 1, ReqTimeout: 10 * time.Second})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	code, resp, _ := post(t, ts, "/session", Request{Source: `
+(defun sq (x) (* x x))
+(defun many (n) (prog (i) (setq i 0) l (if (>= i n) (return i)) (sq i) (setq i (+ i 1)) (go l)))`})
+	if code != http.StatusOK || !resp.OK {
+		t.Fatalf("create: status %d, resp %+v", code, resp)
+	}
+	before := s.Metrics()["slcd_tier_promotions_total"]
+	if code, r, _ := post(t, ts, "/run", Request{Session: resp.Session, Source: "(many 1000)"}); code != http.StatusOK || !r.OK {
+		t.Fatalf("session run: status %d, resp %+v", code, r)
+	}
+	if after := s.Metrics()["slcd_tier_promotions_total"]; after <= before {
+		t.Errorf("slcd_tier_promotions_total = %v after a promoting session /run, %v before", after, before)
+	}
+}

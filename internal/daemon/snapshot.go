@@ -47,9 +47,8 @@ func (s *Server) sysOptions() core.Options {
 		// Generational knobs. These never affect compiled output (no
 		// compile configuration sets a GC threshold), so restored machines
 		// verify against snapshots regardless of the settings.
-		GCNoGen:       s.cfg.GCNoGen,
-		GCMinorBudget: s.cfg.GCMinorBudget,
-		Flight:        s.flight,
+		GCNoGen: s.cfg.GCNoGen,
+		Flight:  s.flight,
 	}
 }
 

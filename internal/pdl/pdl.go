@@ -82,11 +82,16 @@ func down(n tree.Node, auth tree.Node) {
 			// to user procedures, since "passing a pointer to a
 			// procedure is safe") authorize pdl arguments with lifetime
 			// bounded by the call.
+			// An argument the primitive returns itself is the call's
+			// value, authorized only as far as the call's context is.
 			safe := p == nil || p.Safe
 			for _, a := range x.Args {
-				if safe {
+				switch {
+				case p != nil && prim.ReturnsArg(fn.Name.Name, len(x.Args)):
+					down(a, auth)
+				case safe:
 					down(a, x)
-				} else {
+				default:
 					down(a, nil)
 				}
 			}

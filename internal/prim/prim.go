@@ -51,6 +51,13 @@ func LookupString(name string) *Info { return table[name] }
 // IsPrimitive reports whether name denotes a known primitive.
 func IsPrimitive(name *sexp.Symbol) bool { return table[name.Name] != nil }
 
+// ReturnsArg reports whether a call of the named primitive with nargs
+// arguments returns its argument itself — identity and (list* x) — so
+// the argument goes wherever the call's value goes.
+func ReturnsArg(name string, nargs int) bool {
+	return name == "identity" || name == "list*" && nargs == 1
+}
+
 func def(i Info) {
 	cp := i
 	table[i.Name] = &cp

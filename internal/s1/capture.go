@@ -212,15 +212,21 @@ func (m *Machine) AllocContext() string {
 	return hex.EncodeToString(binary.BigEndian.AppendUint64(buf[:0], h))
 }
 
-// foldSymHash extends the incremental symbol-name hash with one newly
-// interned name (order-sensitive by construction).
-func (m *Machine) foldSymHash(name string) {
+// foldSymHash extends the incremental symbol hash with one new cell
+// (order-sensitive by construction, so each cell's position is folded
+// too). An uninterned cell folds its flag, not its name: a gensym's name
+// depends on what the process gensym'd before.
+func (m *Machine) foldSymHash(c *SymCell) {
 	h := m.symHash
 	if h == 0 {
 		h = 0xcbf29ce484222325 // FNV-1a offset basis
 	}
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * 0x100000001b3
+	if c.Uninterned {
+		h = (h ^ 0x1e) * 0x100000001b3 // uninterned flag
+	} else {
+		for i := 0; i < len(c.Name); i++ {
+			h = (h ^ uint64(c.Name[i])) * 0x100000001b3
+		}
 	}
 	h = (h ^ 0x1f) * 0x100000001b3 // name separator
 	m.symHash = h
@@ -228,7 +234,8 @@ func (m *Machine) foldSymHash(name string) {
 
 // ImageFingerprint hashes the externally visible machine image — code
 // (every instruction field, comments included), function descriptors,
-// the symbol table with its value and function cells, the heap contents,
+// the symbol table with its value and function cells (an uninterned
+// cell by its flag and position, not its name), the heap contents,
 // and the boxed objects. Two machines with equal fingerprints would
 // produce byte-identical listings and behave identically; the
 // multi-process cache tests compare it across independently built
@@ -262,13 +269,17 @@ func (m *Machine) ImageFingerprint() string {
 	w.u64(uint64(len(m.Syms)))
 	for i := range m.Syms {
 		c := &m.Syms[i]
-		w.str(c.Name)
 		flags := uint64(0)
 		if c.HasValue {
 			flags = 1
 		}
 		if c.Uninterned {
+			// Not the name, which depends on gensym history, but a
+			// length no name has, so the record stays unambiguous.
+			w.u64(^uint64(0))
 			flags |= 2
+		} else {
+			w.str(c.Name)
 		}
 		w.u64(flags)
 		w.word(c.Value)

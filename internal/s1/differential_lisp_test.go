@@ -238,6 +238,8 @@ const listIdentitySrc = `
 (defun id-nthcdr (x) (eq (nthcdr 1 x) (cdr x)))
 (defun id-nth (x) (eq (nth 1 x) (cadr x)))
 (defun id-last (x) (eq (last x) (cddr x)))
+(defun id-list* (x) (eq (cdr (list* 1 x)) x))
+(defun id-list*1 (x) (eq (list* x) x))
 (defun mut-caddr (x) (rplaca (caddr x) 99) x)
 (defun mut-member (x) (rplaca (member 2 x) 20) x)
 (defun mut-last (x) (rplacd (last x) (list 4)) x)
@@ -245,8 +247,8 @@ const listIdentitySrc = `
 `
 
 // TestLispDifferentialListIdentity compiles calls whose answer depends
-// on a fallback primitive returning the argument's own structure — eq
-// on what cadr, member, assoc, nthcdr or last return, rplaca through
+// on a primitive returning the argument's own structure — eq on what
+// cadr, member, assoc, nthcdr, last or list* return, rplaca through
 // it — and requires the interpreter's answer in every tier mode (and
 // the GC mode S1_GC_MODE selects). (append copies all but its last
 // argument in both engines, but its result's tail is a marshaled copy
@@ -262,6 +264,7 @@ func TestLispDifferentialListIdentity(t *testing.T) {
 		{"id-nthcdr", "(1 2 3)"},
 		{"id-nth", "((1) (2) (3))"},
 		{"id-last", "(1 2 3)"},
+		{"id-list*", "(2 3)"}, {"id-list*1", "(2 3)"},
 		{"mut-caddr", "((1) 2 (3))"},
 		{"mut-member", "(1 2 3)"},
 		{"mut-last", "(1 2 3)"},
@@ -359,10 +362,11 @@ func TestLispDifferentialShadowedPrim(t *testing.T) {
 }
 
 // pdlEscapeSrc stores pdl numbers (§6.3: flonums stack-allocated in the
-// caller's frame) into new heap objects — a cons, a list, an &rest list —
-// that outlive the frame, so each number must be copied into the heap
-// first. q and tl pass theirs by tail calls, which rebuild the frame
-// over the caller's pdl slots.
+// caller's frame) into new heap objects — a cons, a list, an &rest list,
+// a list* — or a special variable, or return them, each outliving the
+// frame, so each number must be copied into the heap first. q and tl
+// pass theirs by tail calls, which rebuild the frame over the caller's
+// pdl slots; identity and (list* x) return their argument itself.
 const pdlEscapeSrc = `
 (defun c (f) (let ((g (*$f f 2.0))) (cons g (+$f g 1.0))))
 (defun a (f) (let ((g (*$f f 2.0))) (list g (+$f g 1.0))))
@@ -371,6 +375,17 @@ const pdlEscapeSrc = `
 (defun qq (f) (let ((g (*$f f 2.0))) (car (r g (+$f g 1.0)))))
 (defun opt (a &optional (b 0.0)) (list a b))
 (defun tl (f) (let ((g (*$f f 2.0))) (opt g)))
+(defun ls (f) (let ((g (*$f f 2.0))) (list* g)))
+(defun ls2 (f) (let ((g (*$f f 2.0))) (list* g (+$f g 1.0) nil)))
+(defun lsk (f) (let ((k (list 0))) (rplaca k (ls f)) (ls (+$f f 1.0)) k))
+(defun lsr (f) (let ((g (*$f f 2.0)) (k (list 0))) (rplaca k (list* g)) k))
+(defvar *esc* nil)
+(defun sp (f) (let ((g (*$f f 2.0))) (setq *esc* (list* g)) nil))
+(defun si (f) (let ((g (*$f f 2.0))) (setq *esc* (identity g)) nil))
+(defun clob (a b c d e) (list a b c d e))
+(defun spk (f)
+  (sp f) (clob 1 2 3 4 5)
+  (let ((x *esc*)) (si f) (clob 6 7 8 9 10) (list x *esc*)))
 `
 
 // TestLispDifferentialPdlEscape runs pdlEscapeSrc compiled and
@@ -379,6 +394,7 @@ const pdlEscapeSrc = `
 func TestLispDifferentialPdlEscape(t *testing.T) {
 	diffCalls(t, pdlEscapeSrc, []diffCall{
 		{"c", "1.5"}, {"a", "1.5"}, {"q", "1.5"}, {"qq", "1.5"}, {"tl", "1.5"}, {"c", "-0.25"},
+		{"ls", "1.5"}, {"ls2", "1.5"}, {"lsk", "1.5"}, {"lsr", "1.5"}, {"spk", "1.5"},
 	}, nil)
 }
 

@@ -126,16 +126,6 @@ func (m *Machine) SetGCThreshold(words int64) { m.gcThreshold = words }
 // mode against the generational default.
 func (m *Machine) SetGCNoGen(v bool) { m.gcNoGen = v }
 
-// SetGCMinorBudget bounds minor-collection pauses (the -gc-minor-budget
-// flag): a minor that overruns the budget escalates the next automatic
-// collection to a full one, which resets the nursery and the promotion
-// pressure that made the minor expensive. 0 disables the budget. The
-// check is wall-clock, so enabling it trades the collector's cross-run
-// determinism (which the differential suites rely on) for bounded
-// pauses; the compile configurations that need byte-identical replays
-// leave it unset.
-func (m *Machine) SetGCMinorBudget(d time.Duration) { m.minorBudget = d }
-
 // SetGCStressMinor forces a minor collection before every allocation —
 // the generational counterpart of SetGCStress. Every object that
 // survives a single allocation is promoted immediately, so any heap
@@ -202,7 +192,7 @@ func (m *Machine) GC() int64 {
 // which is exactly what the write barrier guarantees.
 func (m *Machine) MinorGC() int64 {
 	m.GCMeters.MinorCollections++
-	timed := m.prof != nil || m.OnEvent != nil || m.minorBudget > 0
+	timed := m.prof != nil || m.OnEvent != nil
 	var gcStart time.Time
 	if timed {
 		gcStart = time.Now()
@@ -240,9 +230,6 @@ func (m *Machine) MinorGC() int64 {
 	m.liveWords -= reclaimed
 	if timed {
 		pause := time.Since(gcStart)
-		if m.minorBudget > 0 && pause > m.minorBudget {
-			m.minorOverBudget = true
-		}
 		if p := m.prof; p != nil {
 			p.gcPause(pause)
 		}
@@ -254,16 +241,13 @@ func (m *Machine) MinorGC() int64 {
 }
 
 // collectAuto is the threshold-triggered collection: a minor by
-// default, escalating to a full collection when generations are off,
-// when the last minor overran its pause budget, or when promotion
-// pressure says the old generation needs reclaiming. The escalation
-// inputs (liveSinceGC, promotedSinceFull, the static toggles) are all
-// functions of the allocation and store history, so — budget aside —
-// two machines with identical histories collect identically.
+// default, escalating to a full collection when generations are off or
+// when promotion pressure says the old generation needs reclaiming. The
+// escalation inputs (liveSinceGC, promotedSinceFull, the static toggles)
+// are all functions of the allocation and store history, so two
+// machines with identical histories collect identically.
 func (m *Machine) collectAuto() {
-	if m.gcNoGen || m.minorOverBudget ||
-		m.promotedSinceFull >= gcPromoteFullFactor*m.gcThreshold {
-		m.minorOverBudget = false
+	if m.gcNoGen || m.promotedSinceFull >= gcPromoteFullFactor*m.gcThreshold {
 		m.GC()
 	} else {
 		m.MinorGC()

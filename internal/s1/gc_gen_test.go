@@ -156,28 +156,6 @@ func TestWriteBarrierOldToYoung(t *testing.T) {
 	}
 }
 
-// TestMinorBudgetEscalates: after a minor overruns -gc-minor-budget, the
-// next automatic collection must be full (which resets the nursery and
-// the pressure that made the minor slow).
-func TestMinorBudgetEscalates(t *testing.T) {
-	m := New()
-	m.SetGCThreshold(64)
-	m.SetGCMinorBudget(1) // 1ns: any real minor overruns
-	m.regs[RegA] = NilWord
-	for i := 0; i < 400 && m.GCMeters.Collections == 0; i++ {
-		m.Cons(FixnumWord(int64(i)), NilWord)
-	}
-	if m.GCMeters.MinorCollections == 0 {
-		t.Error("no minor collection ran before escalation")
-	}
-	if m.GCMeters.Collections == 0 {
-		t.Error("over-budget minor never escalated to a full collection")
-	}
-	if m.minorOverBudget {
-		t.Error("escalation did not clear the over-budget latch")
-	}
-}
-
 // TestNoGenForcesFull: with generations disabled every automatic
 // collection is full.
 func TestNoGenForcesFull(t *testing.T) {

@@ -246,7 +246,7 @@ func (m *Machine) LoadImage(img *Image) error {
 		} else {
 			m.symIdx[c.Name] = i
 		}
-		m.foldSymHash(c.Name)
+		m.foldSymHash(c)
 	}
 	m.Boxes = boxes
 

@@ -175,13 +175,11 @@ type Machine struct {
 	liveSinceGC int64
 	liveWords   int64
 	// gcNoGen forces every automatic collection to be full (-gc-nogen);
-	// gcStressMinor forces a minor before every allocation. minorBudget
-	// (with its sticky overrun flag) and promotedSinceFull drive the
-	// minor→full escalation policy in collectAuto.
+	// gcStressMinor forces a minor before every allocation.
+	// promotedSinceFull drives the minor→full escalation policy in
+	// collectAuto.
 	gcNoGen           bool
 	gcStressMinor     bool
-	minorBudget       time.Duration
-	minorOverBudget   bool
 	promotedSinceFull int64
 	// arena, when non-nil, is the recycled storage pool this machine's
 	// slices were drawn from (arena.go); ReleaseArena hands them back.
@@ -298,9 +296,6 @@ func (m *Machine) Preempt() { m.signal.CompareAndSwap(sigRun, sigPreempt) }
 // between requests (resident sessions, arenas) must pass through here so
 // a stale kill from the previous request cannot leak into the next.
 func (m *Machine) ClearInterrupt() { m.signal.Store(sigRun) }
-
-// Interrupted reports whether a kill is pending.
-func (m *Machine) Interrupted() bool { return m.signal.Load() == sigKill }
 
 // pollSafepoint is the Run-loop safepoint: it surfaces deferred GC-site
 // hook errors, handles the tri-state signal, and reports the cycle delta
@@ -486,7 +481,7 @@ func (m *Machine) InternSym(name string) int {
 	m.Syms = append(m.Syms, SymCell{Name: name, Function: NilWord})
 	m.Syms[i].resolve()
 	m.symIdx[name] = i
-	m.foldSymHash(name)
+	m.foldSymHash(&m.Syms[i])
 	if m.cap != nil {
 		m.cap.Syms = append(m.cap.Syms, name)
 	}
@@ -495,7 +490,7 @@ func (m *Machine) InternSym(name string) int {
 
 // uninternedSym returns the index of uninterned host symbol x's cell,
 // making it on first use; the cell takes a place in the symbol table and
-// the symbol hash as InternSym's would. A capture in progress is
+// the symbol hash as InternSym's would, folded by position, not name. A capture in progress is
 // abandoned: its printed constants would read x back interned, so the
 // emission cannot be replayed.
 func (m *Machine) uninternedSym(x *sexp.Symbol) int {
@@ -509,7 +504,7 @@ func (m *Machine) uninternedSym(x *sexp.Symbol) int {
 		m.uninterned = map[*sexp.Symbol]int{}
 	}
 	m.uninterned[x] = i
-	m.foldSymHash(x.Name)
+	m.foldSymHash(&m.Syms[i])
 	return i
 }
 
@@ -632,21 +627,6 @@ func (m *Machine) value(o Operand) (Word, error) {
 		return m.load(a)
 	}
 	return Word{}, &RuntimeError{PC: m.pc, Msg: "unreadable operand"}
-}
-
-func (m *Machine) setValue(o Operand, w Word) error {
-	switch o.Mode {
-	case MReg:
-		m.regs[o.Base] = w
-		return nil
-	case MMem, MAbs, MIdx:
-		a, err := m.effaddr(o)
-		if err != nil {
-			return err
-		}
-		return m.store(a, w)
-	}
-	return &RuntimeError{PC: m.pc, Msg: "unwritable operand"}
 }
 
 func (m *Machine) push(w Word) error {

@@ -209,7 +209,7 @@ cat <<'FOOTER'
   "acceptance_threshold": 1.2,
   "what_changed": [
     "generational GC (DESIGN.md §15): blocks are born young; threshold collections mark from roots plus the card-table remembered set, sweep only the nursery, and promote survivors in place by their sticky mark",
-    "collections escalate to full on -gc-nogen, on promotion pressure (8x threshold tenured since the last full), or after a minor overruns -gc-minor-budget",
+    "collections escalate to full on -gc-nogen or on promotion pressure (8x threshold tenured since the last full)",
     "the mark phase is an explicit worklist (no Go recursion), and emptied big-block free-list size classes are pruned",
     "machine-arena reuse in slcd: request machines recycle heap/record/stack/card storage through a sync.Pool of arenas (slcd_arena_recycles_total)"
   ]
