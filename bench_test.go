@@ -337,7 +337,7 @@ func BenchmarkObsOverhead(b *testing.B) {
     (return i)))`
 	run := func(b *testing.B, flight *obs.Flight) {
 		sys := core.NewSystem(core.Options{
-			MaxHeapWords: 4096, HotThreshold: -1, Flight: flight,
+			MaxHeapWords: 4096, Flight: flight,
 		})
 		if err := sys.LoadString(churnSrc); err != nil {
 			b.Fatal(err)

@@ -13,8 +13,6 @@
 //	slc -listing -transcript examples/testfn.lisp
 //	slc -run main -stats prog.lisp 10 20
 //	slc -no-tnbind -no-rep -listing prog.lisp
-//	slc -run main -notier prog.lisp              # plain decoded dispatch
-//	slc -run main -hot-threshold 0 prog.lisp     # promote every function at load
 //
 // Observability flags (see DESIGN.md §8):
 //
@@ -60,21 +58,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/obs"
-	"repro/internal/s1"
 	"repro/internal/sexp"
 	"repro/internal/snapshot"
 )
-
-// tierThreshold maps the -hot-threshold flag onto core.Options
-// semantics: the flag's 0 means "promote everything at load", which
-// core expresses as a negative threshold (0 there keeps the machine
-// default).
-func tierThreshold(flagVal int64) int64 {
-	if flagVal <= 0 {
-		return -1
-	}
-	return flagVal
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -90,8 +76,6 @@ func run() error {
 		noRep      = flag.Bool("no-rep", false, "disable representation analysis")
 		noPdl      = flag.Bool("no-pdl", false, "disable pdl-number stack allocation")
 		noCache    = flag.Bool("no-spec-cache", false, "disable special-variable lookup caching")
-		noTier     = flag.Bool("notier", false, "disable tiered execution (hot-function re-fusion and block lowering)")
-		hotThresh  = flag.Int64("hot-threshold", s1.DefaultHotThreshold, "invocations before a function is re-optimized (0 = promote everything at load)")
 		listing    = flag.Bool("listing", false, "print assembly listings for every function")
 		transcript = flag.Bool("transcript", false, "print the source-to-source transformation transcript")
 		stats      = flag.Bool("stats", false, "print machine meters after execution")
@@ -171,7 +155,6 @@ func run() error {
 	sysOpts := core.Options{Codegen: &opts, Out: os.Stdout, Jobs: *jobs,
 		MaxErrors: *maxErrors, Fault: faultPlan,
 		MaxSteps: *maxSteps, MaxHeapWords: *maxHeap, OptWatchdog: *optWatch,
-		NoTier: *noTier, HotThreshold: tierThreshold(*hotThresh),
 		GCStress: *gcStress, GCStressMinor: *gcStressM,
 		GCNoGen: *gcNoGen}
 	if *cacheDir != "" {
@@ -189,7 +172,7 @@ func run() error {
 		sysOpts.Obs = obs.NewRecorder()
 	}
 	// The flight recorder is always on (bounded, lock-cheap): GC pauses,
-	// tier promotions and cache traffic from this process land in it and
+	// GC pauses and cache traffic from this process land in it and
 	// serve at /debug/events when -debug-addr is up.
 	flight := obs.NewFlight(obs.DefaultFlightSize)
 	sysOpts.Flight = flight

@@ -40,7 +40,7 @@
 //
 // Observability (DESIGN.md §13): every request gets a W3C traceparent
 // (accepted or generated) that links its daemon span, compile phases,
-// tier promotions and GC pauses; an always-on flight recorder of the
+// GC pauses and cache traffic; an always-on flight recorder of the
 // last -events runtime events serves at /debug/events and dumps as
 // JSON on SIGQUIT or panic; request/phase/GC latency histograms export
 // on /metrics; logs are structured JSON on stderr (trace-correlated).
@@ -76,7 +76,6 @@ import (
 	"repro/internal/daemon"
 	"repro/internal/diag"
 	"repro/internal/obs"
-	"repro/internal/s1"
 	"repro/internal/snapshot"
 )
 
@@ -85,17 +84,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "slcd:", err)
 		os.Exit(1)
 	}
-}
-
-// tierThreshold maps the -hot-threshold flag onto daemon.Config
-// semantics: the flag's 0 means "promote everything at load", which the
-// config expresses as a negative threshold (0 there keeps the machine
-// default).
-func tierThreshold(flagVal int64) int64 {
-	if flagVal <= 0 {
-		return -1
-	}
-	return flagVal
 }
 
 func run() error {
@@ -112,9 +100,7 @@ func run() error {
 		snapDir    = flag.String("snapshot-dir", "", "durable machine-snapshot directory for warm boot and session durability across restarts")
 		faultSpec  = flag.String("fault", "", "fault-injection plan, e.g. 'disk:*:cache-write;request:unit=slow:deadline' (default $SLC_FAULT)")
 		optWatch   = flag.Duration("opt-watchdog", 5*time.Second, "wall-clock budget for each unit's optimizer fixpoint (0 = none)")
-		noTier     = flag.Bool("notier", false, "disable tiered execution in per-request machines")
 		gcNoGen    = flag.Bool("gc-nogen", false, "disable generational GC in per-request machines (every collection full)")
-		hotThresh  = flag.Int64("hot-threshold", s1.DefaultHotThreshold, "invocations before a function is re-optimized (0 = promote everything at load)")
 		gasRate    = flag.Int64("gas-rate", 0, "per-tenant gas refill in simulated S-1 cycles per second (0 = gas metering off)")
 		gasBurst   = flag.Int64("gas-burst", 0, "per-tenant gas bucket capacity in cycles (0 = 10x -gas-rate)")
 		maxSess    = flag.Int("max-sessions", 10000, "resident sessions held at once")
@@ -172,8 +158,6 @@ func run() error {
 		MaxHeapWords:   *maxHeap,
 		OptWatchdog:    *optWatch,
 		Fault:          faultPlan,
-		NoTier:         *noTier,
-		HotThreshold:   tierThreshold(*hotThresh),
 		GCNoGen:        *gcNoGen,
 		GasRate:        *gasRate,
 		GasBurst:       *gasBurst,

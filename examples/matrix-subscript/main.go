@@ -5,7 +5,7 @@
 // indexed operands, no MOV instructions in the statement body. The
 // program prints the inner-statement listing, runs the kernel on the
 // simulator, verifies one element against a host-side computation, and
-// reports what the tier engine promoted.
+// reports the machine meters.
 package main
 
 import (
@@ -106,10 +106,6 @@ func main() {
 	if z.Data[i*n+k] != want {
 		log.Fatal("simulator and host disagree")
 	}
-
-	ts := sys.Machine.TierStats()
-	fmt.Printf("\n=== tier ===\n%d hot functions (threshold %d calls), %d lowered blocks over %d instructions\n",
-		ts.HotFunctions, ts.Threshold, ts.LoweredBlocks, ts.LoweredInstrs)
 
 	st := sys.Stats()
 	fmt.Printf("\n%d instructions, %d cycles, %d MOVs\n", st.Instrs, st.Cycles, st.Movs)

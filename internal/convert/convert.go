@@ -382,8 +382,9 @@ func (c *Converter) ConvertForm(form sexp.Value) (tree.Node, error) {
 	return c.Convert(form, topEnv())
 }
 
-// ConvertLambda converts a (lambda ...) or (defun ...) form to a Lambda
-// node in an empty environment.
+// ConvertLambda converts a (lambda ...) form to a Lambda node in an
+// empty environment. Any other form, a (defun ...) included, is an
+// error: a defun converts to its definition, not to a Lambda.
 func (c *Converter) ConvertLambda(form sexp.Value) (*tree.Lambda, error) {
 	n, err := c.ConvertForm(form)
 	if err != nil {

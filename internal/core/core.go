@@ -110,21 +110,8 @@ type Options struct {
 	// fixpoint (the -opt-watchdog flag); an expired unit fails with a
 	// diagnostic. 0 means no watchdog.
 	OptWatchdog time.Duration
-	// NoTier disables the simulator's tiered execution engine (the
-	// -notier flag): functions never promote to trace-refused,
-	// block-lowered code and every instruction dispatches individually
-	// from the pre-decoded stream. Observable behavior is identical
-	// either way (see DESIGN.md §12); the switch exists for differential
-	// testing and benchmarking.
-	NoTier bool
-	// HotThreshold overrides the tier promotion threshold (the
-	// -hot-threshold flag): a function is re-optimized once its
-	// invocation count reaches the threshold. 0 keeps the machine
-	// default (s1.DefaultHotThreshold); negative promotes every function
-	// at install time ("forced hot"). Ignored when NoTier is set.
-	HotThreshold int64
 	// Flight, if non-nil, receives runtime and cache events (GC pauses,
-	// tier promotions, disk-cache hit/miss) for the always-on flight
+	// disk-cache hit/miss) for the always-on flight
 	// recorder. Shared across Systems; events carry TraceID.
 	Flight *obs.Flight
 	// TraceID is the W3C trace id stamped on this system's flight events
@@ -215,11 +202,6 @@ func NewSystem(opts Options) *System {
 	}
 	if opts.MaxHeapWords > 0 {
 		m.HeapLimit = opts.MaxHeapWords
-	}
-	if opts.NoTier {
-		m.SetNoTier()
-	} else if opts.HotThreshold != 0 {
-		m.SetHotThreshold(opts.HotThreshold)
 	}
 	if opts.GCStress {
 		m.SetGCStress(true)

@@ -33,9 +33,8 @@ func (s *System) WriteMeters(w io.Writer, interpreted bool) {
 		fmt.Fprintf(w, ";; gc:                %d collections, %d words reclaimed\n",
 			gc.Collections, gc.WordsReclaimed)
 	}
-	if ts := s.Machine.TierStats(); ts.Promotions > 0 {
-		fmt.Fprintf(w, ";; tier:              %d hot functions (%d re-fusions, %d blocks / %d instrs lowered, %d cache fills)\n",
-			ts.HotFunctions, ts.Refusions, ts.LoweredBlocks, ts.LoweredInstrs, ts.CacheFills)
+	if fills := s.Machine.CacheFills(); fills > 0 {
+		fmt.Fprintf(w, ";; call cache fills:  %d\n", fills)
 	}
 	if interpreted && s.oracle != nil {
 		is := s.oracle.in.Stats
@@ -90,13 +89,6 @@ func (s *System) MetricsSnapshot() map[string]float64 {
 	if probes := st.CompileCacheHits + st.CompileCacheMisses; probes > 0 {
 		m["slc_compile_cache_hit_rate"] = float64(st.CompileCacheHits) / float64(probes)
 	}
-	if ts := s.Machine.TierStats(); ts.Enabled {
-		m["slc_tier_hot_functions"] = float64(ts.HotFunctions)
-		m["slc_tier_promotions_total"] = float64(ts.Promotions)
-		m["slc_tier_refusions_total"] = float64(ts.Refusions)
-		m["slc_tier_lowered_blocks"] = float64(ts.LoweredBlocks)
-		m["slc_tier_lowered_instructions"] = float64(ts.LoweredInstrs)
-		m["slc_tier_call_cache_fills_total"] = float64(ts.CacheFills)
-	}
+	m["slc_tier_call_cache_fills_total"] = float64(s.Machine.CacheFills())
 	return m
 }

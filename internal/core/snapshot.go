@@ -148,7 +148,6 @@ func Rehydrate(snap *snapshot.Snapshot) (*Rehydrated, error) {
 	}
 	r.specials = conv.Specials
 	r.template = s1.New()
-	r.template.SetNoTier() // it never runs, so it needs no tier tables
 	if err := r.template.LoadImage(snap.Image); err != nil {
 		return nil, err
 	}
@@ -161,7 +160,7 @@ func Rehydrate(snap *snapshot.Snapshot) (*Rehydrated, error) {
 
 // Restore builds a System from r's snapshot. The options configure the
 // new system exactly as NewSystem would (the execution toggles —
-// NoTier, HotThreshold, GCStress, limits — apply to the restored
+// GCStress, limits — apply to the restored
 // machine; Options.Constants is rejected); the snapshot supplies the
 // machine image and the compiler pinning, and r the converter state and
 // name tables, copied. Safe for concurrent use.

@@ -3,15 +3,12 @@
 // the same sources — same -image-hash, same allocator context, same
 // heap statistics, same eval results and meters, and identical
 // evolution under *further* loads (gensym, macro epoch and unit-naming
-// counters all pinned). CI runs this file under S1_TIER_MODE=notier and
-// =forcehot as well (see .github/workflows), and the suite has its own
-// -gc-stress leg.
+// counters all pinned). The suite has its own -gc-stress leg.
 package core
 
 import (
 	"errors"
 	"fmt"
-	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -42,20 +39,9 @@ const snapPrelude = `
 (churn 24)
 `
 
-// snapOpts is the per-mode system configuration, honoring the
-// S1_TIER_MODE CI legs the way the s1 differential suites do.
+// snapOpts is the per-mode system configuration.
 func snapOpts(t testing.TB, gcStress bool) Options {
-	opts := Options{GCStress: gcStress}
-	switch mode := os.Getenv("S1_TIER_MODE"); mode {
-	case "":
-	case "notier":
-		opts.NoTier = true
-	case "forcehot":
-		opts.HotThreshold = -1
-	default:
-		t.Fatalf("unknown S1_TIER_MODE %q", mode)
-	}
-	return opts
+	return Options{GCStress: gcStress}
 }
 
 // coldBoot compiles the prelude from scratch.
@@ -368,24 +354,52 @@ const isolationRequest = `
 (list (car *tbl*) (scaled 2) (fib 5) (fresh-box) *fresh*)
 `
 
+// isolationPolySrc joins the prelude for TestRestoreTemplateIsolation:
+// mono-step's call to step1 goes through a symbol-keyed inline cache,
+// poly-step's funcall through a register-keyed one that sees two
+// callees, and isolationRebind moves step1's function cell under the
+// warmed caches (the poly-call runtime kernel's mid-run rebind).
+const isolationPolySrc = `
+(defun inc (x) (+& x 1))
+(defun dbl (x) (+& x x))
+(defun poly-step (f x) (funcall f x))
+(defun mono-step (x) (step1 x))
+(defun poly-driver (k)
+  (prog (i acc)
+    (setq i 0)
+    (setq acc 1)
+   loop
+    (if (>=& i k) (return acc) nil)
+    (setq acc (mono-step acc))
+    (setq acc (poly-step (if (oddp i) (function inc) (function dbl)) acc))
+    (setq i (+& i 1))
+    (go loop)))
+(defun step1 (x) (if (>=& x 4097) 1 (inc x)))
+`
+
+const isolationRebind = `(defun step1 (x) (if (>=& x 4097) 1 (inc x)))`
+
 // TestRestoreTemplateIsolation: request machines copied from one
 // rehydrated template, concurrently, write through every write path —
-// the request above, a full and a minor collection, and tier promotion
-// of a prelude function — and the template must come out unchanged: its
+// the request above, a full and a minor collection, and inline-cache
+// fills and invalidations on call sites the template's lowered stream
+// holds — and the template must come out unchanged: its
 // ImageFingerprint still the snapshot's recorded hash, its allocator
-// context as before, and the next restore the same machine as a
-// LoadImage of the snapshot. It runs in each tier mode and under forced
-// collection.
+// context as before, its call sites' caches still empty (every request
+// machine, before and after, fills exactly as many), and the next
+// restore the same machine as a LoadImage of the snapshot. It also runs
+// under forced collection.
 func TestRestoreTemplateIsolation(t *testing.T) {
 	modes := map[string]Options{
 		"default":  {},
-		"notier":   {NoTier: true},
-		"forcehot": {HotThreshold: -1},
 		"gcstress": {GCStress: true},
 	}
 	for name, opts := range modes {
 		t.Run(name, func(t *testing.T) {
-			cold := coldBoot(t, opts)
+			cold := NewSystem(opts)
+			if err := cold.LoadString(snapPrelude + isolationPolySrc); err != nil {
+				t.Fatal(err)
+			}
 			// Collect the prelude's garbage, so the template's free lists
 			// hold blocks the requests reuse before they collect.
 			cold.Machine.GC()
@@ -398,6 +412,13 @@ func TestRestoreTemplateIsolation(t *testing.T) {
 				t.Fatal(err)
 			}
 			tmplCtx := rh.template.AllocContext()
+			wantFills, err := isolationWrites(rh, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantFills == 0 {
+				t.Fatal("the requests filled no inline cache; the test proves nothing")
+			}
 
 			const systems = 4
 			errs := make([]error, systems)
@@ -406,7 +427,11 @@ func TestRestoreTemplateIsolation(t *testing.T) {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					errs[g] = isolationWrites(rh, opts)
+					fills, err := isolationWrites(rh, opts)
+					if err == nil && fills != wantFills {
+						err = fmt.Errorf("%d inline-cache fills, the first request made %d", fills, wantFills)
+					}
+					errs[g] = err
 				}(g)
 			}
 			wg.Wait()
@@ -421,6 +446,9 @@ func TestRestoreTemplateIsolation(t *testing.T) {
 			}
 			if got := rh.template.AllocContext(); got != tmplCtx {
 				t.Errorf("template allocator context changed:\n%s\n%s", got, tmplCtx)
+			}
+			if fills, err := isolationWrites(rh, opts); err != nil || fills != wantFills {
+				t.Errorf("a request after the others: %d inline-cache fills (%v), the first made %d", fills, err, wantFills)
 			}
 			next, err := rh.Restore(opts)
 			if err != nil {
@@ -442,31 +470,34 @@ func TestRestoreTemplateIsolation(t *testing.T) {
 	}
 }
 
-// isolationWrites restores a system from rh and writes through it (see
-// TestRestoreTemplateIsolation).
-func isolationWrites(rh *Rehydrated, opts Options) error {
+// isolationWrites restores a system from rh, writes through it (see
+// TestRestoreTemplateIsolation) and returns its inline-cache fills.
+func isolationWrites(rh *Rehydrated, opts Options) (int64, error) {
 	sys, err := rh.Restore(opts)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	v, err := sys.EvalString(isolationRequest)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if got, want := sexp.Print(v), `(99 14 -5 "a string no prelude holds" a-symbol-no-prelude-has)`; got != want {
-		return fmt.Errorf("request returned %s, want %s", got, want)
+		return 0, fmt.Errorf("request returned %s, want %s", got, want)
 	}
 	m := sys.Machine
 	m.GC()
 	m.MinorGC()
-	m.SetHotThreshold(1) // the next call of a prelude function promotes it
-	if v, err := sys.Call("exptl", sexp.Fixnum(3), sexp.Fixnum(4), sexp.Fixnum(1)); err != nil || sexp.Print(v) != "81" {
-		return fmt.Errorf("exptl after promotion: %v %v", v, err)
+	for _, rebind := range []string{"", isolationRebind} {
+		if err := sys.LoadString(rebind); err != nil {
+			return 0, err
+		}
+		for i := 0; i < 3; i++ {
+			if v, err := sys.Call("poly-driver", sexp.Fixnum(100)); err != nil || sexp.Print(v) != "2" {
+				return 0, fmt.Errorf("(poly-driver 100) = %v, %v", v, err)
+			}
+		}
 	}
-	if m.TierStats().Promotions == 0 {
-		return fmt.Errorf("no prelude function was promoted")
-	}
-	return m.CheckHeapInvariants()
+	return m.CacheFills(), m.CheckHeapInvariants()
 }
 
 // BenchmarkSnapshotBoot measures the tentpole claim: warm-start eval is

@@ -82,11 +82,11 @@ type Config struct {
 	MaxHeapWords int64
 	// OptWatchdog bounds each unit's optimizer fixpoint.
 	OptWatchdog time.Duration
-	// NoTier disables tiered execution in the per-request machines;
-	// HotThreshold overrides the promotion threshold (0 = machine
-	// default, negative = promote everything at load). See
-	// core.Options.
-	NoTier       bool
+	// HotThreshold is ignored: every function runs lowered from
+	// install.
+	//
+	// Deprecated: kept so configurations written for the old tiered
+	// engine still compile.
 	HotThreshold int64
 	// GCNoGen disables generational collection in the per-request
 	// machines (-gc-nogen). See core.Options.
@@ -176,7 +176,7 @@ type Response struct {
 	TraceID string `json:"trace_id,omitempty"`
 	// Trace, present when the request asked for ?trace=1, is the
 	// request's Chrome trace-event JSON: compile phase spans plus the
-	// runtime events (GC pauses, tier promotions, cache traffic) that
+	// runtime events (GC pauses, cache traffic) that
 	// carried this trace id.
 	Trace json.RawMessage `json:"trace,omitempty"`
 }
@@ -190,11 +190,8 @@ type Stats struct {
 	TimedOut  int64 `json:"timed_out"`
 	Panics    int64 `json:"panics"` // requests that hit the last-resort barrier
 	Drained   int64 `json:"drained"`
-	// Tier counters aggregate the per-request machines' tiered-execution
-	// activity (promotions to hot code, trace re-fusions, call inline
-	// cache fills) over the daemon's lifetime.
-	TierPromotions int64 `json:"tier_promotions"`
-	TierRefusions  int64 `json:"tier_refusions"`
+	// TierCacheFills aggregates the per-request machines' call-site
+	// inline-cache fills over the daemon's lifetime.
 	TierCacheFills int64 `json:"tier_cache_fills"`
 	// Snapshot counters: per-request systems served from the boot
 	// snapshot, restores that failed verification and fell back to a
@@ -412,8 +409,6 @@ func (s *Server) Metrics() map[string]float64 {
 		"slcd_requests_shed":               float64(st.Shed),
 		"slcd_requests_timeout":            float64(st.TimedOut),
 		"slcd_requests_panic":              float64(st.Panics),
-		"slcd_tier_promotions_total":       float64(st.TierPromotions),
-		"slcd_tier_refusions_total":        float64(st.TierRefusions),
 		"slcd_tier_call_cache_fills_total": float64(st.TierCacheFills),
 		// 0 = closed, 1 = open, 2 = half-open (compilecache.BreakerState
 		// order); 0 when no disk cache is configured.
@@ -806,7 +801,7 @@ func firstDiag(r *Response) string {
 }
 
 // runtimeTid is the trace thread id carrying runtime instants (GC
-// pauses, tier transitions, cache traffic) in per-request exports, kept
+// pauses, cache traffic) in per-request exports, kept
 // clear of the compile workers' small ids.
 const runtimeTid = 99
 
@@ -901,15 +896,15 @@ func (s *Server) runRequest(ctx context.Context, req *Request, rq *reqInfo, tk *
 
 // machineMeters are the machine counters slcd folds into its lifetime
 // totals: the collector's, the marshaled fallback-primitive calls and
-// the tier's.
+// the call-site inline-cache fills.
 type machineMeters struct {
-	gc        s1.GCStats
-	marshaled int64
-	tier      s1.TierStats
+	gc         s1.GCStats
+	marshaled  int64
+	cacheFills int64
 }
 
 func metersOf(m *s1.Machine) machineMeters {
-	return machineMeters{gc: m.GCMeters, marshaled: m.Stats.MarshaledPrims, tier: m.TierStats()}
+	return machineMeters{gc: m.GCMeters, marshaled: m.Stats.MarshaledPrims, cacheFills: m.CacheFills()}
 }
 
 // eval is the one evaluation of a request's source and call, shared by
@@ -941,9 +936,7 @@ func (s *Server) eval(ctx context.Context, tk *sched.Task, sys *core.System, req
 		s.stats.GCMinorCollections += now.gc.MinorCollections - base.gc.MinorCollections
 		s.stats.GCWordsPromoted += now.gc.WordsPromoted - base.gc.WordsPromoted
 		s.stats.MarshaledPrims += now.marshaled - base.marshaled
-		s.stats.TierPromotions += now.tier.Promotions - base.tier.Promotions
-		s.stats.TierRefusions += now.tier.Refusions - base.tier.Refusions
-		s.stats.TierCacheFills += now.tier.CacheFills - base.tier.CacheFills
+		s.stats.TierCacheFills += now.cacheFills - base.cacheFills
 		s.mu.Unlock()
 	}()
 

@@ -649,24 +649,26 @@ func TestSessionCreateAccounting(t *testing.T) {
 	})
 }
 
-// TestSessionRunFoldsTierPromotions: a session /run whose calls cross
-// the hot threshold raises slcd_tier_promotions_total, as a stateless
-// /run does.
-func TestSessionRunFoldsTierPromotions(t *testing.T) {
+// TestSessionRunFoldsCacheFills: a session /run whose first call
+// through a late-bound site fills its inline cache raises
+// slcd_tier_call_cache_fills_total, as a stateless /run does.
+func TestSessionRunFoldsCacheFills(t *testing.T) {
 	s := New(Config{SchedWorkers: 1, ReqTimeout: 10 * time.Second})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
+	// many is compiled before sq exists, so its call late-binds through
+	// sq's function cell: an inline-cache site.
 	code, resp, _ := post(t, ts, "/session", Request{Source: `
-(defun sq (x) (* x x))
-(defun many (n) (prog (i) (setq i 0) l (if (>= i n) (return i)) (sq i) (setq i (+ i 1)) (go l)))`})
+(defun many (n) (prog (i) (setq i 0) l (if (>= i n) (return i)) (sq i) (setq i (+ i 1)) (go l)))
+(defun sq (x) (* x x))`})
 	if code != http.StatusOK || !resp.OK {
 		t.Fatalf("create: status %d, resp %+v", code, resp)
 	}
-	before := s.Metrics()["slcd_tier_promotions_total"]
+	before := s.Metrics()["slcd_tier_call_cache_fills_total"]
 	if code, r, _ := post(t, ts, "/run", Request{Session: resp.Session, Source: "(many 1000)"}); code != http.StatusOK || !r.OK {
 		t.Fatalf("session run: status %d, resp %+v", code, r)
 	}
-	if after := s.Metrics()["slcd_tier_promotions_total"]; after <= before {
-		t.Errorf("slcd_tier_promotions_total = %v after a promoting session /run, %v before", after, before)
+	if after := s.Metrics()["slcd_tier_call_cache_fills_total"]; after <= before {
+		t.Errorf("slcd_tier_call_cache_fills_total = %v after a session /run calling sq, %v before", after, before)
 	}
 }

@@ -42,8 +42,6 @@ func (s *Server) sysOptions() core.Options {
 		OptWatchdog:  s.cfg.OptWatchdog,
 		DiskCache:    s.cfg.Disk,
 		Fault:        s.cfg.Fault,
-		NoTier:       s.cfg.NoTier,
-		HotThreshold: s.cfg.HotThreshold,
 		// Generational knobs. These never affect compiled output (no
 		// compile configuration sets a GC threshold), so restored machines
 		// verify against snapshots regardless of the settings.

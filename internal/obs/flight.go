@@ -2,7 +2,7 @@ package obs
 
 // The flight recorder is the always-on half of the observability layer:
 // a bounded, lock-free ring of typed events (request lifecycle, load
-// shedding, deadline interrupts, tier promotions, GC pauses, disk-cache
+// shedding, deadline interrupts, GC pauses, disk-cache
 // traffic, fault injection) that survives until the moment of a crash
 // and can therefore explain it. Writers pay one atomic add, one small
 // allocation and one atomic pointer store per event — events are rare
@@ -32,8 +32,6 @@ const (
 	EvReqFinish       = "req-finish"
 	EvLoadShed        = "load-shed"
 	EvDeadline        = "deadline"
-	EvTierPromote     = "tier-promote"
-	EvTierRefusion    = "tier-refusion"
 	EvGCPause         = "gc-pause"
 	EvGCMinorPause    = "gc-minor-pause"
 	EvCacheHit        = "cache-hit"

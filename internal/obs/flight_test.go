@@ -132,7 +132,7 @@ func TestFlightConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			kinds := []string{EvGCPause, EvTierPromote, EvReqFinish, EvCacheHit}
+			kinds := []string{EvGCPause, EvDeadline, EvReqFinish, EvCacheHit}
 			for i := 0; i < perWriter; i++ {
 				f.Record(Event{Kind: kinds[i%len(kinds)], Unit: "w"})
 			}

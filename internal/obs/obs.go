@@ -59,7 +59,7 @@ type RuleEvent struct {
 }
 
 // Instant is a standalone point event on a worker timeline — runtime
-// happenings (tier promotions, GC pauses, cache traffic) merged into the
+// happenings (GC pauses, cache traffic) merged into the
 // Chrome trace alongside the compile-phase spans.
 type Instant struct {
 	// Name is the event label shown in the trace viewer.

@@ -36,7 +36,7 @@ func usec(d int64) float64 { return float64(d) / 1e3 }
 // id); spans become properly nested B/E pairs with non-decreasing
 // timestamps per thread; rule fires and instants become thread-scoped
 // instant events. A worker that has only instants (e.g. the runtime
-// timeline carrying GC pauses and tier promotions) still gets a thread.
+// timeline carrying GC pauses) still gets a thread.
 func (r *Recorder) WriteTrace(w io.Writer) error {
 	if r == nil {
 		return fmt.Errorf("obs: no recorder")

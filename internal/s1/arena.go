@@ -2,7 +2,7 @@ package s1
 
 // Machine-arena reuse (DESIGN.md §15). A request-per-machine server
 // allocates the same few large slices — heap, GC records, card table,
-// code vector and its decoded streams — for every request, runs a
+// code vector and its lowered stream — for every request, runs a
 // prelude image into them, and drops the lot at request end; the Go
 // allocator pays for that churn. An Arena recycles the storage: when a
 // request finishes, ReleaseArena detaches the machine's slices into the
@@ -29,11 +29,10 @@ type Arena struct {
 	blocks []uint64
 	young  []uint64
 	mark   []uint64
-	// code, decBase and dec are the code vector and decoded streams, for
-	// LoadImage and AddBody to append into instead of regrowing them.
-	code    []Instr
-	decBase []dinstr
-	dec     []dinstr
+	// code and ops are the code vector and lowered stream, for LoadImage,
+	// LoadFrom and AddBody to append into instead of regrowing them.
+	code []Instr
+	ops  []lop
 	// heapUsed/recsUsed are the dirty prefixes: the slice lengths at
 	// release time. Capacity beyond them has never been written (heap
 	// growth copies into fresh zeroed storage), which is exactly the
@@ -85,18 +84,18 @@ func (a *Arena) adopt(m *Machine) {
 	m.gcBlocks = a.blocks[:0]
 	m.youngBlocks = a.young[:0]
 	m.markStack = a.mark[:0]
-	clear(a.code) // drop the previous tenant's strings and closures
-	clear(a.decBase)
-	clear(a.dec)
+	// Code holds the previous tenant's comment strings; ops holds no
+	// pointer, so it is reused as it is and overwritten by the appends.
+	clear(a.code)
 	m.Code = append(a.code[:0], m.Code...)
-	m.decBase, m.dec = a.decBase[:0], a.dec[:0]
+	m.ops = a.ops[:0]
 	m.arena = a
 	// The slices now belong to the machine until ReleaseArena harvests
 	// them back; nil the arena's references so a machine dropped without
 	// releasing can never alias a later tenant.
 	a.heap, a.recs, a.cards = nil, nil, nil
 	a.blocks, a.young, a.mark = nil, nil, nil
-	a.code, a.decBase, a.dec = nil, nil, nil
+	a.code, a.ops = nil, nil
 	a.heapUsed, a.recsUsed = 0, 0
 }
 
@@ -116,8 +115,8 @@ func (m *Machine) ReleaseArena() bool {
 		return false
 	}
 	if cap(m.Code) <= arenaKeepInstrs {
-		a.code, a.decBase, a.dec = m.Code, m.decBase, m.dec
-		m.Code, m.decBase, m.dec = nil, nil, nil
+		a.code, a.ops = m.Code, m.ops
+		m.Code, m.ops = nil, nil
 	}
 	a.heap, a.heapUsed = m.heap, len(m.heap)
 	a.recs, a.recsUsed = m.gcRecs, len(m.gcRecs)

@@ -87,12 +87,11 @@ type stackWriter struct {
 
 func stackWritePaths() []stackWriter {
 	// leaf is a callee for the inline-cache paths.
-	leaf := func(t *testing.T, m *Machine, nargs int) (int, int) {
-		idx := addFn(t, m, "leaf", nargs, nargs, []Item{
+	leaf := func(t *testing.T, m *Machine, nargs int) int {
+		return addFn(t, m, "leaf", nargs, nargs, []Item{
 			InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Imm(NilWord)}),
 			InstrItem(Instr{Op: OpRET}),
 		})
-		return idx, m.Funcs[idx].Entry
 	}
 	return []stackWriter{
 		{"store", func(t *testing.T, m *Machine) (uint64, Word) {
@@ -109,11 +108,9 @@ func stackWritePaths() []stackWriter {
 			return deep, FixnumWord(12)
 		}},
 		{"storeFast", func(t *testing.T, m *Machine) (uint64, Word) {
-			// Forced hot at AddFunction, so the store runs as an lMovXI
-			// in the lowered block, SP-relative past the frame. The call
-			// then spins until a preemption stops it, because a finished
-			// call resets the stack.
-			m.SetHotThreshold(0)
+			// The store runs as an lMovXI, SP-relative past the frame.
+			// The call then spins until a preemption stops it, because a
+			// finished call resets the stack.
 			addFn(t, m, "poke", 0, 0, []Item{
 				InstrItem(Instr{Op: OpMOV, A: Mem(RegSP, deep), B: Imm(FixnumWord(13))}),
 				InstrItem(Instr{Op: OpMOV, A: R(RegRTA), B: ImmInt(100_000)}),
@@ -123,9 +120,6 @@ func stackWritePaths() []stackWriter {
 				InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Imm(NilWord)}),
 				InstrItem(Instr{Op: OpRET}),
 			})
-			if m.TierStats().Promotions == 0 {
-				t.Fatal("poke was not promoted")
-			}
 			m.Preempt()
 			if _, err := m.CallFunction("poke"); !errors.Is(err, ErrPreempted) {
 				t.Fatalf("poke returned %v, want ErrPreempted", err)
@@ -133,9 +127,9 @@ func stackWritePaths() []stackWriter {
 			return deep + 4, FixnumWord(13) // the frame's four words sit below SP
 		}},
 		{"enterFrameIC", func(t *testing.T, m *Machine) (uint64, Word) {
-			idx, entry := leaf(t, m, 0)
+			idx := leaf(t, m, 0)
 			m.regs[RegSP] = RawInt(StackBase + deep)
-			if !m.enterFrameIC(0, 7, idx, entry) {
+			if !m.enterFrameIC(0, 7, idx) {
 				t.Fatal("enterFrameIC declined")
 			}
 			return deep + 1, RawInt(7) // the saved return PC
@@ -144,7 +138,7 @@ func stackWritePaths() []stackWriter {
 			// A zero-argument frame whose callee reserved three outgoing
 			// argument slots without writing them: the tail call's new
 			// frame words land above everything written so far.
-			idx, entry := leaf(t, m, 3)
+			idx := leaf(t, m, 3)
 			fp := uint64(StackBase + deep)
 			for i, w := range []Word{RawInt(0), RawInt(7), RawInt(8), RawInt(9)} {
 				if err := m.store(fp-4+uint64(i), w); err != nil {
@@ -153,7 +147,7 @@ func stackWritePaths() []stackWriter {
 			}
 			m.regs[RegFP] = RawInt(int64(fp))
 			m.regs[RegSP] = RawInt(int64(fp + 3))
-			if !m.tailCallIC(3, idx, entry) {
+			if !m.tailCallIC(3, idx) {
 				t.Fatal("tailCallIC declined")
 			}
 			return deep + 2, RawInt(9) // the moved saved EP, past the old frame
@@ -217,8 +211,9 @@ func checkStackGrowth(t *testing.T, w stackWriter, fresh func() *Machine,
 	}
 }
 
-// TestArenaRecyclesCode: the code vector and its decoded streams come
-// back through the arena emptied but with their capacity, and a machine
+// TestArenaRecyclesCode: the code vector comes back through the arena
+// emptied and the lowered stream as it was (it holds no pointer), both
+// with their capacity, and a machine
 // built on them assembles and runs exactly as a fresh one does; a
 // machine whose code outgrew arenaKeepInstrs leaves its code behind.
 func TestArenaRecyclesCode(t *testing.T) {
@@ -230,30 +225,28 @@ func TestArenaRecyclesCode(t *testing.T) {
 	if _, err := m1.CallFunction("add2", FixnumWord(1), FixnumWord(2)); err != nil {
 		t.Fatal(err)
 	}
-	codeCap, decCap := cap(m1.Code), cap(m1.dec)
+	codeCap, opsCap := cap(m1.Code), cap(m1.ops)
 	if !m1.ReleaseArena() {
 		t.Fatal("ReleaseArena refused an arena-built machine")
 	}
 
 	m2 := NewFromArena(ar)
-	if cap(m2.Code) != codeCap || cap(m2.dec) != decCap || cap(m2.decBase) < decCap {
-		t.Errorf("second tenant code/dec cap = %d/%d, want recycled %d/%d",
-			cap(m2.Code), cap(m2.dec), codeCap, decCap)
+	if cap(m2.Code) != codeCap || cap(m2.ops) != opsCap {
+		t.Errorf("second tenant code/ops cap = %d/%d, want recycled %d/%d",
+			cap(m2.Code), cap(m2.ops), codeCap, opsCap)
 	}
-	if len(m2.Code) != 1 || m2.Code[0].Op != OpHALT || len(m2.dec) != 0 || len(m2.decBase) != 0 {
-		t.Fatalf("recycled machine code not reset: %d instrs, %d/%d decoded", len(m2.Code), len(m2.dec), len(m2.decBase))
+	if len(m2.Code) != 1 || m2.Code[0].Op != OpHALT || len(m2.ops) != 0 {
+		t.Fatalf("recycled machine code not reset: %d instrs, %d lowered", len(m2.Code), len(m2.ops))
 	}
 	for i, ins := range m2.Code[1:cap(m2.Code)] {
 		if ins.Op != 0 || ins.Comment != "" {
 			t.Fatalf("recycled code keeps the previous tenant's instruction %d: %s", i+1, ins.String())
 		}
 	}
-	for i, d := range m2.dec[:cap(m2.dec)] {
-		if d.run != nil {
-			t.Fatalf("recycled decoded stream keeps the previous tenant's entry %d", i)
-		}
-	}
 	buildAdd2(t, m2)
+	if err := m2.CheckLoweredPristine(0, len(m2.Code)); err != nil {
+		t.Error(err)
+	}
 	w, err := m2.CallFunction("add2", FixnumWord(30), FixnumWord(12))
 	if err != nil || w != FixnumWord(42) {
 		t.Errorf("(add2 30 12) on recycled code = %s, %v", w, err)

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/s1"
 )
 
 // pctile returns the p-th percentile of ds (nearest-rank), or 0 when
@@ -45,7 +44,7 @@ func benchGCConfig(b *testing.B, opts core.Options) {
 	if err := sys.LoadString(k.src); err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < s1.DefaultHotThreshold+1; i++ {
+	for i := 0; i < warmupCalls; i++ {
 		if _, err := sys.Call(k.fn, k.args...); err != nil {
 			b.Fatal(err)
 		}

@@ -2,13 +2,11 @@
 // companion of the compile benchmarks in the repo root): the paper's four
 // kernels — tail-recursive exptl, quadratic, the §7 testfn, and the
 // Table-4 matrix-subscript kernel — plus a cons-heavy GC workload and a
-// polymorphic-call kernel. Each kernel runs compiled on the simulator in
-// two engine configurations — tiered (default: hot-function block
-// lowering) and -notier (plain pre-decoded dispatch) — reporting
-// simulated steps/sec (instructions retired per wall-clock second — the
-// interpreter-overhead metric BENCH_runtime.json tracks) and cycles/op.
-// Every configuration gets the same warm-up past the default promotion
-// threshold, so the timed region measures each engine's steady state.
+// polymorphic-call kernel. Each kernel runs compiled on the simulator,
+// reporting simulated steps/sec (instructions retired per wall-clock
+// second — the interpreter-overhead metric BENCH_runtime.json tracks)
+// and cycles/op, after a fixed warm-up, so the timed region measures the
+// engine's steady state.
 //
 // The external test package lets the suite drive the full compiler
 // (core imports s1, so an in-package benchmark could not).
@@ -20,7 +18,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/s1"
 	"repro/internal/sexp"
 )
 
@@ -131,7 +128,7 @@ const gcConsSrc = `
     (go loop)))
 (setq *keep* (build 20000))`
 
-// poly-call stresses the tier's call inline caches: mono-step's call to
+// poly-call stresses the engine's call inline caches: mono-step's call to
 // step1 is compiled before step1 exists, so it late-binds through the
 // symbol's function cell (a symbol-keyed cache site that rebinding must
 // invalidate — see polyRebindSrc); poly-step's funcall dispatches
@@ -223,11 +220,7 @@ func benchKernel(b *testing.B, k runtimeKernel, opts core.Options) {
 	if err := sys.LoadString(k.src); err != nil {
 		b.Fatal(err)
 	}
-	// Identical warm-up in every configuration: past the default
-	// promotion threshold, so a tiered machine enters the timed region
-	// with its hot functions already re-optimized, and the other
-	// configurations have done the same work.
-	for i := 0; i < s1.DefaultHotThreshold+1; i++ {
+	for i := 0; i < warmupCalls; i++ {
 		if _, err := sys.Call(k.fn, k.args...); err != nil {
 			b.Fatal(err)
 		}
@@ -256,17 +249,18 @@ func benchKernel(b *testing.B, k runtimeKernel, opts core.Options) {
 	}
 }
 
+// warmupCalls is the entry calls a benchmark makes before its timed
+// region: the count the tiered engine's promotion threshold once set,
+// kept so the timed work matches earlier BENCH_runtime.json entries.
+const warmupCalls = 65
+
 // BenchmarkRuntime is the suite behind BENCH_runtime.json: the four paper
-// kernels plus the GC and polymorphic-call workloads, in the tiered and
-// -notier (plain-dispatch) configurations.
+// kernels plus the GC and polymorphic-call workloads.
 func BenchmarkRuntime(b *testing.B) {
 	for _, k := range runtimeKernels() {
 		k := k
-		b.Run(k.name+"/tiered", func(b *testing.B) {
+		b.Run(k.name, func(b *testing.B) {
 			benchKernel(b, k, core.Options{})
-		})
-		b.Run(k.name+"/notier", func(b *testing.B) {
-			benchKernel(b, k, core.Options{NoTier: true})
 		})
 	}
 }

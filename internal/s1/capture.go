@@ -78,19 +78,19 @@ type Body struct {
 	Name             string
 	MinArgs, MaxArgs int
 	Code             []Instr
-	// decoded keeps a copy of the decoded stream of the body's first
-	// install (nil for a Body not built by AssembleBody). A replay lands a
-	// body at the entry PC its capture's allocator context pins, so every
-	// later install at that PC appends the copy instead of decoding.
-	decoded *atomic.Pointer[bodyStream]
+	// lowered keeps the lowered stream of the body's first install (nil
+	// for a Body not built by AssembleBody), before it ever ran. A replay
+	// lands a body at the entry PC its capture's allocator context pins,
+	// so every later install at that PC copies the stream instead of
+	// lowering.
+	lowered *atomic.Pointer[bodyStream]
 }
 
-// bodyStream is a body's decoded stream as installed at entry. Decoded
-// closures capture operand values and PCs only and write nothing they
-// capture (decode.go), so any number of machines may run one stream.
+// bodyStream is a body's lowered stream as installed at entry: read
+// only, since every install copies it by value.
 type bodyStream struct {
 	entry int
-	dec   []dinstr
+	ops   []lop
 }
 
 // AssembleBody resolves a captured function's labels once, so that
@@ -102,7 +102,7 @@ func AssembleBody(f *CapturedFunc) (Body, error) {
 		return Body{}, err
 	}
 	return Body{Name: f.Name, MinArgs: f.MinArgs, MaxArgs: f.MaxArgs, Code: code,
-		decoded: new(atomic.Pointer[bodyStream])}, nil
+		lowered: new(atomic.Pointer[bodyStream])}, nil
 }
 
 // FromItems converts assembler items to the captured value form.

@@ -1,24 +1,16 @@
 package s1
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/sexp"
 )
 
-// Differential suite for the decoded execution engine: every corpus
-// program runs fused — each function's basic blocks lowered into the
-// tier's block superinstructions at install (forced-hot tiering) — and
-// unfused (plain decoded dispatch, -notier), and the two executions must
-// be indistinguishable: same return word, same error, same Stats
-// (instruction counts in original-PC units, cycle totals, allocation
-// meters, stack high water), same GC activity, and the same heap image
-// word for word. The corpus covers each opcode family: straight-line
-// arithmetic, conditional and unconditional jumps, calls, tail calls, SQ
-// routines, closures, special binding, catch/throw unwinding, step-limit
-// trips, and error paths. tier_differential_test.go runs the same corpus
-// under every engine configuration.
+// The hand-built program corpus of the engine suite (engine_test.go).
+// It covers each opcode family: straight-line arithmetic, conditional
+// and unconditional jumps, calls, tail calls, SQ routines, closures,
+// special binding, catch/throw unwinding, step-limit trips, and error
+// paths.
 
 // diffProg is one corpus program.
 type diffProg struct {
@@ -220,8 +212,8 @@ func diffCorpus() []diffProg {
 				})
 			}},
 
-		// The step limit must trip at the same original-instruction count
-		// whether or not the spin loop was lowered into a block.
+		// The step limit must trip at exactly the limit's instruction
+		// count.
 		{name: "step-limit", fn: "spin", stepLim: 1000, wantErr: "step limit",
 			build: func(t *testing.T, m *Machine) {
 				addFn(t, m, "spin", 0, 0, []Item{
@@ -244,73 +236,7 @@ func diffCorpus() []diffProg {
 	}
 }
 
-// diffFloatArray is shared between the two machines of a differential
-// run so both embed identical constants.
+// diffFloatArray is the indexed-addressing program's constant.
 func diffFloatArray() *sexp.FloatArray {
 	return &sexp.FloatArray{Dims: []int{3}, Data: []float64{1.5, 2.5, 3.5}}
-}
-
-// fusedConfig lowers every function into block superinstructions at
-// install; unfusedConfig is plain decoded dispatch.
-var (
-	fusedConfig   = tierConfig{name: "fused", apply: func(m *Machine) { m.SetHotThreshold(0) }}
-	unfusedConfig = tierConfig{name: "unfused", apply: func(m *Machine) { m.SetNoTier() }}
-)
-
-func TestDifferentialFusedVsUnfused(t *testing.T) {
-	anyFused := false
-	for _, p := range diffCorpus() {
-		p := p
-		t.Run(p.name, func(t *testing.T) {
-			fm, fw, ferr := runTierConfig(t, p, fusedConfig)
-			um, uw, uerr := runTierConfig(t, p, unfusedConfig)
-
-			if fm.TierStats().LoweredBlocks > 0 {
-				anyFused = true
-			}
-			if ts := um.TierStats(); ts.Promotions != 0 || ts.LoweredBlocks != 0 {
-				t.Errorf("unfused machine lowered %d blocks", ts.LoweredBlocks)
-			}
-
-			// The unfused run must meet the program's expectation, so the
-			// differential cannot pass by both engines going wrong alike.
-			if p.wantErr == "" {
-				if uerr != nil {
-					t.Fatalf("run failed: %v", uerr)
-				}
-			} else if uerr == nil || !strings.Contains(uerr.Error(), p.wantErr) {
-				t.Fatalf("want error %q, got %v", p.wantErr, uerr)
-			}
-			if p.name == "cons-gc-churn" &&
-				um.GCMeters.Collections+um.GCMeters.MinorCollections == 0 {
-				t.Error("churn program never collected; GC path untested")
-			}
-			assertSameOutcome(t, "fused", p, um, uw, uerr, fm, fw, ferr)
-		})
-	}
-	if !anyFused {
-		t.Error("no corpus program lowered a block; the differential is vacuous")
-	}
-}
-
-// TestDifferentialStepLimitExact pins the step-limit trip point: the
-// fused spin loop must retire exactly StepLimit original instructions
-// before erroring, matching unfused dispatch instruction for instruction.
-func TestDifferentialStepLimitExact(t *testing.T) {
-	var p diffProg
-	for _, c := range diffCorpus() {
-		if c.name == "step-limit" {
-			p = c
-		}
-	}
-	for _, cfg := range []tierConfig{fusedConfig, unfusedConfig} {
-		m, _, err := runTierConfig(t, p, cfg)
-		if err == nil || !strings.Contains(err.Error(), "step limit") {
-			t.Fatalf("%s: want step-limit error, got %v", cfg.name, err)
-		}
-		if m.Stats.Instrs != p.stepLim {
-			t.Errorf("%s: retired %d instructions at trip, want exactly %d",
-				cfg.name, m.Stats.Instrs, p.stepLim)
-		}
-	}
 }

@@ -1,8 +1,8 @@
 // Lisp-level differentials: the bench kernels compiled by the full
-// pipeline must behave identically under every tier mode — same printed
-// results, same machine meters, same GC activity, and byte-identical
-// -profile output, since lowered blocks attribute cycles to their
-// constituent original opcodes.
+// pipeline must give the interpreter's answers, pin their exact
+// simulated counts (testdata/kernel_stats.golden), behave identically
+// under forced collection, run alike fused and unfused and however the
+// machine got its lowered stream, and profile to the exact meters.
 package s1_test
 
 import (
@@ -12,37 +12,24 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/s1"
 	"repro/internal/sexp"
 )
 
-// lispDiffSystem compiles k's source into a fresh system in the tier
-// mode S1_TIER_MODE selects. CI runs this whole file in several
-// tiered-execution configurations (DESIGN.md §12): S1_TIER_MODE=notier
-// disables the tier entirely, S1_TIER_MODE=forcehot promotes every
-// function to lowered blocks at load time. Either way all the
-// equalities below must keep holding.
-func lispDiffSystem(t *testing.T, k runtimeKernel, profile bool) *core.System {
-	t.Helper()
-	return lispTierSystem(t, k, os.Getenv("S1_TIER_MODE"), profile)
-}
-
-// lispTierSystem compiles k's source into a fresh system in the given
-// tier mode: "" or "tiered" (the default engine), "notier" (plain
-// decoded dispatch), or "forcehot" (every function promoted at load).
-func lispTierSystem(t *testing.T, k runtimeKernel, mode string, profile bool) *core.System {
+// lispDiffOptions is the system configuration for kernel k in the GC
+// mode S1_GC_MODE selects.
+func lispDiffOptions(t *testing.T, k runtimeKernel) core.Options {
 	t.Helper()
 	opts := core.Options{Constants: k.consts}
-	switch mode {
-	case "", "tiered":
-	case "notier":
-		opts.NoTier = true
-	case "forcehot":
-		opts.HotThreshold = -1
-	default:
-		t.Fatalf("unknown tier mode %q", mode)
-	}
 	applyGCModeEnv(t, &opts)
-	sys := core.NewSystem(opts)
+	return opts
+}
+
+// lispDiffSystem compiles k's source into a fresh system in the GC
+// mode S1_GC_MODE selects.
+func lispDiffSystem(t *testing.T, k runtimeKernel, profile bool) *core.System {
+	t.Helper()
+	sys := core.NewSystem(lispDiffOptions(t, k))
 	if profile {
 		sys.EnableProfile()
 	}
@@ -58,100 +45,14 @@ func lispTierSystem(t *testing.T, k runtimeKernel, mode string, profile bool) *c
 
 // checkStackRegs fails the test when any system's SP or FP has left the
 // stack segment or its stack is not a doubling of the initial size. Run
-// after every differential run, so each engine mode (tier, GC) checks
-// its own frame paths.
+// after every differential run, so each GC mode checks its own frame
+// paths.
 func checkStackRegs(t *testing.T, systems map[string]*core.System) {
 	t.Helper()
 	for name, sys := range systems {
 		if err := sys.Machine.CheckStackRegs(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-	}
-}
-
-// TestLispDifferentialFusedVsUnfused runs each kernel fused — every
-// function lowered into block superinstructions at load — and unfused
-// (plain decoded dispatch), and requires the same printed result, machine
-// meters and GC activity. The fused leg must actually have lowered
-// blocks, or the comparison proves nothing.
-func TestLispDifferentialFusedVsUnfused(t *testing.T) {
-	for _, k := range runtimeKernels() {
-		k := k
-		t.Run(k.name, func(t *testing.T) {
-			fused := lispTierSystem(t, k, "forcehot", false)
-			unfused := lispTierSystem(t, k, "notier", false)
-			fv, ferr := fused.Call(k.fn, k.args...)
-			uv, uerr := unfused.Call(k.fn, k.args...)
-			if ferr != nil || uerr != nil {
-				t.Fatalf("fused err=%v unfused err=%v", ferr, uerr)
-			}
-			if sexp.Print(fv) != sexp.Print(uv) {
-				t.Errorf("result divergence: fused=%s unfused=%s",
-					sexp.Print(fv), sexp.Print(uv))
-			}
-			if *fused.Stats() != *unfused.Stats() {
-				t.Errorf("stats divergence:\n  fused:   %+v\n  unfused: %+v",
-					*fused.Stats(), *unfused.Stats())
-			}
-			if fused.Machine.GCMeters != unfused.Machine.GCMeters {
-				t.Errorf("GC divergence:\n  fused:   %+v\n  unfused: %+v",
-					fused.Machine.GCMeters, unfused.Machine.GCMeters)
-			}
-			if fused.Machine.TierStats().LoweredBlocks == 0 {
-				t.Errorf("%s lowered no blocks", k.name)
-			}
-			checkStackRegs(t, map[string]*core.System{"fused": fused, "unfused": unfused})
-		})
-	}
-}
-
-// tierModes are the engine configurations the Lisp-level differentials
-// compare; notier (plain decoded dispatch) is the reference.
-var tierModes = []string{"tiered", "forcehot", "notier"}
-
-// TestLispDifferentialTierModes pins tiered execution at the Lisp level:
-// each compiled kernel runs under the default tier, with every function
-// forced hot at load, and with the tier disabled — and the three runs
-// must agree on printed result, machine meters, and GC activity. The
-// forced-hot leg must actually have promoted something, or the mode
-// proves nothing.
-func TestLispDifferentialTierModes(t *testing.T) {
-	for _, k := range runtimeKernels() {
-		k := k
-		t.Run(k.name, func(t *testing.T) {
-			type outcome struct {
-				sys *core.System
-				val string
-			}
-			runs := map[string]outcome{}
-			for _, mode := range tierModes {
-				sys := lispTierSystem(t, k, mode, false)
-				v, err := sys.Call(k.fn, k.args...)
-				if err != nil {
-					t.Fatalf("%s: %v", mode, err)
-				}
-				runs[mode] = outcome{sys: sys, val: sexp.Print(v)}
-				checkStackRegs(t, map[string]*core.System{mode: sys})
-			}
-			ref := runs["notier"]
-			for _, name := range []string{"tiered", "forcehot"} {
-				got := runs[name]
-				if got.val != ref.val {
-					t.Errorf("%s result divergence: %s vs %s", name, got.val, ref.val)
-				}
-				if *got.sys.Stats() != *ref.sys.Stats() {
-					t.Errorf("%s stats divergence:\n  %s: %+v\n  notier: %+v",
-						name, name, *got.sys.Stats(), *ref.sys.Stats())
-				}
-				if got.sys.Machine.GCMeters != ref.sys.Machine.GCMeters {
-					t.Errorf("%s GC divergence:\n  %s: %+v\n  notier: %+v",
-						name, name, got.sys.Machine.GCMeters, ref.sys.Machine.GCMeters)
-				}
-			}
-			if ts := runs["forcehot"].sys.Machine.TierStats(); ts.Promotions == 0 {
-				t.Error("forced-hot leg promoted nothing")
-			}
-		})
 	}
 }
 
@@ -184,42 +85,131 @@ func TestLispDifferentialGCStress(t *testing.T) {
 	}
 }
 
-// TestProfileStableAcrossFusion runs each kernel under -profile in every
-// tier mode — blocks fused at the default threshold, at load, or never —
-// and requires identical profile tables: opcode execs and
-// cycles, function attribution, and high-water marks. Only the GC-pause
-// line carries wall-clock durations, so it is excluded.
-func TestProfileStableAcrossFusion(t *testing.T) {
-	stripWallClock := func(s string) string {
-		var out []string
-		for _, line := range strings.Split(s, "\n") {
-			if strings.HasPrefix(line, ";; gc:") {
-				continue
-			}
-			out = append(out, line)
-		}
-		return strings.Join(out, "\n")
-	}
+// TestLispDifferentialFusedVsUnfused runs each kernel fused — every
+// instruction in the fast form its lowering selected — and unfused,
+// under -profile, which sends every instruction with a fast form through
+// step's generic operand path instead, and requires the same printed
+// result, machine meters and GC activity.
+func TestLispDifferentialFusedVsUnfused(t *testing.T) {
 	for _, k := range runtimeKernels() {
 		k := k
 		t.Run(k.name, func(t *testing.T) {
-			profiles := map[string]string{}
-			for _, mode := range tierModes {
-				sys := lispTierSystem(t, k, mode, true)
-				if _, err := sys.Call(k.fn, k.args...); err != nil {
-					t.Fatalf("%s: %v", mode, err)
-				}
-				checkStackRegs(t, map[string]*core.System{mode: sys})
-				var buf strings.Builder
-				sys.Machine.WriteProfile(&buf)
-				profiles[mode] = stripWallClock(buf.String())
+			fused := lispDiffSystem(t, k, false)
+			unfused := lispDiffSystem(t, k, true)
+			fv, ferr := fused.Call(k.fn, k.args...)
+			uv, uerr := unfused.Call(k.fn, k.args...)
+			if ferr != nil || uerr != nil {
+				t.Fatalf("fused err=%v unfused err=%v", ferr, uerr)
 			}
-			ref := profiles["notier"]
-			for _, mode := range []string{"tiered", "forcehot"} {
-				if profiles[mode] != ref {
-					t.Errorf("profile diverges under %s:\n--- %s ---\n%s\n--- notier ---\n%s",
-						mode, mode, profiles[mode], ref)
+			if sexp.Print(fv) != sexp.Print(uv) {
+				t.Errorf("result divergence: fused=%s unfused=%s", sexp.Print(fv), sexp.Print(uv))
+			}
+			if *fused.Stats() != *unfused.Stats() {
+				t.Errorf("stats divergence:\n  fused:   %+v\n  unfused: %+v", *fused.Stats(), *unfused.Stats())
+			}
+			if fused.Machine.GCMeters != unfused.Machine.GCMeters {
+				t.Errorf("GC divergence:\n  fused:   %+v\n  unfused: %+v",
+					fused.Machine.GCMeters, unfused.Machine.GCMeters)
+			}
+			checkStackRegs(t, map[string]*core.System{"fused": fused, "unfused": unfused})
+		})
+	}
+}
+
+// TestLispDifferentialTierModes runs each kernel on machines that got
+// their lowered stream each way a machine can: lowered as the load
+// installed each body, lowered from an exported image (LoadImage), and
+// copied from a template machine (LoadFrom). The image and the template
+// come from a twin of the first system that never ran the kernel, and
+// the three runs must agree on printed result, machine meters and GC
+// activity. An image holds no nursery, so the twin and the first system
+// are collected before, leaving every machine's heap all old.
+func TestLispDifferentialTierModes(t *testing.T) {
+	for _, k := range runtimeKernels() {
+		k := k
+		t.Run(k.name, func(t *testing.T) {
+			collected := func() *core.System {
+				sys := lispDiffSystem(t, k, false)
+				sys.Machine.GC()
+				return sys
+			}
+			twin := collected()
+			img, err := twin.Machine.ExportImage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored := func(load func(m *s1.Machine) error) *core.System {
+				sys := core.NewSystem(lispDiffOptions(t, k))
+				if err := load(sys.Machine); err != nil {
+					t.Fatal(err)
 				}
+				return sys
+			}
+			modes := []struct {
+				name string
+				sys  *core.System
+			}{
+				{"installed", collected()},
+				{"image", restored(func(m *s1.Machine) error { return m.LoadImage(img) })},
+				{"template", restored(func(m *s1.Machine) error { return m.LoadFrom(twin.Machine) })},
+			}
+			var ref string
+			var refStats s1.Stats
+			for i, mode := range modes {
+				mode.sys.Machine.GCMeters = s1.GCStats{}
+				v, err := mode.sys.Call(k.fn, k.args...)
+				if err != nil {
+					t.Fatalf("%s: %v", mode.name, err)
+				}
+				checkStackRegs(t, map[string]*core.System{mode.name: mode.sys})
+				got := fmt.Sprintf("%s %+v", sexp.Print(v), mode.sys.Machine.GCMeters)
+				if i == 0 {
+					ref, refStats = got, *mode.sys.Stats()
+					continue
+				}
+				if got != ref {
+					t.Errorf("%s result or GC divergence:\n  %s: %s\n  installed: %s", mode.name, mode.name, got, ref)
+				}
+				if *mode.sys.Stats() != refStats {
+					t.Errorf("%s stats divergence:\n  %s: %+v\n  installed: %+v",
+						mode.name, mode.name, *mode.sys.Stats(), refStats)
+				}
+			}
+		})
+	}
+}
+
+// TestProfileStableAcrossFusion runs each kernel fused and, under
+// -profile, unfused: the profile's per-opcode executions and cycles
+// must sum exactly to the fused run's meters.
+func TestProfileStableAcrossFusion(t *testing.T) {
+	for _, k := range runtimeKernels() {
+		k := k
+		t.Run(k.name, func(t *testing.T) {
+			fused := lispDiffSystem(t, k, false)
+			profiled := lispDiffSystem(t, k, true)
+			p := profiled.Machine.Profile()
+			sums := func() (execs, cycles int64) {
+				for op := range p.OpCount {
+					execs += p.OpCount[op]
+					cycles += p.OpCycles[op]
+				}
+				return execs, cycles
+			}
+			loadExecs, loadCycles := sums() // the load's top-level forms
+			for _, sys := range []*core.System{fused, profiled} {
+				if _, err := sys.Call(k.fn, k.args...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkStackRegs(t, map[string]*core.System{"fused": fused, "profiled": profiled})
+			execs, cycles := sums()
+			execs, cycles = execs-loadExecs, cycles-loadCycles
+			// specFind's probe cycles land on Stats only.
+			st := fused.Stats()
+			if execs != st.Instrs || cycles+2*st.SpecialSearchSteps != st.Cycles {
+				t.Errorf("profile sums %d instrs / %d cycles, fused meters %d / %d (%d probe steps)",
+					execs, cycles, st.Instrs, st.Cycles, st.SpecialSearchSteps)
 			}
 		})
 	}
@@ -249,8 +239,8 @@ const listIdentitySrc = `
 // TestLispDifferentialListIdentity compiles calls whose answer depends
 // on a primitive returning the argument's own structure — eq on what
 // cadr, member, assoc, nthcdr, last or list* return, rplaca through
-// it — and requires the interpreter's answer in every tier mode (and
-// the GC mode S1_GC_MODE selects). (append copies all but its last
+// it — and requires the interpreter's answer (in the GC mode S1_GC_MODE
+// selects). (append copies all but its last
 // argument in both engines, but its result's tail is a marshaled copy
 // in compiled code; DESIGN.md §10 lists it as a known difference.)
 func TestLispDifferentialListIdentity(t *testing.T) {
@@ -270,25 +260,23 @@ func TestLispDifferentialListIdentity(t *testing.T) {
 		{"mut-last", "(1 2 3)"},
 		{"mut-assq", "((a . 1) (b . 2))"},
 	}
-	for _, mode := range tierModes {
-		sys := lispTierSystem(t, runtimeKernel{src: listIdentitySrc}, mode, false)
-		for _, c := range cases {
-			// Fresh arguments per engine: the mut- cases modify theirs.
-			got, err := sys.Call(c.fn, mustReadValue(c.arg))
-			if err != nil {
-				t.Fatalf("%s: compiled (%s '%s): %v", mode, c.fn, c.arg, err)
-			}
-			want, err := sys.Interpret(c.fn, mustReadValue(c.arg))
-			if err != nil {
-				t.Fatalf("%s: interpreted (%s '%s): %v", mode, c.fn, c.arg, err)
-			}
-			if sexp.Print(got) != sexp.Print(want) {
-				t.Errorf("%s: (%s '%s) = %s compiled, %s interpreted",
-					mode, c.fn, c.arg, sexp.Print(got), sexp.Print(want))
-			}
+	sys := lispDiffSystem(t, runtimeKernel{src: listIdentitySrc}, false)
+	for _, c := range cases {
+		// Fresh arguments per engine: the mut- cases modify theirs.
+		got, err := sys.Call(c.fn, mustReadValue(c.arg))
+		if err != nil {
+			t.Fatalf("compiled (%s '%s'): %v", c.fn, c.arg, err)
 		}
-		checkStackRegs(t, map[string]*core.System{mode: sys})
+		want, err := sys.Interpret(c.fn, mustReadValue(c.arg))
+		if err != nil {
+			t.Fatalf("interpreted (%s '%s'): %v", c.fn, c.arg, err)
+		}
+		if sexp.Print(got) != sexp.Print(want) {
+			t.Errorf("(%s '%s') = %s compiled, %s interpreted",
+				c.fn, c.arg, sexp.Print(got), sexp.Print(want))
+		}
 	}
+	checkStackRegs(t, map[string]*core.System{"compiled": sys})
 }
 
 // symbolCellSrc reads and writes special variables through the
@@ -312,21 +300,20 @@ const symbolCellSrc = `
 `
 
 // TestLispDifferentialSymbolCells runs symbolCellSrc's functions
-// compiled and interpreted in every tier mode (and the GC mode
-// S1_GC_MODE selects), in one order per system, and requires the same
-// printed answer or an error from both.
+// compiled and interpreted (in the GC mode S1_GC_MODE selects), in one
+// order, and requires the same printed answer or an error from both.
 func TestLispDifferentialSymbolCells(t *testing.T) {
 	diffCalls(t, symbolCellSrc, []diffCall{
 		{"sv", ""}, {"bp", ""}, {"st", ""}, {"sv", ""},
 		{"after-dyn", ""}, {"sv-unbound", ""},
 		{"ap-fn", "2"}, {"ap-prim", "(3 4)"}, {"ap-list", "(c)"},
 		{"ap-lambda", ""}, {"ap-flo", "1.5"},
-	}, func(t *testing.T, mode string, sys *core.System, i int, c diffCall) {
+	}, func(t *testing.T, sys *core.System, i int, c diffCall) {
 		if c.fn == "sv-unbound" {
 			// Everything before reads and writes cells natively; from
 			// here on errors and #' stubs marshal.
 			if n := sys.Stats().MarshaledPrims; n != 0 {
-				t.Errorf("%s: %d marshaled prims in the first %d cases, want 0", mode, n, i)
+				t.Errorf("%d marshaled prims in the first %d cases, want 0", n, i)
 			}
 		}
 	})
@@ -353,7 +340,7 @@ const shadowedPrimSrc = `
 `
 
 // TestLispDifferentialShadowedPrim runs shadowedPrimSrc compiled and
-// interpreted in every tier mode: a value live across the gateway's
+// interpreted: a value live across the gateway's
 // call to the definition keeps its register.
 func TestLispDifferentialShadowedPrim(t *testing.T) {
 	diffCalls(t, shadowedPrimSrc, []diffCall{
@@ -389,7 +376,7 @@ const pdlEscapeSrc = `
 `
 
 // TestLispDifferentialPdlEscape runs pdlEscapeSrc compiled and
-// interpreted in every tier mode: the stored numbers keep their values
+// interpreted: the stored numbers keep their values
 // after their frames are gone.
 func TestLispDifferentialPdlEscape(t *testing.T) {
 	diffCalls(t, pdlEscapeSrc, []diffCall{
@@ -402,35 +389,33 @@ func TestLispDifferentialPdlEscape(t *testing.T) {
 // forms, read as one list.
 type diffCall struct{ fn, args string }
 
-// diffCalls loads src into one system per tier mode (and the GC mode
-// S1_GC_MODE selects) and makes calls there in order, each compiled and
+// diffCalls loads src into one system (in the GC mode S1_GC_MODE
+// selects) and makes calls there in order, each compiled and
 // interpreted, requiring the same printed answer or an error from both;
 // check, when non-nil, runs before each call.
 func diffCalls(t *testing.T, src string, calls []diffCall,
-	check func(t *testing.T, mode string, sys *core.System, i int, c diffCall)) {
+	check func(t *testing.T, sys *core.System, i int, c diffCall)) {
 	t.Helper()
-	for _, mode := range tierModes {
-		sys := lispTierSystem(t, runtimeKernel{src: src}, mode, false)
-		for i, c := range calls {
-			if check != nil {
-				check(t, mode, sys, i, c)
-			}
-			args, err := sexp.ListToSlice(mustReadValue("(" + c.args + ")"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, werr := sys.Interpret(c.fn, args...)
-			got, err := sys.Call(c.fn, args...)
-			switch {
-			case (err == nil) != (werr == nil):
-				t.Errorf("%s: (%s %s): compiled err %v, interpreted err %v", mode, c.fn, c.args, err, werr)
-			case err == nil && sexp.Print(got) != sexp.Print(want):
-				t.Errorf("%s: (%s %s) = %s compiled, %s interpreted",
-					mode, c.fn, c.args, sexp.Print(got), sexp.Print(want))
-			}
+	sys := lispDiffSystem(t, runtimeKernel{src: src}, false)
+	for i, c := range calls {
+		if check != nil {
+			check(t, sys, i, c)
 		}
-		checkStackRegs(t, map[string]*core.System{mode: sys})
+		args, err := sexp.ListToSlice(mustReadValue("(" + c.args + ")"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, werr := sys.Interpret(c.fn, args...)
+		got, err := sys.Call(c.fn, args...)
+		switch {
+		case (err == nil) != (werr == nil):
+			t.Errorf("(%s %s): compiled err %v, interpreted err %v", c.fn, c.args, err, werr)
+		case err == nil && sexp.Print(got) != sexp.Print(want):
+			t.Errorf("(%s %s) = %s compiled, %s interpreted",
+				c.fn, c.args, sexp.Print(got), sexp.Print(want))
+		}
 	}
+	checkStackRegs(t, map[string]*core.System{"compiled": sys})
 }
 
 // kernelStatsGolden holds each runtime kernel's exact simulated counts
@@ -439,11 +424,9 @@ const kernelStatsGolden = "testdata/kernel_stats.golden"
 
 // TestLispDifferentialGoldenStats pins the absolute simulated counts —
 // instructions retired, cycles, and dynamic MOVs — of every runtime
-// kernel against a checked-in golden file. The other differentials only
-// compare engine configurations with each other; this one catches a
-// change that moves every configuration the same way. The counts are
-// engine-independent, so the file holds in every S1_TIER_MODE and
-// S1_GC_MODE leg. After an intended codegen change, replace the file's
+// kernel against a checked-in golden file. The counts are
+// collector-independent, so the file holds in every S1_GC_MODE leg.
+// After an intended codegen change, replace the file's
 // data lines with the "got" lines of the failure message.
 func TestLispDifferentialGoldenStats(t *testing.T) {
 	var got []string

@@ -3,7 +3,6 @@ package s1
 import (
 	"fmt"
 	"slices"
-	"unsafe"
 )
 
 // CheckStackRegs verifies that SP and FP lie within [StackBase,
@@ -23,17 +22,17 @@ func (m *Machine) CheckStackRegs() error {
 	return nil
 }
 
-// CheckDispatchIsBase verifies that every dispatch entry is the base
-// decoded entry for its PC — the same closure, not an equivalent one —
-// so no lowered block is left installed.
-func (m *Machine) CheckDispatchIsBase() error {
-	if len(m.dec) != len(m.decBase) {
-		return fmt.Errorf("s1: dispatch stream has %d entries, base stream %d", len(m.dec), len(m.decBase))
+// CheckLoweredPristine verifies that ops[lo:hi] is exactly the
+// lowering of Code[lo:hi] with every inline cache empty: the stream of a
+// machine that never ran it, and what a copied template or kept body
+// stream must stay however its copies run.
+func (m *Machine) CheckLoweredPristine(lo, hi int) error {
+	if hi > len(m.ops) || hi > len(m.Code) || lo > hi {
+		return fmt.Errorf("s1: range [%d,%d) outside a %d-op stream of %d instructions", lo, hi, len(m.ops), len(m.Code))
 	}
-	closure := func(f dexec) unsafe.Pointer { return *(*unsafe.Pointer)(unsafe.Pointer(&f)) }
-	for pc := range m.dec {
-		if d, b := m.dec[pc], m.decBase[pc]; d.n != b.n || closure(d.run) != closure(b.run) {
-			return fmt.Errorf("s1: dispatch entry %d is not the base entry (n=%d, base n=%d)", pc, d.n, b.n)
+	for pc := lo; pc < hi; pc++ {
+		if got, want := m.ops[pc], lower(&m.Code[pc]); got != want {
+			return fmt.Errorf("s1: op %d is %+v, its lowering %+v", pc, got, want)
 		}
 	}
 	return nil
@@ -64,22 +63,6 @@ func (m *Machine) CheckZeroAboveSP() error {
 		}
 	}
 	return nil
-}
-
-// DecodedSharedWith reports whether m and o dispatch PCs [lo, hi) of
-// their base streams through the very same closures — as two machines do
-// after installing one replayed body's kept stream.
-func (m *Machine) DecodedSharedWith(o *Machine, lo, hi int) bool {
-	if hi > len(m.decBase) || hi > len(o.decBase) || lo >= hi {
-		return false
-	}
-	closure := func(f dexec) unsafe.Pointer { return *(*unsafe.Pointer)(unsafe.Pointer(&f)) }
-	for pc := lo; pc < hi; pc++ {
-		if closure(m.decBase[pc].run) != closure(o.decBase[pc].run) {
-			return false
-		}
-	}
-	return true
 }
 
 // PrimArgsDepth reports how many fallback-primitive argument slots are

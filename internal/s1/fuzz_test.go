@@ -1,6 +1,7 @@
 package s1
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -33,11 +34,11 @@ func fuzzInstr(b []byte) Instr {
 	}
 }
 
-// FuzzDecode feeds random instruction streams through pre-decoding and
-// bounded execution. The contract is the
-// daemon's: decoding must never panic, and running an arbitrary decoded
-// stream must end in a clean halt or a RuntimeError — the run loop's
-// recover barrier converts internal faults, and nothing may escape it.
+// FuzzDecode feeds random instruction streams through lowering and
+// bounded execution. The contract is the daemon's: lowering must never
+// panic, and running an arbitrary lowered stream must end in a clean
+// halt or a RuntimeError — the run loop's recover barrier converts
+// internal faults, and nothing may escape it.
 func FuzzDecode(f *testing.F) {
 	// A plausible program: MOV, ADD, compare-jump, PUSH/POP, CALLSQ, HALT.
 	seed := make([]byte, 0, 6*16)
@@ -71,12 +72,18 @@ func FuzzDecode(f *testing.F) {
 		for i := 0; i < n; i++ {
 			m.Code = append(m.Code, fuzzInstr(data[i*16:(i+1)*16]))
 		}
-		m.ensureDecoded() // must not panic, however malformed the stream
+		m.lowerCode() // must not panic, however malformed the stream
 
 		m.regs[RegSP] = RawInt(StackBase)
 		m.regs[RegFP] = RawInt(StackBase)
 		m.pc = 1 // skip the top-level HALT at index 0
-		// Any error is acceptable; a panic escaping Run is the bug.
-		_ = m.Run()
+		// Any RuntimeError is acceptable; another error or a panic
+		// escaping Run is the bug.
+		var rerr *RuntimeError
+		if err := m.Run(); err != nil && !errors.As(err, &rerr) {
+			t.Fatalf("Run returned %T %v, want a RuntimeError", err, err)
+		} else if err == nil && !m.halted {
+			t.Fatal("Run returned without halting")
+		}
 	})
 }

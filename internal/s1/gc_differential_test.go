@@ -3,8 +3,7 @@
 // collections are generational (the default), forced full (-gc-nogen),
 // or forced minor before every allocation (-gc-stress-minor). CI runs
 // the whole differential file set under S1_GC_MODE=nogen and
-// S1_GC_MODE=stress legs (DESIGN.md §15), the same way S1_TIER_MODE
-// re-runs it across tier configurations.
+// S1_GC_MODE=stress legs (DESIGN.md §15).
 package s1_test
 
 import (

@@ -14,8 +14,8 @@ import (
 // (as printed forms), the heap with its allocator block records and free
 // lists, and the registers plus live stack extent (both are GC roots, so
 // a restored machine must collect exactly like the one that was
-// exported). Decoded closures are never serialized: LoadImage re-derives
-// them from Code, the same way AddFunction does (DESIGN.md §14).
+// exported). The lowered stream is never serialized: LoadImage re-derives
+// it from Code, the same way AddFunction does (DESIGN.md §14).
 //
 // The contract is byte-identical restoration: a LoadImage'd machine has
 // the same ImageFingerprint and the same AllocContext as the machine
@@ -200,10 +200,9 @@ func (img *Image) validate() error {
 }
 
 // LoadImage restores an exported image into a freshly created machine
-// (New plus configuration: Out, limits, tier/gc-stress toggles —
-// nothing that adds code, symbols or heap). The decoded streams and tier
-// tables are re-derived from the restored Code, honoring whatever
-// execution configuration the machine carries.
+// (New plus configuration: Out, limits, gc-stress toggles — nothing
+// that adds code, symbols or heap). The lowered stream is re-derived
+// from the restored Code.
 func (m *Machine) LoadImage(img *Image) error {
 	if err := m.checkFresh("LoadImage"); err != nil {
 		return err
@@ -305,13 +304,9 @@ func (m *Machine) LoadImage(img *Image) error {
 	copy(m.stack, img.Stack)
 	m.pc, m.halted = 0, false
 
-	// Derived execution state: decode the whole restored code vector,
-	// then bring the tier engine's tables up to size — promoting
-	// everything when the machine is configured forced hot, exactly as
-	// AddFunction would have.
-	m.decBase, m.dec, m.tierHeads = m.decBase[:0], m.dec[:0], nil
-	m.ensureDecoded()
-	m.tierLoaded()
+	// Derived execution state: lower the whole restored code vector.
+	m.ops = m.ops[:0]
+	m.lowerCode()
 	if err := m.CheckHeapInvariants(); err != nil {
 		return fmt.Errorf("s1: restored image fails heap invariants: %w", err)
 	}
@@ -327,36 +322,20 @@ func (m *Machine) checkFresh(op string) error {
 	return nil
 }
 
-// tierLoaded brings the tier engine's tables up to the loaded function
-// table, promoting everything when the machine is configured forced
-// hot, exactly as AddFunction would have.
-func (m *Machine) tierLoaded() {
-	if t := m.tier; t != nil {
-		t.ensure(len(m.Funcs))
-		if t.threshold <= 0 {
-			for i := range m.Funcs {
-				t.promote(m, i)
-			}
-		}
-	}
-}
-
 // LoadFrom fills a fresh machine (as for LoadImage) with a copy of
 // template t's state, so that it is the machine a LoadImage of t's
 // image would have made: same ImageFingerprint, same AllocContext under
 // the same configuration. t must be a LoadImage'd machine that never
 // runs; LoadFrom only reads it, so any number of machines can load from
 // one template concurrently. Nothing is re-derived and nothing is
-// checked: the image was validated, decoded and checked once, when t
+// checked: the image was validated, lowered and checked once, when t
 // loaded it.
 //
-// What a machine writes is copied — code, function and symbol tables,
-// heap and allocator state, registers and stack — and what it never
-// writes is shared: the boxed objects (immutable; the slice's capacity
-// is clipped so a new box reallocates it) and the decoded closures
-// (machine-independent, and they never write what they capture, the
-// invariant AddBody's shared streams rely on too). The tier engine
-// starts from the copied stream as it does after LoadImage.
+// What a machine writes is copied — code and its lowered stream (whose
+// call sites fill inline caches), function and symbol tables, heap and
+// allocator state, registers and stack — and what it never writes is
+// shared: the boxed objects (immutable; the slice's capacity is clipped
+// so a new box reallocates it).
 func (m *Machine) LoadFrom(t *Machine) error {
 	if err := m.checkFresh("LoadFrom"); err != nil {
 		return err
@@ -398,9 +377,6 @@ func (m *Machine) LoadFrom(t *Machine) error {
 	copy(m.stack, t.stack)
 	m.pc, m.halted = 0, false
 
-	m.decBase = append(m.decBase[:0], t.decBase...)
-	m.dec = append(m.dec[:0], t.decBase...)
-	m.tierHeads = nil
-	m.tierLoaded()
+	m.ops = append(m.ops[:0], t.ops...)
 	return nil
 }

@@ -123,26 +123,9 @@ func TestImageRoundTripAllocParity(t *testing.T) {
 	}
 }
 
-func TestImageRoundTripNoTier(t *testing.T) {
-	m := buildImageTestMachine(t)
-	img, err := m.ExportImage()
-	if err != nil {
-		t.Fatalf("ExportImage: %v", err)
-	}
-	r := New()
-	r.SetNoTier()
-	if err := r.LoadImage(img); err != nil {
-		t.Fatalf("LoadImage: %v", err)
-	}
-	w, err := r.CallFunction("double", FixnumWord(5))
-	if err != nil {
-		t.Fatalf("restored notier call: %v", err)
-	}
-	if w.Int() != 10 {
-		t.Errorf("restored notier (double 5) = %v, want 10", w)
-	}
-}
-
+// TestImageRoundTripForcedHot: LoadImage lowers the whole restored code
+// vector — every function ready before its first call, as forced-hot
+// tiering once made it — and the restored machine runs it.
 func TestImageRoundTripForcedHot(t *testing.T) {
 	m := buildImageTestMachine(t)
 	img, err := m.ExportImage()
@@ -150,19 +133,18 @@ func TestImageRoundTripForcedHot(t *testing.T) {
 		t.Fatalf("ExportImage: %v", err)
 	}
 	r := New()
-	r.SetHotThreshold(-1)
 	if err := r.LoadImage(img); err != nil {
 		t.Fatalf("LoadImage: %v", err)
 	}
-	if hot := r.TierStats().HotFunctions; hot != int64(len(r.Funcs)) {
-		t.Errorf("forced-hot restore promoted %d of %d functions", hot, len(r.Funcs))
+	if err := r.CheckLoweredPristine(0, len(r.Code)); err != nil {
+		t.Error(err)
 	}
-	w, err := r.CallFunction("double", FixnumWord(6))
+	w, err := r.CallFunction("double", FixnumWord(5))
 	if err != nil {
-		t.Fatalf("restored forcehot call: %v", err)
+		t.Fatalf("restored call: %v", err)
 	}
-	if w.Int() != 12 {
-		t.Errorf("restored forcehot (double 6) = %v, want 12", w)
+	if w.Int() != 10 {
+		t.Errorf("restored (double 5) = %v, want 10", w)
 	}
 }
 

@@ -136,7 +136,7 @@ func (o Op) String() string {
 // cycleCost gives the simulator's per-opcode costs, scaled from the S-1
 // design (fast integer ALU, multi-cycle float, expensive but single-
 // instruction transcendentals, microcoded linkage). A dense array rather
-// than a map: the decoder (decode.go) bakes the cost into each closure,
+// than a map: lowering (engine.go) bakes the cost into each lop's meter,
 // and the old per-step map lookup was a measurable share of dispatch.
 var cycleCost = [NumOps]int64{
 	OpNOP: 1, OpMOV: 1, OpMOVP: 1, OpTAG: 1,

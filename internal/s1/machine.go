@@ -66,9 +66,6 @@ type catchFrame struct {
 	// fnDepth is the profiler's shadow-stack depth at CATCH time, so a
 	// THROW unwind can truncate attribution to the handler's frame.
 	fnDepth int
-	// tierDepth is the tier engine's shadow-stack depth at CATCH time
-	// (tier.go), kept the same way for hot-function attribution.
-	tierDepth int
 }
 
 // Stats are the simulator's meters; every experiment in EXPERIMENTS.md is
@@ -190,22 +187,16 @@ type Machine struct {
 	pc         int
 	halted     bool
 	// prof, when non-nil, collects the runtime profile (profile.go).
-	// The disabled fast path costs one nil check per instruction.
+	// A profiled run takes the engine's slow path for every instruction
+	// (engine.go); the disabled cost is one nil check per Run checkpoint.
 	prof *Profile
-	// Decoded execution state (decode.go). decBase holds one pre-decoded
-	// closure per Code index; dec is the dispatch stream — a copy of
-	// decBase with lowered-block closures installed at the block heads
-	// of tier-promoted functions.
-	decBase []dinstr
-	dec     []dinstr
-	// tier, when non-nil, is the tiered-execution engine (tier.go):
-	// per-function hot counters, trace re-fusion and block lowering.
-	// tierHeads marks PCs that are block leaders (or not covered by a
-	// lowered block at all); a false entry means the PC is a lowered
-	// block's interior, so ret/throw landing there report it to the
-	// engine as a re-fusion boundary.
-	tier      *tierEngine
-	tierHeads []bool
+	// ops is the lowered instruction stream Run executes, parallel to
+	// Code (engine.go); cacheFills counts its call sites' inline-cache
+	// fills. stop is the Stats.Instrs value of Run's next checkpoint and
+	// pollAt that of its next safepoint poll.
+	ops          []lop
+	cacheFills   int64
+	stop, pollAt int64
 
 	// cap, when non-nil, records emission-time machine mutations for the
 	// durable compile cache (capture.go); capDepth guards FromValue
@@ -240,11 +231,10 @@ type Machine struct {
 
 	// OnEvent, when non-nil, receives rare runtime happenings (kind is an
 	// event name matching the obs flight-recorder constants by
-	// convention: "gc-pause", "tier-promote", "tier-refusion"; unit names
-	// the function where that applies; d carries a duration when the
-	// event has one). The hook fires on collection and tier-transition
-	// paths only — never per instruction — so the disabled cost is a nil
-	// check at those sites.
+	// convention: "gc-pause"; unit names the function where that
+	// applies; d carries a duration when the event has one). The hook
+	// fires on collection paths only — never per instruction — so the
+	// disabled cost is a nil check at those sites.
 	OnEvent func(kind, unit string, d time.Duration)
 
 	// OnSafepoint, when non-nil, is called at every safepoint with the
@@ -374,7 +364,6 @@ func newMachine(a *Arena) *Machine {
 		StepLimit: 2_000_000_000,
 		funcIdx:   map[string]int{},
 		symIdx:    map[string]int{},
-		tier:      &tierEngine{threshold: DefaultHotThreshold},
 		stack:     make([]Word, initialStackWords),
 	}
 	if a != nil {
@@ -383,8 +372,8 @@ func newMachine(a *Arena) *Machine {
 	return m
 }
 
-// AddFunction assembles a function body into the machine, pre-decodes it
-// for execution (decode.go), and registers its descriptor; returns the
+// AddFunction assembles a function body into the machine, lowers it for
+// execution (engine.go), and registers its descriptor; returns the
 // function index. It keeps no reference to items or their instructions,
 // so the caller may reuse that storage once it returns.
 func (m *Machine) AddFunction(name string, minArgs, maxArgs int, items []Item) (int, error) {
@@ -403,24 +392,24 @@ func (m *Machine) AddFunction(name string, minArgs, maxArgs int, items []Item) (
 
 // ReserveCode makes room for n more instructions in the code vector, so
 // a batch of installs sized in advance grows it at most once. The
-// decoded streams follow the vector's capacity when they next extend.
+// lowered stream follows the vector's capacity when it next extends.
 // Growth doubles at least, as it does per install, so repeated small
 // batches into one machine stay amortized.
 func (m *Machine) ReserveCode(n int) { m.Code = reserve(m.Code, n) }
 
 // AddBody installs a body assembled by AssembleBody: its code is appended
 // with the jump targets rebased to where it lands, so a replay skips
-// label resolution, and its decoded stream is appended from the body's
-// kept copy when it lands where that copy was decoded, so a replay skips
-// decoding too. Apart from publishing that copy once, b is only read, so
-// one Body can be installed into any number of machines concurrently. A
-// body carries no items to record, so it cannot be installed while a
+// label resolution, and its lowered stream is copied from the body's
+// kept one when it lands where that one was lowered, so a replay skips
+// lowering too. Apart from publishing that stream once, b is only read,
+// so one Body can be installed into any number of machines concurrently.
+// A body carries no items to record, so it cannot be installed while a
 // capture is in progress.
 func (m *Machine) AddBody(b *Body) (int, error) {
 	if m.cap != nil {
 		return 0, fmt.Errorf("s1: cannot install assembled body %s during a capture", b.Name)
 	}
-	m.ensureDecoded()
+	m.lowerCode()
 	entry := len(m.Code)
 	m.Code = append(reserve(m.Code, len(b.Code)), b.Code...)
 	for i := entry; i < len(m.Code); i++ {
@@ -429,24 +418,23 @@ func (m *Machine) AddBody(b *Body) (int, error) {
 		}
 	}
 	var kept *bodyStream
-	if b.decoded != nil {
-		kept = b.decoded.Load()
+	if b.lowered != nil {
+		kept = b.lowered.Load()
 	}
 	if kept != nil && kept.entry == entry {
-		// Both streams take copies of the entries: the machine's streams
-		// are arena-recycled storage and the tier rewrites dec.
-		m.decBase = append(reserve(m.decBase, cap(m.Code)-len(m.decBase)), kept.dec...)
-		m.dec = append(reserve(m.dec, cap(m.Code)-len(m.dec)), kept.dec...)
+		// A copy by value: the machine's call sites fill their own
+		// inline caches.
+		m.ops = append(reserve(m.ops, cap(m.Code)-len(m.ops)), kept.ops...)
 	}
 	idx := m.registerFunc(b.Name, b.MinArgs, b.MaxArgs, entry)
-	if b.decoded != nil && kept == nil {
-		b.decoded.CompareAndSwap(nil, &bodyStream{entry: entry, dec: slices.Clone(m.decBase[entry:len(m.Code)])})
+	if b.lowered != nil && kept == nil {
+		b.lowered.CompareAndSwap(nil, &bodyStream{entry: entry, ops: slices.Clone(m.ops[entry:len(m.Code)])})
 	}
 	return idx, nil
 }
 
-// registerFunc adds the descriptor of the body just appended at entry,
-// decodes it and hands it to the tier; returns the function index.
+// registerFunc adds the descriptor of the body just appended at entry
+// and lowers it; returns the function index.
 func (m *Machine) registerFunc(name string, minArgs, maxArgs, entry int) int {
 	idx := len(m.Funcs)
 	m.Funcs = append(m.Funcs, FuncDesc{
@@ -454,13 +442,7 @@ func (m *Machine) registerFunc(name string, minArgs, maxArgs, entry int) int {
 		MinArgs: minArgs, MaxArgs: maxArgs,
 	})
 	m.funcIdx[name] = idx
-	m.ensureDecoded()
-	if t := m.tier; t != nil {
-		t.ensure(len(m.Funcs))
-		if t.threshold <= 0 {
-			t.promote(m, idx)
-		}
-	}
+	m.lowerCode()
 	return idx
 }
 
@@ -581,7 +563,7 @@ func (m *Machine) store(addr uint64, w Word) error {
 		return nil
 	case addr >= HeapBase && addr < HeapBase+uint64(len(m.heap)):
 		// Write barrier: record the card so a minor collection treats this
-		// neighborhood as a root. store and storeFast (tier.go) are the
+		// neighborhood as a root. store and storeFast (engine.go) are the
 		// only paths by which compiled code mutates an existing heap block
 		// (RPLACA/RPLACD, vector stores, closure-env writes all funnel
 		// here), so dirtying the card on every heap store is a complete
@@ -594,7 +576,7 @@ func (m *Machine) store(addr uint64, w Word) error {
 	return &RuntimeError{PC: m.pc, Msg: fmt.Sprintf("store to bad address %#x", addr)}
 }
 
-func (m *Machine) effaddr(o Operand) (uint64, error) {
+func (m *Machine) effaddr(o *Operand) (uint64, error) {
 	switch o.Mode {
 	case MMem:
 		return uint64(int64(m.regs[o.Base].Bits) + o.Off), nil
@@ -613,7 +595,7 @@ func (m *Machine) effaddr(o Operand) (uint64, error) {
 	return 0, &RuntimeError{PC: m.pc, Msg: "operand has no effective address"}
 }
 
-func (m *Machine) value(o Operand) (Word, error) {
+func (m *Machine) value(o *Operand) (Word, error) {
 	switch o.Mode {
 	case MReg:
 		return m.regs[o.Base], nil
@@ -714,9 +696,6 @@ func (m *Machine) CallIndex(idx int, args ...Word) (w Word, err error) {
 	if p := m.prof; p != nil {
 		p.restart(m)
 	}
-	if t := m.tier; t != nil {
-		t.restart()
-	}
 	m.regs[RegSP] = RawInt(StackBase)
 	m.regs[RegFP] = RawInt(StackBase)
 	m.regs[RegEP] = NilWord
@@ -762,62 +741,6 @@ func (m *Machine) enterFrame(nargs, retPC int, fn Word, fast bool) error {
 	if p := m.prof; p != nil {
 		p.call(m, idx)
 	}
-	if t := m.tier; t != nil {
-		t.onCall(m, idx)
-	}
-	return nil
-}
-
-// Run executes until HALT or error, dispatching the pre-decoded
-// instruction stream (decode.go): one closure call per instruction, or
-// per lowered block in a tier-promoted function (tier.go). Panics raised
-// below the instruction loop — heap exhaustion after a failed
-// collection, or an internal simulator fault — are converted into
-// RuntimeErrors so a sick program degrades into an error value the REPL
-// and driver can report.
-func (m *Machine) Run() (err error) {
-	defer func() {
-		if r := recover(); r == nil {
-			return
-		} else if he, ok := r.(*heapExhausted); ok {
-			m.halted = true
-			err = &RuntimeError{PC: m.pc, Msg: he.Error()}
-		} else {
-			m.halted = true
-			err = &RuntimeError{PC: m.pc, Msg: fmt.Sprintf("machine fault: %v", r)}
-		}
-	}()
-	m.ensureDecoded()
-	dec, limit := m.dec, m.StepLimit
-	// Safepoints are spaced by retired instructions, not dispatches: a
-	// lowered-block dispatch can retire blockChunk instructions, so a
-	// dispatch counter would stretch the poll interval by that factor.
-	nextPoll := m.Stats.Instrs + interruptEvery
-	for !m.halted {
-		if m.Stats.Instrs >= limit {
-			return &RuntimeError{PC: m.pc, Msg: "step limit exceeded"}
-		}
-		if m.Stats.Instrs >= nextPoll {
-			nextPoll = m.Stats.Instrs + interruptEvery
-			if err := m.pollSafepoint(); err != nil {
-				return err
-			}
-		}
-		pc := m.pc
-		if pc < 0 || pc >= len(dec) {
-			return &RuntimeError{PC: pc, Msg: "PC out of range"}
-		}
-		d := dec[pc]
-		if d.n > 1 && m.Stats.Instrs+int64(d.n) > limit {
-			// The lowered block could overshoot -max-steps; retire its
-			// instructions one at a time so the limit trips at the exact
-			// original-instruction count, as plain dispatch would.
-			d = m.decBase[pc]
-		}
-		if err := d.run(m); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -861,12 +784,6 @@ func (m *Machine) ret() error {
 		p.ret(m)
 	}
 	m.pc = int(retPC)
-	if th := m.tierHeads; th != nil && m.pc >= 0 && m.pc < len(th) && !th[m.pc] {
-		m.tier.noteLanding(m, m.pc)
-	}
-	if t := m.tier; t != nil {
-		t.onRet(m)
-	}
 	if m.pc == 0 {
 		m.halted = true
 	}
@@ -929,9 +846,6 @@ func (m *Machine) tailCall(k int, fn Word) error {
 	m.pc = m.Funcs[idx].Entry
 	if p := m.prof; p != nil {
 		p.tail(m, idx)
-	}
-	if t := m.tier; t != nil {
-		t.onTail(m, idx)
 	}
 	return nil
 }

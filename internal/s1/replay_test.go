@@ -24,71 +24,88 @@ const sharedBodySrc = `
 (defun churn (n) (+ (spin n) (funcall (make-adder n) 1)))
 `
 
-// TestSharedDecodedBody: two machines that replay the same cached
-// bodies share one decoded stream, and run it concurrently — forced hot
-// (the tier rewrites each machine's own dispatch stream) and with no
-// tier — with the results and meters of a machine that compiled them.
+// TestSharedDecodedBody: machines that replay the same cached bodies
+// install copies of one kept decoded (lowered) stream. Two replays run
+// concurrently, filling their call sites' inline caches and, after
+// poly-call's mid-run rebind of step1, invalidating and refilling them,
+// with the results and meters of a machine that compiled the bodies.
+// The kept stream must come out as it was lowered: a later replay
+// installs streams whose caches are all empty.
 func TestSharedDecodedBody(t *testing.T) {
-	for _, mode := range []string{"forcehot", "notier"} {
-		t.Run(mode, func(t *testing.T) {
-			d, err := compilecache.OpenDisk(t.TempDir(), nil)
-			if err != nil {
-				t.Fatal(err)
+	d, err := compilecache.OpenDisk(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	load := func() *core.System {
+		sys := core.NewSystem(core.Options{DiskCache: d})
+		if err := sys.LoadString(sharedBodySrc + polyCallSrc); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	pristine := func(sys *core.System) error {
+		return sys.Machine.CheckLoweredPristine(0, len(sys.Machine.Code))
+	}
+	compiled := load() // compiles and stores
+	load()             // reads the entries, lowers their bodies and keeps the streams
+	a, b := load(), load()
+	for _, sys := range []*core.System{a, b} {
+		if err := pristine(sys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(sys *core.System) (string, error) {
+		var out string
+		call := func(fn string, arg int64) error {
+			v, err := sys.Call(fn, sexp.Fixnum(arg))
+			out += sexp.Print(v) + " "
+			return err
+		}
+		fills := sys.Machine.CacheFills()
+		for i := 0; i < 10; i++ {
+			if err := call("churn", int64(50+i)); err != nil {
+				return "", err
 			}
-			defer d.Close()
-			opts := core.Options{DiskCache: d}
-			if mode == "forcehot" {
-				opts.HotThreshold = -1
-			} else {
-				opts.NoTier = true
+			if err := call("poly-driver", 100); err != nil {
+				return "", err
 			}
-			load := func() *core.System {
-				sys := core.NewSystem(opts)
-				if err := sys.LoadString(sharedBodySrc); err != nil {
-					t.Fatal(err)
-				}
-				return sys
+		}
+		if err := sys.LoadString(polyRebindSrc); err != nil {
+			return "", err
+		}
+		for i := 0; i < 10; i++ {
+			if err := call("poly-driver", 100); err != nil {
+				return "", err
 			}
-			compiled := load() // compiles and stores
-			first := load()    // reads the entries and decodes their bodies
-			a, b := load(), load()
-			f := a.Machine.Funcs[a.Defs["spin"]]
-			if !a.Machine.DecodedSharedWith(b.Machine, f.Entry, f.End) {
-				t.Fatal("two replays of spin do not share its decoded stream")
+		}
+		st := *sys.Stats()
+		st.CompileCacheHits, st.CompileCacheMisses = 0, 0
+		return fmt.Sprintf("%s%+v fills=%d", out, st, sys.Machine.CacheFills()-fills), nil
+	}
+	for _, sys := range []*core.System{compiled, a, b} {
+		sys.ResetStats()
+	}
+	want, err := run(compiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, sys := range []*core.System{a, b} {
+		wg.Add(1)
+		go func(sys *core.System) {
+			defer wg.Done()
+			if got, err := run(sys); err != nil || got != want {
+				t.Errorf("replayed run: %s %v\nwant %s", got, err, want)
 			}
-			if compiled.Machine.DecodedSharedWith(first.Machine, f.Entry, f.End) {
-				t.Fatal("a compiled body shares a replayed body's stream")
-			}
-			run := func(sys *core.System) (string, error) {
-				var out string
-				for i := 0; i < 20; i++ {
-					v, err := sys.Call("churn", sexp.Fixnum(int64(50+i)))
-					if err != nil {
-						return "", err
-					}
-					out += sexp.Print(v) + " "
-				}
-				return fmt.Sprintf("%s%+v", out, *sys.Stats()), nil
-			}
-			for _, sys := range []*core.System{compiled, a, b} {
-				sys.ResetStats()
-			}
-			want, err := run(compiled)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			for _, sys := range []*core.System{a, b} {
-				wg.Add(1)
-				go func(sys *core.System) {
-					defer wg.Done()
-					if got, err := run(sys); err != nil || got != want {
-						t.Errorf("replayed run: %s %v\nwant %s", got, err, want)
-					}
-				}(sys)
-			}
-			wg.Wait()
-		})
+		}(sys)
+	}
+	wg.Wait()
+	if pristine(a) == nil {
+		t.Fatal("the replayed runs filled no inline cache; the test proves nothing")
+	}
+	if err := pristine(load()); err != nil {
+		t.Errorf("a replay after the runs: %v", err)
 	}
 }
 

@@ -214,17 +214,8 @@ func (m *Machine) gatewayCall(args []Word, fn Word) error {
 	return m.enterFrame(len(args), gatewayReturn(m.pc+1), fn, false)
 }
 
-// badSQOperand executes a CALLSQ of routine idx whose operands are not
-// the immediates the routine takes.
-func badSQOperand(idx int) dexec {
-	return func(m *Machine) error {
-		return &RuntimeError{PC: m.pc, Msg: fmt.Sprintf("bad operand for SQ routine %d", idx)}
-	}
-}
-
 // callSQ executes a system routine with its CALLSQ operands b and c,
-// which it only reads (they are captured by a shared decoded stream);
-// jumped reports that control transferred (pc already set).
+// which it only reads; jumped reports that control transferred (pc already set).
 func (m *Machine) callSQ(idx int, b, c *Operand) (bool, error) {
 	A := m.regs[RegA]
 	B := m.regs[RegB]
@@ -241,23 +232,7 @@ func (m *Machine) callSQ(idx int, b, c *Operand) (bool, error) {
 		return false, lispErr("wrong type of argument: %s", A)
 
 	case SQAdd, SQSub, SQMul, SQDiv, SQNumEq, SQLt, SQGt, SQLe, SQGe:
-		if out, ok := m.fastNum(idx, A, B); ok {
-			setA(out)
-			break
-		}
-		x, err := m.numValue(A)
-		if err != nil {
-			return false, err
-		}
-		y, err := m.numValue(B)
-		if err != nil {
-			return false, err
-		}
-		out, err := m.genericNum(idx, x, y)
-		if err != nil {
-			return false, &RuntimeError{PC: m.pc, Msg: err.Error()}
-		}
-		setA(out)
+		return false, m.sqArith(idx)
 
 	case SQEql, SQEqual:
 		// On the words themselves, so conses keep their identity; only
@@ -321,7 +296,7 @@ func (m *Machine) callSQ(idx int, b, c *Operand) (bool, error) {
 		}
 
 	case SQList:
-		n, err := m.value(*b)
+		n, err := m.value(b)
 		if err != nil {
 			return false, err
 		}
@@ -358,7 +333,7 @@ func (m *Machine) callSQ(idx int, b, c *Operand) (bool, error) {
 		setA(m.heapWord(A))
 
 	case SQSpecFind:
-		symOp, err := m.value(*b)
+		symOp, err := m.value(b)
 		if err != nil {
 			return false, err
 		}
@@ -378,7 +353,7 @@ func (m *Machine) callSQ(idx int, b, c *Operand) (bool, error) {
 		setA(B)
 
 	case SQSpecReadSym:
-		symOp, err := m.value(*b)
+		symOp, err := m.value(b)
 		if err != nil {
 			return false, err
 		}
@@ -389,7 +364,7 @@ func (m *Machine) callSQ(idx int, b, c *Operand) (bool, error) {
 		setA(w)
 
 	case SQSpecWriteSym:
-		symOp, err := m.value(*b)
+		symOp, err := m.value(b)
 		if err != nil {
 			return false, err
 		}
@@ -401,7 +376,7 @@ func (m *Machine) callSQ(idx int, b, c *Operand) (bool, error) {
 		return m.throw(A, B)
 
 	case SQRestify:
-		k, err := m.value(*b)
+		k, err := m.value(b)
 		if err != nil {
 			return false, err
 		}
@@ -553,7 +528,7 @@ func boolWord(b bool) Word {
 
 // fastNum handles the dominant numeric SQ cases — both operands fixnums,
 // or both flonums — without boxing through host sexp values (the same
-// boxing elimination the decoded dispatch layer performs for open-coded
+// boxing elimination the lowered engine performs for open-coded
 // arithmetic; see DESIGN.md §10). Results are bit-identical to the
 // generic path: fixnum overflow, inexact fixnum division, and any other
 // case whose result would not be a fixnum/flonum reports ok=false and
@@ -610,8 +585,8 @@ func (m *Machine) fastNum(idx int, a, b Word) (Word, bool) {
 	var x, y float64
 	switch {
 	case a.Tag == TagFlonum:
-		xw, err := m.load(a.Bits)
-		if err != nil {
+		xw, ok := m.loadFast(a.Bits)
+		if !ok {
 			return Word{}, false
 		}
 		x = xw.Float()
@@ -622,8 +597,8 @@ func (m *Machine) fastNum(idx int, a, b Word) (Word, bool) {
 	}
 	switch {
 	case b.Tag == TagFlonum:
-		yw, err := m.load(b.Bits)
-		if err != nil {
+		yw, ok := m.loadFast(b.Bits)
+		if !ok {
 			return Word{}, false
 		}
 		y = yw.Float()
@@ -656,6 +631,35 @@ func (m *Machine) fastNum(idx int, a, b Word) (Word, bool) {
 		}
 	}
 	return Word{}, false
+}
+
+// sqArith is a numeric SQ routine on A and B, result in A: fastNum's
+// word-level path, else the generic host arithmetic.
+func (m *Machine) sqArith(idx int) error {
+	a, b := m.regs[RegA], m.regs[RegB]
+	if out, ok := m.fastNum(idx, a, b); ok {
+		m.regs[RegA] = out
+		return nil
+	}
+	return m.genericArith(idx, a, b)
+}
+
+// genericArith is sqArith's host-number path.
+func (m *Machine) genericArith(idx int, a, b Word) error {
+	x, err := m.numValue(a)
+	if err != nil {
+		return err
+	}
+	y, err := m.numValue(b)
+	if err != nil {
+		return err
+	}
+	out, err := m.genericNum(idx, x, y)
+	if err != nil {
+		return &RuntimeError{PC: m.pc, Msg: err.Error()}
+	}
+	m.regs[RegA] = out
+	return nil
 }
 
 // numValue converts a pointer-world word to a host number for the
@@ -782,12 +786,6 @@ func (m *Machine) throw(tag, val Word) (bool, error) {
 			m.pc = f.handler
 			if p := m.prof; p != nil {
 				p.truncate(m, f.fnDepth)
-			}
-			if th := m.tierHeads; th != nil && m.pc >= 0 && m.pc < len(th) && !th[m.pc] {
-				m.tier.noteLanding(m, m.pc)
-			}
-			if t := m.tier; t != nil {
-				t.truncate(m, f.tierDepth)
 			}
 			return true, nil
 		}

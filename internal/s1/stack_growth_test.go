@@ -28,13 +28,9 @@ const (
 	deepLimitMaxStack = 1048575
 )
 
-func deepSystem(t *testing.T, mode string) *core.System {
+func deepSystem(t *testing.T) *core.System {
 	t.Helper()
-	opts := core.Options{NoTier: mode == "notier"}
-	if mode == "forcehot" {
-		opts.HotThreshold = -1
-	}
-	sys := core.NewSystem(opts)
+	sys := core.NewSystem(core.Options{})
 	if err := sys.LoadString(deepSrc); err != nil {
 		t.Fatal(err)
 	}
@@ -43,115 +39,101 @@ func deepSystem(t *testing.T, mode string) *core.System {
 }
 
 // TestStackGrowthDeepRecursion: a deep non-tail recursion grows the
-// stack across several doublings under plain dispatch and under the
-// forced-hot tier, with the value, MaxStack and overflow depth the
-// full-segment stack gave; and a frame whose ADD SP reservation runs
-// past the stack's end survives a collection and exports the same
-// stack, registers and fingerprint.
+// stack across several doublings, with the value, MaxStack and overflow
+// depth the full-segment stack gave; and a frame whose ADD SP
+// reservation runs past the stack's end survives a collection and
+// exports the same stack, registers and fingerprint.
 func TestStackGrowthDeepRecursion(t *testing.T) {
-	for _, mode := range []string{"notier", "forcehot"} {
-		t.Run(mode, func(t *testing.T) {
-			sys := deepSystem(t, mode)
-			m := sys.Machine
-			if m.StackLen() >= deepMaxStack/8 {
-				t.Fatalf("fresh system already has a %d-word stack", m.StackLen())
+	t.Run("deep", func(t *testing.T) {
+		sys := deepSystem(t)
+		m := sys.Machine
+		if m.StackLen() >= deepMaxStack/8 {
+			t.Fatalf("fresh system already has a %d-word stack", m.StackLen())
+		}
+		// Until the innermost call returns, nothing above SP has been
+		// written, so every time the stack has grown the new words
+		// must read zero.
+		checked, peak := m.StackLen(), 0
+		var zeroErr error
+		m.OnSafepoint = func(int64, bool) error {
+			n := m.StackLen()
+			peak = max(peak, n)
+			if n != checked && zeroErr == nil {
+				checked = n
+				zeroErr = m.CheckZeroAboveSP()
 			}
-			// Until the innermost call returns, nothing above SP has been
-			// written, so every time the stack has grown the new words
-			// must read zero.
-			checked, peak := m.StackLen(), 0
-			var zeroErr error
-			m.OnSafepoint = func(int64, bool) error {
-				n := m.StackLen()
-				peak = max(peak, n)
-				if n != checked && zeroErr == nil {
-					checked = n
-					zeroErr = m.CheckZeroAboveSP()
-				}
-				return nil
-			}
-			v, err := sys.Call("deep", sexp.Fixnum(deepN))
-			m.OnSafepoint = nil
-			if err != nil || sexp.Print(v) != fmt.Sprint(deepN) {
-				t.Fatalf("(deep %d) = %v, %v", deepN, v, err)
-			}
-			if zeroErr != nil {
-				t.Error(zeroErr)
-			}
-			if got := m.Stats.MaxStack; got != deepMaxStack {
-				t.Errorf("MaxStack = %d, want %d", got, deepMaxStack)
-			}
-			if peak < deepMaxStack || peak > 2*deepMaxStack {
-				t.Errorf("stack grew to %d words for a %d-word extent", peak, deepMaxStack)
-			}
-			// The finished call leaves the machine, as a parked session
-			// would hold it, with a zeroed initial-size stack.
-			if got := m.StackLen(); got != s1.InitialStackWords {
-				t.Errorf("idle machine keeps a %d-word stack, want %d", got, s1.InitialStackWords)
-			}
-			if err := m.CheckZeroAboveSP(); err != nil {
-				t.Error(err)
-			}
-			if err := m.CheckStackRegs(); err != nil {
-				t.Error(err)
-			}
+			return nil
+		}
+		v, err := sys.Call("deep", sexp.Fixnum(deepN))
+		m.OnSafepoint = nil
+		if err != nil || sexp.Print(v) != fmt.Sprint(deepN) {
+			t.Fatalf("(deep %d) = %v, %v", deepN, v, err)
+		}
+		if zeroErr != nil {
+			t.Error(zeroErr)
+		}
+		if got := m.Stats.MaxStack; got != deepMaxStack {
+			t.Errorf("MaxStack = %d, want %d", got, deepMaxStack)
+		}
+		if peak < deepMaxStack || peak > 2*deepMaxStack {
+			t.Errorf("stack grew to %d words for a %d-word extent", peak, deepMaxStack)
+		}
+		// The finished call leaves the machine, as a parked session
+		// would hold it, with a zeroed initial-size stack.
+		if got := m.StackLen(); got != s1.InitialStackWords {
+			t.Errorf("idle machine keeps a %d-word stack, want %d", got, s1.InitialStackWords)
+		}
+		if err := m.CheckZeroAboveSP(); err != nil {
+			t.Error(err)
+		}
+		if err := m.CheckStackRegs(); err != nil {
+			t.Error(err)
+		}
 
-			sys = deepSystem(t, mode)
-			if _, err := sys.Call("deep", sexp.Fixnum(deepLimit)); err != nil {
-				t.Fatalf("(deep %d): %v", deepLimit, err)
-			}
-			if got := sys.Machine.Stats.MaxStack; got != deepLimitMaxStack {
-				t.Errorf("MaxStack at the limit = %d, want %d", got, deepLimitMaxStack)
-			}
-			sys = deepSystem(t, mode)
-			_, err = sys.Call("deep", sexp.Fixnum(deepLimit+1))
-			var re *s1.RuntimeError
-			if !errors.As(err, &re) || re.Msg != "stack overflow" {
-				t.Fatalf("(deep %d) = %v, want a stack overflow RuntimeError", deepLimit+1, err)
-			}
-		})
-	}
+		sys = deepSystem(t)
+		if _, err := sys.Call("deep", sexp.Fixnum(deepLimit)); err != nil {
+			t.Fatalf("(deep %d): %v", deepLimit, err)
+		}
+		if got := sys.Machine.Stats.MaxStack; got != deepLimitMaxStack {
+			t.Errorf("MaxStack at the limit = %d, want %d", got, deepLimitMaxStack)
+		}
+		sys = deepSystem(t)
+		_, err = sys.Call("deep", sexp.Fixnum(deepLimit+1))
+		var re *s1.RuntimeError
+		if !errors.As(err, &re) || re.Msg != "stack overflow" {
+			t.Fatalf("(deep %d) = %v, want a stack overflow RuntimeError", deepLimit+1, err)
+		}
+	})
 
 	t.Run("reserve-then-tail-call", func(t *testing.T) {
 		// A frame reserves 3000 slots with ADD SP, writes none of them
 		// and tail-calls a leaf, so SP lies far past the stack's end at
-		// the TCALL: the forced-hot tier's tail-call cache must decline
-		// to the generic tail call, and both engines must agree.
-		run := func(hot bool) (s1.Word, int64) {
-			m := s1.New()
-			if hot {
-				m.SetHotThreshold(-1)
-			} else {
-				m.SetNoTier()
-			}
-			leaf, err := m.AddFunction("leaf", 0, 0, []s1.Item{
-				s1.InstrItem(s1.Instr{Op: s1.OpMOV, A: s1.R(s1.RegA), B: s1.Imm(s1.FixnumWord(42))}),
-				s1.InstrItem(s1.Instr{Op: s1.OpRET}),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.SetSymbolFunction("leaf", s1.Ptr(s1.TagFunc, uint64(leaf)))
-			sym := m.InternSym("leaf")
-			if _, err := m.AddFunction("reserve-tail", 0, 0, []s1.Item{
-				s1.InstrItem(s1.Instr{Op: s1.OpADD, A: s1.R(s1.RegSP), B: s1.ImmInt(3000)}),
-				s1.InstrItem(s1.Instr{Op: s1.OpTCALL, A: s1.Imm(s1.Ptr(s1.TagSymbol, uint64(sym)))}),
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if hot && m.TierStats().Promotions == 0 {
-				t.Fatal("reserve-tail was not promoted")
-			}
-			w, err := m.CallFunction("reserve-tail")
-			if err != nil {
-				t.Fatalf("hot=%v: %v", hot, err)
-			}
-			return w, m.Stats.MaxStack
+		// the TCALL: the tail-call cache must decline to the generic tail
+		// call, which rebuilds the frame at the bottom of the stack.
+		m := s1.New()
+		leaf, err := m.AddFunction("leaf", 0, 0, []s1.Item{
+			s1.InstrItem(s1.Instr{Op: s1.OpMOV, A: s1.R(s1.RegA), B: s1.Imm(s1.FixnumWord(42))}),
+			s1.InstrItem(s1.Instr{Op: s1.OpRET}),
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		hw, hmax := run(true)
-		nw, nmax := run(false)
-		if hw != s1.FixnumWord(42) || hw != nw || hmax != nmax {
-			t.Errorf("forced hot returned %s with MaxStack %d; notier %s with MaxStack %d", hw, hmax, nw, nmax)
+		m.SetSymbolFunction("leaf", s1.Ptr(s1.TagFunc, uint64(leaf)))
+		sym := m.InternSym("leaf")
+		if _, err := m.AddFunction("reserve-tail", 0, 0, []s1.Item{
+			s1.InstrItem(s1.Instr{Op: s1.OpADD, A: s1.R(s1.RegSP), B: s1.ImmInt(3000)}),
+			s1.InstrItem(s1.Instr{Op: s1.OpTCALL, A: s1.Imm(s1.Ptr(s1.TagSymbol, uint64(sym)))}),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		w, err := m.CallFunction("reserve-tail")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The rebuilt frame's four words; the leaf's result then lands
+		// in the first of them.
+		if w != s1.FixnumWord(42) || m.Stats.MaxStack != 4 {
+			t.Errorf("returned %s with MaxStack %d, want 42 with 4", w, m.Stats.MaxStack)
 		}
 	})
 

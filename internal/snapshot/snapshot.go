@@ -15,8 +15,8 @@
 // gob stream of the Snapshot. The checksum covers every byte after the
 // header, so a flip or truncation anywhere is detected before a single
 // byte reaches a machine, and a file of any other version is quarantined
-// as durable.ErrVersion instead of misdecoded. Decoded closures are never
-// serialized: restore re-derives them from the code vector
+// as durable.ErrVersion instead of misdecoded. The lowered instruction
+// stream is never serialized: restore re-derives it from the code vector
 // (s1.LoadImage).
 package snapshot
 

@@ -2,16 +2,18 @@
 # Regenerates BENCH_runtime.json from the BenchmarkRuntime suite so the
 # perf trajectory is reproducible instead of hand-edited.
 #
-# Every kernel runs in the two engine configurations the suite defines
-# (tiered / -notier) with a FIXED iteration count per run (-benchtime=Nx)
-# and COUNT repetitions, all in one `go test` invocation; the recorded
-# number is the per-configuration median. The headline ratio,
-# tier_speedup, is tiered vs -notier (plain decoded dispatch) from that
-# same invocation — shared-container wall-clock drifts far too much for
+# Every kernel runs with a FIXED iteration count per run
+# (-benchtime=Nx), COUNT runs in one invocation; the recorded numbers
+# are per-kernel medians, and ns/op also gets its interquartile spread
+# (the 2nd and 4th of 5 runs: nearest-rank quartiles). With -base DIR,
+# a checkout of an earlier commit is measured in the same invocation,
+# its runs alternating with this checkout's, from test binaries built
+# once per side: shared-container wall-clock drifts far too much for
 # absolute steps/sec to be comparable across invocations, let alone
-# across BENCH_runtime.json entries.
+# across BENCH_runtime.json entries. A base whose suite still has
+# engine configurations contributes its default one (/tiered).
 #
-# Usage: scripts/bench-runtime.sh [-o out.json]
+# Usage: scripts/bench-runtime.sh [-o out.json] [-base DIR]
 #   ITERS=300 COUNT=5 scripts/bench-runtime.sh   # the defaults
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -19,65 +21,113 @@ cd "$(dirname "$0")/.."
 ITERS=${ITERS:-300}
 COUNT=${COUNT:-5}
 OUT=BENCH_runtime.json
-if [ "${1:-}" = "-o" ]; then OUT=$2; fi
+BASE=
+while [ $# -gt 0 ]; do
+  case $1 in
+    -o) OUT=$2; shift 2 ;;
+    -base) BASE=$(cd "$2" && pwd); shift 2 ;;
+    *) echo "usage: $0 [-o out.json] [-base DIR]" >&2; exit 2 ;;
+  esac
+done
 
 RAW=$(mktemp)
-trap 'rm -f "$RAW"' EXIT
+BIN=$(mktemp -d)
+trap 'rm -rf "$RAW" "$BIN"' EXIT
 
-echo ";; running BenchmarkRuntime: ${COUNT}x runs of ${ITERS} fixed iterations per kernel/config" >&2
-go test -run xxx -bench BenchmarkRuntime -benchtime="${ITERS}x" -count="$COUNT" \
-  ./internal/s1/ | tee "$RAW" >&2
+go test -c -o "$BIN/change.test" ./internal/s1/
+if [ -n "$BASE" ]; then
+  (cd "$BASE" && go test -c -o "$BIN/base.test" ./internal/s1/)
+fi
+pattern_change=BenchmarkRuntime
+pattern_base=BenchmarkRuntime
+if [ -n "$BASE" ] && grep -q '"/tiered"' "$BASE/internal/s1/bench_runtime_test.go"; then
+  pattern_base='BenchmarkRuntime/.*/tiered$'
+fi
+echo ";; running BenchmarkRuntime: ${COUNT}x runs of ${ITERS} fixed iterations per kernel${BASE:+, alternating with $BASE}" >&2
+for i in $(seq "$COUNT"); do
+  for side in ${BASE:+base} change; do
+    pattern=pattern_$side
+    (cd internal/s1 && "$BIN/$side.test" -test.run xxx -test.bench "${!pattern}" \
+      -test.benchtime "${ITERS}x") | awk -v side="$side" '/^BenchmarkRuntime\// {print side, $0}' | tee -a "$RAW" >&2
+  done
+done
 
 CPU=$(awk -F': ' '/model name/ {print $2; exit}' /proc/cpuinfo 2>/dev/null || true)
 CORES=$(nproc 2>/dev/null || echo 1)
 GOMAX=${GOMAXPROCS:-$CORES}
 GOOS=$(go env GOOS)
 GOARCH=$(go env GOARCH)
+GOVER=$(go env GOVERSION)
 DATE=$(date +%F)
+BASEREV=
+if [ -n "$BASE" ]; then
+  BASEREV=$(git -C "$BASE" rev-parse --short HEAD 2>/dev/null || echo "$BASE")
+fi
 
 {
 cat <<HEADER
 {
   "date": "$DATE",
-  "benchmark": "scripts/bench-runtime.sh: go test -run xxx -bench BenchmarkRuntime -benchtime=${ITERS}x -count=$COUNT ./internal/s1/",
-  "metric": "steps/sec = simulator instructions retired per wall-clock second; per-configuration median of $COUNT fixed-iteration runs from one invocation",
+  "benchmark": "scripts/bench-runtime.sh${BASE:+ -base <checkout of $BASEREV>}: go test -run xxx -bench BenchmarkRuntime -benchtime=${ITERS}x, $COUNT runs per side alternating, ./internal/s1/",
+  "metric": "steps/sec = simulator instructions retired per wall-clock second, and ns/op (one call of the kernel's entry function); per-kernel median of $COUNT fixed-iteration runs from one invocation, ns/op with its interquartile spread",
   "environment": {
     "cpu": "$CPU",
     "cores": $CORES,
     "gomaxprocs": $GOMAX,
+    "go": "$GOVER",
     "goos": "$GOOS",
     "goarch": "$GOARCH",
-    "note": "all configurations re-measured in this invocation; absolute steps/sec depend on shared-container load and are NOT comparable to earlier BENCH_runtime.json entries, only the within-invocation ratios are"
+    "note": "absolute numbers depend on shared-container load and are NOT comparable to earlier BENCH_runtime.json entries; only this invocation's base/change comparison is"
   },
   "configurations": {
-    "notier": "plain pre-decoded dispatch, tier disabled (-notier); the baseline tier_speedup divides by",
-    "tiered": "the default engine: plain dispatch plus hot-function promotion to trace re-fusion and lowered blocks"
+HEADER
+if [ -n "$BASE" ]; then
+  echo "    \"base\": \"commit $BASEREV, its default engine (tiered: decoded closures plus hot-function promotion to lowered blocks)\","
+fi
+cat <<'HEADER'
+    "change": "this checkout: every instruction lowered at install, one run loop"
   },
 HEADER
 
 awk '
-/^BenchmarkRuntime\// {
-  name = $1; sub(/-[0-9]+$/, "", name)
+{
+  side = $1
+  name = $2; sub(/-[0-9]+$/, "", name)
   split(name, parts, "/")
-  kernel = parts[2]; cfg = parts[3]
-  v = 0
-  for (i = 2; i <= NF; i++) if ($i == "steps/sec") v = $(i-1) + 0
-  if (v <= 0) next
-  key = kernel SUBSEP cfg
+  kernel = parts[2]
+  sps = 0
+  for (i = 3; i <= NF; i++) if ($i == "steps/sec") sps = $(i-1) + 0
+  ns = $4 + 0
+  key = kernel SUBSEP side
   cnt[key]++
-  vals[key, cnt[key]] = v
+  sv[key, cnt[key]] = sps
+  nv[key, cnt[key]] = ns
   if (!(kernel in seen)) { seen[kernel] = 1; order[++nk] = kernel }
+  if (side == "base") hasbase = 1
 }
-function median(kernel, cfg,   key, m, i, j, t, a) {
-  key = kernel SUBSEP cfg
+function sorted(arr, key, a,   m, i, j, t) {
   m = cnt[key]
-  if (m == 0) return 0
-  for (i = 1; i <= m; i++) a[i] = vals[key, i]
+  for (i = 1; i <= m; i++) a[i] = arr[key, i]
   for (i = 1; i < m; i++)
     for (j = i + 1; j <= m; j++)
       if (a[j] < a[i]) { t = a[i]; a[i] = a[j]; a[j] = t }
+  return m
+}
+function median(arr, key,   a, m) {
+  m = sorted(arr, key, a)
+  if (m == 0) return 0
   if (m % 2) return a[(m + 1) / 2]
   return (a[m / 2] + a[m / 2 + 1]) / 2
+}
+function rank(m, q,   r) { r = int(m * q); if (r < m * q) r++; return r < 1 ? 1 : r }
+function iqr(arr, key,   a, m) {
+  m = sorted(arr, key, a)
+  if (m == 0) return 0
+  return a[rank(m, 0.75)] - a[rank(m, 0.25)]
+}
+function emit(kernel, side, last) {
+  key = kernel SUBSEP side
+  printf "      \"%s\": {\"steps_per_sec\": %d, \"ns_per_op\": %d, \"ns_per_op_iqr\": %d}%s\n", side, median(sv, key), median(nv, key), iqr(nv, key), (last ? "" : ",")
 }
 END {
   desc["exptl"] = "tail-recursive exponentiation driver, fixnum fast path"
@@ -87,32 +137,23 @@ END {
   desc["gc-cons"] = "list churn over a 20k-cons resident set, GC threshold 4096 (not a paper kernel; BENCH_gc.json isolates its collector cost)"
   desc["poly-call"] = "polymorphic + late-bound calls with a post-warm-up rebind; stresses call inline caches"
   printf "  \"kernels\": {\n"
-  logsum = 0; n = 0
   for (k = 1; k <= nk; k++) {
     kernel = order[k]
-    notier = median(kernel, "notier")
-    tiered = median(kernel, "tiered")
-    sp = notier > 0 ? tiered / notier : 0
-    if (sp > 0) { logsum += log(sp); n++ }
     printf "    \"%s\": {\n", kernel
     printf "      \"description\": \"%s\",\n", (kernel in desc ? desc[kernel] : kernel)
-    printf "      \"notier_steps_per_sec\": %d,\n", notier
-    printf "      \"tiered_steps_per_sec\": %d,\n", tiered
-    printf "      \"tier_speedup\": %.2f\n", sp
+    if (hasbase) emit(kernel, "base", 0)
+    emit(kernel, "change", 1)
     printf "    }%s\n", (k < nk ? "," : "")
   }
   printf "  },\n"
-  printf "  \"geomean_tier_speedup\": %.2f,\n", (n ? exp(logsum / n) : 0)
 }' "$RAW"
 
 cat <<'FOOTER'
-  "acceptance_threshold": 1.5,
   "what_changed": [
-    "tiered execution (DESIGN.md §12): always-on per-function invocation counters promote hot functions, re-fusing the whole function into one lowered-op trace (internal/s1/tier.go); -notier disables, -hot-threshold tunes",
-    "trace re-fusion: blocks split only at real jump targets plus profile-observed landing PCs, and jumps whose target lies inside the function continue in the executor without returning to the dispatch loop",
-    "the static up-to-4 superinstruction fuser and -nofuse are deleted: the tier's install is the only writer of the dispatch stream, so tier_speedup is measured against plain decoded dispatch",
-    "block lowering keeps step/cycle/MOV meters in Go locals, spilling to Machine state only at trace exits, calls, allocation sites and error paths, with exact -max-steps accounting and bounded interrupt latency (blockChunk)",
-    "SQ inline lowering binds hot CALLSQ routines (arith fastNum, CONS, CAR/CDR, special read/write) directly into the trace; hot CALL/TCALL sites get invalidation-checked inline caches for their resolved entry PC"
+    "one execution engine (DESIGN.md §10): every instruction is lowered at install (AddBody, LoadImage; LoadFrom copies a template's stream) into a pointer-free lop parallel to Code; the per-instruction decoded closures, hot-function promotion and the two flags that chose between engines are gone",
+    "the run loop splits in two: fast forms (register and in-bounds memory moves and arithmetic, pushes, pops, jumps, non-allocating SQ routines) run in a loop that calls nothing and keeps the PC and one packed meter word (cycles, MOVs, instructions to the next checkpoint) in registers; allocating routines, calls, returns and generic shapes run with the meters spilled and m.pc materialized",
+    "checkpoints (the step limit and the safepoint poll) fall every interruptEvery retired instructions, so -max-steps trips at the exact count without the tier's per-jump guards",
+    "new fast forms: float arithmetic with an immediate or two memory operands, CALLSQ single-flonum-cons, and inline-cached calls through a function immediate or a memory word"
   ]
 }
 FOOTER
