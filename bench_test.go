@@ -18,6 +18,7 @@ import (
 	"repro/internal/compilecache"
 	"repro/internal/convert"
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/sexp"
@@ -88,7 +89,7 @@ func BenchmarkE1_Conversion(b *testing.B) {
 // simulated cycles are the E8/compiled row of TestExperiments.
 func BenchmarkE8_NumericQuality(b *testing.B) {
 	row := experimentRow("E8/compiled")
-	consts := matrixConsts(row.consts)
+	consts := difftest.MatrixConsts(row.consts)
 	args, err := sexp.ReadAll(row.args)
 	if err != nil {
 		b.Fatal(err)

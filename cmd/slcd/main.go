@@ -100,7 +100,6 @@ func run() error {
 		snapDir    = flag.String("snapshot-dir", "", "durable machine-snapshot directory for warm boot and session durability across restarts")
 		faultSpec  = flag.String("fault", "", "fault-injection plan, e.g. 'disk:*:cache-write;request:unit=slow:deadline' (default $SLC_FAULT)")
 		optWatch   = flag.Duration("opt-watchdog", 5*time.Second, "wall-clock budget for each unit's optimizer fixpoint (0 = none)")
-		gcNoGen    = flag.Bool("gc-nogen", false, "disable generational GC in per-request machines (every collection full)")
 		gasRate    = flag.Int64("gas-rate", 0, "per-tenant gas refill in simulated S-1 cycles per second (0 = gas metering off)")
 		gasBurst   = flag.Int64("gas-burst", 0, "per-tenant gas bucket capacity in cycles (0 = 10x -gas-rate)")
 		maxSess    = flag.Int("max-sessions", 10000, "resident sessions held at once")
@@ -158,7 +157,6 @@ func run() error {
 		MaxHeapWords:   *maxHeap,
 		OptWatchdog:    *optWatch,
 		Fault:          faultPlan,
-		GCNoGen:        *gcNoGen,
 		GasRate:        *gasRate,
 		GasBurst:       *gasBurst,
 		MaxSessions:    *maxSess,

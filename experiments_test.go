@@ -11,6 +11,7 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/convert"
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/opt"
 	"repro/internal/sexp"
 	"repro/internal/tree"
@@ -29,54 +30,10 @@ type experiment struct {
 	name   string                 // "E<id>/<variant>", the golden line's key
 	src    string                 // the program, or the form to convert
 	opts   func(*codegen.Options) // change to codegen.DefaultOptions, or nil
-	consts int                    // side of the matrixConsts arrays, or 0 for none
+	consts int                    // side of the difftest.MatrixConsts arrays, or 0 for none
 	fn     string
 	args   string // the call's arguments, read as Lisp
 }
-
-const quadraticSrc = `
-(defun quadratic (a b c)
-  (let ((d (- (* b b) (* 4.0 a c))))
-    (cond ((< d 0) '())
-          ((= d 0) (list (/ (- b) (* 2.0 a))))
-          (t (let ((2a (* 2.0 a)) (sd (sqrt d)))
-               (list (/ (+ (- b) sd) 2a)
-                     (/ (- (- b) sd) 2a)))))))`
-
-const testfnSrc = `
-(defun frotz (a b c) nil)
-(defun testfn (a &optional (b 3.0) (c a))
-  (let ((d (+$f a b c)) (e (*$f a b c)))
-    (let ((q (sin$f e)))
-      (frotz d e (max$f d e))
-      q)))`
-
-const kernelSrc = `
-(defun kernel ()
-  (let ((n 16))
-    (let ((i 0))
-      (prog ()
-       iloop
-        (if (>=& i n) (return nil) nil)
-        (let ((j 0))
-          (prog ()
-           jloop
-            (if (>=& j n) (return nil) nil)
-            (let ((k 0))
-              (prog ()
-               kloop
-                (if (>=& k n) (return nil) nil)
-                (aset$f zarr
-                        (+$f (+$f (*$f (aref$f aarr i j) (aref$f barr j k))
-                                  (aref$f carr i k))
-                             econst)
-                        i k)
-                (setq k (+& k 1))
-                (go kloop)))
-            (setq j (+& j 1))
-            (go jloop)))
-        (setq i (+& i 1))
-        (go iloop)))))`
 
 const dotSrc = `
 (defun dot (n)
@@ -96,13 +53,6 @@ const exptSrc = `
         (t (exptl (* x x) (floor n 2) a))))
 (defun expt-rec (x n)
   (if (zerop n) 1 (* x (expt-rec x (- n 1)))))`
-
-const polySrc = `
-(defun observe (a b) nil)
-(defun poly (x)
-  (let ((d (+$f x 1.0)) (e (*$f x x)))
-    (observe d e)
-    (max$f d e)))`
 
 // deepBindingSrc reads a special n times under k unrelated bindings.
 func deepBindingSrc(k int) string {
@@ -134,19 +84,19 @@ var (
 
 func experiments() []experiment {
 	rows := []experiment{
-		{name: "E1/quadratic", src: quadraticSrc},
+		{name: "E1/quadratic", src: difftest.QuadraticSrc},
 		{name: "E2/choose", src: `(defun choose (a b c) (if (and a (or b c)) 'one 'two))`,
 			fn: "choose", args: "t nil t"},
 		{name: "E3/tail-exptl", src: exptSrc, fn: "exptl", args: "2 1000 1"},
 		{name: "E3/nontail-expt-rec", src: exptSrc, fn: "expt-rec", args: "2 1000"},
-		{name: "E4/tnbind", src: kernelSrc, consts: 16, fn: "kernel"},
-		{name: "E4/naive-alloc", src: kernelSrc, opts: noTN, consts: 16, fn: "kernel"},
+		{name: "E4/tnbind", src: difftest.MatrixSubscriptSrc, consts: 16, fn: "matrix-subscript"},
+		{name: "E4/naive-alloc", src: difftest.MatrixSubscriptSrc, opts: noTN, consts: 16, fn: "matrix-subscript"},
 		{name: "E5/rep-analysis", src: dotSrc, consts: 16, fn: "dot", args: "16"},
 		{name: "E5/pointers-only", src: dotSrc, opts: noRepPdl, consts: 16, fn: "dot", args: "16"},
-		{name: "E5/matrix-no-rep", src: kernelSrc, opts: noRep, consts: 16, fn: "kernel"},
-		{name: "E6/pdl-numbers", src: polySrc, fn: "poly", args: "2.5"},
-		{name: "E6/heap-only", src: polySrc, opts: noPdl, fn: "poly", args: "2.5"},
-		{name: "E7/testfn", src: testfnSrc, fn: "testfn", args: "0.5"},
+		{name: "E5/matrix-no-rep", src: difftest.MatrixSubscriptSrc, opts: noRep, consts: 16, fn: "matrix-subscript"},
+		{name: "E6/pdl-numbers", src: difftest.PolySrc, fn: "poly", args: "2.5"},
+		{name: "E6/heap-only", src: difftest.PolySrc, opts: noPdl, fn: "poly", args: "2.5"},
+		{name: "E7/testfn", src: difftest.TestfnSrc, fn: "testfn", args: "0.5"},
 		{name: "E8/compiled", src: dotSrc, consts: 64, fn: "dot", args: "64"},
 	}
 	for _, k := range []int{4, 64, 512} {
@@ -170,26 +120,6 @@ func experimentRow(name string) experiment {
 		}
 	}
 	panic("no experiment row " + name)
-}
-
-// matrixConsts returns the n×n static arrays aarr, barr, carr and zarr
-// and the constant econst of the numeric rows.
-func matrixConsts(n int) map[string]sexp.Value {
-	if n == 0 {
-		return nil
-	}
-	mk := func() *sexp.FloatArray {
-		fa := sexp.NewFloatArray([]int{n, n})
-		for i := range fa.Data {
-			fa.Data[i] = float64(i%7) * 0.25
-		}
-		return fa
-	}
-	return map[string]sexp.Value{
-		"aarr": mk(), "barr": mk(), "carr": mk(),
-		"zarr":   sexp.NewFloatArray([]int{n, n}),
-		"econst": sexp.Flonum(1.5),
-	}
 }
 
 // measure returns the row's golden line.
@@ -221,7 +151,7 @@ func (e experiment) measure() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sys := core.NewSystem(core.Options{Codegen: &o, Constants: matrixConsts(e.consts)})
+	sys := core.NewSystem(core.Options{Codegen: &o, Constants: difftest.MatrixConsts(e.consts)})
 	if err := sys.LoadString(e.src); err != nil {
 		return "", err
 	}

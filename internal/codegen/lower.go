@@ -134,11 +134,11 @@ func (f *fc) lower() ([]s1.Item, error) {
 }
 
 // dropSelfMoves removes register-to-self MOVs, which appear when packing
-// folds a copy's source and destination TN into one register. The decoder
-// would retire them as no-ops (decode.go), but eliding them here makes
-// the copy free instead of a wasted dispatch and keeps filler out of the
-// blocks the tier lowers. Labels are separate items resolved after
-// lowering, so removal cannot retarget a jump.
+// folds a copy's source and destination TN into one register. The run
+// loop would retire them as no-ops, but eliding them here makes the copy
+// free instead of a wasted dispatch and keeps filler out of the lowered
+// stream. Labels are separate items resolved after lowering, so removal
+// cannot retarget a jump.
 func dropSelfMoves(items []s1.Item) []s1.Item {
 	out := items[:0]
 	for _, it := range items {

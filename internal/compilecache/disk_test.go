@@ -212,7 +212,8 @@ func TestMismatchedKeyIsCorrupt(t *testing.T) {
 // TestUnassemblableEntryIsCorrupt: an entry whose checksum verifies but
 // whose captured body cannot be assembled (a jump to a label it does
 // not define) could never replay, so a read quarantines it as corrupt
-// and reports a miss, and so does recovery at open.
+// and reports a miss. Recovery at open checks frames only, so the entry
+// survives a reopen and its first lookup there quarantines it.
 func TestUnassemblableEntryIsCorrupt(t *testing.T) {
 	bad := func(key string) *DiskEntry {
 		e := testEntry(key, "f")
@@ -244,8 +245,14 @@ func TestUnassemblableEntryIsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
+	if _, err := os.Stat(filepath.Join(dir, "k2.e")); err != nil {
+		t.Errorf("recovery decoded and quarantined an entry whose frame verifies: %v", err)
+	}
+	if _, ok := d2.Lookup("k2"); ok {
+		t.Fatal("unassemblable entry served as a hit after a reopen")
+	}
 	if _, err := os.Stat(filepath.Join(dir, "k2.e")); !os.IsNotExist(err) {
-		t.Error("recovery kept an unassemblable entry")
+		t.Error("unassemblable entry still in place after its first lookup")
 	}
 }
 

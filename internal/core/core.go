@@ -692,7 +692,7 @@ func (s *System) compileDefs(units []*unit, list *diag.List) {
 	}
 
 	// Size the code vector for the whole batch before installing it:
-	// growing it install by install copies it, and both decoded streams,
+	// growing it install by install copies it, and its lowered stream,
 	// once per doubling.
 	need := 0
 	for _, u := range units {

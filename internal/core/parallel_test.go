@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -10,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/diag"
 	"repro/internal/interp"
 	"repro/internal/sexp"
 )
@@ -299,116 +301,47 @@ func TestCacheRedefinition(t *testing.T) {
 }
 
 // TestParallelListingsMatchExamples re-runs the determinism contract over
-// every Lisp program shipped in examples/ (the sources are embedded in
-// the example binaries; mirrored here verbatim).
+// every Lisp program shipped in examples/: each example binary embeds
+// its source as a raw string constant, read here from its main.go.
 func TestParallelListingsMatchExamples(t *testing.T) {
-	numericConsts := func() map[string]sexp.Value {
-		mk := func() *sexp.FloatArray {
-			fa := sexp.NewFloatArray([]int{16, 16})
-			for i := range fa.Data {
-				fa.Data[i] = float64(i%7) * 0.25
+	mk := func() *sexp.FloatArray {
+		fa := sexp.NewFloatArray([]int{16, 16})
+		for i := range fa.Data {
+			fa.Data[i] = float64(i%7) * 0.25
+		}
+		return fa
+	}
+	consts := map[string]sexp.Value{ // the numeric and matrix-subscript arrays
+		"aarr": mk(), "barr": mk(), "carr": mk(),
+		"zarr":   sexp.NewFloatArray([]int{16, 16}),
+		"econst": sexp.Flonum(1.5),
+	}
+	mains, _ := filepath.Glob("../../examples/*/main.go")
+	if len(mains) == 0 {
+		t.Fatal("no examples found")
+	}
+	for _, path := range mains {
+		t.Run(filepath.Base(filepath.Dir(path)), func(t *testing.T) {
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return fa
-		}
-		return map[string]sexp.Value{
-			"aarr": mk(), "barr": mk(), "carr": mk(),
-			"zarr":   sexp.NewFloatArray([]int{16, 16}),
-			"econst": sexp.Flonum(1.5),
-		}
-	}
-	cases := []struct {
-		name   string
-		src    string
-		consts map[string]sexp.Value
-	}{
-		{"quickstart", `
-(defun exptl (x n a)
-  (cond ((zerop n) a)
-        ((oddp n) (exptl (* x x) (floor n 2) (* a x)))
-        (t (exptl (* x x) (floor n 2) a))))`, nil},
-		{"quadratic", `
-(defun quadratic (a b c)
-  (let ((d (- (* b b) (* 4.0 a c))))
-    (cond ((< d 0) '())
-          ((= d 0) (list (/ (- b) (* 2.0 a))))
-          (t (let ((2a (* 2.0 a)) (sd (sqrt d)))
-               (list (/ (+ (- b) sd) 2a)
-                     (/ (- (- b) sd) 2a)))))))`, nil},
-		{"transcript", `
-(defun frotz (a b c) nil)
-(defun testfn (a &optional (b 3.0) (c a))
-  (let ((d (+$f a b c)) (e (*$f a b c)))
-    (let ((q (sin$f e)))
-      (frotz d e (max$f d e))
-      q)))`, nil},
-		{"numeric", `
-(defun kernel ()
-  (let ((n 16))
-    (let ((i 0))
-      (prog ()
-       iloop
-        (if (>=& i n) (return nil) nil)
-        (let ((j 0))
-          (prog ()
-           jloop
-            (if (>=& j n) (return nil) nil)
-            (let ((k 0))
-              (prog ()
-               kloop
-                (if (>=& k n) (return nil) nil)
-                (aset$f zarr
-                        (+$f (+$f (*$f (aref$f aarr i j) (aref$f barr j k))
-                                  (aref$f carr i k))
-                             econst)
-                        i k)
-                (setq k (+& k 1))
-                (go kloop)))
-            (setq j (+& j 1))
-            (go jloop)))
-        (setq i (+& i 1))
-        (go iloop)))))
-(defun observe (a b) nil)
-(defun poly (x)
-  (let ((d (+$f x 1.0)) (e (*$f x x)))
-    (observe d e)
-    (max$f d e)))`, numericConsts()},
-		{"benchmarks", `
-(defun tak (x y z)
-  (if (not (< y x))
-      z
-      (tak (tak (- x 1) y z)
-           (tak (- y 1) z x)
-           (tak (- z 1) x y))))
-(defun fib (n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))
-(defun listn (n) (if (zerop n) nil (cons n (listn (- n 1)))))
-(defun len (l) (if (null l) 0 (+ 1 (len (cdr l)))))
-(defun listbench (n) (len (append (listn n) (listn n))))
-(defun iter (n acc) (if (zerop n) acc (iter (- n 1) (+ acc n))))
-(defun deriv (e)
-  (cond ((atom e) (if (eq e 'x) 1 0))
-        ((eq (car e) '+)
-         (list '+ (deriv (cadr e)) (deriv (caddr e))))
-        ((eq (car e) '*)
-         (list '+ (list '* (cadr e) (deriv (caddr e)))
-                  (list '* (caddr e) (deriv (cadr e)))))
-        (t 'unknown)))
-(defun derivbench (n)
-  (let ((e '(+ (* 3 (* x x)) (* 5 x))) (out nil) (i 0))
-    (prog ()
-     loop
-      (if (>= i n) (return out) nil)
-      (setq out (deriv e))
-      (setq i (+ i 1))
-      (go loop))))`, nil},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			seq := NewSystem(Options{Jobs: 1, Constants: tc.consts})
-			if err := seq.LoadString(tc.src); err != nil {
+			var src string
+			ast.Inspect(f, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && src == "" && strings.HasPrefix(lit.Value, "`") && strings.Contains(lit.Value, "(defun") {
+					src = strings.Trim(lit.Value, "`")
+				}
+				return src == ""
+			})
+			if src == "" {
+				t.Fatal("no Lisp source")
+			}
+			seq := NewSystem(Options{Jobs: 1, Constants: consts})
+			if err := seq.LoadString(src); err != nil {
 				t.Fatalf("sequential load: %v", err)
 			}
-			par := NewSystem(Options{Jobs: 8, Constants: tc.consts})
-			if err := par.LoadString(tc.src); err != nil {
+			par := NewSystem(Options{Jobs: 8, Constants: consts})
+			if err := par.LoadString(src); err != nil {
 				t.Fatalf("parallel load: %v", err)
 			}
 			for name, idx := range seq.Defs {
@@ -485,39 +418,6 @@ func TestParallelFoldingLeavesBuiltinsUnchanged(t *testing.T) {
 			now.val.Name != was.val.Name || now.val.MinArgs != was.val.MinArgs ||
 			now.val.MaxArgs != was.val.MaxArgs || now.val.Pure != was.val.Pure {
 			t.Errorf("builtin %s changed: %+v -> %+v", name.Name, was, now)
-		}
-	}
-}
-
-// TestBatchGrowsCodeVectorOnce: a load's definitions reserve the code
-// vector from their prepared trees before any installs, so a cold load
-// grows it exactly once, to that reservation, with room left for the
-// top-level forms that follow.
-func TestBatchGrowsCodeVectorOnce(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	var gen strings.Builder
-	for i := 0; i < 64; i++ {
-		fmt.Fprintf(&gen, "(defun g%d (a b) %s)\n", i, genExpr(r, []string{"a", "b"}, 5))
-	}
-	for name, src := range map[string]string{"corpus": corpusSrc, "generated": gen.String()} {
-		est := NewSystem(Options{})
-		ld := est.frontEnd(src, est.Obs.Task("batch", 0), diag.NewList(0))
-		need := 0
-		for _, u := range ld.defs {
-			p, err := est.safePrepare(u.name, u.lam, est.Obs.Task(u.name, 0), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			need += p.CodeEstimate()
-		}
-		sys := NewSystem(Options{})
-		c0, l0 := cap(sys.Machine.Code), len(sys.Machine.Code)
-		if err := sys.LoadString(src); err != nil {
-			t.Fatal(err)
-		}
-		if want, got := max(2*c0, l0+need), cap(sys.Machine.Code); got != want {
-			t.Errorf("%s: code vector capacity %d after the load, want the reservation %d (%d instructions installed)",
-				name, got, want, len(sys.Machine.Code))
 		}
 	}
 }

@@ -60,7 +60,7 @@ import (
 // stressSched makes servers built afterwards force a scheduler yield at
 // every safepoint, so every program parks and resumes constantly — the
 // differential torture mode for the park/resume path. Only tests set
-// it (SLCD_SCHED_MODE=stress in TestMain).
+// it (TestSchedModeDifferential runs its sequence both ways).
 var stressSched bool
 
 // Config sizes and arms a Server. Zero values take the documented
@@ -88,9 +88,6 @@ type Config struct {
 	// Deprecated: kept so configurations written for the old tiered
 	// engine still compile.
 	HotThreshold int64
-	// GCNoGen disables generational collection in the per-request
-	// machines (-gc-nogen). See core.Options.
-	GCNoGen bool
 	// Disk is the shared durable compile cache (nil = none).
 	Disk *compilecache.Disk
 	// Prelude is Lisp source loaded into every request's system before

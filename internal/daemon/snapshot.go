@@ -42,11 +42,7 @@ func (s *Server) sysOptions() core.Options {
 		OptWatchdog:  s.cfg.OptWatchdog,
 		DiskCache:    s.cfg.Disk,
 		Fault:        s.cfg.Fault,
-		// Generational knobs. These never affect compiled output (no
-		// compile configuration sets a GC threshold), so restored machines
-		// verify against snapshots regardless of the settings.
-		GCNoGen: s.cfg.GCNoGen,
-		Flight:  s.flight,
+		Flight:       s.flight,
 	}
 }
 

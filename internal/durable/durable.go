@@ -86,25 +86,35 @@ func (f *Format[T]) Frame(payload []byte) []byte {
 // Parse verifies a framed file and decodes its payload; nothing
 // partially verified is ever decoded.
 func (f *Format[T]) Parse(name string, data []byte) (T, error) {
-	var zero T
+	payload, err := f.verify(data)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return f.Decode(name, payload)
+}
+
+// verify checks a framed file's magic, version and checksum and returns
+// its payload, undecoded.
+func (f *Format[T]) verify(data []byte) ([]byte, error) {
 	magic, rest, ok := bytes.Cut(data, []byte{'\n'})
 	if !ok {
-		return zero, errors.New("truncated header")
+		return nil, errors.New("truncated header")
 	}
 	if string(magic) != f.Magic {
 		if strings.HasPrefix(string(magic), strings.TrimRight(f.Magic, "0123456789")) {
-			return zero, fmt.Errorf("%w: file is %q, this build reads %q", ErrVersion, magic, f.Magic)
+			return nil, fmt.Errorf("%w: file is %q, this build reads %q", ErrVersion, magic, f.Magic)
 		}
-		return zero, fmt.Errorf("bad magic %q", magic)
+		return nil, fmt.Errorf("bad magic %q", magic)
 	}
 	sum, payload, ok := bytes.Cut(rest, []byte{'\n'})
 	if !ok {
-		return zero, errors.New("truncated header")
+		return nil, errors.New("truncated header")
 	}
 	if got := sha256.Sum256(payload); hex.EncodeToString(got[:]) != string(sum) {
-		return zero, errors.New("checksum mismatch")
+		return nil, errors.New("checksum mismatch")
 	}
-	return f.Decode(name, payload)
+	return payload, nil
 }
 
 // WriteFile durably writes payload, framed, to a standalone path.
@@ -264,8 +274,10 @@ func (d *Dir[T]) funlock() {
 }
 
 // recover quarantines the debris of crashed writers: temp files,
-// unknown files, and files that do not verify, version-skewed ones
-// included (they can never be read, and would shadow their name).
+// unknown files, and files whose frame does not verify, version-skewed
+// ones included (they can never be read, and would shadow their name).
+// It decodes nothing: a file whose frame verifies but whose payload
+// does not decode is quarantined by its first Read.
 func (d *Dir[T]) recover() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -284,10 +296,10 @@ func (d *Dir[T]) recover() error {
 		}
 		// A temp file exists only if its writer died mid-write; unknown
 		// debris is quarantined rather than guessed at.
-		if base, ok := strings.CutSuffix(file, d.format.Suffix); ok && !strings.Contains(file, ".tmp") {
+		if strings.HasSuffix(file, d.format.Suffix) && !strings.Contains(file, ".tmp") {
 			data, err := os.ReadFile(filepath.Join(d.path, file))
 			if err == nil {
-				_, err = d.format.Parse(base, data)
+				_, err = d.format.verify(data)
 			}
 			if err == nil {
 				continue

@@ -387,21 +387,30 @@ func buildBuiltins() map[*sexp.Symbol]sexp.Value {
 
 	// --- type-specific float operators (§6.2: "+$f" indicates
 	// single-precision floating-point addition) ---
-	flo2 := func(name string, f func(x, y float64) float64) {
-		def(name, 2, 2, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
-			x, y, err := twoFloats(name, a)
+	// The associative ones take two or more arguments, as prim declares
+	// them for the compiler, folded from the left.
+	flo2 := func(name string, max int, f func(x, y float64) float64) {
+		def(name, 2, max, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
+			x, err := oneFloat(name, a[0])
 			if err != nil {
 				return nil, err
 			}
-			return sexp.Flonum(f(x, y)), nil
+			for _, v := range a[1:] {
+				y, err := oneFloat(name, v)
+				if err != nil {
+					return nil, err
+				}
+				x = f(x, y)
+			}
+			return sexp.Flonum(x), nil
 		})
 	}
-	flo2("+$f", func(x, y float64) float64 { return x + y })
-	flo2("-$f", func(x, y float64) float64 { return x - y })
-	flo2("*$f", func(x, y float64) float64 { return x * y })
-	flo2("/$f", func(x, y float64) float64 { return x / y })
-	flo2("max$f", math.Max)
-	flo2("min$f", math.Min)
+	flo2("+$f", -1, func(x, y float64) float64 { return x + y })
+	flo2("-$f", 2, func(x, y float64) float64 { return x - y })
+	flo2("*$f", -1, func(x, y float64) float64 { return x * y })
+	flo2("/$f", 2, func(x, y float64) float64 { return x / y })
+	flo2("max$f", -1, math.Max)
+	flo2("min$f", -1, math.Min)
 	floCmp := func(name string, ok func(x, y float64) bool) {
 		def(name, 2, 2, true, func(_ *Interp, a []sexp.Value) (sexp.Value, error) {
 			x, y, err := twoFloats(name, a)

@@ -81,6 +81,8 @@ func TestTypeSpecificOps(t *testing.T) {
 		{"(+$f 1.5 2.5)", "4.0"},
 		{"(*$f 3.0 2.0)", "6.0"},
 		{"(max$f 1.0 2.0)", "2.0"},
+		{"(+$f 1.5 2.5 3.0)", "7.0"}, // n-ary, as the compiler takes them
+		{"(min$f 4.0 2.0 3.0)", "2.0"},
 		{"(sqrt$f 9.0)", "3.0"},
 		{"(<$f 1.0 2.0)", "t"},
 		{"(+& 2 3)", "5"},

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/sexp"
 )
 
@@ -40,14 +41,7 @@ const exptlSrc = `
     (setq i (+& i 1))
     (go loop)))`
 
-const quadraticSrc = `
-(defun quadratic (a b c)
-  (let ((d (- (* b b) (* 4.0 a c))))
-    (cond ((< d 0) '())
-          ((= d 0) (list (/ (- b) (* 2.0 a))))
-          (t (let ((2a (* 2.0 a)) (sd (sqrt d)))
-               (list (/ (+ (- b) sd) 2a)
-                     (/ (- (- b) sd) 2a)))))))
+const quadraticSrc = difftest.QuadraticSrc + `
 (defun quadratic-driver (k)
   (prog (i)
     (setq i 0)
@@ -60,13 +54,7 @@ const quadraticSrc = `
     (setq i (+& i 1))
     (go loop)))`
 
-const testfnSrc = `
-(defun frotz (a b c) nil)
-(defun testfn (a &optional (b 3.0) (c a))
-  (let ((d (+$f a b c)) (e (*$f a b c)))
-    (let ((q (sin$f e)))
-      (frotz d e (max$f d e))
-      q)))
+const testfnSrc = difftest.TestfnSrc + `
 (defun testfn-driver (k)
   (prog (i)
     (setq i 0)
@@ -76,32 +64,7 @@ const testfnSrc = `
     (setq i (+& i 1))
     (go loop)))`
 
-const matrixSubscriptSrc = `
-(defun matrix-subscript ()
-  (let ((n 16))
-    (let ((i 0))
-      (prog ()
-       iloop
-        (if (>=& i n) (return nil) nil)
-        (let ((j 0))
-          (prog ()
-           jloop
-            (if (>=& j n) (return nil) nil)
-            (let ((k 0))
-              (prog ()
-               kloop
-                (if (>=& k n) (return nil) nil)
-                (aset$f zarr
-                        (+$f (+$f (*$f (aref$f aarr i j) (aref$f barr j k))
-                                  (aref$f carr i k))
-                             econst)
-                        i k)
-                (setq k (+& k 1))
-                (go kloop)))
-            (setq j (+& j 1))
-            (go jloop)))
-        (setq i (+& i 1))
-        (go iloop)))))`
+const matrixSubscriptSrc = difftest.MatrixSubscriptSrc
 
 // gc-cons models a server-shaped heap: *keep*, built once at load, is
 // the long-lived resident structure (a prelude, interned data); each
@@ -159,21 +122,6 @@ const polyCallSrc = `
 const polyRebindSrc = `
 (defun step1 (x) (if (>=& x 4097) 1 (inc x)))`
 
-func matrixSubscriptConsts(n int) map[string]sexp.Value {
-	mk := func() *sexp.FloatArray {
-		fa := sexp.NewFloatArray([]int{n, n})
-		for i := range fa.Data {
-			fa.Data[i] = float64(i%7) * 0.25
-		}
-		return fa
-	}
-	return map[string]sexp.Value{
-		"aarr": mk(), "barr": mk(), "carr": mk(),
-		"zarr":   sexp.NewFloatArray([]int{n, n}),
-		"econst": sexp.Flonum(1.5),
-	}
-}
-
 // runtimeKernel describes one benchmark program: source, entry call, and
 // optional system tweaks (constants, GC threshold).
 type runtimeKernel struct {
@@ -201,7 +149,7 @@ func runtimeKernels() []runtimeKernel {
 		{name: "testfn", src: testfnSrc, fn: "testfn-driver",
 			args: []sexp.Value{sexp.Fixnum(100)}, gcAt: 8192},
 		{name: "matrix-subscript", src: matrixSubscriptSrc, fn: "matrix-subscript",
-			consts: matrixSubscriptConsts(16), gcAt: 16384},
+			consts: difftest.MatrixConsts(16), gcAt: 16384},
 		{name: "gc-cons", src: gcConsSrc, fn: "churn",
 			args: []sexp.Value{sexp.Fixnum(20), sexp.Fixnum(100)}, gcAt: 4096},
 		{name: "poly-call", src: polyCallSrc, fn: "poly-driver",

@@ -27,47 +27,123 @@ type diffProg struct {
 	wantErr string
 }
 
+// buildSpecialBind assembles f: bind *depth* (globally 0) to 42,
+// find and read it, unbind, return; it returns *depth*'s index.
+func buildSpecialBind(t *testing.T, m *Machine) int {
+	sym := m.InternSym("*depth*")
+	m.SetGlobal("*depth*", FixnumWord(0))
+	addFn(t, m, "f", 0, 0, []Item{
+		InstrItem(Instr{Op: OpSPECBIND, TagArg: int64(sym), A: Imm(FixnumWord(42))}),
+		InstrItem(Instr{Op: OpCALLSQ, TagArg: SQSpecFind, B: ImmInt(int64(sym))}),
+		InstrItem(Instr{Op: OpCALLSQ, TagArg: SQSpecRead}),
+		InstrItem(Instr{Op: OpSPECUNBIND, TagArg: 1}),
+		InstrItem(Instr{Op: OpRET}),
+	})
+	return sym
+}
+
+// buildCatch assembles c, which throws 41 to its own catch of out.
+func buildCatch(t *testing.T, m *Machine) {
+	tagSym := Ptr(TagSymbol, uint64(m.InternSym("out")))
+	addFn(t, m, "c", 0, 0, []Item{
+		InstrItem(Instr{Op: OpCATCH, A: Imm(tagSym), B: Lbl("handler")}),
+		InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Imm(tagSym)}),
+		InstrItem(Instr{Op: OpMOV, A: R(RegB), B: Imm(FixnumWord(41))}),
+		InstrItem(Instr{Op: OpCALLSQ, TagArg: SQThrow}),
+		InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Imm(FixnumWord(0))}), // skipped
+		LabelItem("handler"),
+		InstrItem(Instr{Op: OpRET}),
+	})
+}
+
+// buildUncaught assembles u, which throws with no catch.
+func buildUncaught(t *testing.T, m *Machine) {
+	addFn(t, m, "u", 0, 0, []Item{
+		InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Imm(FixnumWord(1))}),
+		InstrItem(Instr{Op: OpMOV, A: R(RegB), B: Imm(FixnumWord(2))}),
+		InstrItem(Instr{Op: OpCALLSQ, TagArg: SQThrow}),
+		InstrItem(Instr{Op: OpRET}),
+	})
+}
+
+// buildClosure assembles outer(n), which makes an environment {n},
+// closes inner over it and calls the closure with 10; inner returns
+// its environment slot 0 plus its argument.
+func buildClosure(t *testing.T, m *Machine) {
+	innerIdx := addFn(t, m, "inner", 1, 1, []Item{
+		// env slot 0 at EP.addr+1; arg fixnum at FP-5.
+		InstrItem(Instr{Op: OpMOV, A: R(RegRTA), B: Mem(RegEP, 1)}),
+		InstrItem(Instr{Op: OpMOV, A: R(RegRTB), B: Mem(RegFP, -5)}),
+		InstrItem(Instr{Op: OpADD, A: R(RegRTA), B: R(RegRTB)}), // add fixnum bits
+		InstrItem(Instr{Op: OpMOVP, TagArg: int64(TagFixnum), A: R(RegA), B: Idx(RegRTA, 0, NoReg, 0)}),
+		InstrItem(Instr{Op: OpRET}),
+	})
+	addFn(t, m, "outer", 1, 1, []Item{
+		InstrItem(Instr{Op: OpENV, A: R(10), B: Imm(NilWord), TagArg: 1}),
+		InstrItem(Instr{Op: OpMOV, A: Idx(10, 1, NoReg, 0), B: Mem(RegFP, -5)}),
+		InstrItem(Instr{Op: OpCLOSE, A: R(11), B: R(10), TagArg: int64(innerIdx)}),
+		InstrItem(Instr{Op: OpPUSH, A: Imm(FixnumWord(10))}),
+		InstrItem(Instr{Op: OpCALL, A: R(11), TagArg: 1}),
+		InstrItem(Instr{Op: OpPOP, A: R(RegA)}),
+		InstrItem(Instr{Op: OpRET}),
+	})
+}
+
+// buildRestify assembles f(a, &rest r), which returns r.
+func buildRestify(t *testing.T, m *Machine) {
+	addFn(t, m, "f", 1, -1, []Item{
+		InstrItem(Instr{Op: OpCALLSQ, TagArg: SQRestify, B: ImmInt(1)}),
+		// Normalized layout: args at FP-4-2+i → a at FP-6, rest at FP-5.
+		InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Mem(RegFP, -5)}),
+		InstrItem(Instr{Op: OpRET}),
+	})
+}
+
+// buildApplyList assembles ap, which applies add2 to the list (40 2).
+func buildApplyList(t *testing.T, m *Machine) {
+	buildAdd2(t, m)
+	addIdx := m.FuncNamed("add2")
+	lst := m.Cons(FixnumWord(40), m.Cons(FixnumWord(2), NilWord))
+	addFn(t, m, "ap", 0, 0, []Item{
+		InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Imm(Ptr(TagFunc, uint64(addIdx)))}),
+		InstrItem(Instr{Op: OpMOV, A: R(RegB), B: Imm(lst)}),
+		InstrItem(Instr{Op: OpCALLSQ, TagArg: SQApplyList}),
+		InstrItem(Instr{Op: OpPOP, A: R(RegA)}),
+		InstrItem(Instr{Op: OpRET}),
+	})
+}
+
+// buildDeep assembles deep(n): n == 0 ? 0 : deep(n-1) through a real
+// CALL, so each level keeps its frame; it returns deep's index.
+func buildDeep(t *testing.T, m *Machine) int {
+	sym := m.InternSym("deep")
+	fnIdx := addFn(t, m, "deep", 1, 1, []Item{
+		InstrItem(Instr{Op: OpMOV, A: R(RegRTA), B: Mem(RegFP, -5)}),
+		InstrItem(Instr{Op: OpJEQ, A: R(RegRTA), B: ImmInt(0), C: Lbl("base")}),
+		InstrItem(Instr{Op: OpSUB, A: R(RegRTA), B: ImmInt(1)}),
+		InstrItem(Instr{Op: OpMOVP, TagArg: int64(TagFixnum), A: R(RegA), B: Idx(RegRTA, 0, NoReg, 0)}),
+		InstrItem(Instr{Op: OpPUSH, A: R(RegA)}),
+		InstrItem(Instr{Op: OpCALL, A: Imm(Ptr(TagSymbol, uint64(sym))), TagArg: 1}),
+		InstrItem(Instr{Op: OpPOP, A: R(RegA)}),
+		InstrItem(Instr{Op: OpRET}),
+		LabelItem("base"),
+		InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Imm(FixnumWord(0))}),
+		InstrItem(Instr{Op: OpRET}),
+	})
+	m.SetSymbolFunction("deep", Ptr(TagFunc, uint64(fnIdx)))
+	return fnIdx
+}
+
 func diffCorpus() []diffProg {
 	return []diffProg{
 		{name: "fixnum-arith", fn: "add2",
 			args:  []Word{FixnumWord(30), FixnumWord(12)},
 			build: func(t *testing.T, m *Machine) { buildAdd2(t, m) }},
 
-		{name: "tail-loop", fn: "loop", args: []Word{FixnumWord(500)},
-			build: func(t *testing.T, m *Machine) {
-				idx := m.InternSym("loop")
-				fnIdx := addFn(t, m, "loop", 1, 1, []Item{
-					InstrItem(Instr{Op: OpMOV, A: R(RegRTA), B: Mem(RegFP, -5)}),
-					InstrItem(Instr{Op: OpJEQ, A: R(RegRTA), B: ImmInt(0), C: Lbl("done")}),
-					InstrItem(Instr{Op: OpSUB, A: R(RegRTA), B: ImmInt(1)}),
-					InstrItem(Instr{Op: OpMOVP, TagArg: int64(TagFixnum), A: R(RegA), B: Idx(RegRTA, 0, NoReg, 0)}),
-					InstrItem(Instr{Op: OpPUSH, A: R(RegA)}),
-					InstrItem(Instr{Op: OpTCALL, A: Imm(Ptr(TagSymbol, uint64(idx))), TagArg: 1}),
-					LabelItem("done"),
-					InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Imm(FixnumWord(99))}),
-					InstrItem(Instr{Op: OpRET}),
-				})
-				m.SetSymbolFunction("loop", Ptr(TagFunc, uint64(fnIdx)))
-			}},
+		{name: "tail-loop", fn: "loop", args: []Word{FixnumWord(500)}, build: buildCountLoop},
 
 		{name: "deep-call", fn: "deep", args: []Word{FixnumWord(100)},
-			build: func(t *testing.T, m *Machine) {
-				sym := m.InternSym("deep")
-				fnIdx := addFn(t, m, "deep", 1, 1, []Item{
-					InstrItem(Instr{Op: OpMOV, A: R(RegRTA), B: Mem(RegFP, -5)}),
-					InstrItem(Instr{Op: OpJEQ, A: R(RegRTA), B: ImmInt(0), C: Lbl("base")}),
-					InstrItem(Instr{Op: OpSUB, A: R(RegRTA), B: ImmInt(1)}),
-					InstrItem(Instr{Op: OpMOVP, TagArg: int64(TagFixnum), A: R(RegA), B: Idx(RegRTA, 0, NoReg, 0)}),
-					InstrItem(Instr{Op: OpPUSH, A: R(RegA)}),
-					InstrItem(Instr{Op: OpCALL, A: Imm(Ptr(TagSymbol, uint64(sym))), TagArg: 1}),
-					InstrItem(Instr{Op: OpPOP, A: R(RegA)}),
-					InstrItem(Instr{Op: OpRET}),
-					LabelItem("base"),
-					InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Imm(FixnumWord(0))}),
-					InstrItem(Instr{Op: OpRET}),
-				})
-				m.SetSymbolFunction("deep", Ptr(TagFunc, uint64(fnIdx)))
-			}},
+			build: func(t *testing.T, m *Machine) { buildDeep(t, m) }},
 
 		{name: "float-chain", fn: "f",
 			build: func(t *testing.T, m *Machine) {
@@ -120,85 +196,18 @@ func diffCorpus() []diffProg {
 			}},
 
 		{name: "special-binding", fn: "f",
-			build: func(t *testing.T, m *Machine) {
-				sym := m.InternSym("*depth*")
-				m.SetGlobal("*depth*", FixnumWord(0))
-				addFn(t, m, "f", 0, 0, []Item{
-					InstrItem(Instr{Op: OpSPECBIND, TagArg: int64(sym), A: Imm(FixnumWord(42))}),
-					InstrItem(Instr{Op: OpCALLSQ, TagArg: SQSpecFind, B: ImmInt(int64(sym))}),
-					InstrItem(Instr{Op: OpCALLSQ, TagArg: SQSpecRead}),
-					InstrItem(Instr{Op: OpSPECUNBIND, TagArg: 1}),
-					InstrItem(Instr{Op: OpRET}),
-				})
-			}},
+			build: func(t *testing.T, m *Machine) { buildSpecialBind(t, m) }},
 
-		{name: "catch-throw", fn: "c",
-			build: func(t *testing.T, m *Machine) {
-				tagSym := Ptr(TagSymbol, uint64(m.InternSym("out")))
-				addFn(t, m, "c", 0, 0, []Item{
-					InstrItem(Instr{Op: OpCATCH, A: Imm(tagSym), B: Lbl("handler")}),
-					InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Imm(tagSym)}),
-					InstrItem(Instr{Op: OpMOV, A: R(RegB), B: Imm(FixnumWord(41))}),
-					InstrItem(Instr{Op: OpCALLSQ, TagArg: SQThrow}),
-					InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Imm(FixnumWord(0))}),
-					LabelItem("handler"),
-					InstrItem(Instr{Op: OpRET}),
-				})
-			}},
+		{name: "catch-throw", fn: "c", build: buildCatch},
 
-		{name: "uncaught-throw", fn: "u", wantErr: "uncaught",
-			build: func(t *testing.T, m *Machine) {
-				addFn(t, m, "u", 0, 0, []Item{
-					InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Imm(FixnumWord(1))}),
-					InstrItem(Instr{Op: OpMOV, A: R(RegB), B: Imm(FixnumWord(2))}),
-					InstrItem(Instr{Op: OpCALLSQ, TagArg: SQThrow}),
-					InstrItem(Instr{Op: OpRET}),
-				})
-			}},
+		{name: "uncaught-throw", fn: "u", wantErr: "uncaught", build: buildUncaught},
 
-		{name: "closure", fn: "outer", args: []Word{FixnumWord(32)},
-			build: func(t *testing.T, m *Machine) {
-				innerIdx := addFn(t, m, "inner", 1, 1, []Item{
-					InstrItem(Instr{Op: OpMOV, A: R(RegRTA), B: Mem(RegEP, 1)}),
-					InstrItem(Instr{Op: OpMOV, A: R(RegRTB), B: Mem(RegFP, -5)}),
-					InstrItem(Instr{Op: OpADD, A: R(RegRTA), B: R(RegRTB)}),
-					InstrItem(Instr{Op: OpMOVP, TagArg: int64(TagFixnum), A: R(RegA), B: Idx(RegRTA, 0, NoReg, 0)}),
-					InstrItem(Instr{Op: OpRET}),
-				})
-				addFn(t, m, "outer", 1, 1, []Item{
-					InstrItem(Instr{Op: OpENV, A: R(10), B: Imm(NilWord), TagArg: 1}),
-					InstrItem(Instr{Op: OpMOV, A: Idx(10, 1, NoReg, 0), B: Mem(RegFP, -5)}),
-					InstrItem(Instr{Op: OpCLOSE, A: R(11), B: R(10), TagArg: int64(innerIdx)}),
-					InstrItem(Instr{Op: OpPUSH, A: Imm(FixnumWord(10))}),
-					InstrItem(Instr{Op: OpCALL, A: R(11), TagArg: 1}),
-					InstrItem(Instr{Op: OpPOP, A: R(RegA)}),
-					InstrItem(Instr{Op: OpRET}),
-				})
-			}},
+		{name: "closure", fn: "outer", args: []Word{FixnumWord(32)}, build: buildClosure},
 
 		{name: "restify", fn: "f",
-			args: []Word{FixnumWord(1), FixnumWord(2), FixnumWord(3)},
-			build: func(t *testing.T, m *Machine) {
-				addFn(t, m, "f", 1, -1, []Item{
-					InstrItem(Instr{Op: OpCALLSQ, TagArg: SQRestify, B: ImmInt(1)}),
-					InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Mem(RegFP, -5)}),
-					InstrItem(Instr{Op: OpRET}),
-				})
-			}},
+			args: []Word{FixnumWord(1), FixnumWord(2), FixnumWord(3)}, build: buildRestify},
 
-		{name: "apply-list", fn: "ap",
-			build: func(t *testing.T, m *Machine) {
-				buildAdd2(t, m)
-				addIdx := m.FuncNamed("add2")
-				lst := m.Cons(FixnumWord(40), m.Cons(FixnumWord(2), NilWord))
-				addFn(t, m, "ap", 0, 0, []Item{
-					InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Imm(Ptr(TagFunc, uint64(addIdx)))}),
-					InstrItem(Instr{Op: OpMOV, A: R(RegB), B: Imm(lst)}),
-					InstrItem(Instr{Op: OpCALLSQ, TagArg: SQApplyList}),
-					InstrItem(Instr{Op: OpPOP, A: R(RegA)}),
-					InstrItem(Instr{Op: OpRET}),
-				})
-			}},
+		{name: "apply-list", fn: "ap", build: buildApplyList},
 
 		{name: "indexed-addressing", fn: "el", args: []Word{FixnumWord(2)},
 			build: func(t *testing.T, m *Machine) {

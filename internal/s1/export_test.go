@@ -5,23 +5,6 @@ import (
 	"slices"
 )
 
-// CheckStackRegs verifies that SP and FP lie within [StackBase,
-// StackLimit] and that the stack is a doubling of its initial size no
-// larger than the segment. It lives in a test file so package s1_test
-// tests in this directory can call it while the program never carries
-// it.
-func (m *Machine) CheckStackRegs() error {
-	for _, r := range []uint8{RegSP, RegFP} {
-		if a := m.regs[r].Bits; a < StackBase || a > StackLimit {
-			return fmt.Errorf("s1: register %d = %#x outside the stack segment [%#x, %#x]", r, a, StackBase, StackLimit)
-		}
-	}
-	if n := len(m.stack); n < initialStackWords || n > StackLimit-StackBase || n&(n-1) != 0 {
-		return fmt.Errorf("s1: stack has %d words, want a power of two in [%d, %d]", n, initialStackWords, StackLimit-StackBase)
-	}
-	return nil
-}
-
 // CheckLoweredPristine verifies that ops[lo:hi] is exactly the
 // lowering of Code[lo:hi] with every inline cache empty: the stream of a
 // machine that never ran it, and what a copied template or kept body
@@ -64,10 +47,6 @@ func (m *Machine) CheckZeroAboveSP() error {
 	}
 	return nil
 }
-
-// PrimArgsDepth reports how many fallback-primitive argument slots are
-// in use.
-func (m *Machine) PrimArgsDepth() int { return len(m.primArgs) }
 
 // NativePrim runs name's word-level entry on args exactly as the
 // primitive gateway tries it; ok=false means there is none or it

@@ -49,7 +49,8 @@ import (
 //
 // Writes into a block allocated after the last possible collection point
 // need no barrier (the block is young, and young blocks are traversed):
-// Cons, ConsFlonum, decCLOSE and decENV fill their blocks immediately.
+// Cons, ConsFlonum and step's CLOSE and ENV cases fill their blocks
+// immediately.
 // A builder that fills a block *across* further allocations (FromValue's
 // vectors) must use heapWrite, because an intervening minor collection
 // may have tenured the partially built block.

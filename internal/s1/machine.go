@@ -678,8 +678,12 @@ func (m *Machine) CallFunction(name string, args ...Word) (Word, error) {
 // CallIndex invokes function index idx with args. The same panic
 // barrier as Run guards the frame setup (argument pushes may allocate
 // under a heap limit). Unless the call was preempted, it returns with
-// the stack reset to a zeroed initial-size one (resetStack).
+// the stack reset to a zeroed initial-size one (resetStack); a call
+// that failed also drops the dynamic bindings and catch frames it
+// made, as a throw past them would, so the next call on the machine
+// sees the global values and no stale catch.
 func (m *Machine) CallIndex(idx int, args ...Word) (w Word, err error) {
+	binds, catches := len(m.bindStack), len(m.catchStack)
 	defer func() {
 		if r := recover(); r != nil {
 			m.halted = true
@@ -690,6 +694,9 @@ func (m *Machine) CallIndex(idx int, args ...Word) (w Word, err error) {
 			}
 		}
 		if !errors.Is(err, ErrPreempted) { // a preempted call resumes on it
+			if err != nil {
+				m.bindStack, m.catchStack = m.bindStack[:binds], m.catchStack[:catches]
+			}
 			m.resetStack()
 		}
 	}()
@@ -871,6 +878,26 @@ func (m *Machine) ResetStats() {
 	m.Stats = Stats{}
 	m.safeCharged = 0
 }
+
+// CheckStackRegs verifies that SP and FP lie within [StackBase,
+// StackLimit] and that the stack is a doubling of its initial size no
+// larger than the segment. The differential harness (internal/difftest)
+// runs it after every call.
+func (m *Machine) CheckStackRegs() error {
+	for _, r := range []uint8{RegSP, RegFP} {
+		if a := m.regs[r].Bits; a < StackBase || a > StackLimit {
+			return fmt.Errorf("s1: register %d = %#x outside the stack segment [%#x, %#x]", r, a, StackBase, StackLimit)
+		}
+	}
+	if n := len(m.stack); n < initialStackWords || n > StackLimit-StackBase || n&(n-1) != 0 {
+		return fmt.Errorf("s1: stack has %d words, want a power of two in [%d, %d]", n, initialStackWords, StackLimit-StackBase)
+	}
+	return nil
+}
+
+// PrimArgsDepth reports how many fallback-primitive argument slots are
+// in use: zero between calls.
+func (m *Machine) PrimArgsDepth() int { return len(m.primArgs) }
 
 // initialStackWords is a new machine's stack size in words (4 KB). A
 // short request rarely outgrows it, and an idle session machine keeps

@@ -58,21 +58,7 @@ func TestProfileFunctionAttribution(t *testing.T) {
 	// must attribute every instruction to deep and fold the recursion
 	// into nested collapsed stacks.
 	m := New()
-	sym := m.InternSym("deep")
-	fnIdx := addFn(t, m, "deep", 1, 1, []Item{
-		InstrItem(Instr{Op: OpMOV, A: R(RegRTA), B: Mem(RegFP, -5)}),
-		InstrItem(Instr{Op: OpJEQ, A: R(RegRTA), B: ImmInt(0), C: Lbl("base")}),
-		InstrItem(Instr{Op: OpSUB, A: R(RegRTA), B: ImmInt(1)}),
-		InstrItem(Instr{Op: OpMOVP, TagArg: int64(TagFixnum), A: R(RegA), B: Idx(RegRTA, 0, NoReg, 0)}),
-		InstrItem(Instr{Op: OpPUSH, A: R(RegA)}),
-		InstrItem(Instr{Op: OpCALL, A: Imm(Ptr(TagSymbol, uint64(sym))), TagArg: 1}),
-		InstrItem(Instr{Op: OpPOP, A: R(RegA)}),
-		InstrItem(Instr{Op: OpRET}),
-		LabelItem("base"),
-		InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Imm(FixnumWord(0))}),
-		InstrItem(Instr{Op: OpRET}),
-	})
-	m.SetSymbolFunction("deep", Ptr(TagFunc, uint64(fnIdx)))
+	fnIdx := buildDeep(t, m)
 	p := m.EnableProfile()
 	if _, err := m.CallFunction("deep", FixnumWord(5)); err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/compilecache"
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/sexp"
 )
 
@@ -115,40 +116,7 @@ func TestSharedDecodedBody(t *testing.T) {
 // takes its arguments from the machine's scratch stack and gives them
 // back.
 func TestPrimArgsNested(t *testing.T) {
-	const src = `
-(defun nest (a b)
-  (append (reverse (append a b)) (list (length (append b a)) (apply (function append) (list a b)))))
-(defun via-stub (f a b) (funcall f (funcall f a b) (reverse b)))
-(defun stubbed (a b) (via-stub (function append) a b))
-`
-	calls := []string{"nest", "stubbed"}
-	args := []sexp.Value{sexp.List(sexp.Fixnum(1), sexp.Fixnum(2)), sexp.List(sexp.Fixnum(3))}
-	var want []string
-	for _, stress := range []bool{false, true} {
-		sys := core.NewSystem(core.Options{GCStress: stress})
-		if err := sys.LoadString(src); err != nil {
-			t.Fatal(err)
-		}
-		for i, fn := range calls {
-			v, err := sys.Call(fn, args...)
-			if err != nil {
-				t.Fatalf("%s (gc-stress %t): %v", fn, stress, err)
-			}
-			iv, err := sys.Interpret(fn, args...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sexp.Print(v) != sexp.Print(iv) {
-				t.Errorf("%s (gc-stress %t): compiled %s, interpreted %s", fn, stress, sexp.Print(v), sexp.Print(iv))
-			}
-			if !stress {
-				want = append(want, sexp.Print(v))
-			} else if sexp.Print(v) != want[i] {
-				t.Errorf("%s: %s under gc-stress, %s without", fn, sexp.Print(v), want[i])
-			}
-			if n := sys.Machine.PrimArgsDepth(); n != 0 {
-				t.Errorf("%s left %d argument slots in use", fn, n)
-			}
-		}
+	if _, err := difftest.Run(difftest.PrimArgs(), difftest.Config{GC: difftest.Full}, nil); err != nil {
+		t.Fatal(err)
 	}
 }

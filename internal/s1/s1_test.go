@@ -227,21 +227,7 @@ func TestJEQComparesFixnumBits(t *testing.T) {
 func TestNonTailCallGrowsStack(t *testing.T) {
 	// deep(n): if n == 0 return 0 else 0 + deep(n-1) via real CALL.
 	m := New()
-	sym := m.InternSym("deep")
-	fnIdx := addFn(t, m, "deep", 1, 1, []Item{
-		InstrItem(Instr{Op: OpMOV, A: R(RegRTA), B: Mem(RegFP, -5)}),
-		InstrItem(Instr{Op: OpJEQ, A: R(RegRTA), B: ImmInt(0), C: Lbl("base")}),
-		InstrItem(Instr{Op: OpSUB, A: R(RegRTA), B: ImmInt(1)}),
-		InstrItem(Instr{Op: OpMOVP, TagArg: int64(TagFixnum), A: R(RegA), B: Idx(RegRTA, 0, NoReg, 0)}),
-		InstrItem(Instr{Op: OpPUSH, A: R(RegA)}),
-		InstrItem(Instr{Op: OpCALL, A: Imm(Ptr(TagSymbol, uint64(sym))), TagArg: 1}),
-		InstrItem(Instr{Op: OpPOP, A: R(RegA)}),
-		InstrItem(Instr{Op: OpRET}),
-		LabelItem("base"),
-		InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Imm(FixnumWord(0))}),
-		InstrItem(Instr{Op: OpRET}),
-	})
-	m.SetSymbolFunction("deep", Ptr(TagFunc, uint64(fnIdx)))
+	buildDeep(t, m)
 	if _, err := m.CallFunction("deep", FixnumWord(1000)); err != nil {
 		t.Fatal(err)
 	}
@@ -357,16 +343,7 @@ func TestConsCarCdr(t *testing.T) {
 
 func TestSpecialBindingDeep(t *testing.T) {
 	m := New()
-	sym := m.InternSym("*depth*")
-	m.SetGlobal("*depth*", FixnumWord(0))
-	// f: bind *depth* to 42, find+read it, unbind, return.
-	addFn(t, m, "f", 0, 0, []Item{
-		InstrItem(Instr{Op: OpSPECBIND, TagArg: int64(sym), A: Imm(FixnumWord(42))}),
-		InstrItem(Instr{Op: OpCALLSQ, TagArg: SQSpecFind, B: ImmInt(int64(sym))}),
-		InstrItem(Instr{Op: OpCALLSQ, TagArg: SQSpecRead}),
-		InstrItem(Instr{Op: OpSPECUNBIND, TagArg: 1}),
-		InstrItem(Instr{Op: OpRET}),
-	})
+	sym := buildSpecialBind(t, m)
 	got, err := m.CallFunction("f")
 	if err != nil {
 		t.Fatal(err)
@@ -396,16 +373,7 @@ func TestSpecialBindingDeep(t *testing.T) {
 
 func TestCatchThrow(t *testing.T) {
 	m := New()
-	tagSym := Ptr(TagSymbol, uint64(m.InternSym("out")))
-	addFn(t, m, "c", 0, 0, []Item{
-		InstrItem(Instr{Op: OpCATCH, A: Imm(tagSym), B: Lbl("handler")}),
-		InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Imm(tagSym)}),
-		InstrItem(Instr{Op: OpMOV, A: R(RegB), B: Imm(FixnumWord(41))}),
-		InstrItem(Instr{Op: OpCALLSQ, TagArg: SQThrow}),
-		InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Imm(FixnumWord(0))}), // skipped
-		LabelItem("handler"),
-		InstrItem(Instr{Op: OpRET}),
-	})
+	buildCatch(t, m)
 	got, err := m.CallFunction("c")
 	if err != nil {
 		t.Fatal(err)
@@ -414,12 +382,7 @@ func TestCatchThrow(t *testing.T) {
 		t.Errorf("catch/throw = %s", got)
 	}
 	// Uncaught throw errors.
-	addFn(t, m, "u", 0, 0, []Item{
-		InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Imm(FixnumWord(1))}),
-		InstrItem(Instr{Op: OpMOV, A: R(RegB), B: Imm(FixnumWord(2))}),
-		InstrItem(Instr{Op: OpCALLSQ, TagArg: SQThrow}),
-		InstrItem(Instr{Op: OpRET}),
-	})
+	buildUncaught(t, m)
 	if _, err := m.CallFunction("u"); err == nil ||
 		!strings.Contains(err.Error(), "uncaught") {
 		t.Errorf("uncaught throw: %v", err)
@@ -428,25 +391,7 @@ func TestCatchThrow(t *testing.T) {
 
 func TestClosureCreationAndCall(t *testing.T) {
 	m := New()
-	// inner: returns its environment slot 0 plus its argument.
-	innerIdx := addFn(t, m, "inner", 1, 1, []Item{
-		// env slot 0 at EP.addr+1; arg fixnum at FP-5.
-		InstrItem(Instr{Op: OpMOV, A: R(RegRTA), B: Mem(RegEP, 1)}),
-		InstrItem(Instr{Op: OpMOV, A: R(RegRTB), B: Mem(RegFP, -5)}),
-		InstrItem(Instr{Op: OpADD, A: R(RegRTA), B: R(RegRTB)}), // add fixnum bits
-		InstrItem(Instr{Op: OpMOVP, TagArg: int64(TagFixnum), A: R(RegA), B: Idx(RegRTA, 0, NoReg, 0)}),
-		InstrItem(Instr{Op: OpRET}),
-	})
-	// outer(n): make env {n}, close inner over it, call closure with 10.
-	addFn(t, m, "outer", 1, 1, []Item{
-		InstrItem(Instr{Op: OpENV, A: R(10), B: Imm(NilWord), TagArg: 1}),
-		InstrItem(Instr{Op: OpMOV, A: Idx(10, 1, NoReg, 0), B: Mem(RegFP, -5)}),
-		InstrItem(Instr{Op: OpCLOSE, A: R(11), B: R(10), TagArg: int64(innerIdx)}),
-		InstrItem(Instr{Op: OpPUSH, A: Imm(FixnumWord(10))}),
-		InstrItem(Instr{Op: OpCALL, A: R(11), TagArg: 1}),
-		InstrItem(Instr{Op: OpPOP, A: R(RegA)}),
-		InstrItem(Instr{Op: OpRET}),
-	})
+	buildClosure(t, m)
 	got, err := m.CallFunction("outer", FixnumWord(32))
 	if err != nil {
 		t.Fatal(err)
@@ -461,13 +406,7 @@ func TestClosureCreationAndCall(t *testing.T) {
 
 func TestRestify(t *testing.T) {
 	m := New()
-	// f(a, &rest r): return r.
-	addFn(t, m, "f", 1, -1, []Item{
-		InstrItem(Instr{Op: OpCALLSQ, TagArg: SQRestify, B: ImmInt(1)}),
-		// Normalized layout: args at FP-4-2+i → a at FP-6, rest at FP-5.
-		InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Mem(RegFP, -5)}),
-		InstrItem(Instr{Op: OpRET}),
-	})
+	buildRestify(t, m)
 	got, err := m.CallFunction("f", FixnumWord(1), FixnumWord(2), FixnumWord(3))
 	if err != nil {
 		t.Fatal(err)
@@ -491,16 +430,7 @@ func TestRestify(t *testing.T) {
 
 func TestApplyListSQ(t *testing.T) {
 	m := New()
-	buildAdd2(t, m)
-	addIdx := m.FuncNamed("add2")
-	lst := m.Cons(FixnumWord(40), m.Cons(FixnumWord(2), NilWord))
-	addFn(t, m, "ap", 0, 0, []Item{
-		InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Imm(Ptr(TagFunc, uint64(addIdx)))}),
-		InstrItem(Instr{Op: OpMOV, A: R(RegB), B: Imm(lst)}),
-		InstrItem(Instr{Op: OpCALLSQ, TagArg: SQApplyList}),
-		InstrItem(Instr{Op: OpPOP, A: R(RegA)}),
-		InstrItem(Instr{Op: OpRET}),
-	})
+	buildApplyList(t, m)
 	got, err := m.CallFunction("ap")
 	if err != nil {
 		t.Fatal(err)

@@ -82,7 +82,11 @@ cat <<HEADER
   "configurations": {
 HEADER
 if [ -n "$BASE" ]; then
-  echo "    \"base\": \"commit $BASEREV, its default engine (tiered: decoded closures plus hot-function promotion to lowered blocks)\","
+  if [ "$pattern_base" != BenchmarkRuntime ]; then
+    echo "    \"base\": \"commit $BASEREV, its default engine (tiered: decoded closures plus hot-function promotion to lowered blocks)\","
+  else
+    echo "    \"base\": \"commit $BASEREV, its default engine\","
+  fi
 fi
 cat <<'HEADER'
     "change": "this checkout: every instruction lowered at install, one run loop"
