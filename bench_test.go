@@ -277,11 +277,14 @@ func BenchmarkCompileThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkCompileCached reloads the same source into one system with a
-// compile cache (a DiskCache on a temporary directory): the warm-up load
-// compiles and stores every definition, and each timed reload rebinds
-// them to the bodies the system already installed, skipping the middle
-// end and code generation entirely without touching the disk.
+// BenchmarkCompileCached loads one generated source three ways. cold
+// compiles it into a fresh system with no cache. warm-disk is what
+// `slc -cache-dir` does on a directory an earlier load filled: each
+// iteration opens a fresh Disk handle (so nothing is served from a
+// process-wide layer) and loads into a fresh system, which reads,
+// verifies and replays every entry file. cached reloads the source into
+// one system with a cache: each timed reload rebinds the definitions to
+// the bodies the system already installed, touching no disk.
 func BenchmarkCompileCached(b *testing.B) {
 	const nForms = 64
 	src := genCompileCorpus(nForms)
@@ -291,6 +294,32 @@ func BenchmarkCompileCached(b *testing.B) {
 			if err := sys.LoadString(src); err != nil {
 				b.Fatal(err)
 			}
+		}
+		b.ReportMetric(float64(nForms)*float64(b.N)/b.Elapsed().Seconds(), "forms/sec")
+	})
+	b.Run("warm-disk", func(b *testing.B) {
+		dir := b.TempDir()
+		load := func() *core.System {
+			d, err := compilecache.OpenDisk(dir, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer d.Close()
+			sys := core.NewSystem(core.Options{Jobs: 1, DiskCache: d})
+			if err := sys.LoadString(src); err != nil {
+				b.Fatal(err)
+			}
+			return sys
+		}
+		load()
+		b.ResetTimer()
+		var sys *core.System
+		for i := 0; i < b.N; i++ {
+			sys = load()
+		}
+		b.StopTimer()
+		if st := sys.Stats(); st.CompileCacheMisses != 0 {
+			b.Fatalf("warm load missed %d of %d entries", st.CompileCacheMisses, st.CompileCacheHits+st.CompileCacheMisses)
 		}
 		b.ReportMetric(float64(nForms)*float64(b.N)/b.Elapsed().Seconds(), "forms/sec")
 	})

@@ -32,7 +32,6 @@
 // Durability flags (see DESIGN.md §11):
 //
 //	slc -cache-dir /tmp/slc-cache prog.lisp   # crash-safe durable compile cache
-//	slc -gc-stress -run main prog.lisp        # GC before every allocation
 //	slc -image-hash prog.lisp                 # print the machine-image fingerprint
 //
 // Snapshot flags (see DESIGN.md §14): a snapshot is a versioned,
@@ -83,8 +82,6 @@ func run() error {
 		interpret  = flag.Bool("interp", false, "run -run through the interpreter instead of compiled code")
 		replMode   = flag.Bool("repl", false, "start an interactive compiled REPL (after loading files, if any)")
 		cacheDir   = flag.String("cache-dir", "", "durable on-disk compile cache directory (crash-safe; shareable between processes)")
-		gcStress   = flag.Bool("gc-stress", false, "force a garbage collection before every runtime allocation (invariant shakeout)")
-		gcStressM  = flag.Bool("gc-stress-minor", false, "force a minor collection before every runtime allocation (write-barrier shakeout)")
 		gcNoGen    = flag.Bool("gc-nogen", false, "disable generational GC: every automatic collection is a full mark-sweep")
 		imageHash  = flag.Bool("image-hash", false, "print the machine-image fingerprint after loading")
 		snapOut    = flag.String("snapshot-out", "", "after a clean load, write a versioned machine snapshot to this file")
@@ -155,7 +152,6 @@ func run() error {
 	sysOpts := core.Options{Codegen: &opts, Out: os.Stdout, Jobs: *jobs,
 		MaxErrors: *maxErrors, Fault: faultPlan,
 		MaxSteps: *maxSteps, MaxHeapWords: *maxHeap, OptWatchdog: *optWatch,
-		GCStress: *gcStress, GCStressMinor: *gcStressM,
 		GCNoGen: *gcNoGen}
 	if *cacheDir != "" {
 		d, err := compilecache.OpenDisk(*cacheDir, faultPlan)

@@ -86,8 +86,8 @@ var codeBufs = sync.Pool{New: func() any { return new([]absItem) }}
 
 // lowerBufs holds the instruction slab and item list a function is
 // lowered into (lower.go). AddFunction is their only reader and copies
-// what it keeps (assemble into the code vector, FromItems into a
-// capture), so they are free for the next function once it returns.
+// what it keeps (assembled, into the code vector and any capture), so
+// they are free for the next function once it returns.
 var lowerBufs = sync.Pool{New: func() any { return new(lowerBuf) }}
 
 type lowerBuf struct {

@@ -2,13 +2,13 @@
 // compilation results that survives process restarts and concurrent use
 // by multiple compiler processes.
 //
-// What is stored is not the machine image bytes of a compiled function —
-// items embed machine-local symbol indices, function indices, and heap
+// What is stored is not a standalone image of a compiled function — its
+// code embeds machine-local symbol indices, function indices, and heap
 // addresses — but a *capture* of the machine mutations its emission
 // performed (s1.Capture): the symbols interned, the printed forms of the
-// heap constants built, and the function bodies installed, each in
-// original order. Replaying those mutations against a machine whose
-// allocator context (s1.AllocContext) matches the one recorded at
+// heap constants built, and the function bodies installed, assembled,
+// each in original order. Replaying those mutations against a machine
+// whose allocator context (s1.AllocContext) matches the one recorded at
 // capture time reproduces the emission word for word, so a disk hit is
 // byte-identical to a recompile. A context mismatch is not an error —
 // the caller just compiles the unit normally.
@@ -18,26 +18,25 @@
 // writes, the cross-process flock, recovery at open and quarantine of
 // anything that does not verify. What this layer adds:
 //
-//   - an entry verifies only if it decodes, names its own key, and every
-//     captured body assembles; anything else is quarantined as corrupt
+//   - an entry verifies only if it decodes (s1's wire form, wire.go),
+//     names its own key, keeps every body's jump targets inside that
+//     body, and its constants read back; anything else is quarantined
+//     as corrupt
 //   - repeated corrupt reads trip a circuit breaker (breaker.go) that
 //     stops consulting the disk for a cooldown period
 //   - an entry that a read fully verified is kept, decoded, in a
 //     process-wide layer on the handle and shared read-only by every
 //     system that replays it; later lookups of that name are served
 //     from memory without touching the file. Store never fills it, so
-//     only bytes that passed verification can be served from it. The
-//     read assembles each captured body once and the layer keeps the
-//     result, so a replay appends instructions instead of resolving
-//     labels again.
+//     only bytes that passed verification can be served from it. A
+//     replay appends each body's instructions and relocates its jumps;
+//     nothing is assembled again.
 //   - a primary entry <key>.e is never overwritten because its capture
 //     does not replay in some other allocator context; that context's
 //     capture is stored beside it under VariantKey, so both replay
 package compilecache
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -51,14 +50,15 @@ import (
 
 // entryFormat is the entry file format; bump the magic's version on any
 // change to DiskEntry's encoding so old entries quarantine instead of
-// misdecoding.
+// misdecoding. (v2: the s1 wire form replaced a gob stream of
+// unassembled items.)
 var entryFormat = &durable.Format[*DiskEntry]{
-	Magic:     "slc-cache-entry-v1",
+	Magic:     "slc-cache-entry-v2",
 	Suffix:    ".e",
 	Event:     "cache-quarantine",
 	Phase:     "disk",
 	TornWrite: diag.KindCacheWrite,
-	Decode:    decodeEntry,
+	Decode:    DecodeEntry,
 }
 
 // layerEntries bounds the verified-once layer. A full layer forgets its
@@ -95,8 +95,8 @@ type DiskEntry struct {
 	// MinArgs/MaxArgs mirror the function descriptor.
 	MinArgs, MaxArgs int
 	// GenBefore/GenDelta pin the compiler's gensym counter: replay is
-	// valid only when the counter equals GenBefore (the captured items
-	// embed generated label names), and afterwards the counter must
+	// valid only when the counter equals GenBefore (the captured code
+	// embeds generated label names), and afterwards the counter must
 	// advance by GenDelta to keep subsequent units identical too.
 	GenBefore, GenDelta int
 	// Ctx is the allocator-context fingerprint the capture was made in;
@@ -110,19 +110,17 @@ type DiskEntry struct {
 	// Capture is the recorded emission.
 	Capture s1.Capture
 
-	// bodies are Capture.Funcs assembled and consts Capture.Consts read,
-	// both filled by the verified file read that admits the entry to the
-	// layer (before any system can see it) and never modified after;
-	// Install builds the constants and appends the bodies.
-	bodies []s1.Body
+	// consts are Capture.Consts read, filled by the verified file read
+	// that admits the entry to the layer (before any system can see it)
+	// and never modified after; Install builds them.
 	consts []sexp.Value
 }
 
 // Instrs is the number of instructions Install appends.
 func (e *DiskEntry) Instrs() int {
 	n := 0
-	for i := range e.bodies {
-		n += len(e.bodies[i].Code)
+	for i := range e.Capture.Funcs {
+		n += len(e.Capture.Funcs[i].Code)
 	}
 	return n
 }
@@ -159,19 +157,15 @@ func (e *DiskEntry) Install(m *s1.Machine) (int, error) {
 	// The replayed constants stay pinned, as they were while the capture
 	// compiled, until the bodies referencing them are installed.
 	defer m.Unpin(m.PinDepth())
-	if len(e.bodies) == 0 {
+	if len(e.consts) != len(e.Capture.Consts) {
 		return 0, fmt.Errorf("compilecache: entry for %s was not read through Probe", e.Name)
 	}
 	for _, v := range e.consts {
 		m.Pin(m.FromValue(v))
 	}
 	idx := -1
-	for i := range e.bodies {
-		j, err := m.AddBody(&e.bodies[i])
-		if err != nil {
-			return 0, fmt.Errorf("compilecache: replaying body %s: %w", e.bodies[i].Name, err)
-		}
-		idx = j
+	for i := range e.Capture.Funcs {
+		idx = m.AddBody(&e.Capture.Funcs[i])
 	}
 	return idx, nil
 }
@@ -238,26 +232,44 @@ func (d *Disk) Stats() DiskStats {
 // tests).
 func (d *Disk) Breaker() *Breaker { return d.breaker }
 
-// decodeEntry is the entry's verification past the frame: it decodes,
-// names the key it is filed under (a renamed or cross-linked file is
-// corrupt), and its bodies assemble (a capture that does not could
-// never replay), and its constants read back (one that does not could
-// not either). The read keeps the assembled bodies and the constants.
-func decodeEntry(key string, payload []byte) (*DiskEntry, error) {
-	var e DiskEntry
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&e); err != nil {
+// Payload is the entry's wire encoding, the bytes an entry file frames.
+func (e *DiskEntry) Payload() []byte {
+	var w s1.Writer
+	w.Str(e.Key)
+	w.Str(e.Name)
+	w.Int(e.MinArgs)
+	w.Int(e.MaxArgs)
+	w.Int(e.GenBefore)
+	w.Int(e.GenDelta)
+	w.Str(e.Ctx)
+	s1.AppendSection(&w, e.Binds, func(w *s1.Writer, b *codegen.FuncBind) {
+		w.Str(b.Name)
+		w.Int(b.Index)
+	})
+	w.Strs(e.Capture.Syms)
+	w.Strs(e.Capture.Consts)
+	s1.AppendSection(&w, e.Capture.Funcs, s1.AppendBody)
+	return w.Bytes()
+}
+
+// DecodeEntry is the entry's verification past the frame: the payload
+// decodes (which checks that every jump stays inside its body), names
+// the key it is filed under (a renamed or cross-linked file is corrupt),
+// and its constants read back (one that does not could never replay).
+// The read keeps the constants.
+func DecodeEntry(key string, payload []byte) (*DiskEntry, error) {
+	r := s1.NewReader(payload)
+	e := &DiskEntry{Key: r.Str(), Name: r.Str(), MinArgs: r.Int(), MaxArgs: r.Int(),
+		GenBefore: r.Int(), GenDelta: r.Int(), Ctx: r.Str()}
+	e.Binds = s1.ReadSection(r, 16, func(r *s1.Reader) codegen.FuncBind { return codegen.FuncBind{Name: r.Str(), Index: r.Int()} })
+	e.Capture.Syms = r.Strs()
+	e.Capture.Consts = r.Strs()
+	e.Capture.Funcs = s1.ReadSection(r, s1.BodyMin, s1.ReadBody)
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("decoding: %w", err)
 	}
 	if e.Key != key {
 		return nil, fmt.Errorf("entry key %s does not match file name", e.Key)
-	}
-	e.bodies = make([]s1.Body, len(e.Capture.Funcs))
-	for i := range e.Capture.Funcs {
-		b, err := s1.AssembleBody(&e.Capture.Funcs[i])
-		if err != nil {
-			return nil, fmt.Errorf("assembling %s: %w", e.Capture.Funcs[i].Name, err)
-		}
-		e.bodies[i] = b
 	}
 	e.consts = make([]sexp.Value, len(e.Capture.Consts))
 	for i, src := range e.Capture.Consts {
@@ -267,7 +279,7 @@ func decodeEntry(key string, payload []byte) (*DiskEntry, error) {
 		}
 		e.consts[i] = v
 	}
-	return &e, nil
+	return e, nil
 }
 
 // Lookup returns the durable entry for key, or (nil, false) on a miss.
@@ -322,11 +334,7 @@ func (d *Disk) Probe(key string) (*DiskEntry, string) {
 // entry straight to the final path, which recovery and lookup
 // verification must both catch.
 func (d *Disk) Store(key string, e *DiskEntry) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(e); err != nil {
-		return fmt.Errorf("compilecache: encoding entry for %s: %w", e.Name, err)
-	}
-	if err := d.files.Write(key, e.Name, payload.Bytes()); err != nil {
+	if err := d.files.Write(key, e.Name, e.Payload()); err != nil {
 		return fmt.Errorf("compilecache: %w", err)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package compilecache
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,9 +21,9 @@ func testEntry(key, name string) *DiskEntry {
 		Capture: s1.Capture{
 			Syms:   []string{name},
 			Consts: []string{"(1 2 3)"},
-			Funcs: []s1.CapturedFunc{{
+			Funcs: []s1.Body{{
 				Name: name, MinArgs: 1, MaxArgs: 1,
-				Items: []s1.CapturedItem{{IsInstr: true, Instr: s1.Instr{Op: s1.OpRET}}},
+				Code: []s1.Instr{{Op: s1.OpRET}},
 			}},
 		},
 	}
@@ -42,7 +43,7 @@ func TestDiskStoreLookupRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("stored entry missed")
 	}
-	if got.Name != "f" || len(got.Capture.Funcs) != 1 || got.Capture.Funcs[0].Items[0].Instr.Op != s1.OpRET {
+	if got.Name != "f" || len(got.Capture.Funcs) != 1 || got.Capture.Funcs[0].Code[0].Op != s1.OpRET {
 		t.Errorf("round-trip mangled entry: %+v", got)
 	}
 	if _, ok := d.Lookup("absent"); ok {
@@ -85,11 +86,17 @@ func TestRecoverQuarantinesDebris(t *testing.T) {
 	}
 	d.Close()
 
-	// Simulate a crashed writer: a stray temp file and a torn entry.
+	// Simulate a crashed writer: a stray temp file and a torn entry. An
+	// entry the previous format (slc-cache-entry-v1, a gob stream) wrote
+	// verifies its checksum but not its version.
 	if err := os.WriteFile(filepath.Join(dir, "dead.tmp123"), []byte("partial"), 0o666); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "torn.e"), []byte(entryFormat.Magic+"\nabcd\ngarbage"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(string(entryFormat.Frame(testEntry("old", "f").Payload())), entryFormat.Magic, "slc-cache-entry-v1", 1)
+	if err := os.WriteFile(filepath.Join(dir, "old.e"), []byte(old), 0o666); err != nil {
 		t.Fatal(err)
 	}
 
@@ -104,6 +111,9 @@ func TestRecoverQuarantinesDebris(t *testing.T) {
 	if _, ok := d2.Lookup("torn"); ok {
 		t.Error("torn entry served as a hit")
 	}
+	if _, ok := d2.Lookup("old"); ok {
+		t.Error("previous-version entry served as a hit")
+	}
 	q, err := os.ReadDir(filepath.Join(dir, "quarantine"))
 	if err != nil {
 		t.Fatal(err)
@@ -113,8 +123,8 @@ func TestRecoverQuarantinesDebris(t *testing.T) {
 		names = append(names, f.Name())
 	}
 	joined := strings.Join(names, ",")
-	if !strings.Contains(joined, "dead.tmp123") || !strings.Contains(joined, "torn.e") {
-		t.Errorf("quarantine holds %q, want the temp and the torn entry", joined)
+	if !strings.Contains(joined, "dead.tmp123") || !strings.Contains(joined, "torn.e") || !strings.Contains(joined, "old.e") {
+		t.Errorf("quarantine holds %q, want the temp, the torn and the old-version entry", joined)
 	}
 }
 
@@ -210,15 +220,18 @@ func TestMismatchedKeyIsCorrupt(t *testing.T) {
 }
 
 // TestUnassemblableEntryIsCorrupt: an entry whose checksum verifies but
-// whose captured body cannot be assembled (a jump to a label it does
-// not define) could never replay, so a read quarantines it as corrupt
-// and reports a miss. Recovery at open checks frames only, so the entry
+// whose captured body jumps outside itself could never replay, so a
+// read quarantines it as corrupt and reports a miss. Recovery at open checks frames only, so the entry
 // survives a reopen and its first lookup there quarantines it.
 func TestUnassemblableEntryIsCorrupt(t *testing.T) {
-	bad := func(key string) *DiskEntry {
+	// The entry's last word is the target of its last body's last
+	// instruction, a jump: point it past the body's two instructions.
+	bad := func(key string) []byte {
 		e := testEntry(key, "f")
-		e.Capture.Funcs[0].Items = []s1.CapturedItem{{IsInstr: true, Instr: s1.Instr{Op: s1.OpJMP, A: s1.Lbl("nowhere")}}}
-		return e
+		e.Capture.Funcs[0].Code = []s1.Instr{{Op: s1.OpRET}, {Op: s1.OpJMP, A: s1.Lbl("l")}}
+		p := e.Payload()
+		binary.LittleEndian.PutUint64(p[len(p)-8:], 3)
+		return p
 	}
 	dir := t.TempDir()
 	d, err := OpenDisk(dir, nil)
@@ -226,7 +239,7 @@ func TestUnassemblableEntryIsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []string{"k1", "k2"} {
-		if err := d.Store(k, bad(k)); err != nil {
+		if err := d.files.Write(k, "f", bad(k)); err != nil {
 			t.Fatal(err)
 		}
 	}

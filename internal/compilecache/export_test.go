@@ -1,32 +1,23 @@
 package compilecache
 
 import (
-	"bytes"
-	"encoding/gob"
 	"slices"
 
-	"repro/internal/s1"
 	"repro/internal/sexp"
 )
 
-// CloneEntry deep-copies e, its assembled bodies and read constants
-// included, so a test can check that replays leave a shared entry
-// exactly as they found it.
+// CloneEntry deep-copies e, its bodies and read constants included, so
+// a test can check that replays leave a shared entry exactly as they
+// found it. A body's kept lowered stream is the one shared field: it is
+// published once, by the first install.
 func CloneEntry(e *DiskEntry) (*DiskEntry, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		return nil, err
-	}
-	var c DiskEntry
-	if err := gob.NewDecoder(&buf).Decode(&c); err != nil {
-		return nil, err
-	}
-	if e.bodies != nil {
-		c.bodies = make([]s1.Body, len(e.bodies))
-		for i, b := range e.bodies {
-			b.Code = slices.Clone(b.Code)
-			c.bodies[i] = b
-		}
+	c := *e
+	c.Binds = slices.Clone(e.Binds)
+	c.Capture.Syms = slices.Clone(e.Capture.Syms)
+	c.Capture.Consts = slices.Clone(e.Capture.Consts)
+	c.Capture.Funcs = slices.Clone(e.Capture.Funcs)
+	for i := range c.Capture.Funcs {
+		c.Capture.Funcs[i].Code = slices.Clone(e.Capture.Funcs[i].Code)
 	}
 	if e.consts != nil {
 		c.consts = make([]sexp.Value, len(e.consts))
@@ -41,5 +32,6 @@ func CloneEntry(e *DiskEntry) (*DiskEntry, error) {
 	return &c, nil
 }
 
-// Assembled reports whether e carries its bodies assembled.
-func (e *DiskEntry) Assembled() bool { return e.bodies != nil }
+// ConstsRead reports whether e carries its constants read, as a
+// verified file read leaves it.
+func (e *DiskEntry) ConstsRead() bool { return len(e.consts) == len(e.Capture.Consts) }

@@ -26,9 +26,9 @@ func layerEntry(key string) *compilecache.DiskEntry {
 		Capture: s1.Capture{
 			Syms:   []string{"f"},
 			Consts: []string{"(1 2 3)"},
-			Funcs: []s1.CapturedFunc{{
+			Funcs: []s1.Body{{
 				Name: "f", MinArgs: 1, MaxArgs: 1,
-				Items: []s1.CapturedItem{{IsInstr: true, Instr: s1.Instr{Op: s1.OpRET}}},
+				Code: []s1.Instr{{Op: s1.OpRET}},
 			}},
 		},
 	}
@@ -123,8 +123,8 @@ const replaySrc = `
 
 // TestLayerConcurrentReplay: eight fresh machines replay the same shared
 // entries at once. Every image must equal a cold compile's, and the
-// shared entries — their assembled bodies included — must come out of
-// the replays deep-equal to copies taken before them.
+// shared entries — their bodies and read constants included — must come
+// out of the replays deep-equal to copies taken before them.
 func TestLayerConcurrentReplay(t *testing.T) {
 	cold := core.NewSystem(core.Options{})
 	if err := cold.LoadString(replaySrc); err != nil {
@@ -161,8 +161,8 @@ func TestLayerConcurrentReplay(t *testing.T) {
 		if src != compilecache.FromProcess {
 			t.Fatalf("entry %s not in the layer after a warm load (%q)", key, src)
 		}
-		if !e.Assembled() {
-			t.Fatalf("entry %s entered the layer without its assembled bodies", key)
+		if !e.ConstsRead() {
+			t.Fatalf("entry %s entered the layer without its constants read", key)
 		}
 		shared[key], before[key] = e, deepCopy(t, e)
 	}

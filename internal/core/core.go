@@ -71,13 +71,12 @@ type Options struct {
 	// break cross-process replay.
 	DiskCache *compilecache.Disk
 	// GCStress forces a simulator collection before every heap
-	// allocation (the -gc-stress flag), surfacing construction-order GC
-	// bugs deterministically. Orders of magnitude slower; testing only.
+	// allocation, surfacing construction-order GC bugs
+	// deterministically. Orders of magnitude slower; testing only.
 	GCStress bool
-	// GCStressMinor forces a *minor* collection before every allocation
-	// (the -gc-stress-minor flag): the generational counterpart of
-	// GCStress, turning any missing write barrier into a deterministic
-	// poisoned read. Testing only.
+	// GCStressMinor forces a *minor* collection before every allocation:
+	// the generational counterpart of GCStress, turning any missing
+	// write barrier into a deterministic poisoned read. Testing only.
 	GCStressMinor bool
 	// GCNoGen makes every automatic collection a full mark-sweep (the
 	// -gc-nogen flag), disabling minor collections. The differential

@@ -3,7 +3,7 @@
 // the same sources — same -image-hash, same allocator context, same
 // heap statistics, same eval results and meters, and identical
 // evolution under *further* loads (gensym, macro epoch and unit-naming
-// counters all pinned). The suite has its own -gc-stress leg.
+// counters all pinned). The suite has its own GCStress leg.
 package core
 
 import (
@@ -500,8 +500,14 @@ func isolationWrites(rh *Rehydrated, opts Options) (int64, error) {
 	return m.CacheFills(), m.CheckHeapInvariants()
 }
 
-// BenchmarkSnapshotBoot measures the tentpole claim: warm-start eval is
-// O(restore) — decode, verify, load, rehydrate — not O(recompile).
+// BenchmarkSnapshotBoot times booting the snapshot test prelude to a
+// first call of exptl, per iteration: cold-compile loads the prelude's
+// source into a fresh system; warm-restore decodes the snapshot's bytes
+// (frame checksum and wire decode), loads and verifies the image
+// (fingerprint and allocator context) and rehydrates the system without
+// compiling; warm-restore-replay adds a three-defun program replayed
+// from the disk cache's layer; warm-plan serves that program from one
+// rehydration's request plan, as slcd does.
 func BenchmarkSnapshotBoot(b *testing.B) {
 	opts := Options{}
 	cold := coldBoot(b, opts)

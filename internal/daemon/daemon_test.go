@@ -472,10 +472,10 @@ func TestDiskCacheQuarantineEvent(t *testing.T) {
 // snapshot-quarantine, each exactly once.
 func TestRecoveryQuarantineEvents(t *testing.T) {
 	cacheDir, snapDir := t.TempDir(), t.TempDir()
-	if err := os.WriteFile(filepath.Join(cacheDir, "torn.e"), []byte("slc-cache-entry-v1\ntorn"), 0o666); err != nil {
+	if err := os.WriteFile(filepath.Join(cacheDir, "torn.e"), []byte("slc-cache-entry-v2\ntorn"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(snapDir, "boot.snap"), []byte("slc-snapshot-v2\nold payload"), 0o666); err != nil {
+	if err := os.WriteFile(filepath.Join(snapDir, "boot.snap"), []byte("slc-snapshot-v4\nold payload"), 0o666); err != nil {
 		t.Fatal(err)
 	}
 	d, err := compilecache.OpenDisk(cacheDir, nil)

@@ -68,7 +68,9 @@ type Format[T any] struct {
 	// or fail a read; empty for none.
 	TornWrite, FailRead string
 	// Decode turns a verified payload into a value; an error makes the
-	// file corrupt. name is the file's name without Suffix.
+	// file corrupt. name is the file's name without Suffix. A Dir reads
+	// every file into one buffer, so the payload is valid only during
+	// the call: Decode copies whatever it keeps.
 	Decode func(name string, payload []byte) (T, error)
 }
 
@@ -199,7 +201,14 @@ type Dir[T any] struct {
 	// recovered are the files Open's recovery quarantined before any hook
 	// could be set; the first hook installed receives them once.
 	recovered []string
+	// buf holds the file being recovered or read, so reading many files
+	// allocates for the largest, not for each.
+	buf bytes.Buffer
 }
+
+// keptBuf is the largest read buffer a Dir keeps between reads; the
+// read after a larger file's starts a fresh one.
+const keptBuf = 1 << 20
 
 // Open opens (creating if needed) a directory of f's files, recovers it
 // from crashed writers, and returns the handle. The fault plan may be
@@ -297,7 +306,7 @@ func (d *Dir[T]) recover() error {
 		// A temp file exists only if its writer died mid-write; unknown
 		// debris is quarantined rather than guessed at.
 		if strings.HasSuffix(file, d.format.Suffix) && !strings.Contains(file, ".tmp") {
-			data, err := os.ReadFile(filepath.Join(d.path, file))
+			data, err := readInto(&d.buf, filepath.Join(d.path, file))
 			if err == nil {
 				_, err = d.format.verify(data)
 			}
@@ -310,6 +319,22 @@ func (d *Dir[T]) recover() error {
 		d.recovered = append(d.recovered, file)
 	}
 	return nil
+}
+
+// readInto reads the file at path into buf, emptied first, and returns
+// its contents, valid until buf's next use.
+func readInto(buf *bytes.Buffer, path string) ([]byte, error) {
+	if buf.Cap() > keptBuf {
+		*buf = bytes.Buffer{}
+	}
+	buf.Reset()
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	_, err = buf.ReadFrom(f)
+	return buf.Bytes(), err
 }
 
 // quarantineLocked moves one file into the quarantine directory; callers
@@ -337,7 +362,7 @@ func (d *Dir[T]) Read(name string) (T, error) {
 	}
 	defer d.funlock()
 	file := name + d.format.Suffix
-	data, err := os.ReadFile(filepath.Join(d.path, file))
+	data, err := readInto(&d.buf, filepath.Join(d.path, file))
 	if errors.Is(err, fs.ErrNotExist) {
 		d.stats.Misses++
 		return zero, fmt.Errorf("%w: %s", ErrNotFound, name)

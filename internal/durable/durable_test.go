@@ -2,7 +2,6 @@ package durable_test
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -30,25 +29,27 @@ type kind struct {
 	plan string
 }
 
-func gobBytes(t testing.TB, v any) []byte {
+// unframe strips a framed file's magic and checksum lines.
+func unframe(t testing.TB, data []byte) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatal(err)
+	_, rest, _ := bytes.Cut(data, []byte{'\n'})
+	_, payload, ok := bytes.Cut(rest, []byte{'\n'})
+	if !ok {
+		t.Fatal("unframed snapshot bytes")
 	}
-	return buf.Bytes()
+	return payload
 }
 
 // kinds returns the two payload kinds, sized by n: instructions in the
 // cache entry's body, words in the snapshot's heap.
 func kinds(t testing.TB, n int) []kind {
 	entry := func(name string) *compilecache.DiskEntry {
-		items := make([]s1.CapturedItem, n)
-		for i := range items {
-			items[i] = s1.CapturedItem{IsInstr: true, Instr: s1.Instr{Op: s1.OpMOV, Comment: fmt.Sprintf("filler %d", i)}}
+		code := make([]s1.Instr, n)
+		for i := range code {
+			code[i] = s1.Instr{Op: s1.OpMOV, Comment: fmt.Sprintf("filler %d", i)}
 		}
 		return &compilecache.DiskEntry{Key: name, Name: "f", MinArgs: 1, MaxArgs: 1,
-			Capture: s1.Capture{Funcs: []s1.CapturedFunc{{Name: "f", Items: items}}}}
+			Capture: s1.Capture{Funcs: []s1.Body{{Name: "f", Code: code}}}}
 	}
 	snap := func(name string) *snapshot.Snapshot {
 		heap := make([]s1.Word, n)
@@ -58,35 +59,40 @@ func kinds(t testing.TB, n int) []kind {
 		return &snapshot.Snapshot{Meta: snapshot.Meta{ImageHash: name},
 			Sources: []string{"(defun answer () 42)"}, Image: &s1.Image{Heap: heap}}
 	}
+	snapFormat := &durable.Format[[]byte]{Magic: snapshot.Magic, Suffix: snapshot.FileSuffix,
+		Event: "snapshot-quarantine", Phase: "snapshot",
+		TornWrite: diag.KindSnapshotWrite, FailRead: diag.KindSnapshotRead}
+	snapFormat.Decode = func(name string, p []byte) ([]byte, error) {
+		s, err := snapshot.DecodeBytes(snapFormat.Frame(p))
+		if err == nil && (s.Meta.ImageHash != name || s.Image == nil || len(s.Image.Heap) != n) {
+			err = fmt.Errorf("snapshot %s decoded mangled", name)
+		}
+		return bytes.Clone(p), err
+	}
 	return []kind{{
 		name: "cache-entry",
-		format: &durable.Format[[]byte]{Magic: "slc-cache-entry-v1", Suffix: ".e",
+		format: &durable.Format[[]byte]{Magic: "slc-cache-entry-v2", Suffix: ".e",
 			Event: "cache-quarantine", Phase: "disk", TornWrite: diag.KindCacheWrite,
 			Decode: func(name string, p []byte) ([]byte, error) {
-				var e compilecache.DiskEntry
-				err := gob.NewDecoder(bytes.NewReader(p)).Decode(&e)
-				if err == nil && (e.Key != name || len(e.Capture.Funcs) != 1 || len(e.Capture.Funcs[0].Items) != n) {
+				e, err := compilecache.DecodeEntry(name, p)
+				if err == nil && (e.Key != name || len(e.Capture.Funcs) != 1 || len(e.Capture.Funcs[0].Code) != n) {
 					err = fmt.Errorf("entry %s decoded mangled", name)
 				}
-				return p, err
+				return bytes.Clone(p), err
 			}},
-		payload: func(name string) []byte { return gobBytes(t, entry(name)) },
+		payload: func(name string) []byte { return entry(name).Payload() },
 		plan:    "disk:unit=victim:cache-write",
 	}, {
-		name: "snapshot",
-		format: &durable.Format[[]byte]{Magic: snapshot.Magic, Suffix: snapshot.FileSuffix,
-			Event: "snapshot-quarantine", Phase: "snapshot",
-			TornWrite: diag.KindSnapshotWrite, FailRead: diag.KindSnapshotRead,
-			Decode: func(name string, p []byte) ([]byte, error) {
-				var s snapshot.Snapshot
-				err := gob.NewDecoder(bytes.NewReader(p)).Decode(&s)
-				if err == nil && (s.Meta.ImageHash != name || s.Image == nil || len(s.Image.Heap) != n) {
-					err = fmt.Errorf("snapshot %s decoded mangled", name)
-				}
-				return p, err
-			}},
-		payload: func(name string) []byte { return gobBytes(t, snap(name)) },
-		plan:    "snapshot:unit=victim:snapshot-write;snapshot:unit=victim:snapshot-read",
+		name:   "snapshot",
+		format: snapFormat,
+		payload: func(name string) []byte {
+			data, err := snap(name).Bytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return unframe(t, data)
+		},
+		plan: "snapshot:unit=victim:snapshot-write;snapshot:unit=victim:snapshot-read",
 	}}
 }
 
@@ -146,7 +152,7 @@ func TestFrame(t *testing.T) {
 				t.Errorf("alien magic: got %v, want a plain corruption error", err)
 			}
 			// A payload that verifies but does not decode is corrupt too.
-			if _, err := k.format.Parse("good", k.format.Frame([]byte("not gob"))); err == nil {
+			if _, err := k.format.Parse("good", k.format.Frame([]byte("not a payload"))); err == nil {
 				t.Error("undecodable payload accepted")
 			}
 

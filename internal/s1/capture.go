@@ -1,27 +1,23 @@
 package s1
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash"
-	"io"
 	"sort"
 	"strconv"
 	"sync/atomic"
-
-	"repro/internal/sexp"
 )
 
-// Compile capture and replay: the durable compile cache persists not the
-// bytes of a compiled function but the *machine mutations* its emission
-// performed — the symbols it interned, the constants it built on the
-// heap, and the function bodies it installed (its own, plus any closure
-// bodies and primitive stubs). Replaying those mutations against a
-// machine in the same allocator context reproduces the emission exactly,
-// word for word, which is what makes a disk hit byte-identical to a
-// recompile (DESIGN.md §11).
+// Compile capture and replay: the durable compile cache persists the
+// *machine mutations* a compiled function's emission performed — the
+// symbols it interned, the constants it built on the heap, and the
+// function bodies it installed (its own, plus any closure bodies and
+// primitive stubs), each assembled, with its jump targets relative to
+// its entry so that installing it is a copy plus a relocation.
+// Replaying those mutations against a machine in the same allocator
+// context reproduces the emission exactly, word for word, which is what
+// makes a disk hit byte-identical to a recompile (DESIGN.md §11).
 //
 // The context guard is AllocContext: a fingerprint of everything that
 // determines the addresses and indices an emission hands out — symbol
@@ -29,21 +25,6 @@ import (
 // state, and the GC knobs that can fire a collection mid-emission. An
 // entry recorded under one context is only replayed into an identical
 // one; anything else falls back to recompilation.
-
-// CapturedItem is one assembly item in value (gob-friendly) form: either
-// a label or an instruction, never both.
-type CapturedItem struct {
-	Label   string
-	IsInstr bool
-	Instr   Instr
-}
-
-// CapturedFunc is one AddFunction call made during a capture.
-type CapturedFunc struct {
-	Name             string
-	MinArgs, MaxArgs int
-	Items            []CapturedItem
-}
 
 // Capture records the machine mutations of one function's emission.
 type Capture struct {
@@ -53,33 +34,21 @@ type Capture struct {
 	// call order; replaying them re-creates the same heap structure at
 	// the same addresses (given an equal AllocContext).
 	Consts []string
-	// Funcs are the function bodies installed, in install order; the last
-	// one is the unit's own body.
-	Funcs []CapturedFunc
+	// Funcs are the function bodies installed, in install order, each
+	// assembled with its jump targets relative to its entry; the last one
+	// is the unit's own body.
+	Funcs []Body
 }
 
-// toItems converts captured items back to assembler items.
-func toItems(cs []CapturedItem) []Item {
-	items := make([]Item, len(cs))
-	for i, c := range cs {
-		if c.IsInstr {
-			ins := c.Instr
-			items[i] = Item{Instr: &ins}
-		} else {
-			items[i] = Item{Label: c.Label}
-		}
-	}
-	return items
-}
-
-// Body is a captured function assembled at address 0: its jump targets
-// are relative to the body's entry until Machine.AddBody rebases them.
+// Body is an installed function's assembled code as a capture records
+// it: its jump targets are relative to the body's entry until
+// Machine.AddBody rebases them to where it lands.
 type Body struct {
 	Name             string
 	MinArgs, MaxArgs int
 	Code             []Instr
 	// lowered keeps the lowered stream of the body's first install (nil
-	// for a Body not built by AssembleBody), before it ever ran. A replay
+	// for a Body not built by ReadBody), before it ever ran. A replay
 	// lands a body at the entry PC its capture's allocator context pins,
 	// so every later install at that PC copies the stream instead of
 	// lowering.
@@ -91,31 +60,6 @@ type Body struct {
 type bodyStream struct {
 	entry int
 	ops   []lop
-}
-
-// AssembleBody resolves a captured function's labels once, so that
-// replaying it into a machine is an append (Machine.AddBody) rather
-// than a fresh assembly.
-func AssembleBody(f *CapturedFunc) (Body, error) {
-	code, _, err := assemble(f.Name, toItems(f.Items), nil)
-	if err != nil {
-		return Body{}, err
-	}
-	return Body{Name: f.Name, MinArgs: f.MinArgs, MaxArgs: f.MaxArgs, Code: code,
-		lowered: new(atomic.Pointer[bodyStream])}, nil
-}
-
-// FromItems converts assembler items to the captured value form.
-func FromItems(items []Item) []CapturedItem {
-	cs := make([]CapturedItem, len(items))
-	for i, it := range items {
-		if it.Instr != nil {
-			cs[i] = CapturedItem{IsInstr: true, Instr: *it.Instr}
-		} else {
-			cs[i] = CapturedItem{Label: it.Label}
-		}
-	}
-	return cs
 }
 
 // BeginCapture starts recording machine mutations. Captures do not nest.
@@ -144,7 +88,7 @@ func (m *Machine) EndCapture() *Capture {
 // contexts hand out identical addresses for identical request sequences.
 // Generational state (young list, cards, old bits, promotion pressure)
 // is deliberately NOT part of the context: no compile configuration sets
-// a GC threshold, and -gc-stress pins full collections, so the
+// a GC threshold, and GC stress pins full collections, so the
 // minor-vs-full choice can never fire during an emission and the gen
 // bits cannot influence the addresses handed out. Including them would
 // break the snapshot layer, which restores every block as old and must
@@ -232,110 +176,12 @@ func (m *Machine) foldSymHash(c *SymCell) {
 	m.symHash = h
 }
 
-// ImageFingerprint hashes the externally visible machine image — code
-// (every instruction field, comments included), function descriptors,
-// the symbol table with its value and function cells (an uninterned
-// cell by its flag and position, not its name), the heap contents,
-// and the boxed objects. Two machines with equal fingerprints would
-// produce byte-identical listings and behave identically; the
-// multi-process cache tests compare it across independently built
-// images, and every snapshot restore recomputes it. Fields are hashed as
-// fixed-width binary words (strings length-prefixed, each section
-// prefixed by its length), so the hash costs a pass over the image, not
-// a formatted listing of it.
-func (m *Machine) ImageFingerprint() string {
-	w := imageHasher{h: sha256.New(), buf: make([]byte, 0, 1024)}
-	w.u64(uint64(len(m.Code)))
-	for i := range m.Code {
-		in := &m.Code[i]
-		w.u64(uint64(in.Op))
-		for _, op := range [...]*Operand{&in.A, &in.B, &in.C} {
-			w.u64(uint64(op.Mode) | uint64(op.Base)<<8 | uint64(op.Index)<<16 | uint64(op.Shift)<<24)
-			w.u64(uint64(op.Off))
-			w.word(op.Imm)
-			w.str(op.Label)
-		}
-		w.u64(uint64(in.TagArg))
-		w.str(in.Comment)
-	}
-	w.u64(uint64(len(m.Funcs)))
-	for _, f := range m.Funcs {
-		w.str(f.Name)
-		w.u64(uint64(f.Entry))
-		w.u64(uint64(f.End))
-		w.u64(uint64(f.MinArgs))
-		w.u64(uint64(f.MaxArgs))
-	}
-	w.u64(uint64(len(m.Syms)))
-	for i := range m.Syms {
-		c := &m.Syms[i]
-		flags := uint64(0)
-		if c.HasValue {
-			flags = 1
-		}
-		if c.Uninterned {
-			// Not the name, which depends on gensym history, but a
-			// length no name has, so the record stays unambiguous.
-			w.u64(^uint64(0))
-			flags |= 2
-		} else {
-			w.str(c.Name)
-		}
-		w.u64(flags)
-		w.word(c.Value)
-		w.word(c.Function)
-	}
-	w.u64(uint64(len(m.heap)))
-	for _, x := range m.heap {
-		w.word(x)
-	}
-	w.u64(uint64(len(m.Boxes)))
-	for _, b := range m.Boxes {
-		w.str(sexp.Print(b))
-	}
-	w.h.Write(w.buf)
-	return hex.EncodeToString(w.h.Sum(nil))
-}
-
-// imageHasher batches ImageFingerprint's fixed-width fields into a
-// buffer and feeds the hash a block at a time.
-type imageHasher struct {
-	h   hash.Hash
-	buf []byte
-}
-
-func (w *imageHasher) u64(v uint64) {
-	if len(w.buf) > cap(w.buf)-16 {
-		w.h.Write(w.buf)
-		w.buf = w.buf[:0]
-	}
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
-}
-
-func (w *imageHasher) word(x Word) {
-	w.u64(uint64(x.Tag))
-	w.u64(x.Bits)
-}
-
-func (w *imageHasher) str(s string) {
-	w.u64(uint64(len(s)))
-	if len(w.buf)+len(s) > cap(w.buf) {
-		w.h.Write(w.buf)
-		w.buf = w.buf[:0]
-		if len(s) > cap(w.buf) {
-			io.WriteString(w.h, s)
-			return
-		}
-	}
-	w.buf = append(w.buf, s...)
-}
-
 // CheckHeapInvariants validates the allocator's block records against
 // the heap: every registered block has a positive size inside the heap
 // extent, blocks never overlap, interior record slots stay zero, free
 // blocks are exactly the ones on the free lists, and liveWords equals
-// the sum of non-free block sizes. The -gc-stress differential suite
-// runs it after every kernel.
+// the sum of non-free block sizes. The GC-stress differential runs
+// call it after every kernel.
 func (m *Machine) CheckHeapInvariants() error {
 	if len(m.gcRecs) != len(m.heap) {
 		return fmt.Errorf("s1 gc: record slice length %d != heap length %d", len(m.gcRecs), len(m.heap))

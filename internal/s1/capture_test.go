@@ -10,10 +10,12 @@ import (
 	"repro/internal/sexp"
 )
 
-// TestAddBodyMatchesAddFunction: a body assembled once at address 0 and
-// appended by AddBody lands exactly as AddFunction assembles the same
-// items in place — jump targets rebased to the landing address — and
-// runs the same. The shared Body is left untouched.
+// TestAddBodyMatchesAddFunction: a body a capture recorded from
+// AddFunction, relative to its entry, and appended by AddBody lands
+// exactly as AddFunction assembles the same items in place — jump
+// targets rebased to the landing address — and runs the same. The
+// shared Body is left untouched, and a capture in progress records an
+// AddBody install as it records an AddFunction one.
 func TestAddBodyMatchesAddFunction(t *testing.T) {
 	items := []Item{
 		InstrItem(Instr{Op: OpMOV, A: R(RegA), B: Imm(FixnumWord(1))}),
@@ -26,23 +28,33 @@ func TestAddBodyMatchesAddFunction(t *testing.T) {
 
 	want := New()
 	addFn(t, want, "pad", 0, 0, pad)
+	addFn(t, want, "pad2", 0, 0, pad)
+	want.BeginCapture()
 	addFn(t, want, "f", 0, 0, items)
-
-	body, err := AssembleBody(&CapturedFunc{Name: "f", Items: FromItems(items)})
-	if err != nil {
-		t.Fatal(err)
+	capt := want.EndCapture()
+	if len(capt.Funcs) != 1 {
+		t.Fatalf("capture recorded %d bodies, want 1", len(capt.Funcs))
 	}
+	body := capt.Funcs[0]
+	if got := body.Code[1].target; got != 3 {
+		t.Fatalf("captured jump target %d, want 3 (relative to the body's entry)", got)
+	}
+
 	orig := append([]Instr(nil), body.Code...)
 	got := New()
 	addFn(t, got, "pad", 0, 0, pad)
-	if _, err := got.AddBody(&body); err != nil {
-		t.Fatal(err)
-	}
+	addFn(t, got, "pad2", 0, 0, pad)
+	got.BeginCapture()
+	got.AddBody(&body)
+	recapt := got.EndCapture()
 	if !reflect.DeepEqual(got.Code, want.Code) || !reflect.DeepEqual(got.Funcs, want.Funcs) {
 		t.Fatalf("AddBody code differs from AddFunction's:\n got %+v\nwant %+v", got.Code, want.Code)
 	}
 	if !reflect.DeepEqual(body.Code, orig) {
 		t.Error("AddBody modified the shared body")
+	}
+	if len(recapt.Funcs) != 1 || !reflect.DeepEqual(recapt.Funcs[0].Code, orig) {
+		t.Errorf("a capture around AddBody recorded %+v, want the installed body", recapt.Funcs)
 	}
 	w, err := got.CallFunction("f")
 	if err != nil {
@@ -50,13 +62,6 @@ func TestAddBodyMatchesAddFunction(t *testing.T) {
 	}
 	if w != FixnumWord(1) {
 		t.Errorf("f = %s, want 1 (the jump must skip the second MOV)", w)
-	}
-
-	// A body carries no items to record, so it cannot join a capture.
-	got.BeginCapture()
-	defer got.EndCapture()
-	if _, err := got.AddBody(&body); err == nil {
-		t.Error("AddBody accepted a body during a capture")
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 //
 // Multi-allocation builds (conses, vectors, arrays) register their
 // partial structure on the temp-root stack: a collection can fire
-// between any two allocations (always, under -gc-stress), and words held
+// between any two allocations (always, under GC stress), and words held
 // only in Go locals are invisible to the mark phase. Element values are
 // also computed into locals before being stored — the recursive call can
 // grow the heap, and Go evaluates the indexed destination before the

@@ -88,3 +88,8 @@ func (m *Machine) PdlFlonum(f float64) Word {
 
 // Rplacd stores w into cell's cdr.
 func (m *Machine) Rplacd(cell, w Word) error { return m.store(cell.Bits+1, w) }
+
+// JumpTarget is a jump's resolved target, relative to its body's entry
+// in a Body and absolute in a machine or image code vector, and ok
+// reports whether in is a jump at all.
+func JumpTarget(in *Instr) (target int, ok bool) { return in.target, jumpOps[in.Op] }

@@ -281,7 +281,7 @@ func (m *Machine) markRoots(minor bool) {
 	// Mid-construction structure held only in host locals (FromValue,
 	// the SQ list builders) is registered on the temp-root stack; without
 	// it, a collection between the allocations of a multi-word build
-	// would reclaim the partially built object (surfaced by -gc-stress).
+	// would reclaim the partially built object (surfaced by GC stress).
 	for _, w := range m.tempRoots {
 		m.markPush(w, minor)
 	}

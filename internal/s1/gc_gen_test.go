@@ -174,7 +174,7 @@ func TestNoGenForcesFull(t *testing.T) {
 	}
 }
 
-// TestStressMinorForcesMinors: -gc-stress-minor runs a minor before
+// TestStressMinorForcesMinors: minor GC stress runs a minor before
 // every allocation.
 func TestStressMinorForcesMinors(t *testing.T) {
 	m := New()

@@ -47,19 +47,15 @@ type ImageFreeList struct {
 	Offs []uint64
 }
 
-// Image is the machine's serializable state. All fields are exported
-// value types, so gob round-trips it without loss — except Instr's
-// unexported resolved jump target, which travels in the parallel Targets
-// slice.
+// Image is the machine's serializable state; AppendImage and ReadImage
+// (wire.go) are its encoding.
 type Image struct {
 	Syms     []SymCell
 	Funcs    []FuncDesc
 	Bindings []ImageBinding
-	Code     []Instr
-	// Targets holds Code[i]'s resolved jump target. Instr keeps it
-	// unexported (gob would silently drop it and every branch would land
-	// on instruction 0), so the image carries it out of band.
-	Targets []int64
+	// Code is the assembled code vector, each jump carrying its resolved
+	// target.
+	Code []Instr
 	// Boxes are the boxed objects' printed forms; FromValue only boxes
 	// print/read-stable values (bignums, ratios, strings, characters),
 	// the same round trip the durable cache uses for constants.
@@ -98,7 +94,6 @@ func (m *Machine) ExportImage() (*Image, error) {
 		Syms:        append([]SymCell(nil), m.Syms...),
 		Funcs:       append([]FuncDesc(nil), m.Funcs...),
 		Code:        append([]Instr(nil), m.Code...),
-		Targets:     make([]int64, len(m.Code)),
 		Boxes:       make([]string, len(m.Boxes)),
 		Heap:        append([]Word(nil), m.heap...),
 		Regs:        append([]Word(nil), m.regs[:]...),
@@ -107,9 +102,6 @@ func (m *Machine) ExportImage() (*Image, error) {
 		LiveWords:   m.liveWords,
 		LiveSinceGC: m.liveSinceGC,
 		GCThreshold: m.gcThreshold,
-	}
-	for i := range m.Code {
-		img.Targets[i] = int64(m.Code[i].target)
 	}
 	for i, b := range m.Boxes {
 		img.Boxes[i] = sexp.Print(b)
@@ -160,9 +152,6 @@ func (m *Machine) ExportImage() (*Image, error) {
 // callers (the snapshot layer) load into a throwaway machine and fall
 // back to a cold compile on error.
 func (img *Image) validate() error {
-	if len(img.Targets) != len(img.Code) {
-		return fmt.Errorf("s1: image targets (%d) do not parallel code (%d)", len(img.Targets), len(img.Code))
-	}
 	if len(img.Code) == 0 {
 		return fmt.Errorf("s1: image has no code")
 	}
@@ -186,8 +175,8 @@ func (img *Image) validate() error {
 			return fmt.Errorf("s1: image binds %q to function %d of %d", b.Name, b.Idx, len(img.Funcs))
 		}
 	}
-	for i, t := range img.Targets {
-		if t < 0 || t > int64(len(img.Code)) {
+	for i := range img.Code {
+		if t := img.Code[i].target; jumpOps[img.Code[i].Op] && (t < 0 || t > len(img.Code)) {
 			return fmt.Errorf("s1: image code %d jump target %d outside code (%d)", i, t, len(img.Code))
 		}
 	}
@@ -220,9 +209,6 @@ func (m *Machine) LoadImage(img *Image) error {
 	}
 
 	m.Code = append(m.Code[:0], img.Code...)
-	for i := range m.Code {
-		m.Code[i].target = int(img.Targets[i])
-	}
 	m.Funcs = append([]FuncDesc(nil), img.Funcs...)
 	m.funcIdx = make(map[string]int, len(img.Bindings))
 	for _, b := range img.Bindings {

@@ -2,7 +2,7 @@ package s1
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/sexp"
@@ -44,20 +44,24 @@ func buildImageTestMachine(t *testing.T) *Machine {
 	return m
 }
 
-// gobRoundTrip pushes the image through gob, the same encoder the
-// snapshot wire format uses, so dropped unexported state would surface
-// here first.
-func gobRoundTrip(t *testing.T, img *Image) *Image {
+// wireRoundTrip pushes the image through its wire encoding, the one the
+// snapshot format uses, so state the encoding drops would surface here
+// first. The decoded image must re-encode to the same bytes.
+func wireRoundTrip(t *testing.T, img *Image) *Image {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
-		t.Fatalf("gob encode: %v", err)
+	var w Writer
+	AppendImage(&w, img)
+	r := NewReader(w.Bytes())
+	out := ReadImage(r)
+	if err := r.End(); err != nil {
+		t.Fatalf("ReadImage: %v", err)
 	}
-	var out Image
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatalf("gob decode: %v", err)
+	var again Writer
+	AppendImage(&again, out)
+	if !bytes.Equal(again.Bytes(), w.Bytes()) {
+		t.Fatal("decoded image re-encodes to different bytes")
 	}
-	return &out
+	return out
 }
 
 func TestImageRoundTripFingerprint(t *testing.T) {
@@ -69,7 +73,7 @@ func TestImageRoundTripFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExportImage: %v", err)
 	}
-	img = gobRoundTrip(t, img)
+	img = wireRoundTrip(t, img)
 
 	r := New()
 	if err := r.LoadImage(img); err != nil {
@@ -85,7 +89,7 @@ func TestImageRoundTripFingerprint(t *testing.T) {
 		t.Errorf("restored heap invariants: %v", err)
 	}
 	// The restored machine must execute: jump targets survived the trip
-	// (gob drops Instr.target; the image carries them out of band).
+	// inside their instructions.
 	w, err := r.CallFunction("double", FixnumWord(7))
 	if err != nil {
 		t.Fatalf("restored call: %v", err)
@@ -104,7 +108,7 @@ func TestImageRoundTripAllocParity(t *testing.T) {
 		t.Fatalf("ExportImage: %v", err)
 	}
 	r := New()
-	if err := r.LoadImage(gobRoundTrip(t, img)); err != nil {
+	if err := r.LoadImage(wireRoundTrip(t, img)); err != nil {
 		t.Fatalf("LoadImage: %v", err)
 	}
 	for i := 0; i < 8; i++ {
@@ -173,8 +177,6 @@ func TestLoadImageRejectsCorrupt(t *testing.T) {
 		name string
 		mut  func(img *Image)
 	}{
-		{"truncated-targets", func(img *Image) { img.Targets = img.Targets[:1] }},
-		{"bad-target", func(img *Image) { img.Targets[2] = 1 << 40 }},
 		{"bad-binding", func(img *Image) { img.Bindings[0].Idx = 99 }},
 		{"bad-func-span", func(img *Image) { img.Funcs[0].End = len(img.Code) + 7 }},
 		{"block-overrun", func(img *Image) { img.Blocks[0].Size = int32(len(img.Heap)) + 1 }},
@@ -184,19 +186,55 @@ func TestLoadImageRejectsCorrupt(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			img := gobRoundTrip(t, base)
+			img := wireRoundTrip(t, base)
 			tc.mut(img)
 			if err := New().LoadImage(img); err == nil {
 				t.Errorf("LoadImage accepted %s image", tc.name)
 			}
 		})
 	}
+	// Corruptions of the encoded code section: the JMP at code[3] ends
+	// its record with its target word.
+	var w Writer
+	AppendImage(&w, base)
+	enc := w.Bytes()
+	var prefix Writer
+	AppendSection(&prefix, base.Code[:4], (*Writer).instrTarget)
+	if base.Code[3].Op != OpJMP {
+		t.Fatalf("code[3] is %s, want the JMP", base.Code[3].Op)
+	}
+	targetAt := len(prefix.Bytes()) - 8
+	for _, tc := range []struct {
+		name string
+		data func() []byte
+	}{
+		{"truncated-targets", func() []byte { return enc[:targetAt+4] }},
+		{"bad-target", func() []byte {
+			d := bytes.Clone(enc)
+			binary.LittleEndian.PutUint64(d[targetAt:], 1<<40)
+			return d
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewReader(tc.data())
+			if ReadImage(r); r.End() == nil {
+				t.Errorf("ReadImage accepted a %s code section", tc.name)
+			}
+		})
+	}
+	// The same bounds hold for an image built in memory.
+	bad := wireRoundTrip(t, base)
+	bad.Code[3].target = len(bad.Code) + 1
+	if err := New().LoadImage(bad); err == nil {
+		t.Error("LoadImage accepted a jump target outside the code vector")
+	}
+
 	// The non-fresh guard: loading twice must fail.
 	r := New()
-	if err := r.LoadImage(gobRoundTrip(t, base)); err != nil {
+	if err := r.LoadImage(wireRoundTrip(t, base)); err != nil {
 		t.Fatalf("first load: %v", err)
 	}
-	if err := r.LoadImage(gobRoundTrip(t, base)); err == nil {
+	if err := r.LoadImage(wireRoundTrip(t, base)); err == nil {
 		t.Error("LoadImage accepted a non-fresh machine")
 	}
 }

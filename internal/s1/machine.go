@@ -207,7 +207,7 @@ type Machine struct {
 	// AllocContext (capture.go).
 	symHash uint64
 	// gcStress forces a full collection before every allocation
-	// (-gc-stress): construction-order bugs that normally need precise
+	// (GC stress): construction-order bugs that normally need precise
 	// heap pressure to surface become deterministic.
 	gcStress bool
 	// tempRoots protects words held only in host locals (mid-construction
@@ -375,7 +375,9 @@ func newMachine(a *Arena) *Machine {
 // AddFunction assembles a function body into the machine, lowers it for
 // execution (engine.go), and registers its descriptor; returns the
 // function index. It keeps no reference to items or their instructions,
-// so the caller may reuse that storage once it returns.
+// so the caller may reuse that storage once it returns. A capture in
+// progress records the assembled body with its jump targets made
+// relative to its entry, the inverse of AddBody's rebase.
 func (m *Machine) AddFunction(name string, minArgs, maxArgs int, items []Item) (int, error) {
 	code, entry, err := assemble(name, items, m.Code)
 	if err != nil {
@@ -383,9 +385,13 @@ func (m *Machine) AddFunction(name string, minArgs, maxArgs int, items []Item) (
 	}
 	m.Code = code
 	if m.cap != nil {
-		m.cap.Funcs = append(m.cap.Funcs, CapturedFunc{
-			Name: name, MinArgs: minArgs, MaxArgs: maxArgs, Items: FromItems(items),
-		})
+		body := slices.Clone(code[entry:])
+		for i := range body {
+			if jumpOps[body[i].Op] {
+				body[i].target -= entry
+			}
+		}
+		m.cap.Funcs = append(m.cap.Funcs, Body{Name: name, MinArgs: minArgs, MaxArgs: maxArgs, Code: body})
 	}
 	return m.registerFunc(name, minArgs, maxArgs, entry), nil
 }
@@ -397,17 +403,17 @@ func (m *Machine) AddFunction(name string, minArgs, maxArgs int, items []Item) (
 // batches into one machine stay amortized.
 func (m *Machine) ReserveCode(n int) { m.Code = reserve(m.Code, n) }
 
-// AddBody installs a body assembled by AssembleBody: its code is appended
-// with the jump targets rebased to where it lands, so a replay skips
-// label resolution, and its lowered stream is copied from the body's
-// kept one when it lands where that one was lowered, so a replay skips
-// lowering too. Apart from publishing that stream once, b is only read,
-// so one Body can be installed into any number of machines concurrently.
-// A body carries no items to record, so it cannot be installed while a
-// capture is in progress.
-func (m *Machine) AddBody(b *Body) (int, error) {
+// AddBody installs a captured body (ReadBody reads one back from its
+// wire form) and returns its function index: its code is appended with the jump targets rebased to
+// where it lands, so a replay skips label resolution, and its lowered
+// stream is copied from the body's kept one when it lands where that one
+// was lowered, so a replay skips lowering too. Apart from publishing
+// that stream once, b is only read, so one Body can be installed into
+// any number of machines concurrently. A capture in progress records b
+// itself.
+func (m *Machine) AddBody(b *Body) int {
 	if m.cap != nil {
-		return 0, fmt.Errorf("s1: cannot install assembled body %s during a capture", b.Name)
+		m.cap.Funcs = append(m.cap.Funcs, Body{Name: b.Name, MinArgs: b.MinArgs, MaxArgs: b.MaxArgs, Code: b.Code})
 	}
 	m.lowerCode()
 	entry := len(m.Code)
@@ -430,7 +436,7 @@ func (m *Machine) AddBody(b *Body) (int, error) {
 	if b.lowered != nil && kept == nil {
 		b.lowered.CompareAndSwap(nil, &bodyStream{entry: entry, ops: slices.Clone(m.ops[entry:len(m.Code)])})
 	}
-	return idx, nil
+	return idx
 }
 
 // registerFunc adds the descriptor of the body just appended at entry

@@ -10,22 +10,25 @@
 // texts the image was built from, from which the definitions, macro
 // expanders and proclamations are rebound without compiling.
 //
-// Wire format v4 is a durable frame (internal/durable): the magic line
-// slc-snapshot-v4, a hex sha256 of the payload, then the payload, one
-// gob stream of the Snapshot. The checksum covers every byte after the
-// header, so a flip or truncation anywhere is detected before a single
-// byte reaches a machine, and a file of any other version is quarantined
-// as durable.ErrVersion instead of misdecoded. The lowered instruction
-// stream is never serialized: restore re-derives it from the code vector
-// (s1.LoadImage).
+// Wire format v5 is a durable frame (internal/durable): the magic line
+// slc-snapshot-v5, a hex sha256 of the payload, then the payload,
+// hand-encoded with s1's wire writer (internal/s1/wire.go): the meta
+// fields, the counted sources, then the image (s1.AppendImage), every
+// field a fixed-width little-endian word or a length-prefixed string.
+// The bytes are a function of the snapshot alone, the same in every
+// process. The checksum covers every byte after the header, so a flip or
+// truncation anywhere is detected before a single byte reaches a
+// machine, the decode is bounds-checked (no count allocates more than
+// the remaining payload can hold, every jump target lies in the code
+// vector, nothing may trail the image), and a file of any other version
+// is quarantined as durable.ErrVersion instead of misdecoded. The
+// lowered instruction stream is never serialized: restore re-derives it
+// from the code vector (s1.LoadImage).
 package snapshot
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
-	"errors"
 	"fmt"
 
 	"repro/internal/diag"
@@ -39,8 +42,10 @@ import (
 // version is reported as durable.ErrVersion so callers fall back to a
 // cold compile instead of guessing. (v2: ImageHash hashes binary
 // fields; v3: one gob stream inside a durable frame; v4: the image
-// holds the macro expanders and marks uninterned symbols' cells.)
-const Magic = "slc-snapshot-v4"
+// holds the macro expanders and marks uninterned symbols' cells; v5:
+// s1's wire form replaces gob, jump targets travel inside each
+// instruction.)
+const Magic = "slc-snapshot-v5"
 
 // format frames snapshot files, in a Store or standalone. The fault
 // selectors match the snapshot name ("boot" for the daemon's pinned
@@ -100,16 +105,23 @@ func HashSources(srcs []string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// payload encodes the snapshot as one gob stream.
+// payload encodes the snapshot in s1's wire form.
 func (s *Snapshot) payload() ([]byte, error) {
 	if s.Image == nil {
 		return nil, fmt.Errorf("snapshot: encoding a snapshot without an image")
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		return nil, fmt.Errorf("snapshot: encoding: %w", err)
-	}
-	return buf.Bytes(), nil
+	var w s1.Writer
+	m := &s.Meta
+	w.Str(m.ImageHash)
+	w.Str(m.AllocCtx)
+	w.Int(m.GenCount)
+	w.Int(m.MacroEpoch)
+	w.Int(m.ToplevelCount)
+	w.Int(m.BatchCount)
+	w.Str(m.SourceHash)
+	w.Strs(s.Sources)
+	s1.AppendImage(&w, s.Image)
+	return w.Bytes(), nil
 }
 
 // Bytes encodes the snapshot in wire format.
@@ -122,14 +134,17 @@ func (s *Snapshot) Bytes() ([]byte, error) {
 }
 
 func decode(_ string, payload []byte) (*Snapshot, error) {
-	var s Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&s); err != nil {
+	r := s1.NewReader(payload)
+	s := &Snapshot{Meta: Meta{ImageHash: r.Str(), AllocCtx: r.Str(),
+		GenCount: r.Int(), MacroEpoch: r.Int(), ToplevelCount: r.Int(), BatchCount: r.Int(),
+		SourceHash: r.Str()}}
+	s.Sources = r.Strs()
+	img := s1.ReadImage(r)
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("decoding: %w", err)
 	}
-	if s.Image == nil {
-		return nil, errors.New("snapshot carries no image")
-	}
-	return &s, nil
+	s.Image = img
+	return s, nil
 }
 
 // DecodeBytes parses and fully verifies a wire-format snapshot. Any

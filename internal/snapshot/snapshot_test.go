@@ -83,10 +83,10 @@ func TestWireRoundTripDeterministic(t *testing.T) {
 	if len(got.Sources) != 1 || got.Sources[0] != snap.Sources[0] {
 		t.Errorf("sources round trip: %q", got.Sources)
 	}
-	// Within one process, re-encoding the decoded snapshot must
-	// reproduce the bytes: the format has no timestamps and no map
-	// iteration order. (Across processes gob's type ids can differ, so
-	// equal snapshots need not encode to equal bytes.)
+	// Re-encoding the decoded snapshot must reproduce the bytes: the
+	// format has no timestamps, no map iteration order and no type
+	// registry, so the bytes are a function of the snapshot alone (s1's
+	// TestWireGoldenBytes pins them across processes).
 	c, err := got.Bytes()
 	if err != nil {
 		t.Fatal(err)
@@ -133,15 +133,15 @@ func TestWireDetectsTruncation(t *testing.T) {
 	}
 }
 
-// TestWireVersionSkew: a file of the previous format (v2) or a future
-// one is ErrVersion, so it is quarantined and cold-compiled; an alien
-// magic is plain corruption.
+// TestWireVersionSkew: a file of a previous format (v4, the last gob
+// one, or v2) or a future one is ErrVersion, so it is quarantined and
+// cold-compiled; an alien magic is plain corruption.
 func TestWireVersionSkew(t *testing.T) {
 	data, err := testSnapshot(t, 0).Bytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, magic := range []string{"slc-snapshot-v2", "slc-snapshot-v99"} {
+	for _, magic := range []string{"slc-snapshot-v4", "slc-snapshot-v2", "slc-snapshot-v99"} {
 		skew := bytes.Replace(data, []byte(snapshot.Magic+"\n"), []byte(magic+"\n"), 1)
 		if _, err := snapshot.DecodeBytes(skew); !errors.Is(err, durable.ErrVersion) {
 			t.Errorf("%s: got %v, want ErrVersion", magic, err)
@@ -232,7 +232,7 @@ func TestStoreRecoverQuarantinesDebris(t *testing.T) {
 	st.Close()
 	good, _ := os.ReadFile(filepath.Join(dir, "good"+snapshot.FileSuffix))
 	os.WriteFile(filepath.Join(dir, "torn"+snapshot.FileSuffix), good[:len(good)/3], 0o666)
-	old := bytes.Replace(good, []byte(snapshot.Magic+"\n"), []byte("slc-snapshot-v2\n"), 1)
+	old := bytes.Replace(good, []byte(snapshot.Magic+"\n"), []byte("slc-snapshot-v4\n"), 1)
 	os.WriteFile(filepath.Join(dir, "boot"+snapshot.FileSuffix), old, 0o666)
 
 	st2, err := snapshot.OpenStore(dir, nil)
