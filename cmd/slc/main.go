@@ -95,7 +95,7 @@ func run() error {
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics (Prometheus text) and /debug/pprof on this address")
 		maxErrors  = flag.Int("max-errors", 20, "store at most this many error diagnostics per load (-1 = unlimited; failures past the cap are still counted)")
 		maxSteps   = flag.Int64("max-steps", 0, "bound total simulator instructions (0 = machine default)")
-		maxHeap    = flag.Int64("max-heap", 0, "bound live simulator heap words; exhaustion after GC is a runtime error (0 = unlimited)")
+		maxHeap    = flag.Int64("max-heap", 0, "bound live simulator heap words, boxed bignums and strings included; exhaustion after GC is a runtime error (0 = unlimited)")
 		faultSpec  = flag.String("fault", "", "fault-injection plan, e.g. 'optimize:defun=exptl:panic;rep:defun=f:error' (default $SLC_FAULT)")
 		optWatch   = flag.Duration("opt-watchdog", 0, "wall-clock budget for each unit's optimizer fixpoint (0 = none)")
 		logJSON    = flag.Bool("log-json", false, "emit informational stderr messages as structured JSON (slog)")

@@ -94,7 +94,7 @@ func run() error {
 		reqTimeout = flag.Duration("req-timeout", 10*time.Second, "per-request deadline")
 		drainTime  = flag.Duration("drain-timeout", 30*time.Second, "bound on draining in-flight requests at shutdown")
 		maxSteps   = flag.Int64("max-steps", 50_000_000, "per-request simulator instruction budget (0 = machine default)")
-		maxHeap    = flag.Int64("max-heap", 4<<20, "per-request live heap word budget (0 = unlimited)")
+		maxHeap    = flag.Int64("max-heap", 4<<20, "per-request live heap word budget, boxed bignums and strings included (0 = unlimited)")
 		cacheDir   = flag.String("cache-dir", "", "durable on-disk compile cache directory shared across requests and processes")
 		preludeF   = flag.String("prelude", "", "Lisp source file loaded into every request's system (the daemon's standard library)")
 		snapDir    = flag.String("snapshot-dir", "", "durable machine-snapshot directory for warm boot and session durability across restarts")

@@ -260,13 +260,18 @@ func (c *Compiler) PrepareTask(name string, lam *tree.Lambda, task *obs.Task) (*
 	if err := c.Opts.Fault.Fire("analysis", name); err != nil {
 		return nil, err
 	}
-	sp := task.Start("analysis")
-	analysis.Analyze(lam)
-	sp.End()
+	// Optimize ends with a full analysis, which only CSE's rewriting
+	// invalidates, so the walk (and its span) runs here only when the
+	// tree has not had one since it last changed.
+	if !c.Opts.Optimize || c.Opts.CSE {
+		sp := task.Start("analysis")
+		analysis.Analyze(lam)
+		sp.End()
+	}
 	if err := c.Opts.Fault.Fire("binding", name); err != nil {
 		return nil, err
 	}
-	sp = task.Start("binding")
+	sp := task.Start("binding")
 	binding.Annotate(lam)
 	sp.End()
 	if err := c.Opts.Fault.Fire("rep", name); err != nil {

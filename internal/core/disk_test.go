@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/compilecache"
+	"repro/internal/s1"
 	"repro/internal/sexp"
 )
 
@@ -415,4 +416,61 @@ func TestCacheReuseTracksFunctionBindings(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestDiskCacheReplaysIntoFreeBoxSlots: a unit compiled into a machine
+// whose box table has free slots puts its literals' boxes there, and a
+// replay into a machine with the same free slots — the allocator
+// context names them — reproduces that emission word for word.
+func TestDiskCacheReplaysIntoFreeBoxSlots(t *testing.T) {
+	const prelude = `(defun drop (n acc) (if (= n 0) 0 (drop (- n 1) (* acc 99999999999)))) (drop 6 1)`
+	const unit = `(defun lits () (list "a literal" 123456789012345678901234567890 (/ 2 3)))`
+	d, err := compilecache.OpenDisk(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	freeSlots := func(m *s1.Machine) (n int) {
+		for _, b := range m.Boxes {
+			if b == nil {
+				n++
+			}
+		}
+		return n
+	}
+	load := func(d *compilecache.Disk) *System {
+		t.Helper()
+		sys := NewSystem(Options{DiskCache: d})
+		if err := sys.LoadString(prelude); err != nil {
+			t.Fatal(err)
+		}
+		sys.Machine.GC() // frees the bignums drop made and dropped
+		free := freeSlots(sys.Machine)
+		if free == 0 {
+			t.Fatal("the prelude left no free box slot")
+		}
+		if err := sys.LoadString(unit); err != nil {
+			t.Fatal(err)
+		}
+		if freeSlots(sys.Machine) >= free {
+			t.Fatal("the unit's literals filled no free box slot")
+		}
+		if v, err := sys.Call("lits"); err != nil || sexp.Print(v) != `("a literal" 123456789012345678901234567890 2/3)` {
+			t.Fatalf("(lits) = %v, %v", v, err)
+		}
+		return sys
+	}
+	cold := load(d)
+	recompiled := load(nil)
+	hits := cold.Machine.Stats.CompileCacheHits
+	warm := load(d)
+	if warm.Machine.Stats.CompileCacheHits-hits < 3 || warm.Machine.Stats.CompileCacheMisses != 0 {
+		t.Fatalf("warm load: %d hits, %d misses; want every unit replayed", warm.Machine.Stats.CompileCacheHits, warm.Machine.Stats.CompileCacheMisses)
+	}
+	want := recompiled.Machine.ImageFingerprint()
+	for name, sys := range map[string]*System{"cold": cold, "warm": warm} {
+		if got := sys.Machine.ImageFingerprint(); got != want {
+			t.Errorf("%s image %s, recompiled %s", name, got, want)
+		}
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -342,16 +343,20 @@ func TestRehydratedConcurrentRestore(t *testing.T) {
 // isolationRequest writes through every path by which a request
 // machine changes the state it copied from the template: a heap store
 // (rplaca into a prelude list), a setq of a prelude special, a defun
-// rebinding a prelude name, a new symbol and a new box, and allocation
-// enough to collect and reuse the template's free lists.
+// rebinding a prelude name, a new symbol and a new box, allocation
+// enough to collect and reuse the template's free lists, and dropping
+// the prelude's bignum, whose box slot the collections that follow
+// free and a later box refills (isolationWrites).
 const isolationRequest = `
 (rplaca *tbl* 99)
 (setq *scale* 7)
 (defun fib (n) (- 0 n))
 (defun fresh-box () "a string no prelude holds")
 (defvar *fresh* 'a-symbol-no-prelude-has)
+(defvar *big-rem* (rem *big* 1000003))
+(setq *big* nil)
 (churn 40)
-(list (car *tbl*) (scaled 2) (fib 5) (fresh-box) *fresh*)
+(list (car *tbl*) (scaled 2) (fib 5) (fresh-box) *fresh* *big-rem*)
 `
 
 // isolationPolySrc joins the prelude for TestRestoreTemplateIsolation:
@@ -360,6 +365,7 @@ const isolationRequest = `
 // callees, and isolationRebind moves step1's function cell under the
 // warmed caches (the poly-call runtime kernel's mid-run rebind).
 const isolationPolySrc = `
+(defvar *big* (exptl 3 64 1))
 (defun inc (x) (+& x 1))
 (defun dbl (x) (+& x x))
 (defun poly-step (f x) (funcall f x))
@@ -412,6 +418,7 @@ func TestRestoreTemplateIsolation(t *testing.T) {
 				t.Fatal(err)
 			}
 			tmplCtx := rh.template.AllocContext()
+			tmplBoxes := slices.Clone(rh.template.Boxes)
 			wantFills, err := isolationWrites(rh, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -447,6 +454,9 @@ func TestRestoreTemplateIsolation(t *testing.T) {
 			if got := rh.template.AllocContext(); got != tmplCtx {
 				t.Errorf("template allocator context changed:\n%s\n%s", got, tmplCtx)
 			}
+			if !slices.Equal(rh.template.Boxes, tmplBoxes) {
+				t.Errorf("template box table changed:\n%v\n%v", rh.template.Boxes, tmplBoxes)
+			}
 			if fills, err := isolationWrites(rh, opts); err != nil || fills != wantFills {
 				t.Errorf("a request after the others: %d inline-cache fills (%v), the first made %d", fills, err, wantFills)
 			}
@@ -481,12 +491,15 @@ func isolationWrites(rh *Rehydrated, opts Options) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if got, want := sexp.Print(v), `(99 14 -5 "a string no prelude holds" a-symbol-no-prelude-has)`; got != want {
+	if got, want := sexp.Print(v), `(99 14 -5 "a string no prelude holds" a-symbol-no-prelude-has 707755)`; got != want {
 		return 0, fmt.Errorf("request returned %s, want %s", got, want)
 	}
 	m := sys.Machine
 	m.GC()
 	m.MinorGC()
+	if v, err := sys.EvalString("(exptl 3 65 1)"); err != nil || sexp.Print(v) != "10301051460877537453973547267843" {
+		return 0, fmt.Errorf("(exptl 3 65 1) = %v, %v", v, err)
+	}
 	for _, rebind := range []string{"", isolationRebind} {
 		if err := sys.LoadString(rebind); err != nil {
 			return 0, err

@@ -545,6 +545,31 @@ func TestArenaReuseAcrossRequests(t *testing.T) {
 	}
 }
 
+// TestGCBoxHeapLimitDiagnostic: -max-heap counts bignums. A /run whose
+// loop keeps a bignum of about a thousand words live, under a 500-word
+// budget, ends in the run phase's heap-exhausted diagnostic (422), not
+// in unbounded host memory, and the daemon serves the next request.
+func TestGCBoxHeapLimitDiagnostic(t *testing.T) {
+	s := New(Config{SchedWorkers: 1, MaxHeapWords: 500})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	code, resp, _ := post(t, ts, "/run", Request{
+		Source: `(defun grow (n acc) (prog (i) (setq i 0) loop (if (>=& i n) (return (rem acc 1000003)) nil) (setq acc (* acc 3) i (+& i 1)) (go loop)))`,
+		Fn:     "grow", Args: []string{"40000", "1"},
+	})
+	if code != http.StatusUnprocessableEntity || len(resp.Diagnostics) != 1 {
+		t.Fatalf("status %d, resp %+v", code, resp)
+	}
+	if d := resp.Diagnostics[0]; d.Phase != "run" || d.Unit != "grow" || !strings.Contains(d.Msg, "heap exhausted") {
+		t.Errorf("diagnostic %+v, want the run phase's heap exhausted", d)
+	}
+	code, resp, _ = post(t, ts, "/run", Request{Source: "(defun ok (x) (* x x))", Fn: "ok", Args: []string{"12"}})
+	if code != http.StatusOK || resp.Value != "144" {
+		t.Errorf("daemon unhealthy after the heap fault: %d %+v", code, resp)
+	}
+}
+
 // TestMacroExpandersUnderBudgets drives one daemon through macro
 // expanders that never finish on their own. Each runs on the request's
 // machine, so each ends in a diagnostic — the machine's stack overflow,

@@ -45,7 +45,7 @@ type Call struct {
 
 // Families lists every shape family Program draws from.
 var Families = []string{"arith", "identity", "specials", "closures",
-	"catch", "loops", "rest", "macro", "alloc"}
+	"catch", "loops", "rest", "macro", "alloc", "boxes"}
 
 // Program returns the total program seed draws: three to five shape
 // families, each contributing its definitions and calls, with the
@@ -172,6 +172,17 @@ var families = map[string]family{
 (defun @-churn (k n) (prog (i last) (setq i 0) l (if (>=& i k) (return (list (length last) (car *@-keep*) (car last)))) (setq last (@-build n)) (setq i (+& i 1)) (go l)))
 (defun @-floats (n) (let ((acc nil)) (dotimes (i n) (setq acc (cons (*$f 1.5 (float i)) acc))) (length acc)))`,
 		calls: "@-churn {int 5 20} {int 50 150}; @-floats {int 50 250}"},
+	// Boxed objects made and dropped: fixnum-overflowing products, /
+	// ratios and string literals, some kept in specials and replaced,
+	// so collections free boxes and later ones refill their slots while
+	// others stay live.
+	"boxes": {forms: `(defvar *@-big* (* 4000000000 {int 3000000000 4000000000}))
+(defvar *@-str* "{pick alpha|beta|gamma}")
+(defun @-pow (x n) (prog (acc i) (setq acc 1 i 0) l (if (>=& i n) (return acc)) (setq acc (* acc x)) (setq i (+& i 1)) (go l)))
+(defun @-churn (k) (prog (i r) (setq i 0 r 0) l (if (>=& i k) (return (list (rem r 1000003) *@-str* (rem *@-big* 1009)))) (setq r (+ r (@-pow {int 3 9} {int 30 90}))) (setq i (+& i 1)) (go l)))
+(defun @-ratio (a b) (list (/ a b) (+ (/ a b) (/ 1 3)) (* (/ a b) b) (/ (@-pow a 25) b)))
+(defun @-keep (n) (setq *@-big* (* *@-big* n)) (setq *@-str* "{pick delta|epsilon}") (list (rem *@-big* 1000003) *@-str*))`,
+		calls: "@-churn {int 5 30}; @-ratio {int 1 50} {int 2 9}; @-keep {int 2 99}; @-churn {int 5 30}; @-keep {int 2 99}"},
 }
 
 // escapes are the ways a flonum g (and h) leave a function: into a

@@ -100,7 +100,8 @@ func New(opts Options) *Optimizer {
 }
 
 // Optimize rewrites root until no transformation applies (or MaxPasses).
-// It returns the new root (the root node itself may be rewritten).
+// It returns the new root (the root node itself may be rewritten), fully
+// analyzed: codegen.PrepareTask runs no second analysis on it.
 //
 // Only the first pass walks the whole tree; each later pass revisits just
 // the subtrees the previous pass changed, plus the binding lambdas of any

@@ -83,9 +83,10 @@ func (m *Machine) EndCapture() *Capture {
 // AllocContext fingerprints the machine state that determines the
 // addresses and indices the next emission will hand out: the symbol
 // table (names, incrementally hashed), the function/code/box extents,
-// the heap extent and allocator free lists, and the GC configuration
-// that can trigger collections mid-emission. Two machines with equal
-// contexts hand out identical addresses for identical request sequences.
+// the heap extent and allocator free lists, the free box slots, and the
+// GC configuration that can trigger collections mid-emission. Two
+// machines with equal contexts hand out identical addresses for
+// identical request sequences.
 // Generational state (young list, cards, old bits, promotion pressure)
 // is deliberately NOT part of the context: no compile configuration sets
 // a GC threshold, and GC stress pins full collections, so the
@@ -96,8 +97,9 @@ func (m *Machine) EndCapture() *Capture {
 func (m *Machine) AllocContext() string {
 	// The fingerprint is FNV-1a over the text
 	//   syms=%d:%x|funcs=%d|code=%d|boxes=%d|heap=%d|live=%d|since=%d|thr=%d|lim=%d|stress=%t|
-	// followed by f<size>=[offsets]| per non-empty small free list and
-	// F<size>=[offsets]| per big one, sizes ascending — built with
+	// followed by f<size>=[offsets]| per non-empty small free list,
+	// F<size>=[offsets]| per big one, sizes ascending, and
+	// b<count>=[slots]| when the box table has free slots — built with
 	// strconv rather than fmt because every replayed unit and every
 	// restore computes it.
 	var buf [256]byte
@@ -149,6 +151,9 @@ func (m *Machine) AllocContext() string {
 			b = freeList(b, 'F', n, m.freeBig[n])
 		}
 	}
+	if slots := m.freeBoxSlots(); len(slots) > 0 {
+		b = freeList(b, 'b', len(slots), slots)
+	}
 	h := uint64(0xcbf29ce484222325) // FNV-1a offset basis
 	for _, c := range b {
 		h = (h ^ uint64(c)) * 0x100000001b3
@@ -180,8 +185,9 @@ func (m *Machine) foldSymHash(c *SymCell) {
 // the heap: every registered block has a positive size inside the heap
 // extent, blocks never overlap, interior record slots stay zero, free
 // blocks are exactly the ones on the free lists, and liveWords equals
-// the sum of non-free block sizes. The GC-stress differential runs
-// call it after every kernel.
+// the sum of non-free block and box sizes, and the box table passes
+// checkBoxes (no reachable word indexes a free slot). The GC-stress
+// differential runs call it after every kernel.
 func (m *Machine) CheckHeapInvariants() error {
 	if len(m.gcRecs) != len(m.heap) {
 		return fmt.Errorf("s1 gc: record slice length %d != heap length %d", len(m.gcRecs), len(m.heap))
@@ -227,8 +233,12 @@ func (m *Machine) CheckHeapInvariants() error {
 			}
 		}
 	}
-	if live != m.liveWords {
-		return fmt.Errorf("s1 gc: liveWords meter %d != summed non-free block words %d", m.liveWords, live)
+	boxLive, err := m.checkBoxes()
+	if err != nil {
+		return err
+	}
+	if live += boxLive; live != m.liveWords {
+		return fmt.Errorf("s1 gc: liveWords meter %d != summed non-free block and box words %d", m.liveWords, live)
 	}
 	// Every free-list member must be a registered free block of that size.
 	checkList := func(size int, lst []uint64) error {

@@ -133,7 +133,7 @@ func (m *Machine) toValue(w Word, nest int) (sexp.Value, error) {
 	case TagSymbol:
 		return m.Syms[w.Bits].host, nil
 	case TagBoxed:
-		return m.Boxes[w.Bits], nil
+		return m.unbox(w)
 	case TagCons:
 		return m.consToValue(w, 0, nest)
 	case TagVector:

@@ -2,7 +2,10 @@ package s1
 
 import (
 	"fmt"
+	"slices"
 	"time"
+
+	"repro/internal/sexp"
 )
 
 // A generational, non-moving mark-sweep garbage collector for the
@@ -54,6 +57,20 @@ import (
 // A builder that fills a block *across* further allocations (FromValue's
 // vectors) must use heapWrite, because an intervening minor collection
 // may have tenured the partially built block.
+//
+// Boxed objects. A TagBoxed word indexes Machine.Boxes, and the
+// collector treats each slot as a block of boxWords words that lives
+// outside the heap: Box charges those words as gcAlloc charges a
+// block's, markPush sets the slot's flag in boxMarks (a box holds no
+// words, so there is nothing to trace), a full collection sweeps every
+// slot and a minor only youngBoxes, the slots filled since the last
+// collection. Because a box holds no words, an old block that refers to
+// a young box got that reference by a store since the last collection,
+// through the write barrier, exactly as for a young block: the
+// remembered set covers young boxes with no change. A swept slot is set
+// to nil, which is both the free marker — Box refills the lowest nil
+// slot before it appends — and the poison: ToValue refuses a word that
+// indexes one, and so does CheckHeapInvariants.
 
 // gcRec tracks one heap block; the zero value marks a non-block offset.
 type gcRec struct {
@@ -147,7 +164,7 @@ func (m *Machine) GC() int64 {
 
 	m.markRoots(false)
 
-	var reclaimed, blocks int64
+	reclaimed, blocks := m.sweepBoxes(false)
 	for _, off := range m.gcBlocks {
 		rec := &m.gcRecs[off]
 		if rec.free {
@@ -201,7 +218,7 @@ func (m *Machine) MinorGC() int64 {
 
 	m.markRoots(true)
 
-	var reclaimed, blocks int64
+	reclaimed, blocks := m.sweepBoxes(true)
 	for _, off := range m.youngBlocks {
 		rec := &m.gcRecs[off]
 		if rec.free {
@@ -265,6 +282,12 @@ func (m *Machine) collectAuto() {
 // a long cons chain used to cost one Go stack frame per cell, a speed
 // and stack-depth hazard the deep-list regression test pins down.
 func (m *Machine) markRoots(minor bool) {
+	if n := len(m.Boxes); n <= cap(m.boxMarks) {
+		m.boxMarks = m.boxMarks[:n]
+		clear(m.boxMarks)
+	} else {
+		m.boxMarks = make([]bool, n)
+	}
 	for _, r := range m.regs {
 		m.markPush(r, minor)
 	}
@@ -325,16 +348,18 @@ func (m *Machine) markRoots(minor bool) {
 
 // markPush marks w's block and queues it for tracing if w points into
 // an unmarked live heap block — an unmarked live *young* block, during
-// a minor collection.
+// a minor collection. A box word marks its slot; marking an old box in
+// a minor is harmless, since a minor sweeps only young ones. The mark
+// loops call it per word, so it must stay within the inliner's budget
+// (go build -gcflags=-m reports "can inline (*Machine).markPush").
 func (m *Machine) markPush(w Word, minor bool) {
-	switch w.Tag {
-	case TagCons, TagFlonum, TagClosure, TagEnv, TagVector, TagArray, TagFArray:
-	default:
+	if !heapTag[w.Tag] {
+		if w.Tag == TagBoxed && w.Bits < uint64(len(m.boxMarks)) {
+			m.boxMarks[w.Bits] = true
+		}
 		return
 	}
-	if w.Bits < HeapBase {
-		return
-	}
+	// A word below HeapBase wraps to an offset past the records.
 	off := w.Bits - HeapBase
 	if off >= uint64(len(m.gcRecs)) {
 		return
@@ -346,6 +371,10 @@ func (m *Machine) markPush(w Word, minor bool) {
 	rec.marked = true
 	m.markStack = append(m.markStack, off)
 }
+
+// heapTag marks the tags whose words address heap blocks.
+var heapTag = [256]bool{TagCons: true, TagFlonum: true, TagClosure: true, TagEnv: true,
+	TagVector: true, TagArray: true, TagFArray: true}
 
 // markDrain traces queued blocks until the worklist is empty. Raw
 // payloads (flonum data, float-array data) contain no pointers but
@@ -438,9 +467,16 @@ func (m *Machine) PinDepth() int { return len(m.tempRoots) }
 // Unpin pops temp roots down to depth.
 func (m *Machine) Unpin(depth int) { m.release(depth) }
 
-// gcAlloc is Alloc with free-list reuse and the auto-collect trigger.
-// Every block it returns — reused or fresh — is young.
-func (m *Machine) gcAlloc(n int) uint64 {
+// collectDue reports whether an allocation of n words must first run
+// collectFor. It inlines, so the allocators pay no call when, as almost
+// always, nothing is due.
+func (m *Machine) collectDue(n int64) bool {
+	return m.gcStress || m.gcStressMinor || m.gcThreshold > 0 && m.liveSinceGC >= m.gcThreshold ||
+		m.HeapLimit > 0 && m.liveWords+n > m.HeapLimit
+}
+
+// collectFor runs the collection an allocation of n words calls for.
+func (m *Machine) collectFor(n int64) {
 	if m.gcStress {
 		// Stress mode: collect before every allocation, making every
 		// allocation point a GC safepoint. Any structure not reachable
@@ -457,11 +493,159 @@ func (m *Machine) gcAlloc(n int) uint64 {
 	// panic, because the call chain down to Cons has no error path; the
 	// run loop converts it to a RuntimeError. Always a full collection:
 	// a minor cannot reclaim the old generation the limit is drowning in.
-	if m.HeapLimit > 0 && m.liveWords+int64(n) > m.HeapLimit {
+	if m.HeapLimit > 0 && m.liveWords+n > m.HeapLimit {
 		m.GC()
-		if m.liveWords+int64(n) > m.HeapLimit {
-			panic(&heapExhausted{need: int64(n), live: m.liveWords, limit: m.HeapLimit})
+		if m.liveWords+n > m.HeapLimit {
+			panic(&heapExhausted{need: n, live: m.liveWords, limit: m.HeapLimit})
 		}
+	}
+}
+
+// Box puts an immutable host object in the box table and returns its
+// word. It is an allocation point: it charges boxWords(v) as gcAlloc
+// charges a block (no Stats meter moves), then fills the lowest free
+// slot, or appends one. The slot is young until the next collection.
+func (m *Machine) Box(v sexp.Value) Word {
+	n := boxWords(v)
+	if m.collectDue(n) {
+		m.collectFor(n)
+	}
+	m.liveWords += n
+	m.liveSinceGC += n
+	for m.boxLow < len(m.Boxes) && m.Boxes[m.boxLow] != nil {
+		m.boxLow++
+	}
+	i := m.boxLow
+	if i < len(m.Boxes) {
+		m.ownBoxes()
+		m.Boxes[i] = v
+	} else {
+		// A shared table's capacity is clipped, so this copies it.
+		m.Boxes = append(m.Boxes, v)
+		m.boxesShared = false
+	}
+	m.boxLow++
+	m.youngBoxes = append(m.youngBoxes, uint32(i))
+	return Ptr(TagBoxed, uint64(i))
+}
+
+// unbox returns the object a box word indexes; a word that indexes a
+// free slot (or none) is a dangling box, which the collector's
+// poisoning exists to catch.
+func (m *Machine) unbox(w Word) (sexp.Value, error) {
+	if w.Bits < uint64(len(m.Boxes)) && m.Boxes[w.Bits] != nil {
+		return m.Boxes[w.Bits], nil
+	}
+	return nil, &RuntimeError{PC: m.pc, Msg: "dangling box " + w.String()}
+}
+
+// boxWords is what a boxed object counts against the heap: its payload
+// in words, plus one for the slot.
+func boxWords(v sexp.Value) int64 {
+	switch x := v.(type) {
+	case *sexp.Bignum:
+		return int64(len(x.X.Bits())) + 1
+	case *sexp.Ratio:
+		return int64(len(x.X.Num().Bits())+len(x.X.Denom().Bits())) + 1
+	case sexp.String:
+		return int64(len(x)+7)/8 + 1
+	}
+	return 1
+}
+
+// ownBoxes gives the machine its own copy of a box table it shares with
+// a template (LoadFrom), before the first write into a slot.
+func (m *Machine) ownBoxes() {
+	if m.boxesShared {
+		m.Boxes = slices.Clone(m.Boxes)
+		m.boxesShared = false
+	}
+}
+
+// sweepBoxes frees the unmarked boxes — every slot in a full
+// collection, the young ones in a minor, whose survivors are promoted —
+// and returns the words and boxes it freed. The nursery empties either
+// way.
+func (m *Machine) sweepBoxes(minor bool) (words, boxes int64) {
+	free := func(i int) {
+		m.ownBoxes()
+		words += boxWords(m.Boxes[i])
+		boxes++
+		m.Boxes[i] = nil
+		m.boxLow = min(m.boxLow, i)
+	}
+	if minor {
+		for _, j := range m.youngBoxes {
+			if i := int(j); !m.boxMarks[i] {
+				free(i)
+			} else {
+				n := boxWords(m.Boxes[i])
+				m.GCMeters.WordsPromoted += n
+				m.GCMeters.BlocksPromoted++
+				m.promotedSinceFull += n
+			}
+		}
+	} else {
+		for i, v := range m.Boxes {
+			if v != nil && !m.boxMarks[i] {
+				free(i)
+			}
+		}
+	}
+	m.youngBoxes = m.youngBoxes[:0]
+	return words, boxes
+}
+
+// freeBoxSlots lists the free box slots in ascending order, the slots
+// Box will fill next (AllocContext). None lies below boxLow.
+func (m *Machine) freeBoxSlots() []uint64 {
+	var slots []uint64
+	for i := m.boxLow; i < len(m.Boxes); i++ {
+		if m.Boxes[i] == nil {
+			slots = append(slots, uint64(i))
+		}
+	}
+	return slots
+}
+
+// checkBoxes is CheckHeapInvariants' check of the box table: no free
+// slot lies below boxLow, the young list holds each live slot at most
+// once, and no word reachable from the roots indexes a free slot (a
+// dangling box), which takes a full mark phase whose block marks it
+// clears again. It returns the words the live boxes are charged.
+func (m *Machine) checkBoxes() (int64, error) {
+	var live int64
+	for i, v := range m.Boxes {
+		if v != nil {
+			live += boxWords(v)
+		} else if i < m.boxLow {
+			return 0, fmt.Errorf("s1 gc: free box slot %d lies below boxLow %d", i, m.boxLow)
+		}
+	}
+	young := make(map[uint32]bool, len(m.youngBoxes))
+	for _, i := range m.youngBoxes {
+		if young[i] || int(i) >= len(m.Boxes) || m.Boxes[i] == nil {
+			return 0, fmt.Errorf("s1 gc: young box list holds slot %d twice, out of range or free", i)
+		}
+		young[i] = true
+	}
+	m.markRoots(false)
+	for _, off := range m.gcBlocks {
+		m.gcRecs[off].marked = false
+	}
+	for i, v := range m.Boxes {
+		if v == nil && m.boxMarks[i] {
+			return 0, fmt.Errorf("s1 gc: a reachable word indexes free box slot %d", i)
+		}
+	}
+	return live, nil
+}
+
+// gcAlloc is Alloc with free-list reuse and the auto-collect trigger.
+// Every block it returns — reused or fresh — is young.
+func (m *Machine) gcAlloc(n int) uint64 {
+	if m.collectDue(int64(n)) {
+		m.collectFor(int64(n))
 	}
 	m.liveWords += int64(n)
 	m.liveSinceGC += int64(n)

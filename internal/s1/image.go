@@ -58,7 +58,8 @@ type Image struct {
 	Code []Instr
 	// Boxes are the boxed objects' printed forms; FromValue only boxes
 	// print/read-stable values (bignums, ratios, strings, characters),
-	// the same round trip the durable cache uses for constants.
+	// the same round trip the durable cache uses for constants. A free
+	// slot is the empty string, which no printed form is.
 	Boxes []string
 	Heap  []Word
 	Regs  []Word
@@ -94,7 +95,7 @@ func (m *Machine) ExportImage() (*Image, error) {
 		Syms:        append([]SymCell(nil), m.Syms...),
 		Funcs:       append([]FuncDesc(nil), m.Funcs...),
 		Code:        append([]Instr(nil), m.Code...),
-		Boxes:       make([]string, len(m.Boxes)),
+		Boxes:       boxForms(m.Boxes),
 		Heap:        append([]Word(nil), m.heap...),
 		Regs:        append([]Word(nil), m.regs[:]...),
 		Blocks:      make([]ImageBlock, 0, len(m.gcBlocks)),
@@ -102,9 +103,6 @@ func (m *Machine) ExportImage() (*Image, error) {
 		LiveWords:   m.liveWords,
 		LiveSinceGC: m.liveSinceGC,
 		GCThreshold: m.gcThreshold,
-	}
-	for i, b := range m.Boxes {
-		img.Boxes[i] = sexp.Print(b)
 	}
 	if sp := m.regs[RegSP].Bits; IsStackAddr(sp) {
 		// Zero-padded up to SP when SP sits past the stack's end, so the
@@ -201,6 +199,9 @@ func (m *Machine) LoadImage(img *Image) error {
 	}
 	boxes := make([]sexp.Value, len(img.Boxes))
 	for i, s := range img.Boxes {
+		if s == "" {
+			continue // a free slot
+		}
 		v, err := sexp.ReadOne(s)
 		if err != nil {
 			return fmt.Errorf("s1: image box %d unreadable: %w", i, err)
@@ -233,7 +234,7 @@ func (m *Machine) LoadImage(img *Image) error {
 		}
 		m.foldSymHash(c)
 	}
-	m.Boxes = boxes
+	m.Boxes, m.boxLow = boxes, 0
 
 	// Appending into the existing slices (rather than allocating fresh)
 	// reuses an adopted arena's capacity; on a plain New machine they are
@@ -319,9 +320,9 @@ func (m *Machine) checkFresh(op string) error {
 //
 // What a machine writes is copied — code and its lowered stream (whose
 // call sites fill inline caches), function and symbol tables, heap and
-// allocator state, registers and stack — and what it never writes is
-// shared: the boxed objects (immutable; the slice's capacity is clipped
-// so a new box reallocates it).
+// allocator state, registers and stack. The box table is shared until
+// the machine first writes a slot, by a sweep or a reuse (ownBoxes);
+// its capacity is clipped, so an appended box copies it too.
 func (m *Machine) LoadFrom(t *Machine) error {
 	if err := m.checkFresh("LoadFrom"); err != nil {
 		return err
@@ -333,7 +334,7 @@ func (m *Machine) LoadFrom(t *Machine) error {
 	m.symIdx = maps.Clone(t.symIdx)
 	m.uninterned = maps.Clone(t.uninterned)
 	m.symHash = t.symHash
-	m.Boxes = slices.Clip(t.Boxes)
+	m.Boxes, m.boxesShared, m.boxLow = slices.Clip(t.Boxes), true, t.boxLow
 
 	// Appending reuses an adopted arena's storage, as in LoadImage; the
 	// template's card table is clear and its nursery empty.

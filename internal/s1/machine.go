@@ -118,7 +118,10 @@ type Machine struct {
 	Funcs []FuncDesc
 	Syms  []SymCell
 	// Boxes holds immutable objects outside the word format (bignums,
-	// ratios, strings, characters, host symbols for literals).
+	// ratios, strings, characters), indexed by TagBoxed words. The
+	// collector owns them as it owns heap blocks (gc.go): a box is
+	// charged against HeapLimit and the GC threshold by its size, and
+	// an unreachable one is swept to nil, a free slot Box refills.
 	Boxes []sexp.Value
 
 	// Out receives print output.
@@ -126,10 +129,11 @@ type Machine struct {
 	// StepLimit bounds execution (instructions): a runaway program gets
 	// a RuntimeError instead of wedging the process (-max-steps).
 	StepLimit int64
-	// HeapLimit, when >0, bounds live heap words (-max-heap): an
-	// allocation that would exceed it first forces a collection, and if
-	// the heap is still over the limit the program gets a RuntimeError
-	// ("heap exhausted") instead of growing without bound.
+	// HeapLimit, when >0, bounds live heap words, boxes included
+	// (-max-heap): an allocation that would exceed it first forces a
+	// collection, and if the heap is still over the limit the program
+	// gets a RuntimeError ("heap exhausted") instead of growing without
+	// bound.
 	HeapLimit int64
 	// Stats accumulates the meters.
 	Stats Stats
@@ -168,6 +172,14 @@ type Machine struct {
 	youngBlocks []uint64
 	cards       []byte
 	markStack   []uint64
+	// Box state (gc.go). youngBoxes lists the slots filled since the
+	// last collection; boxMarks is the mark phase's flag per slot; every
+	// slot below boxLow is in use. boxesShared says Boxes is a
+	// template's (LoadFrom), to be copied before a slot is written.
+	youngBoxes  []uint32
+	boxMarks    []bool
+	boxLow      int
+	boxesShared bool
 	gcThreshold int64
 	liveSinceGC int64
 	liveWords   int64
@@ -514,12 +526,6 @@ func (m *Machine) SetGlobal(name string, v Word) {
 	i := m.InternSym(name)
 	m.Syms[i].Value = v
 	m.Syms[i].HasValue = true
-}
-
-// Box interns an immutable host object and returns its boxed word.
-func (m *Machine) Box(v sexp.Value) Word {
-	m.Boxes = append(m.Boxes, v)
-	return Ptr(TagBoxed, uint64(len(m.Boxes)-1))
 }
 
 // Alloc allocates n heap words and returns the base address, reusing

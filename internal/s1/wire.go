@@ -109,7 +109,8 @@ func (w *Writer) instrTarget(in *Instr) {
 
 // machineSections writes the five sections of an image in the order
 // ImageFingerprint hashes them: code, function descriptors, symbol
-// cells, heap words, and the boxed objects' printed forms. full (the
+// cells, heap words, and the boxed objects' printed forms (boxForms:
+// a free slot is the empty string). full (the
 // image, not the fingerprint) adds each jump's target and each
 // uninterned cell's name; the fingerprint records such a cell by a
 // length no name has, since its name depends on gensym history.
@@ -159,14 +160,22 @@ func (w *Writer) machineSections(code []Instr, funcs []FuncDesc, syms []SymCell,
 // are the wire records of those sections (machineSections), so the hash
 // costs a pass over the image, not a formatted listing of it.
 func (m *Machine) ImageFingerprint() string {
-	boxes := make([]string, len(m.Boxes))
-	for i, b := range m.Boxes {
-		boxes[i] = sexp.Print(b)
-	}
 	w := Writer{buf: make([]byte, 0, spillAt+1024), h: sha256.New()}
-	w.machineSections(m.Code, m.Funcs, m.Syms, m.heap, boxes, false)
+	w.machineSections(m.Code, m.Funcs, m.Syms, m.heap, boxForms(m.Boxes), false)
 	w.h.Write(w.buf)
 	return hex.EncodeToString(w.h.Sum(nil))
+}
+
+// boxForms returns the boxed objects' printed forms, the empty string
+// for a free slot.
+func boxForms(boxes []sexp.Value) []string {
+	forms := make([]string, len(boxes))
+	for i, b := range boxes {
+		if b != nil {
+			forms[i] = sexp.Print(b)
+		}
+	}
+	return forms
 }
 
 // AppendImage writes img's wire encoding: the fingerprinted sections,

@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -68,6 +69,30 @@ func wireFiles(t testing.TB) (snap, entry []byte) {
 	}
 	t.Fatalf("no cache entry for f among %d files", len(files))
 	return nil, nil
+}
+
+// freeBoxSlotSnapshot returns the bytes of a snapshot whose box table
+// has free slots: bignums the top-level call made and dropped,
+// collected before the snapshot.
+func freeBoxSlotSnapshot(t testing.TB) []byte {
+	t.Helper()
+	sys := core.NewSystem(core.Options{Jobs: 1})
+	if err := sys.LoadString(`(defvar *kept* "kept") (defun f (n acc) (if (= n 0) 0 (f (- n 1) (* acc 99999999999)))) (f 10 1)`); err != nil {
+		t.Fatal(err)
+	}
+	sys.Machine.GC()
+	s, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(s.Image.Boxes, "") {
+		t.Fatalf("no free box slot in %q", s.Image.Boxes)
+	}
+	data, err := s.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // unframe returns a durable file's payload: what follows its magic and
@@ -167,6 +192,7 @@ func FuzzWire(f *testing.F) {
 	var body s1.Writer
 	s1.AppendBody(&body, &e.Capture.Funcs[len(e.Capture.Funcs)-1])
 	f.Add(body.Bytes())
+	f.Add(unframe(f, freeBoxSlotSnapshot(f)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkTargets := func(what string, code []s1.Instr) {

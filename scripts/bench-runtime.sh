@@ -89,7 +89,7 @@ if [ -n "$BASE" ]; then
   fi
 fi
 cat <<'HEADER'
-    "change": "this checkout: every instruction lowered at install, one run loop"
+    "change": "this checkout: the same engine, with boxed objects collected and charged by the allocators"
   },
 HEADER
 
@@ -154,10 +154,9 @@ END {
 
 cat <<'FOOTER'
   "what_changed": [
-    "one execution engine (DESIGN.md §10): every instruction is lowered at install (AddBody, LoadImage; LoadFrom copies a template's stream) into a pointer-free lop parallel to Code; the per-instruction decoded closures, hot-function promotion and the two flags that chose between engines are gone",
-    "the run loop splits in two: fast forms (register and in-bounds memory moves and arithmetic, pushes, pops, jumps, non-allocating SQ routines) run in a loop that calls nothing and keeps the PC and one packed meter word (cycles, MOVs, instructions to the next checkpoint) in registers; allocating routines, calls, returns and generic shapes run with the meters spilled and m.pc materialized",
-    "checkpoints (the step limit and the safepoint poll) fall every interruptEvery retired instructions, so -max-steps trips at the exact count without the tier's per-jump guards",
-    "new fast forms: float arithmetic with an immediate or two memory operands, CALLSQ single-flonum-cons, and inline-cached calls through a function immediate or a memory word"
+    "boxed objects (bignums, ratios, strings, characters) are collected (DESIGN.md §15): markPush marks box words (still inlined), both collections sweep unreachable boxes, Box refills the lowest free slot and charges the box's words against the threshold and HeapLimit",
+    "the allocators test collectDue inline and call collectFor only when a collection is due",
+    "PrepareTask no longer re-runs analysis.Analyze after Optimize (compile path only; no kernel's code changes)"
   ]
 }
 FOOTER
@@ -186,7 +185,7 @@ cat <<HEADER
 {
   "date": "$DATE",
   "benchmark": "scripts/bench-runtime.sh: go test -run xxx -bench BenchmarkGC -benchtime=${ITERS}x -count=$COUNT ./internal/s1/",
-  "metric": "gc-cons kernel (20k-cons resident set + per-call churn, GC threshold 4096); per-configuration median of $COUNT fixed-iteration runs from one invocation",
+  "metric": "gc-cons kernel (20k-cons resident set + per-call churn, GC threshold 4096) and box-churn kernel (exptl driver, one dropped bignum per exptl call, GC threshold 8192; box_slots is the box table's length after the run); per-configuration median of $COUNT fixed-iteration runs from one invocation",
   "environment": {
     "cpu": "$CPU",
     "cores": $CORES,
@@ -208,7 +207,7 @@ awk '
   for (i = 3; i <= NF; i++) {
     v = $(i-1) + 0
     key = cfg SUBSEP $i
-    if ($i ~ /^(steps\/sec|minors|fulls|promoted-words|minor-p50-us|minor-p99-us|full-p50-us|full-p99-us)$/) {
+    if ($i ~ /^(steps\/sec|minors|fulls|promoted-words|minor-p50-us|minor-p99-us|full-p50-us|full-p99-us|box-slots|B\/op)$/) {
       cnt[key]++
       vals[key, cnt[key]] = v
     }
@@ -237,10 +236,23 @@ function emit(cfg, last) {
   printf "      \"full_pause_p99_us\": %.2f\n", median(cfg, "full-p99-us")
   printf "    }%s\n", (last ? "" : ",")
 }
+function emitBox(cfg, name, last) {
+  printf "    \"%s\": {\n", name
+  printf "      \"steps_per_sec\": %d,\n", median(cfg, "steps/sec")
+  printf "      \"minor_collections\": %d,\n", median(cfg, "minors")
+  printf "      \"full_collections\": %d,\n", median(cfg, "fulls")
+  printf "      \"box_slots\": %d,\n", median(cfg, "box-slots")
+  printf "      \"bytes_per_op\": %d\n", median(cfg, "B/op")
+  printf "    }%s\n", (last ? "" : ",")
+}
 END {
   printf "  \"gc_cons\": {\n"
   emit("gen", 0)
   emit("nogen", 1)
+  printf "  },\n"
+  printf "  \"box_churn\": {\n"
+  emitBox("box-gen", "gen", 0)
+  emitBox("box-nogen", "nogen", 1)
   printf "  },\n"
   base = median("nogen", "steps/sec")
   sp = 0; if (base > 0) sp = median("gen", "steps/sec") / base
@@ -256,7 +268,8 @@ cat <<'FOOTER'
     "generational GC (DESIGN.md §15): blocks are born young; threshold collections mark from roots plus the card-table remembered set, sweep only the nursery, and promote survivors in place by their sticky mark",
     "collections escalate to full on -gc-nogen or on promotion pressure (8x threshold tenured since the last full)",
     "the mark phase is an explicit worklist (no Go recursion), and emptied big-block free-list size classes are pruned",
-    "machine-arena reuse in slcd: request machines recycle heap/record/stack/card storage through a sync.Pool of arenas (slcd_arena_recycles_total)"
+    "machine-arena reuse in slcd: request machines recycle heap/record/stack/card storage through a sync.Pool of arenas (slcd_arena_recycles_total)",
+    "boxed objects (bignums, ratios, strings, characters) are collected: both collections mark box words, sweep unreachable boxes and Box refills the lowest free slot; a box is charged its payload's words against the threshold and -max-heap"
   ]
 }
 FOOTER
